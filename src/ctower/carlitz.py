@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ffpoly import FqField, FqPoly, NonMonicError, ResidueRing, factor, unit_group
+from .ffpoly import FqField, FqPoly, NonMonicError, ResidueRing, factor
 
 
 class TwistedPoly:

@@ -236,8 +236,7 @@ def cmd_count_points(args):
         ns = count_points_splitting(layer, i)
         row = {"i": i, "splitting": ns}
         if model is not None and cfg.field.q ** i <= args.budget:
-            row["model"] = count_points_model(model, i, budget=args.budget,
-                                              threads=args.threads)
+            row["model"] = count_points_model(model, i, budget=args.budget)
             row["agree"] = row["model"] == ns
         rows.append(row)
         print(f"N_{i}: " + ", ".join(f"{k}={v}" for k, v in row.items() if k != "i"))
@@ -282,14 +281,13 @@ def _verify_config(args):
             degree=blob.get("degree"),
             point_budget=blob.get("budget", 10 ** 7),
             seed=blob.get("seed", 0),
-            threads=blob.get("threads", 1),
         )
         if blob.get("sigma_alt"):
             opts.sigma_alt = parse_places(field, ",".join(blob["sigma_alt"]))
         return cfg, blob.get("N", 1), opts
     _, cfg = _config_from_args(args)
     opts = RunOptions(precision_k=args.precision, point_budget=args.budget,
-                      seed=args.seed, threads=args.threads)
+                      seed=args.seed)
     if args.sigma_alt:
         opts.sigma_alt = parse_places(cfg.field, args.sigma_alt)
     return cfg, args.N, opts
@@ -312,7 +310,6 @@ def cmd_verify(args):
         except TowerVerificationError as exc:
             run = exc.run
         else:
-            opts.fail_fast = False
             run.verdicts.extend(algebra_suite(seed=opts.seed, cases=args.cases,
                                               systems=20))
         for line in run.summary_lines():
@@ -407,7 +404,6 @@ def build_parser():
     _add_config_flags(sp)
     sp.add_argument("--max-i", type=int, default=6)
     sp.add_argument("--budget", type=int, default=10 ** 7)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--splitting-only", action="store_true")
     sp.add_argument("--csv", help="also write the counts as a flat CSV table")
     sp.set_defaults(func=cmd_count_points)
@@ -432,7 +428,6 @@ def build_parser():
     sp.add_argument("--max-i", type=int, default=6)
     sp.add_argument("--precision", type=int, default=24)
     sp.add_argument("--budget", type=int, default=10 ** 7)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--cases", type=int, default=200)
     sp.add_argument("--out")

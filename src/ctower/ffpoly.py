@@ -44,91 +44,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _fp_poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _fp_trim(a):
-    a = list(a)
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_poly_mod(a, m, p):
-    a = list(a)
-    m = _fp_trim(m)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_poly_powmod(base, n, m, p):
-    result = [1]
-    base = _fp_poly_mod(base, m, p)
-    while n:
-        if n & 1:
-            result = _fp_poly_mod(_fp_poly_mul(result, base, p), m, p)
-        base = _fp_poly_mod(_fp_poly_mul(base, base, p), m, p)
-        n >>= 1
-    return result
-
-
-def _fp_poly_gcd(a, b, p):
-    a, b = _fp_trim(a), _fp_trim(b)
-    while any(b):
-        a = _fp_poly_mod(a, b, p)
-        a, b = b, a
-    return _fp_trim(a)
-
-
-def _fp_is_irreducible(m, p) -> bool:
-    # Rabin test over F_p, used only to validate field moduli (degree <= 16)
-    d = len(m) - 1
-    if d < 1:
-        return False
-    x = [0, 1]
-    xq = _fp_poly_powmod(x, p ** d, m, p)
-    diff = [(xq[i] if i < len(xq) else 0) - (x[i] if i < len(x) else 0) for i in range(max(len(xq), 2))]
-    diff = [c % p for c in diff]
-    if any(diff):
-        return False
-    for r in {d // f for f in range(2, d + 1) if d % f == 0 and _is_prime(f)}:
-        xr = _fp_poly_powmod(x, p ** r, m, p)
-        diff = [(xr[i] if i < len(xr) else 0) - (x[i] if i < len(x) else 0) for i in range(max(len(xr), 2))]
-        diff = [c % p for c in diff]
-        g = _fp_poly_gcd(m, diff, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
-
-
 def _default_modulus(p: int, e: int):
     """Lexicographically smallest monic irreducible of degree e over F_p."""
     if e == 1:
         return (0, 1)
+    Fp = FqField(p)
     for tail in itertools.product(range(p), repeat=e):
-        m = list(tail) + [1]
-        if _fp_is_irreducible(m, p):
-            return tuple(m)
+        # tail[0] == 0: x divides the candidate
+        if tail[0] and is_irreducible(FqPoly(Fp, tail + (1,))):
+            return tail + (1,)
     raise ArithmeticError("no irreducible modulus found")  # unreachable
 
 
@@ -150,13 +74,15 @@ class FqField:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree e over F_p")
-        if e > 1 and not _fp_is_irreducible(list(modulus), p):
+        modulus_poly = FqPoly(FqField(p), modulus) if e > 1 else None
+        if e > 1 and not is_irreducible(modulus_poly):
             raise ValueError("modulus is not irreducible over F_p")
         key = (p, e, modulus)
         if key in cls._interned:
             return cls._interned[key]
         self = super().__new__(cls)
         self.p, self.e, self.q, self.modulus = p, e, q, modulus
+        self._modulus_poly = modulus_poly
         self._build_tables()
         cls._interned[key] = self
         return self
@@ -177,9 +103,9 @@ class FqField:
         return a
 
     def _raw_mul(self, a: int, b: int) -> int:
-        prod = _fp_poly_mul(self._unpack(a), self._unpack(b), self.p)
-        prod = _fp_poly_mod(prod, list(self.modulus), self.p)
-        return self._pack(prod)
+        m = self._modulus_poly
+        prod = FqPoly(m.field, self._unpack(a)) * FqPoly(m.field, self._unpack(b))
+        return self._pack((prod % m).coeffs)
 
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
@@ -590,11 +516,6 @@ def is_infinite(place) -> bool:
 # ---------------------------------------------------------------------------
 # core operations
 # ---------------------------------------------------------------------------
-
-
-def poly_mul(a: FqPoly, b: FqPoly) -> FqPoly:
-    """Exact product in A = F_q[theta]; raises FieldMismatchError."""
-    return a * b
 
 
 def is_irreducible(f: FqPoly) -> bool:

@@ -9,10 +9,10 @@ model is factored once and its support must lie inside the exceptional set.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from . import zpoly
 from .carlitz import AXPoly, cyclotomic_poly, real_generator_minpoly
 from .ffpoly import FqPoly, INFINITY, is_infinite, factor, irreducibles_of_degree
 from .grouprings import ThetaPoly, TruncPolyRing, ZpkRing, characters, is_unit
@@ -296,7 +296,7 @@ def _fiber_root_count(coeffs, ops, qi_exp, q):
 
 
 def count_points_model(model: CurveModel, i: int,
-                       budget: int = DEFAULT_POINT_BUDGET, threads: int = 1) -> int:
+                       budget: int = DEFAULT_POINT_BUDGET) -> int:
     """F_(q^i)-points of the smooth model: affine counting away from the
     exceptional fibers plus the class-field table above them.
 
@@ -333,32 +333,12 @@ def count_points_model(model: CurveModel, i: int,
 
     points = 0
     exceptional_affine = {}
-    thetas = list(ops["elements"]())
-    if threads > 1:
-        def work(chunk):
-            total = 0
-            exc = {}
-            for th in chunk:
-                cnt, idx = fiber_contribution(th)
-                if idx is None:
-                    total += cnt
-                else:
-                    exc[idx] = exc.get(idx, 0) + cnt
-            return total, exc
-        size = max(1, len(thetas) // threads)
-        chunks = [thetas[j:j + size] for j in range(0, len(thetas), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for total, exc in pool.map(work, chunks):
-                points += total
-                for idx, c in exc.items():
-                    exceptional_affine[idx] = exceptional_affine.get(idx, 0) + c
-    else:
-        for th in thetas:
-            cnt, idx = fiber_contribution(th)
-            if idx is None:
-                points += cnt
-            else:
-                exceptional_affine[idx] = exceptional_affine.get(idx, 0) + cnt
+    for th in ops["elements"]():
+        cnt, idx = fiber_contribution(th)
+        if idx is None:
+            points += cnt
+        else:
+            exceptional_affine[idx] = exceptional_affine.get(idx, 0) + cnt
 
     # add table contributions and enforce the fiber-consistency check
     finite_places = _finite_s(model.layer)
@@ -586,22 +566,8 @@ def tate_charpoly(layer, zeta: ZetaData, sdiv: SDivisorData):
     for dw in sdiv.degrees:
         f = [0] * (dw + 1)
         f[0], f[dw] = 1, -1
-        out = [0] * (len(poly) + dw)
-        for a_i, a in enumerate(poly):
-            for b_i, b in enumerate(f):
-                out[a_i + b_i] += a * b
-        poly = out
-    # exact division by (1 - u)
-    quo = []
-    acc = 0
-    for c in poly[:-1]:
-        acc += c
-        quo.append(acc)
-    if sum(poly) != 0:
-        raise ArithmeticError("charpoly division by (1-u) inexact")
-    while quo and quo[-1] == 0:
-        quo.pop()
-    return quo
+        poly = zpoly.mul(poly, f)
+    return zpoly.exact_div(poly, [1, -1])
 
 
 def sigma_factor_poly(layer) -> ThetaPoly:
@@ -636,20 +602,7 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
     R = theta_result.theta.norm_poly()
     NS = sigma_factor_poly(layer).norm_poly()
 
-    def ipoly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    lhs = ipoly_mul(R, [1, -q])
-    rhs = ipoly_mul(Q, NS)
-    while lhs and lhs[-1] == 0:
-        lhs.pop()
-    while rhs and rhs[-1] == 0:
-        rhs.pop()
-    exact = lhs == rhs
+    exact = zpoly.mul(R, [1, -q]) == zpoly.mul(Q, NS)
 
     ring = TruncPolyRing(ZpkRing(p, k), M)
     q_t = ring.from_list([c % ring.pk for c in Q])

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import gcd
 
+from . import zpoly
 from .abelian import AbelianGroup
 from .ffpoly import FqField, FqPoly, factor as fq_factor
 from .snf import (
@@ -38,28 +39,8 @@ def cyclotomic_polynomial(n: int):
     num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            num = _ipoly_exact_div(num, list(cyclotomic_polynomial(d)))
+            num = zpoly.exact_div(num, cyclotomic_polynomial(d))
     return tuple(num)
-
-
-def _ipoly_exact_div(a, b):
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        if a[-1] % b[-1]:
-            raise ArithmeticError("inexact polynomial division")
-        c = a[-1] // b[-1]
-        shift = len(a) - len(b)
-        out[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] -= c * bi
-        a.pop()
-    if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    return out
 
 
 class CyclotomicRing:
@@ -715,8 +696,7 @@ def _lifted_cyclotomic_factors(M: int, p: int, k: int):
 def chi_component_ring(chi: Character, p: int, k: int, p_group: AbelianGroup) -> ChiComponentRing:
     """Z_p(chi)[P] at precision p^k, with the first lifted factor of Phi_ord(chi)."""
     M = chi.order
-    if M == 1:
-        h = (0, 1)  # placeholder: Z_p(chi) = Z_p realized as Z/p^k[x]/(x)
+    if M == 1:  # Z_p(chi) = Z_p realized as Z/p^k[x]/(x)
         return ChiComponentRing(p, k, (0, 1), p_group, 1)
     h = _lifted_cyclotomic_factors(M, p, k)[0]
     return ChiComponentRing(p, k, h, p_group, M)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from . import zpoly
 from .abelian import AbelianGroup
 from .ffpoly import FqPoly, INFINITY, is_infinite, irreducibles_of_degree
 from .grouprings import (
@@ -290,39 +291,21 @@ def trivial_character_symbolic(layer):
     denominator = (1 - u)(1 - qu); raises PoleError if division is inexact.
     """
     q = _layer_field(layer).q
-
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
     num = [1]
     for v in _layer_sigma(layer):
         f = [0] * (v.degree + 1)
         f[0], f[v.degree] = 1, -(q ** v.degree)
-        num = poly_mul(num, f)
+        num = zpoly.mul(num, f)
     for v in _layer_s(layer):
         d = 1 if is_infinite(v) else v.degree
         f = [0] * (d + 1)
         f[0], f[d] = 1, -1
-        num = poly_mul(num, f)
-    den = poly_mul([1, -1], [1, -q])
-    # exact division num / den
-    quo = [0] * (len(num) - len(den) + 1)
-    work = list(num)
-    for top in range(len(num) - 1, len(den) - 2, -1):
-        c = work[top] // den[-1]
-        shift = top - (len(den) - 1)
-        quo[shift] = c
-        for i, dcoef in enumerate(den):
-            work[shift + i] -= c * dcoef
-    if any(work):
-        raise PoleError("Sigma fails to cancel the pole in the trivial-character component")
-    while quo and quo[-1] == 0:
-        quo.pop()
-    return quo
+        num = zpoly.mul(num, f)
+    den = zpoly.mul([1, -1], [1, -q])
+    try:
+        return zpoly.exact_div(num, den)
+    except ArithmeticError:
+        raise PoleError("Sigma fails to cancel the pole in the trivial-character component") from None
 
 
 def per_character_euler_product(layer, chi: Character, D: int):

@@ -1,5 +1,5 @@
-"""Exact linear algebra: integer Smith normal form, elimination over Z/p^k,
-and Hensel lifting of polynomial factorizations mod p^k.
+"""Exact linear algebra: elimination over Z/p^k and Hensel lifting of
+polynomial factorizations mod p^k.
 
 Z/p^k is a local principal ideal ring, so Gaussian elimination with
 minimal-valuation pivoting yields a Smith form diag(p^v_1, ..., p^v_r)
@@ -8,96 +8,7 @@ with v_1 <= v_2 <= ... and unit transforms; no integer coefficient blowup.
 
 from __future__ import annotations
 
-
-# ---------------------------------------------------------------------------
-# integer Smith normal form
-# ---------------------------------------------------------------------------
-
-
-def smith_normal_form(mat):
-    """(D, U, V) with U*M*V = D over Z, D in Smith form, U, V unimodular."""
-    m = [row[:] for row in mat]
-    rows, cols = len(m), len(m[0]) if m else 0
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    def addmul_row(dst, src, c):
-        m[dst] = [a + c * b for a, b in zip(m[dst], m[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def addmul_col(dst, src, c):
-        for r in range(rows):
-            m[r][dst] += c * m[r][src]
-        for r in range(cols):
-            V[r][dst] += c * V[r][src]
-
-    def negate_row(i):
-        m[i] = [-a for a in m[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate minimal nonzero |entry| in the remaining block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = False
-        for i in range(t + 1, rows):
-            if m[i][t]:
-                q = m[i][t] // m[t][t]
-                addmul_row(i, t, -q)
-                if m[i][t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if m[t][j]:
-                q = m[t][j] // m[t][t]
-                addmul_col(j, t, -q)
-                if m[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # enforce divisibility of the rest of the block by the pivot
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            addmul_row(t, offender, 1)
-            continue
-        if m[t][t] < 0:
-            negate_row(t)
-        t += 1
-    return m, U, V
-
-
-def snf_diagonal(mat):
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
-    d, _, _ = smith_normal_form(mat)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(abs(d[i][i]))
-    return out
+from . import zpoly
 
 
 # ---------------------------------------------------------------------------
@@ -232,44 +143,6 @@ def zpk_module_order_exponent(mat, p, k):
 # ---------------------------------------------------------------------------
 
 
-def _ipoly_trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _ipoly_mul(a, b, mod):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % mod
-    return _ipoly_trim(out)
-
-
-def _ipoly_sub(a, b, mod):
-    n = max(len(a), len(b))
-    return _ipoly_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % mod for i in range(n)])
-
-
-def _ipoly_divmod_monic(a, b, mod):
-    a = list(a)
-    db = len(b) - 1
-    quo = [0] * max(len(a) - db, 0)
-    while len(_ipoly_trim(a)) - 1 >= db:
-        a = _ipoly_trim(a)
-        c = a[-1] % mod
-        shift = len(a) - 1 - db
-        quo[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % mod
-        a = a[:-1]
-    return _ipoly_trim(quo), _ipoly_trim(a)
-
-
 def hensel_lift_pair(f, g, h, p, k):
     """Lift f = g*h (mod p), g monic, h monic, gcd(g,h)=1 mod p, to mod p^k."""
     from .ffpoly import FqField, FqPoly
@@ -277,28 +150,24 @@ def hensel_lift_pair(f, g, h, p, k):
     F = FqField(p)
     gp = FqPoly(F, [c % p for c in g])
     hp = FqPoly(F, [c % p for c in h])
-    one, s, t = gp.extended_gcd(hp)
+    one, _, t = gp.extended_gcd(hp)
     if not one.is_one():
         raise ValueError("factors are not coprime mod p")
-    s, t = list(s.coeffs), list(t.coeffs)
 
     g, h = list(g), list(h)
     pj = p
     while pj < p ** k:
         mod_next = pj * p
-        e = _ipoly_sub(f, _ipoly_mul(g, h, mod_next), mod_next)
-        delta = [c // pj for c in e]
+        e = zpoly.sub(f, zpoly.mul(g, h, mod_next), mod_next)
+        delta = FqPoly(F, [c // pj for c in e])
         # a = delta*t mod g ; b = (delta - h*a)/g, both mod p
-        a_full = _ipoly_mul(delta, t, p)
-        _, a = _ipoly_divmod_monic(a_full, [c % p for c in g], p)
-        num = _ipoly_sub(delta, _ipoly_mul([c % p for c in h], a, p), p)
-        b, rem = _ipoly_divmod_monic(num, [c % p for c in g], p)
-        if rem:
+        a = (delta * t) % gp
+        b, rem = divmod(delta - hp * a, gp)
+        if not rem.is_zero():
             raise ArithmeticError("Hensel correction not divisible")
-        g = _ipoly_trim([(gi + pj * (a[i] if i < len(a) else 0)) % mod_next
-                         for i, gi in enumerate(g + [0] * (len(a) - len(g)))])
-        h = _ipoly_trim([(hi + pj * (b[i] if i < len(b) else 0)) % mod_next
-                         for i, hi in enumerate(h + [0] * (len(b) - len(h)))])
+        # g + pj*a and h + pj*b
+        g = zpoly.sub(g, [-pj * c for c in a.coeffs], mod_next)
+        h = zpoly.sub(h, [-pj * c for c in b.coeffs], mod_next)
         pj = mod_next
     return g, h
 
@@ -312,18 +181,18 @@ def hensel_lift_factors(f, factors_mod_p, p, k):
     facs = list(factors_mod_p)
     for i, g in enumerate(facs):
         if i == len(facs) - 1:
-            out.append(_ipoly_trim([c % pk for c in remaining]))
+            out.append(zpoly.trim([c % pk for c in remaining]))
             break
         cof = [1]
         for other in facs[i + 1:]:
-            cof = _ipoly_mul(cof, other, p)
+            cof = zpoly.mul(cof, other, p)
         g_lift, cof_lift = hensel_lift_pair(remaining, [c % p for c in g], cof, p, k)
         out.append(g_lift)
         remaining = cof_lift
     # verify
     prod = [1]
     for g in out:
-        prod = _ipoly_mul(prod, g, pk)
-    if _ipoly_sub(prod, f, pk):
+        prod = zpoly.mul(prod, g, pk)
+    if zpoly.sub(prod, f, pk):
         raise ArithmeticError("Hensel lift failed to reconstruct the input")
     return out

@@ -64,7 +64,6 @@ class RunOptions:
     degree: object = None  # explicit enumeration degree D (None: bound + extra)
     point_budget: int = 10 ** 7
     point_max_i: int = 6
-    threads: int = 1
     seed: int = 0
     geometry: bool = True
     fail_fast: bool = True
@@ -250,8 +249,7 @@ def _geometry_suite(run: TowerRun, layer, tr):
     for i in range(1, max_i + 1):
         ns = count_points_splitting(layer, i)
         if model is not None and q ** i <= opts.point_budget:
-            nm = count_points_model(model, i, budget=opts.point_budget,
-                                    threads=opts.threads)
+            nm = count_points_model(model, i, budget=opts.point_budget)
             agree = agree and nm == ns
         counts.append(ns)
     run.record("point_count_cross_check", layer.n, agree,

@@ -14,7 +14,6 @@ from ctower.ffpoly import (
     irreducible_count,
     irreducibles_of_degree,
     is_irreducible,
-    poly_mul,
     unit_group,
 )
 
@@ -86,22 +85,67 @@ class TestFieldArithmetic:
         assert FqField(2, 2) is FqField(2, 2)
 
 
+def schoolbook_mulmod(a, b, p, modulus):
+    """Independent oracle for F_p[x]/(modulus) on packed base-p digits."""
+    e = len(modulus) - 1
+    da = [a // p ** i % p for i in range(e)]
+    db = [b // p ** i % p for i in range(e)]
+    prod = [0] * (2 * e - 1)
+    for i in range(e):
+        for j in range(e):
+            prod[i + j] += da[i] * db[j]
+    for top in range(2 * e - 2, e - 1, -1):  # modulus is monic
+        c = prod[top]
+        for i in range(e + 1):
+            prod[top - e + i] -= c * modulus[i]
+    return sum((prod[i] % p) * p ** i for i in range(e))
+
+
+class TestExtensionFields:
+    # lexicographically smallest monic irreducible, constant term first
+    DEFAULT_MODULI = {
+        (2, 2): (1, 1, 1),
+        (2, 3): (1, 0, 1, 1),
+        (2, 4): (1, 0, 0, 1, 1),
+        (3, 2): (1, 0, 1),
+        (3, 3): (1, 0, 2, 1),
+        (5, 2): (1, 1, 1),
+    }
+
+    def test_default_moduli(self):
+        for (p, e), modulus in self.DEFAULT_MODULI.items():
+            assert FqField(p, e).modulus == modulus
+
+    def test_mul_matches_schoolbook_mod_modulus(self):
+        fields = [FqField(p, e) for p, e in self.DEFAULT_MODULI]
+        fields.append(FqField(3, 2, (2, 1, 1)))  # a non-default modulus
+        for F in fields:
+            for a, b in itertools.product(F.elements(), repeat=2):
+                assert F.mul(a, b) == schoolbook_mulmod(a, b, F.p, F.modulus)
+
+    def test_reducible_modulus_rejected(self):
+        with pytest.raises(ValueError):
+            FqField(3, 2, (2, 0, 1))  # x^2 - 1
+        with pytest.raises(ValueError):
+            FqField(2, 3, (0, 1, 0, 1))  # x (x + 1)^2
+
+
 class TestPolyMul:
     def test_char2_square(self):
         # (theta+1)^2 = theta^2 + 1 over F_2
         a = poly(F2, 1, 1)
-        assert poly_mul(a, a) == poly(F2, 1, 0, 1)
+        assert a * a == poly(F2, 1, 0, 1)
 
     def test_identity(self):
         a = poly(F3, 2, 1, 1)
-        assert poly_mul(a, FqPoly.one(F3)) == a
+        assert a * FqPoly.one(F3) == a
 
     def test_derived_schoolbook(self):
         # (theta^2+1) * theta over F_3 = theta^3 + theta
         a, b = poly(F3, 1, 0, 1), poly(F3, 0, 1)
         expected = schoolbook_mul(a, b)
         assert expected == poly(F3, 0, 1, 0, 1)
-        assert poly_mul(a, b) == expected
+        assert a * b == expected
 
     def test_random_against_oracle(self):
         rng = random.Random(42)
@@ -109,14 +153,14 @@ class TestPolyMul:
             for _ in range(40):
                 a = FqPoly(F, [rng.randrange(F.q) for _ in range(rng.randrange(8))])
                 b = FqPoly(F, [rng.randrange(F.q) for _ in range(rng.randrange(8))])
-                got = poly_mul(a, b)
+                got = a * b
                 assert got == schoolbook_mul(a, b)
                 if not a.is_zero() and not b.is_zero():
                     assert got.degree == a.degree + b.degree
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
-            poly_mul(poly(F2, 1, 1), poly(F3, 1, 1))
+            poly(F2, 1, 1) * poly(F3, 1, 1)
 
 
 class TestDivmodGcd:

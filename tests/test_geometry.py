@@ -113,11 +113,6 @@ class TestFlagshipCounts:
         assert f == 2
         assert layer.order // f == 2
 
-    def test_model_threads_agree(self):
-        layer = build_layer(flagship_q3(), 0)
-        model = curve_model(layer)
-        assert count_points_model(model, 4, threads=3) == count_points_model(model, 4)
-
     def test_budget(self):
         layer = build_layer(flagship_q3(), 0)
         model = curve_model(layer)

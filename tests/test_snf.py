@@ -1,11 +1,8 @@
 import itertools
-import math
 import random
 
 from ctower.snf import (
     hensel_lift_factors,
-    smith_normal_form,
-    snf_diagonal,
     zpk_cokernel_exponents,
     zpk_kernel,
     zpk_module_order_exponent,
@@ -17,59 +14,6 @@ from ctower.snf import (
 def matmul(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
             for i in range(len(a))]
-
-
-def minor_gcd_oracle(mat, size):
-    """gcd of all size x size minors, computed naively."""
-    rows, cols = len(mat), len(mat[0])
-    g = 0
-    for ri in itertools.combinations(range(rows), size):
-        for ci in itertools.combinations(range(cols), size):
-            sub = [[mat[i][j] for j in ci] for i in ri]
-            g = math.gcd(g, det_int(sub))
-    return g
-
-
-def det_int(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        sub = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * det_int(sub)
-    return total
-
-
-class TestIntegerSNF:
-    def test_transforms(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
-            mat = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
-            d, u, v = smith_normal_form(mat)
-            assert matmul(matmul(u, mat), v) == d
-            diag = [d[i][i] for i in range(min(rows, cols))]
-            for i in range(len(diag) - 1):
-                if diag[i + 1]:
-                    assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-            for i in range(rows):
-                for j in range(cols):
-                    if i != j:
-                        assert d[i][j] == 0
-
-    def test_invariant_factors_vs_minor_gcd(self):
-        # spec invariant: SNF of integer matrices agrees with a naive
-        # minor-gcd oracle on 4x4 random matrices
-        rng = random.Random(17)
-        for _ in range(20):
-            mat = [[rng.randrange(-6, 7) for _ in range(4)] for _ in range(4)]
-            diag = snf_diagonal(mat)
-            prev = 1
-            for i, dd in enumerate(diag):
-                g = minor_gcd_oracle(mat, i + 1)
-                assert g == prev * dd
-                prev = g
 
 
 class TestZpk:
