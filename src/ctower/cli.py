@@ -16,7 +16,7 @@ import json
 import re
 import sys
 
-from .ffpoly import FinitePlace, FqField, FqPoly, INFINITY, factor, is_irreducible
+from .ffpoly import FinitePlace, FqField, FqPoly, INFINITY, is_irreducible
 from .geometry import (
     charpoly_theta_report,
     count_points_model,

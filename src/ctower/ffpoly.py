@@ -332,6 +332,18 @@ class FqPoly:
         db = other.degree
         inv_lead = F.inv(other.leading())
         quo = [0] * max(len(rem) - db, 0)
+        if F.e == 1:
+            # prime field: the same steps with the F_p operations inlined
+            p = F.p
+            low = other.coeffs[:-1]
+            while len(rem) > db:
+                lead = rem.pop()
+                if lead:
+                    c = (lead * inv_lead) % p
+                    shift = len(rem) - db
+                    quo[shift] = c
+                    rem[shift:] = [(a - c * b) % p for a, b in zip(rem[shift:], low)]
+            return FqPoly(F, quo), FqPoly(F, rem)
         while len(rem) - 1 >= db:
             if rem[-1] == 0:
                 rem.pop()

@@ -9,12 +9,12 @@ model is factored once and its support must lie inside the exceptional set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import zpoly
-from .carlitz import AXPoly, cyclotomic_poly, real_generator_minpoly
-from .ffpoly import FqPoly, INFINITY, is_infinite, factor, irreducibles_of_degree
+from .carlitz import AXPoly, real_generator_minpoly
+from .ffpoly import FqPoly, INFINITY, factor, irreducibles_of_degree
 from .grouprings import ThetaPoly, TruncPolyRing, ZpkRing, characters, is_unit
 from .lfun import _finite_s, _infinity_in_s, _layer_field, _layer_sigma
 

@@ -9,7 +9,7 @@ No floating point anywhere; every mod-p^k assertion carries its precision.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 

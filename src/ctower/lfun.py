@@ -16,11 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import zpoly
-from .abelian import AbelianGroup
 from .ffpoly import FqPoly, INFINITY, is_infinite, irreducibles_of_degree
 from .grouprings import (
     Character,
-    CyclotomicRing,
     GroupRingElem,
     ThetaPoly,
     TruncPolyRing,

@@ -144,6 +144,8 @@ class GaloisLayer:
         self._dlog = dlog
         self.delta_idx, self.p_idx = self.group.p_partition(cfg.char)
         self._frob_cache = {}
+        self._inertia_cache = {}
+        self._decomposition_cache = {}
 
     # -- element handling ---------------------------------------------------
 
@@ -202,7 +204,15 @@ class GaloisLayer:
         return va, m
 
     def inertia_group(self, v) -> frozenset:
-        """Image of the local units at v: classes of a with a = 1 mod m/v^a."""
+        """Image of the local units at v: classes of a with a = 1 mod m/v^a.
+
+        Computed once per place; a repeat call returns the same frozenset."""
+        out = self._inertia_cache.get(v)
+        if out is None:
+            out = self._inertia_cache[v] = self._inertia(v)
+        return out
+
+    def _inertia(self, v) -> frozenset:
         if is_infinite(v):
             return frozenset({self.group.identity})
         va, rest = self._local_part(v)
@@ -228,7 +238,15 @@ class GaloisLayer:
         return self.class_of(b)
 
     def decomposition_group(self, v) -> frozenset:
-        """D_v(L_n/k) as a set of group elements.  v in S or unramified."""
+        """D_v(L_n/k) as a set of group elements.  v in S or unramified.
+
+        Computed once per place; a repeat call returns the same frozenset."""
+        out = self._decomposition_cache.get(v)
+        if out is None:
+            out = self._decomposition_cache[v] = self._decomposition(v)
+        return out
+
+    def _decomposition(self, v) -> frozenset:
         if is_infinite(v):
             return frozenset({self.group.identity})
         va, _ = self._local_part(v)

@@ -16,38 +16,39 @@ from . import zpoly
 # ---------------------------------------------------------------------------
 
 
-def _val(a, p, k):
-    if a == 0:
-        return k
-    v = 0
-    while a % p == 0 and v < k:
-        a //= p
-        v += 1
-    return v
-
-
 def zpk_smith(mat, p, k):
     """(diag, U, V) with U*M*V = diag(p^v_1,...) mod p^k, U, V units mod p^k.
 
     diag is returned as the list of exponents v_1 <= v_2 <= ... (v_i = k for
-    entries that vanish mod p^k), padded to min(rows, cols).
+    entries that vanish mod p^k), padded to min(rows, cols).  The pivot is
+    the first entry of least valuation in row-major order.
     """
     pk = p ** k
     m = [[a % pk for a in row] for row in mat]
     rows, cols = len(m), len(m[0]) if m else 0
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    Vc = [[int(i == j) for i in range(cols)] for j in range(cols)]  # columns of V
 
     t = 0
     vals = []
     while t < min(rows, cols):
         best, best_v = None, k
         for i in range(t, rows):
+            row = m[i]
             for j in range(t, cols):
-                v = _val(m[i][j], p, k)
-                if v < best_v:
-                    best, best_v = (i, j), v
-        if best is None or best_v >= k:
+                a = row[j]
+                if a:
+                    v = 0
+                    while v < best_v and a % p == 0:
+                        a //= p
+                        v += 1
+                    if v < best_v:
+                        best, best_v = (i, j), v
+                        if not v:
+                            break
+            if not best_v:
+                break
+        if best is None:
             break
         i0, j0 = best
         m[t], m[i0] = m[i0], m[t]
@@ -55,30 +56,30 @@ def zpk_smith(mat, p, k):
         if j0 != t:
             for r in range(rows):
                 m[r][t], m[r][j0] = m[r][j0], m[r][t]
-            for r in range(cols):
-                V[r][t], V[r][j0] = V[r][j0], V[r][t]
+            Vc[t], Vc[j0] = Vc[j0], Vc[t]
         v = best_v
-        unit = m[t][t] // p ** v
-        unit_inv = pow(unit, -1, pk)
+        pv = p ** v
+        unit_inv = pow(m[t][t] // pv, -1, pk)
         # normalize pivot row so the pivot is exactly p^v
-        m[t] = [(a * unit_inv) % pk for a in m[t]]
-        U[t] = [(a * unit_inv) % pk for a in U[t]]
+        mt = m[t] = [(a * unit_inv) % pk for a in m[t]]
+        Ut = U[t] = [(a * unit_inv) % pk for a in U[t]]
         for i in range(rows):
             if i != t and m[i][t]:
-                c = m[i][t] // p ** v  # exact: v is the minimal valuation
-                m[i] = [(a - c * b) % pk for a, b in zip(m[i], m[t])]
-                U[i] = [(a - c * b) % pk for a, b in zip(U[i], U[t])]
+                c = m[i][t] // pv  # exact: v is the minimal valuation
+                m[i] = [(a - c * b) % pk for a, b in zip(m[i], mt)]
+                U[i] = [(a - c * b) % pk for a, b in zip(U[i], Ut)]
+        # column t is now p^v e_t, so clearing row t only touches m[t] and V
+        Vt = Vc[t]
         for j in range(cols):
-            if j != t and m[t][j]:
-                c = m[t][j] // p ** v
-                for r in range(rows):
-                    m[r][j] = (m[r][j] - c * m[r][t]) % pk
-                for r in range(cols):
-                    V[r][j] = (V[r][j] - c * V[r][t]) % pk
+            if j != t and mt[j]:
+                c = mt[j] // pv
+                mt[j] = 0
+                Vc[j] = [(a - c * b) % pk for a, b in zip(Vc[j], Vt)]
         vals.append(v)
         t += 1
     while len(vals) < min(rows, cols):
         vals.append(k)
+    V = [list(r) for r in zip(*Vc)]
     return vals, U, V
 
 

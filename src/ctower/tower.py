@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .abelian import AbelianGroup
-from .ffpoly import FinitePlace, FqPoly, irreducibles_of_degree, is_infinite
 from .geometry import (
     ConfigurationRefused,
     charpoly_theta_report,
@@ -30,7 +29,6 @@ from .grouprings import (
     ZpkGroupRing,
     _mult_matrix,
     characters,
-    delta_idempotent,
     is_unit,
     quotient_order_exponent,
     sharp_element,

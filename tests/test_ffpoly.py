@@ -187,6 +187,30 @@ class TestDivmodGcd:
             assert g == a.gcd(b)
 
 
+    def test_prime_field_divmod_vs_schoolbook(self):
+        def schoolbook_divmod(a, b, p):
+            rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+            inv = pow(b[-1], -1, p)
+            for shift in range(len(quo) - 1, -1, -1):
+                c = rem[shift + len(b) - 1] * inv % p
+                quo[shift] = c
+                for i, bi in enumerate(b):
+                    rem[shift + i] = (rem[shift + i] - c * bi) % p
+            return quo, rem[:len(b) - 1]
+
+        rng = random.Random(29)
+        for _ in range(400):
+            F = FqField(rng.choice([2, 3, 5, 7, 11]))
+            p = F.p
+            a = FqPoly(F, [rng.randrange(p) for _ in range(rng.randrange(0, 16))])
+            b = FqPoly(F, [rng.randrange(p) for _ in range(rng.randrange(0, 8))] + [rng.randrange(1, p)])
+            q, r = divmod(a, b)
+            assert q * b + r == a
+            assert r.is_zero() or r.degree < b.degree
+            ref_q, ref_r = schoolbook_divmod(list(a.coeffs), list(b.coeffs), p)
+            assert q == FqPoly(F, ref_q) and r == FqPoly(F, ref_r)
+
+
 class TestIrreducibility:
     def test_theta2_plus_1_f3(self):
         # no roots in F_3, degree 2 -> irreducible (oracle: root search)

@@ -1,9 +1,8 @@
 import pytest
 
-from ctower.ffpoly import FinitePlace, FqField, FqPoly, INFINITY
+from ctower.ffpoly import FinitePlace, FqField, FqPoly
 from ctower.geometry import (
     ConfigurationRefused,
-    CurveModel,
     SDivisorData,
     ZetaData,
     charpoly_theta_report,

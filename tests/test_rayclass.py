@@ -214,6 +214,57 @@ class TestDecomposition:
         assert table[INFINITY] == [(1, 4)]
 
 
+def _cache_layers():
+    return [(flagship_q3, n) for n in (0, 1)] + [(flagship_q2, n) for n in (0, 1, 2)]
+
+
+def _places(layer):
+    """S, infinity and the unramified places of degree <= 2."""
+    F = layer.cfg.field
+    unramified = [pl for d in (1, 2) for pl in irreducibles_of_degree(F, d)
+                  if pl.gen.gcd(layer.modulus).is_one()]
+    return sorted(layer.cfg.S, key=lambda v: v.gen.sort_key()) + [INFINITY] + unramified
+
+
+class TestDecompositionCache:
+    @pytest.mark.parametrize("make_cfg,n", _cache_layers())
+    def test_repeat_call_returns_same_object(self, make_cfg, n):
+        layer = build_layer(make_cfg(), n)
+        for v in _places(layer):
+            dec, inertia = layer.decomposition_group(v), layer.inertia_group(v)
+            assert isinstance(dec, frozenset) and isinstance(inertia, frozenset)
+            assert layer.decomposition_group(v) is dec
+            assert layer.inertia_group(v) is inertia
+
+    @pytest.mark.parametrize("make_cfg,n", _cache_layers())
+    def test_query_order_does_not_matter(self, make_cfg, n):
+        cfg = make_cfg()
+        forward, backward = build_layer(cfg, n), build_layer(cfg, n)
+        places = _places(forward)
+        for v in reversed(places):
+            backward.decomposition_group(v)
+        for v in places:
+            assert forward.decomposition_group(v) == backward.decomposition_group(v)
+            assert forward.inertia_group(v) == backward.inertia_group(v)
+
+    @pytest.mark.parametrize("make_cfg,n", _cache_layers())
+    def test_unramified_order_is_frobenius_order(self, make_cfg, n):
+        layer = build_layer(make_cfg(), n)
+        for v in _places(layer):
+            if v is INFINITY or v in layer.cfg.S:
+                continue
+            assert len(layer.decomposition_group(v)) == layer.group.element_order(layer.frobenius(v))
+            assert layer.inertia_group(v) == {layer.group.identity}
+
+    @pytest.mark.parametrize("make_cfg,n", _cache_layers())
+    def test_p_decomposition_is_whole_group_for_trivial_f(self, make_cfg, n):
+        layer = build_layer(make_cfg(), n)
+        p = layer.cfg.p_place
+        assert layer.cfg.f.is_one()
+        assert layer.decomposition_group(p) == frozenset(layer.group.elements())
+        assert layer.decomposition_group(p) == layer.inertia_group(p)
+
+
 class TestProjection:
     def test_flagship_projection(self):
         cfg = flagship_q3()

@@ -87,6 +87,96 @@ class TestZpk:
         assert zpk_module_order_exponent([[0, 0], [0, 0]], 2, 5) == 10
 
 
+# The elimination as it stood before its pivot search and column step were
+# tightened, kept verbatim as the oracle for TestSmithReference.
+def _ref_val(a, p, k):
+    if a == 0:
+        return k
+    v = 0
+    while a % p == 0 and v < k:
+        a //= p
+        v += 1
+    return v
+
+
+def reference_zpk_smith(mat, p, k):
+    """(diag, U, V) with U*M*V = diag(p^v_1,...) mod p^k, U, V units mod p^k.
+
+    diag is returned as the list of exponents v_1 <= v_2 <= ... (v_i = k for
+    entries that vanish mod p^k), padded to min(rows, cols).
+    """
+    pk = p ** k
+    m = [[a % pk for a in row] for row in mat]
+    rows, cols = len(m), len(m[0]) if m else 0
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    t = 0
+    vals = []
+    while t < min(rows, cols):
+        best, best_v = None, k
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = _ref_val(m[i][j], p, k)
+                if v < best_v:
+                    best, best_v = (i, j), v
+        if best is None or best_v >= k:
+            break
+        i0, j0 = best
+        m[t], m[i0] = m[i0], m[t]
+        U[t], U[i0] = U[i0], U[t]
+        if j0 != t:
+            for r in range(rows):
+                m[r][t], m[r][j0] = m[r][j0], m[r][t]
+            for r in range(cols):
+                V[r][t], V[r][j0] = V[r][j0], V[r][t]
+        v = best_v
+        unit = m[t][t] // p ** v
+        unit_inv = pow(unit, -1, pk)
+        # normalize pivot row so the pivot is exactly p^v
+        m[t] = [(a * unit_inv) % pk for a in m[t]]
+        U[t] = [(a * unit_inv) % pk for a in U[t]]
+        for i in range(rows):
+            if i != t and m[i][t]:
+                c = m[i][t] // p ** v  # exact: v is the minimal valuation
+                m[i] = [(a - c * b) % pk for a, b in zip(m[i], m[t])]
+                U[i] = [(a - c * b) % pk for a, b in zip(U[i], U[t])]
+        for j in range(cols):
+            if j != t and m[t][j]:
+                c = m[t][j] // p ** v
+                for r in range(rows):
+                    m[r][j] = (m[r][j] - c * m[r][t]) % pk
+                for r in range(cols):
+                    V[r][j] = (V[r][j] - c * V[r][t]) % pk
+        vals.append(v)
+        t += 1
+    while len(vals) < min(rows, cols):
+        vals.append(k)
+    return vals, U, V
+
+
+class TestSmithReference:
+    """zpk_smith returns exactly the (vals, U, V) of the reference elimination."""
+
+    @staticmethod
+    def _matrices(rng, p, k, rows, cols):
+        pk = p ** k
+        yield [[0] * cols for _ in range(rows)]
+        yield [[p * rng.randrange(pk) for _ in range(cols)] for _ in range(rows)]
+        yield [[rng.randrange(-2 * pk, 2 * pk) for _ in range(cols)] for _ in range(rows)]
+        yield [[rng.choice((0, 0, 1, p, p * p)) * rng.randrange(1, pk) for _ in range(cols)]
+               for _ in range(rows)]
+
+    def test_identical_to_reference(self):
+        rng = random.Random(2024)
+        for p in (2, 3, 5):
+            for k in range(1, 6):
+                for rows in range(10):
+                    for cols in range(10):
+                        for mat in self._matrices(rng, p, k, rows, cols):
+                            assert zpk_smith(mat, p, k) == reference_zpk_smith(mat, p, k), (p, k, mat)
+
+
 class TestHensel:
     def test_phi4_mod3(self):
         # Phi_4 = x^2 + 1 is irreducible mod 3: single factor lifts trivially
