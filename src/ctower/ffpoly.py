@@ -20,9 +20,6 @@ from functools import lru_cache
 
 MAX_Q = 1 << 16
 UNIT_ENUM_BUDGET = 1_000_000
-# above this many candidate polynomials the irreducible scan switches to the
-# vectorized sieve (ffpoly_batch)
-_BATCH_THRESHOLD = 30_000
 
 NEG_INF = float("-inf")
 
@@ -560,29 +557,61 @@ def _frob_power(a: FqPoly, j: int, modulus: FqPoly) -> FqPoly:
     return cur
 
 
-def _all_monics(field, d):
-    for tail in itertools.product(range(field.q), repeat=d):
-        yield FqPoly(field, tail + (1,))
-
-
 @lru_cache(maxsize=None)
 def _irreducible_list(field: FqField, d: int):
-    """Sorted tuple of all monic irreducibles of degree exactly d."""
-    if field.q ** d > _BATCH_THRESHOLD:
-        from . import ffpoly_batch
+    """Sorted tuple of all monic irreducibles of degree exactly d.
 
-        coeff_rows = ffpoly_batch.irreducible_coeffs(field, d, _irreducible_list)
-        return tuple(FqPoly(field, row + (1,)) for row in coeff_rows)
-    out = []
-    small = [g for e in range(1, d // 2 + 1) for g in _irreducible_list(field, e)]
-    for f in _all_monics(field, d):
-        if d == 1:
-            out.append(f)
-            continue
-        if any((f % g).is_zero() for g in small):
-            continue
-        out.append(f)
-    return tuple(sorted(out, key=FqPoly.sort_key))
+    A multiplicative sieve: a monic of degree d is reducible iff it is f*g
+    with f monic irreducible of degree e <= d/2 and g monic of degree d-e.
+    Every such product is flagged by the index of its coefficient tail
+    (c_0, ..., c_{d-1}) in itertools.product order, c_0 most significant.
+    That order is sort_key order, so the unflagged tails come out sorted.
+    """
+    q = field.q
+    composite = bytearray(q ** d)
+    weight = [q ** (d - 1 - t) for t in range(d)]
+    for e in range(1, d // 2 + 1):
+        for f in _irreducible_list(field, e):
+            _mark_multiples(composite, f.coeffs, weight, field)
+    survivors = composite.translate(bytes.maketrans(b"\x00\x01", b"\x01\x00"))
+    tails = itertools.compress(itertools.product(range(q), repeat=d), survivors)
+    return tuple(FqPoly(field, tail + (1,)) for tail in tails)
+
+
+def _mark_multiples(composite, f, weight, field):
+    """Flag the tail index of f*g for every monic g of degree d - deg f.
+
+    The terms c*x^j*f of f*g are added level by level, j = d-e-1 down to 0,
+    depth first, so only one partial product per level is alive.  A partial
+    product keeps its open coefficients j+1..j+e; the term at j closes
+    coefficient j+e, whose weighted digit goes into the running index.
+    """
+    d, e = len(weight), len(f) - 1
+    q, p = field.q, field.p
+    if field.e == 1:
+        add = None
+        scaled = [[c * a % p for a in f[:e]] for c in range(q)]
+    else:
+        add = field.add
+        scaled = [[field.mul(c, a) for a in f[:e]] for c in range(q)]
+    low = weight[:e]
+
+    def walk(j, acc, open_):
+        top, w = open_[-1], weight[j + e]
+        for c, s in enumerate(scaled):
+            # coefficients j..j+e-1 after adding c*x^j*f; j+e is closed
+            if add is None:
+                closed = acc + (top + c) % p * w
+                nxt = [s[0]] + [(x + y) % p for x, y in zip(open_, s[1:])]
+            else:
+                closed = acc + add(top, c) * w
+                nxt = [s[0]] + [add(x, y) for x, y in zip(open_, s[1:])]
+            if j:
+                walk(j - 1, closed, nxt)
+            else:
+                composite[closed + sum(map(int.__mul__, nxt, low))] = 1
+
+    walk(d - e - 1, 0, f[:e])
 
 
 def irreducibles_of_degree(field: FqField, d: int):

@@ -9,12 +9,13 @@ model is factored once and its support must lie inside the exceptional set.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import zpoly
 from .carlitz import AXPoly, real_generator_minpoly
-from .ffpoly import FqPoly, INFINITY, factor, irreducibles_of_degree
+from .ffpoly import FqPoly, INFINITY, _is_prime, factor, irreducibles_of_degree
 from .grouprings import ThetaPoly, TruncPolyRing, ZpkRing, characters, is_unit
 from .lfun import _finite_s, _infinity_in_s, _layer_field, _layer_sigma
 
@@ -136,17 +137,25 @@ def curve_model(layer) -> CurveModel:
     return CurveModel(layer=layer, fpoly=fpoly, exceptional=table, disc=disc)
 
 
-# -- extension field arithmetic on coefficient tuples ------------------------
+# -- extension field arithmetic on log codes ----------------------------------
 
 
 def _ext_ops(field, i: int):
-    """Arithmetic closures for F_(q^i) = F_q[Y]/(g), elements as i-tuples."""
+    """Arithmetic closures for F_(q^i) = F_q[Y]/(g) on log codes.
+
+    An element is coded 0 for zero and k+1 for gamma^k, where gamma
+    generates F_(q^i)^x.  The exp and Zech tables (zech[k] = code(1 + gamma^k))
+    are built once with schoolbook arithmetic on coefficient i-tuples; then
+    mul and pow are exponent arithmetic mod q^i - 1 and add is one Zech
+    lookup.  elements() yields the codes in itertools.product order of the
+    tuples (c_0 most significant), c_0 being the constant coefficient.
+    """
     g = next(irreducibles_of_degree(field, i)).gen
     gc = g.coeffs
     q = field.q
+    n = q ** i - 1
     fadd, fmul, fneg = field.add, field.mul, field.neg
-    zero = (0,) * i
-    one = (1,) + (0,) * (i - 1)
+    one_t = (1,) + (0,) * (i - 1)
 
     # reduction of Y^j for i <= j <= 2i-2
     red = {}
@@ -158,13 +167,7 @@ def _ext_ops(field, i: int):
         top = prev[-1]
         red[j] = tuple(fadd(s, fmul(top, b)) for s, b in zip(shifted, base))
 
-    def add(a, b):
-        return tuple(fadd(x, y) for x, y in zip(a, b))
-
-    def neg(a):
-        return tuple(fneg(x) for x in a)
-
-    def mul(a, b):
+    def tuple_mul(a, b):
         out = [0] * (2 * i - 1)
         for s, x in enumerate(a):
             if x:
@@ -179,24 +182,63 @@ def _ext_ops(field, i: int):
             out[j] = 0
         return tuple(out[:i])
 
-    def embed(c):
-        return (c,) + (0,) * (i - 1)
-
-    def power(a, n):
-        r = one
-        while n:
-            if n & 1:
-                r = mul(r, a)
-            a = mul(a, a)
-            n >>= 1
+    def tuple_pow(a, e):
+        r = one_t
+        while e:
+            if e & 1:
+                r = tuple_mul(r, a)
+            a = tuple_mul(a, a)
+            e >>= 1
         return r
 
+    def index(a):
+        # position of the tuple in itertools.product order
+        k = 0
+        for c in a:
+            k = k * q + c
+        return k
+
+    primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+    gamma = next(a for a in itertools.product(range(q), repeat=i) if any(a) and
+                 all(tuple_pow(a, n // r) != one_t for r in primes))
+    codes = [0] * (n + 1)   # product index -> code
+    powers = []             # gamma^k as tuples
+    cur = one_t
+    for k in range(n):
+        codes[index(cur)] = k + 1
+        powers.append(cur)
+        cur = tuple_mul(cur, gamma)
+    zech = [codes[index((fadd(a[0], 1),) + a[1:])] for a in powers]
+    lift = [codes[c * q ** (i - 1)] for c in range(q)]
+    minus_one = lift[fneg(1)]
+
+    def add(a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        z = zech[(b - a) % n]
+        return (a + z - 2) % n + 1 if z else 0
+
+    def mul(a, b):
+        return (a + b - 2) % n + 1 if a and b else 0
+
+    def neg(a):
+        return (a + minus_one - 2) % n + 1 if a else 0
+
+    def embed(c):
+        return lift[c]
+
+    def power(a, e):
+        if not a:
+            return 0 if e else 1
+        return (a - 1) * e % n + 1
+
     def elements():
-        import itertools as it
-        return it.product(range(q), repeat=i)
+        return iter(codes)
 
     return {"add": add, "neg": neg, "mul": mul, "embed": embed, "pow": power,
-            "zero": zero, "one": one, "elements": elements, "degree": i}
+            "zero": 0, "one": 1, "elements": elements, "degree": i}
 
 
 def _fiber_root_count(coeffs, ops, qi_exp, q):
@@ -308,28 +350,26 @@ def count_points_model(model: CurveModel, i: int,
     if q ** i > budget:
         raise ValueError(f"q^i = {q ** i} exceeds the point-count budget {budget}")
     ops = _ext_ops(field, i)
+    add, mul, embed, zero = ops["add"], ops["mul"], ops["embed"], ops["zero"]
     # X-coefficients of the model as A-polynomials, evaluated per fiber
     xcoeffs = model.fpoly.coeffs
-    exc_polys = [v.gen for v in _finite_s(model.layer)]
+    finite_places = _finite_s(model.layer)
+    exc_polys = [v.gen for v in finite_places]
+
+    def _eval_coeff(c: FqPoly, theta0):
+        val = zero
+        for cc in reversed(c.coeffs):
+            val = add(mul(val, theta0), embed(cc))
+        return val
 
     def fiber_contribution(theta0):
         # returns (affine_count, exceptional_index or None)
+        coeffs = [_eval_coeff(c, theta0) for c in xcoeffs]
         for idx, g in enumerate(exc_polys):
-            val = ops["zero"]
-            for c in reversed(g.coeffs):
-                val = ops["add"](ops["mul"](val, theta0), ops["embed"](c))
-            if val == ops["zero"]:
+            if _eval_coeff(g, theta0) == zero:
                 # exceptional fiber: count it separately for the mismatch check
-                coeffs = [_eval_coeff(c, theta0, ops) for c in xcoeffs]
                 return _fiber_root_count(coeffs, ops, i, q), idx
-        coeffs = [_eval_coeff(c, theta0, ops) for c in xcoeffs]
         return _fiber_root_count(coeffs, ops, i, q), None
-
-    def _eval_coeff(c: FqPoly, theta0, ops):
-        val = ops["zero"]
-        for cc in reversed(c.coeffs):
-            val = ops["add"](ops["mul"](val, theta0), ops["embed"](cc))
-        return val
 
     points = 0
     exceptional_affine = {}
@@ -341,7 +381,6 @@ def count_points_model(model: CurveModel, i: int,
             exceptional_affine[idx] = exceptional_affine.get(idx, 0) + cnt
 
     # add table contributions and enforce the fiber-consistency check
-    finite_places = _finite_s(model.layer)
     for idx, v in enumerate(finite_places):
         expected = sum(dw * cnt for dw, cnt in model.exceptional[v] if i % dw == 0)
         affine = exceptional_affine.get(idx, 0)

@@ -274,16 +274,52 @@ class TestEnumeration:
                 assert is_irreducible(pl.gen)
 
 
-class TestBatchSieve:
-    def test_batch_agrees_with_scan(self):
-        # force both code paths and compare
-        from ctower import ffpoly
-        from ctower.ffpoly_batch import irreducible_coeffs
+def reference_irreducible_list(field, d):
+    """The trial-division scan the sieve replaced, kept as its oracle."""
+    out = []
+    small = [g for e in range(1, d // 2 + 1) for g in reference_irreducible_list(field, e)]
+    for tail in itertools.product(range(field.q), repeat=d):
+        f = FqPoly(field, tail + (1,))
+        if d == 1:
+            out.append(f)
+            continue
+        if any((f % g).is_zero() for g in small):
+            continue
+        out.append(f)
+    return tuple(sorted(out, key=FqPoly.sort_key))
 
-        for F, d in [(F2, 6), (F3, 4), (F4, 3), (F5, 3)]:
-            pure = [pl.gen.coeffs[:-1] for pl in irreducibles_of_degree(F, d)]
-            batch = irreducible_coeffs(F, d, ffpoly._irreducible_list)
-            assert [tuple(r) for r in batch] == [tuple(c) for c in pure]
+
+class TestBatchSieve:
+    def test_sieve_agrees_with_trial_division(self):
+        for F, top in [(F2, 10), (F3, 7), (F4, 5), (F5, 5)]:
+            for d in range(1, top + 1):
+                sieved = [pl.gen for pl in irreducibles_of_degree(F, d)]
+                assert [f.coeffs for f in sieved] == [
+                    f.coeffs for f in reference_irreducible_list(F, d)]
+                assert all(is_irreducible(f) for f in sieved)
+
+    def test_enumeration_imports_only_stdlib(self):
+        # q^d = 59049 candidate tails; the enumerator needs nothing outside the stdlib
+        import os
+        import subprocess
+        import sys
+
+        import ctower
+
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from ctower.ffpoly import FqField, irreducibles_of_degree\n"
+            "list(irreducibles_of_degree(FqField(3), 10))\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names) - {'ctower'}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ctower.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[]"
 
     def test_orbit_identity_spec_bounds(self):
         # spec invariant: d <= 8, q in {2,3,4,5}; enumeration counts, not Mobius

@@ -39,10 +39,73 @@ def flagship_q2():
                        frozenset({FinitePlace(poly(F2, 0, 1))}))
 
 
+class TestExtOps:
+    """The log-coded F_(q^i) of the point-count oracle against schoolbook
+    arithmetic on coefficient tuples modulo the same g."""
+
+    CASES = [(F2, i) for i in range(1, 5)] + [(F3, i) for i in range(1, 4)] + \
+        [(FqField(2, 2), 1), (FqField(2, 2), 2)]
+
+    @staticmethod
+    def schoolbook(field, g):
+        i = len(g) - 1
+
+        def reduce(c):
+            c = list(c) + [0] * max(0, i - len(c))
+            for j in range(len(c) - 1, i - 1, -1):
+                t = c[j]
+                if t:
+                    for k in range(i + 1):
+                        c[j - i + k] = field.sub(c[j - i + k], field.mul(t, g[k]))
+            return tuple(c[:i])
+
+        def add(a, b):
+            return tuple(field.add(x, y) for x, y in zip(a, b))
+
+        def mul(a, b):
+            out = [0] * (2 * i - 1)
+            for s, x in enumerate(a):
+                for t, y in enumerate(b):
+                    out[s + t] = field.add(out[s + t], field.mul(x, y))
+            return reduce(out)
+
+        return add, mul
+
+    def test_against_schoolbook(self):
+        import itertools
+
+        from ctower.ffpoly import irreducibles_of_degree
+        from ctower.geometry import _ext_ops
+
+        for field, i in self.CASES:
+            q = field.q
+            ops = _ext_ops(field, i)
+            codes = list(ops["elements"]())
+            tuples = list(itertools.product(range(q), repeat=i))
+            assert sorted(codes) == list(range(q ** i))
+            decode = dict(zip(codes, tuples))
+            g = next(irreducibles_of_degree(field, i)).gen.coeffs
+            add, mul = self.schoolbook(field, g)
+            one = (1,) + (0,) * (i - 1)
+            assert decode[ops["zero"]] == (0,) * i and decode[ops["one"]] == one
+            for c in range(q):
+                assert decode[ops["embed"](c)] == (c,) + (0,) * (i - 1)
+            for a in codes:
+                ta = decode[a]
+                assert add(decode[ops["neg"](a)], ta) == (0,) * i
+                for b in codes:
+                    tb = decode[b]
+                    assert decode[ops["add"](a, b)] == add(ta, tb)
+                    assert decode[ops["mul"](a, b)] == mul(ta, tb)
+                acc = one
+                for e in range(2 * q ** i + 1):
+                    assert decode[ops["pow"](a, e)] == acc
+                    acc = mul(acc, ta)
+
+
 class TestFiberRootCount:
     def test_against_exhaustive_evaluation(self):
         # oracle: evaluate the fiber polynomial at every element of F_(q^i)
-        import itertools
         import random as _random
 
         from ctower.geometry import _ext_ops, _fiber_root_count
@@ -50,13 +113,14 @@ class TestFiberRootCount:
         rng = _random.Random(77)
         for q, field, i in [(3, F3, 2), (2, F2, 3), (3, F3, 3), (2, F2, 4)]:
             ops = _ext_ops(field, i)
+            elements = list(ops["elements"]())
             for _ in range(25):
                 deg = rng.randrange(1, 5)
-                coeffs = [tuple(rng.randrange(q) for _ in range(i)) for _ in range(deg)]
+                coeffs = [rng.choice(elements) for _ in range(deg)]
                 coeffs.append(ops["one"])  # monic
                 got = _fiber_root_count(coeffs, ops, i, q)
                 brute = 0
-                for x in itertools.product(range(q), repeat=i):
+                for x in elements:
                     acc = ops["zero"]
                     for c in reversed(coeffs):
                         acc = ops["add"](ops["mul"](acc, x), c)
