@@ -2,8 +2,9 @@
 
 Elements are exponent tuples relative to the generator list; the group law
 is componentwise addition mod the orders.  Layer groups built by rayclass
-always carry prime-power generator orders, which makes the p-Sylow /
-prime-to-p split a partition of coordinates.
+take their generators from `_abelian_basis`, so they always carry
+prime-power generator orders, which makes the p-Sylow / prime-to-p split a
+partition of coordinates.
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ class AbelianGroup:
             n = n * d // gcd(n, d)
         return n
 
-    def generator_tuple(self, i):
-        return tuple(int(j == i) for j in range(len(self.orders)))
-
     def is_trivial(self) -> bool:
         return self.order == 1
 
@@ -92,8 +90,88 @@ class AbelianGroup:
         return frozenset(seen)
 
 
-def direct_product(g1: AbelianGroup, g2: AbelianGroup) -> AbelianGroup:
-    return AbelianGroup(g1.orders + g2.orders)
-
-
 TRIVIAL_GROUP = AbelianGroup(())
+
+
+def _abelian_basis(elements, mul, one, order):
+    """Independent generators of prime-power order for a finite abelian group.
+
+    elements: iterable of hashable group elements; mul/one: group law.
+    Returns (generators, orders).  Greedy per-Sylow basis extraction with the
+    classical correction step, so <g_1> x ... x <g_r> = G exactly.
+    """
+    def elem_pow(a, n):
+        r = one
+        while n:
+            if n & 1:
+                r = mul(r, a)
+            a = mul(a, a)
+            n >>= 1
+        return r
+
+    n = order
+    prime_factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            v = 0
+            while n % d == 0:
+                n //= d
+                v += 1
+            prime_factors.append((d, v))
+        d += 1
+    if n > 1:
+        prime_factors.append((n, 1))
+
+    gens, orders = [], []
+    elements = list(elements)
+    for ell, v in prime_factors:
+        cofactor = order // ell ** v
+        sylow = {}
+        for x in elements:
+            y = elem_pow(x, cofactor)
+            if y not in sylow:
+                o = 1
+                z = y
+                while z != one:
+                    z = elem_pow(z, ell)
+                    o *= ell
+                sylow[y] = o
+        # greedy basis with corrections
+        basis, basis_orders = [], []
+        span = {one: ()}
+        target = ell ** v
+        while len(span) < target:
+            best, best_ord = None, 0
+            for y in sylow:
+                # order of y modulo current span
+                o = 1
+                z = y
+                while z not in span:
+                    z = elem_pow(z, ell)
+                    o *= ell
+                if o > best_ord:
+                    best, best_ord = y, o
+            y, b = best, best_ord
+            # correction: y^b lies in span; divide off the span part
+            z = elem_pow(y, b)
+            exps = span[z]
+            adj = y
+            for g, go, c in zip(basis, basis_orders, exps):
+                # c is divisible by b; subtract g^(c/b)
+                c_over_b = (c // b) % go if c % b == 0 else None
+                if c_over_b is None:
+                    raise ArithmeticError("basis correction failed")  # unreachable
+                adj = mul(adj, elem_pow(g, (go - c_over_b) % go))
+            basis.append(adj)
+            basis_orders.append(b)
+            new_span = {}
+            for elem, exps in span.items():
+                acc = elem
+                for j in range(b):
+                    new_span[acc] = exps + (j,)
+                    acc = mul(acc, adj)
+            span = new_span
+        gens.extend(basis)
+        orders.extend(basis_orders)
+    return gens, orders

@@ -121,12 +121,13 @@ def _emit(payload, args):
         print(text)
 
 
-def _resolved_config_blob(args, cfg=None):
+def _resolved_config_blob(args, cfg):
     blob = {"q": args.q, "f": args.f or "1", "p": args.p, "S": args.S,
             "Sigma": args.Sigma, "n": getattr(args, "n", None),
             "degree": getattr(args, "degree", None),
             "seed": getattr(args, "seed", 0)}
-    if cfg is not None:
+    if not getattr(args, "trivial_group", False):
+        # S may default to the ramification support: record the S in use
         blob["S_resolved"] = sorted(
             ("inf" if v is INFINITY else v.gen.serialize()) for v in cfg.S)
         blob["Sigma_resolved"] = sorted(v.gen.serialize() for v in cfg.sigma)
@@ -152,25 +153,25 @@ def cmd_theta(args):
         "config": _resolved_config_blob(args, cfg),
         "theta": tr.to_json(),
     }
-    print(f"Theta_(S,Sigma) at layer n={getattr(layer, 'n', 0)}: "
+    print(f"Theta_(S,Sigma) at layer n={layer.n}: "
           f"degree {tr.theta.degree}, bound {tr.bound}, D {tr.D}")
     for line in _theta_poly_human(tr.theta):
         print(line)
     failures = 0
     if args.check:
         for check in args.check:
-            ok = _run_theta_check(check, layer, cfg, tr, args)
+            ok = _run_theta_check(check, layer, tr)
             print(f"check {check}: {'PASS' if ok else 'FAIL'}")
             failures += 0 if ok else 1
     _emit(payload, args)
     return 1 if failures else 0
 
 
-def _run_theta_check(check, layer, cfg, tr, args):
+def _run_theta_check(check, layer, tr):
     if check == "functoriality":
-        if cfg is None or args.n < 1:
+        if layer.n < 1:
             raise ValueError("functoriality check needs a tower layer with n >= 1")
-        lower = build_layer(cfg, args.n - 1)
+        lower = build_layer(layer.cfg, layer.n - 1)
         tr_low = theta_op(lower)
         lm = layer_projection(layer, lower)
         return functoriality_check(tr, tr_low, lm).equal
@@ -183,8 +184,7 @@ def _run_theta_check(check, layer, cfg, tr, args):
             ok = ok and mult == predicted
         return ok
     if check == "sigmaunit":
-        sigma = cfg.sigma if cfg is not None else layer.sigma
-        return all(sigma_factor_unit(layer, v, k=6, M=6).verified for v in sigma)
+        return all(sigma_factor_unit(layer, v, k=6, M=6).verified for v in layer.sigma)
     raise ValueError(f"unknown check {check!r}")
 
 
@@ -425,7 +425,8 @@ def build_parser():
     sp.add_argument("--sigma-alt", dest="sigma_alt")
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--N", type=int, default=1)
-    sp.add_argument("--max-i", type=int, default=6)
+    sp.add_argument("--max-i", type=int, default=6,
+                    help="count points N_1..N_i for 'cnf'; 'all' always uses i = 6")
     sp.add_argument("--precision", type=int, default=24)
     sp.add_argument("--budget", type=int, default=10 ** 7)
     sp.add_argument("--seed", type=int, default=0)

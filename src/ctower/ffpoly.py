@@ -178,9 +178,6 @@ class FqField:
             return pow(a, -1, self.p)
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         if a == 0:
             if n == 0:
@@ -252,10 +249,6 @@ class FqPoly:
     def gen(cls, field):
         """The variable theta."""
         return cls(field, (0, 1))
-
-    @classmethod
-    def monomial(cls, field, c, i):
-        return cls(field, (0,) * i + (c,))
 
     # -- structure -----------------------------------------------------------
 
@@ -765,7 +758,7 @@ def factor(f: FqPoly):
     return out
 
 
-# -- residue rings and unit groups -------------------------------------------
+# -- residue rings -----------------------------------------------------------
 
 
 class ResidueRing:
@@ -807,10 +800,6 @@ class ResidueRing:
             self._factorization = factor(self.modulus)
         return self._factorization
 
-    def is_field(self) -> bool:
-        fac = self.factorization()
-        return len(fac) == 1 and fac[0][1] == 1
-
     def elements(self):
         F = self.field
         for tail in itertools.product(range(F.q), repeat=self.modulus.degree):
@@ -828,153 +817,3 @@ class ResidueRing:
             pd = self.field.q ** place.degree
             n = n // pd * (pd - 1)
         return n
-
-
-class UnitGroup:
-    """(A/m)^x presented by independent generators of prime-power order."""
-
-    def __init__(self, ring: ResidueRing, generators, orders, dlog):
-        self.ring = ring
-        self.generators = list(generators)
-        self.orders = list(orders)
-        self.order = 1
-        for o in self.orders:
-            self.order *= o
-        self._dlog = dlog
-
-    def relation_lattice(self):
-        """The relations among the generators: the diagonal lattice of the
-        orders (the generators are independent by construction)."""
-        r = len(self.orders)
-        return [[self.orders[i] if i == j else 0 for j in range(r)] for i in range(r)]
-
-    def dlog(self, u: FqPoly):
-        key = self.ring.reduce(u).coeffs
-        if key not in self._dlog:
-            raise ValueError(f"{u!r} is not a unit modulo {self.ring.modulus!r}")
-        return self._dlog[key]
-
-    def element(self, exps) -> FqPoly:
-        acc = FqPoly.one(self.ring.field)
-        for g, o, e in zip(self.generators, self.orders, exps):
-            acc = self.ring.mul(acc, self.ring.pow(g, e % o))
-        return acc
-
-
-def _abelian_basis(elements, mul, one, order):
-    """Independent generators of prime-power order for a finite abelian group.
-
-    elements: iterable of hashable group elements; mul/one: group law.
-    Returns (generators, orders).  Greedy per-Sylow basis extraction with the
-    classical correction step, so <g_1> x ... x <g_r> = G exactly.
-    """
-    def elem_pow(a, n):
-        r = one
-        while n:
-            if n & 1:
-                r = mul(r, a)
-            a = mul(a, a)
-            n >>= 1
-        return r
-
-    n = order
-    prime_factors = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            v = 0
-            while n % d == 0:
-                n //= d
-                v += 1
-            prime_factors.append((d, v))
-        d += 1
-    if n > 1:
-        prime_factors.append((n, 1))
-
-    gens, orders = [], []
-    elements = list(elements)
-    for ell, v in prime_factors:
-        cofactor = order // ell ** v
-        sylow = {}
-        for x in elements:
-            y = elem_pow(x, cofactor)
-            if y not in sylow:
-                o = 1
-                z = y
-                while z != one:
-                    z = elem_pow(z, ell)
-                    o *= ell
-                sylow[y] = o
-        # greedy basis with corrections
-        basis, basis_orders = [], []
-        span = {one: ()}
-        target = ell ** v
-        while len(span) < target:
-            best, best_ord = None, 0
-            for y in sylow:
-                # order of y modulo current span
-                o = 1
-                z = y
-                while z not in span:
-                    z = elem_pow(z, ell)
-                    o *= ell
-                if o > best_ord:
-                    best, best_ord = y, o
-            y, b = best, best_ord
-            # correction: y^b lies in span; divide off the span part
-            z = elem_pow(y, b)
-            exps = span[z]
-            adj = y
-            for g, go, c in zip(basis, basis_orders, exps):
-                # c is divisible by b; subtract g^(c/b)
-                c_over_b = (c // b) % go if c % b == 0 else None
-                if c_over_b is None:
-                    raise ArithmeticError("basis correction failed")  # unreachable
-                adj = mul(adj, elem_pow(g, (go - c_over_b) % go))
-            basis.append(adj)
-            basis_orders.append(b)
-            new_span = {}
-            for elem, exps in span.items():
-                acc = elem
-                for j in range(b):
-                    new_span[acc] = exps + (j,)
-                    acc = mul(acc, adj)
-            span = new_span
-        gens.extend(basis)
-        orders.extend(basis_orders)
-    return gens, orders
-
-
-def unit_group(ring: ResidueRing, budget: int = UNIT_ENUM_BUDGET) -> UnitGroup:
-    """Structure of (A/m)^x: independent generators with orders, plus dlog table.
-
-    The group order is verified against the Euler-product closed form.
-    """
-    if ring.size > budget:
-        raise ValueError(f"residue ring size {ring.size} exceeds budget {budget}")
-    expected = ring.unit_count()
-    units = [u.coeffs for u in ring.units()]
-    if len(units) != expected:
-        raise ArithmeticError("unit enumeration disagrees with Euler product")
-
-    mod = ring.modulus
-
-    def mul(a, b):
-        return ((FqPoly(ring.field, a) * FqPoly(ring.field, b)) % mod).coeffs
-
-    one = FqPoly.one(ring.field).coeffs
-    gens, orders = _abelian_basis(units, mul, one, expected)
-    # dlog table by full expansion; also validates independence
-    dlog = {}
-    gen_polys = [FqPoly(ring.field, g) for g in gens]
-    for exps in itertools.product(*(range(o) for o in orders)):
-        acc = FqPoly.one(ring.field)
-        for g, e in zip(gen_polys, exps):
-            acc = ring.mul(acc, ring.pow(g, e))
-        key = acc.coeffs
-        if key in dlog:
-            raise ArithmeticError("generators are not independent")
-        dlog[key] = exps
-    if len(dlog) != expected:
-        raise ArithmeticError("generator span does not cover the unit group")
-    return UnitGroup(ring, gen_polys, orders, dlog)

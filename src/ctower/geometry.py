@@ -17,7 +17,6 @@ from . import zpoly
 from .carlitz import AXPoly, real_generator_minpoly
 from .ffpoly import FqPoly, INFINITY, _is_prime, factor, irreducibles_of_degree
 from .grouprings import ThetaPoly, TruncPolyRing, ZpkRing, characters, is_unit
-from .lfun import _finite_s, _infinity_in_s, _layer_field, _layer_sigma
 
 DEFAULT_POINT_BUDGET = 10 ** 7
 
@@ -106,22 +105,18 @@ class CurveModel:
 
     @property
     def field(self):
-        return _layer_field(self.layer)
+        return self.layer.field
 
 
 def curve_model(layer) -> CurveModel:
     """Plane model from the real-subfield generator (cyclotomic polynomial
     itself when q = 2).  Hard error if the model is singular away from the
     exceptional fibers."""
-    cfg = layer.cfg
-    if cfg is None:
-        # the trivial layer: the projective line, model X = 0
-        fpoly = AXPoly.gen(_layer_field(layer))
-        return CurveModel(layer=layer, fpoly=fpoly,
-                          exceptional=layer.exceptional_table(),
-                          disc=FqPoly.one(_layer_field(layer)))
-    F = cfg.field
     m = layer.modulus
+    if m.is_one():
+        # conductor 1, L = k: the projective line, model X = 0
+        return CurveModel(layer=layer, fpoly=AXPoly.gen(layer.field),
+                          exceptional=layer.exceptional_table(), disc=m)
     fpoly = real_generator_minpoly(m)
     if fpoly.degree != layer.order:
         raise CurveModelError(
@@ -130,7 +125,7 @@ def curve_model(layer) -> CurveModel:
     disc = _resultant_x(fpoly, fpoly.derivative_x())
     if disc.is_zero():
         raise CurveModelError("inseparable plane model")
-    allowed = {v.gen for v in _finite_s(layer)}
+    allowed = {v.gen for v in layer.finite_s()}
     for g, _ in factor(disc.monic()) if disc.degree >= 1 else []:
         if g not in allowed:
             raise CurveModelError(f"model singular above {g!r}, outside the exceptional table")
@@ -353,7 +348,7 @@ def count_points_model(model: CurveModel, i: int,
     add, mul, embed, zero = ops["add"], ops["mul"], ops["embed"], ops["zero"]
     # X-coefficients of the model as A-polynomials, evaluated per fiber
     xcoeffs = model.fpoly.coeffs
-    finite_places = _finite_s(model.layer)
+    finite_places = model.layer.finite_s()
     exc_polys = [v.gen for v in finite_places]
 
     def _eval_coeff(c: FqPoly, theta0):
@@ -397,18 +392,17 @@ def count_points_model(model: CurveModel, i: int,
 def count_points_splitting(layer, i: int) -> int:
     """N_i from the splitting law: unramified places contribute through the
     order of their Frobenius, ramified ones through the class-field table."""
-    field = _layer_field(layer)
     table = layer.exceptional_table()
     total = 0
     for v, entries in table.items():
         for dw, cnt in entries:
             if i % dw == 0:
                 total += dw * cnt
-    s_gens = {v.gen for v in _finite_s(layer)}
+    s_gens = {v.gen for v in layer.finite_s()}
     for d in range(1, i + 1):
         if i % d:
             continue
-        for pl in irreducibles_of_degree(field, d):
+        for pl in irreducibles_of_degree(layer.field, d):
             if pl.gen in s_gens:
                 continue
             f = layer.group.element_order(layer.frobenius(pl))
@@ -490,18 +484,18 @@ def s_divisor_data(layer) -> SDivisorData:
     table = layer.exceptional_table()
     places = {}
     degrees = []
-    for v in sorted(_finite_s(layer), key=lambda v: v.gen.sort_key()):
+    for v in layer.finite_s():
         places[v] = table[v]
         for dw, cnt in table[v]:
             degrees.extend([dw] * cnt)
-    if _infinity_in_s(layer):
+    if layer.infinity_in_s():
         places[INFINITY] = table[INFINITY]
         for dw, cnt in table[INFINITY]:
             degrees.extend([dw] * cnt)
     d_s = 0
     for d in degrees:
         d_s = gcd(d_s, d)
-    p = _layer_field(layer).p
+    p = layer.field.p
     v_p, t = 0, d_s
     while t and t % p == 0:
         t //= p
@@ -534,10 +528,9 @@ def evaluate_hypotheses(layer) -> dict:
     (b) and (c) are automatic since the real Hilbert class field is k itself
     (h_k = 1, d_infty = 1)."""
     cfg = layer.cfg
-    finite_only = not _infinity_in_s(layer)
     return {
-        "a_f_trivial_and_S_is_p": cfg.f.is_one() and finite_only and
-        set(_finite_s(layer)) == {cfg.p_place},
+        "a_f_trivial_and_S_is_p": cfg.f.is_one() and not layer.infinity_in_s() and
+        set(layer.finite_s()) == {cfg.p_place},
         "b_p_inert_in_hilbert": True,
         "c_p_coprime_hilbert_degree": True,
         "d_p_coprime_deg_p": cfg.p_place.degree % cfg.char != 0,
@@ -557,7 +550,7 @@ def nabla_order(layer, zeta: ZetaData, sdiv: SDivisorData) -> NablaOrder:
             "nabla bookkeeping requires hypothesis (a): f = (1) and S = {p}")
     if sdiv.x_rank != 0:
         raise ConfigurationRefused("nabla bookkeeping requires a single place above p")
-    p = _layer_field(layer).p
+    p = layer.field.p
     h = zeta.h
     v_h = 0
     while h % p == 0:
@@ -568,7 +561,7 @@ def nabla_order(layer, zeta: ZetaData, sdiv: SDivisorData) -> NablaOrder:
     finite, infinite = [], []
     for chi in chars:
         ok = True
-        for v in layer.cfg.S:
+        for v in layer.S:
             if chi.trivial_on(layer.decomposition_group(v)):
                 ok = False
                 break
@@ -614,9 +607,9 @@ def sigma_factor_poly(layer) -> ThetaPoly:
     from .grouprings import GroupRingElem
 
     group = layer.group
-    q = _layer_field(layer).q
+    q = layer.field.q
     acc = ThetaPoly(group, [GroupRingElem.one(group)])
-    for v in sorted(_layer_sigma(layer), key=lambda v: v.gen.sort_key()):
+    for v in sorted(layer.sigma, key=lambda v: v.gen.sort_key()):
         sigma_inv = group.inv(layer.frobenius(v))
         coeffs = [GroupRingElem.one(group)]
         coeffs.extend(GroupRingElem.zero(group) for _ in range(v.degree - 1))
@@ -635,8 +628,7 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
     The discrepancy factor W = N(Sigma)/(1-qu) is certified as a unit of
     Z/p^k[u]/(u^M) with an inverse witness.
     """
-    field = _layer_field(layer)
-    p, q = field.p, field.q
+    p, q = layer.field.p, layer.field.q
     Q = tate_charpoly(layer, zeta, sdiv)
     R = theta_result.theta.norm_poly()
     NS = sigma_factor_poly(layer).norm_poly()

@@ -865,11 +865,6 @@ class NzdCertificate:
     truncation_M: int
     precision_k: int
 
-    @property
-    def lemma_hypothesis(self) -> bool:
-        """Leading coefficient is a unit: the power-series nzd criterion."""
-        return self.leading_coeff_unit
-
 
 def nzd_test_polynomial(coeffs, p: int, k: int, M: int, group: AbelianGroup) -> NzdCertificate:
     """Certificate for f = sum coeffs[i] gamma^i over Z/p^k[G].

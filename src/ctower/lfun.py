@@ -59,47 +59,25 @@ def euler_factors(layer, max_degree: int):
     """All Euler factors entering Theta up to the given degree: the inverse
     factors at places off S (including infinity when it is off S), then the
     Sigma smoothing factors."""
-    field = _layer_field(layer)
-    s_gens = {v.gen for v in _finite_s(layer)}
+    s_gens = {v.gen for v in layer.finite_s()}
     out = []
-    if not _infinity_in_s(layer):
+    if not layer.infinity_in_s():
         out.append(EulerFactor(INFINITY, 1, layer.frobenius(INFINITY), "S-inverse"))
     for d in range(1, max_degree + 1):
-        for pl in irreducibles_of_degree(field, d):
+        for pl in irreducibles_of_degree(layer.field, d):
             if pl.gen in s_gens:
                 continue
             out.append(EulerFactor(pl, d, layer.frobenius(pl), "S-inverse"))
-    for v in sorted(_layer_sigma(layer), key=lambda v: v.gen.sort_key()):
+    for v in sorted(layer.sigma, key=lambda v: v.gen.sort_key()):
         out.append(EulerFactor(v, v.degree, layer.frobenius(v), "Sigma-forward"))
     return out
-
-
-def _layer_field(layer):
-    return layer.cfg.field if layer.cfg is not None else layer.field
-
-
-def _layer_s(layer):
-    return layer.cfg.S if layer.cfg is not None else layer.S
-
-
-def _layer_sigma(layer):
-    return layer.cfg.sigma if layer.cfg is not None else layer.sigma
-
-
-def _finite_s(layer):
-    return sorted((v for v in _layer_s(layer) if not is_infinite(v)),
-                  key=lambda v: v.gen.sort_key())
-
-
-def _infinity_in_s(layer) -> bool:
-    return any(is_infinite(v) for v in _layer_s(layer))
 
 
 def character_conductor(layer, chi: Character):
     """Minimal level m' = f' p^j through which chi factors, by descent over
     the divisors of f p^(n+1).  Returns the monic polynomial m'."""
-    if layer.cfg is None:
-        return FqPoly.one(_layer_field(layer))
+    if chi.is_trivial():
+        return FqPoly.one(layer.field)
     cfg = layer.cfg
     F = cfg.field
     from .ffpoly import factor as fq_factor
@@ -133,7 +111,7 @@ def _chi_factors_through(layer, chi: Character, m_prime: FqPoly) -> bool:
     """chi trivial on ker(G_n -> (A/m')^x / F_q^x)."""
     import itertools as it
 
-    F = layer.cfg.field
+    F = layer.field
     m = layer.modulus
     if m_prime.degree == m.degree:
         return True
@@ -153,27 +131,23 @@ def _chi_factors_through(layer, chi: Character, m_prime: FqPoly) -> bool:
 def per_character_degree_bound(layer, chi: Character) -> int:
     """Degree bound for chi(Theta): Sigma degrees + deg(cond chi) +
     degrees of finite S-places prime to the conductor - 2 + [infinity in S]."""
-    sig = sum(v.degree for v in _layer_sigma(layer))
+    sig = sum(v.degree for v in layer.sigma)
     m_chi = character_conductor(layer, chi)
     extra = 0
-    for v in _finite_s(layer):
+    for v in layer.finite_s():
         if m_chi.degree < 1 or not (m_chi % v.gen).is_zero():
             extra += v.degree
-    return sig + m_chi.degree + extra - 2 + (1 if _infinity_in_s(layer) else 0)
+    return sig + m_chi.degree + extra - 2 + (1 if layer.infinity_in_s() else 0)
 
 
 def degree_bound(layer) -> int:
     """Global polynomial degree bound for Theta (max over characters)."""
-    sig = sum(v.degree for v in _layer_sigma(layer))
-    if layer.cfg is None:
-        s_fin = sum(v.degree for v in _finite_s(layer))
-        return sig + s_fin - 2 + (1 if _infinity_in_s(layer) else 0)
-    mod_deg = layer.modulus.degree
+    sig = sum(v.degree for v in layer.sigma)
     extra = 0
-    for v in _finite_s(layer):
+    for v in layer.finite_s():
         if not (layer.modulus % v.gen).is_zero():
             extra += v.degree
-    return sig + mod_deg + extra - 2 + (1 if _infinity_in_s(layer) else 0)
+    return sig + layer.modulus.degree + extra - 2 + (1 if layer.infinity_in_s() else 0)
 
 
 @dataclass
@@ -233,7 +207,7 @@ def _clean(series):
 def euler_series(layer, D: int):
     """Truncated series for Theta_{S,Sigma} through degree D."""
     group = layer.group
-    q = _layer_field(layer).q
+    q = layer.field.q
     series = [dict() for _ in range(D + 1)]
     series[0][group.identity] = 1
     for fac in euler_factors(layer, D):
@@ -257,10 +231,10 @@ def divisor_sum_series(layer, D: int):
     """
     import itertools as it
 
-    field = _layer_field(layer)
+    field = layer.field
     group = layer.group
     q = field.q
-    s_gens = [v.gen for v in _finite_s(layer)]
+    s_gens = [v.gen for v in layer.finite_s()]
     base = [dict() for _ in range(D + 1)]
     for d in range(0, D + 1):
         target = base[d]
@@ -271,12 +245,12 @@ def divisor_sum_series(layer, D: int):
             a = FqPoly(field, tail + (1,))
             if any((a % g).is_zero() for g in s_gens):
                 continue
-            k = group.inv(layer.class_of(a) if layer.cfg is not None else ())
+            k = group.inv(layer.class_of(a))
             target[k] = target.get(k, 0) + 1
-    if not _infinity_in_s(layer):
+    if not layer.infinity_in_s():
         # multiply by (1 - u)^{-1} for the (trivial-Frobenius) infinite place
         _series_mul_inverse_factor(base, group, group.identity, 1, D)
-    for v in sorted(_layer_sigma(layer), key=lambda v: v.gen.sort_key()):
+    for v in sorted(layer.sigma, key=lambda v: v.gen.sort_key()):
         sigma = layer.frobenius(v)
         _series_mul_forward_factor(base, group, group.inv(sigma), v.degree, D, q ** v.degree)
     return _clean(base)
@@ -288,13 +262,13 @@ def trivial_character_symbolic(layer):
     numerator = prod_Sigma (1 - (qu)^{d_v}) * prod_{v in S} (1 - u^{d_v}),
     denominator = (1 - u)(1 - qu); raises PoleError if division is inexact.
     """
-    q = _layer_field(layer).q
+    q = layer.field.q
     num = [1]
-    for v in _layer_sigma(layer):
+    for v in layer.sigma:
         f = [0] * (v.degree + 1)
         f[0], f[v.degree] = 1, -(q ** v.degree)
         num = zpoly.mul(num, f)
-    for v in _layer_s(layer):
+    for v in layer.S:
         d = 1 if is_infinite(v) else v.degree
         f = [0] * (d + 1)
         f[0], f[d] = 1, -1
@@ -312,7 +286,7 @@ def per_character_euler_product(layer, chi: Character, D: int):
     series = [ring.zero] * (D + 1)
     series = [list(c) for c in series]
     series[0] = list(ring.one)
-    q = _layer_field(layer).q
+    q = layer.field.q
 
     def mul_inverse(zeta, d):
         for i in range(d, D + 1):
@@ -337,8 +311,7 @@ def per_character_euler_product(layer, chi: Character, D: int):
     return out
 
 
-def theta(layer, D: int = None, cross_check: bool = True,
-          extra_degree: int = DEFAULT_EXTRA_DEGREE) -> ThetaResult:
+def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
     """Compute Theta_{S,Sigma}^{(n)}(u) with a stabilization certificate.
 
     Raises StabilizationError if any coefficient above the degree bound is
@@ -347,7 +320,7 @@ def theta(layer, D: int = None, cross_check: bool = True,
     """
     bound = degree_bound(layer)
     if D is None:
-        D = bound + extra_degree
+        D = bound + DEFAULT_EXTRA_DEGREE
     if D < bound:
         raise ValueError(f"enumeration degree {D} is below the bound {bound}")
     series = euler_series(layer, D)
@@ -428,7 +401,7 @@ def order_of_vanishing_check(layer, tr: ThetaResult, chi: Character):
         coeffs = new
         mult += 1
     predicted = 0
-    for v in _layer_s(layer):
+    for v in layer.S:
         dec = layer.decomposition_group(v)
         if chi.trivial_on(dec):
             predicted += 1
@@ -448,10 +421,9 @@ class SigmaUnitWitness:
 def sigma_factor_unit(layer, v, k: int, M: int) -> SigmaUnitWitness:
     """Inverse of 1 - sigma_v^{-1} (qu)^{d_v} in Z/p^k[G][u]/(u^M) via the
     geometric series; the product with the original is checked to be 1."""
-    if v not in _layer_sigma(layer):
+    if v not in layer.sigma:
         raise ValueError("v must lie in Sigma")
-    field = _layer_field(layer)
-    p, q = field.p, field.q
+    p, q = layer.field.p, layer.field.q
     base = ZpkGroupRing(p, k, layer.group)
     ring = TruncPolyRing(base, M)
     sigma_inv = layer.group.inv(layer.frobenius(v))

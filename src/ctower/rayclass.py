@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .abelian import TRIVIAL_GROUP, AbelianGroup
+from .abelian import TRIVIAL_GROUP, AbelianGroup, _abelian_basis
 from .ffpoly import (
     UNIT_ENUM_BUDGET,
     FinitePlace,
@@ -21,7 +21,6 @@ from .ffpoly import (
     FqPoly,
     INFINITY,
     ResidueRing,
-    _abelian_basis,
     factor,
     is_infinite,
     irreducibles_of_degree,
@@ -82,13 +81,6 @@ class TowerConfig:
     def modulus(self, n: int) -> FqPoly:
         return self.f * self.p_place.gen ** (n + 1)
 
-    def finite_s(self):
-        return sorted((v for v in self.S if not is_infinite(v)),
-                      key=lambda v: v.gen.sort_key())
-
-    def infinity_in_s(self) -> bool:
-        return any(is_infinite(v) for v in self.S)
-
 
 def _crt(r1: FqPoly, m1: FqPoly, r2: FqPoly, m2: FqPoly) -> FqPoly:
     """b with b = r1 mod m1 and b = r2 mod m2, for coprime m1, m2."""
@@ -98,7 +90,20 @@ def _crt(r1: FqPoly, m1: FqPoly, r2: FqPoly, m2: FqPoly) -> FqPoly:
     return (r1 + m1 * (s * (r2 - r1) % m2)) % (m1 * m2)
 
 
-class GaloisLayer:
+class Layer:
+    """What the L-function and geometry code read off a layer: the base
+    field, S, Sigma, the conductor `modulus` and the class map `class_of`."""
+
+    def finite_s(self):
+        """The finite places of S, in sort_key order of their generators."""
+        return sorted((v for v in self.S if not is_infinite(v)),
+                      key=lambda v: v.gen.sort_key())
+
+    def infinity_in_s(self) -> bool:
+        return any(is_infinite(v) for v in self.S)
+
+
+class GaloisLayer(Layer):
     """G_n = (A/m)^x / F_q^x with m = f p^(n+1), presented by independent
     generators of prime-power order."""
 
@@ -106,13 +111,15 @@ class GaloisLayer:
         if n < 0:
             raise ValueError("layer index must be >= 0")
         self.cfg = cfg
+        self.field, self.S, self.sigma = cfg.field, cfg.S, cfg.sigma
         self.n = n
         self.modulus = cfg.modulus(n)
         self.ring = ResidueRing(self.modulus)
         if self.ring.size > budget:
             raise ValueError(f"residue ring size {self.ring.size} exceeds budget {budget}")
+        # the primes of the modulus: p and the v | f
+        self._support = tuple(v.gen for v in default_s(cfg.f, cfg.p_place))
         F = cfg.field
-        self._constants = [FqPoly.constant(F, c) for c in range(1, F.q)]
 
         canon_seen = {}
         for u in self.ring.units():
@@ -150,16 +157,17 @@ class GaloisLayer:
     # -- element handling ---------------------------------------------------
 
     def _canon(self, u: FqPoly) -> FqPoly:
-        """Canonical coset representative modulo F_q^x."""
+        """Canonical coset representative modulo F_q^x: the multiple of least
+        sort_key, which is the one whose lowest nonzero coefficient is 1."""
         u = self.ring.reduce(u)
-        best = u
-        bk = u.sort_key()
-        for c in self._constants[1:]:
-            v = self.ring.reduce(u * c)
-            vk = v.sort_key()
-            if vk < bk:
-                best, bk = v, vk
-        return best
+        for c in u.coeffs:
+            if c:
+                return u if c == 1 else u.scale(self.field.inv(c))
+        return u
+
+    def coprime_to_modulus(self, g: FqPoly) -> bool:
+        """No prime of the modulus divides g."""
+        return not any((g % s).is_zero() for s in self._support)
 
     def class_of(self, a: FqPoly):
         """Exponent tuple of the class of a (a must be coprime to the modulus)."""
@@ -169,7 +177,7 @@ class GaloisLayer:
         return self._dlog[key]
 
     def representative(self, exps) -> FqPoly:
-        acc = FqPoly.one(self.cfg.field)
+        acc = FqPoly.one(self.field)
         for g, e in zip(self.generators, exps):
             acc = self.ring.mul(acc, self.ring.pow(g, e))
         return self._canon(acc)
@@ -188,7 +196,7 @@ class GaloisLayer:
         if cached is not None:
             return cached
         g = place.gen
-        if not (g.gcd(self.modulus)).is_one():
+        if not self.coprime_to_modulus(g):
             raise RamifiedPlaceError(f"{place!r} ramifies in layer {self.n}")
         out = self.class_of(g)
         self._frob_cache[place] = out
@@ -197,7 +205,7 @@ class GaloisLayer:
     def _local_part(self, v: FinitePlace):
         """(v^a, m/v^a) for the v-primary part of the modulus."""
         m = self.modulus
-        va = FqPoly.one(self.cfg.field)
+        va = FqPoly.one(self.field)
         while (m % v.gen).is_zero():
             va = va * v.gen
             m = m // v.gen
@@ -218,12 +226,12 @@ class GaloisLayer:
         va, rest = self._local_part(v)
         if va.is_one():
             return frozenset({self.group.identity})
-        F = self.cfg.field
+        F = self.field
         out = set()
         for tail in itertools.product(range(F.q), repeat=va.degree):
             t = FqPoly(F, tail)
             a = FqPoly.one(F) + rest * t
-            if a.gcd(self.modulus).is_one():
+            if self.coprime_to_modulus(a):
                 out.add(self.class_of(a))
         return frozenset(out)
 
@@ -234,7 +242,7 @@ class GaloisLayer:
             return self.frobenius(v)
         if rest.is_one():
             return self.group.identity
-        b = _crt(FqPoly.one(self.cfg.field), va, v.gen % rest, rest)
+        b = _crt(FqPoly.one(self.field), va, v.gen % rest, rest)
         return self.class_of(b)
 
     def decomposition_group(self, v) -> frozenset:
@@ -270,7 +278,7 @@ class GaloisLayer:
         """For each v in S united with infinity: list of (deg w, count) of the
         places of L_n above v, from class-field ramification data."""
         table = {}
-        for v in self.cfg.S | {INFINITY}:
+        for v in self.S | {INFINITY}:
             e, f, g = self.ramification_data(v)
             d_v = 1 if is_infinite(v) else v.degree
             table[v] = [(d_v * f, g)]
@@ -279,8 +287,8 @@ class GaloisLayer:
     def to_json(self):
         places = []
         for d in range(1, 5):
-            for pl in irreducibles_of_degree(self.cfg.field, d):
-                if pl.gen.gcd(self.modulus).is_one():
+            for pl in irreducibles_of_degree(self.field, d):
+                if self.coprime_to_modulus(pl.gen):
                     places.append({
                         "place": pl.gen.serialize(),
                         "frobenius": list(self.frobenius(pl)),
@@ -297,13 +305,13 @@ class GaloisLayer:
         }
 
 
-class TrivialLayer:
-    """The degenerate layer L = k: trivial group, arbitrary S."""
+class TrivialLayer(Layer):
+    """The degenerate layer L = k: trivial group, conductor 1, arbitrary S."""
 
     def __init__(self, field: FqField, S, sigma):
-        self.cfg = None
         self.field = field
         self.n = 0
+        self.modulus = FqPoly.one(field)
         self.group = TRIVIAL_GROUP
         self.S = frozenset(S)
         self.sigma = frozenset(sigma)
@@ -317,6 +325,9 @@ class TrivialLayer:
     def order(self):
         return 1
 
+    def class_of(self, a: FqPoly):
+        return ()
+
     def frobenius(self, place):
         return ()
 
@@ -328,9 +339,8 @@ class TrivialLayer:
 
     def exceptional_table(self):
         table = {INFINITY: [(1, 1)]}
-        for v in self.S:
-            if not is_infinite(v):
-                table[v] = [(v.degree, 1)]
+        for v in self.finite_s():
+            table[v] = [(v.degree, 1)]
         return table
 
 
@@ -373,8 +383,8 @@ def layer_projection(src: GaloisLayer, tgt: GaloisLayer, frobenius_checks: int =
     checked = 0
     d = 1
     while checked < frobenius_checks and d <= 8:
-        for pl in irreducibles_of_degree(src.cfg.field, d):
-            if not pl.gen.gcd(src.modulus).is_one():
+        for pl in irreducibles_of_degree(src.field, d):
+            if not src.coprime_to_modulus(pl.gen):
                 continue
             if lm.apply(src.frobenius(pl)) != tgt.frobenius(pl):
                 raise ArithmeticError(f"Frobenius incompatibility at {pl!r}")

@@ -44,6 +44,7 @@ from .rayclass import TowerConfig, build_layer, layer_projection
 from .snf import zpk_kernel
 
 DEFAULT_PRECISION = 24
+POINT_MAX_I = 6
 
 
 class TowerVerificationError(AssertionError):
@@ -58,13 +59,10 @@ class TowerVerificationError(AssertionError):
 @dataclass
 class RunOptions:
     precision_k: int = DEFAULT_PRECISION
-    extra_degree: int = 4
-    degree: object = None  # explicit enumeration degree D (None: bound + extra)
+    degree: object = None  # explicit enumeration degree D (None: bound + 4)
     point_budget: int = 10 ** 7
-    point_max_i: int = 6
     seed: int = 0
     geometry: bool = True
-    fail_fast: bool = True
     sigma_alt: object = None  # alternative Sigma for the independence check
 
 
@@ -83,6 +81,7 @@ class TowerRun:
         return all(v["passed"] for v in self.verdicts)
 
     def record(self, name, layer, passed, shadows, **details):
+        """Append a verdict; a failed one ends the run."""
         self.verdicts.append({
             "name": name,
             "layer": layer,
@@ -90,7 +89,7 @@ class TowerRun:
             "shadows": shadows,
             **details,
         })
-        if not passed and self.options.fail_fast:
+        if not passed:
             raise TowerVerificationError(self)
 
     def to_json(self):
@@ -153,8 +152,7 @@ def run_tower(cfg: TowerConfig, N: int, options: RunOptions = None) -> TowerRun:
     run.layers = layers
     trs = []
     for layer in layers:
-        tr = theta(layer, D=opts.degree, cross_check=True,
-                   extra_degree=opts.extra_degree)
+        tr = theta(layer, D=opts.degree, cross_check=True)
         trs.append(tr)
         run.record("theta_stabilization", layer.n, tr.stabilization_ok,
                    "polynomiality of the equivariant L-function",
@@ -242,9 +240,8 @@ def _geometry_suite(run: TowerRun, layer, tr):
         model = curve_model(layer)
     except (ArithmeticError, ValueError) as exc:  # no model: splitting only
         model_err = str(exc)
-    max_i = opts.point_max_i
     agree = True
-    for i in range(1, max_i + 1):
+    for i in range(1, POINT_MAX_I + 1):
         ns = count_points_splitting(layer, i)
         if model is not None and q ** i <= opts.point_budget:
             nm = count_points_model(model, i, budget=opts.point_budget)
@@ -337,12 +334,6 @@ class ToyProjectiveSystem:
             if not self.rings[m].equal(img, self.alpha[m]):
                 raise ValueError(f"alpha is not coherent at level {m}")
 
-    def project_to(self, m: int, x):
-        """Image of x in R_m from the top ring."""
-        for j in range(len(self.rings) - 2, m - 1, -1):
-            x = self.transitions[j](x)
-        return x
-
 
 @dataclass
 class CoherentNzdReport:
@@ -409,8 +400,9 @@ def coherent_nzd_check(sys: ToyProjectiveSystem,
     extra = 0
     for x in _ring_elements(top):
         in_all = True
-        for m in range(len(sys.rings) - 1):
-            img = sys.project_to(m, x)
+        img = x
+        for m in range(len(sys.rings) - 2, -1, -1):
+            img = sys.transitions[m](img)
             if tuple(sys.rings[m].to_vec(img)) not in ideals[m]:
                 in_all = False
                 break

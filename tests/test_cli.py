@@ -33,6 +33,16 @@ class TestCommands:
         assert "u^0: 1*g[]" in out
         assert "u^1: -1*g[]" in out
 
+    def test_theta_trivial_group_checks(self, capsys):
+        trivial = ["theta", "--q", "2", "--S", "inf,theta", "--Sigma", "theta+1",
+                   "--trivial-group", "--degree", "12"]
+        assert main(trivial + ["--check", "ordvan", "--check", "sigmaunit"]) == 0
+        out = capsys.readouterr().out
+        assert "check ordvan: PASS" in out and "check sigmaunit: PASS" in out
+        # L = k has no layer below it, whatever --n says
+        assert main(trivial + ["--n", "1", "--check", "functoriality"]) == 2
+        assert "needs a tower layer with n >= 1" in capsys.readouterr().err
+
     def test_theta_flagship_with_checks(self, capsys):
         code = main(["theta", "--q", "3", "--p", "x^2+1", "--n", "0",
                      "--Sigma", "x", "--check", "ordvan", "--check", "sigmaunit"])

@@ -455,6 +455,18 @@ class TestBoundsAndConductors:
         assert degree_bound(build_layer(cfg, 0)) == 1
         assert degree_bound(build_layer(cfg, 1)) == 3
 
+    def test_trivial_layer_bounds(self):
+        # conductor 1: deg Sigma + deg of the finite S-places - 2 + [inf in S]
+        x, x1 = FinitePlace(poly(F3, 0, 1)), FinitePlace(poly(F3, 1, 1))
+        cases = [(TrivialLayer(F3, {INFINITY, x, x1}, {FinitePlace(poly(F3, 1, 0, 1))}), 3),
+                 (TrivialLayer(F3, {x}, {x1}), 0),
+                 (TrivialLayer(F2, set(), {FinitePlace(poly(F2, 1, 1))}), -1)]
+        for layer, expected in cases:
+            assert degree_bound(layer) == expected
+            (chi,) = characters(layer.group)
+            assert character_conductor(layer, chi) == FqPoly.one(layer.field)
+            assert per_character_degree_bound(layer, chi) == expected
+
     def test_character_conductors_layer1(self):
         cfg = flagship_q3()
         layer = build_layer(cfg, 1)

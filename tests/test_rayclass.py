@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ctower.abelian import AbelianGroup
@@ -332,6 +334,47 @@ class TestTrivialLayer:
                          {FinitePlace(poly(F2, 1, 1))})
         assert t.order == 1
         assert t.frobenius(INFINITY) == ()
+
+    def test_layer_interface(self):
+        # the trivial layer reads like a tower layer of conductor 1
+        v0, v1 = FinitePlace(poly(F3, 0, 1)), FinitePlace(poly(F3, 1, 1))
+        t = TrivialLayer(F3, {INFINITY, v1, v0}, {FinitePlace(poly(F3, 1, 0, 1))})
+        assert t.field is F3 and t.modulus.is_one()
+        assert t.finite_s() == [v0, v1] and t.infinity_in_s()
+        assert t.class_of(poly(F3, 2, 1)) == ()
+        layer = build_layer(flagship_q3(), 0)
+        assert (layer.field, layer.S, layer.sigma) == (F3, layer.cfg.S, layer.cfg.sigma)
+        assert layer.finite_s() == [layer.cfg.p_place] and not layer.infinity_in_s()
+
+
+def _canon_layers():
+    cfgs = [(flagship_q3(), (0, 1)), (flagship_q2(), (0, 1, 2, 3))]
+    for F, ns in ((FqField(2, 2), (0, 1)), (FqField(5), (0,))):
+        p = next(iter(irreducibles_of_degree(F, 2)))
+        sigma = frozenset({FinitePlace(poly(F, 0, 1))})
+        cfgs.append((TowerConfig(F, FqPoly.one(F), p, default_s(FqPoly.one(F), p), sigma), ns))
+    return [pytest.param(cfg, n, id=f"q{cfg.field.q}-{n}") for cfg, ns in cfgs for n in ns]
+
+
+class TestCanonicalRepresentative:
+    @pytest.mark.parametrize("cfg,n", _canon_layers())
+    def test_closed_form_is_least_multiple(self, cfg, n):
+        # reference: the least sort_key over all F_q^x multiples, reduced
+        layer = build_layer(cfg, n)
+        F, ring = cfg.field, layer.ring
+        for u in ring.units():
+            multiples = [ring.reduce(u * FqPoly.constant(F, c)) for c in range(1, F.q)]
+            assert layer._canon(u) == min(multiples, key=FqPoly.sort_key)
+
+    @pytest.mark.parametrize("make_cfg,n", [(flagship_q3, 1), (conductor_config_q3, 0),
+                                            (flagship_q2, 2)])
+    def test_coprime_to_modulus_is_gcd_one(self, make_cfg, n):
+        layer = build_layer(make_cfg(), n)
+        F = layer.field
+        for d in range(0, 5):
+            for tail in itertools.product(range(F.q), repeat=d):
+                g = FqPoly(F, tail + (1,))
+                assert layer.coprime_to_modulus(g) == g.gcd(layer.modulus).is_one()
 
 
 class TestSerialization:
