@@ -5,8 +5,9 @@ Subcommands: theta, lpoly, layer, count-points, zeta, verify
 
 Polynomial syntax on flags and in config files: coefficients ascending with
 the variable spelled x (or theta), e.g. "1+0x+1x^2" or "x^2+1" for
-theta^2 + 1.  The infinite place is "inf".  Exit codes: 0 success, 1
-verification failure, 2 usage error.
+theta^2 + 1.  Over F_(p^e) with e > 1 the coefficients must lie in 0..p-1
+(the prime field); over F_p they are reduced mod p.  The infinite place is
+"inf".  Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .lfun import (
     theta as theta_op,
 )
 from .rayclass import TowerConfig, TrivialLayer, build_layer, default_s, layer_projection
-from .tower import RunOptions, algebra_suite, run_tower
+from .tower import RunOptions, TowerVerificationError, algebra_suite, run_tower
 
 _TERM_RE = re.compile(r"^(\d+)?\*?(?:(x|theta)(?:\^(\d+))?)?$")
 
@@ -64,12 +65,12 @@ def parse_poly(field: FqField, s: str) -> FqPoly:
         if c is None and var is None:
             raise ValueError(f"cannot parse term {term!r}")
         coeff = int(c) if c is not None else 1
+        if field.e > 1 and coeff >= field.p:
+            # only F_p has a notation; a larger integer is not reduced mod p
+            raise ValueError(f"coefficient {coeff} in {term!r} is not in F_{field.p}: "
+                             f"over F_{field.q} coefficients must lie in 0..{field.p - 1}")
         power = 0 if var is None else (int(exp) if exp is not None else 1)
-        val = (-coeff) % field.p if neg else coeff % field.p
-        if field.e > 1:
-            val = val % field.q
-        coeffs[power] = field.add(coeffs.get(power, 0), val) if field.e > 1 else \
-            (coeffs.get(power, 0) + val) % field.p
+        coeffs[power] = (coeffs.get(power, 0) + (-coeff if neg else coeff)) % field.p
     out = [0] * (max(coeffs) + 1 if coeffs else 0)
     for power, val in coeffs.items():
         out[power] = val
@@ -303,8 +304,6 @@ def cmd_verify(args):
 
     cfg, N, opts = _verify_config(args)
     if args.suite == "all":
-        from .tower import TowerVerificationError
-
         try:
             run = run_tower(cfg, N, opts)
         except TowerVerificationError as exc:

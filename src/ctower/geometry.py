@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import zpoly
 from .carlitz import AXPoly, real_generator_minpoly
 from .ffpoly import FqPoly, INFINITY, _is_prime, factor, irreducibles_of_degree
-from .grouprings import ThetaPoly, TruncPolyRing, ZpkRing, characters, is_unit
+from .grouprings import GroupRingElem, ThetaPoly, TruncPolyRing, ZpkRing, characters, is_unit
 
 DEFAULT_POINT_BUDGET = 10 ** 7
 
@@ -604,8 +604,6 @@ def tate_charpoly(layer, zeta: ZetaData, sdiv: SDivisorData):
 
 def sigma_factor_poly(layer) -> ThetaPoly:
     """prod_{v in Sigma} (1 - sigma_v^{-1} (qu)^{d_v}) in Z[G][u]."""
-    from .grouprings import GroupRingElem
-
     group = layer.group
     q = layer.field.q
     acc = ThetaPoly(group, [GroupRingElem.one(group)])

@@ -3,6 +3,12 @@ characters with values in Z[x]/Phi_N(x), chi-components over Hensel-lifted
 local rings, Fitting ideals, ideal equality, unit tests and non-zero-divisor
 certificates.
 
+Every Z/p^k-linear question about a finite ring R -- units, ideal
+membership, annihilators and the orders of finitely presented R-modules --
+is asked of one matrix, mult_matrix(ring, rows), whose columns span the
+submodule of R^g that the rows generate, and is answered from its Smith form
+(snf).  The quotient order of x is the order of the 1 x 1 presentation [[x]].
+
 No floating point anywhere; every mod-p^k assertion carries its precision.
 """
 
@@ -739,21 +745,29 @@ def chi_component(x: GroupRingElem, chi: Character, ring: ChiComponentRing,
 # ---------------------------------------------------------------------------
 
 
-def _mult_matrix(ring, x):
-    """Columns: vec(x * b_i) for the Z/p^k basis b_i of the ring."""
-    cols = []
+def mult_matrix(ring, rows):
+    """Z/p^k matrix whose columns span the R-submodule of R^g generated by
+    rows (each a list of g ring elements).
+
+    Column (r, i) is vec(b_i * e) for the entries e of row r, stacked, where
+    b_i is the i-th Z/p^k basis element of R; rows vary slowest.  For the
+    single row [x] this is the matrix of multiplication by x.
+    """
     n = ring.basis_size
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        b = ring.from_vec(e)
-        cols.append(ring.to_vec(ring.mul(x, b)))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    basis = [ring.from_vec([0] * i + [1] + [0] * (n - 1 - i)) for i in range(n)]
+    cols = []
+    for row in rows:
+        for b in basis:
+            col = []
+            for e in row:
+                col.extend(ring.to_vec(ring.mul(b, e)))
+            cols.append(col)
+    return [list(r) for r in zip(*cols)]
 
 
 def is_unit(x, ring):
     """(bool, inverse) in a finite ring; inverse verified exactly."""
-    mat = _mult_matrix(ring, x)
+    mat = mult_matrix(ring, [[x]])
     sol = zpk_solve(mat, ring.to_vec(ring.one), ring.p, ring.k)
     if sol is None:
         return False, None
@@ -839,15 +853,7 @@ def ideal_contains(ring, gens, target) -> bool:
     """target in the ideal generated by gens, by Z/p^k linear algebra."""
     if not gens:
         return ring.equal(target, ring.zero)
-    n = ring.basis_size
-    cols = []
-    for g in gens:
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            b = ring.from_vec(e)
-            cols.append(ring.to_vec(ring.mul(b, g)))
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
+    mat = mult_matrix(ring, [[g] for g in gens])
     return zpk_solve(mat, ring.to_vec(target), ring.p, ring.k) is not None
 
 
@@ -884,8 +890,7 @@ def nzd_test_polynomial(coeffs, p: int, k: int, M: int, group: AbelianGroup) -> 
     for i, c in enumerate(coeffs):
         term = {kk + (i % (p ** M),): v % big.pk for kk, v in c.coeffs.items() if v % big.pk}
         f_big = big.add(f_big, term)
-    mat = _mult_matrix(big, f_big)
-    kern = zpk_kernel(mat, p, k)
+    kern = zpk_kernel(mult_matrix(big, [[f_big]]), p, k)
     witness = None
     for vec in kern:
         cand = big.from_vec(vec)
@@ -906,38 +911,21 @@ def nzd_test_polynomial(coeffs, p: int, k: int, M: int, group: AbelianGroup) -> 
 # ---------------------------------------------------------------------------
 
 
-def expand_presentation(pm: PresentationMatrix):
-    """Relation columns of the underlying Z/p^k-module presentation.
-
-    The module R^g / <rows> over R = Z/p^k[G] is, over Z/p^k, free of rank
-    g*|G| modulo the span of all group-translates of the rows.
-    """
-    ring = pm.ring
-    g = pm.ncols
-    n = ring.basis_size
-    cols = []
-    for row in pm.rows:
-        for elem in ring.elems:
-            translated = []
-            for entry in row:
-                shifted = ring.mul(entry, {elem: 1})
-                translated.extend(ring.to_vec(shifted))
-            cols.append(translated)
-    return [[cols[j][i] for j in range(len(cols))] for i in range(g * n)] if cols else \
-        [[0] for _ in range(g * n)]
-
-
 def module_order_exponent(pm: PresentationMatrix) -> int:
-    """log_p |R^g / <rows>| at precision k (exponents capped at k per factor)."""
-    mat = expand_presentation(pm)
+    """log_p |R^g / <rows>| at precision k (exponents capped at k per factor).
+
+    Over Z/p^k the module is free of rank g * basis_size modulo the span of
+    the Z/p^k-basis multiples of the rows, so its order is read off the Smith
+    exponents of mult_matrix(ring, rows).
+    """
+    mat = mult_matrix(pm.ring, pm.rows)
     return sum(zpk_cokernel_exponents(mat, pm.ring.p, pm.ring.k))
 
 
 def quotient_order_exponent(x: GroupRingElem, p: int, k: int) -> int:
-    """log_p |Z/p^k[G] / (x)|: the cokernel of multiplication by x."""
+    """log_p |Z/p^k[G] / (x)|: the order of the 1 x 1 presentation [[x]]."""
     ring = ZpkGroupRing(p, k, x.group)
-    mat = _mult_matrix(ring, ring.from_group_ring(x))
-    return sum(zpk_cokernel_exponents(mat, p, k))
+    return module_order_exponent(PresentationMatrix(ring, [[ring.from_group_ring(x)]]))
 
 
 def delta_idempotent(group: AbelianGroup, delta_idx, p: int, k: int):
@@ -965,33 +953,26 @@ def sharp_element(x: GroupRingElem, delta_idx, p: int, k: int) -> GroupRingElem:
     return ((x - e * x)).reduce_mod(p ** k)
 
 
-def sharp_presentation(pm: PresentationMatrix, delta_idx) -> PresentationMatrix:
-    """Presentation of M^sharp = M / e_Delta M: adjoin rows e_Delta * e_j."""
+def _adjoin_diagonal(pm: PresentationMatrix, c: GroupRingElem) -> PresentationMatrix:
+    """pm with the rows c * e_j (j < ncols) adjoined: a presentation of M / cM."""
     ring = pm.ring
-    e = delta_idempotent(ring.group, delta_idx, ring.p, ring.k)
-    e_r = ring.from_group_ring(e)
+    c_r = ring.from_group_ring(c)
     g = pm.ncols
-    extra = []
-    for j in range(g):
-        row = [ring.zero] * g
-        row[j] = e_r
-        extra.append(row)
+    extra = [[c_r if i == j else ring.zero for i in range(g)] for j in range(g)]
     return PresentationMatrix(ring, [list(r) for r in pm.rows] + extra)
+
+
+def sharp_presentation(pm: PresentationMatrix, delta_idx) -> PresentationMatrix:
+    """Presentation of M^sharp = M / e_Delta M."""
+    ring = pm.ring
+    return _adjoin_diagonal(pm, delta_idempotent(ring.group, delta_idx, ring.p, ring.k))
 
 
 def e_delta_presentation(pm: PresentationMatrix, delta_idx) -> PresentationMatrix:
     """Presentation of e_Delta M = M / (1 - e_Delta) M."""
     ring = pm.ring
     e = delta_idempotent(ring.group, delta_idx, ring.p, ring.k)
-    one_minus = (GroupRingElem.one(ring.group) - e).reduce_mod(ring.pk)
-    c_r = ring.from_group_ring(one_minus)
-    g = pm.ncols
-    extra = []
-    for j in range(g):
-        row = [ring.zero] * g
-        row[j] = c_r
-        extra.append(row)
-    return PresentationMatrix(ring, [list(r) for r in pm.rows] + extra)
+    return _adjoin_diagonal(pm, GroupRingElem.one(ring.group) - e)
 
 
 def cyclic_submodule_presentation(pm: PresentationMatrix, elem_row) -> PresentationMatrix:
@@ -1002,20 +983,9 @@ def cyclic_submodule_presentation(pm: PresentationMatrix, elem_row) -> Presentat
     """
     ring = pm.ring
     n = ring.basis_size
-    g = pm.ncols
-    e_cols = []
-    for i in range(n):
-        basis_vec = [0] * n
-        basis_vec[i] = 1
-        b = ring.from_vec(basis_vec)
-        expanded = []
-        for entry in elem_row:
-            expanded.extend(ring.to_vec(ring.mul(b, entry)))
-        e_cols.append(expanded)
-    rel = expand_presentation(pm)  # (g*n) x (#relation translates)
-    n_rel = len(rel[0]) if rel and rel[0] else 0
-    combined = [[e_cols[j][i] for j in range(n)] + [rel[i][j] for j in range(n_rel)]
-                for i in range(g * n)]
+    # columns: the n basis multiples of elem_row, then the relation span
+    combined = [a + b for a, b in zip(mult_matrix(ring, [elem_row]),
+                                      mult_matrix(ring, pm.rows))]
     kern = zpk_kernel(combined, ring.p, ring.k)
     gens = []
     for vec in kern:

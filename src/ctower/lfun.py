@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import zpoly
-from .ffpoly import FqPoly, INFINITY, is_infinite, irreducibles_of_degree
+from .ffpoly import FqPoly, INFINITY, factor as fq_factor, is_infinite, irreducibles_of_degree
 from .grouprings import (
     Character,
     GroupRingElem,
@@ -80,8 +80,6 @@ def character_conductor(layer, chi: Character):
         return FqPoly.one(layer.field)
     cfg = layer.cfg
     F = cfg.field
-    from .ffpoly import factor as fq_factor
-
     f_divs = [FqPoly.one(F)]
     if cfg.f.degree >= 1:
         fac = fq_factor(cfg.f)
@@ -367,11 +365,6 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
     return ThetaResult(layer=layer, D=D, bound=bound, theta=tp, series=series,
                        stabilization_ok=True, per_char_degrees=per_char_degrees,
                        checks=checks)
-
-
-def theta_special_value(tr: ThetaResult) -> GroupRingElem:
-    """Theta(1) in Z[G_n], exact."""
-    return tr.special_value()
 
 
 def order_of_vanishing_check(layer, tr: ThetaResult, chi: Character):

@@ -4,11 +4,16 @@ polynomial factorizations mod p^k.
 Z/p^k is a local principal ideal ring, so Gaussian elimination with
 minimal-valuation pivoting yields a Smith form diag(p^v_1, ..., p^v_r)
 with v_1 <= v_2 <= ... and unit transforms; no integer coefficient blowup.
+Everything else is read off that one form: zpk_solve (units, ideal
+membership), zpk_kernel (annihilator witnesses, cyclic submodules) and
+zpk_cokernel_exponents, whose sum is log_p of the cokernel's order and whose
+maximum is the annihilator slack of a multiplication map.
 """
 
 from __future__ import annotations
 
 from . import zpoly
+from .ffpoly import FqField, FqPoly
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +139,6 @@ def zpk_cokernel_exponents(mat, p, k):
     return [e for e in out if e > 0]
 
 
-def zpk_module_order_exponent(mat, p, k):
-    """log_p of |(Z/p^k)^rows / colspan(M)|."""
-    return sum(zpk_cokernel_exponents(mat, p, k))
-
-
 # ---------------------------------------------------------------------------
 # Hensel lifting
 # ---------------------------------------------------------------------------
@@ -146,8 +146,6 @@ def zpk_module_order_exponent(mat, p, k):
 
 def hensel_lift_pair(f, g, h, p, k):
     """Lift f = g*h (mod p), g monic, h monic, gcd(g,h)=1 mod p, to mod p^k."""
-    from .ffpoly import FqField, FqPoly
-
     F = FqField(p)
     gp = FqPoly(F, [c % p for c in g])
     hp = FqPoly(F, [c % p for c in h])

@@ -22,6 +22,18 @@ class TestParsing:
         assert parse_poly(F3, "1") == FqPoly.one(F3)
         assert parse_poly(F3, "x^3+2x+2") == FqPoly(F3, (2, 2, 0, 1))
 
+    def test_parse_poly_coefficients(self):
+        # over a prime field integers are reduced mod p
+        assert parse_poly(F3, "4x+5") == FqPoly(F3, (2, 1))
+        assert parse_poly(F3, "-x") == FqPoly(F3, (0, 2))
+        # over F_(p^e), e > 1, only 0..p-1 name elements; nothing is rewritten
+        F4 = FqField(2, 2)
+        assert parse_poly(F4, "x^2+x+1") == FqPoly(F4, (1, 1, 1))
+        assert parse_poly(F4, "-x+1") == FqPoly(F4, (1, 1))
+        for bad in ("2x+1", "3x^2+x", "x+3", "-2x"):
+            with pytest.raises(ValueError, match="0..1"):
+                parse_poly(F4, bad)
+
 
 class TestCommands:
     def test_theta_trivial_group_sanity(self, capsys):
@@ -117,6 +129,12 @@ class TestCommands:
         code = main(["theta", "--q", "3", "--p", "x^2+2", "--n", "0", "--Sigma", "x"])
         # x^2+2 = (x+1)(x+2) over F_3: not irreducible -> usage error
         assert code == 2
+
+    def test_coefficient_outside_prime_field_exit_2(self, capsys):
+        # x+3 over F_4 used to become the place x+1
+        code = main(["theta", "--q", "2^2", "--p", "x+3", "--n", "0", "--Sigma", "x"])
+        assert code == 2
+        assert "coefficients must lie in 0..1" in capsys.readouterr().err
 
     def test_reports_reproducible(self, tmp_path):
         args = ["zeta", "--q", "3", "--p", "x^2+1", "--n", "0", "--Sigma", "x",

@@ -21,7 +21,6 @@ from ctower.grouprings import (
     conjugacy_orbit_reps,
     cyclotomic_polynomial,
     delta_idempotent,
-    expand_presentation,
     fitting_ideal,
     ideal_equal,
     is_unit,
@@ -31,7 +30,6 @@ from ctower.grouprings import (
     sharp_element,
     sharp_presentation,
 )
-from ctower.snf import zpk_module_order_exponent
 
 C4 = AbelianGroup((4,))
 C2 = AbelianGroup((2,))

@@ -16,7 +16,6 @@ from ctower.lfun import (
     per_character_degree_bound,
     sigma_factor_unit,
     theta,
-    theta_special_value,
     trivial_character_symbolic,
 )
 from ctower.rayclass import TowerConfig, TrivialLayer, build_layer, default_s, layer_projection
@@ -184,7 +183,7 @@ class TestFlagshipThetaQ3:
         cfg = flagship_q3()
         layer = build_layer(cfg, 0)
         tr = theta(layer)
-        special = theta_special_value(tr)
+        special = tr.special_value()
         assert special.augmentation() == 2  # (1-3)*2/(1-3) = 2 symbolically
         # augmentation of Theta(1) equals the trivial-character value
         triv = [c for c in characters(layer.group) if c.is_trivial()][0]
@@ -239,7 +238,7 @@ class TestFlagshipThetaQ2:
     def test_special_value(self):
         cfg = flagship_q2()
         layer = build_layer(cfg, 0)
-        special = theta_special_value(theta(layer))
+        special = theta(layer).special_value()
         # norm over characters: 2 * 7 = 14
         tpn = special
         from ctower.grouprings import ThetaPoly
@@ -294,7 +293,7 @@ class TestSpecialValueEdge:
         layer = TrivialLayer(F2, {INFINITY, FinitePlace(poly(F2, 0, 1))},
                              {FinitePlace(poly(F2, 1, 1))})
         tr = theta(layer, D=12)
-        assert theta_special_value(tr).coeffs == {}
+        assert tr.special_value().coeffs == {}
 
 
 class TestAlternativeConfigurations:

@@ -1,12 +1,22 @@
+import random
+
 import pytest
 
 from ctower.abelian import AbelianGroup
 from ctower.ffpoly import FinitePlace, FqField, FqPoly
 from ctower.grouprings import (
+    ChiComponentRing,
     GroupRingElem,
     PresentationMatrix,
+    TruncPolyRing,
     ZpkGroupRing,
+    ZpkRing,
+    e_delta_presentation,
     module_order_exponent,
+    mult_matrix,
+    quotient_order_exponent,
+    sharp_element,
+    sharp_presentation,
 )
 from ctower.rayclass import TowerConfig, build_layer, default_s
 from ctower.tower import (
@@ -16,10 +26,10 @@ from ctower.tower import (
     coherent_nzd_check,
     nzd_slack,
     run_tower,
-    sharp_projection,
     zpk_chain_system,
 )
 from ctower.lfun import theta
+from ctower.snf import zpk_cokernel_exponents, zpk_kernel
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -121,6 +131,157 @@ class TestNzdSlack:
         assert nzd_slack(tr.special_value(), 3, 10) == 0
 
 
+# The Z/p^k-module front end as it stood before one builder made every
+# multiplication matrix: the matrix of x, the relation expansion of a
+# presentation and the kernel-based slack, kept verbatim (only the valuation
+# helper is renamed) as the oracle for TestModuleReference.
+def reference_mult_matrix(ring, x):
+    """Columns: vec(x * b_i) for the Z/p^k basis b_i of the ring."""
+    cols = []
+    n = ring.basis_size
+    for i in range(n):
+        e = [0] * n
+        e[i] = 1
+        b = ring.from_vec(e)
+        cols.append(ring.to_vec(ring.mul(x, b)))
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def reference_expand_presentation(pm):
+    """Relation columns of the underlying Z/p^k-module presentation.
+
+    The module R^g / <rows> over R = Z/p^k[G] is, over Z/p^k, free of rank
+    g*|G| modulo the span of all group-translates of the rows.
+    """
+    ring = pm.ring
+    g = pm.ncols
+    n = ring.basis_size
+    cols = []
+    for row in pm.rows:
+        for elem in ring.elems:
+            translated = []
+            for entry in row:
+                shifted = ring.mul(entry, {elem: 1})
+                translated.extend(ring.to_vec(shifted))
+            cols.append(translated)
+    return [[cols[j][i] for j in range(len(cols))] for i in range(g * n)] if cols else \
+        [[0] for _ in range(g * n)]
+
+
+def reference_quotient_order_exponent(x, p, k):
+    """log_p |Z/p^k[G] / (x)|: the cokernel of multiplication by x."""
+    ring = ZpkGroupRing(p, k, x.group)
+    mat = reference_mult_matrix(ring, ring.from_group_ring(x))
+    return sum(zpk_cokernel_exponents(mat, p, k))
+
+
+def _valuation(n: int, p: int) -> int:
+    v = 0
+    while n and n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def reference_nzd_slack(special, p, k):
+    """Smallest c with Ann(Theta(1)) contained in p^(k-c) Z/p^k[G]: the
+    finite-precision non-zero-divisor slack."""
+    ring = ZpkGroupRing(p, k, special.group)
+    mat = reference_mult_matrix(ring, ring.from_group_ring(special))
+    kern = zpk_kernel(mat, p, k)
+    slack = 0
+    for vec in kern:
+        for entry in vec:
+            if entry:
+                slack = max(slack, k - _valuation(entry, p))
+    return slack
+
+
+class TestModuleReference:
+    """One builder and the Smith read-outs agree with the old loops."""
+
+    GROUPS = ((4,), (2,), (3, 2), (4, 3), (9,), (3, 3), (2, 2, 2), (8,))
+
+    @staticmethod
+    def _elements(rng, group, p, k):
+        """Random elements of Z[G], zero divisors mod p among them."""
+        pk = p ** k
+        elems = list(group.elements())
+
+        def dense():
+            return GroupRingElem(group, {g: rng.randrange(pk) for g in elems})
+
+        yield GroupRingElem.zero(group)
+        for _ in range(6):
+            yield dense()
+            yield dense().scale(p ** rng.randrange(1, k + 1))
+            g = rng.choice(elems)
+            yield (GroupRingElem.one(group) - GroupRingElem.basis(group, g)) * dense()
+            yield GroupRingElem(group, {h: rng.choice((0, 0, 1, p, p * p)) for h in elems})
+        yield GroupRingElem(group, {h: 1 for h in elems})  # the norm element
+
+    def _assert_agree(self, x, p, k):
+        ring = ZpkGroupRing(p, k, x.group)
+        xr = ring.from_group_ring(x)
+        assert mult_matrix(ring, [[xr]]) == reference_mult_matrix(ring, xr)
+        assert nzd_slack(x, p, k) == reference_nzd_slack(x, p, k)
+        assert quotient_order_exponent(x, p, k) == reference_quotient_order_exponent(x, p, k)
+
+    def test_random_elements(self):
+        rng = random.Random(6)
+        for orders in self.GROUPS:
+            group = AbelianGroup(orders)
+            for p in (2, 3, 5):
+                for k in (1, 2, 4, 6):
+                    for x in self._elements(rng, group, p, k):
+                        self._assert_agree(x, p, k)
+
+    def test_random_presentations(self):
+        rng = random.Random(7)
+        for orders in self.GROUPS:
+            group = AbelianGroup(orders)
+            for p in (2, 3, 5):
+                ring = ZpkGroupRing(p, 2, group)
+                for nrows, ncols in ((0, 0), (1, 1), (1, 2), (3, 2), (2, 3)):
+                    rows = [[{g: rng.randrange(ring.pk) for g in group.elements()}
+                             for _ in range(ncols)] for _ in range(nrows)]
+                    pm = PresentationMatrix(ring, rows)
+                    mat = mult_matrix(ring, rows)
+                    if rows:
+                        assert mat == reference_expand_presentation(pm)
+                    else:
+                        assert mat == []
+                    assert module_order_exponent(pm) == \
+                        sum(zpk_cokernel_exponents(reference_expand_presentation(pm), p, 2))
+
+    def test_other_rings(self):
+        # is_unit and ideal_contains run the builder on every finite ring
+        rng = random.Random(8)
+        rings = [ZpkRing(3, 4),
+                 ChiComponentRing(5, 3, (1, 0, 1), AbelianGroup((5,)), 4),
+                 TruncPolyRing(ZpkGroupRing(2, 3, AbelianGroup((2,))), 3)]
+        for ring in rings:
+            for _ in range(10):
+                x = ring.from_vec([rng.randrange(ring.pk) for _ in range(ring.basis_size)])
+                assert mult_matrix(ring, [[x]]) == reference_mult_matrix(ring, x)
+
+    @pytest.mark.parametrize("make_cfg, N, slacks, quotients", [
+        (flagship_q3, 1, [0, 0], [0, 0]),
+        (flagship_q2, 3, [1, 3, 6, 8], [1, 6, 18, 68]),
+    ])
+    def test_flagship_special_values(self, make_cfg, N, slacks, quotients):
+        cfg = make_cfg()
+        p, k = cfg.char, 24
+        for n in range(N + 1):
+            x = theta(build_layer(cfg, n)).special_value()
+            assert nzd_slack(x, p, k) == reference_nzd_slack(x, p, k) == slacks[n]
+            assert quotient_order_exponent(x, p, k) == \
+                reference_quotient_order_exponent(x, p, k) == quotients[n]
+            ring = ZpkGroupRing(p, k, x.group)
+            xr = ring.from_group_ring(x)
+            assert mult_matrix(ring, [[xr]]) == reference_mult_matrix(ring, xr)
+
+
 class TestCoherentNzd:
     def test_zp_chain_holds(self):
         # R_m = Z/p^(m+3), alpha = p
@@ -156,7 +317,6 @@ class TestCoherentNzd:
         assert rep.passed
 
     def test_incoherent_alpha_rejected(self):
-        from ctower.grouprings import ZpkRing
         rings = [ZpkRing(2, 3), ZpkRing(2, 4)]
         with pytest.raises(ValueError):
             ToyProjectiveSystem(rings=rings, transitions=[lambda x: x % 8],
@@ -167,26 +327,25 @@ class TestSharpProjection:
     def test_element_idempotent(self):
         grp = AbelianGroup((3, 2))
         x = GroupRingElem(grp, {k: 7 for k in grp.elements()})
-        s = sharp_projection(x, (0,), 2, 6)
-        ss = sharp_projection(s, (0,), 2, 6)
+        s = sharp_element(x, (0,), 2, 6)
+        ss = sharp_element(s, (0,), 2, 6)
         assert s.reduce_mod(2 ** 6).coeffs == ss.reduce_mod(2 ** 6).coeffs
 
     def test_delta_fixed_element_dies(self):
         # (1 - e_Delta) of a Delta-fixed element is 0
         grp = AbelianGroup((3,))
         x = GroupRingElem(grp, {(0,): 1, (1,): 1, (2,): 1})  # norm element
-        s = sharp_projection(x, (0,), 2, 8)
+        s = sharp_element(x, (0,), 2, 8)
         assert s.reduce_mod(2 ** 8).coeffs == {}
 
     def test_presentation(self):
         grp = AbelianGroup((3,))
         ring = ZpkGroupRing(2, 6, grp)
         pm = PresentationMatrix(ring, [[ring.scale_int(2, ring.one)]])
-        sharp = sharp_projection(pm, (0,), 2, 6)
+        sharp = sharp_presentation(pm, (0,))
         # Z/2 with trivial action lives in the e_Delta part: sharp kills it...
         # here the module is Z/2[C3]-free rank 1 mod 2: both parts survive;
         # the order splits as |M| = |e M| * |M sharp|
-        from ctower.grouprings import e_delta_presentation
         total = module_order_exponent(pm)
         s = module_order_exponent(sharp)
         e = module_order_exponent(e_delta_presentation(pm, (0,)))
@@ -196,4 +355,4 @@ class TestSharpProjection:
         grp = AbelianGroup((2,))
         x = GroupRingElem.one(grp)
         with pytest.raises(ValueError):
-            sharp_projection(x, (0,), 2, 4)
+            sharp_element(x, (0,), 2, 4)
