@@ -30,7 +30,7 @@ from .geometry import (
 from .grouprings import characters, quotient_order_exponent
 from .lfun import (
     functoriality_check,
-    order_of_vanishing_check,
+    order_of_vanishing_table,
     sigma_factor_unit,
     theta as theta_op,
 )
@@ -177,13 +177,7 @@ def _run_theta_check(check, layer, tr):
         lm = layer_projection(layer, lower)
         return functoriality_check(tr, tr_low, lm).equal
     if check == "ordvan":
-        ok = True
-        for chi in characters(layer.group):
-            if chi.is_trivial():
-                continue
-            mult, predicted = order_of_vanishing_check(layer, tr, chi)
-            ok = ok and mult == predicted
-        return ok
+        return all(mult == predicted for _, mult, predicted in order_of_vanishing_table(layer, tr))
     if check == "sigmaunit":
         return all(sigma_factor_unit(layer, v, k=6, M=6).verified for v in layer.sigma)
     raise ValueError(f"unknown check {check!r}")
@@ -196,7 +190,7 @@ def cmd_lpoly(args):
     tr = theta_op(layer, D=args.degree)
     table = []
     for chi in characters(layer.group):
-        coeffs = tr.theta.apply_character(chi)
+        coeffs = tr.chi_theta[chi.exps]
         table.append({"chi": list(chi.exps), "order": chi.order,
                       "coeffs": [list(c) for c in coeffs]})
         print(f"chi{list(chi.exps)} (order {chi.order}): "
@@ -329,10 +323,7 @@ def cmd_verify(args):
         return 0 if rep.equal else 1
     if args.suite == "ordvan":
         ok = True
-        for chi in characters(layer.group):
-            if chi.is_trivial():
-                continue
-            mult, predicted = order_of_vanishing_check(layer, tr, chi)
+        for chi, mult, predicted in order_of_vanishing_table(layer, tr):
             status = "PASS" if mult == predicted else "FAIL"
             print(f"[{status}] chi{list(chi.exps)}: mult {mult}, predicted {predicted}")
             ok = ok and mult == predicted

@@ -16,7 +16,8 @@ from fractions import Fraction
 from . import zpoly
 from .carlitz import AXPoly, real_generator_minpoly
 from .ffpoly import FqPoly, INFINITY, _is_prime, factor, irreducibles_of_degree
-from .grouprings import GroupRingElem, ThetaPoly, TruncPolyRing, ZpkRing, characters, is_unit
+from .grouprings import (GroupRingElem, ThetaPoly, TruncPolyRing, ZpkRing, character_norm,
+                         characters, is_unit)
 
 DEFAULT_POINT_BUDGET = 10 ** 7
 
@@ -560,12 +561,7 @@ def nabla_order(layer, zeta: ZetaData, sdiv: SDivisorData) -> NablaOrder:
     chars = characters(layer.group)
     finite, infinite = [], []
     for chi in chars:
-        ok = True
-        for v in layer.S:
-            if chi.trivial_on(layer.decomposition_group(v)):
-                ok = False
-                break
-        (finite if ok else infinite).append(chi.exps)
+        (infinite if layer.split_count(chi) else finite).append(chi.exps)
     per_char = {}
     if v_h == 0:
         # the only contribution is Z_p/d_S with trivial G-action: it lives
@@ -628,7 +624,7 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
     """
     p, q = layer.field.p, layer.field.q
     Q = tate_charpoly(layer, zeta, sdiv)
-    R = theta_result.theta.norm_poly()
+    R = character_norm(layer.group, theta_result.chi_theta.values())
     NS = sigma_factor_poly(layer).norm_poly()
 
     exact = zpoly.mul(R, [1, -q]) == zpoly.mul(Q, NS)

@@ -3,6 +3,11 @@ characters with values in Z[x]/Phi_N(x), chi-components over Hensel-lifted
 local rings, Fitting ideals, ideal equality, unit tests and non-zero-divisor
 certificates.
 
+GroupRingElem.apply_character is the one evaluator of a character on Z[G]: it
+sums the coefficients by log value and reduces mod Phi_N once.  For Theta it
+is called only by lfun.theta, which stores the table of chi(Theta) for every
+character in its ThetaResult; the other verdicts read that table.
+
 Every Z/p^k-linear question about a finite ring R -- units, ideal
 membership, annihilators and the orders of finitely presented R-modules --
 is asked of one matrix, mult_matrix(ring, rows), whose columns span the
@@ -277,11 +282,13 @@ class GroupRingElem:
         return sum(self.coeffs.values())
 
     def apply_character(self, chi: Character):
+        """chi(x) in Z[zeta_N]: the coefficients are summed by log value into
+        Z[x]/(x^N - 1), which is reduced mod Phi_N once."""
         ring = chi.ring
-        acc = ring.zero
+        vec = [0] * ring.n
         for k, v in self.coeffs.items():
-            acc = ring.add(acc, ring.scale(v, ring.zeta_pow(chi.log_value(k))))
-        return acc
+            vec[chi.log_value(k)] += v
+        return ring.reduce(vec)
 
     def project(self, apply_map, target_group) -> "GroupRingElem":
         out = {}
@@ -357,30 +364,36 @@ class ThetaPoly:
     def norm_poly(self):
         """prod_chi chi(Theta)(u) as an integer polynomial (the group-ring
         norm); asserts rationality of the product."""
-        chars = characters(self.group)
-        ring = CyclotomicRing(self.group.exponent)
-        prod = [ring.one]
-        for ch in chars:
-            coeffs = self.apply_character(ch)
-            if not coeffs:
-                return []
-            new = [ring.zero] * (len(prod) + len(coeffs) - 1)
-            for i, a in enumerate(prod):
-                for j, b in enumerate(coeffs):
-                    new[i + j] = ring.add(new[i + j], ring.mul(a, b))
-            prod = new
-        out = []
-        for c in prod:
-            if not ring.is_rational(c):
-                raise ArithmeticError("group-ring norm is not rational")
-            out.append(c[0])
-        while out and out[-1] == 0:
-            out.pop()
-        return out
+        return character_norm(self.group,
+                              [self.apply_character(ch) for ch in characters(self.group)])
 
     def to_json(self):
         return {"group_orders": list(self.group.orders),
                 "coeffs_by_degree": [c.to_json()["coeffs"] for c in self.coeffs]}
+
+
+def character_norm(group: AbelianGroup, values):
+    """The group-ring norm prod_chi chi(x)(u) as an integer polynomial, from
+    the lists chi(x)(u) of every character chi of the group (in any order);
+    asserts rationality of the product."""
+    ring = CyclotomicRing(group.exponent)
+    prod = [ring.one]
+    for coeffs in values:
+        if not coeffs:
+            return []
+        new = [ring.zero] * (len(prod) + len(coeffs) - 1)
+        for i, a in enumerate(prod):
+            for j, b in enumerate(coeffs):
+                new[i + j] = ring.add(new[i + j], ring.mul(a, b))
+        prod = new
+    out = []
+    for c in prod:
+        if not ring.is_rational(c):
+            raise ArithmeticError("group-ring norm is not rational")
+        out.append(c[0])
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -713,29 +726,17 @@ def chi_component(x: GroupRingElem, chi: Character, ring: ChiComponentRing,
     """Project Z/p^k[G] -> Z_p(chi)[P]: g = (g_Delta, g_P) -> chi(g_Delta) [g_P].
 
     delta_idx / p_idx give the coordinate split of G; chi is a character of
-    the Delta-part (exponents indexed by delta_idx).
+    the Delta-part, the group of the coordinates delta_idx.
     """
     out = ring.zero
     M = ring.chi_order
-    delta_orders = [x.group.orders[i] for i in delta_idx]
-    N_delta = 1
-    for o in delta_orders:
-        N_delta = N_delta * o // gcd(N_delta, o)
+    N_delta = chi.group.exponent
     for kk, v in x.coeffs.items():
-        d_part = tuple(kk[i] for i in delta_idx)
-        p_part = tuple(kk[i] for i in p_idx)
-        lv = 0
-        for j, e, o in zip(chi.exps, d_part, delta_orders):
-            lv += j * e * (N_delta // o)
-        lv %= N_delta
+        lv = chi.log_value(tuple(kk[i] for i in delta_idx))
         # chi(g) = zeta_{N_delta}^lv; rewrite as power of zeta_M (M = ord chi | N_delta)
-        if M == 1:
-            val_pow = 0
-        else:
-            if lv * M % N_delta:
-                raise ArithmeticError("character value outside mu_M")
-            val_pow = lv * M // N_delta
-        term = {p_part: ring.zeta_pow(val_pow)} if M > 1 else {p_part: tuple([1] + [0] * (ring.deg - 1))}
+        if lv * M % N_delta:
+            raise ArithmeticError("character value outside mu_M")
+        term = {tuple(kk[i] for i in p_idx): ring.zeta_pow(lv * M // N_delta)}
         out = ring.add(out, ring.scale_int(v, term))
     return out
 

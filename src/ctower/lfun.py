@@ -9,10 +9,17 @@ product converges coefficientwise: the u^j coefficient only sees places of
 degree <= j, so computing with places of degree <= D gives the exact
 coefficients through degree D.  Polynomiality is certified empirically: all
 coefficients in (bound, D] must vanish.
+
+theta is the one place where chi(Theta) is computed: it evaluates every
+character once and keeps the table in ThetaResult.chi_theta.  That table is
+read by the per-character Euler-product cross-check, by
+order_of_vanishing_check, by the chi(Theta(1)) test of the non-zero-divisor
+shadow (tower), by the charpoly norm (geometry) and by `ctower lpoly`.
 """
 
 from __future__ import annotations
 
+import itertools as it
 from dataclasses import dataclass, field as dc_field
 
 from . import zpoly
@@ -107,8 +114,6 @@ def character_conductor(layer, chi: Character):
 
 def _chi_factors_through(layer, chi: Character, m_prime: FqPoly) -> bool:
     """chi trivial on ker(G_n -> (A/m')^x / F_q^x)."""
-    import itertools as it
-
     F = layer.field
     m = layer.modulus
     if m_prime.degree == m.degree:
@@ -157,10 +162,22 @@ class ThetaResult:
     series: list  # raw truncated series to degree D (list of coeff dicts)
     stabilization_ok: bool
     per_char_degrees: dict
+    # chi.exps -> coefficient list of chi(Theta)(u) (trailing zeros dropped),
+    # for every character in characters(group) order; not part of to_json
+    chi_theta: dict
     checks: dict = dc_field(default_factory=dict)
 
     def special_value(self) -> GroupRingElem:
         return self.theta.evaluate_at_one()
+
+    def chi_at_one(self, chi: Character):
+        """chi(Theta(1)): evaluation is linear, so this is the ring sum of the
+        stored coefficients of chi(Theta)."""
+        ring = chi.ring
+        total = ring.zero
+        for c in self.chi_theta[chi.exps]:
+            total = ring.add(total, c)
+        return total
 
     def to_json(self):
         return {
@@ -227,8 +244,6 @@ def divisor_sum_series(layer, D: int):
     S-places, infinite parts contribute trivially when infinity is off S.
     Sigma factors are then multiplied in polynomially.
     """
-    import itertools as it
-
     field = layer.field
     group = layer.group
     q = field.q
@@ -330,9 +345,10 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
 
     checks = {}
     per_char_degrees = {}
+    chi_theta = {}
     chars = characters(group)
     for chi in chars:
-        coeffs = tp.apply_character(chi)
+        coeffs = chi_theta[chi.exps] = tp.apply_character(chi)
         dchi = len(coeffs) - 1 if coeffs else -1
         bchi = per_character_degree_bound(layer, chi)
         per_char_degrees[chi.exps] = (dchi, bchi)
@@ -353,52 +369,46 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
         if not checks["trivial_character_symbolic_equal"]:
             raise ArithmeticError("symbolic trivial-character component disagrees")
         if group.order <= PER_CHARACTER_PRODUCT_MAX_ORDER:
-            ok = True
-            for chi in chars:
-                direct = per_character_euler_product(layer, chi, D)
-                via_group = tp.apply_character(chi)
-                ok = ok and direct == via_group
+            ok = all(per_character_euler_product(layer, chi, D) == chi_theta[chi.exps]
+                     for chi in chars)
             checks["per_character_product_equal"] = ok
             if not ok:
                 raise ArithmeticError("per-character Euler product disagrees")
 
     return ThetaResult(layer=layer, D=D, bound=bound, theta=tp, series=series,
                        stabilization_ok=True, per_char_degrees=per_char_degrees,
-                       checks=checks)
+                       chi_theta=chi_theta, checks=checks)
 
 
 def order_of_vanishing_check(layer, tr: ThetaResult, chi: Character):
     """(computed multiplicity of u = 1 in chi(Theta), predicted count).
 
-    predicted = card{v in S : chi trivial on the decomposition group of v};
-    the formula only applies to non-trivial characters.
+    predicted = layer.split_count(chi), the number of v in S with chi
+    trivial on the decomposition group of v; the formula only applies to
+    non-trivial characters.  The multiplicity is read off the chi(Theta)
+    table of tr.
     """
     if chi.is_trivial():
         raise ValueError("the order-of-vanishing formula requires a non-trivial character")
     ring = chi.ring
-    coeffs = list(tr.theta.apply_character(chi))
+    coeffs = tr.chi_theta[chi.exps]
     mult = 0
     while coeffs:
-        total = ring.zero
-        for c in coeffs:
-            total = ring.add(total, c)
-        if not ring.is_zero(total):
+        # the last partial sum is p(1); when it vanishes, exact division by
+        # (1 - u) is synthetic: p(u) = (1-u) * q(u) with q_i = sum_{j <= i} p_j
+        sums = list(it.accumulate(coeffs, ring.add))
+        if not ring.is_zero(sums[-1]):
             break
-        # exact division by (1 - u): synthetic: if sum == 0 then
-        # p(u) = (1-u) * q(u) with q_i = sum_{j <= i} p_j
-        acc = ring.zero
-        new = []
-        for c in coeffs[:-1]:
-            acc = ring.add(acc, c)
-            new.append(acc)
-        coeffs = new
+        coeffs = sums[:-1]
         mult += 1
-    predicted = 0
-    for v in layer.S:
-        dec = layer.decomposition_group(v)
-        if chi.trivial_on(dec):
-            predicted += 1
-    return mult, predicted
+    return mult, layer.split_count(chi)
+
+
+def order_of_vanishing_table(layer, tr: ThetaResult):
+    """(chi, mult, predicted) of order_of_vanishing_check for every
+    non-trivial character, in characters(group) order."""
+    return [(chi, *order_of_vanishing_check(layer, tr, chi))
+            for chi in characters(layer.group) if not chi.is_trivial()]
 
 
 @dataclass

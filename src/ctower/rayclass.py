@@ -102,6 +102,11 @@ class Layer:
     def infinity_in_s(self) -> bool:
         return any(is_infinite(v) for v in self.S)
 
+    def split_count(self, chi) -> int:
+        """Number of places v in S with chi trivial on the decomposition
+        group D_v: the predicted order of vanishing of chi(Theta) at u = 1."""
+        return sum(1 for v in self.S if chi.trivial_on(self.decomposition_group(v)))
+
 
 class GaloisLayer(Layer):
     """G_n = (A/m)^x / F_q^x with m = f p^(n+1), presented by independent

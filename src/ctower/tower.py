@@ -48,7 +48,7 @@ from .grouprings import (
 )
 from .lfun import (
     functoriality_check,
-    order_of_vanishing_check,
+    order_of_vanishing_table,
     sigma_factor_unit,
     theta,
 )
@@ -175,17 +175,12 @@ def run_tower(cfg: TowerConfig, N: int, options: RunOptions = None) -> TowerRun:
                    first_mismatch=rep.first_mismatch_degree)
 
     for layer, tr in zip(layers, trs):
-        ok = True
-        details = []
-        for chi in characters(layer.group):
-            if chi.is_trivial():
-                continue
-            mult, predicted = order_of_vanishing_check(layer, tr, chi)
-            details.append({"chi": list(chi.exps), "mult": mult, "predicted": predicted})
-            ok = ok and mult == predicted
-        run.record("order_of_vanishing", layer.n, ok,
+        table = order_of_vanishing_table(layer, tr)
+        run.record("order_of_vanishing", layer.n,
+                   all(mult == predicted for _, mult, predicted in table),
                    "vanishing order at u=1 vs split decomposition groups",
-                   table=details)
+                   table=[{"chi": list(chi.exps), "mult": mult, "predicted": predicted}
+                          for chi, mult, predicted in table])
 
     for layer in layers:
         for v in sorted(cfg.sigma, key=lambda v: v.gen.sort_key()):
@@ -197,14 +192,8 @@ def run_tower(cfg: TowerConfig, N: int, options: RunOptions = None) -> TowerRun:
     for layer, tr in zip(layers, trs):
         special = tr.special_value()
         slack = nzd_slack(special, p, k)
-        chars_ok = True
-        for chi in characters(layer.group):
-            nontrivial_on_all = all(
-                not chi.trivial_on(layer.decomposition_group(v)) for v in cfg.S)
-            if nontrivial_on_all:
-                val = special.apply_character(chi)
-                if chi.ring.is_zero(val):
-                    chars_ok = False
+        chars_ok = not any(chi.ring.is_zero(tr.chi_at_one(chi))
+                           for chi in characters(layer.group) if layer.split_count(chi) == 0)
         # Delta-component images of Theta(1) at precision p^k
         components_ok = True
         delta_group = AbelianGroup(tuple(layer.group.orders[i] for i in layer.delta_idx))

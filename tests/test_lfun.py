@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from ctower.abelian import AbelianGroup
 from ctower.ffpoly import FinitePlace, FqField, FqPoly, INFINITY
-from ctower.grouprings import CyclotomicRing, GroupRingElem, characters
+from ctower.grouprings import CyclotomicRing, GroupRingElem, character_norm, characters
 from ctower.lfun import (
+    PER_CHARACTER_PRODUCT_MAX_ORDER,
     PoleError,
     SigmaUnitWitness,
     StabilizationError,
@@ -13,7 +15,9 @@ from ctower.lfun import (
     degree_bound,
     functoriality_check,
     order_of_vanishing_check,
+    order_of_vanishing_table,
     per_character_degree_bound,
+    per_character_euler_product,
     sigma_factor_unit,
     theta,
     trivial_character_symbolic,
@@ -494,3 +498,88 @@ class TestBoundsAndConductors:
         layer = build_layer(cfg, 0)
         with pytest.raises(ValueError):
             theta(layer, D=0)
+
+
+# The per-term character evaluator as it stood before apply_character summed
+# the coefficients by log value and reduced once, kept verbatim (self renamed
+# x) as the oracle for TestCharacterEvaluatorReference.
+def reference_apply_character(x, chi):
+    ring = chi.ring
+    acc = ring.zero
+    for k, v in x.coeffs.items():
+        acc = ring.add(acc, ring.scale(v, ring.zeta_pow(chi.log_value(k))))
+    return acc
+
+
+@pytest.fixture(scope="module")
+def flagship_thetas():
+    """(layer, theta) of q=3 p=x^2+1 layers 0-1 and q=2 p=x^2+x+1 layers
+    0-3, keyed by (q, n)."""
+    out = {}
+    for make_cfg, N in ((flagship_q3, 1), (flagship_q2, 3)):
+        cfg = make_cfg()
+        for n in range(N + 1):
+            layer = build_layer(cfg, n)
+            out[cfg.field.q, n] = layer, theta(layer, cross_check=False)
+    return out
+
+
+class TestCharacterEvaluatorReference:
+    """The one-pass evaluator gives the per-term evaluator's tuples."""
+
+    def test_every_theta_coefficient(self, flagship_thetas):
+        for layer, tr in flagship_thetas.values():
+            for chi in characters(layer.group):
+                ref = [reference_apply_character(c, chi) for c in tr.theta.coeffs]
+                assert [c.apply_character(chi) for c in tr.theta.coeffs] == ref
+                while ref and chi.ring.is_zero(ref[-1]):
+                    ref.pop()
+                assert tr.chi_theta[chi.exps] == ref
+        assert max(layer.group.order for layer, _ in flagship_thetas.values()) == 192
+
+    @pytest.mark.parametrize("orders", [(4,), (3, 2), (2, 2, 2), (9,), ()])
+    def test_random_elements(self, orders):
+        group = AbelianGroup(orders)
+        elems = list(group.elements())
+        rng = random.Random(sum(orders) + 17)
+        samples = [GroupRingElem.zero(group), GroupRingElem(group, {g: 1 for g in elems})]
+        for _ in range(25):
+            samples.append(GroupRingElem(group, {g: rng.randint(-10 ** 6, 10 ** 6)
+                                                 for g in rng.sample(elems, rng.randint(1, len(elems)))}))
+        for x in samples:
+            for chi in characters(group):
+                assert x.apply_character(chi) == reference_apply_character(x, chi)
+
+
+class TestCharacterTable:
+    """theta stores chi(Theta) for every character; the verdicts read it."""
+
+    def test_independent_product_beyond_cutoff(self, flagship_thetas):
+        # theta runs this oracle only while |G| <= PER_CHARACTER_PRODUCT_MAX_ORDER
+        for key in ((2, 1), (2, 2), (2, 3), (3, 1)):
+            layer, tr = flagship_thetas[key]
+            assert layer.group.order > PER_CHARACTER_PRODUCT_MAX_ORDER
+            for chi in characters(layer.group):
+                assert per_character_euler_product(layer, chi, tr.D) == tr.chi_theta[chi.exps]
+
+    def test_table_order_and_value_at_one(self, flagship_thetas):
+        for layer, tr in flagship_thetas.values():
+            chars = characters(layer.group)
+            assert list(tr.chi_theta) == [chi.exps for chi in chars]
+            assert "chi_theta" not in tr.to_json()
+            special = tr.special_value()
+            for chi in chars:
+                assert tr.chi_at_one(chi) == special.apply_character(chi)
+
+    def test_norm_from_table(self, flagship_thetas):
+        for key in ((3, 0), (2, 0), (2, 1)):
+            layer, tr = flagship_thetas[key]
+            assert character_norm(layer.group, tr.chi_theta.values()) == tr.theta.norm_poly()
+
+    def test_order_of_vanishing_table(self, flagship_thetas):
+        layer, tr = flagship_thetas[2, 2]
+        table = order_of_vanishing_table(layer, tr)
+        assert [chi.exps for chi, _, _ in table] == \
+            [chi.exps for chi in characters(layer.group) if not chi.is_trivial()]
+        for chi, mult, predicted in table:
+            assert (mult, predicted) == order_of_vanishing_check(layer, tr, chi)

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from ctower import lfun, tower
 from ctower.abelian import AbelianGroup
-from ctower.ffpoly import FinitePlace, FqField, FqPoly
+from ctower.ffpoly import INFINITY, FinitePlace, FqField, FqPoly
 from ctower.grouprings import (
     ChiComponentRing,
     GroupRingElem,
@@ -11,6 +12,7 @@ from ctower.grouprings import (
     TruncPolyRing,
     ZpkGroupRing,
     ZpkRing,
+    characters,
     e_delta_presentation,
     module_order_exponent,
     mult_matrix,
@@ -83,6 +85,68 @@ class TestRunTower:
         run = run_tower(flagship_q2(), 0, RunOptions(geometry=False))
         lines = run.summary_lines()
         assert lines and all(line.startswith("[PASS]") for line in lines)
+
+
+class TestComputedOnce:
+    """theta is the only caller of the character evaluator in a tower run."""
+
+    def test_verdicts_read_the_table(self, monkeypatch):
+        calls = {"theta": 0, "ordvan": 0, "elsewhere": 0}
+        where = []
+        evaluate = GroupRingElem.apply_character
+
+        def counted_evaluate(x, chi):
+            calls[where[-1] if where else "elsewhere"] += 1
+            return evaluate(x, chi)
+
+        def inside(name, fn):
+            def wrapped(*args, **kwargs):
+                where.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    where.pop()
+            return wrapped
+
+        monkeypatch.setattr(GroupRingElem, "apply_character", counted_evaluate)
+        monkeypatch.setattr(tower, "theta", inside("theta", tower.theta))
+        ordvan_calls = []
+        check = inside("ordvan", lfun.order_of_vanishing_check)
+
+        def counted_ordvan(layer, tr, chi):
+            ordvan_calls.append(chi.exps)
+            return check(layer, tr, chi)
+
+        monkeypatch.setattr(lfun, "order_of_vanishing_check", counted_ordvan)
+        run = run_tower(flagship_q2(), 2, RunOptions(geometry=False))
+        assert run.all_passed
+        # one check per non-trivial character of |G| = 3, 12, 48; neither the
+        # checks nor the chi(Theta(1)) loop of the nzd shadow evaluate again
+        assert len(ordvan_calls) == 2 + 11 + 47
+        assert calls["ordvan"] == calls["elsewhere"] == 0
+        assert calls["theta"] > 0
+
+    def test_split_count_matches_inline_expressions(self):
+        p = FinitePlace(poly(F3, 1, 0, 1))
+        f = poly(F3, 0, 1)
+        f_theta = TowerConfig(F3, f, p, default_s(f, p), frozenset({FinitePlace(poly(F3, 1, 1))}))
+        q2 = flagship_q2()
+        with_inf = TowerConfig(F2, FqPoly.one(F2), q2.p_place, q2.S | {INFINITY}, q2.sigma)
+        layers = [build_layer(q2, n) for n in range(3)] + \
+            [build_layer(f_theta, 0), build_layer(with_inf, 1)]
+        counts = set()
+        for layer in layers:
+            for chi in characters(layer.group):
+                count = layer.split_count(chi)
+                predicted = 0
+                for v in layer.S:
+                    if chi.trivial_on(layer.decomposition_group(v)):
+                        predicted += 1
+                assert count == predicted
+                shadow = all(not chi.trivial_on(layer.decomposition_group(v)) for v in layer.S)
+                assert (count == 0) == shadow
+                counts.add(count)
+        assert counts == {0, 1, 2}
 
 
 class TestAlternativeTowers:
