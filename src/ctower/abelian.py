@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 
@@ -29,8 +30,9 @@ class AbelianGroup:
             n *= o
         return n
 
-    @property
+    @cached_property
     def exponent(self) -> int:
+        # computed once per group: Character.log_value reads it per element
         n = 1
         for o in self.orders:
             n = n * o // gcd(n, o)

@@ -14,6 +14,12 @@ is asked of one matrix, mult_matrix(ring, rows), whose columns span the
 submodule of R^g that the rows generate, and is answered from its Smith form
 (snf).  The quotient order of x is the order of the 1 x 1 presentation [[x]].
 
+An element of Z/p^k[G] (ZpkGroupRing) is the flat list of its |G|
+coefficients, in the mixed-radix order of sorted(group.elements()), and
+products read one index table per group (_mul_table).  Elements of Z[G]
+(GroupRingElem: Theta and the Euler series) are dicts keyed by exponent
+tuples; ZpkGroupRing.from_group_ring converts.
+
 No floating point anywhere; every mod-p^k assertion carries its precision.
 """
 
@@ -445,8 +451,40 @@ class ZpkRing:
         return f"Z/{self.p}^{self.k}"
 
 
+@lru_cache(maxsize=None)
+def _mul_table(group: AbelianGroup):
+    """table[i][j] = index of elems[i] * elems[j] in elems = sorted(group.elements()).
+
+    That order is mixed radix with the first coordinate most significant, so
+    G = C_o x G' gives table[a*m + i][b*m + j] = ((a + b) % o) * m + T'[i][j]
+    with m = |G'| and T' the table of G'.
+    """
+    if not group.orders:
+        return ((0,),)
+    o = group.orders[0]
+    rest = _mul_table(AbelianGroup(group.orders[1:]))
+    m = len(rest)
+    ids = list(range(o * m))  # one int object per index, shared by every row
+    rows = []
+    for a in range(o):
+        for sub in rest:
+            row = []
+            for b in range(o):
+                off = ((a + b) % o) * m
+                row.extend([ids[off + t] for t in sub])
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
 class ZpkGroupRing:
-    """Z/p^k[G] for a finite abelian group G."""
+    """Z/p^k[G] for a finite abelian group G.
+
+    An element is the list of its |G| coefficients mod p^k, indexed like
+    elems = sorted(group.elements()) (mixed radix, identity at index 0), so
+    to_vec is the identity.  mul reads the group law from the index table
+    _mul_table(group), built once per group.  Operations return new lists and
+    never mutate their arguments.
+    """
 
     def __init__(self, p: int, k: int, group: AbelianGroup):
         self.p, self.k = p, k
@@ -455,57 +493,63 @@ class ZpkGroupRing:
         self.elems = sorted(group.elements())
         self.index = {e: i for i, e in enumerate(self.elems)}
         self.basis_size = len(self.elems)
+        self._table = _mul_table(group)
 
     @property
     def zero(self):
-        return {}
+        return [0] * self.basis_size
 
     @property
     def one(self):
-        return {self.group.identity: 1}
+        return [1] + [0] * (self.basis_size - 1)
+
+    def from_mapping(self, coeffs):
+        """The element sum_g coeffs[g] g, from a mapping exponent tuple -> int."""
+        out = [0] * self.basis_size
+        for g, v in coeffs.items():
+            out[self.index[g]] += v
+        return self.from_vec(out)
 
     def from_group_ring(self, x: GroupRingElem):
-        return {k: v % self.pk for k, v in x.coeffs.items() if v % self.pk}
+        return self.from_mapping(x.coeffs)
 
     def add(self, a, b):
-        out = dict(a)
-        for kk, v in b.items():
-            w = (out.get(kk, 0) + v) % self.pk
-            if w:
-                out[kk] = w
-            else:
-                out.pop(kk, None)
-        return out
+        pk = self.pk
+        return [(x + y) % pk for x, y in zip(a, b)]
 
     def neg(self, a):
-        return {kk: (-v) % self.pk for kk, v in a.items()}
+        pk = self.pk
+        return [(-x) % pk for x in a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        pk = self.pk
+        return [(x - y) % pk for x, y in zip(a, b)]
 
     def mul(self, a, b):
-        g = self.group
-        out = {}
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                kk = g.mul(k1, k2)
-                out[kk] = (out.get(kk, 0) + v1 * v2) % self.pk
-        return {kk: v for kk, v in out.items() if v}
+        table = self._table
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        out = [0] * self.basis_size
+        for i, x in enumerate(a):
+            if x:
+                row = table[i]
+                for j, y in b_terms:
+                    out[row[j]] += x * y
+        pk = self.pk
+        return [v % pk for v in out]
 
     def scale_int(self, c, a):
-        return {kk: (c * v) % self.pk for kk, v in a.items() if (c * v) % self.pk}
+        pk = self.pk
+        return [(c * x) % pk for x in a]
 
     def to_vec(self, a):
-        vec = [0] * self.basis_size
-        for kk, v in a.items():
-            vec[self.index[kk]] = v % self.pk
-        return vec
+        return a
 
     def from_vec(self, vec):
-        return {self.elems[i]: v % self.pk for i, v in enumerate(vec) if v % self.pk}
+        pk = self.pk
+        return [v % pk for v in vec]
 
     def equal(self, a, b):
-        return self.to_vec(a) == self.to_vec(b)
+        return a == b
 
     def describe(self):
         return f"Z/{self.p}^{self.k}[G{list(self.group.orders)}]"
@@ -889,13 +933,13 @@ def nzd_test_polynomial(coeffs, p: int, k: int, M: int, group: AbelianGroup) -> 
     big = ZpkGroupRing(p, k, big_group)
     f_big = big.zero
     for i, c in enumerate(coeffs):
-        term = {kk + (i % (p ** M),): v % big.pk for kk, v in c.coeffs.items() if v % big.pk}
+        term = big.from_mapping({kk + (i % (p ** M),): v for kk, v in c.coeffs.items()})
         f_big = big.add(f_big, term)
     kern = zpk_kernel(mult_matrix(big, [[f_big]]), p, k)
     witness = None
     for vec in kern:
         cand = big.from_vec(vec)
-        if cand and big.equal(big.mul(f_big, cand), big.zero):
+        if any(cand) and big.equal(big.mul(f_big, cand), big.zero):
             witness = cand
             break
     return NzdCertificate(

@@ -324,12 +324,13 @@ def per_character_euler_product(layer, chi: Character, D: int):
     return out
 
 
-def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
-    """Compute Theta_{S,Sigma}^{(n)}(u) with a stabilization certificate.
+def stabilized_theta(layer, D: int = None):
+    """(bound, D, series, Theta): the Euler series through degree D (default
+    bound + DEFAULT_EXTRA_DEGREE), certified to vanish in (bound, D], and the
+    ThetaPoly of its coefficients through the bound.
 
     Raises StabilizationError if any coefficient above the degree bound is
-    nonzero within the computed window, and PoleError if the trivial
-    character component is not polynomial.
+    nonzero within the computed window.
     """
     bound = degree_bound(layer)
     if D is None:
@@ -342,6 +343,18 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
             raise StabilizationError(f"nonzero coefficient at degree {i} > bound {bound}")
     group = layer.group
     tp = ThetaPoly(group, [GroupRingElem(group, c) for c in series[: bound + 1]])
+    return bound, D, series, tp
+
+
+def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
+    """Compute Theta_{S,Sigma}^{(n)}(u) with a stabilization certificate.
+
+    Raises StabilizationError if any coefficient above the degree bound is
+    nonzero within the computed window, and PoleError if the trivial
+    character component is not polynomial.
+    """
+    bound, D, series, tp = stabilized_theta(layer, D)
+    group = layer.group
 
     checks = {}
     per_char_degrees = {}
@@ -432,7 +445,7 @@ def sigma_factor_unit(layer, v, k: int, M: int) -> SigmaUnitWitness:
     sigma_inv = layer.group.inv(layer.frobenius(v))
     coeffs = [base.one] + [base.zero] * (M - 1)
     if v.degree < M:
-        coeffs[v.degree] = base.scale_int(-(q ** v.degree), {sigma_inv: 1})
+        coeffs[v.degree] = base.scale_int(-(q ** v.degree), base.from_mapping({sigma_inv: 1}))
     x = ring.from_list(coeffs)
     ok, inv = invert_one_plus_nilpotent_u(ring, x)
     if not ok:

@@ -119,6 +119,19 @@ class TestCommands:
         blob = json.loads(report.read_text())
         assert blob["all_passed"] is True
 
+    def test_verify_all_infinity_in_s_refuses_nzd(self, capsys, tmp_path):
+        # inf and p both in S: every character is trivial on a decomposition
+        # group of S, so Theta(1) = 0 and the nzd shadow refuses
+        report = tmp_path / "report.json"
+        code = main(["verify", "all", "--q", "2", "--p", "x^2+x+1", "--S", "x^2+x+1,inf",
+                     "--Sigma", "x", "--N", "1", "--out", str(report)])
+        assert code == 0
+        verdicts = json.loads(report.read_text())["verdicts"]
+        nzd = [v for v in verdicts if v["name"] == "special_value_nzd_shadow"]
+        assert [v["layer"] for v in nzd] == [0, 1]
+        assert all(v["passed"] and v["refused"] and "slack_c" not in v for v in nzd)
+        assert all(v["passed"] for v in verdicts)
+
     def test_unknown_flag_exit_2(self):
         assert main(["theta", "--nonsense"]) == 2
 

@@ -26,10 +26,12 @@ from ctower.grouprings import (
     is_unit,
     invert_one_plus_nilpotent_u,
     module_order_exponent,
+    mult_matrix,
     nzd_test_polynomial,
     sharp_element,
     sharp_presentation,
 )
+from zpk_reference import ReferenceZpkGroupRing
 
 C4 = AbelianGroup((4,))
 C2 = AbelianGroup((2,))
@@ -245,7 +247,7 @@ class TestUnits:
         p, k, M = 3, 6, 6
         base = ZpkGroupRing(p, k, C4)
         ring = TruncPolyRing(base, M)
-        sigma = {(1,): 1}
+        sigma = base.from_mapping({(1,): 1})
         x = ring.from_list([base.one, base.scale_int(-3, sigma)])
         ok, inv = invert_one_plus_nilpotent_u(ring, x)
         assert ok
@@ -266,10 +268,10 @@ class TestUnits:
         rng = random.Random(11)
 
         def reduce_elem(x):
-            return {k: v % lo.pk for k, v in x.items() if v % lo.pk}
+            return lo.from_vec(hi.to_vec(x))
 
         for _ in range(200):
-            mat_hi = [[{kk: rng.randrange(hi.pk) for kk in C4.elements()}
+            mat_hi = [[hi.from_mapping({kk: rng.randrange(hi.pk) for kk in C4.elements()})
                        for _ in range(2)] for _ in range(2)]
             det_hi = hi.sub(hi.mul(mat_hi[0][0], mat_hi[1][1]),
                             hi.mul(mat_hi[0][1], mat_hi[1][0]))
@@ -317,7 +319,7 @@ class TestFitting:
     def test_trivial_module_over_zc2(self):
         # 1x1 presentation (sigma - 1) of Z over Z[C2]
         ring = ZpkGroupRing(2, 6, C2)
-        sigma_minus_1 = ring.sub({(1,): 1}, ring.one)
+        sigma_minus_1 = ring.sub(ring.from_mapping({(1,): 1}), ring.one)
         fi = fitting_ideal(PresentationMatrix(ring, [[sigma_minus_1]]))
         assert len(fi.generators) == 1
         assert ring.equal(fi.generators[0], sigma_minus_1)
@@ -333,14 +335,14 @@ class TestFitting:
         ring = ZpkGroupRing(p, k, C4)
         rng = random.Random(17)
         for _ in range(25):
-            rows = [[{kk: rng.randrange(ring.pk) for kk in C4.elements()}
+            rows = [[ring.from_mapping({kk: rng.randrange(ring.pk) for kk in C4.elements()})
                      for _ in range(3)] for _ in range(3)]
             pm = PresentationMatrix(ring, rows)
             # random invertible column operation: add unit-multiple of one
             # column to another, permute columns
             perm = rng.sample(range(3), 3)
             c_from, c_to = rng.sample(range(3), 2)
-            mult = {(rng.randrange(4),): 1 + p * rng.randrange(9)}
+            mult = ring.from_mapping({(rng.randrange(4),): 1 + p * rng.randrange(9)})
             rows2 = []
             for row in rows:
                 row2 = list(row)
@@ -356,8 +358,8 @@ class TestFitting:
         ring = ZpkGroupRing(p, k, C2)
         rng = random.Random(19)
         for _ in range(20):
-            a = [[{kk: rng.randrange(ring.pk) for kk in C2.elements()}]]
-            b = [[{kk: rng.randrange(ring.pk) for kk in C2.elements()}]]
+            a = [[ring.from_mapping({kk: rng.randrange(ring.pk) for kk in C2.elements()})]]
+            b = [[ring.from_mapping({kk: rng.randrange(ring.pk) for kk in C2.elements()})]]
             block = [[a[0][0], ring.zero], [ring.zero, b[0][0]]]
             fi_sum = fitting_ideal(PresentationMatrix(ring, block))
             fa = fitting_ideal(PresentationMatrix(ring, a))
@@ -375,14 +377,14 @@ class TestFitting:
 
         def push(x):
             out = {}
-            for kk, v in x.items():
+            for kk, v in zip(ring_b.elems, x):
                 key = (kk[0] % 2,)
-                out[key] = (out.get(key, 0) + v) % ring_s.pk
-            return {kk: v for kk, v in out.items() if v}
+                out[key] = out.get(key, 0) + v
+            return ring_s.from_mapping(out)
 
         rng = random.Random(23)
         for _ in range(20):
-            rows = [[{kk: rng.randrange(ring_b.pk) for kk in big.elements()}
+            rows = [[ring_b.from_mapping({kk: rng.randrange(ring_b.pk) for kk in big.elements()})
                      for _ in range(2)] for _ in range(2)]
             fi_b = fitting_ideal(PresentationMatrix(ring_b, rows))
             rows_s = [[push(e) for e in row] for row in rows]
@@ -394,9 +396,10 @@ class TestIdealEqual:
     def test_unit_factor(self):
         p, k = 3, 4
         ring = ZpkGroupRing(p, k, C2)
-        g = {(1,): 1}
-        x = ring.add({(0,): 3}, ring.zero)             # (p)
-        y = ring.add({(0,): 3}, ring.scale_int(9, g))  # p + p^2 g = p(1 + p g)
+        g = ring.from_mapping({(1,): 1})
+        p_elem = ring.from_mapping({(0,): 3})
+        x = ring.add(p_elem, ring.zero)             # (p)
+        y = ring.add(p_elem, ring.scale_int(9, g))  # p + p^2 g = p(1 + p g)
         assert ideal_equal([x], [y], ring)
 
     def test_p_vs_p_squared(self):
@@ -425,7 +428,7 @@ class TestModulesAndSharp:
         rows = [[ring.scale_int(d, ring.one)]]
         for g in grp.elements():
             if g != grp.identity:
-                rows.append([ring.sub({g: 1}, ring.one)])
+                rows.append([ring.sub(ring.from_mapping({g: 1}), ring.one)])
         pm = PresentationMatrix(ring, rows)
         assert module_order_exponent(pm) == 1  # |Z/2| = 2^1
         sharp = sharp_presentation(pm, (0,))
@@ -451,10 +454,10 @@ class TestModulesAndSharp:
         rng = random.Random(29)
         delta_idx = (0,)
         for _ in range(20):
-            rows_b = [[{kk: rng.randrange(ring.pk) for kk in grp.elements()}
+            rows_b = [[ring.from_mapping({kk: rng.randrange(ring.pk) for kk in grp.elements()})
                        for _ in range(2)] for _ in range(2)]
             pm_b = PresentationMatrix(ring, rows_b)
-            extra = [{kk: rng.randrange(ring.pk) for kk in grp.elements()}
+            extra = [ring.from_mapping({kk: rng.randrange(ring.pk) for kk in grp.elements()})
                      for _ in range(2)]
             pm_c = PresentationMatrix(ring, rows_b + [extra])
             pm_a = cyclic_submodule_presentation(pm_b, extra)
@@ -475,3 +478,51 @@ class TestModulesAndSharp:
         pm = PresentationMatrix(ring, [])
         # free of rank 1 over Z/8[C2]: order 8^2
         assert module_order_exponent(PresentationMatrix(ring, [[ring.zero]])) == 6
+
+
+class TestFlatRingReference:
+    """The flat Z/p^k[G] agrees with the dict-keyed ReferenceZpkGroupRing."""
+
+    GROUPS = ((), (2,), (4,), (4, 3), (2, 2, 2), (9,))
+
+    @staticmethod
+    def _elements(rng, group, pk):
+        """Random Z[G] elements: dense, sparse, negative and zero mod p^k."""
+        elems = list(group.elements())
+        yield GroupRingElem.zero(group)
+        yield GroupRingElem.one(group)
+        for _ in range(4):
+            yield GroupRingElem(group, {g: rng.randrange(-2 * pk, 2 * pk) for g in elems})
+            yield GroupRingElem(group, {rng.choice(elems): rng.randrange(1, pk)})
+            yield GroupRingElem(group, {g: pk * rng.randrange(-2, 3) for g in elems})
+
+    @pytest.mark.parametrize("orders", GROUPS, ids=str)
+    def test_operations(self, orders):
+        group = AbelianGroup(orders)
+        rng = random.Random(sum(orders) * 31 + len(orders))
+        for p in (2, 3, 5):
+            for k in (1, 4, 6):
+                ring = ZpkGroupRing(p, k, group)
+                ref = ReferenceZpkGroupRing(p, k, group)
+                assert ring.elems == ref.elems and ring.elems[0] == group.identity
+                assert ring.to_vec(ring.zero) == ref.to_vec(ref.zero)
+                assert ring.to_vec(ring.one) == ref.to_vec(ref.one)
+                xs = list(self._elements(rng, group, ring.pk))
+                for x in xs:
+                    a, ra = ring.from_group_ring(x), ref.from_group_ring(x)
+                    assert ring.to_vec(a) == ref.to_vec(ra)
+                    assert ring.from_mapping(x.coeffs) == a
+                    assert ring.from_vec(ref.to_vec(ra)) == a
+                    assert ring.to_vec(ring.neg(a)) == ref.to_vec(ref.neg(ra))
+                    c = rng.choice((0, 1, -1, p, -p ** k, rng.randrange(-100, 100)))
+                    assert ring.to_vec(ring.scale_int(c, a)) == ref.to_vec(ref.scale_int(c, ra))
+                    y = rng.choice(xs)
+                    b, rb = ring.from_group_ring(y), ref.from_group_ring(y)
+                    before = (list(a), list(b))
+                    for op in ("add", "sub", "mul"):
+                        assert ring.to_vec(getattr(ring, op)(a, b)) == \
+                            ref.to_vec(getattr(ref, op)(ra, rb))
+                    assert (a, b) == before  # arguments are never mutated
+                    assert ring.equal(ring.mul(a, b), ring.mul(b, a))
+                    assert mult_matrix(ring, [[a, b], [b, ring.zero]]) == \
+                        mult_matrix(ref, [[ra, rb], [rb, ref.zero]])

@@ -5,7 +5,13 @@ import pytest
 
 from ctower.abelian import AbelianGroup
 from ctower.ffpoly import FinitePlace, FqField, FqPoly, INFINITY
-from ctower.grouprings import CyclotomicRing, GroupRingElem, character_norm, characters
+from ctower.grouprings import (
+    CyclotomicRing,
+    GroupRingElem,
+    ZpkGroupRing,
+    character_norm,
+    characters,
+)
 from ctower.lfun import (
     PER_CHARACTER_PRODUCT_MAX_ORDER,
     PoleError,
@@ -443,7 +449,8 @@ class TestSigmaUnit:
         v = sorted(cfg.sigma, key=lambda v: v.gen.sort_key())[0]
         w = sigma_factor_unit(layer, v, k=6, M=6)
         base = w.inverse[0]
-        assert base == {layer.group.identity: 1}
+        ring = ZpkGroupRing(cfg.char, 6, layer.group)
+        assert base == ring.from_mapping({layer.group.identity: 1})
 
     def test_non_sigma_place_rejected(self):
         cfg = flagship_q3()

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import math
 import random
 
 import pytest
@@ -32,6 +35,7 @@ from ctower.tower import (
 )
 from ctower.lfun import theta
 from ctower.snf import zpk_cokernel_exponents, zpk_kernel
+from zpk_reference import ReferenceZpkGroupRing
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -148,6 +152,40 @@ class TestComputedOnce:
                 counts.add(count)
         assert counts == {0, 1, 2}
 
+    def test_recompute_skips_character_bounds(self, monkeypatch):
+        # the D + 2 recompute rebuilds the Euler series only: one degree
+        # bound per character of each layer, all of them inside theta
+        counts = {}
+        bound = lfun.per_character_degree_bound
+
+        def counted_bound(layer, chi):
+            counts[layer.n] = counts.get(layer.n, 0) + 1
+            return bound(layer, chi)
+
+        monkeypatch.setattr(lfun, "per_character_degree_bound", counted_bound)
+        run = run_tower(flagship_q2(), 2, RunOptions(geometry=False))
+        assert run.all_passed
+        assert counts == {0: 3, 1: 12, 2: 48}
+        assert counts == {layer.n: layer.group.order for layer in run.layers}
+        recomputes = [v for v in run.verdicts if v["name"] == "theta_recompute_D_plus_2"]
+        assert [v["D"] for v in recomputes] == [tr.D + 2 for tr in run.theta_results]
+
+    def test_exponent_once_per_group(self):
+        # log_value reads the cached exponent; the values are those of the
+        # exponent recomputed by the gcd loop on every call
+        for n in range(3):
+            group = build_layer(flagship_q2(), n).group
+            exponent = 1
+            for o in group.orders:
+                exponent = exponent * o // math.gcd(exponent, o)
+            assert group.exponent == math.lcm(*group.orders) == exponent
+            assert vars(group)["exponent"] == exponent  # stored on the group
+            for chi in characters(group):
+                for g in group.elements():
+                    old = sum(j * e * (exponent // o)
+                              for j, e, o in zip(chi.exps, g, group.orders)) % exponent
+                    assert chi.log_value(g) == old
+
 
 class TestAlternativeTowers:
     def test_degree_one_p_degenerate_layer0(self):
@@ -198,7 +236,8 @@ class TestNzdSlack:
 # The Z/p^k-module front end as it stood before one builder made every
 # multiplication matrix: the matrix of x, the relation expansion of a
 # presentation and the kernel-based slack, kept verbatim (only the valuation
-# helper is renamed) as the oracle for TestModuleReference.
+# helper is renamed) as the oracle for TestModuleReference.  They run on the
+# dict-keyed ReferenceZpkGroupRing, so the flat ring is checked against both.
 def reference_mult_matrix(ring, x):
     """Columns: vec(x * b_i) for the Z/p^k basis b_i of the ring."""
     cols = []
@@ -234,7 +273,7 @@ def reference_expand_presentation(pm):
 
 def reference_quotient_order_exponent(x, p, k):
     """log_p |Z/p^k[G] / (x)|: the cokernel of multiplication by x."""
-    ring = ZpkGroupRing(p, k, x.group)
+    ring = ReferenceZpkGroupRing(p, k, x.group)
     mat = reference_mult_matrix(ring, ring.from_group_ring(x))
     return sum(zpk_cokernel_exponents(mat, p, k))
 
@@ -250,7 +289,7 @@ def _valuation(n: int, p: int) -> int:
 def reference_nzd_slack(special, p, k):
     """Smallest c with Ann(Theta(1)) contained in p^(k-c) Z/p^k[G]: the
     finite-precision non-zero-divisor slack."""
-    ring = ZpkGroupRing(p, k, special.group)
+    ring = ReferenceZpkGroupRing(p, k, special.group)
     mat = reference_mult_matrix(ring, ring.from_group_ring(special))
     kern = zpk_kernel(mat, p, k)
     slack = 0
@@ -286,8 +325,9 @@ class TestModuleReference:
 
     def _assert_agree(self, x, p, k):
         ring = ZpkGroupRing(p, k, x.group)
-        xr = ring.from_group_ring(x)
-        assert mult_matrix(ring, [[xr]]) == reference_mult_matrix(ring, xr)
+        ref = ReferenceZpkGroupRing(p, k, x.group)
+        assert mult_matrix(ring, [[ring.from_group_ring(x)]]) == \
+            reference_mult_matrix(ref, ref.from_group_ring(x))
         assert nzd_slack(x, p, k) == reference_nzd_slack(x, p, k)
         assert quotient_order_exponent(x, p, k) == reference_quotient_order_exponent(x, p, k)
 
@@ -306,17 +346,20 @@ class TestModuleReference:
             group = AbelianGroup(orders)
             for p in (2, 3, 5):
                 ring = ZpkGroupRing(p, 2, group)
+                ref = ReferenceZpkGroupRing(p, 2, group)
                 for nrows, ncols in ((0, 0), (1, 1), (1, 2), (3, 2), (2, 3)):
-                    rows = [[{g: rng.randrange(ring.pk) for g in group.elements()}
-                             for _ in range(ncols)] for _ in range(nrows)]
+                    ref_rows = [[{g: rng.randrange(ring.pk) for g in group.elements()}
+                                 for _ in range(ncols)] for _ in range(nrows)]
+                    ref_pm = PresentationMatrix(ref, ref_rows)
+                    rows = [[ring.from_mapping(e) for e in row] for row in ref_rows]
                     pm = PresentationMatrix(ring, rows)
                     mat = mult_matrix(ring, rows)
                     if rows:
-                        assert mat == reference_expand_presentation(pm)
+                        assert mat == reference_expand_presentation(ref_pm)
                     else:
                         assert mat == []
                     assert module_order_exponent(pm) == \
-                        sum(zpk_cokernel_exponents(reference_expand_presentation(pm), p, 2))
+                        sum(zpk_cokernel_exponents(reference_expand_presentation(ref_pm), p, 2))
 
     def test_other_rings(self):
         # is_unit and ideal_contains run the builder on every finite ring
@@ -342,8 +385,9 @@ class TestModuleReference:
             assert quotient_order_exponent(x, p, k) == \
                 reference_quotient_order_exponent(x, p, k) == quotients[n]
             ring = ZpkGroupRing(p, k, x.group)
-            xr = ring.from_group_ring(x)
-            assert mult_matrix(ring, [[xr]]) == reference_mult_matrix(ring, xr)
+            ref = ReferenceZpkGroupRing(p, k, x.group)
+            assert mult_matrix(ring, [[ring.from_group_ring(x)]]) == \
+                reference_mult_matrix(ref, ref.from_group_ring(x))
 
 
 class TestCoherentNzd:
@@ -420,3 +464,51 @@ class TestSharpProjection:
         x = GroupRingElem.one(grp)
         with pytest.raises(ValueError):
             sharp_element(x, (0,), 2, 4)
+
+
+class TestAlgebraSuiteReference:
+    """algebra_suite on the flat ring draws the same random elements and
+    reaches the same verdicts as on the dict-keyed ring: the verdict list,
+    and every ideal_equal, is_unit and module_order_exponent call with its
+    arguments as coefficient vectors and its result, match what the
+    dict-keyed code produced (pinned below)."""
+
+    VERDICTS = [
+        {"name": "fitting_presentation_invariance", "cases": 200, "ring": "Z/3^6[G[4]]"},
+        {"name": "fitting_direct_sum", "cases": 200},
+        {"name": "fitting_base_change", "cases": 200},
+        {"name": "matrix_lifting_lemma", "cases": 200, "precisions": (8, 4)},
+        {"name": "coherent_nzd_systems", "systems": 20},
+        {"name": "sharp_kills_trivial_action", "d_s_values": (2, 4, 6)},
+        {"name": "sharp_exactness_ses", "systems": 20},
+    ]
+    TRANSCRIPTS = {
+        0: "42600f4c33bf8f595fcefe67ec8ab2ff2163063070296ac920e52cc7ec9b1206",
+        1: "c7fd04521175422b9456042007115e0c429881c4430a7138a1e3562924f4dc6f",
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_draws_and_verdicts(self, seed, monkeypatch):
+        log = []
+
+        def recorded(name, fn, vectors):
+            def wrapped(*args):
+                result = fn(*args)
+                log.append((name, *vectors(*args), result[0] if name == "is_unit" else result))
+                return result
+            return wrapped
+
+        monkeypatch.setattr(tower, "ideal_equal", recorded(
+            "ideal_equal", tower.ideal_equal,
+            lambda I, J, ring: ([ring.to_vec(g) for g in I], [ring.to_vec(g) for g in J])))
+        monkeypatch.setattr(tower, "is_unit", recorded(
+            "is_unit", tower.is_unit, lambda x, ring: (ring.to_vec(x),)))
+        monkeypatch.setattr(tower, "module_order_exponent", recorded(
+            "module_order_exponent", tower.module_order_exponent,
+            lambda pm: ([[pm.ring.to_vec(e) for e in row] for row in pm.rows],)))
+        verdicts = tower.algebra_suite(seed, cases=200)
+        expected = [{"layer": None, "passed": True, "shadows": "exact algebra property", **v}
+                    for v in self.VERDICTS]
+        assert verdicts == expected
+        assert len(log) == 1143
+        assert hashlib.sha256(json.dumps(log).encode()).hexdigest() == self.TRANSCRIPTS[seed]
