@@ -1,0 +1,8 @@
+"""``python -m ctower``: the ``ctower`` command line without installing."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -967,10 +967,17 @@ def module_order_exponent(pm: PresentationMatrix) -> int:
     return sum(zpk_cokernel_exponents(mat, pm.ring.p, pm.ring.k))
 
 
+def quotient_exponents(x: GroupRingElem, p: int, k: int) -> list:
+    """The exponents e_i > 0 with Z/p^k[G] / (x) = prod Z/p^(e_i): the Smith
+    exponents of multiplication by x, from one elimination.  Their sum is
+    quotient_order_exponent and their maximum is tower.nzd_slack."""
+    ring = ZpkGroupRing(p, k, x.group)
+    return zpk_cokernel_exponents(mult_matrix(ring, [[ring.from_group_ring(x)]]), p, k)
+
+
 def quotient_order_exponent(x: GroupRingElem, p: int, k: int) -> int:
     """log_p |Z/p^k[G] / (x)|: the order of the 1 x 1 presentation [[x]]."""
-    ring = ZpkGroupRing(p, k, x.group)
-    return module_order_exponent(PresentationMatrix(ring, [[ring.from_group_ring(x)]]))
+    return sum(quotient_exponents(x, p, k))
 
 
 def delta_idempotent(group: AbelianGroup, delta_idx, p: int, k: int):

@@ -2,12 +2,20 @@
 polynomial factorizations mod p^k.
 
 Z/p^k is a local principal ideal ring, so Gaussian elimination with
-minimal-valuation pivoting yields a Smith form diag(p^v_1, ..., p^v_r)
-with v_1 <= v_2 <= ... and unit transforms; no integer coefficient blowup.
-Everything else is read off that one form: zpk_solve (units, ideal
-membership), zpk_kernel (annihilator witnesses, cyclic submodules) and
-zpk_cokernel_exponents, whose sum is log_p of the cokernel's order and whose
-maximum is the annihilator slack of a multiplication map.
+minimal-valuation pivoting (the first entry of least valuation, row-major)
+yields a Smith form diag(p^v_1, ..., p^v_r) with v_1 <= v_2 <= ... and no
+integer coefficient blowup.  Two eliminations share that one pivot rule:
+
+- the triangular pass clears only below each pivot and only from the pivot
+  column on, and keeps no transforms.  Each pivot p^v divides the rest of
+  its row, so the pivots are the Smith exponents and back-substitution
+  solves a system carried through the row operations.  zpk_exponents and
+  zpk_cokernel_exponents (whose sum is log_p of the cokernel's order and
+  whose maximum is the annihilator slack of a multiplication map) and
+  zpk_solve (units, ideal membership) read it;
+- zpk_smith also keeps the unit transforms U and V with U M V diagonal.
+  Only zpk_kernel needs them: the kernel is spanned by the columns
+  p^(k - v_j) V_j, which a triangular form does not give.
 """
 
 from __future__ import annotations
@@ -21,12 +29,81 @@ from .ffpoly import FqField, FqPoly
 # ---------------------------------------------------------------------------
 
 
+def _pivot(m, t, p, k):
+    """(i, j, v) for the first entry of least valuation v in m[t:][t:], in
+    row-major order, or None when every such entry vanishes mod p^k."""
+    best, best_v = None, k
+    for i in range(t, len(m)):
+        row = m[i]
+        for j in range(t, len(row)):
+            a = row[j]
+            if a:
+                v = 0
+                while v < best_v and a % p == 0:
+                    a //= p
+                    v += 1
+                if v < best_v:
+                    best, best_v = (i, j), v
+                    if not v:
+                        return i, j, 0
+    return None if best is None else (*best, best_v)
+
+
+def _triangular(mat, p, k, rhs=None):
+    """Upper triangular form of mat mod p^k, without transforms.
+
+    Returns (m, vals, perm, b): row t < len(vals) of m is p^vals[t] at column
+    t and zero before it, every later row vanishes, column t of m is column
+    perm[t] of mat, and b is rhs carried through the same row operations.
+    """
+    pk = p ** k
+    m = [[a % pk for a in row] for row in mat]
+    b = None if rhs is None else [a % pk for a in rhs]
+    rows, cols = len(m), len(m[0]) if m else 0
+    perm = list(range(cols))
+    vals = []
+    for t in range(min(rows, cols)):
+        piv = _pivot(m, t, p, k)
+        if piv is None:
+            break
+        i0, j0, v = piv
+        m[t], m[i0] = m[i0], m[t]
+        if b is not None:
+            b[t], b[i0] = b[i0], b[t]
+        if j0 != t:
+            for row in m:
+                row[t], row[j0] = row[j0], row[t]
+            perm[t], perm[j0] = perm[j0], perm[t]
+        pv = p ** v
+        unit_inv = pow(m[t][t] // pv, -1, pk)
+        # normalize the pivot row so the pivot is exactly p^v
+        tail = m[t][t:] = [(a * unit_inv) % pk for a in m[t][t:]]
+        if b is not None:
+            bt = b[t] = (b[t] * unit_inv) % pk
+        for i in range(t + 1, rows):
+            row = m[i]
+            if row[t]:
+                c = row[t] // pv  # exact: v is the minimal valuation
+                row[t:] = [(a - c * x) % pk for a, x in zip(row[t:], tail)]
+                if b is not None:
+                    b[i] = (b[i] - c * bt) % pk
+        vals.append(v)
+    return m, vals, perm, b
+
+
+def zpk_exponents(mat, p, k):
+    """The Smith exponents v_1 <= v_2 <= ... of mat mod p^k, as zpk_smith
+    returns them (v_i = k for entries that vanish, padded to min(rows, cols))."""
+    rows, cols = len(mat), len(mat[0]) if mat else 0
+    vals = _triangular(mat, p, k)[1]
+    return vals + [k] * (min(rows, cols) - len(vals))
+
+
 def zpk_smith(mat, p, k):
     """(diag, U, V) with U*M*V = diag(p^v_1,...) mod p^k, U, V units mod p^k.
 
     diag is returned as the list of exponents v_1 <= v_2 <= ... (v_i = k for
-    entries that vanish mod p^k), padded to min(rows, cols).  The pivot is
-    the first entry of least valuation in row-major order.
+    entries that vanish mod p^k), padded to min(rows, cols).
     """
     pk = p ** k
     m = [[a % pk for a in row] for row in mat]
@@ -34,35 +111,18 @@ def zpk_smith(mat, p, k):
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
     Vc = [[int(i == j) for i in range(cols)] for j in range(cols)]  # columns of V
 
-    t = 0
     vals = []
-    while t < min(rows, cols):
-        best, best_v = None, k
-        for i in range(t, rows):
-            row = m[i]
-            for j in range(t, cols):
-                a = row[j]
-                if a:
-                    v = 0
-                    while v < best_v and a % p == 0:
-                        a //= p
-                        v += 1
-                    if v < best_v:
-                        best, best_v = (i, j), v
-                        if not v:
-                            break
-            if not best_v:
-                break
-        if best is None:
+    for t in range(min(rows, cols)):
+        piv = _pivot(m, t, p, k)
+        if piv is None:
             break
-        i0, j0 = best
+        i0, j0, v = piv
         m[t], m[i0] = m[i0], m[t]
         U[t], U[i0] = U[i0], U[t]
         if j0 != t:
             for r in range(rows):
                 m[r][t], m[r][j0] = m[r][j0], m[r][t]
             Vc[t], Vc[j0] = Vc[j0], Vc[t]
-        v = best_v
         pv = p ** v
         unit_inv = pow(m[t][t] // pv, -1, pk)
         # normalize pivot row so the pivot is exactly p^v
@@ -81,7 +141,6 @@ def zpk_smith(mat, p, k):
                 mt[j] = 0
                 Vc[j] = [(a - c * b) % pk for a, b in zip(Vc[j], Vt)]
         vals.append(v)
-        t += 1
     while len(vals) < min(rows, cols):
         vals.append(k)
     V = [list(r) for r in zip(*Vc)]
@@ -91,24 +150,21 @@ def zpk_smith(mat, p, k):
 def zpk_solve(mat, rhs, p, k):
     """One solution x of M x = rhs mod p^k, or None if inconsistent."""
     pk = p ** k
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    vals, U, V = zpk_smith(mat, p, k)
-    y = [sum(U[i][j] * rhs[j] for j in range(rows)) % pk for i in range(rows)]
-    z = [0] * cols
-    for i in range(rows):
-        v = vals[i] if i < len(vals) else k
-        if v >= k:
-            if i < len(y) and y[i] % pk:
-                return None
-            continue
-        if y[i] % (p ** v):
+    m, vals, perm, b = _triangular(mat, p, k, rhs)
+    r = len(vals)
+    if any(b[r:]):
+        return None
+    y = [0] * len(perm)
+    for t in range(r - 1, -1, -1):
+        # every other entry of row t is divisible by its pivot p^vals[t]
+        s = (b[t] - sum(a * x for a, x in zip(m[t][t + 1:r], y[t + 1:r]))) % pk
+        pv = p ** vals[t]
+        if s % pv:
             return None
-        z[i] = y[i] // p ** v
-    for i in range(min(len(vals), rows), rows):
-        if y[i] % pk:
-            return None
-    x = [sum(V[i][j] * z[j] for j in range(cols)) % pk for i in range(cols)]
+        y[t] = s // pv
+    x = [0] * len(perm)
+    for t, j in enumerate(perm):
+        x[j] = y[t]
     return x
 
 
@@ -133,8 +189,7 @@ def zpk_cokernel_exponents(mat, p, k):
     """Exponents e_i with (Z/p^k)^rows / colspan(M) = prod Z/p^{e_i}."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    vals, _, _ = zpk_smith(mat, p, k)
-    out = [min(v, k) for v in vals]
+    out = zpk_exponents(mat, p, k)
     out.extend([k] * (rows - min(rows, cols)))
     return [e for e in out if e > 0]
 

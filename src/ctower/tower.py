@@ -43,6 +43,7 @@ from .grouprings import (
     is_unit,
     module_order_exponent,
     mult_matrix,
+    quotient_exponents,
     quotient_order_exponent,
     sharp_presentation,
 )
@@ -54,7 +55,7 @@ from .lfun import (
     theta,
 )
 from .rayclass import TowerConfig, build_layer, layer_projection
-from .snf import zpk_cokernel_exponents, zpk_kernel
+from .snf import zpk_kernel
 
 DEFAULT_PRECISION = 24
 POINT_MAX_I = 6
@@ -136,11 +137,12 @@ def nzd_slack(special: GroupRingElem, p: int, k: int) -> int:
 
     With U M V = diag(p^v_j), the annihilator is generated by the columns
     p^(k - v_j) V_j, and each column of the unimodular V has a unit entry, so
-    c is the largest Smith exponent of multiplication by Theta(1).
+    c is the largest Smith exponent of multiplication by Theta(1).  The
+    exponents come from the transform-free triangular elimination, so U and
+    V are never built; run_tower reads c and the quotient order off one
+    exponent list per layer.
     """
-    ring = ZpkGroupRing(p, k, special.group)
-    mat = mult_matrix(ring, [[ring.from_group_ring(special)]])
-    return max(zpk_cokernel_exponents(mat, p, k), default=0)
+    return max(quotient_exponents(special, p, k), default=0)
 
 
 def run_tower(cfg: TowerConfig, N: int, options: RunOptions = None) -> TowerRun:
@@ -190,7 +192,13 @@ def run_tower(cfg: TowerConfig, N: int, options: RunOptions = None) -> TowerRun:
                        "Sigma Euler factors are units", place=v.gen.serialize(),
                        precision=(6, 6))
 
+    # one elimination of Theta(1) per layer: the slack is the largest
+    # exponent and the quotient order (geometry suite) their sum
+    theta_one_exps = []
     for layer, tr in zip(layers, trs):
+        special = tr.special_value()
+        exps = quotient_exponents(special, p, k)
+        theta_one_exps.append(exps)
         unsplit = [chi for chi in characters(layer.group) if layer.split_count(chi) == 0]
         if not unsplit:
             # every chi(Theta) vanishes at u = 1, so Theta(1) = 0: there is
@@ -200,8 +208,7 @@ def run_tower(cfg: TowerConfig, N: int, options: RunOptions = None) -> TowerRun:
                        refused="every character is trivial on the decomposition group "
                                "of a place in S, so Theta(1) = 0")
             continue
-        special = tr.special_value()
-        slack = nzd_slack(special, p, k)
+        slack = max(exps, default=0)
         chars_ok = not any(chi.ring.is_zero(tr.chi_at_one(chi)) for chi in unsplit)
         # Delta-component images of Theta(1) at precision p^k
         components_ok = True
@@ -218,12 +225,13 @@ def run_tower(cfg: TowerConfig, N: int, options: RunOptions = None) -> TowerRun:
                    slack_c=slack, precision_k=k)
 
     if opts.geometry:
-        _geometry_suite(run, layers[0], trs[0])
+        _geometry_suite(run, layers[0], trs[0], sum(theta_one_exps[0]))
 
     return run
 
 
-def _geometry_suite(run: TowerRun, layer, tr):
+def _geometry_suite(run: TowerRun, layer, tr, quot):
+    """quot is log_p |Z/p^k[G] / (Theta(1))| at this layer."""
     cfg = run.cfg
     opts = run.options
     q = cfg.field.q
@@ -256,7 +264,6 @@ def _geometry_suite(run: TowerRun, layer, tr):
                genus=z.genus, numerator=z.numerator, h=z.h)
 
     special = tr.special_value()
-    quot = quotient_order_exponent(special, p, k)
     sdiv = s_divisor_data(layer)
     try:
         nab = nabla_order(layer, z, sdiv)

@@ -1,9 +1,18 @@
 import itertools
 import random
 
+from ctower.abelian import AbelianGroup
+from ctower.grouprings import (
+    ChiComponentRing,
+    TruncPolyRing,
+    ZpkGroupRing,
+    is_unit,
+    mult_matrix,
+)
 from ctower.snf import (
     hensel_lift_factors,
     zpk_cokernel_exponents,
+    zpk_exponents,
     zpk_kernel,
     zpk_smith,
     zpk_solve,
@@ -166,14 +175,112 @@ class TestSmithReference:
         yield [[rng.choice((0, 0, 1, p, p * p)) * rng.randrange(1, pk) for _ in range(cols)]
                for _ in range(rows)]
 
-    def test_identical_to_reference(self):
-        rng = random.Random(2024)
+    @classmethod
+    def families(cls, seed):
+        """(p, k, mat) for p in {2, 3, 5}, k <= 5 and every shape up to 9 x 9."""
+        rng = random.Random(seed)
         for p in (2, 3, 5):
             for k in range(1, 6):
                 for rows in range(10):
                     for cols in range(10):
-                        for mat in self._matrices(rng, p, k, rows, cols):
-                            assert zpk_smith(mat, p, k) == reference_zpk_smith(mat, p, k), (p, k, mat)
+                        for mat in cls._matrices(rng, p, k, rows, cols):
+                            yield p, k, mat
+
+    def test_identical_to_reference(self):
+        for p, k, mat in self.families(2024):
+            assert zpk_smith(mat, p, k) == reference_zpk_smith(mat, p, k), (p, k, mat)
+
+
+# zpk_solve as it stood before the triangular pass, kept verbatim as the
+# oracle for TestTriangularReference; only the elimination it reads U and V
+# from is the reference one above.
+def reference_zpk_solve(mat, rhs, p, k):
+    """One solution x of M x = rhs mod p^k, or None if inconsistent."""
+    pk = p ** k
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    vals, U, V = reference_zpk_smith(mat, p, k)
+    y = [sum(U[i][j] * rhs[j] for j in range(rows)) % pk for i in range(rows)]
+    z = [0] * cols
+    for i in range(rows):
+        v = vals[i] if i < len(vals) else k
+        if v >= k:
+            if i < len(y) and y[i] % pk:
+                return None
+            continue
+        if y[i] % (p ** v):
+            return None
+        z[i] = y[i] // p ** v
+    for i in range(min(len(vals), rows), rows):
+        if y[i] % pk:
+            return None
+    x = [sum(V[i][j] * z[j] for j in range(cols)) % pk for i in range(cols)]
+    return x
+
+
+def reference_is_unit(x, ring):
+    sol = reference_zpk_solve(mult_matrix(ring, [[x]]), ring.to_vec(ring.one), ring.p, ring.k)
+    if sol is None:
+        return False, None
+    inv = ring.from_vec(sol)
+    if not ring.equal(ring.mul(x, inv), ring.one):
+        return False, None
+    return True, inv
+
+
+class TestTriangularReference:
+    """The transform-free pass gives zpk_smith's exponents and the reference's
+    solvability, and every solution it returns solves the system."""
+
+    def test_exponents_match_smith(self):
+        for p, k, mat in TestSmithReference.families(2025):
+            assert zpk_exponents(mat, p, k) == zpk_smith(mat, p, k)[0], (p, k, mat)
+
+    def test_solve_matches_reference(self):
+        rng = random.Random(2026)
+        solved = 0
+        for p, k, mat in TestSmithReference.families(2026):
+            pk = p ** k
+            cols = len(mat[0]) if mat else 0
+            x0 = [rng.randrange(-pk, pk) for _ in range(cols)]
+            consistent = [sum(a * b for a, b in zip(row, x0)) for row in mat]
+            for rhs in (consistent, [rng.randrange(pk) for _ in mat]):
+                got = zpk_solve(mat, rhs, p, k)
+                assert (got is None) == (reference_zpk_solve(mat, rhs, p, k) is None), \
+                    (p, k, mat, rhs)
+                if rhs is consistent:
+                    assert got is not None
+                if got is not None:
+                    solved += 1
+                    assert len(got) == cols
+                    assert all((sum(a * b for a, b in zip(row, got)) - c) % pk == 0
+                               for row, c in zip(mat, rhs)), (p, k, mat, rhs)
+        assert solved > 6000
+
+    def test_unit_inverses_match_reference(self):
+        rng = random.Random(2027)
+        rings = [ZpkGroupRing(p, k, AbelianGroup(orders))
+                 for orders in ((2,), (3,), (4,), (3, 2), (2, 2), (9,), (5,))
+                 for p in (2, 3, 5) for k in (1, 2, 4)]
+        rings += [ChiComponentRing(3, 3, (1, 0, 1), AbelianGroup((3,)), 4),
+                  ChiComponentRing(5, 2, (1, 0, 1), AbelianGroup((5,)), 4),
+                  TruncPolyRing(ZpkGroupRing(2, 3, AbelianGroup((2,))), 3),
+                  TruncPolyRing(ZpkGroupRing(3, 2, AbelianGroup((2,))), 2)]
+        units = 0
+        for ring in rings:
+            one = ring.to_vec(ring.one)
+            for _ in range(8):
+                rand = [rng.randrange(ring.pk) for _ in range(ring.basis_size)]
+                for vec in (rand, [a + ring.p * b for a, b in zip(one, rand)],
+                            [ring.p * b for b in rand]):
+                    x = ring.from_vec(vec)
+                    ok, inv = is_unit(x, ring)
+                    ref_ok, ref_inv = reference_is_unit(x, ring)
+                    assert ok == ref_ok, (ring.describe(), vec)
+                    if ok:
+                        units += 1
+                        assert ring.to_vec(inv) == ring.to_vec(ref_inv)
+        assert units > 300
 
 
 class TestHensel:

@@ -2,10 +2,11 @@ import hashlib
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from ctower import lfun, tower
+from ctower import lfun, snf, tower
 from ctower.abelian import AbelianGroup
 from ctower.ffpoly import INFINITY, FinitePlace, FqField, FqPoly
 from ctower.grouprings import (
@@ -17,6 +18,8 @@ from ctower.grouprings import (
     ZpkRing,
     characters,
     e_delta_presentation,
+    ideal_contains,
+    is_unit,
     module_order_exponent,
     mult_matrix,
     quotient_order_exponent,
@@ -25,6 +28,7 @@ from ctower.grouprings import (
 )
 from ctower.rayclass import TowerConfig, build_layer, default_s
 from ctower.tower import (
+    DEFAULT_PRECISION,
     CoherentNzdReport,
     RunOptions,
     ToyProjectiveSystem,
@@ -92,7 +96,8 @@ class TestRunTower:
 
 
 class TestComputedOnce:
-    """theta is the only caller of the character evaluator in a tower run."""
+    """A tower run computes shared work once: theta is the only caller of the
+    character evaluator, and each layer's Theta(1) is eliminated once."""
 
     def test_verdicts_read_the_table(self, monkeypatch):
         calls = {"theta": 0, "ordvan": 0, "elsewhere": 0}
@@ -129,6 +134,58 @@ class TestComputedOnce:
         assert len(ordvan_calls) == 2 + 11 + 47
         assert calls["ordvan"] == calls["elsewhere"] == 0
         assert calls["theta"] > 0
+
+    def test_smith_only_for_kernels(self, monkeypatch):
+        # U and V are built for kernels alone: every exponent, order, unit and
+        # membership read takes the transform-free triangular pass
+        calls = []
+        smith = snf.zpk_smith
+
+        def counted_smith(mat, p, k):
+            calls.append(len(mat))
+            return smith(mat, p, k)
+
+        monkeypatch.setattr(snf, "zpk_smith", counted_smith)
+        x = theta(build_layer(flagship_q2(), 1)).special_value()
+        ring = ZpkGroupRing(2, 24, x.group)
+        xr = ring.from_group_ring(x)
+        assert nzd_slack(x, 2, 24) == 3
+        assert quotient_order_exponent(x, 2, 24) == 6
+        assert module_order_exponent(PresentationMatrix(ring, [[xr], [ring.one]])) == 0
+        assert is_unit(xr, ring) == (False, None)
+        assert is_unit(ring.one, ring)[0]
+        assert ideal_contains(ring, [xr], ring.mul(xr, xr))
+        assert not ideal_contains(ring, [xr], ring.one)
+        assert calls == []
+        zpk_kernel(mult_matrix(ring, [[xr]]), 2, 24)
+        assert calls == [12]
+
+    def test_theta_one_eliminated_once_per_layer(self, monkeypatch):
+        # the nzd slack and the geometry suite's quotient order read one
+        # exponent list of Theta(1) per layer
+        eliminated = []
+        triangular = snf._triangular
+
+        def counted_triangular(mat, p, k, rhs=None):
+            eliminated.append(mat)
+            return triangular(mat, p, k, rhs)
+
+        monkeypatch.setattr(snf, "_triangular", counted_triangular)
+        run = run_tower(flagship_q2(), 2, RunOptions())
+        assert run.all_passed
+        assert [v["layer"] for v in run.verdicts
+                if v["name"] == "class_number_fitting_identity"] == [0]
+        for layer, tr in zip(run.layers, run.theta_results):
+            ring = ZpkGroupRing(2, DEFAULT_PRECISION, layer.group)
+            mat = mult_matrix(ring, [[ring.from_group_ring(tr.special_value())]])
+            assert sum(m == mat for m in eliminated) == 1, layer.n
+
+    def test_smith_called_in_zpk_kernel_only(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "ctower"
+        hits = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
+                for line in path.read_text().splitlines() if "zpk_smith(" in line]
+        assert hits == [("snf.py", "def zpk_smith(mat, p, k):"),
+                        ("snf.py", "vals, _, V = zpk_smith(mat, p, k)")]
 
     def test_split_count_matches_inline_expressions(self):
         p = FinitePlace(poly(F3, 1, 0, 1))
