@@ -138,10 +138,8 @@ def _resolved_config_blob(args, cfg):
 def _theta_poly_human(tp):
     lines = []
     for i, c in enumerate(tp.coeffs):
-        if not c.coeffs:
-            continue
-        terms = " + ".join(f"{v}*g{list(kk)}" for kk, v in sorted(c.coeffs.items()))
-        lines.append(f"  u^{i}: {terms}")
+        if any(c.coeffs):
+            lines.append(f"  u^{i}: {c!r}")
     return lines
 
 

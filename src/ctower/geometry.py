@@ -607,7 +607,7 @@ def sigma_factor_poly(layer) -> ThetaPoly:
         sigma_inv = group.inv(layer.frobenius(v))
         coeffs = [GroupRingElem.one(group)]
         coeffs.extend(GroupRingElem.zero(group) for _ in range(v.degree - 1))
-        coeffs.append(GroupRingElem(group, {sigma_inv: -(q ** v.degree)}))
+        coeffs.append(GroupRingElem.from_mapping(group, {sigma_inv: -(q ** v.degree)}))
         acc = acc * ThetaPoly(group, coeffs)
     return acc
 

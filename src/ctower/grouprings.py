@@ -14,11 +14,15 @@ is asked of one matrix, mult_matrix(ring, rows), whose columns span the
 submodule of R^g that the rows generate, and is answered from its Smith form
 (snf).  The quotient order of x is the order of the 1 x 1 presentation [[x]].
 
-An element of Z/p^k[G] (ZpkGroupRing) is the flat list of its |G|
-coefficients, in the mixed-radix order of sorted(group.elements()), and
-products read one index table per group (_mul_table).  Elements of Z[G]
-(GroupRingElem: Theta and the Euler series) are dicts keyed by exponent
-tuples; ZpkGroupRing.from_group_ring converts.
+Every group-ring element is a flat list of coefficients in one order: the
+mixed-radix order of sorted(group.elements()), kept once per group with its
+index dict (group_index).  An element of Z[G] (GroupRingElem: Theta, its
+coefficients and the Euler series) and of Z/p^k[G] (ZpkGroupRing) is the
+list of its |G| coefficients; an element of a chi-component (ChiComponentRing)
+is the list of |P| blocks of deg h coefficients.  Products read one index
+table per group (mul_table).  Exponent tuples appear only at the edges:
+GroupRingElem.from_mapping, GroupRingElem.items, to_json, characters() and
+the layer maps that project turns into index maps.
 
 No floating point anywhere; every mod-p^k assertion carries its precision.
 """
@@ -27,8 +31,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd
+from functools import cached_property, lru_cache
+from math import gcd, prod
 
 from . import zpoly
 from .abelian import AbelianGroup
@@ -182,8 +186,16 @@ class Character:
     def value(self, elem):
         return self.ring.zeta_pow(self.log_value(elem))
 
-    def inverse(self) -> "Character":
-        return Character(self.group, tuple((-j) % o for j, o in zip(self.exps, self.group.orders)))
+    @cached_property
+    def log_table(self) -> list:
+        """log_value of every group element, in group_index order, built
+        coordinate by coordinate (the first one most significant)."""
+        N = self.group.exponent
+        table = [0]
+        for j, o in zip(self.exps, self.group.orders):
+            w = j * (N // o)
+            table = [(t + e * w) % N for t in table for e in range(o)]
+        return table
 
     def trivial_on(self, elems) -> bool:
         return all(self.log_value(e) == 0 for e in elems)
@@ -228,95 +240,159 @@ def conjugacy_orbit_reps(chars, p: int):
 
 
 # ---------------------------------------------------------------------------
-# group-ring elements over Z
+# one coefficient order per group, and group-ring elements over Z
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def group_index(group: AbelianGroup):
+    """(elems, index): elems = sorted(group.elements()) as a tuple and index
+    the dict elem -> position.  That order is mixed radix with the first
+    coordinate most significant and the identity at index 0; every
+    group-ring element is a coefficient list in it."""
+    elems = tuple(sorted(group.elements()))
+    return elems, {e: i for i, e in enumerate(elems)}
+
+
+@lru_cache(maxsize=None)
+def mul_table(group: AbelianGroup):
+    """table[i][j] = index of elems[i] * elems[j], elems as in group_index.
+
+    That order is mixed radix with the first coordinate most significant, so
+    G = C_o x G' gives table[a*m + i][b*m + j] = ((a + b) % o) * m + T'[i][j]
+    with m = |G'| and T' the table of G'.
+    """
+    if not group.orders:
+        return ((0,),)
+    o = group.orders[0]
+    rest = mul_table(AbelianGroup(group.orders[1:]))
+    m = len(rest)
+    ids = list(range(o * m))  # one int object per index, shared by every row
+    rows = []
+    for a in range(o):
+        for sub in rest:
+            row = []
+            for b in range(o):
+                off = ((a + b) % o) * m
+                row.extend([ids[off + t] for t in sub])
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _convolve(table, a, b):
+    """The unreduced product of two coefficient lists of one group, whose
+    mul_table is table."""
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            row = table[i]
+            for j, y in b_terms:
+                out[row[j]] += x * y
+    return out
+
+
+def _index_map(source: AbelianGroup, apply_map, target: AbelianGroup) -> list:
+    """imap[i] = index in target of apply_map(elems[i]), elems of source."""
+    elems, _ = group_index(source)
+    _, index = group_index(target)
+    return [index[apply_map(g)] for g in elems]
+
+
+def _pushforward(x: "GroupRingElem", imap, target: AbelianGroup) -> "GroupRingElem":
+    """The image of x in Z[target] under the group map imap (_index_map)."""
+    out = [0] * target.order
+    for i, v in zip(imap, x.coeffs):
+        out[i] += v
+    return GroupRingElem(target, out)
+
+
 class GroupRingElem:
-    """Element of Z[G]; coefficients indexed by exponent tuples."""
+    """Element of Z[G]: the list of its |G| integer coefficients, indexed like
+    group_index(group)."""
 
     __slots__ = ("group", "coeffs")
 
-    def __init__(self, group: AbelianGroup, coeffs=None):
+    def __init__(self, group: AbelianGroup, coeffs: list):
         self.group = group
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+        self.coeffs = coeffs
 
     @classmethod
     def zero(cls, group):
-        return cls(group)
+        return cls(group, [0] * group.order)
 
     @classmethod
     def one(cls, group):
-        return cls(group, {group.identity: 1})
+        return cls(group, [1] + [0] * (group.order - 1))
 
     @classmethod
     def basis(cls, group, elem):
-        return cls(group, {tuple(elem): 1})
+        return cls.from_mapping(group, {tuple(elem): 1})
+
+    @classmethod
+    def from_mapping(cls, group, coeffs):
+        """The element sum_g coeffs[g] g, from a mapping exponent tuple -> int."""
+        _, index = group_index(group)
+        out = [0] * len(index)
+        for g, v in coeffs.items():
+            out[index[g]] += v
+        return cls(group, out)
+
+    def items(self):
+        """(exponent tuple, coefficient) of every nonzero coefficient, in
+        index order."""
+        elems, _ = group_index(self.group)
+        return [(g, v) for g, v in zip(elems, self.coeffs) if v]
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return GroupRingElem(self.group, out)
+        return GroupRingElem(self.group, [x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return GroupRingElem(self.group, {k: -v for k, v in self.coeffs.items()})
+        return GroupRingElem(self.group, [-x for x in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other)
+        return GroupRingElem(self.group, [x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         g = self.group
-        out = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = g.mul(k1, k2)
-                out[k] = out.get(k, 0) + v1 * v2
-        return GroupRingElem(g, out)
+        return GroupRingElem(g, _convolve(mul_table(g), self.coeffs, other.coeffs))
 
     def scale(self, c: int):
-        return GroupRingElem(self.group, {k: c * v for k, v in self.coeffs.items()})
-
-    def translate(self, elem):
-        """Multiplication by the group element elem."""
-        g = self.group
-        return GroupRingElem(g, {g.mul(k, elem): v for k, v in self.coeffs.items()})
+        return GroupRingElem(self.group, [c * x for x in self.coeffs])
 
     def augmentation(self) -> int:
-        return sum(self.coeffs.values())
+        return sum(self.coeffs)
 
     def apply_character(self, chi: Character):
         """chi(x) in Z[zeta_N]: the coefficients are summed by log value into
         Z[x]/(x^N - 1), which is reduced mod Phi_N once."""
         ring = chi.ring
         vec = [0] * ring.n
-        for k, v in self.coeffs.items():
-            vec[chi.log_value(k)] += v
+        for lv, v in zip(chi.log_table, self.coeffs):
+            if v:
+                vec[lv] += v
         return ring.reduce(vec)
 
     def project(self, apply_map, target_group) -> "GroupRingElem":
-        out = {}
-        for k, v in self.coeffs.items():
-            kk = apply_map(k)
-            out[kk] = out.get(kk, 0) + v
-        return GroupRingElem(target_group, out)
+        return _pushforward(self, _index_map(self.group, apply_map, target_group), target_group)
 
     def reduce_mod(self, modulus: int) -> "GroupRingElem":
-        return GroupRingElem(self.group, {k: v % modulus for k, v in self.coeffs.items()})
+        return GroupRingElem(self.group, [v % modulus for v in self.coeffs])
 
     def __eq__(self, other):
         return isinstance(other, GroupRingElem) and self.group == other.group and self.coeffs == other.coeffs
 
     def __repr__(self):
-        if not self.coeffs:
+        terms = self.items()
+        if not terms:
             return "0"
-        return " + ".join(f"{v}*g{list(k)}" for k, v in sorted(self.coeffs.items()))
+        return " + ".join(f"{v}*g{list(k)}" for k, v in terms)
 
     def to_json(self):
         return {"group_orders": list(self.group.orders),
-                "coeffs": {",".join(map(str, k)): v for k, v in sorted(self.coeffs.items())}}
+                "coeffs": {",".join(map(str, k)): v for k, v in self.items()}}
 
 
 class ThetaPoly:
@@ -324,7 +400,7 @@ class ThetaPoly:
 
     def __init__(self, group: AbelianGroup, coeffs):
         coeffs = list(coeffs)
-        while coeffs and not coeffs[-1].coeffs:
+        while coeffs and not any(coeffs[-1].coeffs):
             coeffs.pop()
         self.group = group
         self.coeffs = coeffs
@@ -351,7 +427,8 @@ class ThetaPoly:
         return out
 
     def project(self, apply_map, target_group) -> "ThetaPoly":
-        return ThetaPoly(target_group, [c.project(apply_map, target_group) for c in self.coeffs])
+        imap = _index_map(self.group, apply_map, target_group)
+        return ThetaPoly(target_group, [_pushforward(c, imap, target_group) for c in self.coeffs])
 
     def __mul__(self, other):
         if not self.coeffs or not other.coeffs:
@@ -451,49 +528,15 @@ class ZpkRing:
         return f"Z/{self.p}^{self.k}"
 
 
-@lru_cache(maxsize=None)
-def _mul_table(group: AbelianGroup):
-    """table[i][j] = index of elems[i] * elems[j] in elems = sorted(group.elements()).
+class _FlatZpkModule:
+    """The Z/p^k-module operations of a finite ring whose elements are flat
+    lists of basis_size coefficients mod p^k, so to_vec is the identity.
+    Operations return new lists and never mutate their arguments."""
 
-    That order is mixed radix with the first coordinate most significant, so
-    G = C_o x G' gives table[a*m + i][b*m + j] = ((a + b) % o) * m + T'[i][j]
-    with m = |G'| and T' the table of G'.
-    """
-    if not group.orders:
-        return ((0,),)
-    o = group.orders[0]
-    rest = _mul_table(AbelianGroup(group.orders[1:]))
-    m = len(rest)
-    ids = list(range(o * m))  # one int object per index, shared by every row
-    rows = []
-    for a in range(o):
-        for sub in rest:
-            row = []
-            for b in range(o):
-                off = ((a + b) % o) * m
-                row.extend([ids[off + t] for t in sub])
-            rows.append(tuple(row))
-    return tuple(rows)
-
-
-class ZpkGroupRing:
-    """Z/p^k[G] for a finite abelian group G.
-
-    An element is the list of its |G| coefficients mod p^k, indexed like
-    elems = sorted(group.elements()) (mixed radix, identity at index 0), so
-    to_vec is the identity.  mul reads the group law from the index table
-    _mul_table(group), built once per group.  Operations return new lists and
-    never mutate their arguments.
-    """
-
-    def __init__(self, p: int, k: int, group: AbelianGroup):
+    def __init__(self, p: int, k: int, basis_size: int):
         self.p, self.k = p, k
         self.pk = p ** k
-        self.group = group
-        self.elems = sorted(group.elements())
-        self.index = {e: i for i, e in enumerate(self.elems)}
-        self.basis_size = len(self.elems)
-        self._table = _mul_table(group)
+        self.basis_size = basis_size
 
     @property
     def zero(self):
@@ -502,16 +545,6 @@ class ZpkGroupRing:
     @property
     def one(self):
         return [1] + [0] * (self.basis_size - 1)
-
-    def from_mapping(self, coeffs):
-        """The element sum_g coeffs[g] g, from a mapping exponent tuple -> int."""
-        out = [0] * self.basis_size
-        for g, v in coeffs.items():
-            out[self.index[g]] += v
-        return self.from_vec(out)
-
-    def from_group_ring(self, x: GroupRingElem):
-        return self.from_mapping(x.coeffs)
 
     def add(self, a, b):
         pk = self.pk
@@ -524,18 +557,6 @@ class ZpkGroupRing:
     def sub(self, a, b):
         pk = self.pk
         return [(x - y) % pk for x, y in zip(a, b)]
-
-    def mul(self, a, b):
-        table = self._table
-        b_terms = [(j, y) for j, y in enumerate(b) if y]
-        out = [0] * self.basis_size
-        for i, x in enumerate(a):
-            if x:
-                row = table[i]
-                for j, y in b_terms:
-                    out[row[j]] += x * y
-        pk = self.pk
-        return [v % pk for v in out]
 
     def scale_int(self, c, a):
         pk = self.pk
@@ -551,126 +572,87 @@ class ZpkGroupRing:
     def equal(self, a, b):
         return a == b
 
+
+class ZpkGroupRing(_FlatZpkModule):
+    """Z/p^k[G] for a finite abelian group G.
+
+    An element is the list of its |G| coefficients mod p^k, indexed like
+    elems = group_index(group)[0] (identity at index 0).  mul reads the group
+    law from the index table mul_table(group), built once per group.
+    """
+
+    def __init__(self, p: int, k: int, group: AbelianGroup):
+        super().__init__(p, k, group.order)
+        self.group = group
+        self.elems = group_index(group)[0]
+        self._table = mul_table(group)
+
+    def from_mapping(self, coeffs):
+        """The element sum_g coeffs[g] g, from a mapping exponent tuple -> int."""
+        return self.from_group_ring(GroupRingElem.from_mapping(self.group, coeffs))
+
+    def from_group_ring(self, x: GroupRingElem):
+        return self.from_vec(x.coeffs)
+
+    def mul(self, a, b):
+        pk = self.pk
+        return [v % pk for v in _convolve(self._table, a, b)]
+
     def describe(self):
         return f"Z/{self.p}^{self.k}[G{list(self.group.orders)}]"
 
 
-class ChiComponentRing:
+class ChiComponentRing(_FlatZpkModule):
     """Z_p(chi)[P] at precision p^k: Z/p^k[x]/(h(x)) group ring of the p-part.
 
     h is a Hensel-lifted irreducible factor of Phi_M mod p^k, M = ord(chi).
-    Elements are dicts P-element -> coefficient tuple of length deg h.
+    An element is the flat list of |P| blocks of deg h coefficients mod p^k;
+    block i holds the coefficient of the i-th element of group_index(pgroup).
     """
 
     def __init__(self, p: int, k: int, h, pgroup: AbelianGroup, chi_order: int):
-        self.p, self.k = p, k
-        self.pk = p ** k
+        super().__init__(p, k, pgroup.order * (len(h) - 1))
         self.h = tuple(c % self.pk for c in h)
         self.deg = len(self.h) - 1
         self.pgroup = pgroup
         self.chi_order = chi_order
-        self.pelems = sorted(pgroup.elements())
-        self.pindex = {e: i for i, e in enumerate(self.pelems)}
-        self.basis_size = len(self.pelems) * self.deg
-        # x^j reduction table up to 2 deg - 2 and up to chi_order
-        self._xpow = [None] * max(2 * self.deg, chi_order + 1)
-        cur = [1] + [0] * (self.deg - 1)
-        for j in range(len(self._xpow)):
-            self._xpow[j] = tuple(cur)
-            cur = self._shift_reduce(cur)
+        self._table = mul_table(pgroup)
+        self._xpow = [self._reduce([0] * j + [1]) for j in range(chi_order)]
 
-    def _shift_reduce(self, vec):
-        out = [0] + list(vec)
-        # reduce degree-deg term by h (monic)
-        top = out[self.deg]
-        if top:
-            for i in range(self.deg):
-                out[i] = (out[i] - top * self.h[i]) % self.pk
-        return [c % self.pk for c in out[: self.deg]]
-
-    def _poly_mul(self, a, b):
-        out = [0] * (2 * self.deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = (out[i + j] + x * y) % self.pk
-        # reduce by h
-        for j in range(len(out) - 1, self.deg - 1, -1):
-            c = out[j]
+    def _reduce(self, vec):
+        """The polynomial vec (ascending, any length) mod (h, p^k), as a block
+        of deg coefficients."""
+        vec = list(vec)
+        h, d = self.h, self.deg
+        for j in range(len(vec) - 1, d - 1, -1):
+            c = vec[j]
             if c:
-                shift = j - self.deg
-                for i in range(self.deg + 1):
-                    out[shift + i] = (out[shift + i] - c * self.h[i]) % self.pk
-            out[j] = 0
-        return tuple(out[: self.deg])
+                for i in range(d + 1):
+                    vec[j - d + i] -= c * h[i]
+        vec.extend([0] * (d - len(vec)))
+        pk = self.pk
+        return [v % pk for v in vec[:d]]
 
     def zeta_pow(self, j):
         return self._xpow[j % self.chi_order]
 
-    @property
-    def zero(self):
-        return {}
-
-    @property
-    def one(self):
-        return {self.pgroup.identity: tuple([1] + [0] * (self.deg - 1))}
-
-    def add(self, a, b):
-        out = dict(a)
-        for kk, v in b.items():
-            s = tuple((x + y) % self.pk for x, y in zip(out.get(kk, (0,) * self.deg), v))
-            if any(s):
-                out[kk] = s
-            else:
-                out.pop(kk, None)
-        return out
-
-    def neg(self, a):
-        return {kk: tuple((-x) % self.pk for x in v) for kk, v in a.items()}
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+    def _blocks(self, a):
+        """(i, block i) for every nonzero block of a."""
+        d = self.deg
+        pairs = ((i, a[i * d:(i + 1) * d]) for i in range(self.pgroup.order))
+        return [(i, x) for i, x in pairs if any(x)]
 
     def mul(self, a, b):
-        g = self.pgroup
-        out = {}
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                kk = g.mul(k1, k2)
-                prod = self._poly_mul(v1, v2)
-                if kk in out:
-                    out[kk] = tuple((x + y) % self.pk for x, y in zip(out[kk], prod))
-                else:
-                    out[kk] = prod
-        return {kk: v for kk, v in out.items() if any(v)}
-
-    def scale_int(self, c, a):
-        out = {}
-        for kk, v in a.items():
-            s = tuple((c * x) % self.pk for x in v)
-            if any(s):
-                out[kk] = s
-        return out
-
-    def to_vec(self, a):
-        vec = [0] * self.basis_size
-        for kk, v in a.items():
-            base = self.pindex[kk] * self.deg
-            for i, x in enumerate(v):
-                vec[base + i] = x % self.pk
-        return vec
-
-    def from_vec(self, vec):
-        out = {}
-        for idx, e in enumerate(self.pelems):
-            chunk = tuple(v % self.pk for v in vec[idx * self.deg:(idx + 1) * self.deg])
-            if any(chunk):
-                out[e] = chunk
-        return out
-
-    def equal(self, a, b):
-        return self.to_vec(a) == self.to_vec(b)
+        b_blocks = self._blocks(b)
+        acc = [[0] * (2 * self.deg - 1) for _ in range(self.pgroup.order)]
+        for i, x in self._blocks(a):
+            row = self._table[i]
+            for j, y in b_blocks:
+                buf = acc[row[j]]
+                for s, xs in enumerate(x):
+                    for r, yr in enumerate(y):
+                        buf[s + r] += xs * yr
+        return [c for buf in acc for c in self._reduce(buf)]
 
     def describe(self):
         return f"Z/{self.p}^{self.k}[x]/(h deg {self.deg})[P{list(self.pgroup.orders)}]"
@@ -773,16 +755,19 @@ def chi_component(x: GroupRingElem, chi: Character, ring: ChiComponentRing,
     the Delta-part, the group of the coordinates delta_idx.
     """
     out = ring.zero
+    d = ring.deg
     M = ring.chi_order
     N_delta = chi.group.exponent
-    for kk, v in x.coeffs.items():
+    _, pindex = group_index(ring.pgroup)
+    for kk, v in x.items():
         lv = chi.log_value(tuple(kk[i] for i in delta_idx))
         # chi(g) = zeta_{N_delta}^lv; rewrite as power of zeta_M (M = ord chi | N_delta)
         if lv * M % N_delta:
             raise ArithmeticError("character value outside mu_M")
-        term = {tuple(kk[i] for i in p_idx): ring.zeta_pow(lv * M // N_delta)}
-        out = ring.add(out, ring.scale_int(v, term))
-    return out
+        base = pindex[tuple(kk[i] for i in p_idx)] * d
+        for i, c in enumerate(ring.zeta_pow(lv * M // N_delta)):
+            out[base + i] += v * c
+    return ring.from_vec(out)
 
 
 # ---------------------------------------------------------------------------
@@ -929,12 +914,14 @@ def nzd_test_polynomial(coeffs, p: int, k: int, M: int, group: AbelianGroup) -> 
     lead = ring.from_group_ring(coeffs[-1])
     lead_unit, _ = is_unit(lead, ring)
 
-    big_group = AbelianGroup(group.orders + (p ** M,))
-    big = ZpkGroupRing(p, k, big_group)
-    f_big = big.zero
+    # gamma is the last, least significant coordinate of G x C_(p^M)
+    pM = p ** M
+    big = ZpkGroupRing(p, k, AbelianGroup(group.orders + (pM,)))
+    f_vec = [0] * big.basis_size
     for i, c in enumerate(coeffs):
-        term = big.from_mapping({kk + (i % (p ** M),): v for kk, v in c.coeffs.items()})
-        f_big = big.add(f_big, term)
+        for j, v in enumerate(c.coeffs):
+            f_vec[j * pM + i % pM] += v
+    f_big = big.from_vec(f_vec)
     kern = zpk_kernel(mult_matrix(big, [[f_big]]), p, k)
     witness = None
     for vec in kern:
@@ -982,21 +969,14 @@ def quotient_order_exponent(x: GroupRingElem, p: int, k: int) -> int:
 
 def delta_idempotent(group: AbelianGroup, delta_idx, p: int, k: int):
     """e_Delta = (1/|Delta|) sum_{delta} delta in Z/p^k[G]."""
-    pk = p ** k
-    delta_orders = [group.orders[i] for i in delta_idx]
-    size = 1
-    for o in delta_orders:
-        size *= o
+    size = prod(group.orders[i] for i in delta_idx)
     if size % p == 0:
         raise ValueError("p divides |Delta|")
-    inv = pow(size, -1, pk)
-    coeffs = {}
-    for combo in itertools.product(*(range(o) for o in delta_orders)):
-        kk = [0] * len(group.orders)
-        for i, e in zip(delta_idx, combo):
-            kk[i] = e
-        coeffs[tuple(kk)] = inv
-    return GroupRingElem(group, coeffs)
+    inv = pow(size, -1, p ** k)
+    # g lies in Delta iff its coordinates off delta_idx vanish
+    off = [i for i in range(len(group.orders)) if i not in delta_idx]
+    elems, _ = group_index(group)
+    return GroupRingElem(group, [0 if any(g[i] for i in off) else inv for g in elems])
 
 
 def sharp_element(x: GroupRingElem, delta_idx, p: int, k: int) -> GroupRingElem:

@@ -31,8 +31,9 @@ from .grouprings import (
     TruncPolyRing,
     ZpkGroupRing,
     characters,
+    group_index,
     invert_one_plus_nilpotent_u,
-    is_unit,
+    mul_table,
 )
 
 PER_CHARACTER_PRODUCT_MAX_ORDER = 8
@@ -159,7 +160,7 @@ class ThetaResult:
     D: int
     bound: int
     theta: ThetaPoly
-    series: list  # raw truncated series to degree D (list of coeff dicts)
+    series: list  # raw truncated series to degree D: D + 1 coefficient lists of Z[G]
     stabilization_ok: bool
     per_char_degrees: dict
     # chi.exps -> coefficient list of chi(Theta)(u) (trailing zeros dropped),
@@ -189,50 +190,41 @@ class ThetaResult:
         }
 
 
-def _series_mul_inverse_factor(series, group, sigma_inv, d, D):
-    # multiply by (1 - sigma^{-1} u^d)^{-1}: ascending prefix accumulation
+def _series_mul_inverse_factor(series, row, d, D):
+    # multiply by (1 - sigma^{-1} u^d)^{-1}, row = mul_table(group)[sigma^{-1}]:
+    # ascending prefix accumulation over the nonzero coefficients
+    ids = range(len(row))
     for i in range(d, D + 1):
-        src = series[i - d]
-        if not src:
-            continue
-        dst = series[i]
-        for k, v in src.items():
-            kk = group.mul(k, sigma_inv)
-            dst[kk] = dst.get(kk, 0) + v
-    return series
+        src, dst = series[i - d], series[i]
+        for j in it.compress(ids, src):
+            dst[row[j]] += src[j]
 
 
-def _series_mul_forward_factor(series, group, sigma_inv, d, D, scale):
+def _series_mul_forward_factor(series, row, d, D, scale):
     # multiply by (1 - scale * sigma^{-1} u^d): descending, uses old values
+    ids = range(len(row))
     for i in range(D, d - 1, -1):
-        src = series[i - d]
-        if not src:
-            continue
-        dst = series[i]
-        for k, v in src.items():
-            kk = group.mul(k, sigma_inv)
-            dst[kk] = dst.get(kk, 0) - scale * v
-    return series
-
-
-def _clean(series):
-    return [{k: v for k, v in layer.items() if v} for layer in series]
+        src, dst = series[i - d], series[i]
+        for j in it.compress(ids, src):
+            dst[row[j]] -= scale * src[j]
 
 
 def euler_series(layer, D: int):
-    """Truncated series for Theta_{S,Sigma} through degree D."""
+    """Truncated series for Theta_{S,Sigma} through degree D: D + 1
+    coefficient lists of Z[G], in group_index order."""
     group = layer.group
+    table = mul_table(group)
+    _, index = group_index(group)
     q = layer.field.q
-    series = [dict() for _ in range(D + 1)]
-    series[0][group.identity] = 1
+    series = [[0] * group.order for _ in range(D + 1)]
+    series[0][0] = 1
     for fac in euler_factors(layer, D):
-        sigma_inv = group.inv(fac.frobenius)
+        row = table[index[group.inv(fac.frobenius)]]
         if fac.mode == "S-inverse":
-            _series_mul_inverse_factor(series, group, sigma_inv, fac.degree, D)
+            _series_mul_inverse_factor(series, row, fac.degree, D)
         else:
-            _series_mul_forward_factor(series, group, sigma_inv, fac.degree, D,
-                                       q ** fac.degree)
-    return _clean(series)
+            _series_mul_forward_factor(series, row, fac.degree, D, q ** fac.degree)
+    return series
 
 
 def divisor_sum_series(layer, D: int):
@@ -246,27 +238,26 @@ def divisor_sum_series(layer, D: int):
     """
     field = layer.field
     group = layer.group
+    table = mul_table(group)
+    _, index = group_index(group)
     q = field.q
     s_gens = [v.gen for v in layer.finite_s()]
-    base = [dict() for _ in range(D + 1)]
-    for d in range(0, D + 1):
+    base = [[0] * group.order for _ in range(D + 1)]
+    base[0][0] = 1
+    for d in range(1, D + 1):
         target = base[d]
-        if d == 0:
-            target[group.identity] = 1
-            continue
         for tail in it.product(range(q), repeat=d):
             a = FqPoly(field, tail + (1,))
             if any((a % g).is_zero() for g in s_gens):
                 continue
-            k = group.inv(layer.class_of(a))
-            target[k] = target.get(k, 0) + 1
+            target[index[group.inv(layer.class_of(a))]] += 1
     if not layer.infinity_in_s():
         # multiply by (1 - u)^{-1} for the (trivial-Frobenius) infinite place
-        _series_mul_inverse_factor(base, group, group.identity, 1, D)
+        _series_mul_inverse_factor(base, table[0], 1, D)
     for v in sorted(layer.sigma, key=lambda v: v.gen.sort_key()):
-        sigma = layer.frobenius(v)
-        _series_mul_forward_factor(base, group, group.inv(sigma), v.degree, D, q ** v.degree)
-    return _clean(base)
+        row = table[index[group.inv(layer.frobenius(v))]]
+        _series_mul_forward_factor(base, row, v.degree, D, q ** v.degree)
+    return base
 
 
 def trivial_character_symbolic(layer):
@@ -339,7 +330,7 @@ def stabilized_theta(layer, D: int = None):
         raise ValueError(f"enumeration degree {D} is below the bound {bound}")
     series = euler_series(layer, D)
     for i in range(bound + 1, D + 1):
-        if series[i]:
+        if any(series[i]):
             raise StabilizationError(f"nonzero coefficient at degree {i} > bound {bound}")
     group = layer.group
     tp = ThetaPoly(group, [GroupRingElem(group, c) for c in series[: bound + 1]])
@@ -448,8 +439,6 @@ def sigma_factor_unit(layer, v, k: int, M: int) -> SigmaUnitWitness:
         coeffs[v.degree] = base.scale_int(-(q ** v.degree), base.from_mapping({sigma_inv: 1}))
     x = ring.from_list(coeffs)
     ok, inv = invert_one_plus_nilpotent_u(ring, x)
-    if not ok:
-        ok, inv = is_unit(x, ring)
     verified = ok and ring.equal(ring.mul(x, inv), ring.one)
     return SigmaUnitWitness(place=v, precision_k=k, truncation_M=M,
                             element=x, inverse=inv, verified=verified)

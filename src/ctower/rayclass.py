@@ -181,12 +181,6 @@ class GaloisLayer(Layer):
             raise ValueError(f"{a!r} is not coprime to the layer modulus")
         return self._dlog[key]
 
-    def representative(self, exps) -> FqPoly:
-        acc = FqPoly.one(self.field)
-        for g, e in zip(self.generators, exps):
-            acc = self.ring.mul(acc, self.ring.pow(g, e))
-        return self._canon(acc)
-
     @property
     def order(self) -> int:
         return self.group.order

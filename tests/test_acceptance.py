@@ -86,8 +86,8 @@ class TestCriterion1:
         tr = theta(layer, D=12)
         elapsed = time.monotonic() - t0
         good = (tr.theta.degree == 1 and
-                tr.theta.coefficient(0).coeffs == {(): 1} and
-                tr.theta.coefficient(1).coeffs == {(): -1})
+                dict(tr.theta.coefficient(0).items()) == {(): 1} and
+                dict(tr.theta.coefficient(1).items()) == {(): -1})
         _report("criterion 1: Theta sanity identity (1 - u)",
                 good and elapsed < 1.0, f"elapsed {elapsed:.3f}s")
 
@@ -100,7 +100,7 @@ class TestCriterion2:
                 tr = data["thetas"][n]
                 # coefficients above the per-character bound vanish exactly
                 bounds_ok = all(d <= b for d, b in tr.per_char_degrees.values())
-                window_ok = all(not tr.series[i] for i in range(tr.bound + 1, tr.D + 1))
+                window_ok = all(not any(tr.series[i]) for i in range(tr.bound + 1, tr.D + 1))
                 tr2 = theta(data["layers"][n], D=tr.D + 2, cross_check=False)
                 recompute_ok = tr.theta == tr2.theta and \
                     tr2.series[: tr.D + 1] == tr.series

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from ctower.grouprings import (
     sharp_element,
     sharp_presentation,
 )
-from zpk_reference import ReferenceZpkGroupRing
+from zpk_reference import ReferenceGroupRingElem, ReferenceZpkGroupRing
 
 C4 = AbelianGroup((4,))
 C2 = AbelianGroup((2,))
@@ -124,8 +125,8 @@ class TestGroupRing:
     def test_augmentation_morphism(self):
         rng = random.Random(3)
         for _ in range(10):
-            a = GroupRingElem(C4, {(i,): rng.randrange(-5, 6) for i in range(4)})
-            b = GroupRingElem(C4, {(i,): rng.randrange(-5, 6) for i in range(4)})
+            a = GroupRingElem.from_mapping(C4, {(i,): rng.randrange(-5, 6) for i in range(4)})
+            b = GroupRingElem.from_mapping(C4, {(i,): rng.randrange(-5, 6) for i in range(4)})
             assert (a * b).augmentation() == a.augmentation() * b.augmentation()
             assert (a + b).augmentation() == a.augmentation() + b.augmentation()
 
@@ -135,8 +136,8 @@ class TestGroupRing:
         ring = chi.ring
         rng = random.Random(4)
         for _ in range(10):
-            a = GroupRingElem(C4, {(i,): rng.randrange(-3, 4) for i in range(4)})
-            b = GroupRingElem(C4, {(i,): rng.randrange(-3, 4) for i in range(4)})
+            a = GroupRingElem.from_mapping(C4, {(i,): rng.randrange(-3, 4) for i in range(4)})
+            b = GroupRingElem.from_mapping(C4, {(i,): rng.randrange(-3, 4) for i in range(4)})
             assert chi.ring.mul(a.apply_character(chi), b.apply_character(chi)) == \
                 (a * b).apply_character(chi)
         assert GroupRingElem.one(C4).apply_character(chi) == ring.one
@@ -150,7 +151,7 @@ class TestGroupRing:
     def test_evaluate_at_one(self):
         tp = ThetaPoly(C2, [GroupRingElem.one(C2), GroupRingElem.basis(C2, (1,))])
         val = tp.evaluate_at_one()
-        assert val.coeffs == {(0,): 1, (1,): 1}
+        assert dict(val.items()) == {(0,): 1, (1,): 1}
 
 
 class TestChiComponent:
@@ -181,8 +182,8 @@ class TestChiComponent:
         ring = chi_component_ring(chi, 3, 6, pgrp)
         rng = random.Random(7)
         for _ in range(10):
-            a = GroupRingElem(big, {k: rng.randrange(9) for k in big.elements()})
-            b = GroupRingElem(big, {k: rng.randrange(9) for k in big.elements()})
+            a = GroupRingElem.from_mapping(big, {k: rng.randrange(9) for k in big.elements()})
+            b = GroupRingElem.from_mapping(big, {k: rng.randrange(9) for k in big.elements()})
             pa = chi_component(a, chi, ring, (0,), (1,))
             pb = chi_component(b, chi, ring, (0,), (1,))
             pab = chi_component(a * b, chi, ring, (0,), (1,))
@@ -198,8 +199,8 @@ class TestChiComponent:
         rings = [chi_component_ring(c, p, k, pgrp) for c in reps]
         rng = random.Random(8)
         for _ in range(20):
-            a = GroupRingElem(big, {kk: rng.randrange(3 ** k) for kk in big.elements()})
-            if all(v % 3 ** k == 0 for v in a.coeffs.values()):
+            a = GroupRingElem.from_mapping(big, {kk: rng.randrange(3 ** k) for kk in big.elements()})
+            if all(v % 3 ** k == 0 for v in a.coeffs):
                 continue
             imgs = [chi_component(a, c, r, (0,), (1,)) for c, r in zip(reps, rings)]
             assert any(not r.equal(img, r.zero) for img, r in zip(imgs, rings))
@@ -215,7 +216,7 @@ class TestChiComponent:
         rings = [chi_component_ring(c, p, k, pgrp) for c in reps]
         rng = random.Random(31)
         for _ in range(15):
-            a = GroupRingElem(big, {kk: rng.randrange(3 ** k) for kk in big.elements()})
+            a = GroupRingElem.from_mapping(big, {kk: rng.randrange(3 ** k) for kk in big.elements()})
             full_unit, _ = is_unit(ring_big.from_group_ring(a), ring_big)
             comp_units = all(
                 is_unit(chi_component(a, c, r, (0,), (1,)), r)[0]
@@ -233,7 +234,7 @@ class TestChiComponent:
         nontriv = [c for c in chars_d if c.order == 4][0]
         ring_t = chi_component_ring(triv, p, k, AbelianGroup(()))
         ring_n = chi_component_ring(nontriv, p, k, AbelianGroup(()))
-        x = GroupRingElem(big, {(0,): 5, (1,): 7, (2,): 1, (3,): 2})
+        x = GroupRingElem.from_mapping(big, {(0,): 5, (1,): 7, (2,): 1, (3,): 2})
         ex = (e * x).reduce_mod(p ** k)
         assert ring_t.equal(chi_component(ex, triv, ring_t, (0,), ()),
                             chi_component(x, triv, ring_t, (0,), ()))
@@ -301,7 +302,7 @@ class TestNzd:
         rng = random.Random(13)
         grp = C3
         for _ in range(5):
-            coeffs = [GroupRingElem(grp, {k: rng.randrange(32) for k in grp.elements()})
+            coeffs = [GroupRingElem.from_mapping(grp, {k: rng.randrange(32) for k in grp.elements()})
                       for _ in range(3)]
             coeffs.append(GroupRingElem.one(grp))
             cert = nzd_test_polynomial(coeffs, 2, 5, 2, grp)
@@ -438,7 +439,7 @@ class TestModulesAndSharp:
         # sharp of sharp = sharp on elements
         grp = AbelianGroup((3, 2))
         p, k = 2, 6  # wait: p must not divide |Delta|; Delta indices = (0,)
-        x = GroupRingElem(grp, {kk: 5 for kk in grp.elements()})
+        x = GroupRingElem.from_mapping(grp, {kk: 5 for kk in grp.elements()})
         s1 = sharp_element(x, (0,), p, k)
         s2 = sharp_element(s1, (0,), p, k)
         assert s1.reduce_mod(p ** k).coeffs == s2.reduce_mod(p ** k).coeffs
@@ -492,9 +493,9 @@ class TestFlatRingReference:
         yield GroupRingElem.zero(group)
         yield GroupRingElem.one(group)
         for _ in range(4):
-            yield GroupRingElem(group, {g: rng.randrange(-2 * pk, 2 * pk) for g in elems})
-            yield GroupRingElem(group, {rng.choice(elems): rng.randrange(1, pk)})
-            yield GroupRingElem(group, {g: pk * rng.randrange(-2, 3) for g in elems})
+            yield GroupRingElem.from_mapping(group, {g: rng.randrange(-2 * pk, 2 * pk) for g in elems})
+            yield GroupRingElem.from_mapping(group, {rng.choice(elems): rng.randrange(1, pk)})
+            yield GroupRingElem.from_mapping(group, {g: pk * rng.randrange(-2, 3) for g in elems})
 
     @pytest.mark.parametrize("orders", GROUPS, ids=str)
     def test_operations(self, orders):
@@ -504,14 +505,14 @@ class TestFlatRingReference:
             for k in (1, 4, 6):
                 ring = ZpkGroupRing(p, k, group)
                 ref = ReferenceZpkGroupRing(p, k, group)
-                assert ring.elems == ref.elems and ring.elems[0] == group.identity
+                assert list(ring.elems) == ref.elems and ring.elems[0] == group.identity
                 assert ring.to_vec(ring.zero) == ref.to_vec(ref.zero)
                 assert ring.to_vec(ring.one) == ref.to_vec(ref.one)
                 xs = list(self._elements(rng, group, ring.pk))
                 for x in xs:
                     a, ra = ring.from_group_ring(x), ref.from_group_ring(x)
                     assert ring.to_vec(a) == ref.to_vec(ra)
-                    assert ring.from_mapping(x.coeffs) == a
+                    assert ring.from_mapping(dict(x.items())) == a
                     assert ring.from_vec(ref.to_vec(ra)) == a
                     assert ring.to_vec(ring.neg(a)) == ref.to_vec(ref.neg(ra))
                     c = rng.choice((0, 1, -1, p, -p ** k, rng.randrange(-100, 100)))
@@ -526,3 +527,63 @@ class TestFlatRingReference:
                     assert ring.equal(ring.mul(a, b), ring.mul(b, a))
                     assert mult_matrix(ring, [[a, b], [b, ring.zero]]) == \
                         mult_matrix(ref, [[ra, rb], [rb, ref.zero]])
+
+
+def as_reference(x):
+    """The dict-keyed copy of a flat Z[G] element."""
+    return ReferenceGroupRingElem(x.group, dict(x.items()))
+
+
+class TestGroupRingElemReference:
+    """The flat Z[G] agrees with the dict-keyed ReferenceGroupRingElem."""
+
+    GROUPS = ((), (2,), (4,), (4, 3), (2, 2, 2), (9,))
+
+    @staticmethod
+    def _elements(rng, group):
+        """Random Z[G] elements: dense, sparse, single terms and zero."""
+        elems = list(group.elements())
+        yield GroupRingElem.zero(group)
+        yield GroupRingElem.one(group)
+        for _ in range(5):
+            yield GroupRingElem.from_mapping(group, {g: rng.randrange(-50, 50) for g in elems})
+            yield GroupRingElem.from_mapping(group, {g: rng.choice((0, 0, 0, 1, -3)) for g in elems})
+            yield GroupRingElem.basis(group, rng.choice(elems))
+
+    @staticmethod
+    def _quotients(group):
+        """(map on exponent tuples, target group): onto the trivial group, and
+        onto the quotient by the subgroup of smallest-prime-order multiples."""
+        orders = tuple(min(d for d in range(2, o + 1) if o % d == 0) for o in group.orders)
+        return [(lambda g: (), AbelianGroup(())),
+                (lambda g: tuple(e % o for e, o in zip(g, orders)), AbelianGroup(orders))]
+
+    @pytest.mark.parametrize("orders", GROUPS, ids=str)
+    def test_operations(self, orders):
+        group = AbelianGroup(orders)
+        rng = random.Random(sum(orders) * 17 + len(orders))
+        xs = list(self._elements(rng, group))
+        chars = characters(group)
+        for x in xs:
+            rx = as_reference(x)
+            assert as_reference(GroupRingElem.from_mapping(group, rx.coeffs)) == rx
+            y = rng.choice(xs)
+            ry = as_reference(y)
+            assert as_reference(x + y) == rx + ry
+            assert as_reference(x - y) == rx - ry
+            assert as_reference(x * y) == rx * ry
+            assert as_reference(-x) == -rx
+            c = rng.choice((0, 1, -1, 7, rng.randrange(-100, 100)))
+            assert as_reference(x.scale(c)) == rx.scale(c)
+            assert as_reference(x * c) == rx * c
+            assert x.augmentation() == rx.augmentation()
+            for chi in chars:
+                assert x.apply_character(chi) == rx.apply_character(chi)
+            for apply_map, target in self._quotients(group):
+                assert as_reference(x.project(apply_map, target)) == rx.project(apply_map, target)
+            for m in (2, 9, 3 ** 5):
+                assert as_reference(x.reduce_mod(m)) == rx.reduce_mod(m)
+            assert json.dumps(x.to_json()) == json.dumps(rx.to_json())
+            assert repr(x) == repr(rx)
+            assert (x == y) == (rx == ry)
+

@@ -11,6 +11,9 @@ from ctower.grouprings import (
     ZpkGroupRing,
     character_norm,
     characters,
+    chi_component,
+    chi_component_ring,
+    conjugacy_orbit_reps,
 )
 from ctower.lfun import (
     PER_CHARACTER_PRODUCT_MAX_ORDER,
@@ -19,6 +22,8 @@ from ctower.lfun import (
     StabilizationError,
     character_conductor,
     degree_bound,
+    divisor_sum_series,
+    euler_series,
     functoriality_check,
     order_of_vanishing_check,
     order_of_vanishing_table,
@@ -29,6 +34,13 @@ from ctower.lfun import (
     trivial_character_symbolic,
 )
 from ctower.rayclass import TowerConfig, TrivialLayer, build_layer, default_s, layer_projection
+from zpk_reference import (
+    ReferenceChiComponentRing,
+    ReferenceGroupRingElem,
+    reference_chi_component,
+    reference_divisor_sum_series,
+    reference_euler_series,
+)
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -58,8 +70,8 @@ class TestSanityIdentity:
                              {FinitePlace(poly(F2, 1, 1))})
         tr = theta(layer, D=12)
         assert tr.theta.degree == 1
-        assert tr.theta.coefficient(0).coeffs == {(): 1}
-        assert tr.theta.coefficient(1).coeffs == {(): -1}
+        assert dict(tr.theta.coefficient(0).items()) == {(): 1}
+        assert dict(tr.theta.coefficient(1).items()) == {(): -1}
 
     def test_symbolic_oracle_included(self):
         # independent symbolic zeta manipulation for the same configuration
@@ -242,8 +254,8 @@ class TestFlagshipThetaQ2:
         s = layer.frobenius(FinitePlace(poly(F2, 0, 1)))
         g = layer.group
         assert tr.theta.degree == 1
-        assert tr.theta.coefficient(0).coeffs == {g.identity: 1}
-        assert tr.theta.coefficient(1).coeffs == {g.identity: 1, s: 1, g.inv(s): -1}
+        assert dict(tr.theta.coefficient(0).items()) == {g.identity: 1}
+        assert dict(tr.theta.coefficient(1).items()) == {g.identity: 1, s: 1, g.inv(s): -1}
 
     def test_special_value(self):
         cfg = flagship_q2()
@@ -303,7 +315,7 @@ class TestSpecialValueEdge:
         layer = TrivialLayer(F2, {INFINITY, FinitePlace(poly(F2, 0, 1))},
                              {FinitePlace(poly(F2, 1, 1))})
         tr = theta(layer, D=12)
-        assert tr.special_value().coeffs == {}
+        assert dict(tr.special_value().items()) == {}
 
 
 class TestAlternativeConfigurations:
@@ -513,7 +525,7 @@ class TestBoundsAndConductors:
 def reference_apply_character(x, chi):
     ring = chi.ring
     acc = ring.zero
-    for k, v in x.coeffs.items():
+    for k, v in x.items():
         acc = ring.add(acc, ring.scale(v, ring.zeta_pow(chi.log_value(k))))
     return acc
 
@@ -549,9 +561,9 @@ class TestCharacterEvaluatorReference:
         group = AbelianGroup(orders)
         elems = list(group.elements())
         rng = random.Random(sum(orders) + 17)
-        samples = [GroupRingElem.zero(group), GroupRingElem(group, {g: 1 for g in elems})]
+        samples = [GroupRingElem.zero(group), GroupRingElem.from_mapping(group, {g: 1 for g in elems})]
         for _ in range(25):
-            samples.append(GroupRingElem(group, {g: rng.randint(-10 ** 6, 10 ** 6)
+            samples.append(GroupRingElem.from_mapping(group, {g: rng.randint(-10 ** 6, 10 ** 6)
                                                  for g in rng.sample(elems, rng.randint(1, len(elems)))}))
         for x in samples:
             for chi in characters(group):
@@ -590,3 +602,54 @@ class TestCharacterTable:
             [chi.exps for chi in characters(layer.group) if not chi.is_trivial()]
         for chi, mult, predicted in table:
             assert (mult, predicted) == order_of_vanishing_check(layer, tr, chi)
+
+
+class TestFlatLayoutReference:
+    """The flat Euler and divisor-sum series and chi-components agree with
+    the dict-keyed code of zpk_reference on q=3 layers 0-1 and q=2 layers 0-3."""
+
+    def test_series(self, flagship_thetas):
+        for layer, tr in flagship_thetas.values():
+            group = layer.group
+            for flat, ref in ((euler_series(layer, tr.D), reference_euler_series(layer, tr.D)),
+                              (divisor_sum_series(layer, tr.D),
+                               reference_divisor_sum_series(layer, tr.D))):
+                assert len(flat) == len(ref) == tr.D + 1
+                for c, r in zip(flat, ref):
+                    assert len(c) == group.order
+                    assert dict(GroupRingElem(group, c).items()) == r
+            assert tr.series == euler_series(layer, tr.D)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_chi_components(self, flagship_thetas, k):
+        rng = random.Random(k)
+        for layer, tr in flagship_thetas.values():
+            group, p = layer.group, layer.field.p
+            delta = AbelianGroup(tuple(group.orders[i] for i in layer.delta_idx))
+            pgrp = AbelianGroup(tuple(group.orders[i] for i in layer.p_idx))
+            xs = [tr.special_value(), *tr.theta.coeffs, GroupRingElem.zero(group)]
+            xs += [GroupRingElem.from_mapping(group, {g: rng.randrange(-p ** k, p ** k)
+                                                      for g in group.elements()})
+                   for _ in range(2)]
+            for chi in conjugacy_orbit_reps(characters(delta), p):
+                ring = chi_component_ring(chi, p, k, pgrp)
+                ref = ReferenceChiComponentRing(p, k, ring.h, pgrp, ring.chi_order)
+                assert ring.to_vec(ring.zero) == ref.to_vec(ref.zero)
+                assert ring.to_vec(ring.one) == ref.to_vec(ref.one)
+                imgs = []
+                for x in xs:
+                    a = chi_component(x, chi, ring, layer.delta_idx, layer.p_idx)
+                    ra = reference_chi_component(ReferenceGroupRingElem(group, dict(x.items())),
+                                                 chi, ref, layer.delta_idx, layer.p_idx)
+                    assert ring.to_vec(a) == ref.to_vec(ra)
+                    assert ring.from_vec(ref.to_vec(ra)) == a
+                    imgs.append((a, ra))
+                for (a, ra), (b, rb) in zip(imgs, imgs[1:] + imgs[:1]):
+                    for op in ("add", "sub", "mul"):
+                        assert ring.to_vec(getattr(ring, op)(a, b)) == \
+                            ref.to_vec(getattr(ref, op)(ra, rb))
+                    assert ring.to_vec(ring.neg(a)) == ref.to_vec(ref.neg(ra))
+                    c = rng.randrange(-100, 100)
+                    assert ring.to_vec(ring.scale_int(c, a)) == ref.to_vec(ref.scale_int(c, ra))
+                    assert ring.equal(a, b) == ref.equal(ra, rb)
+

@@ -274,12 +274,12 @@ class TestAlternativeTowers:
 class TestNzdSlack:
     def test_unit_has_zero_slack(self):
         grp = AbelianGroup((4,))
-        x = GroupRingElem(grp, {(0,): 1, (1,): 3})
+        x = GroupRingElem.from_mapping(grp, {(0,): 1, (1,): 3})
         assert nzd_slack(x, 3, 8) == 0
 
     def test_p_has_full_slack(self):
         grp = AbelianGroup((2,))
-        x = GroupRingElem(grp, {(0,): 3})
+        x = GroupRingElem.from_mapping(grp, {(0,): 3})
         # Ann(3) = p^(k-1) R: slack k - (k-1) = 1
         assert nzd_slack(x, 3, 6) == 1
 
@@ -369,7 +369,7 @@ class TestModuleReference:
         elems = list(group.elements())
 
         def dense():
-            return GroupRingElem(group, {g: rng.randrange(pk) for g in elems})
+            return GroupRingElem.from_mapping(group, {g: rng.randrange(pk) for g in elems})
 
         yield GroupRingElem.zero(group)
         for _ in range(6):
@@ -377,8 +377,8 @@ class TestModuleReference:
             yield dense().scale(p ** rng.randrange(1, k + 1))
             g = rng.choice(elems)
             yield (GroupRingElem.one(group) - GroupRingElem.basis(group, g)) * dense()
-            yield GroupRingElem(group, {h: rng.choice((0, 0, 1, p, p * p)) for h in elems})
-        yield GroupRingElem(group, {h: 1 for h in elems})  # the norm element
+            yield GroupRingElem.from_mapping(group, {h: rng.choice((0, 0, 1, p, p * p)) for h in elems})
+        yield GroupRingElem.from_mapping(group, {h: 1 for h in elems})  # the norm element
 
     def _assert_agree(self, x, p, k):
         ring = ZpkGroupRing(p, k, x.group)
@@ -491,7 +491,7 @@ class TestCoherentNzd:
 class TestSharpProjection:
     def test_element_idempotent(self):
         grp = AbelianGroup((3, 2))
-        x = GroupRingElem(grp, {k: 7 for k in grp.elements()})
+        x = GroupRingElem.from_mapping(grp, {k: 7 for k in grp.elements()})
         s = sharp_element(x, (0,), 2, 6)
         ss = sharp_element(s, (0,), 2, 6)
         assert s.reduce_mod(2 ** 6).coeffs == ss.reduce_mod(2 ** 6).coeffs
@@ -499,9 +499,9 @@ class TestSharpProjection:
     def test_delta_fixed_element_dies(self):
         # (1 - e_Delta) of a Delta-fixed element is 0
         grp = AbelianGroup((3,))
-        x = GroupRingElem(grp, {(0,): 1, (1,): 1, (2,): 1})  # norm element
+        x = GroupRingElem.from_mapping(grp, {(0,): 1, (1,): 1, (2,): 1})  # norm element
         s = sharp_element(x, (0,), 2, 8)
-        assert s.reduce_mod(2 ** 8).coeffs == {}
+        assert dict(s.reduce_mod(2 ** 8).items()) == {}
 
     def test_presentation(self):
         grp = AbelianGroup((3,))
