@@ -12,7 +12,16 @@ Every Z/p^k-linear question about a finite ring R -- units, ideal
 membership, annihilators and the orders of finitely presented R-modules --
 is asked of one matrix, mult_matrix(ring, rows), whose columns span the
 submodule of R^g that the rows generate, and is answered from its Smith form
-(snf).  The quotient order of x is the order of the 1 x 1 presentation [[x]].
+(snf).
+
+The Smith exponents of multiplication by x on Z/p^k[G] (quotient_exponents)
+are taken block by block.  G = Delta x P with P the p-part, and p does not
+divide |Delta|, so Z/p^k[G] is the product of the chi-components
+Z_p(chi)[P] at precision p^k, one per Frobenius orbit of characters of Delta
+(delta_blocks).  Each block is a local ring, so the image of x is a unit
+there exactly when its P-augmentation is nonzero mod p; a unit block adds no
+exponent and is never eliminated, and only the other blocks are.  No
+|G| x |G| matrix is built.
 
 Every group-ring element is a flat list of coefficients in one order: the
 mixed-radix order of sorted(group.elements()), kept once per group with its
@@ -654,6 +663,13 @@ class ChiComponentRing(_FlatZpkModule):
                         buf[s + r] += xs * yr
         return [c for buf in acc for c in self._reduce(buf)]
 
+    def is_local_unit(self, a) -> bool:
+        """Whether a is a unit.  The ring is local (P is a p-group and h is
+        irreducible mod p), so a is a unit iff its P-augmentation, the sum
+        of its |P| blocks, is nonzero mod p."""
+        d, p = self.deg, self.p
+        return any(sum(a[s::d]) % p for s in range(d))
+
     def describe(self):
         return f"Z/{self.p}^{self.k}[x]/(h deg {self.deg})[P{list(self.pgroup.orders)}]"
 
@@ -954,16 +970,48 @@ def module_order_exponent(pm: PresentationMatrix) -> int:
     return sum(zpk_cokernel_exponents(mat, pm.ring.p, pm.ring.k))
 
 
+def delta_blocks(x: GroupRingElem, p: int, k: int) -> list:
+    """(ring, image of x) in Z_p(chi)[P] at precision p^k for one character
+    chi of Delta per Frobenius orbit chi ~ chi^p, where G = Delta x P is the
+    p-split of x.group.  p does not divide |Delta|, so Z/p^k[G] is the
+    product of these rings and their ranks add up to |G|.  Raises ValueError
+    (AbelianGroup.p_partition) when a generator order is neither prime to p
+    nor a power of p, as in C6 with p = 2.
+    """
+    group = x.group
+    delta_idx, p_idx = group.p_partition(p)
+    delta = AbelianGroup(tuple(group.orders[i] for i in delta_idx))
+    pgroup = AbelianGroup(tuple(group.orders[i] for i in p_idx))
+    blocks = []
+    for chi in conjugacy_orbit_reps(characters(delta), p):
+        ring = chi_component_ring(chi, p, k, pgroup)
+        blocks.append((ring, chi_component(x, chi, ring, delta_idx, p_idx)))
+    return blocks
+
+
+def block_exponents(blocks) -> list:
+    """The sorted union of the Smith exponents e > 0 of multiplication by img
+    on each block ring of blocks (delta_blocks).  A unit img adds none
+    (ChiComponentRing.is_local_unit), so only the other blocks are
+    eliminated."""
+    exps = []
+    for ring, img in blocks:
+        if not ring.is_local_unit(img):
+            exps.extend(zpk_cokernel_exponents(mult_matrix(ring, [[img]]), ring.p, ring.k))
+    return sorted(exps)
+
+
 def quotient_exponents(x: GroupRingElem, p: int, k: int) -> list:
-    """The exponents e_i > 0 with Z/p^k[G] / (x) = prod Z/p^(e_i): the Smith
-    exponents of multiplication by x, from one elimination.  Their sum is
-    quotient_order_exponent and their maximum is tower.nzd_slack."""
-    ring = ZpkGroupRing(p, k, x.group)
-    return zpk_cokernel_exponents(mult_matrix(ring, [[ring.from_group_ring(x)]]), p, k)
+    """The exponents e_i > 0 with Z/p^k[G] / (x) = prod Z/p^(e_i), sorted:
+    the Smith exponents of multiplication by x, block by block.  Needs the
+    p-split G = Delta x P, which every layer group has; raises ValueError
+    without it (delta_blocks).  Their sum is quotient_order_exponent and
+    their maximum is tower.nzd_slack."""
+    return block_exponents(delta_blocks(x, p, k))
 
 
 def quotient_order_exponent(x: GroupRingElem, p: int, k: int) -> int:
-    """log_p |Z/p^k[G] / (x)|: the order of the 1 x 1 presentation [[x]]."""
+    """log_p |Z/p^k[G] / (x)|: the sum of quotient_exponents."""
     return sum(quotient_exponents(x, p, k))
 
 

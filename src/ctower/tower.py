@@ -32,11 +32,10 @@ from .grouprings import (
     PresentationMatrix,
     ZpkGroupRing,
     ZpkRing,
+    block_exponents,
     characters,
-    chi_component,
-    chi_component_ring,
-    conjugacy_orbit_reps,
     cyclic_submodule_presentation,
+    delta_blocks,
     e_delta_presentation,
     fitting_ideal,
     ideal_equal,
@@ -137,10 +136,12 @@ def nzd_slack(special: GroupRingElem, p: int, k: int) -> int:
 
     With U M V = diag(p^v_j), the annihilator is generated by the columns
     p^(k - v_j) V_j, and each column of the unimodular V has a unit entry, so
-    c is the largest Smith exponent of multiplication by Theta(1).  The
-    exponents come from the transform-free triangular elimination, so U and
-    V are never built; run_tower reads c and the quotient order off one
-    exponent list per layer.
+    c is the largest Smith exponent of multiplication by Theta(1), or 0 when
+    Theta(1) is a unit.  The exponents are read block by block off the
+    chi-components of Theta(1) (grouprings.quotient_exponents): unit blocks
+    are certified by their P-augmentation and only the others are
+    eliminated.  run_tower reads c and the quotient order off one list of
+    blocks per layer.
     """
     return max(quotient_exponents(special, p, k), default=0)
 
@@ -192,12 +193,13 @@ def run_tower(cfg: TowerConfig, N: int, options: RunOptions = None) -> TowerRun:
                        "Sigma Euler factors are units", place=v.gen.serialize(),
                        precision=(6, 6))
 
-    # one elimination of Theta(1) per layer: the slack is the largest
-    # exponent and the quotient order (geometry suite) their sum
+    # one projection of Theta(1) per Frobenius orbit of Delta-characters:
+    # the component test reads the images, the slack the largest exponent of
+    # the non-unit blocks and the quotient order (geometry suite) their sum
     theta_one_exps = []
     for layer, tr in zip(layers, trs):
-        special = tr.special_value()
-        exps = quotient_exponents(special, p, k)
+        blocks = delta_blocks(tr.special_value(), p, k)
+        exps = block_exponents(blocks)
         theta_one_exps.append(exps)
         unsplit = [chi for chi in characters(layer.group) if layer.split_count(chi) == 0]
         if not unsplit:
@@ -211,15 +213,7 @@ def run_tower(cfg: TowerConfig, N: int, options: RunOptions = None) -> TowerRun:
         slack = max(exps, default=0)
         chars_ok = not any(chi.ring.is_zero(tr.chi_at_one(chi)) for chi in unsplit)
         # Delta-component images of Theta(1) at precision p^k
-        components_ok = True
-        delta_group = AbelianGroup(tuple(layer.group.orders[i] for i in layer.delta_idx))
-        p_group = AbelianGroup(tuple(layer.group.orders[i] for i in layer.p_idx))
-        for chi_d in conjugacy_orbit_reps(characters(delta_group), p):
-            ring = chi_component_ring(chi_d, p, k, p_group)
-            img = chi_component(special.reduce_mod(p ** k), chi_d, ring,
-                                layer.delta_idx, layer.p_idx)
-            if ring.equal(img, ring.zero):
-                components_ok = False
+        components_ok = not any(ring.equal(img, ring.zero) for ring, img in blocks)
         run.record("special_value_nzd_shadow", layer.n, chars_ok and components_ok,
                    "Theta(1) annihilator slack at finite precision",
                    slack_c=slack, precision_k=k)

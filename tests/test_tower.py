@@ -17,11 +17,13 @@ from ctower.grouprings import (
     ZpkGroupRing,
     ZpkRing,
     characters,
+    delta_blocks,
     e_delta_presentation,
     ideal_contains,
     is_unit,
     module_order_exponent,
     mult_matrix,
+    quotient_exponents,
     quotient_order_exponent,
     sharp_element,
     sharp_presentation,
@@ -39,7 +41,7 @@ from ctower.tower import (
 )
 from ctower.lfun import theta
 from ctower.snf import zpk_cokernel_exponents, zpk_kernel
-from zpk_reference import ReferenceZpkGroupRing
+from zpk_reference import ReferenceZpkGroupRing, reference_quotient_exponents
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -97,7 +99,8 @@ class TestRunTower:
 
 class TestComputedOnce:
     """A tower run computes shared work once: theta is the only caller of the
-    character evaluator, and each layer's Theta(1) is eliminated once."""
+    character evaluator, and each non-unit Delta-block of a layer's Theta(1)
+    is eliminated once."""
 
     def test_verdicts_read_the_table(self, monkeypatch):
         calls = {"theta": 0, "ordvan": 0, "elsewhere": 0}
@@ -160,9 +163,12 @@ class TestComputedOnce:
         zpk_kernel(mult_matrix(ring, [[xr]]), 2, 24)
         assert calls == [12]
 
-    def test_theta_one_eliminated_once_per_layer(self, monkeypatch):
-        # the nzd slack and the geometry suite's quotient order read one
-        # exponent list of Theta(1) per layer
+    @staticmethod
+    def _theta_one_eliminations(monkeypatch, cfg, N):
+        """Run the tower recording every triangular elimination.  Per layer:
+        how often the |G| x |G| matrix of Theta(1) was eliminated, and for
+        each Delta-block of Theta(1), (how often its matrix was eliminated,
+        whether the block is a unit)."""
         eliminated = []
         triangular = snf._triangular
 
@@ -171,14 +177,39 @@ class TestComputedOnce:
             return triangular(mat, p, k, rhs)
 
         monkeypatch.setattr(snf, "_triangular", counted_triangular)
-        run = run_tower(flagship_q2(), 2, RunOptions())
+        run = run_tower(cfg, N, RunOptions())
         assert run.all_passed
         assert [v["layer"] for v in run.verdicts
                 if v["name"] == "class_number_fitting_identity"] == [0]
+        p, k = cfg.char, DEFAULT_PRECISION
+        out = []
         for layer, tr in zip(run.layers, run.theta_results):
-            ring = ZpkGroupRing(2, DEFAULT_PRECISION, layer.group)
-            mat = mult_matrix(ring, [[ring.from_group_ring(tr.special_value())]])
-            assert sum(m == mat for m in eliminated) == 1, layer.n
+            x = tr.special_value()
+            ring = ZpkGroupRing(p, k, layer.group)
+            full = mult_matrix(ring, [[ring.from_group_ring(x)]])
+            blocks = [(sum(m == mult_matrix(r, [[img]]) for m in eliminated), r.is_local_unit(img))
+                      for r, img in delta_blocks(x, p, k)]
+            out.append((sum(m == full for m in eliminated), blocks))
+        return out
+
+    def test_theta_one_eliminated_once_per_layer(self, monkeypatch):
+        # the nzd slack and the geometry suite's quotient order read one
+        # exponent list of Theta(1) per layer: the full matrix is never
+        # eliminated, each non-unit block once and no unit block at all;
+        # on the flagship q = 2 that is one block per layer
+        per_layer = self._theta_one_eliminations(monkeypatch, flagship_q2(), 2)
+        for n, (full, blocks) in enumerate(per_layer):
+            assert full == 0, n
+            assert all(count == (0 if unit else 1) for count, unit in blocks), n
+            assert sum(count for count, _ in blocks) == 1, n
+
+    def test_flagship_q3_eliminates_no_theta_one_block(self, monkeypatch):
+        # Theta(1) is a unit on every block at q = 3, layers 0-1: its
+        # P-augmentations certify slack 0 and quotient order 0
+        per_layer = self._theta_one_eliminations(monkeypatch, flagship_q3(), 1)
+        for n, (full, blocks) in enumerate(per_layer):
+            assert full == 0, n
+            assert blocks and all(unit and count == 0 for count, unit in blocks), n
 
     def test_smith_called_in_zpk_kernel_only(self):
         src = Path(__file__).resolve().parent.parent / "src" / "ctower"
@@ -445,6 +476,55 @@ class TestModuleReference:
             ref = ReferenceZpkGroupRing(p, k, x.group)
             assert mult_matrix(ring, [[ring.from_group_ring(x)]]) == \
                 reference_mult_matrix(ref, ref.from_group_ring(x))
+
+
+def _assert_blocks_agree(x, p, k):
+    """The block exponents equal the full-matrix oracle, the blocks' ranks
+    add up to |G|, and a block is eliminated to no exponent exactly when its
+    P-augmentation is nonzero mod p."""
+    blocks = delta_blocks(x, p, k)
+    assert sum(ring.basis_size for ring, _ in blocks) == x.group.order
+    for ring, img in blocks:
+        d = ring.deg
+        augmentation_unit = any(sum(img[s::d]) % p for s in range(d))
+        assert ring.is_local_unit(img) == augmentation_unit
+        assert augmentation_unit == (not zpk_cokernel_exponents(mult_matrix(ring, [[img]]), p, k))
+    assert quotient_exponents(x, p, k) == sorted(reference_quotient_exponents(x, p, k))
+
+
+class TestDeltaBlockReference:
+    """quotient_exponents by Delta-blocks against one elimination of the
+    |G| x |G| matrix of multiplication by x."""
+
+    def test_random_elements(self):
+        rng = random.Random(11)
+        for orders in TestModuleReference.GROUPS:
+            group = AbelianGroup(orders)
+            for p in (2, 3, 5):
+                for k in (1, 2, 4, 6):
+                    for x in TestModuleReference._elements(rng, group, p, k):
+                        _assert_blocks_agree(x, p, k)
+
+    @pytest.mark.parametrize("q, p_coeffs, sigma_coeffs, N", [
+        ((3, 1), (1, 0, 1), (0, 1), 1),
+        ((2, 1), (1, 1, 1), (0, 1), 3),
+        ((2, 1), (1, 1, 1), (1, 1), 3),
+        ((5, 1), (2, 0, 1), (0, 1), 1),
+        ((2, 2), (1, 1), (0, 1), 1),
+    ], ids=["q3", "q2-Sigma-x", "q2-Sigma-x+1", "q5", "q4"])
+    def test_theta_special_values(self, q, p_coeffs, sigma_coeffs, N):
+        F = FqField(*q)
+        p_place = FinitePlace(FqPoly(F, p_coeffs))
+        cfg = TowerConfig(F, FqPoly.one(F), p_place, default_s(FqPoly.one(F), p_place),
+                          frozenset({FinitePlace(FqPoly(F, sigma_coeffs))}))
+        for n in range(N + 1):
+            _assert_blocks_agree(theta(build_layer(cfg, n)).special_value(), cfg.char, 24)
+
+    def test_needs_the_p_split(self):
+        # C6 has a generator of order 6, neither prime to 2 nor a power of 2
+        x = GroupRingElem.one(AbelianGroup((6,)))
+        with pytest.raises(ValueError):
+            quotient_exponents(x, 2, 4)
 
 
 class TestCoherentNzd:

@@ -10,14 +10,19 @@ element is a dict from exponent tuples to its nonzero coefficients:
   P-elements to coefficient tuples of length deg h;
 - the two dict series multipliers and the Euler and divisor-sum series
   built on them.
+
+It also keeps reference_quotient_exponents, the Smith exponents of
+multiplication by x from one elimination of the |G| x |G| matrix, as the
+oracle of the block-by-block grouprings.quotient_exponents.
 """
 
 import itertools as it
 
 from ctower.abelian import AbelianGroup
 from ctower.ffpoly import FqPoly
-from ctower.grouprings import Character, GroupRingElem
+from ctower.grouprings import Character, GroupRingElem, ZpkGroupRing, mult_matrix
 from ctower.lfun import euler_factors
+from ctower.snf import zpk_cokernel_exponents
 
 
 class ReferenceZpkGroupRing:
@@ -392,3 +397,11 @@ def reference_divisor_sum_series(layer, D: int):
         sigma = layer.frobenius(v)
         _series_mul_forward_factor(base, group, group.inv(sigma), v.degree, D, q ** v.degree)
     return _clean(base)
+
+
+def reference_quotient_exponents(x: GroupRingElem, p: int, k: int) -> list:
+    """The exponents e_i > 0 with Z/p^k[G] / (x) = prod Z/p^(e_i): the Smith
+    exponents of multiplication by x, from one elimination.  Their sum is
+    quotient_order_exponent and their maximum is tower.nzd_slack."""
+    ring = ZpkGroupRing(p, k, x.group)
+    return zpk_cokernel_exponents(mult_matrix(ring, [[ring.from_group_ring(x)]]), p, k)
