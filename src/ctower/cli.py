@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
+import os
 import re
 import sys
 
@@ -286,6 +288,67 @@ def _verify_config(args):
     return cfg, args.N, opts
 
 
+class _BatteryWorker:
+    """algebra_suite(seed, cases, systems=20) in one forked worker process.
+
+    The worker sends back (error, payload) by marshal over a pipe: payload is
+    the verdict list, or the message of the ValueError or ArithmeticError
+    the battery raised, whose class name is error.  Leaving the with block
+    kills and reaps a worker whose verdicts were not read, so no exit path
+    leaves a process behind.  Needs POSIX fork, which is safe here because
+    the CLI starts no threads.
+    """
+
+    def __init__(self, seed: int, cases: int):
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                try:
+                    reply = (None, algebra_suite(seed=seed, cases=cases, systems=20))
+                except (ValueError, ArithmeticError) as exc:
+                    error = "ArithmeticError" if isinstance(exc, ArithmeticError) else "ValueError"
+                    reply = (error, str(exc))
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(marshal.dumps(reply))
+                status = 0
+            except Exception:
+                import traceback
+
+                traceback.print_exc()  # the parent reports the exit status
+            finally:
+                os._exit(status)  # never the parent's cleanup or buffered output
+        os.close(write_fd)
+        self.pipe = os.fdopen(read_fd, "rb")
+
+    def verdicts(self) -> list:
+        """Wait for the worker and return its verdicts, or raise its error."""
+        data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise RuntimeError(f"the algebra battery worker died (exit status {code})")
+        error, payload = marshal.loads(data)
+        if error is not None:
+            raise (ArithmeticError if error == "ArithmeticError" else ValueError)(payload)
+        return payload
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.pipe.close()
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def cmd_verify(args):
     if args.suite == "fitting":
         verdicts = algebra_suite(seed=args.seed, cases=args.cases, systems=20)
@@ -296,13 +359,14 @@ def cmd_verify(args):
 
     cfg, N, opts = _verify_config(args)
     if args.suite == "all":
-        try:
-            run = run_tower(cfg, N, opts)
-        except TowerVerificationError as exc:
-            run = exc.run
-        else:
-            run.verdicts.extend(algebra_suite(seed=opts.seed, cases=args.cases,
-                                              systems=20))
+        # the battery does not read the tower: it runs beside it
+        with _BatteryWorker(opts.seed, args.cases) as battery:
+            try:
+                run = run_tower(cfg, N, opts)
+            except TowerVerificationError as exc:
+                run = exc.run
+            else:
+                run.verdicts.extend(battery.verdicts())
         for line in run.summary_lines():
             print(line)
         _emit(run.to_json(), args)

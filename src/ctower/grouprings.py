@@ -493,7 +493,33 @@ def character_norm(group: AbelianGroup, values):
 # ---------------------------------------------------------------------------
 
 
-class ZpkRing:
+class _FiniteRing:
+    """What the linear algebra below asks of a finite ring beyond its
+    operations, built from mul alone; ZpkGroupRing overrides both with
+    index-table versions."""
+
+    def basis_products(self, e) -> list:
+        """vec(b_i * e) for the Z/p^k basis elements b_i, i < basis_size."""
+        n = self.basis_size
+        return [self.to_vec(self.mul(self.from_vec([0] * i + [1] + [0] * (n - 1 - i)), e))
+                for i in range(n)]
+
+    def det(self, mat):
+        """Determinant of a square matrix over the ring, by cofactor
+        expansion along the first row."""
+        n = len(mat)
+        if n == 0:
+            return self.one
+        if n == 1:
+            return mat[0][0]
+        acc = self.zero
+        for j in range(n):
+            term = self.mul(mat[0][j], self.det([row[:j] + row[j + 1:] for row in mat[1:]]))
+            acc = self.add(acc, term) if j % 2 == 0 else self.sub(acc, term)
+        return acc
+
+
+class ZpkRing(_FiniteRing):
     """Z/p^k."""
 
     def __init__(self, p: int, k: int):
@@ -537,7 +563,7 @@ class ZpkRing:
         return f"Z/{self.p}^{self.k}"
 
 
-class _FlatZpkModule:
+class _FlatZpkModule(_FiniteRing):
     """The Z/p^k-module operations of a finite ring whose elements are flat
     lists of basis_size coefficients mod p^k, so to_vec is the identity.
     Operations return new lists and never mutate their arguments."""
@@ -607,6 +633,34 @@ class ZpkGroupRing(_FlatZpkModule):
         pk = self.pk
         return [v % pk for v in _convolve(self._table, a, b)]
 
+    @cached_property
+    def _inverse_rows(self):
+        """Row i: the index of elems[i]^-1 * elems[t] for every t."""
+        return [self._table[row.index(0)] for row in self._table]
+
+    def basis_products(self, e) -> list:
+        """b_i * e is the translate of e by elems[i], a permutation of the
+        coefficients of e: no product is formed."""
+        return [[e[j] for j in row] for row in self._inverse_rows]
+
+    def det(self, mat):
+        """The cofactor expansion summed over unreduced products, reduced
+        mod p^k once."""
+        table = self._table
+
+        def raw(mat):
+            if len(mat) == 1:
+                return mat[0][0]
+            acc = [0] * len(table)
+            for j, x in enumerate(mat[0]):
+                minor = raw([row[:j] + row[j + 1:] for row in mat[1:]])
+                sign = -1 if j % 2 else 1
+                for t, v in enumerate(_convolve(table, x, minor)):
+                    acc[t] += sign * v
+            return acc
+
+        return self.from_vec(raw(mat)) if mat else self.one
+
     def describe(self):
         return f"Z/{self.p}^{self.k}[G{list(self.group.orders)}]"
 
@@ -674,7 +728,7 @@ class ChiComponentRing(_FlatZpkModule):
         return f"Z/{self.p}^{self.k}[x]/(h deg {self.deg})[P{list(self.pgroup.orders)}]"
 
 
-class TruncPolyRing:
+class TruncPolyRing(_FiniteRing):
     """base[u]/(u^M): truncated polynomials over a finite base ring."""
 
     def __init__(self, base, M: int):
@@ -799,15 +853,11 @@ def mult_matrix(ring, rows):
     b_i is the i-th Z/p^k basis element of R; rows vary slowest.  For the
     single row [x] this is the matrix of multiplication by x.
     """
-    n = ring.basis_size
-    basis = [ring.from_vec([0] * i + [1] + [0] * (n - 1 - i)) for i in range(n)]
     cols = []
     for row in rows:
-        for b in basis:
-            col = []
-            for e in row:
-                col.extend(ring.to_vec(ring.mul(b, e)))
-            cols.append(col)
+        products = [ring.basis_products(e) for e in row]
+        for i in range(ring.basis_size):
+            cols.append([c for prods in products for c in prods[i]])
     return [list(r) for r in zip(*cols)]
 
 
@@ -866,20 +916,6 @@ class PresentationMatrix:
         return len(self.rows[0]) if self.rows else 0
 
 
-def _det(ring, mat):
-    n = len(mat)
-    if n == 0:
-        return ring.one
-    if n == 1:
-        return mat[0][0]
-    acc = ring.zero
-    for j in range(n):
-        sub = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = ring.mul(mat[0][j], _det(ring, sub))
-        acc = ring.add(acc, term) if j % 2 == 0 else ring.sub(acc, term)
-    return acc
-
-
 def fitting_ideal(pm: PresentationMatrix) -> FittingIdeal:
     """0-th Fitting ideal: all ncols x ncols minors of the relation matrix."""
     ring = pm.ring
@@ -890,8 +926,7 @@ def fitting_ideal(pm: PresentationMatrix) -> FittingIdeal:
         return FittingIdeal(ring, [], deficient=True)
     gens = []
     for ri in itertools.combinations(range(rows), cols):
-        sub = [pm.rows[i] for i in ri]
-        gens.append(_det(ring, sub))
+        gens.append(ring.det([pm.rows[i] for i in ri]))
     return FittingIdeal(ring, gens)
 
 

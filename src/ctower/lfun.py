@@ -114,22 +114,9 @@ def character_conductor(layer, chi: Character):
 
 
 def _chi_factors_through(layer, chi: Character, m_prime: FqPoly) -> bool:
-    """chi trivial on ker(G_n -> (A/m')^x / F_q^x)."""
-    F = layer.field
-    m = layer.modulus
-    if m_prime.degree == m.degree:
-        return True
-    rest_deg = m.degree - m_prime.degree
-    for c in range(1, F.q):
-        cc = FqPoly.constant(F, c)
-        for tail in it.product(range(F.q), repeat=rest_deg):
-            t = FqPoly(F, tail)
-            a = cc + m_prime * t
-            if not a.gcd(m).is_one():
-                continue
-            if chi.log_value(layer.class_of(a)) != 0:
-                return False
-    return True
+    """chi trivial on ker(G_n -> (A/m')^x / F_q^x), whose classes the layer
+    enumerates once per level."""
+    return m_prime.degree == layer.modulus.degree or chi.trivial_on(layer.level_kernel(m_prime))
 
 
 def per_character_degree_bound(layer, chi: Character) -> int:

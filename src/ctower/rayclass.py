@@ -158,6 +158,7 @@ class GaloisLayer(Layer):
         self._frob_cache = {}
         self._inertia_cache = {}
         self._decomposition_cache = {}
+        self._kernel_cache = {}
 
     # -- element handling ---------------------------------------------------
 
@@ -259,9 +260,36 @@ class GaloisLayer(Layer):
         va, _ = self._local_part(v)
         if va.is_one():
             return self.group.subgroup_span([self.frobenius(v)])
-        gens = set(self.inertia_group(v))
-        gens.add(self.frobenius_lift(v))
-        return self.group.subgroup_span(gens)
+        # D_v = I_v <f>, f the Frobenius lift: the cosets I_v f^j up to the
+        # first power of f that falls in the subgroup I_v
+        inertia = self.inertia_group(v)
+        lift = self.frobenius_lift(v)
+        mul = self.group.mul
+        out = set(inertia)
+        step = lift
+        while step not in inertia:
+            out.update(mul(g, step) for g in inertia)
+            step = mul(step, lift)
+        return frozenset(out)
+
+    def level_kernel(self, m_prime: FqPoly) -> frozenset:
+        """ker(G_n -> (A/m')^x / F_q^x) for a divisor m' of the modulus: the
+        classes of the a = 1 + m' t coprime to the modulus (c + m' t with c
+        in F_q^x is c (1 + m' t/c), of the same class).
+
+        Computed once per level; a repeat call returns the same frozenset."""
+        out = self._kernel_cache.get(m_prime.coeffs)
+        if out is None:
+            F = self.field
+            one = FqPoly.one(F)
+            rest_deg = self.modulus.degree - m_prime.degree
+            out = set()
+            for tail in itertools.product(range(F.q), repeat=rest_deg):
+                a = one + m_prime * FqPoly(F, tail)
+                if self.coprime_to_modulus(a):
+                    out.add(self.class_of(a))
+            out = self._kernel_cache[m_prime.coeffs] = frozenset(out)
+        return out
 
     def ramification_data(self, v):
         """(e, f, g) for v: ramification index, residue degree, place count."""

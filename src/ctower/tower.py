@@ -345,10 +345,19 @@ class CoherentNzdReport:
         return self.precondition_ok and self.conclusion_ok
 
 
-def _ring_elements(ring):
-    n = ring.basis_size
-    for vec in itertools.product(range(ring.pk), repeat=n):
-        yield ring.from_vec(list(vec))
+def _additive_span(gens, pk: int) -> set:
+    """The Z/p^k-span of the vectors gens, as a set of tuples.  Each
+    generator g adds the cosets span + c g for c = 1, 2, ... until c g
+    falls back into the span built so far."""
+    span = {tuple([0] * len(gens[0]))}
+    for g in gens:
+        grown = set(span)
+        step = tuple(g)
+        while step not in span:
+            grown.update(tuple((a + b) % pk for a, b in zip(x, step)) for x in span)
+            step = tuple((a + b) % pk for a, b in zip(step, g))
+        span = grown
+    return span
 
 
 def coherent_nzd_check(sys: ToyProjectiveSystem,
@@ -386,24 +395,21 @@ def coherent_nzd_check(sys: ToyProjectiveSystem,
     # annihilators there have nowhere to die only if the chain is constant
     # in precision; covered by the loop above for m >= 1.
 
-    # conclusion by enumeration of the top ring
-    ideals = []
-    for m, ring in enumerate(sys.rings):
-        members = set()
-        for x in _ring_elements(ring):
-            members.add(tuple(ring.to_vec(ring.mul(x, sys.alpha[m]))))
-        ideals.append(members)
+    # conclusion by enumeration of the top ring; alpha_m R_m is the
+    # Z/p^k-span of the products b_i alpha_m with the basis of R_m
+    ideals = [_additive_span(ring.basis_products(alpha), ring.pk)
+              for ring, alpha in zip(sys.rings, sys.alpha)]
     top_ideal = ideals[-1]
     extra = 0
-    for x in _ring_elements(top):
+    for vec in itertools.product(range(top.pk), repeat=top.basis_size):
         in_all = True
-        img = x
+        img = top.from_vec(list(vec))
         for m in range(len(sys.rings) - 2, -1, -1):
             img = sys.transitions[m](img)
             if tuple(sys.rings[m].to_vec(img)) not in ideals[m]:
                 in_all = False
                 break
-        if in_all and tuple(top.to_vec(x)) not in top_ideal:
+        if in_all and vec not in top_ideal:
             extra += 1
     return CoherentNzdReport(precondition_ok=precondition_ok, failing_level=failing,
                              conclusion_ok=extra == 0, extra_elements=extra)

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from ctower import cli
 from ctower.cli import main, parse_poly, parse_q
 from ctower.ffpoly import FqField, FqPoly
+from ctower.tower import TowerRun, algebra_suite, run_tower
 
 
 F3 = FqField(3)
@@ -171,3 +174,88 @@ class TestModuleEntry:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "verify" in proc.stdout
+
+
+SMALL_ALL = ["verify", "all", "--q", "2", "--p", "x^2+x+1", "--N", "1", "--Sigma", "x",
+             "--sigma-alt", "x+1", "--cases", "5"]
+BATTERY = {v["name"] for v in algebra_suite(cases=1, systems=1)}
+
+
+class TestVerifyAllWorker:
+    """verify all runs the algebra battery in one forked worker beside
+    run_tower; every exit path reaps it."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_report_is_the_in_process_report(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        assert main(SMALL_ALL + ["--out", str(report)]) == 0
+        cfg, N, opts = cli._verify_config(cli.build_parser().parse_args(SMALL_ALL))
+        run = run_tower(cfg, N, opts)
+        run.verdicts.extend(algebra_suite(seed=opts.seed, cases=5, systems=20))
+        assert report.read_text() == json.dumps(run.to_json(), indent=2, sort_keys=True) + "\n"
+        names = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[PASS]")]
+        assert names == [v["name"] for v in run.verdicts]
+
+    @pytest.mark.parametrize("error", [ArithmeticError, ValueError, ZeroDivisionError])
+    def test_battery_error_is_a_usage_error(self, capsys, monkeypatch, error):
+        def broken(**kwargs):
+            raise error("no such ring")
+
+        monkeypatch.setattr(cli, "algebra_suite", broken)
+        assert main(SMALL_ALL) == 2
+        assert capsys.readouterr().err == "error: no such ring\n"
+
+    def test_dead_worker_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(cli, "algebra_suite", lambda **kwargs: os._exit(3))
+        with pytest.raises(RuntimeError, match="exit status 3"):
+            main(SMALL_ALL)
+
+    def test_tower_failure_kills_the_battery(self, capsys, monkeypatch, tmp_path):
+        def failing(cfg, N, opts):
+            TowerRun(cfg=cfg, N=N, options=opts).record(
+                "theta_stabilization", 0, False, "forced failure")
+
+        # a battery that would outlive the test: only a kill ends it in time
+        monkeypatch.setattr(cli, "algebra_suite", lambda **kwargs: time.sleep(60))
+        monkeypatch.setattr(cli, "run_tower", failing)
+        report = tmp_path / "report.json"
+        start = time.monotonic()
+        assert main(SMALL_ALL + ["--out", str(report)]) == 1
+        assert time.monotonic() - start < 30
+        verdicts = json.loads(report.read_text())["verdicts"]
+        assert [v["name"] for v in verdicts] == ["theta_stabilization"]
+        assert not BATTERY & {v["name"] for v in verdicts}
+        assert "[FAIL] theta_stabilization" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("error", [ValueError("bad tower"), KeyboardInterrupt()])
+    def test_usage_error_and_interrupt_reap_the_battery(self, capsys, monkeypatch, error):
+        def interrupted(cfg, N, opts):
+            raise error
+
+        monkeypatch.setattr(cli, "algebra_suite", lambda **kwargs: time.sleep(60))
+        monkeypatch.setattr(cli, "run_tower", interrupted)
+        start = time.monotonic()
+        if isinstance(error, ValueError):
+            assert main(SMALL_ALL) == 2
+            assert capsys.readouterr().err == "error: bad tower\n"
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(SMALL_ALL)
+        assert time.monotonic() - start < 30
+
+    def test_cli_import_loads_no_process_pool_or_pickle(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sys, ctower.cli\n"
+                "print(sorted({m.split('.')[0] for m in sys.modules} & "
+                "{'multiprocessing', 'concurrent', 'pickle', 'subprocess'}))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

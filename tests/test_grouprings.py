@@ -32,7 +32,13 @@ from ctower.grouprings import (
     sharp_element,
     sharp_presentation,
 )
-from zpk_reference import ReferenceGroupRingElem, ReferenceZpkGroupRing
+from zpk_reference import (
+    ReferenceGroupRingElem,
+    ReferenceZpkGroupRing,
+    reference_det,
+    reference_fitting_generators,
+    reference_mult_matrix_rows,
+)
 
 C4 = AbelianGroup((4,))
 C2 = AbelianGroup((2,))
@@ -526,7 +532,26 @@ class TestFlatRingReference:
                     assert (a, b) == before  # arguments are never mutated
                     assert ring.equal(ring.mul(a, b), ring.mul(b, a))
                     assert mult_matrix(ring, [[a, b], [b, ring.zero]]) == \
-                        mult_matrix(ref, [[ra, rb], [rb, ref.zero]])
+                        reference_mult_matrix_rows(ref, [[ra, rb], [rb, ref.zero]])
+                self._assert_minors_agree(rng, ring, ref, xs)
+
+    @staticmethod
+    def _assert_minors_agree(rng, ring, ref, xs):
+        """Determinants up to 3 x 3 and Fitting ideals of random presentations
+        (square, tall, wide, empty) agree with the reference minors."""
+        for n in range(4):
+            for _ in range(3):
+                mat = [[ring.from_group_ring(rng.choice(xs)) for _ in range(n)] for _ in range(n)]
+                rmat = [[ref.from_vec(e) for e in row] for row in mat]
+                assert ring.det(mat) == ref.to_vec(reference_det(ref, rmat))
+        for nrows, ncols in ((1, 1), (2, 2), (3, 2), (3, 3), (4, 2), (1, 2), (0, 0)):
+            rows = [[ring.from_group_ring(rng.choice(xs)) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            fi = fitting_ideal(PresentationMatrix(ring, rows))
+            expected = reference_fitting_generators(ref, [[ref.from_vec(e) for e in row]
+                                                          for row in rows])
+            assert fi.deficient == (expected is None)
+            assert fi.generators == [ref.to_vec(g) for g in expected or []]
 
 
 def as_reference(x):

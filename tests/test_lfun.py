@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ctower.abelian import AbelianGroup
-from ctower.ffpoly import FinitePlace, FqField, FqPoly, INFINITY
+from ctower.ffpoly import FinitePlace, FqField, FqPoly, INFINITY, factor as fq_factor
 from ctower.grouprings import (
     CyclotomicRing,
     GroupRingElem,
@@ -60,6 +60,13 @@ def flagship_q2():
     p = FinitePlace(poly(F2, 1, 1, 1))
     return TowerConfig(F2, FqPoly.one(F2), p, default_s(FqPoly.one(F2), p),
                        frozenset({FinitePlace(poly(F2, 0, 1))}))
+
+
+def multi_prime_q3():
+    # f = theta(theta+1), p = theta^2+1, Sigma = {(theta+2)}
+    p = FinitePlace(poly(F3, 1, 0, 1))
+    f = poly(F3, 0, 1) * poly(F3, 1, 1)
+    return TowerConfig(F3, f, p, default_s(f, p), frozenset({FinitePlace(poly(F3, 2, 1))}))
 
 
 class TestSanityIdentity:
@@ -471,7 +478,49 @@ class TestSigmaUnit:
             sigma_factor_unit(layer, cfg.p_place, k=6, M=6)
 
 
+def reference_factors_through(layer, chi, m_prime):
+    """The per-character descent step as it stood before each layer kept
+    its level kernels: chi trivial on ker(G_n -> (A/m')^x / F_q^x), by
+    enumerating the kernel for this character alone."""
+    F = layer.field
+    m = layer.modulus
+    if m_prime.degree == m.degree:
+        return True
+    rest_deg = m.degree - m_prime.degree
+    for c in range(1, F.q):
+        cc = FqPoly.constant(F, c)
+        for tail in itertools.product(range(F.q), repeat=rest_deg):
+            t = FqPoly(F, tail)
+            a = cc + m_prime * t
+            if not a.gcd(m).is_one():
+                continue
+            if chi.log_value(layer.class_of(a)) != 0:
+                return False
+    return True
+
+
+def reference_conductor(layer, chi):
+    """Least level f' p^j in sort_key order through which chi factors, f'
+    running over the monic divisors of f."""
+    cfg = layer.cfg
+    F = cfg.field
+    f_divs = {FqPoly.one(F)}
+    for g, e in (fq_factor(cfg.f) if cfg.f.degree >= 1 else []):
+        f_divs = {d * g ** j for d in f_divs for j in range(e + 1)}
+    candidates = sorted((d * cfg.p_place.gen ** j for d in f_divs for j in range(layer.n + 2)),
+                        key=FqPoly.sort_key)
+    return next(m for m in candidates if reference_factors_through(layer, chi, m))
+
+
 class TestBoundsAndConductors:
+    @pytest.mark.parametrize("make_cfg,n", [(flagship_q3, 0), (flagship_q3, 1)]
+                             + [(flagship_q2, n) for n in range(4)]
+                             + [(multi_prime_q3, 0)])
+    def test_conductors_match_the_per_character_descent(self, make_cfg, n):
+        layer = build_layer(make_cfg(), n)
+        for chi in characters(layer.group):
+            assert character_conductor(layer, chi) == reference_conductor(layer, chi)
+
     def test_flagship_bounds(self):
         cfg = flagship_q3()
         assert degree_bound(build_layer(cfg, 0)) == 1

@@ -267,6 +267,21 @@ class TestDecompositionCache:
         assert layer.decomposition_group(p) == layer.inertia_group(p)
 
 
+def _span_layers():
+    return ([(flagship_q3, n) for n in (0, 1, 2)] + [(flagship_q2, n) for n in range(4)]
+            + [(conductor_config_q3, n) for n in (0, 1)])
+
+
+@pytest.mark.parametrize("make_cfg,n", _span_layers())
+def test_decomposition_cosets_match_the_span(make_cfg, n):
+    # D_v as the cosets of I_v by powers of the Frobenius lift is the
+    # subgroup that I_v and the lift generate
+    layer = build_layer(make_cfg(), n)
+    for v in layer.finite_s():
+        gens = set(layer.inertia_group(v)) | {layer.frobenius_lift(v)}
+        assert layer.decomposition_group(v) == layer.group.subgroup_span(gens)
+
+
 class TestProjection:
     def test_flagship_projection(self):
         cfg = flagship_q3()

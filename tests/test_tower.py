@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -560,6 +561,20 @@ class TestCoherentNzd:
         sys = zpk_chain_system(3, [3, 4, 5], 3 * 4)
         rep = coherent_nzd_check(sys)
         assert rep.passed
+
+    def test_ideal_spans_match_every_product(self):
+        # alpha R built as the Z/p^k-span of the products b_i alpha is the
+        # set of all products x alpha, x in R
+        cases = [(ZpkRing(5, 5), 1), (ZpkRing(3, 4), 3), (ZpkRing(2, 5), 12), (ZpkRing(3, 3), 0)]
+        grp = AbelianGroup((2,))
+        for p, k, alpha in ((3, 3, {(0,): 3, (1,): 9}), (3, 2, {(0,): 1, (1,): 3}),
+                            (2, 3, {(0,): 2}), (5, 2, {(0,): 5}), (2, 4, {(0,): 1, (1,): 1})):
+            ring = ZpkGroupRing(p, k, grp)
+            cases.append((ring, ring.from_mapping(alpha)))
+        for ring, alpha in cases:
+            every = {tuple(ring.to_vec(ring.mul(ring.from_vec(list(x)), alpha)))
+                     for x in itertools.product(range(ring.pk), repeat=ring.basis_size)}
+            assert tower._additive_span(ring.basis_products(alpha), ring.pk) == every
 
     def test_incoherent_alpha_rejected(self):
         rings = [ZpkRing(2, 3), ZpkRing(2, 4)]

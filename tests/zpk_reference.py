@@ -13,7 +13,10 @@ element is a dict from exponent tuples to its nonzero coefficients:
 
 It also keeps reference_quotient_exponents, the Smith exponents of
 multiplication by x from one elimination of the |G| x |G| matrix, as the
-oracle of the block-by-block grouprings.quotient_exponents.
+oracle of the block-by-block grouprings.quotient_exponents; and the generic
+mult_matrix, determinant and Fitting minors as they stood before Z/p^k[G]
+read its basis products and minors off the index table
+(reference_mult_matrix_rows, reference_det, reference_fitting_generators).
 """
 
 import itertools as it
@@ -405,3 +408,45 @@ def reference_quotient_exponents(x: GroupRingElem, p: int, k: int) -> list:
     quotient_order_exponent and their maximum is tower.nzd_slack."""
     ring = ZpkGroupRing(p, k, x.group)
     return zpk_cokernel_exponents(mult_matrix(ring, [[ring.from_group_ring(x)]]), p, k)
+
+
+def reference_mult_matrix_rows(ring, rows):
+    """Z/p^k matrix whose columns span the R-submodule of R^g generated by
+    rows: column (r, i) is vec(b_i * e) for the entries e of row r, each a
+    ring product."""
+    n = ring.basis_size
+    basis = [ring.from_vec([0] * i + [1] + [0] * (n - 1 - i)) for i in range(n)]
+    cols = []
+    for row in rows:
+        for b in basis:
+            col = []
+            for e in row:
+                col.extend(ring.to_vec(ring.mul(b, e)))
+            cols.append(col)
+    return [list(r) for r in zip(*cols)]
+
+
+def reference_det(ring, mat):
+    n = len(mat)
+    if n == 0:
+        return ring.one
+    if n == 1:
+        return mat[0][0]
+    acc = ring.zero
+    for j in range(n):
+        sub = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = ring.mul(mat[0][j], reference_det(ring, sub))
+        acc = ring.add(acc, term) if j % 2 == 0 else ring.sub(acc, term)
+    return acc
+
+
+def reference_fitting_generators(ring, rows):
+    """All ncols x ncols minors of the relation matrix rows, reduced after
+    every ring operation; None when there are fewer rows than columns."""
+    cols = len(rows[0]) if rows else 0
+    if cols == 0:
+        return [ring.one]
+    if len(rows) < cols:
+        return None
+    return [reference_det(ring, [rows[i] for i in ri])
+            for ri in it.combinations(range(len(rows)), cols)]
