@@ -37,7 +37,15 @@ from .lfun import (
     theta as theta_op,
 )
 from .rayclass import TowerConfig, TrivialLayer, build_layer, default_s, layer_projection
-from .tower import RunOptions, TowerVerificationError, algebra_suite, run_tower
+from .tower import (
+    RunOptions,
+    TowerVerificationError,
+    battery_chunks,
+    battery_sections,
+    battery_verdicts,
+    drain_battery,
+    run_tower,
+)
 
 _TERM_RE = re.compile(r"^(\d+)?\*?(?:(x|theta)(?:\^(\d+))?)?$")
 
@@ -289,28 +297,39 @@ def _verify_config(args):
 
 
 class _BatteryWorker:
-    """algebra_suite(seed, cases, systems=20) in one forked worker process.
+    """The algebra battery (seed, cases, systems=20) drained by two
+    processes: one forked worker and, once it calls verdicts(), the parent.
 
-    The worker sends back (error, payload) by marshal over a pipe: payload is
-    the verdict list, or the message of the ValueError or ArithmeticError
-    the battery raised, whose class name is error.  Leaving the with block
-    kills and reaps a worker whose verdicts were not read, so no exit path
+    The chunk plan of tower.battery_chunks is written as one byte per chunk
+    into a pipe before the fork, and its write end is closed, so the pipe is
+    the queue: each process claims the next chunk with a one-byte os.read
+    and stops at end of file.  The worker drains from the start; the parent
+    drains what is left when it asks for the verdicts, then ANDs its
+    per-section results with the ones the worker sends back by marshal over
+    a second pipe.  A battery ValueError or ArithmeticError stops the process
+    that raised it, which empties the queue so the other stops after its
+    current chunk; the error of the lowest chunk is raised again in the
+    parent, so the report does not depend on who ran what.  Leaving the with
+    block kills and reaps a worker whose reply was not read, so no exit path
     leaves a process behind.  Needs POSIX fork, which is safe here because
     the CLI starts no threads.
     """
 
     def __init__(self, seed: int, cases: int):
+        self.seed = seed
+        self.sections = battery_sections(cases, systems=20)
+        self.chunks = battery_chunks(self.sections)
+        self.claimed = -1  # the last chunk this process claimed
+        self.queue, queue_in = os.pipe()
+        os.write(queue_in, bytes(range(len(self.chunks))))
+        os.close(queue_in)
         read_fd, write_fd = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
             status = 1
             try:
                 os.close(read_fd)
-                try:
-                    reply = (None, algebra_suite(seed=seed, cases=cases, systems=20))
-                except (ValueError, ArithmeticError) as exc:
-                    error = "ArithmeticError" if isinstance(exc, ArithmeticError) else "ValueError"
-                    reply = (error, str(exc))
+                reply = self._drain()
                 with os.fdopen(write_fd, "wb") as pipe:
                     pipe.write(marshal.dumps(reply))
                 status = 0
@@ -323,24 +342,48 @@ class _BatteryWorker:
         os.close(write_fd)
         self.pipe = os.fdopen(read_fd, "rb")
 
+    def _claim(self):
+        token = os.read(self.queue, 1)
+        if not token:
+            return None
+        self.claimed = token[0]
+        return self.claimed
+
+    def _drain(self):
+        """Drain the queue in this process.  Returns (None, per-section
+        results, None), or (error class name, message, chunk) for the
+        battery error that stopped it, chunk -1 before any claim."""
+        try:
+            return None, drain_battery(self.seed, self.sections, self.chunks, self._claim), None
+        except (ValueError, ArithmeticError) as exc:
+            while os.read(self.queue, 256):  # no writer is left: b"" once empty
+                pass
+            error = "ArithmeticError" if isinstance(exc, ArithmeticError) else "ValueError"
+            return error, str(exc), self.claimed
+
     def verdicts(self) -> list:
-        """Wait for the worker and return its verdicts, or raise its error."""
+        """Drain the rest of the queue, wait for the worker and return the
+        battery's verdicts, or raise the battery's error."""
+        mine = self._drain()
         data = self.pipe.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         code = os.waitstatus_to_exitcode(status)
         if code != 0:
             raise RuntimeError(f"the algebra battery worker died (exit status {code})")
-        error, payload = marshal.loads(data)
-        if error is not None:
-            raise (ArithmeticError if error == "ArithmeticError" else ValueError)(payload)
-        return payload
+        theirs = marshal.loads(data)
+        errors = [reply for reply in (mine, theirs) if reply[0] is not None]
+        if errors:
+            error, message, _ = min(errors, key=lambda reply: reply[2])
+            raise (ArithmeticError if error == "ArithmeticError" else ValueError)(message)
+        return battery_verdicts(self.sections, [a and b for a, b in zip(mine[1], theirs[1])])
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         self.pipe.close()
+        os.close(self.queue)
         if self.pid is not None:
             import signal
 
@@ -351,7 +394,8 @@ class _BatteryWorker:
 
 def cmd_verify(args):
     if args.suite == "fitting":
-        verdicts = algebra_suite(seed=args.seed, cases=args.cases, systems=20)
+        with _BatteryWorker(args.seed, args.cases) as battery:
+            verdicts = battery.verdicts()
         for v in verdicts:
             print(f"[{'PASS' if v['passed'] else 'FAIL'}] {v['name']}")
         _emit({"verdicts": verdicts}, args)
@@ -359,7 +403,8 @@ def cmd_verify(args):
 
     cfg, N, opts = _verify_config(args)
     if args.suite == "all":
-        # the battery does not read the tower: it runs beside it
+        # the battery does not read the tower: the worker starts on it at
+        # once, and the parent joins it when the tower is done
         with _BatteryWorker(opts.seed, args.cases) as battery:
             try:
                 run = run_tower(cfg, N, opts)

@@ -163,9 +163,9 @@ class GaloisLayer(Layer):
     # -- element handling ---------------------------------------------------
 
     def _canon(self, u: FqPoly) -> FqPoly:
-        """Canonical coset representative modulo F_q^x: the multiple of least
-        sort_key, which is the one whose lowest nonzero coefficient is 1."""
-        u = self.ring.reduce(u)
+        """Canonical coset representative modulo F_q^x of u, which must be
+        reduced modulo the layer modulus: the multiple of least sort_key,
+        which is the one whose lowest nonzero coefficient is 1."""
         for c in u.coeffs:
             if c:
                 return u if c == 1 else u.scale(self.field.inv(c))

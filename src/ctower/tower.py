@@ -432,36 +432,41 @@ def zpk_chain_system(p: int, ks, alpha_int: int, group: AbelianGroup = None,
 
 
 # ---------------------------------------------------------------------------
-# randomized algebra property suites (seeded, exact)
+# randomized algebra property battery (seeded, exact)
 # ---------------------------------------------------------------------------
+#
+# The battery is a list of sections (name, n, draw, check, details): case i
+# of a section draws its inputs with draw(rng, i) from the one seeded stream
+# shared by all sections, in section and case order, and check(inputs) is a
+# pure function of them.  The checks call fitting_ideal, ideal_equal, is_unit
+# and module_order_exponent through this module's globals, so whatever
+# rebinds those names here sees every call.
+
+MAX_CHUNKS = 255  # one byte per chunk token
 
 
-def algebra_suite(seed: int = 0, cases: int = 200, systems: int = 20) -> list:
-    """The Fitting-ideal / lifting / coherence / sharp property battery.
+def _rand_vecs(rng, ring, count):
+    """Coefficient lists of count random elements of ring, in draw order."""
+    pk = ring.pk
+    randrange = rng.randrange
+    return [[randrange(pk) for _ in ring.elems] for _ in range(count)]
 
-    Every check is exact; randomness is seeded for reproducibility.  Returns
-    a verdict list shaped like TowerRun verdicts.
-    """
-    rng = random.Random(seed)
-    verdicts = []
 
-    def record(name, passed, **details):
-        verdicts.append({"name": name, "layer": None, "passed": bool(passed),
-                         "shadows": "exact algebra property", **details})
+def _presentation_invariance(cases):
+    """Fitt is unchanged by invertible column operations."""
+    ring = ZpkGroupRing(3, 6, AbelianGroup((4,)))
 
-    c4 = AbelianGroup((4,))
-    ring = ZpkGroupRing(3, 6, c4)
-
-    def rand_elem(r):
-        return r.from_vec([rng.randrange(r.pk) for _ in r.elems])
-
-    # 1. presentation invariance under invertible column operations
-    ok = True
-    for _ in range(cases):
-        rows = [[rand_elem(ring) for _ in range(3)] for _ in range(3)]
+    def draw(rng, i):
+        vecs = _rand_vecs(rng, ring, 9)
         perm = rng.sample(range(3), 3)
         c_from, c_to = rng.sample(range(3), 2)
-        mult = ring.from_mapping({(rng.randrange(4),): 1 + 3 * rng.randrange(9)})
+        g = rng.randrange(4)
+        return vecs, perm, c_from, c_to, g, 1 + 3 * rng.randrange(9)
+
+    def check(inputs):
+        vecs, perm, c_from, c_to, g, unit = inputs
+        rows = [[ring.from_vec(v) for v in vecs[r:r + 3]] for r in (0, 3, 6)]
+        mult = ring.from_mapping({(g,): unit})
         rows2 = []
         for row in rows:
             r2 = list(row)
@@ -469,24 +474,33 @@ def algebra_suite(seed: int = 0, cases: int = 200, systems: int = 20) -> list:
             rows2.append([r2[perm[j]] for j in range(3)])
         f1 = fitting_ideal(PresentationMatrix(ring, rows))
         f2 = fitting_ideal(PresentationMatrix(ring, rows2))
-        ok = ok and ideal_equal(f1.generators, f2.generators, ring)
-    record("fitting_presentation_invariance", ok, cases=cases, ring=ring.describe())
+        return ideal_equal(f1.generators, f2.generators, ring)
 
-    # 2. Fitt(M + N) = Fitt(M) Fitt(N)
-    ok = True
-    for _ in range(cases):
-        a = rand_elem(ring)
-        b = rand_elem(ring)
-        block = [[a, ring.zero], [ring.zero, b]]
-        f_sum = fitting_ideal(PresentationMatrix(ring, block))
-        prod = [ring.mul(a, b)]
-        ok = ok and ideal_equal(f_sum.generators, prod, ring)
-    record("fitting_direct_sum", ok, cases=cases)
+    return ("fitting_presentation_invariance", cases, draw, check,
+            {"cases": cases, "ring": ring.describe()})
 
-    # 3. base change: group quotient C4 -> C2, and gamma -> 1 on C4 x C3
-    ok = True
-    small = AbelianGroup((2,))
-    ring_s = ZpkGroupRing(3, 6, small)
+
+def _direct_sum(cases):
+    """Fitt(M + N) = Fitt(M) Fitt(N)."""
+    ring = ZpkGroupRing(3, 6, AbelianGroup((4,)))
+
+    def draw(rng, i):
+        return _rand_vecs(rng, ring, 2)
+
+    def check(inputs):
+        a, b = (ring.from_vec(v) for v in inputs)
+        f_sum = fitting_ideal(PresentationMatrix(ring, [[a, ring.zero], [ring.zero, b]]))
+        return ideal_equal(f_sum.generators, [ring.mul(a, b)], ring)
+
+    return "fitting_direct_sum", cases, draw, check, {"cases": cases}
+
+
+def _base_change(cases):
+    """Fitt commutes with base change: the group quotient C4 -> C2 on even
+    cases, and gamma -> 1 from C4 x C3 to C4 on odd ones."""
+    ring = ZpkGroupRing(3, 6, AbelianGroup((4,)))
+    ring_s = ZpkGroupRing(3, 6, AbelianGroup((2,)))
+    ring_b = ZpkGroupRing(3, 6, AbelianGroup((4, 3)))
 
     def push_c4_c2(x):
         out = [0, 0]
@@ -494,48 +508,49 @@ def algebra_suite(seed: int = 0, cases: int = 200, systems: int = 20) -> list:
             out[g % 2] += v
         return ring_s.from_vec(out)
 
-    big = AbelianGroup((4, 3))
-    ring_b = ZpkGroupRing(3, 6, big)
-
     def kill_gamma(x):
         out = [0] * 4
         for (g, _), v in zip(ring_b.elems, x):
             out[g] += v
         return ring.from_vec(out)
 
-    for case in range(cases):
-        if case % 2 == 0:
-            rows = [[rand_elem(ring) for _ in range(2)] for _ in range(2)]
-            fi = fitting_ideal(PresentationMatrix(ring, rows))
-            rows_s = [[push_c4_c2(e) for e in row] for row in rows]
-            fi_s = fitting_ideal(PresentationMatrix(ring_s, rows_s))
-            ok = ok and ideal_equal([push_c4_c2(g) for g in fi.generators],
-                                    fi_s.generators, ring_s)
-        else:
-            rows = [[rand_elem(ring_b) for _ in range(2)] for _ in range(2)]
-            fi = fitting_ideal(PresentationMatrix(ring_b, rows))
-            rows_k = [[kill_gamma(e) for e in row] for row in rows]
-            fi_k = fitting_ideal(PresentationMatrix(ring, rows_k))
-            ok = ok and ideal_equal([kill_gamma(g) for g in fi.generators],
-                                    fi_k.generators, ring)
-    record("fitting_base_change", ok, cases=cases)
+    def draw(rng, i):
+        return i % 2, _rand_vecs(rng, ring if i % 2 == 0 else ring_b, 4)
 
-    # 4. matrix lifting lemma: GL_2 over Z/3^8[C4] <-> Z/3^4[C4]
-    ok = True
-    hi = ZpkGroupRing(3, 8, c4)
-    lo = ZpkGroupRing(3, 4, c4)
+    def check(inputs):
+        odd, vecs = inputs
+        top, bottom, push = (ring_b, ring, kill_gamma) if odd else (ring, ring_s, push_c4_c2)
+        rows = [[top.from_vec(v) for v in vecs[r:r + 2]] for r in (0, 2)]
+        fi = fitting_ideal(PresentationMatrix(top, rows))
+        fi_down = fitting_ideal(PresentationMatrix(bottom, [[push(e) for e in row]
+                                                            for row in rows]))
+        return ideal_equal([push(g) for g in fi.generators], fi_down.generators, bottom)
 
-    for _ in range(cases):
-        mat = [[rand_elem(hi) for _ in range(2)] for _ in range(2)]
-        det_hi = hi.sub(hi.mul(mat[0][0], mat[1][1]), hi.mul(mat[0][1], mat[1][0]))
-        det_lo = lo.sub(lo.mul(lo.from_vec(mat[0][0]), lo.from_vec(mat[1][1])),
-                        lo.mul(lo.from_vec(mat[0][1]), lo.from_vec(mat[1][0])))
-        ok = ok and (is_unit(det_hi, hi)[0] == is_unit(det_lo, lo)[0])
-    record("matrix_lifting_lemma", ok, cases=cases, precisions=(8, 4))
+    return "fitting_base_change", cases, draw, check, {"cases": cases}
 
-    # 5. coherent nzd on toy projective systems
-    ok = True
-    count = 0
+
+def _lifting_lemma(cases):
+    """A 2 x 2 matrix over Z/3^8[C4] is invertible iff its image over
+    Z/3^4[C4] is."""
+    hi = ZpkGroupRing(3, 8, AbelianGroup((4,)))
+    lo = ZpkGroupRing(3, 4, hi.group)
+
+    def draw(rng, i):
+        return _rand_vecs(rng, hi, 4)
+
+    def check(inputs):
+        a, b, c, d = (hi.from_vec(v) for v in inputs)
+        det_hi = hi.sub(hi.mul(a, d), hi.mul(b, c))
+        det_lo = lo.sub(lo.mul(lo.from_vec(a), lo.from_vec(d)),
+                        lo.mul(lo.from_vec(b), lo.from_vec(c)))
+        return is_unit(det_hi, hi)[0] == is_unit(det_lo, lo)[0]
+
+    return "matrix_lifting_lemma", cases, draw, check, {"cases": cases, "precisions": (8, 4)}
+
+
+def _coherent_nzd(systems):
+    """The coherent-nzd lemma on toy projective systems: the chains must
+    pass, the flagged ones must fail the precondition.  Draws nothing."""
     params = []
     for p_ in (2, 3, 5):
         params.append(("chain", p_, [3, 4, 5], p_, True))
@@ -543,54 +558,139 @@ def algebra_suite(seed: int = 0, cases: int = 200, systems: int = 20) -> list:
         params.append(("chain", p_, [3, 4, 5], 1, True))
         params.append(("chain", p_, [2, 4, 6], p_ ** 2, True))
         params.append(("flag", p_, [3, 3, 3], p_, False))
-    grp = AbelianGroup((2,))
     params.append(("group", 3, [2, 3, 4], {(0,): 3}, True))
     params.append(("group", 3, [2, 3], {(0,): 3, (1,): 9}, True))
     params.append(("group", 5, [2, 3], {(0,): 5}, True))
     params.append(("group", 3, [2, 3, 4], {(0,): 1, (1,): 3}, True))
     params.append(("flag-group", 3, [2, 2], {(0,): 3}, False))
-    for kind, p_, ks, alpha, expect_ok in params[:max(systems, 1)]:
-        count += 1
+    params = params[:max(systems, 1)]
+    grp = AbelianGroup((2,))
+
+    def draw(rng, i):
+        return params[i]
+
+    def check(inputs):
+        kind, p_, ks, alpha, expect_ok = inputs
         if kind.endswith("group"):
             sys_ = zpk_chain_system(p_, ks, None, group=grp, alpha_elem=alpha)
         else:
             sys_ = zpk_chain_system(p_, ks, alpha)
         rep = coherent_nzd_check(sys_)
-        if expect_ok:
-            ok = ok and rep.passed
-        else:
-            ok = ok and not rep.precondition_ok
-    record("coherent_nzd_systems", ok, systems=count)
+        return rep.passed if expect_ok else not rep.precondition_ok
 
-    # 6. sharp functor: (Z_p/d_S)^sharp = 0 and exactness on random SES
-    ok = True
+    return "coherent_nzd_systems", len(params), draw, check, {"systems": len(params)}
+
+
+def _sharp_kills_trivial_action():
+    """(Z_p/d_S)^sharp = 0 for d_S in (2, 4, 6).  Draws nothing."""
     grp3 = AbelianGroup((3,))
-    ring_sharp = ZpkGroupRing(2, 6, grp3)
-    for d_s in (2, 4, 6):
-        rows = [[ring_sharp.scale_int(d_s, ring_sharp.one)]]
+    ring = ZpkGroupRing(2, 6, grp3)
+    d_s_values = (2, 4, 6)
+
+    def draw(rng, i):
+        return d_s_values[i]
+
+    def check(d_s):
+        rows = [[ring.scale_int(d_s, ring.one)]]
         for g in grp3.elements():
             if g != grp3.identity:
-                rows.append([ring_sharp.sub(ring_sharp.from_mapping({g: 1}), ring_sharp.one)])
-        pm = PresentationMatrix(ring_sharp, rows)
-        sharp = sharp_presentation(pm, (0,))
-        ok = ok and module_order_exponent(sharp) == 0
-    record("sharp_kills_trivial_action", ok, d_s_values=(2, 4, 6))
+                rows.append([ring.sub(ring.from_mapping({g: 1}), ring.one)])
+        sharp = sharp_presentation(PresentationMatrix(ring, rows), (0,))
+        return module_order_exponent(sharp) == 0
 
-    ok = True
-    grp_m = AbelianGroup((2, 3))
-    ring_m = ZpkGroupRing(3, 4, grp_m)
-    for _ in range(systems):
-        rows_b = [[rand_elem(ring_m) for _ in range(2)] for _ in range(2)]
-        pm_b = PresentationMatrix(ring_m, rows_b)
-        extra = [rand_elem(ring_m) for _ in range(2)]
-        pm_c = PresentationMatrix(ring_m, rows_b + [extra])
+    return ("sharp_kills_trivial_action", len(d_s_values), draw, check,
+            {"d_s_values": d_s_values})
+
+
+def _sharp_exactness(systems):
+    """The sharp functor and the module order are exact on random short
+    exact sequences A -> B -> C = B / (extra)."""
+    ring = ZpkGroupRing(3, 4, AbelianGroup((2, 3)))
+
+    def draw(rng, i):
+        return _rand_vecs(rng, ring, 6)
+
+    def check(inputs):
+        b11, b12, b21, b22, x1, x2 = (ring.from_vec(v) for v in inputs)
+        rows_b = [[b11, b12], [b21, b22]]
+        extra = [x1, x2]
+        pm_b = PresentationMatrix(ring, rows_b)
+        pm_c = PresentationMatrix(ring, rows_b + [extra])
         pm_a = cyclic_submodule_presentation(pm_b, extra)
         ob, oc, oa = (module_order_exponent(x) for x in (pm_b, pm_c, pm_a))
         sb = module_order_exponent(sharp_presentation(pm_b, (0,)))
         sc = module_order_exponent(sharp_presentation(pm_c, (0,)))
         sa = module_order_exponent(sharp_presentation(pm_a, (0,)))
         eb = module_order_exponent(e_delta_presentation(pm_b, (0,)))
-        ok = ok and oa == ob - oc and sa == sb - sc and ob == sb + eb
-    record("sharp_exactness_ses", ok, systems=systems)
+        return oa == ob - oc and sa == sb - sc and ob == sb + eb
 
-    return verdicts
+    return "sharp_exactness_ses", systems, draw, check, {"systems": systems}
+
+
+def battery_sections(cases: int = 200, systems: int = 20) -> list:
+    """The seven sections of the Fitting-ideal / lifting / coherence / sharp
+    property battery, in draw order."""
+    return [_presentation_invariance(cases), _direct_sum(cases), _base_change(cases),
+            _lifting_lemma(cases), _coherent_nzd(systems), _sharp_kills_trivial_action(),
+            _sharp_exactness(systems)]
+
+
+def battery_chunks(sections) -> list:
+    """The fixed plan of chunks (section index, start, stop): each section's
+    cases cut into at most MAX_CHUNKS // len(sections) ranges of near-equal
+    size, in section and case order."""
+    per_section = MAX_CHUNKS // len(sections)
+    chunks = []
+    for s, (_, n, _, _, _) in enumerate(sections):
+        parts = min(n, per_section)
+        chunks.extend((s, n * j // parts, n * (j + 1) // parts) for j in range(parts))
+    return chunks
+
+
+def drain_battery(seed: int, sections, chunks, claim) -> list:
+    """Run every chunk that claim() hands out until it returns None, and
+    return the per-section AND of the checks run here.
+
+    Claims must increase.  The seeded stream moves forward only: the draws
+    of the chunks between two claims (the ones another process took) are
+    replayed and dropped.  A section's checks stop at its first failure.
+    """
+    rng = random.Random(seed)
+    oks = [True] * len(sections)
+    done = 0  # chunks whose draws the stream has passed
+    while (c := claim()) is not None:
+        if c < done:
+            raise RuntimeError(f"chunk {c} claimed after chunk {done - 1}")
+        for s, start, stop in chunks[done:c]:
+            draw = sections[s][2]
+            for i in range(start, stop):
+                draw(rng, i)
+        s, start, stop = chunks[c]
+        _, _, draw, check, _ = sections[s]
+        for i in range(start, stop):
+            inputs = draw(rng, i)
+            if oks[s] and not check(inputs):
+                oks[s] = False
+        done = c + 1
+    return oks
+
+
+def battery_verdicts(sections, oks) -> list:
+    """One verdict per section, shaped like TowerRun verdicts."""
+    return [{"name": name, "layer": None, "passed": bool(ok),
+             "shadows": "exact algebra property", **details}
+            for (name, _, _, _, details), ok in zip(sections, oks)]
+
+
+def algebra_suite(seed: int = 0, cases: int = 200, systems: int = 20) -> list:
+    """The Fitting-ideal / lifting / coherence / sharp property battery in
+    this process: the drain of every chunk in order.
+
+    Every check is exact; randomness is seeded for reproducibility.  Returns
+    a verdict list shaped like TowerRun verdicts.
+    """
+    sections = battery_sections(cases, systems)
+    chunks = battery_chunks(sections)
+    order = iter(range(len(chunks)))
+    return battery_verdicts(sections, drain_battery(seed, sections, chunks,
+                                                    lambda: next(order, None)))

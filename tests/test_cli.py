@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -183,7 +184,8 @@ BATTERY = {v["name"] for v in algebra_suite(cases=1, systems=1)}
 
 class TestVerifyAllWorker:
     """verify all runs the algebra battery in one forked worker beside
-    run_tower; every exit path reaps it."""
+    run_tower, and the parent drains what is left of the chunk queue when
+    the tower is done; every exit path reaps the worker."""
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -204,15 +206,17 @@ class TestVerifyAllWorker:
 
     @pytest.mark.parametrize("error", [ArithmeticError, ValueError, ZeroDivisionError])
     def test_battery_error_is_a_usage_error(self, capsys, monkeypatch, error):
-        def broken(**kwargs):
+        def broken(*args):
             raise error("no such ring")
 
-        monkeypatch.setattr(cli, "algebra_suite", broken)
+        monkeypatch.setattr(cli, "drain_battery", broken)
         assert main(SMALL_ALL) == 2
         assert capsys.readouterr().err == "error: no such ring\n"
 
     def test_dead_worker_fails_loudly(self, monkeypatch):
-        monkeypatch.setattr(cli, "algebra_suite", lambda **kwargs: os._exit(3))
+        parent, drain = os.getpid(), cli.drain_battery
+        monkeypatch.setattr(cli, "drain_battery", lambda *args: (
+            os._exit(3) if os.getpid() != parent else drain(*args)))
         with pytest.raises(RuntimeError, match="exit status 3"):
             main(SMALL_ALL)
 
@@ -222,7 +226,7 @@ class TestVerifyAllWorker:
                 "theta_stabilization", 0, False, "forced failure")
 
         # a battery that would outlive the test: only a kill ends it in time
-        monkeypatch.setattr(cli, "algebra_suite", lambda **kwargs: time.sleep(60))
+        monkeypatch.setattr(cli, "drain_battery", lambda *args: time.sleep(60))
         monkeypatch.setattr(cli, "run_tower", failing)
         report = tmp_path / "report.json"
         start = time.monotonic()
@@ -238,7 +242,7 @@ class TestVerifyAllWorker:
         def interrupted(cfg, N, opts):
             raise error
 
-        monkeypatch.setattr(cli, "algebra_suite", lambda **kwargs: time.sleep(60))
+        monkeypatch.setattr(cli, "drain_battery", lambda *args: time.sleep(60))
         monkeypatch.setattr(cli, "run_tower", interrupted)
         start = time.monotonic()
         if isinstance(error, ValueError):
@@ -248,6 +252,139 @@ class TestVerifyAllWorker:
             with pytest.raises(KeyboardInterrupt):
                 main(SMALL_ALL)
         assert time.monotonic() - start < 30
+
+    def _stub_tower(self, monkeypatch, wait=None):
+        """Replace run_tower by the SMALL_ALL tower computed here, returned
+        at once (or after wait()); returns the report main must write."""
+        cfg, N, opts = cli._verify_config(cli.build_parser().parse_args(SMALL_ALL))
+        tower_verdicts = run_tower(cfg, N, opts).verdicts
+
+        def stub(cfg, N, opts):
+            if wait is not None:
+                wait()
+            return TowerRun(cfg=cfg, N=N, options=opts, verdicts=list(tower_verdicts))
+
+        monkeypatch.setattr(cli, "run_tower", stub)
+        run = TowerRun(cfg=cfg, N=N, options=opts, verdicts=list(tower_verdicts))
+        run.verdicts.extend(algebra_suite(seed=opts.seed, cases=5, systems=20))
+        return json.dumps(run.to_json(), indent=2, sort_keys=True) + "\n"
+
+    def _spy_drain(self, monkeypatch, worker_claim=None):
+        """Wrap the drain: returns the chunks the parent claims, and calls
+        worker_claim(chunk) after each claim of the worker."""
+        parent, drain = os.getpid(), cli.drain_battery
+        claimed = []
+
+        def spy(seed, sections, chunks, claim):
+            in_worker = os.getpid() != parent
+
+            def counted():
+                c = claim()
+                if in_worker and worker_claim is not None:
+                    worker_claim(c)
+                elif not in_worker and c is not None:
+                    claimed.append(c)
+                return c
+            return drain(seed, sections, chunks, counted)
+
+        monkeypatch.setattr(cli, "drain_battery", spy)
+        return claimed
+
+    def test_parent_claims_chunks_after_a_quick_tower(self, monkeypatch, tmp_path):
+        expected = self._stub_tower(monkeypatch)
+        # a slow worker: the parent, whose tower returns at once, takes chunks
+        claimed = self._spy_drain(monkeypatch, lambda c: time.sleep(0.02))
+        report = tmp_path / "report.json"
+        assert main(SMALL_ALL + ["--out", str(report)]) == 0
+        assert claimed and claimed == sorted(claimed)
+        assert report.read_text() == expected
+
+    def test_parent_claims_nothing_after_a_slow_tower(self, monkeypatch, tmp_path):
+        empty = tmp_path / "queue-empty"
+
+        def until_empty():
+            deadline = time.monotonic() + 30
+            while not empty.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        def worker_claim(c):
+            if c is None:  # end of file: the worker emptied the queue
+                empty.touch()
+
+        expected = self._stub_tower(monkeypatch, until_empty)
+        claimed = self._spy_drain(monkeypatch, worker_claim)
+        report = tmp_path / "report.json"
+        assert main(SMALL_ALL + ["--out", str(report)]) == 0
+        assert empty.exists() and claimed == []
+        assert report.read_text() == expected
+
+    @pytest.mark.parametrize("error", [ArithmeticError, ValueError])
+    def test_battery_error_in_the_parent_share(self, capsys, monkeypatch, error):
+        self._stub_tower(monkeypatch)
+        parent, drain = os.getpid(), cli.drain_battery
+
+        def parent_fails(seed, sections, chunks, claim):
+            if os.getpid() != parent:
+                return drain(seed, sections, chunks, claim)
+            claim()
+            raise error("no such ring")
+
+        monkeypatch.setattr(cli, "drain_battery", parent_fails)
+        assert main(SMALL_ALL) == 2
+        assert capsys.readouterr().err == "error: no such ring\n"
+
+    def test_error_of_the_lowest_chunk_is_reported(self, capsys, monkeypatch):
+        # every case raises; the parent starts late, so the worker takes
+        # chunk 0 and raises last: its error, not the parent's, is reported
+        def raising(i):
+            if i == 0:
+                time.sleep(0.3)
+            raise ValueError(f"case {i}")
+
+        monkeypatch.setattr(cli, "battery_sections", lambda cases, systems: [
+            ("broken", 8, lambda rng, i: i, raising, {})])
+        parent, drain = os.getpid(), cli.drain_battery
+
+        def late_parent(*args):
+            if os.getpid() == parent:
+                time.sleep(0.1)
+            return drain(*args)
+
+        monkeypatch.setattr(cli, "drain_battery", late_parent)
+        assert main(["verify", "fitting", "--cases", "5"]) == 2
+        assert capsys.readouterr().err == "error: case 0\n"
+
+    def test_no_cases_is_the_reference_report(self, tmp_path):
+        # the battery part of the report of the single-process battery
+        battery = [
+            {"name": "fitting_presentation_invariance", "cases": 0, "ring": "Z/3^6[G[4]]"},
+            {"name": "fitting_direct_sum", "cases": 0},
+            {"name": "fitting_base_change", "cases": 0},
+            {"name": "matrix_lifting_lemma", "cases": 0, "precisions": [8, 4]},
+            {"name": "coherent_nzd_systems", "systems": 20},
+            {"name": "sharp_kills_trivial_action", "d_s_values": [2, 4, 6]},
+            {"name": "sharp_exactness_ses", "systems": 20},
+        ]
+        argv = SMALL_ALL[:-1] + ["0"]
+        report = tmp_path / "report.json"
+        assert main(argv + ["--out", str(report)]) == 0
+        cfg, N, opts = cli._verify_config(cli.build_parser().parse_args(argv))
+        run = run_tower(cfg, N, opts)
+        run.verdicts.extend({"layer": None, "passed": True,
+                             "shadows": "exact algebra property", **v} for v in battery)
+        assert report.read_text() == json.dumps(run.to_json(), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_verify_fitting_bytes(self, capsys, tmp_path, seed):
+        # the report of the single-process battery; it does not record the seed
+        report = tmp_path / "fitting.json"
+        assert main(["verify", "fitting", "--seed", str(seed), "--out", str(report)]) == 0
+        digest = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert digest == "0dacfa94c4a6f4d7b24702942fc68186baeb1a45ec886535f298ef607725c002"
+        assert capsys.readouterr().out == "".join(f"[PASS] {name}\n" for name in (
+            "fitting_presentation_invariance", "fitting_direct_sum", "fitting_base_change",
+            "matrix_lifting_lemma", "coherent_nzd_systems", "sharp_kills_trivial_action",
+            "sharp_exactness_ses"))
 
     def test_cli_import_loads_no_process_pool_or_pickle(self):
         src = Path(__file__).resolve().parent.parent / "src"

@@ -641,26 +641,104 @@ class TestAlgebraSuiteReference:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_same_draws_and_verdicts(self, seed, monkeypatch):
-        log = []
-
-        def recorded(name, fn, vectors):
-            def wrapped(*args):
-                result = fn(*args)
-                log.append((name, *vectors(*args), result[0] if name == "is_unit" else result))
-                return result
-            return wrapped
-
-        monkeypatch.setattr(tower, "ideal_equal", recorded(
-            "ideal_equal", tower.ideal_equal,
-            lambda I, J, ring: ([ring.to_vec(g) for g in I], [ring.to_vec(g) for g in J])))
-        monkeypatch.setattr(tower, "is_unit", recorded(
-            "is_unit", tower.is_unit, lambda x, ring: (ring.to_vec(x),)))
-        monkeypatch.setattr(tower, "module_order_exponent", recorded(
-            "module_order_exponent", tower.module_order_exponent,
-            lambda pm: ([[pm.ring.to_vec(e) for e in row] for row in pm.rows],)))
+        log = record_battery_calls(monkeypatch)
         verdicts = tower.algebra_suite(seed, cases=200)
         expected = [{"layer": None, "passed": True, "shadows": "exact algebra property", **v}
                     for v in self.VERDICTS]
         assert verdicts == expected
         assert len(log) == 1143
         assert hashlib.sha256(json.dumps(log).encode()).hexdigest() == self.TRANSCRIPTS[seed]
+
+
+def record_battery_calls(monkeypatch):
+    """Log every ideal_equal, is_unit and module_order_exponent call of the
+    battery with its arguments as coefficient vectors and its result."""
+    log = []
+
+    def recorded(name, fn, vectors):
+        def wrapped(*args):
+            result = fn(*args)
+            log.append((name, *vectors(*args), result[0] if name == "is_unit" else result))
+            return result
+        return wrapped
+
+    monkeypatch.setattr(tower, "ideal_equal", recorded(
+        "ideal_equal", tower.ideal_equal,
+        lambda I, J, ring: ([ring.to_vec(g) for g in I], [ring.to_vec(g) for g in J])))
+    monkeypatch.setattr(tower, "is_unit", recorded(
+        "is_unit", tower.is_unit, lambda x, ring: (ring.to_vec(x),)))
+    monkeypatch.setattr(tower, "module_order_exponent", recorded(
+        "module_order_exponent", tower.module_order_exponent,
+        lambda pm: ([[pm.ring.to_vec(e) for e in row] for row in pm.rows],)))
+    return log
+
+
+class TestDrainBattery:
+    """Any split of the chunk plan between two drains draws the same inputs
+    and reaches the same verdicts as the battery in one process."""
+
+    SPLITS = {
+        "alternate": lambda n: [range(0, n, 2), range(1, n, 2)],
+        "all_to_one": lambda n: [range(n), []],
+        "one_then_rest": lambda n: [[0], range(1, n)],
+        "last_to_second": lambda n: [range(n - 1), [n - 1]],
+    }
+
+    @pytest.mark.parametrize("split", sorted(SPLITS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_split_keeps_transcript_and_verdicts(self, seed, split, monkeypatch):
+        log = record_battery_calls(monkeypatch)
+        sections = tower.battery_sections(200, 20)
+        chunks = tower.battery_chunks(sections)
+        per_chunk = {}
+        oks = [True] * len(sections)
+        # the drains run one after the other; each claim marks where the
+        # log entries of the claimed chunk start
+        for share in self.SPLITS[split](len(chunks)):
+            order = iter(share)
+            starts = []
+
+            def claim():
+                c = next(order, None)
+                starts.append((c, len(log)))
+                return c
+
+            mine = tower.drain_battery(seed, sections, chunks, claim)
+            for (c, start), (_, stop) in zip(starts, starts[1:]):
+                per_chunk[c] = log[start:stop]
+            oks = [a and b for a, b in zip(oks, mine)]
+        transcript = [entry for c in sorted(per_chunk) for entry in per_chunk[c]]
+        ref = TestAlgebraSuiteReference
+        assert tower.battery_verdicts(sections, oks) == [
+            {"layer": None, "passed": True, "shadows": "exact algebra property", **v}
+            for v in ref.VERDICTS]
+        assert len(transcript) == 1143
+        assert hashlib.sha256(json.dumps(transcript).encode()).hexdigest() == \
+            ref.TRANSCRIPTS[seed]
+
+    @pytest.mark.parametrize("cases", [0, 1, 5, 200, 4000])
+    def test_chunk_plan_covers_every_case_once(self, cases):
+        sections = tower.battery_sections(cases, 20)
+        chunks = tower.battery_chunks(sections)
+        assert len(chunks) <= tower.MAX_CHUNKS
+        for s, (_, n, _, _, _) in enumerate(sections):
+            ranges = [(start, stop) for t, start, stop in chunks if t == s]
+            assert [i for start, stop in ranges for i in range(start, stop)] == list(range(n))
+            assert all(start < stop for start, stop in ranges)
+        assert [s for s, _, _ in chunks] == sorted(s for s, _, _ in chunks)
+
+    def test_claims_move_forward_only(self):
+        sections = tower.battery_sections(5, 20)
+        chunks = tower.battery_chunks(sections)
+        claims = iter([3, 2])
+        with pytest.raises(RuntimeError, match="claimed after"):
+            tower.drain_battery(0, sections, chunks, lambda: next(claims, None))
+
+    def test_failed_check_fails_its_section_only(self):
+        sections = tower.battery_sections(5, 20)
+        name, n, draw, _, details = sections[1]
+        sections[1] = (name, n, draw, lambda inputs: False, details)
+        chunks = tower.battery_chunks(sections)
+        order = iter(range(len(chunks)))
+        oks = tower.drain_battery(0, sections, chunks, lambda: next(order, None))
+        assert oks == [True, False, True, True, True, True, True]
