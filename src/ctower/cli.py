@@ -398,7 +398,7 @@ def cmd_verify(args):
             verdicts = battery.verdicts()
         for v in verdicts:
             print(f"[{'PASS' if v['passed'] else 'FAIL'}] {v['name']}")
-        _emit({"verdicts": verdicts}, args)
+        _emit({"seed": args.seed, "verdicts": verdicts}, args)
         return 0 if all(v["passed"] for v in verdicts) else 1
 
     cfg, N, opts = _verify_config(args)

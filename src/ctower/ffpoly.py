@@ -123,7 +123,6 @@ class FqField:
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
-        self._gen = gen
         self._exp, self._log = exp, log
         if q <= 1024:
             add = [[0] * q for _ in range(q)]
@@ -192,16 +191,6 @@ class FqField:
     def frobenius(self, a: int) -> int:
         """x -> x^p, the absolute Frobenius (identity on the prime field)."""
         return self.pow(a, self.p)
-
-    @property
-    def generator(self) -> int:
-        if self.e == 1:
-            factors = {f for f in range(2, self.p) if (self.p - 1) % f == 0 and _is_prime(f)}
-            for cand in range(2, self.p):
-                if all(pow(cand, (self.p - 1) // f, self.p) != 1 for f in factors):
-                    return cand
-            return 1  # F_2
-        return self._gen
 
     def elements(self):
         return range(self.q)

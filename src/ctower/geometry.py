@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import zpoly
 from .carlitz import AXPoly, real_generator_minpoly
@@ -44,12 +45,7 @@ def _poly_det_bareiss(mat):
     n = len(mat)
     if n == 0:
         raise ValueError("empty matrix")
-    F = None
-    for row in mat:
-        for e in row:
-            F = e.field
-            break
-        break
+    F = mat[0][0].field
     m = [row[:] for row in mat]
     sign = 1
     prev = FqPoly.one(F)
@@ -480,8 +476,6 @@ class SDivisorData:
 
 
 def s_divisor_data(layer) -> SDivisorData:
-    from math import gcd
-
     table = layer.exceptional_table()
     places = {}
     degrees = []

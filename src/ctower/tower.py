@@ -391,9 +391,6 @@ def coherent_nzd_check(sys: ToyProjectiveSystem,
                 break
         if not precondition_ok:
             break
-    # also flag a zero divisor at the bottom level of a constant chain:
-    # annihilators there have nowhere to die only if the chain is constant
-    # in precision; covered by the loop above for m >= 1.
 
     # conclusion by enumeration of the top ring; alpha_m R_m is the
     # Z/p^k-span of the products b_i alpha_m with the basis of R_m

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from ctower import carlitz
 from ctower.carlitz import (
     AXPoly,
+    CyclotomicPoly,
     FactorExtractionError,
-    TorsionModel,
     TwistedPoly,
     cyclotomic_poly,
     real_generator_minpoly,
@@ -13,6 +14,8 @@ from ctower.carlitz import (
     rho_as_additive_poly,
 )
 from ctower.ffpoly import FqField, FqPoly, ResidueRing
+
+from carlitz_reference import reference_real_generator_minpoly
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -201,26 +204,56 @@ class TestCyclotomic:
         assert len(blob["grid"]) == 9
 
 
-class TestTorsionModel:
-    def test_free_rank_one(self):
-        tm = TorsionModel(poly(F3, 1, 0, 1))
-        g = tm.generator()
-        seen = {tm.module_action(a, g).coeffs for a in tm.ring.elements()}
-        assert len(seen) == tm.ring.size
+def annihilates_real_generator(m, mp):
+    """Whether mp(e) = 0 in A[Y]/(phi_m) for e = Y^(q-1)."""
+    F = m.field
+    phi = cyclotomic_poly(m).phi
+    e = AXPoly(F, [FqPoly.zero(F)] * (F.q - 1) + [FqPoly.one(F)]) % phi
+    acc = AXPoly.zero(F)
+    epow = AXPoly.one(F)
+    for c in mp.coeffs:
+        acc = (acc + epow.scale(c)) % phi
+        epow = (epow * e) % phi
+    return acc.is_zero()
 
-    def test_galois_action_requires_coprime(self):
-        tm = TorsionModel(poly(F3, 0, 1))
-        with pytest.raises(ValueError):
-            tm.galois_action(FqPoly.gen(F3), tm.generator())
 
-    def test_galois_action_multiplicative(self):
-        tm = TorsionModel(poly(F3, 1, 0, 1))
-        x, y = poly(F3, 1, 1), poly(F3, 2, 1)
-        z = tm.generator()
-        assert tm.galois_action(x, tm.galois_action(y, z)) == tm.galois_action(tm.ring.mul(x, y), z)
+# per field: degree-1 and degree-2 places, the square of a degree-1 place
+# and a two-prime conductor; each takes under 0.1 s on the Krylov reference
+REFERENCE_CONDUCTORS = [
+    "[0,1]@q=2^1", "[1,1,1]@q=2^1", "[0,0,1]@q=2^1", "[0,1,1]@q=2^1", "[0,1,1,1]@q=2^1",
+    "[0,1]@q=3^1", "[1,1]@q=3^1", "[1,0,1]@q=3^1", "[2,1,1]@q=3^1", "[0,0,1]@q=3^1",
+    "[0,1,1]@q=3^1", "[0,1,0,1]@q=3^1",
+    "[0,1]@q=2^2", "[1,1]@q=2^2", "[1,2,1]@q=2^2", "[0,0,1]@q=2^2", "[0,1,1]@q=2^2",
+    "[0,1]@q=5^1", "[1,1]@q=5^1", "[1,1,1]@q=5^1", "[0,0,1]@q=5^1", "[0,1,1]@q=5^1",
+    "[0,1]@q=3^2", "[1,1]@q=3^2", "[1,4,1]@q=3^2", "[0,0,1]@q=3^2", "[0,1,1]@q=3^2",
+]
 
 
 class TestRealGenerator:
+    @pytest.mark.parametrize("conductor", REFERENCE_CONDUCTORS)
+    def test_matches_krylov_reference(self, conductor):
+        m = FqPoly.parse_serialized(conductor)
+        got = real_generator_minpoly(m)
+        assert got == reference_real_generator_minpoly(m)
+        assert got.degree == ResidueRing(m).unit_count() // (m.field.q - 1)
+
+    @pytest.mark.parametrize("m, degree", [
+        (poly(F3, 1, 0, 1) ** 2, 36),
+        (poly(F2, 1, 1, 1) ** 3, 48),
+    ], ids=["q3-(x^2+1)^2", "q2-(x^2+x+1)^3"])
+    def test_deep_conductor(self, m, degree):
+        # checked without the reference, which takes 0.8 s on the first
+        got = real_generator_minpoly(m)
+        assert got.degree == degree and got.is_monic()
+        assert annihilates_real_generator(m, got)
+
+    def test_phi_not_in_x_to_the_q_minus_1_raises(self, monkeypatch):
+        # X^2 + X + theta over F_3 has an odd power of X
+        fake = AXPoly(F3, (FqPoly.gen(F3), FqPoly.one(F3), FqPoly.one(F3)))
+        monkeypatch.setattr(carlitz, "cyclotomic_poly", lambda m: CyclotomicPoly(m, fake))
+        with pytest.raises(FactorExtractionError):
+            real_generator_minpoly(FqPoly.gen(F3))
+
     def test_q3_theta_is_degree_one(self):
         # Phi(theta)/(q-1) = 1: real field is k itself
         got = real_generator_minpoly(FqPoly.gen(F3))
@@ -247,17 +280,8 @@ class TestRealGenerator:
 
     def test_substituted_generator_vanishes(self):
         # the returned minpoly annihilates e = Y^(q-1) mod phi_m
-        F = F3
-        m = poly(F, 1, 0, 1)
-        phi = cyclotomic_poly(m).phi
-        mp = real_generator_minpoly(m)
-        e = AXPoly(F, [FqPoly.zero(F)] * 2 + [FqPoly.one(F)]) % phi
-        acc = AXPoly.zero(F)
-        epow = AXPoly.one(F)
-        for c in mp.coeffs:
-            acc = (acc + epow.scale(c)) % phi
-            epow = (epow * e) % phi
-        assert acc.is_zero()
+        m = poly(F3, 1, 0, 1)
+        assert annihilates_real_generator(m, real_generator_minpoly(m))
 
     def test_q3_second_conductor(self):
         # m = theta^2 + theta + 2 is irreducible over F_3: degree (9-1)/2 = 4
