@@ -111,6 +111,8 @@ def build_tower_config(field, f_str, p_str, s_str, sigma_str) -> TowerConfig:
 
 
 def _config_from_args(args):
+    if args.q is None:
+        raise ValueError("--q is required (or --config)")
     field = parse_q(args.q)
     if getattr(args, "trivial_group", False):
         if not args.S or not args.Sigma:
@@ -119,6 +121,8 @@ def _config_from_args(args):
                             parse_places(field, args.Sigma)), None
     if not args.p:
         raise ValueError("--p is required (or use --trivial-group)")
+    if args.Sigma is None:
+        raise ValueError("--Sigma is required")
     cfg = build_tower_config(field, args.f, args.p, args.S, args.Sigma)
     return None, cfg
 
@@ -268,8 +272,19 @@ def cmd_zeta(args):
 
 
 def _load_config_file(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The config file's JSON object; a ValueError names what is wrong with
+    it (unreadable, or without one of the keys q, p and Sigma)."""
+    try:
+        with open(path) as fh:
+            blob = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
+    if not isinstance(blob, dict):
+        raise ValueError(f"config file {path} is not a JSON object")
+    missing = [key for key in ("q", "p", "Sigma") if key not in blob]
+    if missing:
+        raise ValueError(f"config file {path} lacks {', '.join(missing)}")
+    return blob
 
 
 def _verify_config(args):

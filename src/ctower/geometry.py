@@ -15,9 +15,10 @@ from fractions import Fraction
 from math import gcd
 
 from . import zpoly
+from .abelian import TRIVIAL_GROUP
 from .carlitz import AXPoly, real_generator_minpoly
 from .ffpoly import FqPoly, INFINITY, _is_prime, factor, irreducibles_of_degree
-from .grouprings import (GroupRingElem, ThetaPoly, TruncPolyRing, ZpkRing, character_norm,
+from .grouprings import (GroupRingElem, ThetaPoly, TruncPolyRing, ZpkGroupRing, character_norm,
                          characters, is_unit)
 
 DEFAULT_POINT_BUDGET = 10 ** 7
@@ -623,20 +624,21 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
 
     exact = zpoly.mul(R, [1, -q]) == zpoly.mul(Q, NS)
 
-    ring = TruncPolyRing(ZpkRing(p, k), M)
-    q_t = ring.from_list([c % ring.pk for c in Q])
-    r_t = ring.from_list([c % ring.pk for c in R])
-    ok_q, q_inv = is_unit(q_t, ring)
+    ring = TruncPolyRing(ZpkGroupRing(p, k, TRIVIAL_GROUP), M)
+
+    def series(coeffs):  # Z[u] -> Z/p^k[u]/(u^M)
+        return ring.from_list([[c] for c in coeffs])
+
+    ok_q, q_inv = is_unit(series(Q), ring)
     unit_certified = False
     witness = None
     ratio = None
     if ok_q:
-        ratio = ring.mul(r_t, q_inv)
+        ratio = ring.mul(series(R), q_inv)
         unit_certified, witness = is_unit(ratio, ring)
         # the pinned discrepancy: N(Sigma)/(1 - qu)
-        one_minus_qu = ring.from_list([1, (-q) % ring.pk])
-        ok_d, d_inv = is_unit(one_minus_qu, ring)
-        pinned = ring.mul(ring.from_list([c % ring.pk for c in NS]), d_inv) if ok_d else None
+        ok_d, d_inv = is_unit(series([1, -q]), ring)
+        pinned = ring.mul(series(NS), d_inv) if ok_d else None
         pinned_matches = pinned is not None and ring.equal(ratio, pinned)
     else:
         pinned_matches = False

@@ -11,8 +11,8 @@ character in its ThetaResult; the other verdicts read that table.
 Every Z/p^k-linear question about a finite ring R -- units, ideal
 membership, annihilators and the orders of finitely presented R-modules --
 is asked of one matrix, mult_matrix(ring, rows), whose columns span the
-submodule of R^g that the rows generate, and is answered from its Smith form
-(snf).
+submodule of R^g that the rows generate, and is answered from the one
+triangular elimination of snf.
 
 The Smith exponents of multiplication by x on Z/p^k[G] (quotient_exponents)
 are taken block by block.  G = Delta x P with P the p-part, and p does not
@@ -26,12 +26,15 @@ exponent and is never eliminated, and only the other blocks are.  No
 Every group-ring element is a flat list of coefficients in one order: the
 mixed-radix order of sorted(group.elements()), kept once per group with its
 index dict (group_index).  An element of Z[G] (GroupRingElem: Theta, its
-coefficients and the Euler series) and of Z/p^k[G] (ZpkGroupRing) is the
-list of its |G| coefficients; an element of a chi-component (ChiComponentRing)
-is the list of |P| blocks of deg h coefficients.  Products read one index
-table per group (mul_table).  Exponent tuples appear only at the edges:
-GroupRingElem.from_mapping, GroupRingElem.items, to_json, characters() and
-the layer maps that project turns into index maps.
+coefficients and the Euler series) is the list of its |G| integers.  Every
+finite ring is a flat list of Z/p^k coefficients (_FlatZpkModule), with one
+layout each: Z/p^k[G] (ZpkGroupRing) holds |G| coefficients, and Z/p^k
+itself is the group ring of the trivial group, one coefficient; a
+chi-component (ChiComponentRing) holds |P| blocks of deg h coefficients; and
+base[u]/(u^M) (TruncPolyRing) holds M blocks of the base's coefficients.
+Products read one index table per group (mul_table).  Exponent tuples appear
+only at the edges: GroupRingElem.from_mapping, GroupRingElem.items, to_json,
+characters() and the layer maps that project turns into index maps.
 
 No floating point anywhere; every mod-p^k assertion carries its precision.
 """
@@ -493,80 +496,13 @@ def character_norm(group: AbelianGroup, values):
 # ---------------------------------------------------------------------------
 
 
-class _FiniteRing:
-    """What the linear algebra below asks of a finite ring beyond its
-    operations, built from mul alone; ZpkGroupRing overrides both with
-    index-table versions."""
-
-    def basis_products(self, e) -> list:
-        """vec(b_i * e) for the Z/p^k basis elements b_i, i < basis_size."""
-        n = self.basis_size
-        return [self.to_vec(self.mul(self.from_vec([0] * i + [1] + [0] * (n - 1 - i)), e))
-                for i in range(n)]
-
-    def det(self, mat):
-        """Determinant of a square matrix over the ring, by cofactor
-        expansion along the first row."""
-        n = len(mat)
-        if n == 0:
-            return self.one
-        if n == 1:
-            return mat[0][0]
-        acc = self.zero
-        for j in range(n):
-            term = self.mul(mat[0][j], self.det([row[:j] + row[j + 1:] for row in mat[1:]]))
-            acc = self.add(acc, term) if j % 2 == 0 else self.sub(acc, term)
-        return acc
-
-
-class ZpkRing(_FiniteRing):
-    """Z/p^k."""
-
-    def __init__(self, p: int, k: int):
-        self.p, self.k = p, k
-        self.pk = p ** k
-        self.basis_size = 1
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.pk
-
-    def sub(self, a, b):
-        return (a - b) % self.pk
-
-    def neg(self, a):
-        return (-a) % self.pk
-
-    def mul(self, a, b):
-        return (a * b) % self.pk
-
-    def scale_int(self, c, a):
-        return (c * a) % self.pk
-
-    def to_vec(self, a):
-        return [a % self.pk]
-
-    def from_vec(self, vec):
-        return vec[0] % self.pk
-
-    def equal(self, a, b):
-        return (a - b) % self.pk == 0
-
-    def describe(self):
-        return f"Z/{self.p}^{self.k}"
-
-
-class _FlatZpkModule(_FiniteRing):
-    """The Z/p^k-module operations of a finite ring whose elements are flat
-    lists of basis_size coefficients mod p^k, so to_vec is the identity.
-    Operations return new lists and never mutate their arguments."""
+class _FlatZpkModule:
+    """A finite ring whose elements are flat lists of basis_size coefficients
+    mod p^k, so to_vec is the identity: its Z/p^k-module operations, and what
+    the linear algebra below asks of it beyond them (basis_products, det),
+    built from mul alone.  ZpkGroupRing overrides basis_products and det with
+    index-table versions.  Operations return new lists and never mutate their
+    arguments."""
 
     def __init__(self, p: int, k: int, basis_size: int):
         self.p, self.k = p, k
@@ -607,13 +543,33 @@ class _FlatZpkModule(_FiniteRing):
     def equal(self, a, b):
         return a == b
 
+    def basis_products(self, e) -> list:
+        """vec(b_i * e) for the Z/p^k basis elements b_i, i < basis_size."""
+        n = self.basis_size
+        return [self.mul([0] * i + [1] + [0] * (n - 1 - i), e) for i in range(n)]
+
+    def det(self, mat):
+        """Determinant of a square matrix over the ring, by cofactor
+        expansion along the first row."""
+        n = len(mat)
+        if n == 0:
+            return self.one
+        if n == 1:
+            return mat[0][0]
+        acc = self.zero
+        for j in range(n):
+            term = self.mul(mat[0][j], self.det([row[:j] + row[j + 1:] for row in mat[1:]]))
+            acc = self.add(acc, term) if j % 2 == 0 else self.sub(acc, term)
+        return acc
+
 
 class ZpkGroupRing(_FlatZpkModule):
     """Z/p^k[G] for a finite abelian group G.
 
     An element is the list of its |G| coefficients mod p^k, indexed like
     elems = group_index(group)[0] (identity at index 0).  mul reads the group
-    law from the index table mul_table(group), built once per group.
+    law from the index table mul_table(group), built once per group.  Z/p^k
+    is the ring of TRIVIAL_GROUP, whose elements are lists of one coefficient.
     """
 
     def __init__(self, p: int, k: int, group: AbelianGroup):
@@ -728,61 +684,36 @@ class ChiComponentRing(_FlatZpkModule):
         return f"Z/{self.p}^{self.k}[x]/(h deg {self.deg})[P{list(self.pgroup.orders)}]"
 
 
-class TruncPolyRing(_FiniteRing):
-    """base[u]/(u^M): truncated polynomials over a finite base ring."""
+class TruncPolyRing(_FlatZpkModule):
+    """base[u]/(u^M) over a finite ring base with flat elements: an element is
+    M blocks of base.basis_size coefficients, block i the coefficient of u^i."""
 
     def __init__(self, base, M: int):
+        super().__init__(base.p, base.k, base.basis_size * M)
         self.base = base
         self.M = M
-        self.p, self.k = base.p, base.k
-        self.pk = base.pk
-        self.basis_size = base.basis_size * M
-
-    @property
-    def zero(self):
-        return tuple([self.base.zero] * self.M)
-
-    @property
-    def one(self):
-        return tuple([self.base.one] + [self.base.zero] * (self.M - 1))
 
     def from_list(self, coeffs):
-        coeffs = list(coeffs)[: self.M]
-        coeffs.extend([self.base.zero] * (self.M - len(coeffs)))
-        return tuple(coeffs)
-
-    def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
-
-    def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
+        """The element sum_i coeffs[i] u^i from base elements, cut at u^M."""
+        vec = [c for x in coeffs[:self.M] for c in self.base.to_vec(x)]
+        return self.from_vec(vec + [0] * (self.basis_size - len(vec)))
 
     def mul(self, a, b):
-        out = [self.base.zero] * self.M
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                if i + j < self.M:
-                    out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
-        return tuple(out)
-
-    def scale_int(self, c, a):
-        return tuple(self.base.scale_int(c, x) for x in a)
-
-    def to_vec(self, a):
-        vec = []
-        for x in a:
-            vec.extend(self.base.to_vec(x))
-        return vec
-
-    def from_vec(self, vec):
-        n = self.base.basis_size
-        return tuple(self.base.from_vec(vec[i * n:(i + 1) * n]) for i in range(self.M))
-
-    def equal(self, a, b):
-        return self.to_vec(a) == self.to_vec(b)
+        """The block convolution of a and b, with the blocks of u^M and beyond
+        dropped."""
+        n, M, base = self.base.basis_size, self.M, self.base
+        b_blocks = [(j, b[j * n:(j + 1) * n]) for j in range(M)]
+        b_blocks = [(j, y) for j, y in b_blocks if any(y)]
+        out = [0] * self.basis_size
+        for i in range(M):
+            x = a[i * n:(i + 1) * n]
+            if any(x):
+                for j, y in b_blocks:
+                    if i + j >= M:
+                        break
+                    s = (i + j) * n
+                    out[s:s + n] = [c + d for c, d in zip(out[s:s + n], base.mul(x, y))]
+        return self.from_vec(out)
 
     def describe(self):
         return f"{self.base.describe()}[u]/(u^{self.M})"
@@ -875,12 +806,11 @@ def is_unit(x, ring):
 
 def invert_one_plus_nilpotent_u(ring: TruncPolyRing, x):
     """Inverse via constant-term inversion plus geometric series in u."""
-    c0 = x[0]
-    ok, c0_inv = is_unit(c0, ring.base)
+    ok, c0_inv = is_unit(x[:ring.base.basis_size], ring.base)
     if not ok:
         return False, None
     c0_inv_full = ring.from_list([c0_inv])
-    n = ring.sub(ring.one, ring.mul(ring.from_list([c0_inv]), x))  # nilpotent in u
+    n = ring.sub(ring.one, ring.mul(c0_inv_full, x))  # nilpotent in u
     acc = ring.one
     power = n
     for _ in range(ring.M - 1):

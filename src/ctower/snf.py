@@ -4,18 +4,20 @@ polynomial factorizations mod p^k.
 Z/p^k is a local principal ideal ring, so Gaussian elimination with
 minimal-valuation pivoting (the first entry of least valuation, row-major)
 yields a Smith form diag(p^v_1, ..., p^v_r) with v_1 <= v_2 <= ... and no
-integer coefficient blowup.  Two eliminations share that one pivot rule:
+integer coefficient blowup.  There is one elimination, the triangular pass
+(_triangular): it clears only below each pivot and only from the pivot
+column on.  Each pivot p^v divides the rest of its row, so the pivots are
+the Smith exponents, and every matrix question is read off that one pass:
 
-- the triangular pass clears only below each pivot and only from the pivot
-  column on, and keeps no transforms.  Each pivot p^v divides the rest of
-  its row, so the pivots are the Smith exponents and back-substitution
-  solves a system carried through the row operations.  zpk_exponents and
-  zpk_cokernel_exponents (whose sum is log_p of the cokernel's order and
-  whose maximum is the annihilator slack of a multiplication map) and
-  zpk_solve (units, ideal membership) read it;
-- zpk_smith also keeps the unit transforms U and V with U M V diagonal.
-  Only zpk_kernel needs them: the kernel is spanned by the columns
-  p^(k - v_j) V_j, which a triangular form does not give.
+- zpk_exponents and zpk_cokernel_exponents (whose sum is log_p of the
+  cokernel's order and whose maximum is the annihilator slack of a
+  multiplication map);
+- zpk_solve (units, ideal membership), by back-substitution of a right-hand
+  side carried through the row operations;
+- zpk_smith, the unit column transform V: the rows of the triangular form
+  are cleared in order by column operations, which change no other entry of
+  it, so only V is updated.  zpk_kernel reads V, since the kernel is spanned
+  by the columns p^(k - v_j) V_j.  No row transform U is built.
 """
 
 from __future__ import annotations
@@ -100,51 +102,28 @@ def zpk_exponents(mat, p, k):
 
 
 def zpk_smith(mat, p, k):
-    """(diag, U, V) with U*M*V = diag(p^v_1,...) mod p^k, U, V units mod p^k.
+    """(diag, V): a unit V mod p^k with U*M*V = diag(p^v_1,...) mod p^k for
+    a unit U, which is not built.
 
     diag is returned as the list of exponents v_1 <= v_2 <= ... (v_i = k for
-    entries that vanish mod p^k), padded to min(rows, cols).
+    entries that vanish mod p^k), padded to min(rows, cols).  V starts as the
+    triangular pass's column permutation; then the rows t of the triangular
+    form (p^v_t at column t, multiples of p^v_t after it) are cleared in order
+    by column operations.  The rows above t are cleared by then, so column t
+    holds only its pivot, no other entry changes, and only V is updated.
     """
     pk = p ** k
-    m = [[a % pk for a in row] for row in mat]
-    rows, cols = len(m), len(m[0]) if m else 0
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    Vc = [[int(i == j) for i in range(cols)] for j in range(cols)]  # columns of V
-
-    vals = []
-    for t in range(min(rows, cols)):
-        piv = _pivot(m, t, p, k)
-        if piv is None:
-            break
-        i0, j0, v = piv
-        m[t], m[i0] = m[i0], m[t]
-        U[t], U[i0] = U[i0], U[t]
-        if j0 != t:
-            for r in range(rows):
-                m[r][t], m[r][j0] = m[r][j0], m[r][t]
-            Vc[t], Vc[j0] = Vc[j0], Vc[t]
-        pv = p ** v
-        unit_inv = pow(m[t][t] // pv, -1, pk)
-        # normalize pivot row so the pivot is exactly p^v
-        mt = m[t] = [(a * unit_inv) % pk for a in m[t]]
-        Ut = U[t] = [(a * unit_inv) % pk for a in U[t]]
-        for i in range(rows):
-            if i != t and m[i][t]:
-                c = m[i][t] // pv  # exact: v is the minimal valuation
-                m[i] = [(a - c * b) % pk for a, b in zip(m[i], mt)]
-                U[i] = [(a - c * b) % pk for a, b in zip(U[i], Ut)]
-        # column t is now p^v e_t, so clearing row t only touches m[t] and V
-        Vt = Vc[t]
-        for j in range(cols):
-            if j != t and mt[j]:
-                c = mt[j] // pv
-                mt[j] = 0
+    m, vals, perm, _ = _triangular(mat, p, k)
+    cols = len(perm)
+    Vc = [[int(i == j) for i in range(cols)] for j in perm]  # columns of V
+    for t, v in enumerate(vals):
+        pv, Vt = p ** v, Vc[t]
+        for j in range(t + 1, cols):
+            c = m[t][j] // pv
+            if c:
                 Vc[j] = [(a - c * b) % pk for a, b in zip(Vc[j], Vt)]
-        vals.append(v)
-    while len(vals) < min(rows, cols):
-        vals.append(k)
-    V = [list(r) for r in zip(*Vc)]
-    return vals, U, V
+    vals = vals + [k] * (min(len(mat), cols) - len(vals))
+    return vals, [list(r) for r in zip(*Vc)]
 
 
 def zpk_solve(mat, rhs, p, k):
@@ -172,7 +151,7 @@ def zpk_kernel(mat, p, k):
     """Generating set for {x : M x = 0 mod p^k} as vectors mod p^k."""
     pk = p ** k
     cols = len(mat[0]) if mat else 0
-    vals, _, V = zpk_smith(mat, p, k)
+    vals, V = zpk_smith(mat, p, k)
     gens = []
     for j in range(cols):
         v = vals[j] if j < len(vals) else k

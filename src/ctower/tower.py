@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .abelian import AbelianGroup
+from .abelian import TRIVIAL_GROUP, AbelianGroup
 from .ffpoly import is_infinite
 from .geometry import (
     ConfigurationRefused,
@@ -31,7 +31,6 @@ from .grouprings import (
     GroupRingElem,
     PresentationMatrix,
     ZpkGroupRing,
-    ZpkRing,
     block_exponents,
     characters,
     cyclic_submodule_presentation,
@@ -320,7 +319,7 @@ class ToyProjectiveSystem:
     """A finite chain R_0 <- R_1 <- ... <- R_T of finite rings with ring
     surjections, carrying a coherent element sequence alpha."""
 
-    rings: list          # ring objects (ZpkRing / ZpkGroupRing)
+    rings: list          # ZpkGroupRing objects (Z/p^k: the trivial group)
     transitions: list    # transitions[m]: R_{m+1} -> R_m
     alpha: list          # alpha[m] in rings[m]
 
@@ -400,10 +399,10 @@ def coherent_nzd_check(sys: ToyProjectiveSystem,
     extra = 0
     for vec in itertools.product(range(top.pk), repeat=top.basis_size):
         in_all = True
-        img = top.from_vec(list(vec))
+        img = list(vec)  # a flat ring's element is its coefficient list
         for m in range(len(sys.rings) - 2, -1, -1):
             img = sys.transitions[m](img)
-            if tuple(sys.rings[m].to_vec(img)) not in ideals[m]:
+            if tuple(img) not in ideals[m]:
                 in_all = False
                 break
         if in_all and vec not in top_ideal:
@@ -412,20 +411,14 @@ def coherent_nzd_check(sys: ToyProjectiveSystem,
                              conclusion_ok=extra == 0, extra_elements=extra)
 
 
-def zpk_chain_system(p: int, ks, alpha_int: int, group: AbelianGroup = None,
-                     alpha_elem=None) -> ToyProjectiveSystem:
-    """Chain Z/p^{k_0} <- ... <- Z/p^{k_T} (or group rings over them) with a
-    constant coherent element."""
-    rings = []
-    for kk in ks:
-        rings.append(ZpkRing(p, kk) if group is None else ZpkGroupRing(p, kk, group))
-    transitions = [(lambda x, pk=lo.pk: x % pk) if group is None else lo.from_vec
-                   for lo in rings[:-1]]
-    if group is None:
-        alpha = [alpha_int % r.pk for r in rings]
-    else:
-        alpha = [r.from_mapping(alpha_elem) for r in rings]
-    return ToyProjectiveSystem(rings=rings, transitions=transitions, alpha=alpha)
+def zpk_chain_system(p: int, ks, alpha,
+                     group: AbelianGroup = TRIVIAL_GROUP) -> ToyProjectiveSystem:
+    """Chain Z/p^{k_0}[G] <- ... <- Z/p^{k_T}[G] (by default G is trivial:
+    the chain of Z/p^k) with the constant coherent element alpha, a mapping
+    exponent tuple -> int."""
+    rings = [ZpkGroupRing(p, kk, group) for kk in ks]
+    return ToyProjectiveSystem(rings=rings, transitions=[lo.from_vec for lo in rings[:-1]],
+                               alpha=[r.from_mapping(alpha) for r in rings])
 
 
 # ---------------------------------------------------------------------------
@@ -546,33 +539,30 @@ def _lifting_lemma(cases):
 
 
 def _coherent_nzd(systems):
-    """The coherent-nzd lemma on toy projective systems: the chains must
-    pass, the flagged ones must fail the precondition.  Draws nothing."""
+    """The coherent-nzd lemma on toy projective systems over Z/p^k and
+    Z/p^k[C2]: the chains must pass, the flagged ones (expect_ok False) must
+    fail the precondition.  Draws nothing."""
+    c2 = AbelianGroup((2,))
     params = []
     for p_ in (2, 3, 5):
-        params.append(("chain", p_, [3, 4, 5], p_, True))
-        params.append(("chain", p_, [2, 3, 4, 5], p_ * (1 + p_), True))
-        params.append(("chain", p_, [3, 4, 5], 1, True))
-        params.append(("chain", p_, [2, 4, 6], p_ ** 2, True))
-        params.append(("flag", p_, [3, 3, 3], p_, False))
-    params.append(("group", 3, [2, 3, 4], {(0,): 3}, True))
-    params.append(("group", 3, [2, 3], {(0,): 3, (1,): 9}, True))
-    params.append(("group", 5, [2, 3], {(0,): 5}, True))
-    params.append(("group", 3, [2, 3, 4], {(0,): 1, (1,): 3}, True))
-    params.append(("flag-group", 3, [2, 2], {(0,): 3}, False))
+        params.append((p_, [3, 4, 5], TRIVIAL_GROUP, {(): p_}, True))
+        params.append((p_, [2, 3, 4, 5], TRIVIAL_GROUP, {(): p_ * (1 + p_)}, True))
+        params.append((p_, [3, 4, 5], TRIVIAL_GROUP, {(): 1}, True))
+        params.append((p_, [2, 4, 6], TRIVIAL_GROUP, {(): p_ ** 2}, True))
+        params.append((p_, [3, 3, 3], TRIVIAL_GROUP, {(): p_}, False))
+    params.append((3, [2, 3, 4], c2, {(0,): 3}, True))
+    params.append((3, [2, 3], c2, {(0,): 3, (1,): 9}, True))
+    params.append((5, [2, 3], c2, {(0,): 5}, True))
+    params.append((3, [2, 3, 4], c2, {(0,): 1, (1,): 3}, True))
+    params.append((3, [2, 2], c2, {(0,): 3}, False))
     params = params[:max(systems, 1)]
-    grp = AbelianGroup((2,))
 
     def draw(rng, i):
         return params[i]
 
     def check(inputs):
-        kind, p_, ks, alpha, expect_ok = inputs
-        if kind.endswith("group"):
-            sys_ = zpk_chain_system(p_, ks, None, group=grp, alpha_elem=alpha)
-        else:
-            sys_ = zpk_chain_system(p_, ks, alpha)
-        rep = coherent_nzd_check(sys_)
+        p_, ks, group, alpha, expect_ok = inputs
+        rep = coherent_nzd_check(zpk_chain_system(p_, ks, alpha, group))
         return rep.passed if expect_ok else not rep.precondition_ok
 
     return "coherent_nzd_systems", len(params), draw, check, {"systems": len(params)}

@@ -157,6 +157,24 @@ class TestCommands:
         assert code == 2
         assert "coefficients must lie in 0..1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["verify", "all", "--p", "x^2+1", "--Sigma", "x"], "--q"),
+        (["verify", "all", "--q", "3", "--p", "x^2+1"], "--Sigma"),
+        (["theta", "--q", "3", "--p", "x^2+1"], "--Sigma"),
+        (["verify", "all", "--config", "NO_SIGMA"], "lacks Sigma"),
+        (["verify", "all", "--config", "MISSING"], "cannot read config file"),
+    ], ids=["verify-no-q", "verify-no-Sigma", "theta-no-Sigma", "config-no-Sigma",
+            "config-missing"])
+    def test_missing_input_exit_2(self, capsys, tmp_path, argv, named):
+        # a missing input is a usage error that names it, not a traceback
+        no_sigma = tmp_path / "no_sigma.json"
+        no_sigma.write_text(json.dumps({"q": "3", "p": "x^2+1", "N": 0}))
+        paths = {"NO_SIGMA": str(no_sigma), "MISSING": str(tmp_path / "missing.json")}
+        code = main([paths.get(a, a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and named in err, err
+
     def test_reports_reproducible(self, tmp_path):
         args = ["zeta", "--q", "3", "--p", "x^2+1", "--n", "0", "--Sigma", "x",
                 "--max-i", "4"]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ctower.abelian import AbelianGroup
+from ctower.abelian import TRIVIAL_GROUP, AbelianGroup
 from ctower.grouprings import (
     Character,
     ChiComponentRing,
@@ -15,7 +15,6 @@ from ctower.grouprings import (
     ThetaPoly,
     TruncPolyRing,
     ZpkGroupRing,
-    ZpkRing,
     characters,
     chi_component,
     chi_component_ring,
@@ -34,7 +33,9 @@ from ctower.grouprings import (
 )
 from zpk_reference import (
     ReferenceGroupRingElem,
+    ReferenceTruncPolyRing,
     ReferenceZpkGroupRing,
+    ReferenceZpkRing,
     reference_det,
     reference_fitting_generators,
     reference_mult_matrix_rows,
@@ -263,8 +264,8 @@ class TestUnits:
         assert ok2 and ring.equal(inv2, inv)
 
     def test_p_is_not_a_unit(self):
-        ring = ZpkRing(3, 6)
-        ok, _ = is_unit(3, ring)
+        ring = ZpkGroupRing(3, 6, TRIVIAL_GROUP)
+        ok, _ = is_unit([3], ring)
         assert not ok
 
     def test_matrix_lifting_lemma(self):
@@ -285,6 +286,52 @@ class TestUnits:
             det_lo = lo.sub(lo.mul(reduce_elem(mat_hi[0][0]), reduce_elem(mat_hi[1][1])),
                             lo.mul(reduce_elem(mat_hi[0][1]), reduce_elem(mat_hi[1][0])))
             assert is_unit(det_hi, hi)[0] == is_unit(det_lo, lo)[0]
+
+
+class TestTruncPolyReference:
+    """The flat base[u]/(u^M) against the tuple one of zpk_reference over
+    three bases: Z/p^k (the trivial group ring against the int ring), Z/p^k[C2]
+    and a chi-component.  from_list, products, units and inverses agree."""
+
+    @staticmethod
+    def _pairs():
+        for p, k, M in ((3, 4, 4), (2, 5, 3), (5, 2, 5)):
+            yield (TruncPolyRing(ZpkGroupRing(p, k, TRIVIAL_GROUP), M),
+                   ReferenceTruncPolyRing(ReferenceZpkRing(p, k), M))
+        for p, k, M in ((3, 3, 3), (2, 4, 4)):
+            base = ZpkGroupRing(p, k, C2)
+            yield TruncPolyRing(base, M), ReferenceTruncPolyRing(base, M)
+        base = ChiComponentRing(3, 3, (1, 0, 1), C3, 4)
+        yield TruncPolyRing(base, 2), ReferenceTruncPolyRing(base, 2)
+
+    def test_matches_reference(self):
+        rng = random.Random(29)
+        units = 0
+        for ring, ref in self._pairs():
+            assert ring.basis_size == ref.basis_size
+            one = ring.to_vec(ring.one)
+            assert one == ref.to_vec(ref.one)
+            for length in range(ring.M + 2):  # from_list cuts at u^M
+                vecs = [[rng.randrange(ring.pk) for _ in range(ring.base.basis_size)]
+                        for _ in range(length)]
+                assert ring.from_list([ring.base.from_vec(v) for v in vecs]) == \
+                    ref.to_vec(ref.from_list([ref.base.from_vec(v) for v in vecs]))
+            for _ in range(10):
+                rand = [rng.randrange(ring.pk) for _ in range(ring.basis_size)]
+                other = [rng.randrange(ring.pk) for _ in range(ring.basis_size)]
+                for vec in (rand, [a + ring.p * b for a, b in zip(one, rand)],
+                            [ring.p * b for b in rand]):
+                    x, x_ref = ring.from_vec(vec), ref.from_vec(vec)
+                    assert ring.mul(x, ring.from_vec(other)) == \
+                        ref.to_vec(ref.mul(x_ref, ref.from_vec(other))), (ring.describe(), vec)
+                    ok, inv = is_unit(x, ring)
+                    ref_ok, ref_inv = is_unit(x_ref, ref)
+                    assert ok == ref_ok, (ring.describe(), vec)
+                    assert invert_one_plus_nilpotent_u(ring, x) == (ok, inv)
+                    if ok:
+                        units += 1
+                        assert inv == ref.to_vec(ref_inv)
+        assert units > 60
 
 
 class TestNzd:
@@ -318,10 +365,10 @@ class TestNzd:
 
 class TestFitting:
     def test_diagonal(self):
-        ring = ZpkRing(3, 10)
-        pm = PresentationMatrix(ring, [[3, 0], [0, 9]])
+        ring = ZpkGroupRing(3, 10, TRIVIAL_GROUP)
+        pm = PresentationMatrix(ring, [[[3], [0]], [[0], [9]]])
         fi = fitting_ideal(pm)
-        assert ideal_equal(fi.generators, [27], ring)
+        assert ideal_equal(fi.generators, [[27]], ring)
 
     def test_trivial_module_over_zc2(self):
         # 1x1 presentation (sigma - 1) of Z over Z[C2]
@@ -332,8 +379,8 @@ class TestFitting:
         assert ring.equal(fi.generators[0], sigma_minus_1)
 
     def test_deficient(self):
-        ring = ZpkRing(3, 4)
-        fi = fitting_ideal(PresentationMatrix(ring, [[1, 2]]))
+        ring = ZpkGroupRing(3, 4, TRIVIAL_GROUP)
+        fi = fitting_ideal(PresentationMatrix(ring, [[[1], [2]]]))
         assert fi.deficient and fi.generators == []
 
     def test_presentation_invariance_random(self):
@@ -410,12 +457,12 @@ class TestIdealEqual:
         assert ideal_equal([x], [y], ring)
 
     def test_p_vs_p_squared(self):
-        ring = ZpkRing(3, 4)
-        assert not ideal_equal([3], [9], ring)
+        ring = ZpkGroupRing(3, 4, TRIVIAL_GROUP)
+        assert not ideal_equal([[3]], [[9]], ring)
 
     def test_scaling_by_unit(self):
-        ring = ZpkRing(5, 4)
-        assert ideal_equal([10], [30], ring)  # 3 is a unit mod 5^4
+        ring = ZpkGroupRing(5, 4, TRIVIAL_GROUP)
+        assert ideal_equal([[10]], [[30]], ring)  # 3 is a unit mod 5^4
 
 
 class TestModulesAndSharp:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ctower import lfun, snf, tower
-from ctower.abelian import AbelianGroup
+from ctower.abelian import TRIVIAL_GROUP, AbelianGroup
 from ctower.ffpoly import INFINITY, FinitePlace, FqField, FqPoly
 from ctower.grouprings import (
     ChiComponentRing,
@@ -16,7 +16,6 @@ from ctower.grouprings import (
     PresentationMatrix,
     TruncPolyRing,
     ZpkGroupRing,
-    ZpkRing,
     characters,
     delta_blocks,
     e_delta_presentation,
@@ -217,7 +216,7 @@ class TestComputedOnce:
         hits = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
                 for line in path.read_text().splitlines() if "zpk_smith(" in line]
         assert hits == [("snf.py", "def zpk_smith(mat, p, k):"),
-                        ("snf.py", "vals, _, V = zpk_smith(mat, p, k)")]
+                        ("snf.py", "vals, V = zpk_smith(mat, p, k)")]
 
     def test_split_count_matches_inline_expressions(self):
         p = FinitePlace(poly(F3, 1, 0, 1))
@@ -453,7 +452,7 @@ class TestModuleReference:
     def test_other_rings(self):
         # is_unit and ideal_contains run the builder on every finite ring
         rng = random.Random(8)
-        rings = [ZpkRing(3, 4),
+        rings = [ZpkGroupRing(3, 4, TRIVIAL_GROUP),
                  ChiComponentRing(5, 3, (1, 0, 1), AbelianGroup((5,)), 4),
                  TruncPolyRing(ZpkGroupRing(2, 3, AbelianGroup((2,))), 3)]
         for ring in rings:
@@ -531,20 +530,20 @@ class TestDeltaBlockReference:
 class TestCoherentNzd:
     def test_zp_chain_holds(self):
         # R_m = Z/p^(m+3), alpha = p
-        sys = zpk_chain_system(3, [3, 4, 5, 6], 3)
+        sys = zpk_chain_system(3, [3, 4, 5, 6], {(): 3})
         rep = coherent_nzd_check(sys)
         assert rep.precondition_ok
         assert rep.conclusion_ok
 
     def test_constant_chain_trivial(self):
-        sys = zpk_chain_system(2, [4, 4, 4], 1)  # alpha = 1: unit, ideal = R
+        sys = zpk_chain_system(2, [4, 4, 4], {(): 1})  # alpha = 1: unit, ideal = R
         rep = coherent_nzd_check(sys)
         assert rep.passed
 
     def test_zero_divisor_flagged(self):
         # constant-precision chain with alpha = p: the annihilator p^(k-1)
         # survives the (identity) transition: precondition fails
-        sys = zpk_chain_system(2, [3, 3, 3], 2)
+        sys = zpk_chain_system(2, [3, 3, 3], {(): 2})
         rep = coherent_nzd_check(sys)
         assert not rep.precondition_ok
         assert rep.failing_level is not None
@@ -552,20 +551,21 @@ class TestCoherentNzd:
     def test_group_ring_chain(self):
         grp = AbelianGroup((2,))
         alpha = {(0,): 2}  # p in Z/2^k[C2]
-        sys = zpk_chain_system(2, [2, 3, 4], None, group=grp, alpha_elem=alpha)
+        sys = zpk_chain_system(2, [2, 3, 4], alpha, grp)
         rep = coherent_nzd_check(sys)
         assert rep.passed
 
     def test_unit_times_p_chain(self):
         # alpha = u*p with u = 1 + p: still passes
-        sys = zpk_chain_system(3, [3, 4, 5], 3 * 4)
+        sys = zpk_chain_system(3, [3, 4, 5], {(): 3 * 4})
         rep = coherent_nzd_check(sys)
         assert rep.passed
 
     def test_ideal_spans_match_every_product(self):
         # alpha R built as the Z/p^k-span of the products b_i alpha is the
         # set of all products x alpha, x in R
-        cases = [(ZpkRing(5, 5), 1), (ZpkRing(3, 4), 3), (ZpkRing(2, 5), 12), (ZpkRing(3, 3), 0)]
+        cases = [(ZpkGroupRing(p, k, TRIVIAL_GROUP), [alpha])
+                 for p, k, alpha in ((5, 5, 1), (3, 4, 3), (2, 5, 12), (3, 3, 0))]
         grp = AbelianGroup((2,))
         for p, k, alpha in ((3, 3, {(0,): 3, (1,): 9}), (3, 2, {(0,): 1, (1,): 3}),
                             (2, 3, {(0,): 2}), (5, 2, {(0,): 5}), (2, 4, {(0,): 1, (1,): 1})):
@@ -577,10 +577,10 @@ class TestCoherentNzd:
             assert tower._additive_span(ring.basis_products(alpha), ring.pk) == every
 
     def test_incoherent_alpha_rejected(self):
-        rings = [ZpkRing(2, 3), ZpkRing(2, 4)]
+        rings = [ZpkGroupRing(2, 3, TRIVIAL_GROUP), ZpkGroupRing(2, 4, TRIVIAL_GROUP)]
         with pytest.raises(ValueError):
-            ToyProjectiveSystem(rings=rings, transitions=[lambda x: x % 8],
-                                alpha=[1, 3])
+            ToyProjectiveSystem(rings=rings, transitions=[rings[0].from_vec],
+                                alpha=[[1], [3]])
 
 
 class TestSharpProjection:

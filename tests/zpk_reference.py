@@ -17,6 +17,11 @@ oracle of the block-by-block grouprings.quotient_exponents; and the generic
 mult_matrix, determinant and Fitting minors as they stood before Z/p^k[G]
 read its basis products and minors off the index table
 (reference_mult_matrix_rows, reference_det, reference_fitting_generators).
+
+Last, the finite rings as they stood before every one was a flat coefficient
+list: ReferenceZpkRing, Z/p^k with int elements, and ReferenceTruncPolyRing,
+base[u]/(u^M) with tuples of M base elements, both on the generic
+basis_products and det of _ReferenceFiniteRing.
 """
 
 import itertools as it
@@ -450,3 +455,134 @@ def reference_fitting_generators(ring, rows):
         return None
     return [reference_det(ring, [rows[i] for i in ri])
             for ri in it.combinations(range(len(rows)), cols)]
+
+
+class _ReferenceFiniteRing:
+    """What the linear algebra below asks of a finite ring beyond its
+    operations, built from mul alone; ZpkGroupRing overrides both with
+    index-table versions."""
+
+    def basis_products(self, e) -> list:
+        """vec(b_i * e) for the Z/p^k basis elements b_i, i < basis_size."""
+        n = self.basis_size
+        return [self.to_vec(self.mul(self.from_vec([0] * i + [1] + [0] * (n - 1 - i)), e))
+                for i in range(n)]
+
+    def det(self, mat):
+        """Determinant of a square matrix over the ring, by cofactor
+        expansion along the first row."""
+        n = len(mat)
+        if n == 0:
+            return self.one
+        if n == 1:
+            return mat[0][0]
+        acc = self.zero
+        for j in range(n):
+            term = self.mul(mat[0][j], self.det([row[:j] + row[j + 1:] for row in mat[1:]]))
+            acc = self.add(acc, term) if j % 2 == 0 else self.sub(acc, term)
+        return acc
+
+
+class ReferenceZpkRing(_ReferenceFiniteRing):
+    """Z/p^k."""
+
+    def __init__(self, p: int, k: int):
+        self.p, self.k = p, k
+        self.pk = p ** k
+        self.basis_size = 1
+
+    @property
+    def zero(self):
+        return 0
+
+    @property
+    def one(self):
+        return 1
+
+    def add(self, a, b):
+        return (a + b) % self.pk
+
+    def sub(self, a, b):
+        return (a - b) % self.pk
+
+    def neg(self, a):
+        return (-a) % self.pk
+
+    def mul(self, a, b):
+        return (a * b) % self.pk
+
+    def scale_int(self, c, a):
+        return (c * a) % self.pk
+
+    def to_vec(self, a):
+        return [a % self.pk]
+
+    def from_vec(self, vec):
+        return vec[0] % self.pk
+
+    def equal(self, a, b):
+        return (a - b) % self.pk == 0
+
+    def describe(self):
+        return f"Z/{self.p}^{self.k}"
+
+
+
+class ReferenceTruncPolyRing(_ReferenceFiniteRing):
+    """base[u]/(u^M): truncated polynomials over a finite base ring."""
+
+    def __init__(self, base, M: int):
+        self.base = base
+        self.M = M
+        self.p, self.k = base.p, base.k
+        self.pk = base.pk
+        self.basis_size = base.basis_size * M
+
+    @property
+    def zero(self):
+        return tuple([self.base.zero] * self.M)
+
+    @property
+    def one(self):
+        return tuple([self.base.one] + [self.base.zero] * (self.M - 1))
+
+    def from_list(self, coeffs):
+        coeffs = list(coeffs)[: self.M]
+        coeffs.extend([self.base.zero] * (self.M - len(coeffs)))
+        return tuple(coeffs)
+
+    def add(self, a, b):
+        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(self.base.neg(x) for x in a)
+
+    def sub(self, a, b):
+        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        out = [self.base.zero] * self.M
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                if i + j < self.M:
+                    out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
+        return tuple(out)
+
+    def scale_int(self, c, a):
+        return tuple(self.base.scale_int(c, x) for x in a)
+
+    def to_vec(self, a):
+        vec = []
+        for x in a:
+            vec.extend(self.base.to_vec(x))
+        return vec
+
+    def from_vec(self, vec):
+        n = self.base.basis_size
+        return tuple(self.base.from_vec(vec[i * n:(i + 1) * n]) for i in range(self.M))
+
+    def equal(self, a, b):
+        return self.to_vec(a) == self.to_vec(b)
+
+    def describe(self):
+        return f"{self.base.describe()}[u]/(u^{self.M})"
