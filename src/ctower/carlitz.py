@@ -37,14 +37,6 @@ class TwistedPoly:
     def one(cls, field):
         return cls(field, (FqPoly.one(field),))
 
-    @property
-    def deg_tau(self):
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
-
-    def constant_term(self) -> FqPoly:
-        """D(sum a_i tau^i) = a_0, a ring morphism to A."""
-        return self.coeffs[0] if self.coeffs else FqPoly.zero(self.field)
-
     def leading(self) -> FqPoly:
         if not self.coeffs:
             raise ValueError("zero twisted polynomial")
@@ -198,19 +190,6 @@ class AXPoly:
                 c = c + self.coeffs[i]
             out.append(c)
         return AXPoly(F, out)
-
-    def evaluate_theta(self, theta0, ring_mul, ring_add, zero, embed):
-        """Coefficients A -> R via theta -> theta0; returns list in R (Horner).
-
-        embed maps packed F_q scalars into R.
-        """
-        out = []
-        for c in self.coeffs:
-            acc = zero
-            for ci in reversed(c.coeffs):
-                acc = ring_add(ring_mul(acc, theta0), embed(ci))
-            out.append(acc)
-        return out
 
     def __eq__(self, other):
         return isinstance(other, AXPoly) and self.coeffs == other.coeffs

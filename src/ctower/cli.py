@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Subcommands: theta, lpoly, layer, count-points, zeta, verify
-{functoriality, ordvan, sigmaunit, cnf, fitting, all}.
+Subcommands: theta (with --check functoriality, ordvan, sigmaunit), lpoly,
+layer, count-points, zeta, verify {cnf, fitting, all}.
 
 Polynomial syntax on flags and in config files: coefficients ascending with
 the variable spelled x (or theta), e.g. "1+0x+1x^2" or "x^2+1" for
@@ -288,6 +288,8 @@ def _load_config_file(path):
 
 
 def _verify_config(args):
+    """(cfg, N, opts) from --config or the flags; a ValueError names a depth
+    N < 0 or a precision < 1."""
     if args.config:
         blob = _load_config_file(args.config)
         field = parse_q(blob["q"])
@@ -302,13 +304,19 @@ def _verify_config(args):
         )
         if blob.get("sigma_alt"):
             opts.sigma_alt = parse_places(field, ",".join(blob["sigma_alt"]))
-        return cfg, blob.get("N", 1), opts
-    _, cfg = _config_from_args(args)
-    opts = RunOptions(precision_k=args.precision, point_budget=args.budget,
-                      seed=args.seed)
-    if args.sigma_alt:
-        opts.sigma_alt = parse_places(cfg.field, args.sigma_alt)
-    return cfg, args.N, opts
+        N = blob.get("N", 1)
+    else:
+        _, cfg = _config_from_args(args)
+        opts = RunOptions(precision_k=args.precision, point_budget=args.budget,
+                          seed=args.seed)
+        if args.sigma_alt:
+            opts.sigma_alt = parse_places(cfg.field, args.sigma_alt)
+        N = args.N
+    if N < 0:
+        raise ValueError(f"the tower depth N must be >= 0, not {N}")
+    if opts.precision_k < 1:
+        raise ValueError(f"the precision must be >= 1, not {opts.precision_k}")
+    return cfg, N, opts
 
 
 class _BatteryWorker:
@@ -408,6 +416,8 @@ class _BatteryWorker:
 
 
 def cmd_verify(args):
+    if args.cases < 0:
+        raise ValueError(f"--cases must be >= 0, not {args.cases}")
     if args.suite == "fitting":
         with _BatteryWorker(args.seed, args.cases) as battery:
             verdicts = battery.verdicts()
@@ -417,61 +427,53 @@ def cmd_verify(args):
         return 0 if all(v["passed"] for v in verdicts) else 1
 
     cfg, N, opts = _verify_config(args)
-    if args.suite == "all":
-        # the battery does not read the tower: the worker starts on it at
-        # once, and the parent joins it when the tower is done
-        with _BatteryWorker(opts.seed, args.cases) as battery:
-            try:
-                run = run_tower(cfg, N, opts)
-            except TowerVerificationError as exc:
-                run = exc.run
-            else:
-                run.verdicts.extend(battery.verdicts())
-        for line in run.summary_lines():
-            print(line)
-        _emit(run.to_json(), args)
-        return 0 if run.all_passed else 1
+    if args.suite == "cnf":
+        return _verify_cnf(args, cfg, opts.precision_k)
+    # the battery does not read the tower: the worker starts on it at once,
+    # and the parent joins it when the tower is done
+    with _BatteryWorker(opts.seed, args.cases) as battery:
+        try:
+            run = run_tower(cfg, N, opts)
+        except TowerVerificationError as exc:
+            run = exc.run
+        else:
+            run.verdicts.extend(battery.verdicts())
+    for line in run.summary_lines():
+        print(line)
+    _emit(run.to_json(), args)
+    return 0 if run.all_passed else 1
 
+
+def _verify_cnf(args, cfg, k):
+    """The class-number Fitting identity and the charpoly-vs-Theta identity
+    at layer args.n, from the point counts N_1..N_(max_i).  The report
+    records the tower as resolved, from the flags or from --config."""
     layer = build_layer(cfg, args.n)
     tr = theta_op(layer)
-    if args.suite == "functoriality":
-        if args.n < 1:
-            print("functoriality needs n >= 1", file=sys.stderr)
-            return 2
-        lower = build_layer(cfg, args.n - 1)
-        lm = layer_projection(layer, lower)
-        rep = functoriality_check(tr, theta_op(lower), lm)
-        print(f"[{'PASS' if rep.equal else 'FAIL'}] functoriality n={args.n}->{args.n - 1}")
-        return 0 if rep.equal else 1
-    if args.suite == "ordvan":
-        ok = True
-        for chi, mult, predicted in order_of_vanishing_table(layer, tr):
-            status = "PASS" if mult == predicted else "FAIL"
-            print(f"[{status}] chi{list(chi.exps)}: mult {mult}, predicted {predicted}")
-            ok = ok and mult == predicted
-        return 0 if ok else 1
-    if args.suite == "sigmaunit":
-        ok = True
-        for v in sorted(cfg.sigma, key=lambda v: v.gen.sort_key()):
-            w = sigma_factor_unit(layer, v, k=6, M=6)
-            print(f"[{'PASS' if w.verified else 'FAIL'}] sigma unit at {v.gen.serialize()}")
-            ok = ok and w.verified
-        return 0 if ok else 1
-    if args.suite == "cnf":
-        counts = [count_points_splitting(layer, i) for i in range(1, args.max_i + 1)]
-        z = zeta_numerator(counts, cfg.field.q)
-        sdiv = s_divisor_data(layer)
-        nab = nabla_order(layer, z, sdiv)
-        quot = quotient_order_exponent(tr.special_value(), cfg.char, args.precision)
-        ok = quot == nab.total_p_exponent
-        print(f"[{'PASS' if ok else 'FAIL'}] class-number identity: "
-              f"nabla p-exponent {nab.total_p_exponent}, quotient {quot} "
-              f"(precision p^{args.precision})")
-        report = charpoly_theta_report(layer, tr, z, sdiv)
-        ok2 = report["exact_identity"] and report["unit_certified"]
-        print(f"[{'PASS' if ok2 else 'FAIL'}] charpoly-vs-theta identity")
-        return 0 if ok and ok2 else 1
-    raise ValueError(f"unknown suite {args.suite!r}")
+    counts = [count_points_splitting(layer, i) for i in range(1, args.max_i + 1)]
+    z = zeta_numerator(counts, cfg.field.q)
+    sdiv = s_divisor_data(layer)
+    nab = nabla_order(layer, z, sdiv)
+    quot = quotient_order_exponent(tr.special_value(), cfg.char, k)
+    ok = quot == nab.total_p_exponent
+    print(f"[{'PASS' if ok else 'FAIL'}] class-number identity: "
+          f"nabla p-exponent {nab.total_p_exponent}, quotient {quot} "
+          f"(precision p^{k})")
+    report = charpoly_theta_report(layer, tr, z, sdiv)
+    ok2 = report["exact_identity"] and report["unit_certified"]
+    print(f"[{'PASS' if ok2 else 'FAIL'}] charpoly-vs-theta identity")
+    verdicts = [
+        {"name": "class_number_fitting_identity", "passed": ok,
+         "nabla_p_exponent": nab.total_p_exponent, "quotient_p_exponent": quot,
+         "precision_k": k, "hypotheses": nab.hypotheses},
+        {"name": "charpoly_theta_identity", "passed": ok2,
+         "exact_identity": report["exact_identity"],
+         "unit_certified": report["unit_certified"],
+         "precision": [report["precision_k"], report["truncation_M"]]},
+    ]
+    _emit({"config": {**cfg.to_json(), "n": args.n, "max_i": args.max_i},
+           "zeta": z.to_json(), "verdicts": verdicts}, args)
+    return 0 if ok and ok2 else 1
 
 
 def _add_config_flags(sp, with_n=True):
@@ -526,9 +528,8 @@ def build_parser():
     sp.set_defaults(func=cmd_zeta)
 
     sp = sub.add_parser("verify", help="verification suites")
-    sp.add_argument("suite", choices=["functoriality", "ordvan", "sigmaunit",
-                                      "cnf", "fitting", "all"])
-    sp.add_argument("--config", help="JSON config file (for 'all')")
+    sp.add_argument("suite", choices=["cnf", "fitting", "all"])
+    sp.add_argument("--config", help="JSON config file (for 'cnf' and 'all')")
     sp.add_argument("--q")
     sp.add_argument("--f", default="1")
     sp.add_argument("--p")

@@ -251,9 +251,6 @@ class FqPoly:
     def is_one(self):
         return self.coeffs == (1,)
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
     def leading(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -378,13 +375,6 @@ class FqPoly:
             out.append(c)
         return FqPoly(F, out)
 
-    def evaluate(self, x: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
     def gcd(self, other):
         self._check(other)
         a, b = self, other
@@ -427,14 +417,6 @@ class FqPoly:
         F = self.field
         body = ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
         return f"[{body}]@q={F.p}^{F.e}"
-
-    @classmethod
-    def parse_serialized(cls, s: str) -> "FqPoly":
-        body, q = s.split("@q=")
-        p, e = q.split("^")
-        field = FqField(int(p), int(e))
-        coeffs = [int(c) for c in body.strip("[]").split(",")] if body != "[0]" else []
-        return cls(field, coeffs)
 
     def __repr__(self):
         if self.is_zero():
@@ -602,28 +584,6 @@ def irreducibles_of_degree(field: FqField, d: int):
         raise ValueError("degree must be >= 1")
     for f in _irreducible_list(field, d):
         yield FinitePlace(f)
-
-
-def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
-
-
-def irreducible_count(q: int, d: int) -> int:
-    """(1/d) * sum_{e | d} mu(d/e) q^e."""
-    return sum(mobius(d // e) * q ** e for e in range(1, d + 1) if d % e == 0) // d
 
 
 # -- factorization -----------------------------------------------------------

@@ -112,9 +112,6 @@ class CyclotomicRing:
     def one(self):
         return (1,) + (0,) * (self.degree - 1)
 
-    def from_int(self, c: int):
-        return (c,) + (0,) * (self.degree - 1)
-
     def zeta_pow(self, j: int):
         j %= self.n
         vec = [0] * max(self.degree, j + 1)
@@ -215,11 +212,6 @@ class Character:
     def power(self, t: int) -> "Character":
         return Character(self.group, tuple((j * t) % o for j, o in zip(self.exps, self.group.orders)))
 
-    def restrict(self, indices) -> "Character":
-        """Restriction to the sub-product on the given coordinates (e.g. the
-        Delta-part of a layer group)."""
-        sub = AbelianGroup(tuple(self.group.orders[i] for i in indices))
-        return Character(sub, tuple(self.exps[i] for i in indices))
 
 
 def characters(group: AbelianGroup):
@@ -390,9 +382,6 @@ class GroupRingElem:
     def project(self, apply_map, target_group) -> "GroupRingElem":
         return _pushforward(self, _index_map(self.group, apply_map, target_group), target_group)
 
-    def reduce_mod(self, modulus: int) -> "GroupRingElem":
-        return GroupRingElem(self.group, [v % modulus for v in self.coeffs])
-
     def __eq__(self, other):
         return isinstance(other, GroupRingElem) and self.group == other.group and self.coeffs == other.coeffs
 
@@ -498,11 +487,11 @@ def character_norm(group: AbelianGroup, values):
 
 class _FlatZpkModule:
     """A finite ring whose elements are flat lists of basis_size coefficients
-    mod p^k, so to_vec is the identity: its Z/p^k-module operations, and what
-    the linear algebra below asks of it beyond them (basis_products, det),
-    built from mul alone.  ZpkGroupRing overrides basis_products and det with
-    index-table versions.  Operations return new lists and never mutate their
-    arguments."""
+    mod p^k, so to_vec is the identity: its Z/p^k-module operations, and the
+    basis_products that mult_matrix asks of it, built from mul alone.
+    ZpkGroupRing overrides basis_products with an index-table version and adds
+    det, which fitting_ideal needs.  Operations return new lists and never
+    mutate their arguments."""
 
     def __init__(self, p: int, k: int, basis_size: int):
         self.p, self.k = p, k
@@ -548,21 +537,6 @@ class _FlatZpkModule:
         n = self.basis_size
         return [self.mul([0] * i + [1] + [0] * (n - 1 - i), e) for i in range(n)]
 
-    def det(self, mat):
-        """Determinant of a square matrix over the ring, by cofactor
-        expansion along the first row."""
-        n = len(mat)
-        if n == 0:
-            return self.one
-        if n == 1:
-            return mat[0][0]
-        acc = self.zero
-        for j in range(n):
-            term = self.mul(mat[0][j], self.det([row[:j] + row[j + 1:] for row in mat[1:]]))
-            acc = self.add(acc, term) if j % 2 == 0 else self.sub(acc, term)
-        return acc
-
-
 class ZpkGroupRing(_FlatZpkModule):
     """Z/p^k[G] for a finite abelian group G.
 
@@ -600,8 +574,9 @@ class ZpkGroupRing(_FlatZpkModule):
         return [[e[j] for j in row] for row in self._inverse_rows]
 
     def det(self, mat):
-        """The cofactor expansion summed over unreduced products, reduced
-        mod p^k once."""
+        """Determinant of a square matrix over the ring: the cofactor
+        expansion along the first row, summed over unreduced products and
+        reduced mod p^k once."""
         table = self._table
 
         def raw(mat):
@@ -874,51 +849,6 @@ def ideal_equal(I, J, ring) -> bool:
         all(ideal_contains(ring, I, g) for g in J)
 
 
-@dataclass
-class NzdCertificate:
-    leading_coeff_unit: bool
-    truncated_annihilator_trivial: bool
-    annihilator_witness: object
-    truncation_M: int
-    precision_k: int
-
-
-def nzd_test_polynomial(coeffs, p: int, k: int, M: int, group: AbelianGroup) -> NzdCertificate:
-    """Certificate for f = sum coeffs[i] gamma^i over Z/p^k[G].
-
-    Checks the unit-leading-coefficient hypothesis (non-zero divisor in the
-    power-series ring) and, separately, searches for annihilators in the
-    finite quotient Z/p^k[G][gamma]/(gamma^(p^M) - 1); the two notions are
-    distinct and both are reported.
-    """
-    ring = ZpkGroupRing(p, k, group)
-    lead = ring.from_group_ring(coeffs[-1])
-    lead_unit, _ = is_unit(lead, ring)
-
-    # gamma is the last, least significant coordinate of G x C_(p^M)
-    pM = p ** M
-    big = ZpkGroupRing(p, k, AbelianGroup(group.orders + (pM,)))
-    f_vec = [0] * big.basis_size
-    for i, c in enumerate(coeffs):
-        for j, v in enumerate(c.coeffs):
-            f_vec[j * pM + i % pM] += v
-    f_big = big.from_vec(f_vec)
-    kern = zpk_kernel(mult_matrix(big, [[f_big]]), p, k)
-    witness = None
-    for vec in kern:
-        cand = big.from_vec(vec)
-        if any(cand) and big.equal(big.mul(f_big, cand), big.zero):
-            witness = cand
-            break
-    return NzdCertificate(
-        leading_coeff_unit=lead_unit,
-        truncated_annihilator_trivial=witness is None,
-        annihilator_witness=witness,
-        truncation_M=M,
-        precision_k=k,
-    )
-
-
 # ---------------------------------------------------------------------------
 # finitely presented Z/p^k[G]-modules: orders and the sharp functor
 # ---------------------------------------------------------------------------
@@ -990,12 +920,6 @@ def delta_idempotent(group: AbelianGroup, delta_idx, p: int, k: int):
     off = [i for i in range(len(group.orders)) if i not in delta_idx]
     elems, _ = group_index(group)
     return GroupRingElem(group, [0 if any(g[i] for i in off) else inv for g in elems])
-
-
-def sharp_element(x: GroupRingElem, delta_idx, p: int, k: int) -> GroupRingElem:
-    """(1 - e_Delta) * x mod p^k."""
-    e = delta_idempotent(x.group, delta_idx, p, k)
-    return ((x - e * x)).reduce_mod(p ** k)
 
 
 def _adjoin_diagonal(pm: PresentationMatrix, c: GroupRingElem) -> PresentationMatrix:

@@ -81,6 +81,15 @@ class TowerConfig:
     def modulus(self, n: int) -> FqPoly:
         return self.f * self.p_place.gen ** (n + 1)
 
+    def to_json(self):
+        return {
+            "q": f"{self.field.p}^{self.field.e}",
+            "f": self.f.serialize(),
+            "p": self.p_place.gen.serialize(),
+            "S": sorted("inf" if is_infinite(v) else v.gen.serialize() for v in self.S),
+            "Sigma": sorted(v.gen.serialize() for v in self.sigma),
+        }
+
 
 def _crt(r1: FqPoly, m1: FqPoly, r2: FqPoly, m2: FqPoly) -> FqPoly:
     """b with b = r1 mod m1 and b = r2 mod m2, for coprime m1, m2."""
@@ -420,56 +429,3 @@ def layer_projection(src: GaloisLayer, tgt: GaloisLayer, frobenius_checks: int =
                 break
         d += 1
     return lm
-
-
-def relative_decomposition_group(cfg: TowerConfig, n: int, m: int, v):
-    """G_v(L_m/L_n) for v in S, plus the generator data.
-
-    For v | f this is the cyclic subgroup of G_m generated by the image of
-    x_v, the generator of the S_v-unit subgroup {x : x = 1 mod
-    (f/v^{ord_v f}) p^(n+1)} (sign condition dropped: congruence up to
-    F_q^x).  For v = p it is the full relative subgroup cut out by the
-    decomposition group.
-    """
-    if m < n:
-        raise ValueError("need m >= n")
-    layer_m = build_layer(cfg, m)
-    layer_n = build_layer(cfg, n)
-    lm = layer_projection(layer_m, layer_n) if m > n else None
-
-    if is_infinite(v):
-        raise ValueError("the infinite place splits completely; no generator")
-    if v not in cfg.S:
-        raise ValueError("v must lie in S")
-
-    F = cfg.field
-    if v == cfg.p_place:
-        dec = layer_m.decomposition_group(v)
-        if m == n:
-            rel = dec
-        else:
-            rel = frozenset(g for g in dec if lm.apply(g) == layer_n.group.identity)
-        return {"subgroup": rel, "x_v": None, "t": None, "constant": None}
-
-    # v | f: x_v = gen(v)^t with gen(v)^t = c mod (f/v^a) p^(n+1), c in F_q^x
-    va, _ = layer_m._local_part(v)
-    cong_mod = (cfg.f // va) * cfg.p_place.gen ** (n + 1)
-    ring = ResidueRing(cong_mod)
-    constants = {FqPoly.constant(F, c).coeffs: c for c in range(1, F.q)}
-    t = None
-    c0 = None
-    acc = FqPoly.one(F)
-    base = ring.reduce(v.gen)
-    for j in range(1, ring.unit_count() + 1):
-        acc = ring.mul(acc, base)
-        if acc.coeffs in constants:
-            t, c0 = j, constants[acc.coeffs]
-            break
-    if t is None:
-        raise ArithmeticError("no S_v-unit power found")  # unreachable
-    rest_m = layer_m.modulus // va
-    b = _crt(FqPoly.constant(F, c0), va, v.gen ** t % rest_m, rest_m)
-    img = layer_m.class_of(b)
-    sub = layer_m.group.subgroup_span([img])
-    return {"subgroup": sub, "x_v": v.gen ** t, "t": t, "constant": c0,
-            "image": img, "layer": layer_m}

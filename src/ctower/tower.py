@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .abelian import TRIVIAL_GROUP, AbelianGroup
-from .ffpoly import is_infinite
 from .geometry import (
     ConfigurationRefused,
     charpoly_theta_report,
@@ -106,11 +105,7 @@ class TowerRun:
 
     def to_json(self):
         return {
-            "q": f"{self.cfg.field.p}^{self.cfg.field.e}",
-            "f": self.cfg.f.serialize(),
-            "p": self.cfg.p_place.gen.serialize(),
-            "S": sorted("inf" if is_infinite(v) else v.gen.serialize() for v in self.cfg.S),
-            "Sigma": sorted(v.gen.serialize() for v in self.cfg.sigma),
+            **self.cfg.to_json(),
             "N": self.N,
             "precision_k": self.options.precision_k,
             "degree": self.options.degree,

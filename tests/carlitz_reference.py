@@ -2,11 +2,34 @@
 phi_m, kept verbatim (only the names are renamed) as the oracle that
 ctower.carlitz.real_generator_minpoly is tested against: the Krylov
 sequence of e = lambda^(q-1) inside A[Y]/(phi_m), solved for its first
-linear relation by Gaussian elimination over Frac(A).
+linear relation by Gaussian elimination over Frac(A).  Beside it, the small
+readers the Carlitz tests check against: the serialized form in which they
+name conductors, and the tau-degree and constant term of a twisted
+polynomial.
 """
 
 from ctower.carlitz import AXPoly, FactorExtractionError, cyclotomic_poly
-from ctower.ffpoly import FqPoly
+from ctower.ffpoly import FqField, FqPoly
+
+
+def parse_serialized(s: str) -> FqPoly:
+    """The polynomial that FqPoly.serialize wrote as s, e.g. "[0,1,1]@q=3^1":
+    the form in which the tests name their reference conductors."""
+    body, q = s.split("@q=")
+    p, e = q.split("^")
+    field = FqField(int(p), int(e))
+    coeffs = [int(c) for c in body.strip("[]").split(",")] if body != "[0]" else []
+    return FqPoly(field, coeffs)
+
+
+def deg_tau(t) -> int:
+    """The tau-degree of a TwistedPoly, -inf for 0."""
+    return len(t.coeffs) - 1 if t.coeffs else float("-inf")
+
+
+def constant_term(t) -> FqPoly:
+    """D(sum a_i tau^i) = a_0, a ring morphism A{tau} -> A."""
+    return t.coeffs[0] if t.coeffs else FqPoly.zero(t.field)
 
 
 class _Frac:

@@ -15,7 +15,12 @@ from ctower.carlitz import (
 )
 from ctower.ffpoly import FqField, FqPoly, ResidueRing
 
-from carlitz_reference import reference_real_generator_minpoly
+from carlitz_reference import (
+    constant_term,
+    deg_tau,
+    parse_serialized,
+    reference_real_generator_minpoly,
+)
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -27,13 +32,15 @@ def poly(field, *coeffs):
 
 
 def additive_eval(ax, ring, theta0, x0):
-    """Oracle: evaluate an A[X]-polynomial at (theta0, x0) in a residue ring."""
-    coeffs = ax.evaluate_theta(theta0, ring.mul, ring.add, FqPoly.zero(ring.field),
-                               lambda c: FqPoly.constant(ring.field, c))
+    """Oracle: evaluate an A[X]-polynomial at (theta0, x0) in a residue ring,
+    each coefficient by Horner in theta0."""
     acc = FqPoly.zero(ring.field)
     xpow = FqPoly.one(ring.field)
-    for c in coeffs:
-        acc = ring.add(acc, ring.mul(c, xpow))
+    for c in ax.coeffs:
+        value = FqPoly.zero(ring.field)
+        for ci in reversed(c.coeffs):
+            value = ring.add(ring.mul(value, theta0), FqPoly.constant(ring.field, ci))
+        acc = ring.add(acc, ring.mul(value, xpow))
         xpow = ring.mul(xpow, x0)
     return ring.reduce(acc)
 
@@ -50,7 +57,7 @@ class TestTwisted:
     def test_deg_tau_additive(self):
         F = F3
         a, b = rho(poly(F, 0, 1)), rho(poly(F, 1, 0, 1))
-        assert (a * b).deg_tau == a.deg_tau + b.deg_tau
+        assert deg_tau(a * b) == deg_tau(a) + deg_tau(b)
 
     def test_constant_term_morphism(self):
         F = F3
@@ -58,8 +65,8 @@ class TestTwisted:
         for _ in range(15):
             x = FqPoly(F, [rng.randrange(3) for _ in range(4)])
             y = FqPoly(F, [rng.randrange(3) for _ in range(4)])
-            assert (rho(x) * rho(y)).constant_term() == x * y
-            assert (rho(x) + rho(y)).constant_term() == x + y
+            assert constant_term(rho(x) * rho(y)) == x * y
+            assert constant_term(rho(x) + rho(y)) == x + y
 
 
 class TestRho:
@@ -98,8 +105,8 @@ class TestRho:
                 r = rho(x)
                 if x.is_zero():
                     continue
-                assert r.deg_tau == x.degree
-                assert r.constant_term() == x
+                assert deg_tau(r) == x.degree
+                assert constant_term(r) == x
                 if x.is_monic():
                     assert r.leading().is_one()  # sgn-normalization on monics
 
@@ -232,7 +239,7 @@ REFERENCE_CONDUCTORS = [
 class TestRealGenerator:
     @pytest.mark.parametrize("conductor", REFERENCE_CONDUCTORS)
     def test_matches_krylov_reference(self, conductor):
-        m = FqPoly.parse_serialized(conductor)
+        m = parse_serialized(conductor)
         got = real_generator_minpoly(m)
         assert got == reference_real_generator_minpoly(m)
         assert got.degree == ResidueRing(m).unit_count() // (m.field.q - 1)

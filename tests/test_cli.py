@@ -103,11 +103,21 @@ class TestCommands:
         assert code == 0
         assert "h = 1" in out
 
-    def test_verify_cnf(self, capsys):
-        code = main(["verify", "cnf", "--q", "3", "--p", "x^2+1", "--Sigma", "x"])
+    def test_verify_cnf(self, capsys, tmp_path):
+        report = tmp_path / "cnf.json"
+        code = main(["verify", "cnf", "--q", "3", "--p", "x^2+1", "--Sigma", "x",
+                     "--out", str(report)])
         out = capsys.readouterr().out
         assert code == 0
         assert "class-number identity" in out
+        blob = json.loads(report.read_text())
+        assert blob["config"] == {"q": "3^1", "f": "[1]@q=3^1", "p": "[1,0,1]@q=3^1",
+                                  "S": ["[1,0,1]@q=3^1"], "Sigma": ["[0,1]@q=3^1"],
+                                  "n": 0, "max_i": 6}
+        assert blob["zeta"]["h"] == 1
+        assert [(v["name"], v["passed"]) for v in blob["verdicts"]] == [
+            ("class_number_fitting_identity", True), ("charpoly_theta_identity", True)]
+        assert blob["verdicts"][0]["precision_k"] == 24
 
     def test_verify_fitting_small(self, capsys):
         code = main(["verify", "fitting", "--cases", "5", "--seed", "1"])
@@ -163,17 +173,42 @@ class TestCommands:
         (["theta", "--q", "3", "--p", "x^2+1"], "--Sigma"),
         (["verify", "all", "--config", "NO_SIGMA"], "lacks Sigma"),
         (["verify", "all", "--config", "MISSING"], "cannot read config file"),
+        (["verify", "all", "--q", "3", "--p", "x^2+1", "--Sigma", "x", "--N", "-1"],
+         "N must be >= 0, not -1"),
+        (["verify", "all", "--config", "NEGATIVE_N"], "N must be >= 0, not -2"),
+        (["verify", "all", "--q", "3", "--p", "x^2+1", "--Sigma", "x", "--N", "0",
+          "--precision", "0"], "precision must be >= 1, not 0"),
+        (["verify", "all", "--config", "NO_PRECISION"], "precision must be >= 1, not 0"),
+        (["verify", "fitting", "--cases", "-3"], "--cases must be >= 0, not -3"),
+        (["verify", "all", "--q", "3", "--p", "x^2+1", "--Sigma", "x", "--cases", "-3"],
+         "--cases must be >= 0, not -3"),
+        (["verify", "ordvan", "--q", "3", "--p", "x^2+1", "--Sigma", "x"],
+         "invalid choice: 'ordvan'"),
+        (["verify", "functoriality", "--q", "3"], "invalid choice: 'functoriality'"),
+        (["verify", "sigmaunit", "--q", "3"], "invalid choice: 'sigmaunit'"),
     ], ids=["verify-no-q", "verify-no-Sigma", "theta-no-Sigma", "config-no-Sigma",
-            "config-missing"])
+            "config-missing", "verify-N-negative", "config-N-negative",
+            "verify-precision-0", "config-precision-0", "fitting-cases-negative",
+            "all-cases-negative", "verify-ordvan-removed", "verify-functoriality-removed",
+            "verify-sigmaunit-removed"])
     def test_missing_input_exit_2(self, capsys, tmp_path, argv, named):
-        # a missing input is a usage error that names it, not a traceback
-        no_sigma = tmp_path / "no_sigma.json"
-        no_sigma.write_text(json.dumps({"q": "3", "p": "x^2+1", "N": 0}))
-        paths = {"NO_SIGMA": str(no_sigma), "MISSING": str(tmp_path / "missing.json")}
+        # a missing or invalid input is a usage error that names it, not a
+        # traceback, and a negative --cases checks nothing, so it is one too
+        configs = {"NO_SIGMA": {"q": "3", "p": "x^2+1", "N": 0},
+                   "NEGATIVE_N": {"q": "3", "p": "x^2+1", "Sigma": ["x"], "N": -2},
+                   "NO_PRECISION": {"q": "3", "p": "x^2+1", "Sigma": ["x"], "N": 0,
+                                    "precision": 0}}
+        paths = {"MISSING": str(tmp_path / "missing.json")}
+        for name, blob in configs.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(blob))
         code = main([paths.get(a, a) for a in argv])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: ") and named in err, err
+        # main reports its own usage errors on one line; argparse, which
+        # rejects an unknown suite, prints the usage first
+        assert err.startswith("usage: " if "invalid choice" in named else "error: "), err
+        assert named in err, err
 
     def test_reports_reproducible(self, tmp_path):
         args = ["zeta", "--q", "3", "--p", "x^2+1", "--n", "0", "--Sigma", "x",

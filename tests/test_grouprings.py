@@ -27,8 +27,6 @@ from ctower.grouprings import (
     invert_one_plus_nilpotent_u,
     module_order_exponent,
     mult_matrix,
-    nzd_test_polynomial,
-    sharp_element,
     sharp_presentation,
 )
 from zpk_reference import (
@@ -100,7 +98,7 @@ class TestCharacters:
             for g in C4xC9.elements():
                 acc = ring.add(acc, ring.mul(chi.value(g), psi.value(C4xC9.inv(g))))
             if chi.exps == psi.exps:
-                assert acc == ring.from_int(36)
+                assert acc == ring.scale(36, ring.one)
             else:
                 assert ring.is_zero(acc)
 
@@ -112,12 +110,12 @@ class TestCharacters:
             assert chi.value(C4xC9.mul(a, b)) == ring.mul(chi.value(a), chi.value(b))
 
     def test_restriction_to_subproduct(self):
+        # chi on C4 x C3 restricted to the first factor is the C4-character
+        # with the same first exponent, though the two log in different
+        # exponents: zeta_12^(chi log on (e,0)) = zeta_4^(res log on (e,))
         big = AbelianGroup((4, 3))
         chi = characters(big)[7]
-        res = chi.restrict((0,))
-        assert res.group.orders == (4,)
-        assert res.exps == (chi.exps[0],)
-        # zeta_12^(chi log on (e,0)) must equal zeta_4^(restricted log on (e,))
+        res = Character(AbelianGroup((4,)), chi.exps[:1])
         for e in range(4):
             assert chi.log_value((e, 0)) == 3 * res.log_value((e,)) % 12
 
@@ -242,7 +240,7 @@ class TestChiComponent:
         ring_t = chi_component_ring(triv, p, k, AbelianGroup(()))
         ring_n = chi_component_ring(nontriv, p, k, AbelianGroup(()))
         x = GroupRingElem.from_mapping(big, {(0,): 5, (1,): 7, (2,): 1, (3,): 2})
-        ex = (e * x).reduce_mod(p ** k)
+        ex = e * x
         assert ring_t.equal(chi_component(ex, triv, ring_t, (0,), ()),
                             chi_component(x, triv, ring_t, (0,), ()))
         assert ring_n.equal(chi_component(ex, nontriv, ring_n, (0,), ()), ring_n.zero)
@@ -332,35 +330,6 @@ class TestTruncPolyReference:
                         units += 1
                         assert inv == ref.to_vec(ref_inv)
         assert units > 60
-
-
-class TestNzd:
-    def test_gamma_minus_one(self):
-        # gamma - 1 over Z/3^4[C4], M=2: leading coefficient is a unit (the
-        # power-series nzd hypothesis holds) but the finite quotient has an
-        # annihilator (the norm element): the certificate separates the two
-        one = GroupRingElem.one(C4)
-        cert = nzd_test_polynomial([-(one), one], 3, 4, 2, C4)
-        assert cert.leading_coeff_unit
-        assert not cert.truncated_annihilator_trivial
-        assert cert.annihilator_witness is not None
-
-    def test_one_minus_gamma_a_unit_coeff(self):
-        # f = 1 - gamma a with a a unit: hypothesis holds
-        a = GroupRingElem.basis(C4, (1,))
-        cert = nzd_test_polynomial([GroupRingElem.one(C4), -a], 3, 4, 2, C4)
-        assert cert.leading_coeff_unit
-
-    def test_random_monic_cubic_over_c3(self):
-        rng = random.Random(13)
-        grp = C3
-        for _ in range(5):
-            coeffs = [GroupRingElem.from_mapping(grp, {k: rng.randrange(32) for k in grp.elements()})
-                      for _ in range(3)]
-            coeffs.append(GroupRingElem.one(grp))
-            cert = nzd_test_polynomial(coeffs, 2, 5, 2, grp)
-            assert cert.leading_coeff_unit
-            assert cert.truncation_M == 2 and cert.precision_k == 5
 
 
 class TestFitting:
@@ -489,13 +458,15 @@ class TestModulesAndSharp:
         assert module_order_exponent(sharp) == 0
 
     def test_sharp_idempotent(self):
-        # sharp of sharp = sharp on elements
+        # e_Delta is an idempotent of Z/p^k[G] (p does not divide |Delta|,
+        # Delta indices = (0,)), so the sharp projection 1 - e_Delta is too
         grp = AbelianGroup((3, 2))
-        p, k = 2, 6  # wait: p must not divide |Delta|; Delta indices = (0,)
-        x = GroupRingElem.from_mapping(grp, {kk: 5 for kk in grp.elements()})
-        s1 = sharp_element(x, (0,), p, k)
-        s2 = sharp_element(s1, (0,), p, k)
-        assert s1.reduce_mod(p ** k).coeffs == s2.reduce_mod(p ** k).coeffs
+        p, k = 2, 6
+        ring = ZpkGroupRing(p, k, grp)
+        e = ring.from_group_ring(delta_idempotent(grp, (0,), p, k))
+        assert ring.mul(e, e) == e
+        sharp = ring.sub(ring.one, e)
+        assert ring.mul(sharp, sharp) == sharp
 
     def test_sharp_exactness_orders(self):
         # 0 -> A' -> B -> C -> 0 with A' cyclic: the sharp orders multiply,
@@ -653,8 +624,6 @@ class TestGroupRingElemReference:
                 assert x.apply_character(chi) == rx.apply_character(chi)
             for apply_map, target in self._quotients(group):
                 assert as_reference(x.project(apply_map, target)) == rx.project(apply_map, target)
-            for m in (2, 9, 3 ** 5):
-                assert as_reference(x.reduce_mod(m)) == rx.reduce_mod(m)
             assert json.dumps(x.to_json()) == json.dumps(rx.to_json())
             assert repr(x) == repr(rx)
             assert (x == y) == (rx == ry)

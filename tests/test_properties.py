@@ -10,6 +10,8 @@ from ctower.grouprings import GroupRingElem, characters
 from ctower.lfun import theta
 from ctower.rayclass import TowerConfig, build_layer, default_s, layer_projection
 
+from carlitz_reference import constant_term, deg_tau
+
 F2 = FqField(2)
 F3 = FqField(3)
 F4 = FqField(2, 2)
@@ -71,10 +73,10 @@ class TestCarlitzModule:
     def test_degree_and_constant_term(self, x):
         r = rho(x)
         if x.is_zero():
-            assert r.deg_tau == float("-inf")
+            assert deg_tau(r) == float("-inf")
         else:
-            assert r.deg_tau == x.degree
-            assert r.constant_term() == x
+            assert deg_tau(r) == x.degree
+            assert constant_term(r) == x
 
 
 class TestGroupRing:
@@ -178,15 +180,12 @@ class TestThetaInvariants:
         assert tr.checks["trivial_character_symbolic_equal"]
 
     def test_relative_decomposition_compatible_layers(self):
-        # images of the x_v generator at consecutive layers match under the
-        # projection (same n, rising m)
-        from ctower.rayclass import relative_decomposition_group
+        # the projection L_2 -> L_1 maps D_v(L_2) onto D_v(L_1), v | f
         p = FinitePlace(FqPoly(F3, (1, 0, 1)))
         f = FqPoly(F3, (0, 1))
         cfg = TowerConfig(F3, f, p, default_s(f, p),
                           frozenset({FinitePlace(FqPoly(F3, (1, 1)))}))
-        out1 = relative_decomposition_group(cfg, 0, 1, FinitePlace(f))
-        out2 = relative_decomposition_group(cfg, 0, 2, FinitePlace(f))
-        lm = layer_projection(out2["layer"], out1["layer"])
-        assert lm.apply(out2["image"]) == out1["image"]
-        assert out1["t"] == out2["t"]
+        v = FinitePlace(f)
+        l1, l2 = build_layer(cfg, 1), build_layer(cfg, 2)
+        lm = layer_projection(l2, l1)
+        assert {lm.apply(g) for g in l2.decomposition_group(v)} == l1.decomposition_group(v)

@@ -11,7 +11,6 @@ from ctower.rayclass import (
     build_layer,
     default_s,
     layer_projection,
-    relative_decomposition_group,
 )
 
 F2 = FqField(2)
@@ -165,7 +164,7 @@ class TestFrobenius:
                 if pl.gen == layer.cfg.p_place.gen:
                     continue
                 r = pl.gen % layer.modulus
-                if r.is_constant() and not r.is_zero():
+                if r.degree == 0:
                     found = pl
                     break
             if found:
@@ -308,39 +307,40 @@ class TestProjection:
                 assert lm.apply(l1.frobenius(pl)) == l0.frobenius(pl)
 
 
+def relative_decomposition(upper, lower, v):
+    """G_v(L_m/L_n): the elements of D_v(L_m) that the projection to L_n kills."""
+    lm = layer_projection(upper, lower)
+    return [g for g in upper.decomposition_group(v) if lm.apply(g) == lower.group.identity]
+
+
 class TestRelativeDecomposition:
     def test_p_branch_full_relative_group(self):
         cfg = flagship_q3()
-        out = relative_decomposition_group(cfg, 0, 1, cfg.p_place)
+        l0, l1 = build_layer(cfg, 0), build_layer(cfg, 1)
         # p is totally ramified, so G_p(L_1/L_0) is all of Gal(L_1/L_0)
-        assert len(out["subgroup"]) == 9
+        assert len(relative_decomposition(l1, l0, cfg.p_place)) == 9
 
     def test_f_branch_example(self):
+        # v = theta divides f: |G_v(L_1/L_0)| = |D_v(L_1)| / |D_v(L_0)|
         cfg = conductor_config_q3()
         v = FinitePlace(poly(F3, 0, 1))
-        out = relative_decomposition_group(cfg, 0, 1, v)
-        # x_v = theta^t with theta^t = c mod p^(n+1): the class of theta in
-        # (A/p)^x/F_3^x has order 2 (theta^2 = -1 = const)
-        assert out["t"] == 2
-        assert out["constant"] == 2
-        # invariant: |G_v(L_1/L_0)| = |D_v(L_1)| / |D_v(L_0)|
         l0, l1 = build_layer(cfg, 0), build_layer(cfg, 1)
         d1 = len(l1.decomposition_group(v))
         d0 = len(l0.decomposition_group(v))
-        assert len(out["subgroup"]) == d1 // d0
+        assert (d0, d1) == (4, 12)
+        assert len(relative_decomposition(l1, l0, v)) == d1 // d0
 
     def test_compatible_under_projection(self):
-        # images of relative generators at consecutive layers are compatible
+        # the projection maps D_v(L_1) onto D_v(L_0)
         cfg = conductor_config_q3()
         v = FinitePlace(poly(F3, 0, 1))
-        out01 = relative_decomposition_group(cfg, 0, 1, v)
-        l0 = build_layer(cfg, 0)
-        lm = layer_projection(out01["layer"], l0)
-        assert lm.apply(out01["image"]) == l0.group.identity
+        l0, l1 = build_layer(cfg, 0), build_layer(cfg, 1)
+        lm = layer_projection(l1, l0)
+        assert {lm.apply(g) for g in l1.decomposition_group(v)} == l0.decomposition_group(v)
 
-    def test_infinite_place_rejected(self):
-        with pytest.raises(ValueError):
-            relative_decomposition_group(flagship_q3(), 0, 1, INFINITY)
+    def test_infinite_place_splits_completely(self):
+        layer = build_layer(flagship_q3(), 1)
+        assert layer.decomposition_group(INFINITY) == {layer.group.identity}
 
 
 class TestTrivialLayer:

@@ -18,6 +18,7 @@ from ctower.grouprings import (
     ZpkGroupRing,
     characters,
     delta_blocks,
+    delta_idempotent,
     e_delta_presentation,
     ideal_contains,
     is_unit,
@@ -25,7 +26,6 @@ from ctower.grouprings import (
     mult_matrix,
     quotient_exponents,
     quotient_order_exponent,
-    sharp_element,
     sharp_presentation,
 )
 from ctower.rayclass import TowerConfig, build_layer, default_s
@@ -583,20 +583,27 @@ class TestCoherentNzd:
                                 alpha=[[1], [3]])
 
 
+def sharp_projector(ring, delta_idx):
+    """1 - e_Delta in Z/p^k[G]: x -> (1 - e_Delta) x projects onto the sharp part."""
+    e = delta_idempotent(ring.group, delta_idx, ring.p, ring.k)
+    return ring.sub(ring.one, ring.from_group_ring(e))
+
+
 class TestSharpProjection:
     def test_element_idempotent(self):
         grp = AbelianGroup((3, 2))
-        x = GroupRingElem.from_mapping(grp, {k: 7 for k in grp.elements()})
-        s = sharp_element(x, (0,), 2, 6)
-        ss = sharp_element(s, (0,), 2, 6)
-        assert s.reduce_mod(2 ** 6).coeffs == ss.reduce_mod(2 ** 6).coeffs
+        ring = ZpkGroupRing(2, 6, grp)
+        proj = sharp_projector(ring, (0,))
+        x = ring.from_mapping({k: 7 for k in grp.elements()})
+        s = ring.mul(proj, x)
+        assert ring.mul(proj, s) == s
 
     def test_delta_fixed_element_dies(self):
         # (1 - e_Delta) of a Delta-fixed element is 0
         grp = AbelianGroup((3,))
-        x = GroupRingElem.from_mapping(grp, {(0,): 1, (1,): 1, (2,): 1})  # norm element
-        s = sharp_element(x, (0,), 2, 8)
-        assert dict(s.reduce_mod(2 ** 8).items()) == {}
+        ring = ZpkGroupRing(2, 8, grp)
+        x = ring.from_mapping({(0,): 1, (1,): 1, (2,): 1})  # norm element
+        assert ring.mul(sharp_projector(ring, (0,)), x) == ring.zero
 
     def test_presentation(self):
         grp = AbelianGroup((3,))
@@ -612,10 +619,8 @@ class TestSharpProjection:
         assert total == s + e
 
     def test_p_dividing_delta_rejected(self):
-        grp = AbelianGroup((2,))
-        x = GroupRingElem.one(grp)
-        with pytest.raises(ValueError):
-            sharp_element(x, (0,), 2, 4)
+        with pytest.raises(ValueError, match="p divides"):
+            sharp_projector(ZpkGroupRing(2, 4, AbelianGroup((2,))), (0,))
 
 
 class TestAlgebraSuiteReference:

@@ -170,9 +170,6 @@ class ReferenceGroupRingElem:
             out[kk] = out.get(kk, 0) + v
         return ReferenceGroupRingElem(target_group, out)
 
-    def reduce_mod(self, modulus: int) -> "ReferenceGroupRingElem":
-        return ReferenceGroupRingElem(self.group, {k: v % modulus for k, v in self.coeffs.items()})
-
     def __eq__(self, other):
         return isinstance(other, ReferenceGroupRingElem) and self.group == other.group and self.coeffs == other.coeffs
 
