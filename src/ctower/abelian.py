@@ -57,9 +57,6 @@ class AbelianGroup:
             n = n * d // gcd(n, d)
         return n
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def p_partition(self, p: int):
         """(delta_indices, p_indices): coordinates of prime-to-p and p-power
         order.  Requires every generator order to be a prime power or 1."""

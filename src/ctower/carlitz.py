@@ -37,11 +37,6 @@ class TwistedPoly:
     def one(cls, field):
         return cls(field, (FqPoly.one(field),))
 
-    def leading(self) -> FqPoly:
-        if not self.coeffs:
-            raise ValueError("zero twisted polynomial")
-        return self.coeffs[-1]
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         zero = FqPoly.zero(self.field)
@@ -123,9 +118,6 @@ class AXPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1].is_one()
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         return AXPoly(self.field, (self[i] + other[i] for i in range(n)))
@@ -148,9 +140,6 @@ class AXPoly:
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return AXPoly(self.field, out)
-
-    def scale(self, c: FqPoly):
-        return AXPoly(self.field, (c * a for a in self.coeffs))
 
     def __divmod__(self, other):
         """Division by a divisor whose X-leading coefficient is a unit in A."""
@@ -202,10 +191,6 @@ class AXPoly:
             return "0"
         return " + ".join(f"({c!r})*X^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero())
 
-    def to_grid(self):
-        """Coefficient grid: list over X-degree of theta-coefficient lists."""
-        return [list(c.coeffs) for c in self.coeffs]
-
 
 # ---------------------------------------------------------------------------
 # the Carlitz module
@@ -242,13 +227,6 @@ class CyclotomicPoly:
 
     m: FqPoly
     phi: AXPoly
-
-    def to_json(self):
-        return {
-            "conductor": self.m.serialize(),
-            "grid": [[int(v) for v in row] for row in self.phi.to_grid()],
-            "q": f"{self.m.field.p}^{self.m.field.e}",
-        }
 
 
 def _divisors_with_mobius(m: FqPoly):

@@ -7,7 +7,10 @@ Polynomial syntax on flags and in config files: coefficients ascending with
 the variable spelled x (or theta), e.g. "1+0x+1x^2" or "x^2+1" for
 theta^2 + 1.  Over F_(p^e) with e > 1 the coefficients must lie in 0..p-1
 (the prime field); over F_p they are reduced mod p.  The infinite place is
-"inf".  Exit codes: 0 success, 1 verification failure, 2 usage error.
+"inf".  Exit codes: 0 success, 1 verification failure, 2 usage error.  In
+verify all and verify cnf an ArithmeticError raised inside a check is that
+check's failed verdict (tower.TowerRun.check): exit 1 and a report that ends
+with it.  Errors outside a check stay usage errors.
 """
 
 from __future__ import annotations
@@ -21,15 +24,12 @@ import sys
 
 from .ffpoly import FinitePlace, FqField, FqPoly, INFINITY, is_irreducible
 from .geometry import (
-    charpoly_theta_report,
     count_points_model,
     count_points_splitting,
     curve_model,
-    nabla_order,
-    s_divisor_data,
     zeta_numerator,
 )
-from .grouprings import characters, quotient_order_exponent
+from .grouprings import characters
 from .lfun import (
     functoriality_check,
     order_of_vanishing_table,
@@ -39,10 +39,11 @@ from .lfun import (
 from .rayclass import TowerConfig, TrivialLayer, build_layer, default_s, layer_projection
 from .tower import (
     RunOptions,
-    TowerVerificationError,
+    TowerRun,
     battery_chunks,
     battery_sections,
     battery_verdicts,
+    cnf_suite,
     drain_battery,
     run_tower,
 )
@@ -428,52 +429,22 @@ def cmd_verify(args):
 
     cfg, N, opts = _verify_config(args)
     if args.suite == "cnf":
-        return _verify_cnf(args, cfg, opts.precision_k)
-    # the battery does not read the tower: the worker starts on it at once,
-    # and the parent joins it when the tower is done
-    with _BatteryWorker(opts.seed, args.cases) as battery:
-        try:
+        run = TowerRun(cfg=cfg, N=args.n, options=opts).until_failure(
+            cnf_suite, build_layer(cfg, args.n), args.max_i)
+        report = {"config": {**cfg.to_json(), "n": args.n, "max_i": args.max_i},
+                  "zeta": run.zeta and run.zeta.to_json(), "verdicts": run.verdicts}
+    else:
+        # the battery does not read the tower: the worker starts on it at
+        # once, and the parent joins it when the tower has passed
+        with _BatteryWorker(opts.seed, args.cases) as battery:
             run = run_tower(cfg, N, opts)
-        except TowerVerificationError as exc:
-            run = exc.run
-        else:
-            run.verdicts.extend(battery.verdicts())
+            if run.all_passed:
+                run.verdicts.extend(battery.verdicts())
+        report = run.to_json()
     for line in run.summary_lines():
         print(line)
-    _emit(run.to_json(), args)
+    _emit(report, args)
     return 0 if run.all_passed else 1
-
-
-def _verify_cnf(args, cfg, k):
-    """The class-number Fitting identity and the charpoly-vs-Theta identity
-    at layer args.n, from the point counts N_1..N_(max_i).  The report
-    records the tower as resolved, from the flags or from --config."""
-    layer = build_layer(cfg, args.n)
-    tr = theta_op(layer)
-    counts = [count_points_splitting(layer, i) for i in range(1, args.max_i + 1)]
-    z = zeta_numerator(counts, cfg.field.q)
-    sdiv = s_divisor_data(layer)
-    nab = nabla_order(layer, z, sdiv)
-    quot = quotient_order_exponent(tr.special_value(), cfg.char, k)
-    ok = quot == nab.total_p_exponent
-    print(f"[{'PASS' if ok else 'FAIL'}] class-number identity: "
-          f"nabla p-exponent {nab.total_p_exponent}, quotient {quot} "
-          f"(precision p^{k})")
-    report = charpoly_theta_report(layer, tr, z, sdiv)
-    ok2 = report["exact_identity"] and report["unit_certified"]
-    print(f"[{'PASS' if ok2 else 'FAIL'}] charpoly-vs-theta identity")
-    verdicts = [
-        {"name": "class_number_fitting_identity", "passed": ok,
-         "nabla_p_exponent": nab.total_p_exponent, "quotient_p_exponent": quot,
-         "precision_k": k, "hypotheses": nab.hypotheses},
-        {"name": "charpoly_theta_identity", "passed": ok2,
-         "exact_identity": report["exact_identity"],
-         "unit_certified": report["unit_certified"],
-         "precision": [report["precision_k"], report["truncation_M"]]},
-    ]
-    _emit({"config": {**cfg.to_json(), "n": args.n, "max_i": args.max_i},
-           "zeta": z.to_json(), "verdicts": verdicts}, args)
-    return 0 if ok and ok2 else 1
 
 
 def _add_config_flags(sp, with_n=True):

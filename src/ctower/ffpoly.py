@@ -188,13 +188,6 @@ class FqField:
             return pow(a, n % (self.p - 1) if n else 0, self.p) if n >= 0 else pow(self.inv(a), -n, self.p)
         return self._exp[(self._log[a] * n) % (self.q - 1)]
 
-    def frobenius(self, a: int) -> int:
-        """x -> x^p, the absolute Frobenius (identity on the prime field)."""
-        return self.pow(a, self.p)
-
-    def elements(self):
-        return range(self.q)
-
     def __repr__(self):
         if self.e == 1:
             return f"F_{self.p}"
@@ -721,14 +714,8 @@ class ResidueRing:
         self.size = self.field.q ** modulus.degree
         self._factorization = None
 
-    def reduce(self, a: FqPoly) -> FqPoly:
-        return a % self.modulus
-
     def mul(self, a: FqPoly, b: FqPoly) -> FqPoly:
         return (a * b) % self.modulus
-
-    def add(self, a: FqPoly, b: FqPoly) -> FqPoly:
-        return a + b
 
     def pow(self, a: FqPoly, n: int) -> FqPoly:
         if n < 0:

@@ -471,10 +471,6 @@ class SDivisorData:
     x_rank: int         # rank of X_S = (number of places above S) - 1
     zp_mod_ds_exponent: int  # v_p(d_s) = log_p |Z_p / d_S|
 
-    def to_json(self):
-        return {"degrees": self.degrees, "d_s": self.d_s, "x_rank": self.x_rank,
-                "zp_mod_ds_exponent": self.zp_mod_ds_exponent}
-
 
 def s_divisor_data(layer) -> SDivisorData:
     table = layer.exceptional_table()
@@ -510,13 +506,6 @@ class NablaOrder:
     finite_chars: list          # chi exps with chi nontrivial on every G_v
     infinite_chars: list
     sharp_total_exponent: object  # int when determined, else None
-
-    def to_json(self):
-        return {"hypotheses": self.hypotheses,
-                "total_p_exponent": self.total_p_exponent,
-                "h_p_exponent": self.h_p_exponent,
-                "ds_p_exponent": self.ds_p_exponent,
-                "sharp_total_exponent": self.sharp_total_exponent}
 
 
 def evaluate_hypotheses(layer) -> dict:

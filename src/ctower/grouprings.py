@@ -132,12 +132,6 @@ class CyclotomicRing:
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
     def mul(self, a, b):
         out = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):
@@ -211,7 +205,6 @@ class Character:
 
     def power(self, t: int) -> "Character":
         return Character(self.group, tuple((j * t) % o for j, o in zip(self.exps, self.group.orders)))
-
 
 
 def characters(group: AbelianGroup):
@@ -330,10 +323,6 @@ class GroupRingElem:
         return cls(group, [1] + [0] * (group.order - 1))
 
     @classmethod
-    def basis(cls, group, elem):
-        return cls.from_mapping(group, {tuple(elem): 1})
-
-    @classmethod
     def from_mapping(cls, group, coeffs):
         """The element sum_g coeffs[g] g, from a mapping exponent tuple -> int."""
         _, index = group_index(group)
@@ -378,9 +367,6 @@ class GroupRingElem:
             if v:
                 vec[lv] += v
         return ring.reduce(vec)
-
-    def project(self, apply_map, target_group) -> "GroupRingElem":
-        return _pushforward(self, _index_map(self.group, apply_map, target_group), target_group)
 
     def __eq__(self, other):
         return isinstance(other, GroupRingElem) and self.group == other.group and self.coeffs == other.coeffs
@@ -509,10 +495,6 @@ class _FlatZpkModule:
     def add(self, a, b):
         pk = self.pk
         return [(x + y) % pk for x, y in zip(a, b)]
-
-    def neg(self, a):
-        pk = self.pk
-        return [(-x) % pk for x in a]
 
     def sub(self, a, b):
         pk = self.pk
@@ -655,9 +637,6 @@ class ChiComponentRing(_FlatZpkModule):
         d, p = self.deg, self.p
         return any(sum(a[s::d]) % p for s in range(d))
 
-    def describe(self):
-        return f"Z/{self.p}^{self.k}[x]/(h deg {self.deg})[P{list(self.pgroup.orders)}]"
-
 
 class TruncPolyRing(_FlatZpkModule):
     """base[u]/(u^M) over a finite ring base with flat elements: an element is
@@ -689,9 +668,6 @@ class TruncPolyRing(_FlatZpkModule):
                     s = (i + j) * n
                     out[s:s + n] = [c + d for c, d in zip(out[s:s + n], base.mul(x, y))]
         return self.from_vec(out)
-
-    def describe(self):
-        return f"{self.base.describe()}[u]/(u^{self.M})"
 
 
 # ---------------------------------------------------------------------------
@@ -802,11 +778,6 @@ class FittingIdeal:
     ring: object
     generators: list
     deficient: bool = False  # more generators than relations: zero ideal
-
-    def to_json(self):
-        return {"ring": self.ring.describe(), "deficient": self.deficient,
-                "precision_k": self.ring.k,
-                "generators": [self.ring.to_vec(g) for g in self.generators]}
 
 
 @dataclass

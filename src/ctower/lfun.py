@@ -302,6 +302,12 @@ def per_character_euler_product(layer, chi: Character, D: int):
     return out
 
 
+def _first_difference(a: list, b: list) -> int:
+    """The first index at which the lists a and b differ, a missing entry
+    differing from every present one."""
+    return next(i for i in range(max(len(a), len(b))) if a[i:i + 1] != b[i:i + 1])
+
+
 def stabilized_theta(layer, D: int = None):
     """(bound, D, series, Theta): the Euler series through degree D (default
     bound + DEFAULT_EXTRA_DEGREE), certified to vanish in (bound, D], and the
@@ -351,20 +357,23 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
         other = divisor_sum_series(layer, D)
         checks["divisor_sum_equal"] = other == series
         if not checks["divisor_sum_equal"]:
-            raise ArithmeticError("Euler product and divisor-sum series disagree")
+            raise ArithmeticError("Euler product and divisor-sum series disagree "
+                                  f"at degree {_first_difference(series, other)}")
         sym = trivial_character_symbolic(layer)
         triv = [c.augmentation() for c in tp.coeffs]
         while triv and triv[-1] == 0:
             triv.pop()
         checks["trivial_character_symbolic_equal"] = sym == triv
         if not checks["trivial_character_symbolic_equal"]:
-            raise ArithmeticError("symbolic trivial-character component disagrees")
+            raise ArithmeticError("symbolic trivial-character component disagrees "
+                                  f"at u^{_first_difference(sym, triv)}")
         if group.order <= PER_CHARACTER_PRODUCT_MAX_ORDER:
-            ok = all(per_character_euler_product(layer, chi, D) == chi_theta[chi.exps]
-                     for chi in chars)
-            checks["per_character_product_equal"] = ok
-            if not ok:
-                raise ArithmeticError("per-character Euler product disagrees")
+            bad = next((chi for chi in chars if per_character_euler_product(layer, chi, D)
+                        != chi_theta[chi.exps]), None)
+            checks["per_character_product_equal"] = bad is None
+            if bad is not None:
+                raise ArithmeticError("per-character Euler product disagrees "
+                                      f"at character {list(bad.exps)}")
 
     return ThetaResult(layer=layer, D=D, bound=bound, theta=tp, series=series,
                        stabilization_ok=True, per_char_degrees=per_char_degrees,

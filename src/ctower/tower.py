@@ -5,13 +5,17 @@ quotient comparison, Sigma-independence, charpoly identity).
 
 Infinite-level statements are never asserted; each verdict records the
 finite-layer statement it certifies together with the precision or bound at
-which it was certified.
+which it was certified.  A run ends at its first failed verdict, and an
+ArithmeticError raised inside a check is that check's failure
+(TowerRun.check).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 from .abelian import TRIVIAL_GROUP, AbelianGroup
@@ -32,6 +36,7 @@ from .grouprings import (
     ZpkGroupRing,
     block_exponents,
     characters,
+    conjugacy_orbit_reps,
     cyclic_submodule_presentation,
     delta_blocks,
     e_delta_presentation,
@@ -59,12 +64,8 @@ POINT_MAX_I = 6
 
 
 class TowerVerificationError(AssertionError):
-    """A sub-verification failed; carries the structured report so far."""
-
-    def __init__(self, run):
-        self.run = run
-        failed = [v["name"] for v in run.verdicts if not v["passed"]]
-        super().__init__(f"verification failed: {failed}")
+    """Raised by TowerRun.record on a failed verdict, to end the suite that
+    TowerRun.until_failure runs."""
 
 
 @dataclass
@@ -101,7 +102,25 @@ class TowerRun:
             **details,
         })
         if not passed:
-            raise TowerVerificationError(self)
+            raise TowerVerificationError(name)
+
+    @contextmanager
+    def check(self, name, layer, shadows):
+        """The block computes the verdict name and records it with the
+        record(passed, **details) it is given.  An ArithmeticError raised in
+        the block is that verdict's failure: it is recorded with its error."""
+        try:
+            yield functools.partial(self.record, name, layer, shadows=shadows)
+        except ArithmeticError as exc:
+            self.record(name, layer, False, shadows, error=f"{type(exc).__name__}: {exc}")
+
+    def until_failure(self, suite, *args):
+        """Run suite(self, *args) up to its first failed verdict; returns self."""
+        try:
+            suite(self, *args)
+        except TowerVerificationError:
+            pass
+        return self
 
     def to_json(self):
         return {
@@ -141,36 +160,64 @@ def nzd_slack(special: GroupRingElem, p: int, k: int) -> int:
 
 
 def run_tower(cfg: TowerConfig, N: int, options: RunOptions = None) -> TowerRun:
-    """Build layers 0..N and run the full verification battery."""
-    opts = options or RunOptions()
-    run = TowerRun(cfg=cfg, N=N, options=opts)
+    """Build layers 0..N and run the tower's verdicts up to the first failed
+    one.  The run is returned whether it passed or failed."""
+    run = TowerRun(cfg=cfg, N=N, options=options or RunOptions())
+    run.layers = [build_layer(cfg, n) for n in range(N + 1)]
+    return run.until_failure(_tower_suite)
+
+
+def _theta_verdict(run: TowerRun, layer):
+    """Theta at layer with its stabilization and cross-checks, recorded as
+    the verdict theta_stabilization."""
+    with run.check("theta_stabilization", layer.n,
+                   "polynomiality of the equivariant L-function") as record:
+        tr = theta(layer, D=run.options.degree, cross_check=True)
+        record(tr.stabilization_ok, bound=tr.bound, D=tr.D, checks=tr.checks)
+    return tr
+
+
+def _zero_blocks(layer, p: int, live) -> list:
+    """The indices of the delta_blocks of Theta(1) that vanish exactly,
+    given the characters chi with chi(Theta(1)) != 0: a block is zero when
+    no such chi has its Delta-part in the block's Frobenius orbit."""
+    group = layer.group
+    delta_idx, _ = group.p_partition(p)
+    delta = AbelianGroup(tuple(group.orders[i] for i in delta_idx))
+    reps = conjugacy_orbit_reps(characters(delta), p)
+    orbit_of = {}
+    for b, chi in enumerate(reps):
+        while chi.exps not in orbit_of:
+            orbit_of[chi.exps] = b
+            chi = chi.power(p)
+    nonzero = {orbit_of[tuple(chi.exps[i] for i in delta_idx)] for chi in live}
+    return [b for b in range(len(reps)) if b not in nonzero]
+
+
+def _tower_suite(run: TowerRun):
+    cfg = run.cfg
+    opts = run.options
+    layers = run.layers
     p = cfg.char
     k = opts.precision_k
 
-    layers = [build_layer(cfg, n) for n in range(N + 1)]
-    run.layers = layers
-    trs = []
+    trs = run.theta_results
     for layer in layers:
-        tr = theta(layer, D=opts.degree, cross_check=True)
+        tr = _theta_verdict(run, layer)
         trs.append(tr)
-        run.record("theta_stabilization", layer.n, tr.stabilization_ok,
-                   "polynomiality of the equivariant L-function",
-                   bound=tr.bound, D=tr.D, checks=tr.checks)
-        _, _, _, theta2 = stabilized_theta(layer, tr.D + 2)
-        run.record("theta_recompute_D_plus_2", layer.n, tr.theta == theta2,
-                   "stabilization certificate", D=tr.D + 2)
+        with run.check("theta_recompute_D_plus_2", layer.n,
+                       "stabilization certificate") as record:
+            record(tr.theta == stabilized_theta(layer, tr.D + 2)[3], D=tr.D + 2)
         ok_degrees = all(d <= b for d, b in tr.per_char_degrees.values())
         run.record("per_character_degree_bounds", layer.n, ok_degrees,
                    "conductor-based degree formula",
                    degrees={str(kk): v for kk, v in tr.per_char_degrees.items()})
-    run.theta_results = trs
 
-    for n in range(N):
-        lm = layer_projection(layers[n + 1], layers[n])
-        rep = functoriality_check(trs[n + 1], trs[n], lm)
-        run.record("functoriality", (n + 1, n), rep.equal,
-                   "coherent family of L-polynomials under Galois restriction",
-                   first_mismatch=rep.first_mismatch_degree)
+    for n in range(run.N):
+        with run.check("functoriality", (n + 1, n),
+                       "coherent family of L-polynomials under Galois restriction") as record:
+            rep = functoriality_check(trs[n + 1], trs[n], layer_projection(layers[n + 1], layers[n]))
+            record(rep.equal, first_mismatch=rep.first_mismatch_degree)
 
     for layer, tr in zip(layers, trs):
         table = order_of_vanishing_table(layer, tr)
@@ -195,8 +242,10 @@ def run_tower(cfg: TowerConfig, N: int, options: RunOptions = None) -> TowerRun:
         blocks = delta_blocks(tr.special_value(), p, k)
         exps = block_exponents(blocks)
         theta_one_exps.append(exps)
-        unsplit = [chi for chi in characters(layer.group) if layer.split_count(chi) == 0]
-        if not unsplit:
+        # chi(Theta) vanishes at u = 1 to order split_count(chi) - [chi trivial]
+        live = [chi for chi in characters(layer.group)
+                if layer.split_count(chi) == chi.is_trivial()]
+        if not live:
             # every chi(Theta) vanishes at u = 1, so Theta(1) = 0: there is
             # no chi(Theta(1)) to test and no component that can be nonzero
             run.record("special_value_nzd_shadow", layer.n, True,
@@ -204,52 +253,57 @@ def run_tower(cfg: TowerConfig, N: int, options: RunOptions = None) -> TowerRun:
                        refused="every character is trivial on the decomposition group "
                                "of a place in S, so Theta(1) = 0")
             continue
-        slack = max(exps, default=0)
-        chars_ok = not any(chi.ring.is_zero(tr.chi_at_one(chi)) for chi in unsplit)
-        # Delta-component images of Theta(1) at precision p^k
-        components_ok = not any(ring.equal(img, ring.zero) for ring, img in blocks)
-        run.record("special_value_nzd_shadow", layer.n, chars_ok and components_ok,
+        chars_ok = not any(chi.ring.is_zero(tr.chi_at_one(chi)) for chi in live)
+        # the Delta-component images of Theta(1) at precision p^k that are
+        # zero must be the blocks that vanish exactly
+        zero = _zero_blocks(layer, p, live)
+        seen = [b for b, (ring, img) in enumerate(blocks) if ring.equal(img, ring.zero)]
+        run.record("special_value_nzd_shadow", layer.n, chars_ok and seen == zero,
                    "Theta(1) annihilator slack at finite precision",
-                   slack_c=slack, precision_k=k)
+                   slack_c=max(exps, default=0), precision_k=k,
+                   **({"zero_blocks": zero} if zero else {}))
 
-    if opts.geometry:
-        _geometry_suite(run, layers[0], trs[0], sum(theta_one_exps[0]))
-
-    return run
-
-
-def _geometry_suite(run: TowerRun, layer, tr, quot):
-    """quot is log_p |Z/p^k[G] / (Theta(1))| at this layer."""
-    cfg = run.cfg
-    opts = run.options
-    q = cfg.field.q
-    p = cfg.char
-    k = opts.precision_k
-
-    counts = []
-    model = None
-    model_err = None
+    if not opts.geometry:
+        return
+    layer, tr = layers[0], trs[0]
+    model = model_err = None
     try:
         model = curve_model(layer)
     except (ArithmeticError, ValueError) as exc:  # no model: splitting only
         model_err = str(exc)
-    agree = True
-    for i in range(1, POINT_MAX_I + 1):
-        ns = count_points_splitting(layer, i)
-        if model is not None and q ** i <= opts.point_budget:
-            nm = count_points_model(model, i, budget=opts.point_budget)
-            agree = agree and nm == ns
-        counts.append(ns)
-    run.record("point_count_cross_check", layer.n, agree,
-               "model counting vs class-field splitting law",
-               counts=counts, model=None if model is None else "plane model",
+    counts = [count_points_splitting(layer, i) for i in range(1, POINT_MAX_I + 1)]
+    with run.check("point_count_cross_check", layer.n,
+                   "model counting vs class-field splitting law") as record:
+        agree = model is None or all(
+            count_points_model(model, i, budget=opts.point_budget) == ns
+            for i, ns in enumerate(counts, 1) if cfg.field.q ** i <= opts.point_budget)
+        record(agree, counts=counts, model=None if model is None else "plane model",
                note=model_err)
+    _class_number_suite(run, layer, tr, counts, sum(theta_one_exps[0]))
 
-    z = zeta_numerator(counts, q)
-    run.zeta = z
-    run.record("zeta_functional_equation", layer.n, True,
-               "Weil numerator with functional equation and bounds",
-               genus=z.genus, numerator=z.numerator, h=z.h)
+
+def cnf_suite(run: TowerRun, layer, max_i: int):
+    """The class-number suite at one layer of any depth: Theta there, the
+    splitting-law counts N_1..N_(max_i) and the quotient order of Theta(1)."""
+    tr = _theta_verdict(run, layer)
+    counts = [count_points_splitting(layer, i) for i in range(1, max_i + 1)]
+    quot = quotient_order_exponent(tr.special_value(), run.cfg.char, run.options.precision_k)
+    _class_number_suite(run, layer, tr, counts, quot)
+
+
+def _class_number_suite(run: TowerRun, layer, tr, counts, quot):
+    """The verdicts read off the point counts N_1, N_2, ... of the layer: the
+    zeta numerator, the class-number Fitting identity, Sigma-independence
+    and the charpoly identity.  quot is log_p |Z/p^k[G] / (Theta(1))|."""
+    cfg = run.cfg
+    opts = run.options
+    p = cfg.char
+    k = opts.precision_k
+
+    with run.check("zeta_functional_equation", layer.n,
+                   "Weil numerator with functional equation and bounds") as record:
+        run.zeta = z = zeta_numerator(counts, cfg.field.q)
+        record(True, genus=z.genus, numerator=z.numerator, h=z.h)
 
     special = tr.special_value()
     sdiv = s_divisor_data(layer)
@@ -271,34 +325,33 @@ def _geometry_suite(run: TowerRun, layer, tr, quot):
         alt_cfg = TowerConfig(cfg.field, cfg.f, cfg.p_place, cfg.S,
                               frozenset(opts.sigma_alt))
         alt_layer = build_layer(alt_cfg, layer.n)
-        alt_tr = theta(alt_layer, cross_check=False)
-        ring = ZpkGroupRing(p, k, layer.group)
-        alt_special = alt_tr.special_value()
-        s1 = ring.from_group_ring(special)
-        s2 = ring.from_group_ring(alt_special)
-        # W = Theta'(1) * Theta(1)^{-1} need not exist in the group ring
-        # (Theta(1) can be a zero divisor); certify via the Sigma factor
-        # ratio instead: Theta'(1) = Theta(1) * W with W a unit
-        w1 = sigma_factor_poly(layer).evaluate_at_one()
-        w2 = sigma_factor_poly(alt_layer).evaluate_at_one()
-        w1r = ring.from_group_ring(w1)
-        ok_w1, w1_inv = is_unit(w1r, ring)
-        w = ring.mul(ring.from_group_ring(w2), w1_inv) if ok_w1 else None
-        unit_ok, _ = is_unit(w, ring) if w is not None else (False, None)
-        same = w is not None and ring.equal(s2, ring.mul(s1, w))
-        q2 = quotient_order_exponent(alt_special, p, k)
-        run.record("sigma_independence", layer.n,
-                   bool(unit_ok and same and quot == q2),
-                   "Sigma-smoothing changes Theta(1) by a unit",
+        with run.check("sigma_independence", layer.n,
+                       "Sigma-smoothing changes Theta(1) by a unit") as record:
+            alt_tr = theta(alt_layer, cross_check=False)
+            ring = ZpkGroupRing(p, k, layer.group)
+            alt_special = alt_tr.special_value()
+            s1 = ring.from_group_ring(special)
+            s2 = ring.from_group_ring(alt_special)
+            # W = Theta'(1) * Theta(1)^{-1} need not exist in the group ring
+            # (Theta(1) can be a zero divisor); certify via the Sigma factor
+            # ratio instead: Theta'(1) = Theta(1) * W with W a unit
+            w1 = sigma_factor_poly(layer).evaluate_at_one()
+            w2 = sigma_factor_poly(alt_layer).evaluate_at_one()
+            w1r = ring.from_group_ring(w1)
+            ok_w1, w1_inv = is_unit(w1r, ring)
+            w = ring.mul(ring.from_group_ring(w2), w1_inv) if ok_w1 else None
+            unit_ok, _ = is_unit(w, ring) if w is not None else (False, None)
+            same = w is not None and ring.equal(s2, ring.mul(s1, w))
+            q2 = quotient_order_exponent(alt_special, p, k)
+            record(unit_ok and same and quot == q2,
                    quotient_exponents=(quot, q2), precision_k=k)
 
     if nab is not None:
-        report = charpoly_theta_report(layer, tr, z, sdiv, k=12, M=12)
-        run.record("charpoly_theta_identity", layer.n,
-                   report["exact_identity"] and report["unit_certified"] and
-                   report["pinned_discrepancy_matches"],
-                   "Frobenius characteristic polynomial vs Theta",
-                   precision=(12, 12))
+        with run.check("charpoly_theta_identity", layer.n,
+                       "Frobenius characteristic polynomial vs Theta") as record:
+            report = charpoly_theta_report(layer, tr, z, sdiv, k=12, M=12)
+            record(report["exact_identity"] and report["unit_certified"] and
+                   report["pinned_discrepancy_matches"], precision=(12, 12))
 
 
 # ---------------------------------------------------------------------------

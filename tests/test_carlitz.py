@@ -39,10 +39,10 @@ def additive_eval(ax, ring, theta0, x0):
     for c in ax.coeffs:
         value = FqPoly.zero(ring.field)
         for ci in reversed(c.coeffs):
-            value = ring.add(ring.mul(value, theta0), FqPoly.constant(ring.field, ci))
-        acc = ring.add(acc, ring.mul(value, xpow))
+            value = ring.mul(value, theta0) + FqPoly.constant(ring.field, ci)
+        acc = acc + ring.mul(value, xpow)
         xpow = ring.mul(xpow, x0)
-    return ring.reduce(acc)
+    return acc % ring.modulus
 
 
 class TestTwisted:
@@ -108,7 +108,7 @@ class TestRho:
                 assert deg_tau(r) == x.degree
                 assert constant_term(r) == x
                 if x.is_monic():
-                    assert r.leading().is_one()  # sgn-normalization on monics
+                    assert r.coeffs[-1].is_one()  # sgn-normalization on monics
 
 
 class TestAdditivePoly:
@@ -140,13 +140,13 @@ class TestAdditivePoly:
         for _ in range(10):
             z1 = FqPoly(F, [rng.randrange(3) for _ in range(3)])
             z2 = FqPoly(F, [rng.randrange(3) for _ in range(3)])
-            s = additive_eval(ax, ring, FqPoly.gen(F), ring.add(z1, z2))
-            assert s == ring.add(additive_eval(ax, ring, FqPoly.gen(F), z1),
-                                 additive_eval(ax, ring, FqPoly.gen(F), z2))
+            s = additive_eval(ax, ring, FqPoly.gen(F), z1 + z2)
+            assert s == (additive_eval(ax, ring, FqPoly.gen(F), z1) +
+                         additive_eval(ax, ring, FqPoly.gen(F), z2))
             c = rng.randrange(1, 3)
             zc = z1.scale(c)
             assert additive_eval(ax, ring, FqPoly.gen(F), zc) == \
-                ring.reduce(additive_eval(ax, ring, FqPoly.gen(F), z1).scale(c))
+                additive_eval(ax, ring, FqPoly.gen(F), z1).scale(c) % ring.modulus
 
     def test_module_action_is_evaluation(self):
         # rho_{xy} evaluated = rho_x evaluated after rho_y evaluated
@@ -204,12 +204,6 @@ class TestCyclotomic:
         assert der.degree == 0 and der[0] == m
         assert ax.degree == 3 ** m.degree
 
-    def test_json(self):
-        cyc = cyclotomic_poly(poly(F3, 1, 0, 1))
-        blob = cyc.to_json()
-        assert blob["conductor"] == "[1,0,1]@q=3^1"
-        assert len(blob["grid"]) == 9
-
 
 def annihilates_real_generator(m, mp):
     """Whether mp(e) = 0 in A[Y]/(phi_m) for e = Y^(q-1)."""
@@ -219,7 +213,7 @@ def annihilates_real_generator(m, mp):
     acc = AXPoly.zero(F)
     epow = AXPoly.one(F)
     for c in mp.coeffs:
-        acc = (acc + epow.scale(c)) % phi
+        acc = (acc + AXPoly(F, [c]) * epow) % phi
         epow = (epow * e) % phi
     return acc.is_zero()
 
@@ -251,7 +245,7 @@ class TestRealGenerator:
     def test_deep_conductor(self, m, degree):
         # checked without the reference, which takes 0.8 s on the first
         got = real_generator_minpoly(m)
-        assert got.degree == degree and got.is_monic()
+        assert got.degree == degree and got.coeffs[-1].is_one()
         assert annihilates_real_generator(m, got)
 
     def test_phi_not_in_x_to_the_q_minus_1_raises(self, monkeypatch):

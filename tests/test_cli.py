@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from ctower import cli
+from ctower import cli, lfun, rayclass, tower
 from ctower.cli import main, parse_poly, parse_q
-from ctower.ffpoly import FqField, FqPoly
+from ctower.ffpoly import INFINITY, FqField, FqPoly
 from ctower.tower import TowerRun, algebra_suite, run_tower
 
 
@@ -107,17 +108,42 @@ class TestCommands:
         report = tmp_path / "cnf.json"
         code = main(["verify", "cnf", "--q", "3", "--p", "x^2+1", "--Sigma", "x",
                      "--out", str(report)])
-        out = capsys.readouterr().out
+        names = ["theta_stabilization", "zeta_functional_equation",
+                 "class_number_fitting_identity", "charpoly_theta_identity"]
         assert code == 0
-        assert "class-number identity" in out
+        assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()] == [
+            ["[PASS]", name] for name in names]
         blob = json.loads(report.read_text())
         assert blob["config"] == {"q": "3^1", "f": "[1]@q=3^1", "p": "[1,0,1]@q=3^1",
                                   "S": ["[1,0,1]@q=3^1"], "Sigma": ["[0,1]@q=3^1"],
                                   "n": 0, "max_i": 6}
         assert blob["zeta"]["h"] == 1
-        assert [(v["name"], v["passed"]) for v in blob["verdicts"]] == [
-            ("class_number_fitting_identity", True), ("charpoly_theta_identity", True)]
-        assert blob["verdicts"][0]["precision_k"] == 24
+        assert [(v["name"], v["layer"], v["passed"]) for v in blob["verdicts"]] == [
+            (name, 0, True) for name in names]
+        assert blob["verdicts"][2]["precision_k"] == 24
+
+    def test_verify_cnf_matches_verify_all(self, tmp_path):
+        # both commands read the class-number verdicts off one suite
+        flags = ["--q", "3", "--p", "x^2+1", "--Sigma", "x", "--sigma-alt", "x+1"]
+        cnf, full = tmp_path / "cnf.json", tmp_path / "all.json"
+        assert main(["verify", "cnf", *flags, "--out", str(cnf)]) == 0
+        assert main(["verify", "all", *flags, "--N", "0", "--cases", "0",
+                     "--out", str(full)]) == 0
+        names = {"class_number_fitting_identity", "charpoly_theta_identity"}
+
+        def entries(path):
+            return [v for v in json.loads(path.read_text())["verdicts"] if v["name"] in names]
+
+        assert len(entries(cnf)) == 2 and entries(cnf) == entries(full)
+
+    def test_verify_cnf_refusal_is_a_verdict(self, capsys, tmp_path):
+        # outside hypothesis (a) the identity is refused, as in verify all
+        report = tmp_path / "cnf.json"
+        assert main(["verify", "cnf", "--q", "2", "--p", "x^2+x+1", "--S", "x^2+x+1,inf",
+                     "--Sigma", "x", "--out", str(report)]) == 0
+        last = json.loads(report.read_text())["verdicts"][-1]
+        assert last["name"] == "class_number_fitting_identity"
+        assert last["passed"] and last["refused"].startswith("nabla bookkeeping requires")
 
     def test_verify_fitting_small(self, capsys):
         code = main(["verify", "fitting", "--cases", "5", "--seed", "1"])
@@ -275,8 +301,8 @@ class TestVerifyAllWorker:
 
     def test_tower_failure_kills_the_battery(self, capsys, monkeypatch, tmp_path):
         def failing(cfg, N, opts):
-            TowerRun(cfg=cfg, N=N, options=opts).record(
-                "theta_stabilization", 0, False, "forced failure")
+            return TowerRun(cfg=cfg, N=N, options=opts).until_failure(
+                lambda run: run.record("theta_stabilization", 0, False, "forced failure"))
 
         # a battery that would outlive the test: only a kill ends it in time
         monkeypatch.setattr(cli, "drain_battery", lambda *args: time.sleep(60))
@@ -452,3 +478,88 @@ class TestVerifyAllWorker:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def _shift_series(real):
+    def shifted(layer, D):  # off at degrees 2 and 3: the first is named
+        out = real(layer, D)
+        out[2], out[3] = [c + 1 for c in out[2]], [c + 1 for c in out[3]]
+        return out
+    return shifted
+
+
+def _shift_symbolic(real):
+    def shifted(layer):
+        out = real(layer)
+        out[1] += 1
+        return out
+    return shifted
+
+
+def _shift_characters(real):
+    def shifted(layer, chi, D):  # off at every character but the trivial one
+        out = real(layer, chi, D)
+        return out if chi.is_trivial() else out + [chi.ring.one]
+    return shifted
+
+
+def _shift_frobenius(real):
+    return lambda lm, exps: lm.target.group.identity
+
+
+def _shift_fiber_table(real):
+    def shifted(layer):  # one more point above each finite place of S
+        model = real(layer)
+        return dataclasses.replace(model, exceptional={
+            v: rows if v is INFINITY else [(dw, cnt + 1) for dw, cnt in rows]
+            for v, rows in model.exceptional.items()})
+    return shifted
+
+
+def _shift_last_count(real):
+    return lambda counts, q: real(counts[:-1] + [counts[-1] + 1], q)
+
+
+class TestFailuresAreVerdicts:
+    """An error raised inside a check of verify all is that check's failed
+    verdict: exit 1, a written report that ends with it, and no battery."""
+
+    @pytest.mark.parametrize("module, name, shift, verdict, layer, error", [
+        (lfun, "divisor_sum_series", _shift_series, "theta_stabilization", 0,
+         "ArithmeticError: Euler product and divisor-sum series disagree at degree 2"),
+        (lfun, "trivial_character_symbolic", _shift_symbolic, "theta_stabilization", 0,
+         "ArithmeticError: symbolic trivial-character component disagrees at u^1"),
+        (lfun, "per_character_euler_product", _shift_characters, "theta_stabilization", 0,
+         "ArithmeticError: per-character Euler product disagrees at character [1]"),
+        (rayclass.LayerMap, "apply", _shift_frobenius, "functoriality", [1, 0],
+         "ArithmeticError: Frobenius incompatibility at "),
+        (tower, "curve_model", _shift_fiber_table, "point_count_cross_check", 0,
+         "FiberMismatchError: fiber above "),
+        (tower, "zeta_numerator", _shift_last_count, "zeta_functional_equation", 0,
+         "ArithmeticError: no integral zeta numerator fits the counts"),
+    ], ids=["divisor-sum", "symbolic-trivial", "per-character", "frobenius",
+            "fiber-mismatch", "zeta-no-fit"])
+    def test_injected_error_is_a_failed_verdict(self, capsys, monkeypatch, tmp_path,
+                                                module, name, shift, verdict, layer, error):
+        monkeypatch.setattr(module, name, shift(getattr(module, name)))
+        report = tmp_path / "report.json"
+        assert main(SMALL_ALL + ["--out", str(report)]) == 1
+        blob = json.loads(report.read_text())
+        *passed, failed = blob["verdicts"]
+        assert not blob["all_passed"] and all(v["passed"] for v in passed)
+        assert (failed["name"], failed["layer"], failed["passed"]) == (verdict, layer, False)
+        assert failed["error"].startswith(error), failed["error"]
+        assert not BATTERY & {v["name"] for v in blob["verdicts"]}
+        assert f"[FAIL] {verdict}" in capsys.readouterr().out
+
+    def test_f_nontrivial_zero_blocks_are_predicted(self, tmp_path):
+        # with f = x, S holds x besides p, so more characters vanish at u = 1;
+        # at layer 0 they fill Delta-block 0, which is zero, and at layer 1
+        # they share every block with characters that do not vanish
+        report = tmp_path / "report.json"
+        assert main(["verify", "all", "--q", "2", "--f", "x", "--p", "x^2+x+1", "--N", "1",
+                     "--Sigma", "x+1", "--cases", "5", "--out", str(report)]) == 0
+        verdicts = json.loads(report.read_text())["verdicts"]
+        assert all(v["passed"] for v in verdicts)
+        nzd = [v for v in verdicts if v["name"] == "special_value_nzd_shadow"]
+        assert [v.get("zero_blocks") for v in nzd] == [[0], None]

@@ -60,7 +60,7 @@ class TestCyclotomic:
         for _ in range(12):
             acc = ring.mul(acc, z)
         assert acc == ring.one
-        assert ring.zeta_pow(6) == ring.neg(ring.one)
+        assert ring.zeta_pow(6) == ring.scale(-1, ring.one)
 
     def test_sum_of_all_roots(self):
         # sum over j of zeta_4^j = 0
@@ -149,12 +149,12 @@ class TestGroupRing:
 
     def test_theta_poly_norm(self):
         # norm of (1 - g u) over C2 = (1-u)(1+u) = 1 - u^2
-        g = GroupRingElem.basis(C2, (1,))
+        g = GroupRingElem.from_mapping(C2, {(1,): 1})
         tp = ThetaPoly(C2, [GroupRingElem.one(C2), -g])
         assert tp.norm_poly() == [1, 0, -1]
 
     def test_evaluate_at_one(self):
-        tp = ThetaPoly(C2, [GroupRingElem.one(C2), GroupRingElem.basis(C2, (1,))])
+        tp = ThetaPoly(C2, [GroupRingElem.one(C2), GroupRingElem.from_mapping(C2, {(1,): 1})])
         val = tp.evaluate_at_one()
         assert dict(val.items()) == {(0,): 1, (1,): 1}
 
@@ -321,10 +321,10 @@ class TestTruncPolyReference:
                             [ring.p * b for b in rand]):
                     x, x_ref = ring.from_vec(vec), ref.from_vec(vec)
                     assert ring.mul(x, ring.from_vec(other)) == \
-                        ref.to_vec(ref.mul(x_ref, ref.from_vec(other))), (ring.describe(), vec)
+                        ref.to_vec(ref.mul(x_ref, ref.from_vec(other))), (ref.describe(), vec)
                     ok, inv = is_unit(x, ring)
                     ref_ok, ref_inv = is_unit(x_ref, ref)
-                    assert ok == ref_ok, (ring.describe(), vec)
+                    assert ok == ref_ok, (ref.describe(), vec)
                     assert invert_one_plus_nilpotent_u(ring, x) == (ok, inv)
                     if ok:
                         units += 1
@@ -538,7 +538,6 @@ class TestFlatRingReference:
                     assert ring.to_vec(a) == ref.to_vec(ra)
                     assert ring.from_mapping(dict(x.items())) == a
                     assert ring.from_vec(ref.to_vec(ra)) == a
-                    assert ring.to_vec(ring.neg(a)) == ref.to_vec(ref.neg(ra))
                     c = rng.choice((0, 1, -1, p, -p ** k, rng.randrange(-100, 100)))
                     assert ring.to_vec(ring.scale_int(c, a)) == ref.to_vec(ref.scale_int(c, ra))
                     y = rng.choice(xs)
@@ -591,7 +590,7 @@ class TestGroupRingElemReference:
         for _ in range(5):
             yield GroupRingElem.from_mapping(group, {g: rng.randrange(-50, 50) for g in elems})
             yield GroupRingElem.from_mapping(group, {g: rng.choice((0, 0, 0, 1, -3)) for g in elems})
-            yield GroupRingElem.basis(group, rng.choice(elems))
+            yield GroupRingElem.from_mapping(group, {rng.choice(elems): 1})
 
     @staticmethod
     def _quotients(group):
@@ -623,7 +622,8 @@ class TestGroupRingElemReference:
             for chi in chars:
                 assert x.apply_character(chi) == rx.apply_character(chi)
             for apply_map, target in self._quotients(group):
-                assert as_reference(x.project(apply_map, target)) == rx.project(apply_map, target)
+                projected = ThetaPoly(group, [x]).project(apply_map, target).coefficient(0)
+                assert as_reference(projected) == rx.project(apply_map, target)
             assert json.dumps(x.to_json()) == json.dumps(rx.to_json())
             assert repr(x) == repr(rx)
             assert (x == y) == (rx == ry)

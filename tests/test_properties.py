@@ -162,7 +162,7 @@ class TestThetaInvariants:
         l0, l1 = build_layer(cfg, 0), build_layer(cfg, 1)
         tr0, tr1 = theta(l0), theta(l1)
         lm = layer_projection(l1, l0)
-        projected = tr1.special_value().project(lm.apply, l0.group)
+        projected = tr1.theta.project(lm.apply, l0.group).evaluate_at_one()
         assert projected == tr0.special_value()
 
     def test_extra_unramified_place_in_s(self):

@@ -286,6 +286,10 @@ class TestAlternativeTowers:
         assert l0.order == 1 and l1.order == 3
         run = run_tower(cfg, 1, RunOptions())
         assert run.all_passed
+        # S = {p}: the trivial character does not vanish at u = 1, so
+        # Theta(1) = 1 on L_0 = k and the nzd shadow is checked, not refused
+        nzd = [v for v in run.verdicts if v["name"] == "special_value_nzd_shadow"]
+        assert "refused" not in nzd[0] and nzd[0]["slack_c"] == 0
 
     def test_degree_three_p_positive_genus(self):
         # q=2, p = theta^3+theta+1: a degree-7 cover with positive genus;
@@ -407,7 +411,7 @@ class TestModuleReference:
             yield dense()
             yield dense().scale(p ** rng.randrange(1, k + 1))
             g = rng.choice(elems)
-            yield (GroupRingElem.one(group) - GroupRingElem.basis(group, g)) * dense()
+            yield (GroupRingElem.one(group) - GroupRingElem.from_mapping(group, {g: 1})) * dense()
             yield GroupRingElem.from_mapping(group, {h: rng.choice((0, 0, 1, p, p * p)) for h in elems})
         yield GroupRingElem.from_mapping(group, {h: 1 for h in elems})  # the norm element
 
