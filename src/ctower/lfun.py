@@ -23,7 +23,7 @@ import itertools as it
 from dataclasses import dataclass, field as dc_field
 
 from . import zpoly
-from .ffpoly import FqPoly, INFINITY, factor as fq_factor, is_infinite, irreducibles_of_degree
+from .ffpoly import FqPoly, INFINITY, is_infinite, irreducibles_of_degree
 from .grouprings import (
     Character,
     GroupRingElem,
@@ -83,31 +83,10 @@ def euler_factors(layer, max_degree: int):
 
 def character_conductor(layer, chi: Character):
     """Minimal level m' = f' p^j through which chi factors, by descent over
-    the divisors of f p^(n+1).  Returns the monic polynomial m'."""
+    the layer's candidate levels.  Returns the monic polynomial m'."""
     if chi.is_trivial():
         return FqPoly.one(layer.field)
-    cfg = layer.cfg
-    F = cfg.field
-    f_divs = [FqPoly.one(F)]
-    if cfg.f.degree >= 1:
-        fac = fq_factor(cfg.f)
-        f_divs = []
-        def expand(i, cur):
-            if i == len(fac):
-                f_divs.append(cur)
-                return
-            g, e = fac[i]
-            pw = FqPoly.one(F)
-            for j in range(e + 1):
-                expand(i + 1, cur * pw)
-                pw = pw * g
-        expand(0, FqPoly.one(F))
-    candidates = []
-    for fd in f_divs:
-        for j in range(layer.n + 2):
-            candidates.append(fd * cfg.p_place.gen ** j)
-    candidates.sort(key=FqPoly.sort_key)
-    for m_prime in candidates:
+    for m_prime in layer.conductor_levels:
         if _chi_factors_through(layer, chi, m_prime):
             return m_prime
     raise ArithmeticError("character does not factor through its own level")  # unreachable
@@ -131,14 +110,16 @@ def per_character_degree_bound(layer, chi: Character) -> int:
     return sig + m_chi.degree + extra - 2 + (1 if layer.infinity_in_s() else 0)
 
 
+def residue_degree(layer) -> int:
+    """deg M, M the layer modulus times the finite S-places prime to it."""
+    m = layer.modulus
+    return m.degree + sum(v.degree for v in layer.finite_s() if not (m % v.gen).is_zero())
+
+
 def degree_bound(layer) -> int:
     """Global polynomial degree bound for Theta (max over characters)."""
     sig = sum(v.degree for v in layer.sigma)
-    extra = 0
-    for v in layer.finite_s():
-        if not (layer.modulus % v.gen).is_zero():
-            extra += v.degree
-    return sig + layer.modulus.degree + extra - 2 + (1 if layer.infinity_in_s() else 0)
+    return sig + residue_degree(layer) - 2 + (1 if layer.infinity_in_s() else 0)
 
 
 @dataclass
@@ -222,6 +203,15 @@ def divisor_sum_series(layer, D: int):
     Artin class; finite parts are monic polynomials coprime to the finite
     S-places, infinite parts contribute trivially when infinity is off S.
     Sigma factors are then multiplied in polynomially.
+
+    Both the class and the coprimality of a monic a depend only on a mod M,
+    M the layer modulus times the finite S-places prime to it.  For
+    j >= deg M the monics of degree j are a = M t + r with t monic of degree
+    j - deg M and deg r < deg M, so each residue class mod M is hit by
+    exactly q^(j - deg M) of them (Rosen, Number Theory in Function Fields,
+    ch. 4).  So only the monics of degree <= deg M are enumerated, and
+    base[j] = q^(j - deg M) base[deg M] above.  The divisor part reads
+    neither the place list nor a Frobenius.
     """
     field = layer.field
     group = layer.group
@@ -229,15 +219,19 @@ def divisor_sum_series(layer, D: int):
     _, index = group_index(group)
     q = field.q
     s_gens = [v.gen for v in layer.finite_s()]
+    top = residue_degree(layer)
     base = [[0] * group.order for _ in range(D + 1)]
     base[0][0] = 1
-    for d in range(1, D + 1):
+    for d in range(1, min(D, top) + 1):
         target = base[d]
         for tail in it.product(range(q), repeat=d):
             a = FqPoly(field, tail + (1,))
             if any((a % g).is_zero() for g in s_gens):
                 continue
             target[index[group.inv(layer.class_of(a))]] += 1
+    for d in range(top + 1, D + 1):
+        scale = q ** (d - top)
+        base[d] = [scale * c for c in base[top]]
     if not layer.infinity_in_s():
         # multiply by (1 - u)^{-1} for the (trivial-Frobenius) infinite place
         _series_mul_inverse_factor(base, table[0], 1, D)

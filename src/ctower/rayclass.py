@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .abelian import TRIVIAL_GROUP, AbelianGroup, _abelian_basis
 from .ffpoly import (
@@ -132,7 +133,7 @@ class GaloisLayer(Layer):
         if self.ring.size > budget:
             raise ValueError(f"residue ring size {self.ring.size} exceeds budget {budget}")
         # the primes of the modulus: p and the v | f
-        self._support = tuple(v.gen for v in default_s(cfg.f, cfg.p_place))
+        self._support = frozenset(v.gen for v in default_s(cfg.f, cfg.p_place))
         F = cfg.field
 
         canon_seen = {}
@@ -184,6 +185,11 @@ class GaloisLayer(Layer):
         """No prime of the modulus divides g."""
         return not any((g % s).is_zero() for s in self._support)
 
+    def ramified(self, place: FinitePlace) -> bool:
+        """Whether the finite place divides the modulus: its generator is
+        irreducible, so that is membership among the primes of the modulus."""
+        return place.gen in self._support
+
     def class_of(self, a: FqPoly):
         """Exponent tuple of the class of a (a must be coprime to the modulus)."""
         key = self._canon(a % self.modulus).coeffs
@@ -204,10 +210,9 @@ class GaloisLayer(Layer):
         cached = self._frob_cache.get(place)
         if cached is not None:
             return cached
-        g = place.gen
-        if not self.coprime_to_modulus(g):
+        if self.ramified(place):
             raise RamifiedPlaceError(f"{place!r} ramifies in layer {self.n}")
-        out = self.class_of(g)
+        out = self.class_of(place.gen)
         self._frob_cache[place] = out
         return out
 
@@ -300,6 +305,18 @@ class GaloisLayer(Layer):
             out = self._kernel_cache[m_prime.coeffs] = frozenset(out)
         return out
 
+    @cached_property
+    def conductor_levels(self) -> tuple:
+        """The levels f' p^j, f' a monic divisor of f and 0 <= j <= n + 1, in
+        sort_key order: the candidate conductors of the characters of G_n."""
+        cfg = self.cfg
+        f_divs = [FqPoly.one(self.field)]
+        if cfg.f.degree >= 1:
+            for g, e in factor(cfg.f):
+                f_divs = [d * g ** j for d in f_divs for j in range(e + 1)]
+        p_pows = [cfg.p_place.gen ** j for j in range(self.n + 2)]
+        return tuple(sorted((d * pw for d in f_divs for pw in p_pows), key=FqPoly.sort_key))
+
     def ramification_data(self, v):
         """(e, f, g) for v: ramification index, residue degree, place count."""
         if is_infinite(v):
@@ -324,7 +341,7 @@ class GaloisLayer(Layer):
         places = []
         for d in range(1, 5):
             for pl in irreducibles_of_degree(self.field, d):
-                if self.coprime_to_modulus(pl.gen):
+                if not self.ramified(pl):
                     places.append({
                         "place": pl.gen.serialize(),
                         "frobenius": list(self.frobenius(pl)),
@@ -420,7 +437,7 @@ def layer_projection(src: GaloisLayer, tgt: GaloisLayer, frobenius_checks: int =
     d = 1
     while checked < frobenius_checks and d <= 8:
         for pl in irreducibles_of_degree(src.field, d):
-            if not src.coprime_to_modulus(pl.gen):
+            if src.ramified(pl):
                 continue
             if lm.apply(src.frobenius(pl)) != tgt.frobenius(pl):
                 raise ArithmeticError(f"Frobenius incompatibility at {pl!r}")

@@ -16,6 +16,7 @@ from ctower.grouprings import (
     conjugacy_orbit_reps,
 )
 from ctower.lfun import (
+    DEFAULT_EXTRA_DEGREE,
     PER_CHARACTER_PRODUCT_MAX_ORDER,
     PoleError,
     SigmaUnitWitness,
@@ -29,6 +30,7 @@ from ctower.lfun import (
     order_of_vanishing_table,
     per_character_degree_bound,
     per_character_euler_product,
+    residue_degree,
     sigma_factor_unit,
     theta,
     trivial_character_symbolic,
@@ -701,3 +703,67 @@ class TestFlatLayoutReference:
                     assert ring.to_vec(ring.scale_int(c, a)) == ref.to_vec(ref.scale_int(c, ra))
                     assert ring.equal(a, b) == ref.equal(ra, rb)
 
+
+
+def _residue_configs():
+    """Layers where the residue modulus M (layer modulus times the finite
+    S-places prime to it) differs from m, or where deg M is a boundary."""
+    x3, x3p1 = FinitePlace(poly(F3, 0, 1)), FinitePlace(poly(F3, 1, 1))
+    p3 = FinitePlace(poly(F3, 1, 0, 1))
+    one3 = FqPoly.one(F3)
+    extra_s = TowerConfig(F3, one3, p3, frozenset({p3, x3p1}), frozenset({x3}))
+    inf_s = TowerConfig(F3, one3, p3, frozenset({p3, x3p1, INFINITY}), frozenset({x3}))
+    p2, x2 = FinitePlace(poly(F2, 1, 1, 1)), poly(F2, 0, 1)
+    f_x = TowerConfig(F2, x2, p2, default_s(x2, p2), frozenset({FinitePlace(poly(F2, 1, 1))}))
+    F4 = FqField(2, 2)
+    p4 = FinitePlace(poly(F4, 1, 1, 0, 1))
+    q4 = TowerConfig(F4, FqPoly.one(F4), p4, default_s(FqPoly.one(F4), p4),
+                     frozenset({FinitePlace(poly(F4, 0, 1))}))
+    cases = [(build_layer(extra_s, n), f"q3-extra-S-{n}") for n in (0, 1)]
+    cases += [(build_layer(inf_s, 0), "q3-inf-in-S-0")]
+    cases += [(build_layer(f_x, n), f"q2-f=x-{n}") for n in (0, 1)]
+    cases += [(build_layer(q4, 0), "q4-0")]
+    cases += [(TrivialLayer(F3, {p3, INFINITY}, {x3}), "trivial-p-inf")]
+    return [pytest.param(layer, id=name) for layer, name in cases]
+
+
+RESIDUE_LAYERS = _residue_configs()
+
+
+def _as_dicts(layer, series):
+    return [dict(GroupRingElem(layer.group, c).items()) for c in series]
+
+
+class TestResidueSums:
+    """divisor_sum_series enumerates monics only through deg M and reads the
+    higher coefficients off residues mod M; the full enumeration of
+    zpk_reference stays the oracle."""
+
+    @pytest.mark.parametrize("layer", RESIDUE_LAYERS)
+    def test_matches_full_enumeration(self, layer):
+        D = degree_bound(layer) + DEFAULT_EXTRA_DEGREE
+        assert D > residue_degree(layer)
+        series = divisor_sum_series(layer, D)
+        assert _as_dicts(layer, series) == reference_divisor_sum_series(layer, D)
+        assert series == euler_series(layer, D)
+
+    @pytest.mark.parametrize("layer", RESIDUE_LAYERS)
+    def test_window_at_or_below_deg_m(self, layer):
+        top = residue_degree(layer)
+        for D in (top - 1, top):
+            assert _as_dicts(layer, divisor_sum_series(layer, D)) == \
+                reference_divisor_sum_series(layer, D)
+
+    @pytest.mark.parametrize("layer", RESIDUE_LAYERS)
+    def test_class_of_calls_bounded_by_residues(self, layer, monkeypatch):
+        # the enumeration stops at deg M whatever D is: at most
+        # sum_{d <= deg M} q^d classes, against q^D for the full sum
+        q, top = layer.field.q, residue_degree(layer)
+        for v in layer.sigma:
+            layer.frobenius(v)
+        calls = []
+        class_of = layer.class_of
+        monkeypatch.setattr(layer, "class_of", lambda a: calls.append(a) or class_of(a))
+        divisor_sum_series(layer, top + 6)
+        assert len(calls) <= sum(q ** d for d in range(top + 1))
+        assert all(a.degree <= top for a in calls)

@@ -184,6 +184,29 @@ class TestFrobenius:
             layer.frobenius(layer.cfg.p_place)
 
 
+def _support_configs():
+    # f = x at q = 2, and an extra S-place x+1 prime to the modulus at q = 3
+    p2, x2 = FinitePlace(poly(F2, 1, 1, 1)), poly(F2, 0, 1)
+    f_x = TowerConfig(F2, x2, p2, default_s(x2, p2), frozenset({FinitePlace(poly(F2, 1, 1))}))
+    p3, x3p1 = FinitePlace(poly(F3, 1, 0, 1)), FinitePlace(poly(F3, 1, 1))
+    extra_s = TowerConfig(F3, FqPoly.one(F3), p3, frozenset({p3, x3p1}),
+                          frozenset({FinitePlace(poly(F3, 0, 1))}))
+    return [pytest.param(cfg, n, id=f"{name}-{n}")
+            for cfg, name in ((f_x, "q2-f=x"), (extra_s, "q3-extra-S")) for n in (0, 1)]
+
+
+@pytest.mark.parametrize("cfg,n", _support_configs())
+def test_frobenius_refuses_exactly_the_primes_of_the_modulus(cfg, n):
+    layer = build_layer(cfg, n)
+    for d in range(1, 5):
+        for pl in irreducibles_of_degree(cfg.field, d):
+            if pl.gen.gcd(layer.modulus).is_one():
+                assert layer.frobenius(pl) == layer.class_of(pl.gen)
+            else:
+                with pytest.raises(RamifiedPlaceError, match="ramifies in layer"):
+                    layer.frobenius(pl)
+
+
 class TestDecomposition:
     def test_p_totally_ramified_flagship(self):
         for cfg in (flagship_q3(), flagship_q2()):
