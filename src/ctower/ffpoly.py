@@ -523,52 +523,54 @@ def _irreducible_list(field: FqField, d: int):
     Every such product is flagged by the index of its coefficient tail
     (c_0, ..., c_{d-1}) in itertools.product order, c_0 most significant.
     That order is sort_key order, so the unflagged tails come out sorted.
+    The indices of f*g are built degree by degree, by the recurrence
+    index(f*(g' x + c)) = I mod w + w * T[c][I div w] of `_mark_multiples`,
+    I = index(f*g').
     """
     q = field.q
     composite = bytearray(q ** d)
-    weight = [q ** (d - 1 - t) for t in range(d)]
     for e in range(1, d // 2 + 1):
         for f in _irreducible_list(field, e):
-            _mark_multiples(composite, f.coeffs, weight, field)
+            _mark_multiples(composite, f.coeffs, d, field)
     survivors = composite.translate(bytes.maketrans(b"\x00\x01", b"\x01\x00"))
     tails = itertools.compress(itertools.product(range(q), repeat=d), survivors)
     return tuple(FqPoly(field, tail + (1,)) for tail in tails)
 
 
-def _mark_multiples(composite, f, weight, field):
+def _mark_multiples(composite, f, d, field):
     """Flag the tail index of f*g for every monic g of degree d - deg f.
 
-    The terms c*x^j*f of f*g are added level by level, j = d-e-1 down to 0,
-    depth first, so only one partial product per level is alive.  A partial
-    product keeps its open coefficients j+1..j+e; the term at j closes
-    coefficient j+e, whose weighted digit goes into the running index.
+    Index recurrence on the degree j of the product, e = deg f: if I is the
+    tail index of f*g' (j - 1 digits, g' monic), then f*(g' x + c) =
+    x (f g') + c f has tail index
+
+        I mod w + w * T[c][I div w],    w = q^(j-1-e).
+
+    Multiplying by x moves every coefficient one place up, so the low
+    j-1-e digits of I become the low digits of the new index, and c f
+    changes only coefficients 0..e: the (e+1)-digit block (0, I div w).
+    T[c][u] is the index of that block plus c f, q * q^e entries per f.
+    The levels j = e+1 .. d-1 are lists of q^(j-e) indices; the last level
+    goes straight into composite.
     """
-    d, e = len(weight), len(f) - 1
-    q, p = field.q, field.p
-    if field.e == 1:
-        add = None
-        scaled = [[c * a % p for a in f[:e]] for c in range(q)]
-    else:
-        add = field.add
-        scaled = [[field.mul(c, a) for a in f[:e]] for c in range(q)]
-    low = weight[:e]
-
-    def walk(j, acc, open_):
-        top, w = open_[-1], weight[j + e]
-        for c, s in enumerate(scaled):
-            # coefficients j..j+e-1 after adding c*x^j*f; j+e is closed
-            if add is None:
-                closed = acc + (top + c) % p * w
-                nxt = [s[0]] + [(x + y) % p for x, y in zip(open_, s[1:])]
-            else:
-                closed = acc + add(top, c) * w
-                nxt = [s[0]] + [add(x, y) for x, y in zip(open_, s[1:])]
-            if j:
-                walk(j - 1, closed, nxt)
-            else:
-                composite[closed + sum(map(int.__mul__, nxt, low))] = 1
-
-    walk(d - e - 1, 0, f[:e])
+    e = len(f) - 1
+    q, add = field.q, field.add
+    # column c of `table` is T[c], built digit by digit in product order
+    table = [[field.mul(c, f[0]) * q ** e] for c in range(q)]
+    for t in range(1, e + 1):
+        for c, row in enumerate(table):
+            step = [add(b, field.mul(c, f[t])) * q ** (e - t) for b in range(q)]
+            table[c] = [x + s for x in row for s in step]
+    table = list(zip(*table))
+    level = [sum(a * q ** (e - 1 - t) for t, a in enumerate(f[:e]))]
+    for j in range(e + 1, d):
+        w = q ** (j - 1 - e)
+        level = [t * w + low for high, low in map(divmod, level, itertools.repeat(w))
+                 for t in table[high]]
+    w = q ** (d - 1 - e)
+    for high, low in map(divmod, level, itertools.repeat(w)):
+        for t in table[high]:
+            composite[t * w + low] = 1
 
 
 def irreducibles_of_degree(field: FqField, d: int):
@@ -714,37 +716,10 @@ class ResidueRing:
         self.size = self.field.q ** modulus.degree
         self._factorization = None
 
-    def mul(self, a: FqPoly, b: FqPoly) -> FqPoly:
-        return (a * b) % self.modulus
-
-    def pow(self, a: FqPoly, n: int) -> FqPoly:
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        return a.powmod(n, self.modulus)
-
-    def is_unit(self, a: FqPoly) -> bool:
-        return a.gcd(self.modulus).is_one()
-
-    def inv(self, a: FqPoly) -> FqPoly:
-        g, s, _ = a.extended_gcd(self.modulus)
-        if not g.is_one():
-            raise ZeroDivisionError(f"{a!r} is not a unit modulo {self.modulus!r}")
-        return s % self.modulus
-
     def factorization(self):
         if self._factorization is None:
             self._factorization = factor(self.modulus)
         return self._factorization
-
-    def elements(self):
-        F = self.field
-        for tail in itertools.product(range(F.q), repeat=self.modulus.degree):
-            yield FqPoly(F, tail)
-
-    def units(self):
-        for a in self.elements():
-            if self.is_unit(a):
-                yield a
 
     def unit_count(self) -> int:
         """|(A/m)^x| = q^deg m * prod_{P | m} (1 - q^(-deg P))."""

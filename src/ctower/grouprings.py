@@ -756,10 +756,15 @@ def is_unit(x, ring):
 
 
 def invert_one_plus_nilpotent_u(ring: TruncPolyRing, x):
-    """Inverse via constant-term inversion plus geometric series in u."""
-    ok, c0_inv = is_unit(x[:ring.base.basis_size], ring.base)
-    if not ok:
-        return False, None
+    """Inverse via constant-term inversion plus geometric series in u.  A
+    constant term equal to one is its own inverse, with no elimination."""
+    c0 = x[:ring.base.basis_size]
+    if ring.base.equal(c0, ring.base.one):
+        c0_inv = ring.base.one
+    else:
+        ok, c0_inv = is_unit(c0, ring.base)
+        if not ok:
+            return False, None
     c0_inv_full = ring.from_list([c0_inv])
     n = ring.sub(ring.one, ring.mul(c0_inv_full, x))  # nilpotent in u
     acc = ring.one

@@ -134,18 +134,22 @@ class GaloisLayer(Layer):
             raise ValueError(f"residue ring size {self.ring.size} exceeds budget {budget}")
         # the primes of the modulus: p and the v | f
         self._support = frozenset(v.gen for v in default_s(cfg.f, cfg.p_place))
-        F = cfg.field
+        F, mod = cfg.field, self.modulus
 
-        canon_seen = {}
-        for u in self.ring.units():
-            key = self._canon(u).coeffs
-            canon_seen[key] = None
-        reps = list(canon_seen)
+        # The canonical units: the tails (c_0 most significant, in
+        # itertools.product order) whose lowest nonzero coefficient is 1,
+        # i leading zeros from deg m - 1 down to 0.  Among the F_q^x
+        # multiples of a unit, that one comes first in product order, since
+        # 1 is the least nonzero element code; so this is the order in
+        # which a scan of all residues first meets each class.
+        k = mod.degree
+        reps = [u.coeffs for u in (FqPoly(F, (0,) * i + (1,) + rest)
+                                   for i in reversed(range(k))
+                                   for rest in itertools.product(range(F.q), repeat=k - 1 - i))
+                if self.coprime_to_modulus(u)]
         expected = self.ring.unit_count() // (F.q - 1)
         if len(reps) != expected:
             raise ArithmeticError("F_q^x quotient has unexpected size")
-
-        mod = self.modulus
 
         def mul(a, b):
             return self._canon((FqPoly(F, a) * FqPoly(F, b)) % mod).coeffs
@@ -154,11 +158,19 @@ class GaloisLayer(Layer):
         gens, orders = _abelian_basis(reps, mul, one, expected)
         self.generators = [FqPoly(F, g) for g in gens]
         self.group = AbelianGroup(tuple(orders))
+        # prod g_i^(e_i) for every exponent tuple in mixed radix, the last
+        # coordinate fastest (group.elements() order): one ring product each
+        level = [(FqPoly.one(F), ())]
+        for g, o in zip(self.generators, orders):
+            nxt = []
+            for acc, exps in level:
+                nxt.append((acc, exps + (0,)))
+                for e in range(1, o):
+                    acc = acc * g % mod
+                    nxt.append((acc, exps + (e,)))
+            level = nxt
         dlog = {}
-        for exps in self.group.elements():
-            acc = FqPoly.one(F)
-            for g, e in zip(self.generators, exps):
-                acc = self.ring.mul(acc, self.ring.pow(g, e))
+        for acc, exps in level:
             key = self._canon(acc).coeffs
             if key in dlog:
                 raise ArithmeticError("layer generators are not independent")

@@ -39,9 +39,9 @@ def additive_eval(ax, ring, theta0, x0):
     for c in ax.coeffs:
         value = FqPoly.zero(ring.field)
         for ci in reversed(c.coeffs):
-            value = ring.mul(value, theta0) + FqPoly.constant(ring.field, ci)
-        acc = acc + ring.mul(value, xpow)
-        xpow = ring.mul(xpow, x0)
+            value = value * theta0 % ring.modulus + FqPoly.constant(ring.field, ci)
+        acc = acc + value * xpow % ring.modulus
+        xpow = xpow * x0 % ring.modulus
     return acc % ring.modulus
 
 

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from ctower import grouprings
 from ctower.abelian import AbelianGroup
 from ctower.ffpoly import FinitePlace, FqField, FqPoly, INFINITY, factor as fq_factor
 from ctower.grouprings import (
     CyclotomicRing,
     GroupRingElem,
+    TruncPolyRing,
     ZpkGroupRing,
     character_norm,
     characters,
@@ -36,6 +38,7 @@ from ctower.lfun import (
     trivial_character_symbolic,
 )
 from ctower.rayclass import TowerConfig, TrivialLayer, build_layer, default_s, layer_projection
+from ffpoly_reference import reference_units
 from zpk_reference import (
     ReferenceChiComponentRing,
     ReferenceGroupRingElem,
@@ -103,14 +106,14 @@ def brute_force_characters_mod_p(field, p_gen, order, q):
     from ctower.ffpoly import ResidueRing
 
     ring = ResidueRing(p_gen)
-    units = list(ring.units())
+    units = list(reference_units(ring))
     gen = None
     n_units = len(units)
     for u in units:
         seen = set()
         acc = FqPoly.one(field)
         for _ in range(n_units):
-            acc = ring.mul(acc, u)
+            acc = acc * u % ring.modulus
             seen.add(acc.coeffs)
         if len(seen) == n_units:
             gen = u
@@ -119,7 +122,7 @@ def brute_force_characters_mod_p(field, p_gen, order, q):
     acc = FqPoly.one(field)
     for i in range(n_units):
         dlog[acc.coeffs] = i
-        acc = ring.mul(acc, gen)
+        acc = acc * gen % ring.modulus
     # even characters: trivial on F_q^x; chi_j(g^t) = zeta^(j * t * order/n_units)
     # where j * dlog(constants) = 0 mod n_units
     const_logs = [dlog[FqPoly.constant(field, c).coeffs] for c in range(1, q)]
@@ -453,6 +456,22 @@ class TestOrderOfVanishing:
             order_of_vanishing_check(layer, tr, triv)
 
 
+def reference_invert_one_plus_nilpotent_u(ring, x, is_unit):
+    """The inverse of x in base[u]/(u^M) as invert_one_plus_nilpotent_u built
+    it before a constant term of one skipped the elimination: the constant
+    term inverted by is_unit, then the geometric series of the nilpotent
+    rest."""
+    ok, c0_inv = is_unit(x[:ring.base.basis_size], ring.base)
+    assert ok
+    c0_inv_full = ring.from_list([c0_inv])
+    n = ring.sub(ring.one, ring.mul(c0_inv_full, x))
+    acc, power = ring.one, n
+    for _ in range(ring.M - 1):
+        acc = ring.add(acc, power)
+        power = ring.mul(power, n)
+    return ring.mul(acc, c0_inv_full)
+
+
 class TestSigmaUnit:
     @pytest.mark.parametrize("make_cfg", [flagship_q3, flagship_q2])
     def test_witness(self, make_cfg):
@@ -472,6 +491,30 @@ class TestSigmaUnit:
         ring = ZpkGroupRing(cfg.char, 6, layer.group)
         base = w.inverse[:ring.basis_size]
         assert base == ring.from_mapping({layer.group.identity: 1})
+
+    @pytest.mark.parametrize("make_cfg,n", [(flagship_q3, 1), (flagship_q2, 2)])
+    def test_one_constant_term_needs_no_elimination(self, make_cfg, n, monkeypatch):
+        # the constant term of 1 - sigma^{-1} (qu)^d is one, its own
+        # inverse: no is_unit call, and the witness the is_unit path builds
+        cfg = make_cfg()
+        layer = build_layer(cfg, n)
+        is_unit = grouprings.is_unit
+        calls = []
+
+        def counting(x, ring):
+            calls.append(ring)
+            return is_unit(x, ring)
+
+        monkeypatch.setattr(grouprings, "is_unit", counting)
+        for v in cfg.sigma:
+            w = sigma_factor_unit(layer, v, k=6, M=6)
+            assert calls == [] and w.verified
+            ring = TruncPolyRing(ZpkGroupRing(cfg.char, 6, layer.group), 6)
+            assert w.inverse == reference_invert_one_plus_nilpotent_u(ring, w.element, is_unit)
+        # any other constant term still goes through is_unit
+        x = ring.from_list([ring.base.scale_int(cfg.char, ring.base.one), ring.base.one])
+        assert grouprings.invert_one_plus_nilpotent_u(ring, x) == (False, None)
+        assert len(calls) == 1
 
     def test_non_sigma_place_rejected(self):
         cfg = flagship_q3()

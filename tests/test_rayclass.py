@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from ctower import rayclass
 from ctower.abelian import AbelianGroup
 from ctower.ffpoly import FinitePlace, FqField, FqPoly, INFINITY, ResidueRing, irreducibles_of_degree
 from ctower.rayclass import (
@@ -12,6 +13,7 @@ from ctower.rayclass import (
     default_s,
     layer_projection,
 )
+from ffpoly_reference import reference_class_table, reference_units
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -115,12 +117,12 @@ class TestLayerStructure:
         from math import gcd
         layer = build_layer(flagship_q3(), 1)
         ring = layer.ring
-        reps = {layer._canon(u).coeffs for u in ring.units()}
+        reps = {layer._canon(u).coeffs for u in reference_units(ring)}
         for d in (2, 3, 4, 6, 9, 12, 36):
             brute = 0
             for key in reps:
                 u = FqPoly(F3, key)
-                if layer._canon(ring.pow(u, d)).coeffs == layer._canon(FqPoly.one(F3)).coeffs:
+                if layer._canon(u.powmod(d, ring.modulus)).coeffs == layer._canon(FqPoly.one(F3)).coeffs:
                     brute += 1
             struct = 1
             for o in layer.group.orders:
@@ -400,7 +402,7 @@ class TestCanonicalRepresentative:
         # reference: the least sort_key over all F_q^x multiples, reduced
         layer = build_layer(cfg, n)
         F, ring = cfg.field, layer.ring
-        for u in ring.units():
+        for u in reference_units(ring):
             multiples = [u * FqPoly.constant(F, c) % ring.modulus for c in range(1, F.q)]
             assert layer._canon(u) == min(multiples, key=FqPoly.sort_key)
 
@@ -413,6 +415,44 @@ class TestCanonicalRepresentative:
             for tail in itertools.product(range(F.q), repeat=d):
                 g = FqPoly(F, tail + (1,))
                 assert layer.coprime_to_modulus(g) == g.gcd(layer.modulus).is_one()
+
+
+class TestClassTable:
+    """The unit representatives and the dlog table of a layer against their
+    construction from a scan of all residues and a powmod per generator."""
+
+    @pytest.mark.parametrize("cfg,n", _canon_layers() + [
+        pytest.param(flagship_q3(), 2, id="q3-2"),
+        *(pytest.param(conductor_config_q3(), n, id=f"q3-f-{n}") for n in (0, 1))])
+    def test_matches_the_residue_scan(self, cfg, n, monkeypatch):
+        seen = []
+        basis = rayclass._abelian_basis
+
+        def recording(elements, mul, one, order):
+            seen.append(list(elements))
+            return basis(seen[-1], mul, one, order)
+
+        monkeypatch.setattr(rayclass, "_abelian_basis", recording)
+        layer = build_layer(cfg, n)
+        reps, generators, orders, dlog = reference_class_table(layer)
+        assert seen == [reps]
+        assert layer.generators == generators
+        assert layer.group.orders == orders
+        assert list(layer._dlog.items()) == list(dlog.items())
+        for u in reference_units(layer.ring):
+            assert layer.class_of(u) == dlog[layer._canon(u).coeffs]
+
+    def test_dependent_generators_are_refused(self, monkeypatch):
+        basis = rayclass._abelian_basis
+
+        def dependent(elements, mul, one, order):
+            gens, orders = basis(elements, mul, one, order)
+            assert len(gens) >= 2 and min(orders) >= 2
+            return [gens[0]] + gens[:-1], orders
+
+        monkeypatch.setattr(rayclass, "_abelian_basis", dependent)
+        with pytest.raises(ArithmeticError, match="not independent"):
+            build_layer(flagship_q2(), 1)
 
 
 class TestSerialization:
