@@ -1,6 +1,6 @@
-"""Independent geometric oracle: brute-force point counts on explicit curve
-models, splitting-law counts from class-field data, zeta numerators via
-Newton identities, and the Ritter-Weiss order bookkeeping.
+"""Independent geometric oracle: point counts on explicit curve models (one
+fiber per Frobenius orbit), splitting-law counts from class-field data, zeta
+numerators via Newton identities, and the Ritter-Weiss order bookkeeping.
 
 Exceptional fibers (above S and infinity) always come from the class-field
 tables, never from singular plane-model fibers; the discriminant of the
@@ -140,8 +140,9 @@ def _ext_ops(field, i: int):
     generates F_(q^i)^x.  The exp and Zech tables (zech[k] = code(1 + gamma^k))
     are built once with schoolbook arithmetic on coefficient i-tuples; then
     mul and pow are exponent arithmetic mod q^i - 1 and add is one Zech
-    lookup.  elements() yields the codes in itertools.product order of the
-    tuples (c_0 most significant), c_0 being the constant coefficient.
+    lookup.  gamma is the first tuple in itertools.product order (c_0 most
+    significant, c_0 the constant coefficient) of multiplicative order
+    q^i - 1.
     """
     g = next(irreducibles_of_degree(field, i)).gen
     gc = g.coeffs
@@ -227,11 +228,26 @@ def _ext_ops(field, i: int):
             return 0 if e else 1
         return (a - 1) * e % n + 1
 
-    def elements():
-        return iter(codes)
-
     return {"add": add, "neg": neg, "mul": mul, "embed": embed, "pow": power,
-            "zero": 0, "one": 1, "elements": elements, "degree": i}
+            "zero": 0, "one": 1, "degree": i}
+
+
+def _frobenius_orbits(q: int, i: int):
+    """(code, size) for one log code from each orbit of theta -> theta^q on
+    F_(q^i): the orbit of code k+1 is {k q^j mod (q^i - 1)} + 1, and zero
+    is its own orbit.  The sizes add up to q^i."""
+    n = q ** i - 1
+    seen = bytearray(n)
+    out = [(0, 1)]
+    for k in range(n):
+        if not seen[k]:
+            size, j = 0, k
+            while not seen[j]:
+                seen[j] = 1
+                size += 1
+                j = j * q % n
+            out.append((k + 1, size))
+    return out
 
 
 def _fiber_root_count(coeffs, ops, qi_exp, q):
@@ -337,6 +353,13 @@ def count_points_model(model: CurveModel, i: int,
 
     The affine fiber above each exceptional finite place is also counted and
     compared against the table; disagreement is a hard error.
+
+    One fiber is counted per orbit of the q-power Frobenius on F_(q^i) and
+    weighted by the orbit size.  That is exact: the model is defined over
+    F_q, so Frobenius maps the fiber over theta0 bijectively onto the fiber
+    over theta0^q, and an F_q-rational place's generator vanishes at theta0
+    exactly when it vanishes at theta0^q.  (The p-power Frobenius would not
+    do when q = p^e, e > 1: the model is only F_q-rational.)
     """
     field = model.field
     q = field.q
@@ -366,12 +389,12 @@ def count_points_model(model: CurveModel, i: int,
 
     points = 0
     exceptional_affine = {}
-    for th in ops["elements"]():
+    for th, size in _frobenius_orbits(q, i):
         cnt, idx = fiber_contribution(th)
         if idx is None:
-            points += cnt
+            points += size * cnt
         else:
-            exceptional_affine[idx] = exceptional_affine.get(idx, 0) + cnt
+            exceptional_affine[idx] = exceptional_affine.get(idx, 0) + size * cnt
 
     # add table contributions and enforce the fiber-consistency check
     for idx, v in enumerate(finite_places):

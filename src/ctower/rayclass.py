@@ -158,8 +158,26 @@ class GaloisLayer(Layer):
         gens, orders = _abelian_basis(reps, mul, one, expected)
         self.generators = [FqPoly(F, g) for g in gens]
         self.group = AbelianGroup(tuple(orders))
-        # prod g_i^(e_i) for every exponent tuple in mixed radix, the last
-        # coordinate fastest (group.elements() order): one ring product each
+        # A residue's index is its coefficient list read as base-q digits,
+        # c_0 least significant.  step[r][c] = index(x r + c mod m): for
+        # r = r' + t x^(k-1), x r' is r' one digit up, and t x^k = -t w with
+        # w = m - x^k.  Fixing t, the indices of x r' + t x^k come out in
+        # the order of r' one digit at a time, the top digit first.
+        q = F.q
+        step = []
+        for t in range(q):
+            tw = [F.neg(F.mul(t, c)) for c in mod.coeffs[:k]]
+            shifted = [0]
+            for j in range(k - 1, 0, -1):
+                digit = [F.add(c, tw[j]) * q ** j for c in range(q)]
+                shifted = [r + d for r in shifted for d in digit]
+            low = [F.add(tw[0], c) for c in range(q)]
+            step.extend([r + d for d in low] for r in shifted)
+        self._step = step
+        # residue index -> class: prod g_i^(e_i) and its F_q^x multiples for
+        # every exponent tuple in mixed radix, the last coordinate fastest
+        # (group.elements() order), one ring product each
+        classes = [None] * q ** k
         level = [(FqPoly.one(F), ())]
         for g, o in zip(self.generators, orders):
             nxt = []
@@ -169,15 +187,17 @@ class GaloisLayer(Layer):
                     acc = acc * g % mod
                     nxt.append((acc, exps + (e,)))
             level = nxt
-        dlog = {}
+        scalings = [[F.mul(c, a) for a in range(q)] for c in range(1, q)]
         for acc, exps in level:
-            key = self._canon(acc).coeffs
-            if key in dlog:
-                raise ArithmeticError("layer generators are not independent")
-            dlog[key] = exps
-        self._dlog = dlog
+            for scale in scalings:
+                r = 0
+                for a in reversed(acc.coeffs):
+                    r = r * q + scale[a]
+                if classes[r] is not None:
+                    raise ArithmeticError("layer generators are not independent")
+                classes[r] = exps
+        self._classes = classes
         self.delta_idx, self.p_idx = self.group.p_partition(cfg.char)
-        self._frob_cache = {}
         self._inertia_cache = {}
         self._decomposition_cache = {}
         self._kernel_cache = {}
@@ -203,11 +223,19 @@ class GaloisLayer(Layer):
         return place.gen in self._support
 
     def class_of(self, a: FqPoly):
-        """Exponent tuple of the class of a (a must be coprime to the modulus)."""
-        key = self._canon(a % self.modulus).coeffs
-        if key not in self._dlog:
+        """Exponent tuple of the class of a (a must be coprime to the modulus).
+
+        Horner's rule walks the coefficients of a, top down, through the
+        successor table step[r][c] = index(x r + c mod m) to the index of
+        a mod m, whose class the residue table holds (None for a non-unit)."""
+        step = self._step
+        r = 0
+        for c in reversed(a.coeffs):
+            r = step[r][c]
+        out = self._classes[r]
+        if out is None:
             raise ValueError(f"{a!r} is not coprime to the layer modulus")
-        return self._dlog[key]
+        return out
 
     @property
     def order(self) -> int:
@@ -219,14 +247,9 @@ class GaloisLayer(Layer):
         """Class of the monic generator; identity at the split infinite place."""
         if is_infinite(place):
             return self.group.identity
-        cached = self._frob_cache.get(place)
-        if cached is not None:
-            return cached
         if self.ramified(place):
             raise RamifiedPlaceError(f"{place!r} ramifies in layer {self.n}")
-        out = self.class_of(place.gen)
-        self._frob_cache[place] = out
-        return out
+        return self.class_of(place.gen)
 
     def _local_part(self, v: FinitePlace):
         """(v^a, m/v^a) for the v-primary part of the modulus."""

@@ -1,8 +1,13 @@
+import dataclasses
+import itertools
+
 import pytest
 
-from ctower.ffpoly import FinitePlace, FqField, FqPoly
+from ctower import geometry
+from ctower.ffpoly import FinitePlace, FqField, FqPoly, irreducibles_of_degree
 from ctower.geometry import (
     ConfigurationRefused,
+    FiberMismatchError,
     SDivisorData,
     ZetaData,
     charpoly_theta_report,
@@ -14,10 +19,14 @@ from ctower.geometry import (
     s_divisor_data,
     tate_charpoly,
     zeta_numerator,
+    _ext_ops,
+    _fiber_root_count,
+    _frobenius_orbits,
 )
 from ctower.grouprings import quotient_order_exponent
 from ctower.lfun import theta
 from ctower.rayclass import TowerConfig, TrivialLayer, build_layer, default_s
+from geometry_reference import reference_count_points_model
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -72,21 +81,30 @@ class TestExtOps:
         return add, mul
 
     def test_against_schoolbook(self):
-        import itertools
-
-        from ctower.ffpoly import irreducibles_of_degree
-        from ctower.geometry import _ext_ops
-
         for field, i in self.CASES:
-            q = field.q
+            q, n = field.q, field.q ** i - 1
             ops = _ext_ops(field, i)
-            codes = list(ops["elements"]())
-            tuples = list(itertools.product(range(q), repeat=i))
-            assert sorted(codes) == list(range(q ** i))
-            decode = dict(zip(codes, tuples))
             g = next(irreducibles_of_degree(field, i)).gen.coeffs
             add, mul = self.schoolbook(field, g)
             one = (1,) + (0,) * (i - 1)
+
+            def order(a):
+                acc, e = a, 1
+                while acc != one:
+                    acc, e = mul(acc, a), e + 1
+                return e
+
+            # the documented layout: 0 for zero and k+1 for gamma^k, gamma the
+            # first tuple in product order of multiplicative order q^i - 1
+            tuples = list(itertools.product(range(q), repeat=i))
+            gamma = next(a for a in tuples if any(a) and order(a) == n)
+            decode = {0: (0,) * i}
+            acc = one
+            for k in range(n):
+                decode[k + 1] = acc
+                acc = mul(acc, gamma)
+            assert sorted(decode.values()) == tuples
+            codes = list(decode)
             assert decode[ops["zero"]] == (0,) * i and decode[ops["one"]] == one
             for c in range(q):
                 assert decode[ops["embed"](c)] == (c,) + (0,) * (i - 1)
@@ -108,12 +126,10 @@ class TestFiberRootCount:
         # oracle: evaluate the fiber polynomial at every element of F_(q^i)
         import random as _random
 
-        from ctower.geometry import _ext_ops, _fiber_root_count
-
         rng = _random.Random(77)
         for q, field, i in [(3, F3, 2), (2, F2, 3), (3, F3, 3), (2, F2, 4)]:
             ops = _ext_ops(field, i)
-            elements = list(ops["elements"]())
+            elements = range(q ** i)
             for _ in range(25):
                 deg = rng.randrange(1, 5)
                 coeffs = [rng.choice(elements) for _ in range(deg)]
@@ -130,6 +146,94 @@ class TestFiberRootCount:
                 # non-squarefree random inputs the gcd degree counts each
                 # distinct root once, so compare against distinct roots
                 assert got == brute
+
+
+def q4_layer0():
+    # q = 2^2, p = x^3+x+1 (irreducible over F_2, so over F_4), Sigma = {x}
+    F4 = FqField(2, 2)
+    p = FinitePlace(poly(F4, 1, 1, 0, 1))
+    cfg = TowerConfig(F4, FqPoly.one(F4), p, default_s(FqPoly.one(F4), p),
+                      frozenset({FinitePlace(poly(F4, 0, 1))}))
+    return build_layer(cfg, 0)
+
+
+def trivial_layer():
+    return TrivialLayer(F3, {FinitePlace(poly(F3, 1, 0, 1))}, {FinitePlace(poly(F3, 0, 1))})
+
+
+class TestOrbitCount:
+    """count_points_model counts one fiber per orbit of the q-power Frobenius;
+    the count over every element of F_(q^i) in geometry_reference is the
+    oracle."""
+
+    @staticmethod
+    def covers_q_power_orbits(reps, field, i):
+        # each rep's orbit under theta -> theta^q has the rep's size, and the
+        # orbits partition F_(q^i)
+        q = field.q
+        power = _ext_ops(field, i)["pow"]
+        covered = set()
+        for code, size in reps:
+            orbit, a = {code}, power(code, q)
+            while a != code:
+                orbit.add(a)
+                a = power(a, q)
+            if len(orbit) != size or orbit & covered:
+                return False
+            covered |= orbit
+        return covered == set(range(q ** i))
+
+    @pytest.mark.parametrize("make_layer,ins", [
+        (lambda: build_layer(flagship_q3(), 0), range(1, 7)),
+        (lambda: build_layer(flagship_q2(), 0), range(1, 7)),
+        (lambda: build_layer(flagship_q2(), 1), range(1, 7)),
+        (q4_layer0, range(1, 4)),
+        (trivial_layer, range(1, 5)),
+    ], ids=["q3-0", "q2-0", "q2-1", "q4-0", "trivial"])
+    def test_matches_every_fiber(self, make_layer, ins):
+        model = curve_model(make_layer())
+        for i in ins:
+            assert count_points_model(model, i) == reference_count_points_model(model, i)
+
+    @pytest.mark.parametrize("field,ins", [(F2, range(1, 9)), (F3, range(1, 7)),
+                                           (FqField(2, 2), range(1, 5)), (FqField(5), range(1, 4))],
+                             ids=["q2", "q3", "q4", "q5"])
+    def test_one_rep_per_q_power_orbit(self, field, ins):
+        for i in ins:
+            reps = _frobenius_orbits(field.q, i)
+            assert sum(size for _, size in reps) == field.q ** i
+            assert self.covers_q_power_orbits(reps, field, i)
+
+    def test_p_power_orbits_are_refused_at_q4(self):
+        # F_(4^i) = F_(2^(2i)): the orbits of squaring join q-power orbits
+        field = FqField(2, 2)
+        for i in range(1, 5):
+            assert not self.covers_q_power_orbits(_frobenius_orbits(2, 2 * i), field, i)
+
+    def test_corrupted_table_is_a_fiber_mismatch(self):
+        model = curve_model(build_layer(flagship_q3(), 0))
+        v = FinitePlace(poly(F3, 1, 0, 1))
+        assert model.exceptional[v] == [(2, 1)]
+        bad = dataclasses.replace(model, exceptional={**model.exceptional, v: [(2, 2)]})
+        with pytest.raises(FiberMismatchError, match="affine count 2 != table count 4"):
+            count_points_model(bad, 2)
+        with pytest.raises(FiberMismatchError, match="affine count 2 != table count 4"):
+            reference_count_points_model(bad, 2)
+
+    def test_one_fiber_per_orbit_at_flagship(self, monkeypatch):
+        # 3 + 6 + 11 + 24 + 51 + 130 = 225 fibers for i <= 6, against
+        # 3 + 9 + ... + 729 = 1092 for every element
+        model = curve_model(build_layer(flagship_q3(), 0))
+        calls = []
+        count = geometry._fiber_root_count
+        monkeypatch.setattr(geometry, "_fiber_root_count",
+                            lambda *args: calls.append(args) or count(*args))
+        fibers = []
+        for i in range(1, 7):
+            calls.clear()
+            count_points_model(model, i)
+            fibers.append(len(calls))
+        assert fibers == [3, 6, 11, 24, 51, 130]
 
 
 class TestTrivialLayerCounts:

@@ -406,6 +406,31 @@ class TestEulerFactors:
         sigma_facs = [f for f in facs if f.mode == "Sigma-forward"]
         assert len(sigma_facs) == 1 and sigma_facs[0].degree == 1
 
+    def test_class_of_divides_no_polynomial(self, monkeypatch):
+        # every Frobenius and divisor class of theta at flagship layer 1 is a
+        # walk through the successor table, with no reduction mod m
+        layer = build_layer(flagship_q3(), 1)
+        calls, inside, divisions = [], [], []
+        class_of, divmod_ = layer.class_of, FqPoly.__divmod__
+
+        def counted_class_of(a):
+            calls.append(a)
+            inside.append(a)
+            try:
+                return class_of(a)
+            finally:
+                inside.pop()
+
+        def counted_divmod(a, b):
+            if inside:
+                divisions.append((a, b))
+            return divmod_(a, b)
+
+        monkeypatch.setattr(layer, "class_of", counted_class_of)
+        monkeypatch.setattr(FqPoly, "__divmod__", counted_divmod)
+        theta(layer)
+        assert calls and divisions == []
+
 
 class TestOrderOfVanishing:
     @pytest.mark.parametrize("make_cfg", [flagship_q3, flagship_q2])

@@ -438,7 +438,7 @@ class TestClassTable:
         assert seen == [reps]
         assert layer.generators == generators
         assert layer.group.orders == orders
-        assert list(layer._dlog.items()) == list(dlog.items())
+        assert [layer.class_of(FqPoly(layer.field, key)) for key in dlog] == list(dlog.values())
         for u in reference_units(layer.ring):
             assert layer.class_of(u) == dlog[layer._canon(u).coeffs]
 
@@ -453,6 +453,31 @@ class TestClassTable:
         monkeypatch.setattr(rayclass, "_abelian_basis", dependent)
         with pytest.raises(ArithmeticError, match="not independent"):
             build_layer(flagship_q2(), 1)
+
+
+class TestClassOf:
+    """class_of walks the successor table and reads the residue table; the
+    reduction mod m, _canon and the reference dlog table are the oracle."""
+
+    @pytest.mark.parametrize("cfg,n", _canon_layers() + [
+        pytest.param(flagship_q3(), 2, id="q3-2"),
+        pytest.param(conductor_config_q3(), 0, id="q3-f-0")])
+    def test_matches_the_polynomial_reduction(self, cfg, n):
+        layer = build_layer(cfg, n)
+        dlog = reference_class_table(layer)[3]
+        F, m = layer.field, layer.modulus
+        units = 0
+        # every polynomial of degree < deg m + 3, monic or not, zero included
+        for coeffs in itertools.product(range(F.q), repeat=m.degree + 3):
+            a = FqPoly(F, coeffs)
+            key = layer._canon(a % m).coeffs
+            if key in dlog:
+                units += 1
+                assert layer.class_of(a) == dlog[key]
+            else:
+                with pytest.raises(ValueError, match="is not coprime to the layer modulus"):
+                    layer.class_of(a)
+        assert units == layer.ring.unit_count() * F.q ** 3
 
 
 class TestSerialization:
