@@ -10,7 +10,11 @@ theta^2 + 1.  Over F_(p^e) with e > 1 the coefficients must lie in 0..p-1
 "inf".  Exit codes: 0 success, 1 verification failure, 2 usage error.  In
 verify all and verify cnf an ArithmeticError raised inside a check is that
 check's failed verdict (tower.TowerRun.check): exit 1 and a report that ends
-with it.  Errors outside a check stay usage errors.
+with it.  In the algebra battery of verify fitting and verify all, a check
+that returns False or raises an ArithmeticError or a ValueError fails its
+section's verdict, which names the lowest failing case (first_failure) and
+the error: exit 1 and a written report.  Errors outside a check stay usage
+errors.
 """
 
 from __future__ import annotations
@@ -328,22 +332,21 @@ class _BatteryWorker:
     into a pipe before the fork, and its write end is closed, so the pipe is
     the queue: each process claims the next chunk with a one-byte os.read
     and stops at end of file.  The worker drains from the start; the parent
-    drains what is left when it asks for the verdicts, then ANDs its
-    per-section results with the ones the worker sends back by marshal over
-    a second pipe.  A battery ValueError or ArithmeticError stops the process
-    that raised it, which empties the queue so the other stops after its
-    current chunk; the error of the lowest chunk is raised again in the
-    parent, so the report does not depend on who ran what.  Leaving the with
-    block kills and reaps a worker whose reply was not read, so no exit path
-    leaves a process behind.  Needs POSIX fork, which is safe here because
-    the CLI starts no threads.
+    drains what is left when it asks for the verdicts, and
+    tower.battery_verdicts merges its per-section first failures with the
+    ones the worker sends back by marshal over a second pipe: a failing
+    case, a check that returns False or raises, is a failed verdict, and the
+    lowest one is reported whichever process ran it.  A worker that dies
+    raises RuntimeError in the parent.  Leaving the with block kills and
+    reaps a worker whose reply was not read, so no exit path leaves a
+    process behind.  Needs POSIX fork, which is safe here because the CLI
+    starts no threads.
     """
 
     def __init__(self, seed: int, cases: int):
         self.seed = seed
         self.sections = battery_sections(cases, systems=20)
         self.chunks = battery_chunks(self.sections)
-        self.claimed = -1  # the last chunk this process claimed
         self.queue, queue_in = os.pipe()
         os.write(queue_in, bytes(range(len(self.chunks))))
         os.close(queue_in)
@@ -353,7 +356,7 @@ class _BatteryWorker:
             status = 1
             try:
                 os.close(read_fd)
-                reply = self._drain()
+                reply = drain_battery(seed, self.sections, self.chunks, self._claim)
                 with os.fdopen(write_fd, "wb") as pipe:
                     pipe.write(marshal.dumps(reply))
                 status = 0
@@ -368,39 +371,19 @@ class _BatteryWorker:
 
     def _claim(self):
         token = os.read(self.queue, 1)
-        if not token:
-            return None
-        self.claimed = token[0]
-        return self.claimed
-
-    def _drain(self):
-        """Drain the queue in this process.  Returns (None, per-section
-        results, None), or (error class name, message, chunk) for the
-        battery error that stopped it, chunk -1 before any claim."""
-        try:
-            return None, drain_battery(self.seed, self.sections, self.chunks, self._claim), None
-        except (ValueError, ArithmeticError) as exc:
-            while os.read(self.queue, 256):  # no writer is left: b"" once empty
-                pass
-            error = "ArithmeticError" if isinstance(exc, ArithmeticError) else "ValueError"
-            return error, str(exc), self.claimed
+        return token[0] if token else None
 
     def verdicts(self) -> list:
         """Drain the rest of the queue, wait for the worker and return the
-        battery's verdicts, or raise the battery's error."""
-        mine = self._drain()
+        battery's verdicts."""
+        mine = drain_battery(self.seed, self.sections, self.chunks, self._claim)
         data = self.pipe.read()
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         code = os.waitstatus_to_exitcode(status)
         if code != 0:
             raise RuntimeError(f"the algebra battery worker died (exit status {code})")
-        theirs = marshal.loads(data)
-        errors = [reply for reply in (mine, theirs) if reply[0] is not None]
-        if errors:
-            error, message, _ = min(errors, key=lambda reply: reply[2])
-            raise (ArithmeticError if error == "ArithmeticError" else ValueError)(message)
-        return battery_verdicts(self.sections, [a and b for a, b in zip(mine[1], theirs[1])])
+        return battery_verdicts(self.sections, mine, marshal.loads(data))
 
     def __enter__(self):
         return self

@@ -56,8 +56,6 @@ from .snf import (
     zpk_solve,
 )
 
-DEFAULT_PRECISION = 24
-
 
 # ---------------------------------------------------------------------------
 # cyclotomic integers

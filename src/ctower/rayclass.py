@@ -27,6 +27,8 @@ from .ffpoly import (
     irreducibles_of_degree,
 )
 
+FROBENIUS_CHECKS = 50  # unramified places layer_projection tests Frobenius at
+
 
 class RamifiedPlaceError(ValueError):
     """Frobenius was requested at a ramified place."""
@@ -122,7 +124,7 @@ class GaloisLayer(Layer):
     """G_n = (A/m)^x / F_q^x with m = f p^(n+1), presented by independent
     generators of prime-power order."""
 
-    def __init__(self, cfg: TowerConfig, n: int, budget: int = UNIT_ENUM_BUDGET):
+    def __init__(self, cfg: TowerConfig, n: int):
         if n < 0:
             raise ValueError("layer index must be >= 0")
         self.cfg = cfg
@@ -130,8 +132,8 @@ class GaloisLayer(Layer):
         self.n = n
         self.modulus = cfg.modulus(n)
         self.ring = ResidueRing(self.modulus)
-        if self.ring.size > budget:
-            raise ValueError(f"residue ring size {self.ring.size} exceeds budget {budget}")
+        if self.ring.size > UNIT_ENUM_BUDGET:
+            raise ValueError(f"residue ring size {self.ring.size} exceeds budget {UNIT_ENUM_BUDGET}")
         # the primes of the modulus: p and the v | f
         self._support = frozenset(v.gen for v in default_s(cfg.f, cfg.p_place))
         F, mod = cfg.field, self.modulus
@@ -198,7 +200,6 @@ class GaloisLayer(Layer):
                 classes[r] = exps
         self._classes = classes
         self.delta_idx, self.p_idx = self.group.p_partition(cfg.char)
-        self._inertia_cache = {}
         self._decomposition_cache = {}
         self._kernel_cache = {}
 
@@ -261,28 +262,12 @@ class GaloisLayer(Layer):
         return va, m
 
     def inertia_group(self, v) -> frozenset:
-        """Image of the local units at v: classes of a with a = 1 mod m/v^a.
+        """Image of the local units at v: classes of a with a = 1 mod m/v^a,
+        which is level_kernel(m/v^a); the identity alone, level_kernel(m),
+        when v is unramified or infinite.
 
-        Computed once per place; a repeat call returns the same frozenset."""
-        out = self._inertia_cache.get(v)
-        if out is None:
-            out = self._inertia_cache[v] = self._inertia(v)
-        return out
-
-    def _inertia(self, v) -> frozenset:
-        if is_infinite(v):
-            return frozenset({self.group.identity})
-        va, rest = self._local_part(v)
-        if va.is_one():
-            return frozenset({self.group.identity})
-        F = self.field
-        out = set()
-        for tail in itertools.product(range(F.q), repeat=va.degree):
-            t = FqPoly(F, tail)
-            a = FqPoly.one(F) + rest * t
-            if self.coprime_to_modulus(a):
-                out.add(self.class_of(a))
-        return frozenset(out)
+        Computed once per level; a repeat call returns the same frozenset."""
+        return self.level_kernel(self.modulus if is_infinite(v) else self._local_part(v)[1])
 
     def frobenius_lift(self, v: FinitePlace):
         """Class of b with b = gen(v) mod m/v^a and b = 1 mod v^a."""
@@ -432,9 +417,9 @@ class TrivialLayer(Layer):
         return table
 
 
-def build_layer(cfg: TowerConfig, n: int, budget: int = UNIT_ENUM_BUDGET) -> GaloisLayer:
+def build_layer(cfg: TowerConfig, n: int) -> GaloisLayer:
     """Layer constructor; |G_n| = Phi(f p^(n+1))/(q-1) is verified internally."""
-    return GaloisLayer(cfg, n, budget)
+    return GaloisLayer(cfg, n)
 
 
 @dataclass
@@ -453,11 +438,11 @@ class LayerMap:
         return acc
 
 
-def layer_projection(src: GaloisLayer, tgt: GaloisLayer, frobenius_checks: int = 50) -> LayerMap:
+def layer_projection(src: GaloisLayer, tgt: GaloisLayer) -> LayerMap:
     """The restriction map from layer src.n to layer tgt.n (src.n > tgt.n).
 
     Verifies surjectivity and Frobenius compatibility on a deterministic
-    sample of unramified places.
+    sample of FROBENIUS_CHECKS unramified places.
     """
     if src.cfg is not tgt.cfg and (src.cfg != tgt.cfg):
         raise ValueError("layers belong to different tower configurations")
@@ -470,14 +455,14 @@ def layer_projection(src: GaloisLayer, tgt: GaloisLayer, frobenius_checks: int =
         raise ArithmeticError("layer projection is not surjective")
     checked = 0
     d = 1
-    while checked < frobenius_checks and d <= 8:
+    while checked < FROBENIUS_CHECKS and d <= 8:
         for pl in irreducibles_of_degree(src.field, d):
             if src.ramified(pl):
                 continue
             if lm.apply(src.frobenius(pl)) != tgt.frobenius(pl):
                 raise ArithmeticError(f"Frobenius incompatibility at {pl!r}")
             checked += 1
-            if checked >= frobenius_checks:
+            if checked >= FROBENIUS_CHECKS:
                 break
         d += 1
     return lm

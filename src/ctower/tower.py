@@ -13,7 +13,6 @@ ArithmeticError raised inside a check is that check's failure
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
@@ -57,7 +56,7 @@ from .lfun import (
     theta,
 )
 from .rayclass import TowerConfig, build_layer, layer_projection
-from .snf import zpk_kernel
+from .snf import zpk_cokernel_exponents, zpk_kernel
 
 DEFAULT_PRECISION = 24
 POINT_MAX_I = 6
@@ -359,9 +358,6 @@ def _class_number_suite(run: TowerRun, layer, tr, counts, quot):
 # ---------------------------------------------------------------------------
 
 
-COHERENT_ENUM_BUDGET = 300_000
-
-
 @dataclass
 class ToyProjectiveSystem:
     """A finite chain R_0 <- R_1 <- ... <- R_T of finite rings with ring
@@ -392,35 +388,23 @@ class CoherentNzdReport:
         return self.precondition_ok and self.conclusion_ok
 
 
-def _additive_span(gens, pk: int) -> set:
-    """The Z/p^k-span of the vectors gens, as a set of tuples.  Each
-    generator g adds the cosets span + c g for c = 1, 2, ... until c g
-    falls back into the span built so far."""
-    span = {tuple([0] * len(gens[0]))}
-    for g in gens:
-        grown = set(span)
-        step = tuple(g)
-        while step not in span:
-            grown.update(tuple((a + b) % pk for a, b in zip(x, step)) for x in span)
-            step = tuple((a + b) % pk for a, b in zip(step, g))
-        span = grown
-    return span
+def _log_span(mat, p: int, k: int) -> int:
+    """log_p of the order of the Z/p^k-span of the columns of mat."""
+    return len(mat) * k - sum(zpk_cokernel_exponents(mat, p, k))
 
 
-def coherent_nzd_check(sys: ToyProjectiveSystem,
-                       budget: int = COHERENT_ENUM_BUDGET) -> CoherentNzdReport:
+def coherent_nzd_check(sys: ToyProjectiveSystem) -> CoherentNzdReport:
     """Finite shadow of the coherent-nzd lemma.
 
     Precondition: the annihilator of alpha_m dies in the next ring down
     (Ann(alpha_m) maps to 0 under R_m -> R_{m-1}); a genuine zero divisor at
     some level is flagged.  Conclusion: an element of the top ring whose
     projections all lie in the ideals (alpha_m R_m) must already lie in
-    alpha_T R_T; verified by exhaustive enumeration.
+    alpha_T R_T.  The transitions are ring maps and alpha is coherent, so an
+    element whose image lies in alpha_(T-1) R_(T-1) has every lower image in
+    its ideal: those elements are the preimage of alpha_(T-1) R_(T-1) under
+    the top transition P, and extra_elements is its order less |alpha_T R_T|.
     """
-    top = sys.rings[-1]
-    if top.pk ** top.basis_size > budget:
-        raise ValueError("top ring exceeds the enumeration budget")
-
     precondition_ok = True
     failing = None
     for m in range(len(sys.rings) - 1, 0, -1):
@@ -439,22 +423,21 @@ def coherent_nzd_check(sys: ToyProjectiveSystem,
         if not precondition_ok:
             break
 
-    # conclusion by enumeration of the top ring; alpha_m R_m is the
-    # Z/p^k-span of the products b_i alpha_m with the basis of R_m
-    ideals = [_additive_span(ring.basis_products(alpha), ring.pk)
-              for ring, alpha in zip(sys.rings, sys.alpha)]
-    top_ideal = ideals[-1]
-    extra = 0
-    for vec in itertools.product(range(top.pk), repeat=top.basis_size):
-        in_all = True
-        img = list(vec)  # a flat ring's element is its coefficient list
-        for m in range(len(sys.rings) - 2, -1, -1):
-            img = sys.transitions[m](img)
-            if tuple(img) not in ideals[m]:
-                in_all = False
-                break
-        if in_all and vec not in top_ideal:
-            extra += 1
+    top = sys.rings[-1]
+    p, k, n = top.p, top.k, top.basis_size
+    log_pre = n * k
+    if len(sys.rings) > 1:
+        # x is in the preimage iff d (P x - A y) = 0 mod p^k for some y, with
+        # A spanning alpha_(T-1) R_(T-1) and d = p^(k - k_(T-1)): the
+        # preimage is the x-part of the kernel of d [P | -A]
+        below = sys.rings[-2]
+        d = p ** (k - below.k)
+        cols = [sys.transitions[-1]([int(i == j) for i in range(n)]) for j in range(n)]
+        rows = [[d * a for a in prow] + [-d * a for a in arow]
+                for prow, arow in zip(zip(*cols), mult_matrix(below, [[sys.alpha[-2]]]))]
+        kern = zpk_kernel(rows, p, k)
+        log_pre = _log_span([[vec[i] for vec in kern] for i in range(n)], p, k)
+    extra = p ** log_pre - p ** _log_span(mult_matrix(top, [[sys.alpha[-1]]]), p, k)
     return CoherentNzdReport(precondition_ok=precondition_ok, failing_level=failing,
                              conclusion_ok=extra == 0, extra_elements=extra)
 
@@ -684,14 +667,17 @@ def battery_chunks(sections) -> list:
 
 def drain_battery(seed: int, sections, chunks, claim) -> list:
     """Run every chunk that claim() hands out until it returns None, and
-    return the per-section AND of the checks run here.
+    return each section's first failing case here: (case index, error) or
+    None when every case run here passed.
 
+    A case fails when its check returns False or raises an ArithmeticError
+    or a ValueError, whose "Type: message" is the error (None otherwise).
     Claims must increase.  The seeded stream moves forward only: the draws
     of the chunks between two claims (the ones another process took) are
     replayed and dropped.  A section's checks stop at its first failure.
     """
     rng = random.Random(seed)
-    oks = [True] * len(sections)
+    failures = [None] * len(sections)
     done = 0  # chunks whose draws the stream has passed
     while (c := claim()) is not None:
         if c < done:
@@ -704,17 +690,31 @@ def drain_battery(seed: int, sections, chunks, claim) -> list:
         _, _, draw, check, _ = sections[s]
         for i in range(start, stop):
             inputs = draw(rng, i)
-            if oks[s] and not check(inputs):
-                oks[s] = False
+            if failures[s] is None:
+                try:
+                    if not check(inputs):
+                        failures[s] = (i, None)
+                except (ArithmeticError, ValueError) as exc:
+                    failures[s] = (i, f"{type(exc).__name__}: {exc}")
         done = c + 1
-    return oks
+    return failures
 
 
-def battery_verdicts(sections, oks) -> list:
-    """One verdict per section, shaped like TowerRun verdicts."""
-    return [{"name": name, "layer": None, "passed": bool(ok),
-             "shadows": "exact algebra property", **details}
-            for (name, _, _, _, details), ok in zip(sections, oks)]
+def battery_verdicts(sections, *drains) -> list:
+    """One verdict per section, shaped like TowerRun verdicts, from the
+    failures of drains that share the chunk plan: a failed verdict holds the
+    lowest failing case of any drain as first_failure, with its error."""
+    verdicts = []
+    for s, (name, _, _, _, details) in enumerate(sections):
+        verdict = {"name": name, "layer": None, "passed": True,
+                   "shadows": "exact algebra property", **details}
+        failures = [drain[s] for drain in drains if drain[s] is not None]
+        if failures:
+            case, error = min(failures, key=lambda failure: failure[0])
+            verdict.update(passed=False, first_failure=case,
+                           **({} if error is None else {"error": error}))
+        verdicts.append(verdict)
+    return verdicts
 
 
 def algebra_suite(seed: int = 0, cases: int = 200, systems: int = 20) -> list:

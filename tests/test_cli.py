@@ -285,6 +285,7 @@ class TestVerifyAllWorker:
 
     @pytest.mark.parametrize("error", [ArithmeticError, ValueError, ZeroDivisionError])
     def test_battery_error_is_a_usage_error(self, capsys, monkeypatch, error):
+        # the drain itself raises, outside every check: a usage error
         def broken(*args):
             raise error("no such ring")
 
@@ -397,22 +398,45 @@ class TestVerifyAllWorker:
         assert empty.exists() and claimed == []
         assert report.read_text() == expected
 
+    @staticmethod
+    def _broken_battery(monkeypatch, check):
+        """Replace the battery by the one section "broken" of 8 cases, whose
+        case i draws i and is checked by check(i)."""
+        monkeypatch.setattr(cli, "battery_sections", lambda cases, systems: [
+            ("broken", 8, lambda rng, i: i, check, {})])
+
+    @staticmethod
+    def _battery_verdict(report, capsys):
+        """The verdict "broken" of the written report, which must be its
+        last and its only failed one, with exit 1 printed as [FAIL]."""
+        *passed, verdict = json.loads(report.read_text())["verdicts"]
+        assert all(v["passed"] for v in passed)
+        assert (verdict["name"], verdict["passed"]) == ("broken", False)
+        assert "[FAIL] broken" in capsys.readouterr().out
+        return verdict
+
     @pytest.mark.parametrize("error", [ArithmeticError, ValueError])
-    def test_battery_error_in_the_parent_share(self, capsys, monkeypatch, error):
+    def test_battery_error_in_the_parent_share(self, capsys, monkeypatch, tmp_path, error):
+        # the checks raise in the parent only; a slow worker leaves the
+        # parent cases, and the lowest of them is the verdict's first failure
         self._stub_tower(monkeypatch)
-        parent, drain = os.getpid(), cli.drain_battery
+        parent, raised = os.getpid(), []
 
-        def parent_fails(seed, sections, chunks, claim):
+        def check(i):
             if os.getpid() != parent:
-                return drain(seed, sections, chunks, claim)
-            claim()
-            raise error("no such ring")
+                time.sleep(0.05)
+                return True
+            raised.append(i)
+            raise error(f"case {i}")
 
-        monkeypatch.setattr(cli, "drain_battery", parent_fails)
-        assert main(SMALL_ALL) == 2
-        assert capsys.readouterr().err == "error: no such ring\n"
+        self._broken_battery(monkeypatch, check)
+        report = tmp_path / "report.json"
+        assert main(SMALL_ALL + ["--out", str(report)]) == 1
+        verdict = self._battery_verdict(report, capsys)
+        assert raised and verdict["first_failure"] == raised[0]
+        assert verdict["error"] == f"{error.__name__}: case {raised[0]}"
 
-    def test_error_of_the_lowest_chunk_is_reported(self, capsys, monkeypatch):
+    def test_error_of_the_lowest_chunk_is_reported(self, capsys, monkeypatch, tmp_path):
         # every case raises; the parent starts late, so the worker takes
         # chunk 0 and raises last: its error, not the parent's, is reported
         def raising(i):
@@ -420,8 +444,7 @@ class TestVerifyAllWorker:
                 time.sleep(0.3)
             raise ValueError(f"case {i}")
 
-        monkeypatch.setattr(cli, "battery_sections", lambda cases, systems: [
-            ("broken", 8, lambda rng, i: i, raising, {})])
+        self._broken_battery(monkeypatch, raising)
         parent, drain = os.getpid(), cli.drain_battery
 
         def late_parent(*args):
@@ -430,8 +453,33 @@ class TestVerifyAllWorker:
             return drain(*args)
 
         monkeypatch.setattr(cli, "drain_battery", late_parent)
-        assert main(["verify", "fitting", "--cases", "5"]) == 2
-        assert capsys.readouterr().err == "error: case 0\n"
+        report = tmp_path / "fitting.json"
+        assert main(["verify", "fitting", "--cases", "5", "--out", str(report)]) == 1
+        verdict = self._battery_verdict(report, capsys)
+        assert (verdict["first_failure"], verdict["error"]) == (0, "ValueError: case 0")
+
+    @pytest.mark.parametrize("suite", ["fitting", "all"])
+    def test_false_check_in_both_processes(self, capsys, monkeypatch, tmp_path, suite):
+        # every case fails without an error; each process checks the first
+        # case it claims (and leaves a file named by its pid and the case),
+        # none after its first failure, and case 0 is the first failure
+        def check(i):
+            (tmp_path / f"{os.getpid()}-{i}").touch()
+            time.sleep(0.2)
+            return False
+
+        self._broken_battery(monkeypatch, check)
+        argv = ["verify", "fitting", "--cases", "5"]
+        if suite == "all":
+            self._stub_tower(monkeypatch)
+            argv = SMALL_ALL
+        report = tmp_path / "report.json"
+        assert main(argv + ["--out", str(report)]) == 1
+        verdict = self._battery_verdict(report, capsys)
+        assert (verdict["first_failure"], "error" in verdict) == (0, False)
+        runs = [path.name.split("-") for path in tmp_path.glob("*-*")]
+        assert len({pid for pid, _ in runs}) == len(runs) == 2
+        assert min(int(i) for _, i in runs) == 0
 
     def test_no_cases_is_the_reference_report(self, tmp_path):
         # the battery part of the report of the single-process battery

@@ -291,6 +291,37 @@ class TestDecompositionCache:
         assert layer.decomposition_group(p) == layer.inertia_group(p)
 
 
+def _enumerated_inertia(layer, v) -> frozenset:
+    """The classes of 1 + (m/v^a) t, deg t < deg v^a, coprime to the
+    modulus m, by enumeration of t: the inertia group as GaloisLayer
+    computed it before it read level_kernel."""
+    if v is INFINITY:
+        return frozenset({layer.group.identity})
+    va, rest = layer._local_part(v)
+    if va.is_one():
+        return frozenset({layer.group.identity})
+    F = layer.field
+    out = set()
+    for tail in itertools.product(range(F.q), repeat=va.degree):
+        a = FqPoly.one(F) + rest * FqPoly(F, tail)
+        if layer.coprime_to_modulus(a):
+            out.add(layer.class_of(a))
+    return frozenset(out)
+
+
+def _f_x_q2():
+    p, x = FinitePlace(poly(F2, 1, 1, 1)), poly(F2, 0, 1)
+    return TowerConfig(F2, x, p, default_s(x, p), frozenset({FinitePlace(poly(F2, 1, 1))}))
+
+
+@pytest.mark.parametrize("make_cfg", [flagship_q3, flagship_q2, _f_x_q2])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_inertia_is_the_enumeration(make_cfg, n):
+    layer = build_layer(make_cfg(), n)
+    for v in _places(layer):
+        assert layer.inertia_group(v) == _enumerated_inertia(layer, v), v
+
+
 def _span_layers():
     return ([(flagship_q3, n) for n in (0, 1, 2)] + [(flagship_q2, n) for n in range(4)]
             + [(conductor_config_q3, n) for n in (0, 1)])

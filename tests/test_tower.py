@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import random
@@ -41,7 +40,11 @@ from ctower.tower import (
 )
 from ctower.lfun import theta
 from ctower.snf import zpk_cokernel_exponents, zpk_kernel
-from zpk_reference import ReferenceZpkGroupRing, reference_quotient_exponents
+from zpk_reference import (
+    ReferenceZpkGroupRing,
+    reference_coherent_extra,
+    reference_quotient_exponents,
+)
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -565,20 +568,25 @@ class TestCoherentNzd:
         rep = coherent_nzd_check(sys)
         assert rep.passed
 
-    def test_ideal_spans_match_every_product(self):
-        # alpha R built as the Z/p^k-span of the products b_i alpha is the
-        # set of all products x alpha, x in R
-        cases = [(ZpkGroupRing(p, k, TRIVIAL_GROUP), [alpha])
-                 for p, k, alpha in ((5, 5, 1), (3, 4, 3), (2, 5, 12), (3, 3, 0))]
-        grp = AbelianGroup((2,))
-        for p, k, alpha in ((3, 3, {(0,): 3, (1,): 9}), (3, 2, {(0,): 1, (1,): 3}),
-                            (2, 3, {(0,): 2}), (5, 2, {(0,): 5}), (2, 4, {(0,): 1, (1,): 1})):
-            ring = ZpkGroupRing(p, k, grp)
-            cases.append((ring, ring.from_mapping(alpha)))
-        for ring, alpha in cases:
-            every = {tuple(ring.to_vec(ring.mul(ring.from_vec(list(x)), alpha)))
-                     for x in itertools.product(range(ring.pk), repeat=ring.basis_size)}
-            assert tower._additive_span(ring.basis_products(alpha), ring.pk) == every
+    def test_extra_matches_the_enumeration(self):
+        # the 20 battery systems, three whose limit ideal is larger than
+        # alpha_T R_T, and a system of one ring
+        _, n, draw, _, _ = tower.battery_sections(0, 20)[4]
+        c2 = AbelianGroup((2,))
+        params = [draw(None, i)[:4] for i in range(n)] + [
+            (3, [2, 3], c2, {(0,): 1, (1,): 1}),
+            (3, [2, 3, 4], c2, {(0,): 1, (1,): 1}),
+            (3, [1, 2], c2, {(0,): 3, (1,): 3}),
+            (3, [3], c2, {(0,): 3, (1,): 6}),
+        ]
+        extras = []
+        for p, ks, group, alpha in params:
+            sys = zpk_chain_system(p, ks, alpha, group)
+            extra = coherent_nzd_check(sys).extra_elements
+            assert extra == reference_coherent_extra(sys), (p, ks, alpha)
+            extras.append(extra)
+        assert extras[:n] == [0] * n
+        assert extras[n:] == [54, 162, 6, 702]
 
     def test_incoherent_alpha_rejected(self):
         rings = [ZpkGroupRing(2, 3, TRIVIAL_GROUP), ZpkGroupRing(2, 4, TRIVIAL_GROUP)]
@@ -700,7 +708,7 @@ class TestDrainBattery:
         sections = tower.battery_sections(200, 20)
         chunks = tower.battery_chunks(sections)
         per_chunk = {}
-        oks = [True] * len(sections)
+        drains = []
         # the drains run one after the other; each claim marks where the
         # log entries of the claimed chunk start
         for share in self.SPLITS[split](len(chunks)):
@@ -712,13 +720,13 @@ class TestDrainBattery:
                 starts.append((c, len(log)))
                 return c
 
-            mine = tower.drain_battery(seed, sections, chunks, claim)
+            drains.append(tower.drain_battery(seed, sections, chunks, claim))
             for (c, start), (_, stop) in zip(starts, starts[1:]):
                 per_chunk[c] = log[start:stop]
-            oks = [a and b for a, b in zip(oks, mine)]
         transcript = [entry for c in sorted(per_chunk) for entry in per_chunk[c]]
         ref = TestAlgebraSuiteReference
-        assert tower.battery_verdicts(sections, oks) == [
+        assert drains == [[None] * len(sections)] * 2
+        assert tower.battery_verdicts(sections, *drains) == [
             {"layer": None, "passed": True, "shadows": "exact algebra property", **v}
             for v in ref.VERDICTS]
         assert len(transcript) == 1143
@@ -743,11 +751,73 @@ class TestDrainBattery:
         with pytest.raises(RuntimeError, match="claimed after"):
             tower.drain_battery(0, sections, chunks, lambda: next(claims, None))
 
-    def test_failed_check_fails_its_section_only(self):
+    def _drains(self, section, check, splits, draw=None):
+        """The sections of the 5-case battery with the check (and the draw)
+        of one section replaced, and their drains, one per list of claimed
+        chunks that splits(chunk plan) returns, run in turn."""
         sections = tower.battery_sections(5, 20)
-        name, n, draw, _, details = sections[1]
-        sections[1] = (name, n, draw, lambda inputs: False, details)
+        name, n, old_draw, _, details = sections[section]
+        sections[section] = (name, n, draw or old_draw, check, details)
         chunks = tower.battery_chunks(sections)
-        order = iter(range(len(chunks)))
-        oks = tower.drain_battery(0, sections, chunks, lambda: next(order, None))
-        assert oks == [True, False, True, True, True, True, True]
+        drains = []
+        for share in splits(chunks):
+            order = iter(share)
+            drains.append(tower.drain_battery(0, sections, chunks, lambda: next(order, None)))
+        return sections, drains
+
+    def test_failed_check_fails_its_section_only(self):
+        sections, [drain] = self._drains(1, lambda inputs: False,
+                                         lambda chunks: [range(len(chunks))])
+        assert drain == [None, (0, None), None, None, None, None, None]
+        verdicts = tower.battery_verdicts(sections, drain)
+        assert [v["passed"] for v in verdicts] == [True, False, True, True, True, True, True]
+        assert verdicts[1] == {"name": "fitting_direct_sum", "layer": None, "passed": False,
+                               "shadows": "exact algebra property", "cases": 5,
+                               "first_failure": 0}
+
+    @pytest.mark.parametrize("error", [ArithmeticError, ValueError, ZeroDivisionError])
+    def test_raising_check_is_a_failed_case(self, error):
+        def check(inputs):
+            raise error("no such ring")
+
+        sections, [drain] = self._drains(3, check, lambda chunks: [range(len(chunks))])
+        assert drain == [None] * 3 + [(0, f"{error.__name__}: no such ring")] + [None] * 3
+        verdict = tower.battery_verdicts(sections, drain)[3]
+        assert (verdict["passed"], verdict["first_failure"], verdict["error"]) == \
+            (False, 0, f"{error.__name__}: no such ring")
+
+    def test_other_errors_escape(self):
+        def check(inputs):
+            raise TypeError("not a verdict")
+
+        with pytest.raises(TypeError, match="not a verdict"):
+            self._drains(3, check, lambda chunks: [range(len(chunks))])
+
+    @pytest.mark.parametrize("mine, records", [
+        ([1, 3], [(1, None), None]),
+        ([0, 2, 4], [None, (1, None)]),
+        ([3], [(3, "ValueError: case 3"), (1, None)]),
+        ([0, 1, 2, 3, 4], [(1, None), None]),
+        ([], [None, (1, None)]),
+    ], ids=["13", "024", "3", "all", "none"])
+    def test_lowest_failing_case_of_any_drain_is_reported(self, mine, records):
+        # cases 1 and 3 of the lifting section fail, 3 by an error; one drain
+        # runs the lifting cases in mine, the other the rest.  Either way the
+        # verdict names case 1, with no error
+        def check(i):
+            if i == 3:
+                raise ValueError("case 3")
+            return i != 1
+
+        def splits(chunks):
+            # the lifting section has one case per chunk
+            lifting = [c for c, (s, _, _) in enumerate(chunks) if s == 3]
+            first = [c for c in range(len(chunks)) if c not in lifting] + \
+                [lifting[i] for i in mine]
+            return [sorted(first), [c for c in range(len(chunks)) if c not in first]]
+
+        sections, drains = self._drains(3, check, splits, draw=lambda rng, i: i)
+        assert [drain[3] for drain in drains] == records
+        verdict = tower.battery_verdicts(sections, *drains)[3]
+        assert (verdict["passed"], verdict["first_failure"], "error" in verdict) == \
+            (False, 1, False)

@@ -18,10 +18,14 @@ mult_matrix, determinant and Fitting minors as they stood before Z/p^k[G]
 read its basis products and minors off the index table
 (reference_mult_matrix_rows, reference_det, reference_fitting_generators).
 
-Last, the finite rings as they stood before every one was a flat coefficient
+Then the finite rings as they stood before every one was a flat coefficient
 list: ReferenceZpkRing, Z/p^k with int elements, and ReferenceTruncPolyRing,
 base[u]/(u^M) with tuples of M base elements, both on the generic
 basis_products and det of _ReferenceFiniteRing.
+
+Last, reference_coherent_extra, the enumeration of the top ring of a toy
+projective system that coherent_nzd_check ran before it read its count off
+Smith exponents.
 """
 
 import itertools as it
@@ -583,3 +587,25 @@ class ReferenceTruncPolyRing(_ReferenceFiniteRing):
 
     def describe(self):
         return f"{self.base.describe()}[u]/(u^{self.M})"
+
+
+def reference_coherent_extra(sys) -> int:
+    """The elements of the top ring of the toy projective system sys whose
+    images all lie in the ideals alpha_m R_m but which are not in
+    alpha_T R_T, counted by enumeration of the top ring, with each ideal the
+    set of all products x alpha_m: the oracle of the extra_elements of
+    ctower.tower.coherent_nzd_check, which reads them off Smith exponents."""
+    ideals = [{tuple(ring.mul(list(x), alpha))
+               for x in it.product(range(ring.pk), repeat=ring.basis_size)}
+              for ring, alpha in zip(sys.rings, sys.alpha)]
+    top = sys.rings[-1]
+    extra = 0
+    for vec in it.product(range(top.pk), repeat=top.basis_size):
+        img = list(vec)
+        for m in range(len(sys.rings) - 2, -1, -1):
+            img = sys.transitions[m](img)
+            if tuple(img) not in ideals[m]:
+                break
+        else:
+            extra += vec not in ideals[-1]
+    return extra
