@@ -5,7 +5,7 @@ group: its torsion points generate the analogues of cyclotomic fields.
 """
 
 from ctower.carlitz import cyclotomic_poly, real_generator_minpoly, rho, rho_as_additive_poly
-from ctower.ffpoly import FqField, FqPoly, ResidueRing
+from ctower.ffpoly import FqField, FqPoly, unit_count
 
 F3 = FqField(3)
 theta = FqPoly.gen(F3)
@@ -30,7 +30,7 @@ print()
 print("== the cyclotomic polynomial of conductor m ==")
 cyc = cyclotomic_poly(m)
 print("phi_m(X) =", cyc.phi)
-print("degree = Phi(m) = |(A/m)^x| =", ResidueRing(m).unit_count())
+print("degree = Phi(m) = |(A/m)^x| =", unit_count(m))
 
 print()
 print("== the real-subfield generator e = lambda^(q-1) ==")

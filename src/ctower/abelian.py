@@ -125,9 +125,14 @@ def _abelian_basis(elements, mul, one, order):
     gens, orders = [], []
     elements = list(elements)
     for ell, v in prime_factors:
-        cofactor = order // ell ** v
+        target = ell ** v
+        cofactor = order // target
+        # x -> x^cofactor maps G onto the ell-Sylow subgroup, so the scan
+        # can stop once every one of its ell^v elements is a key
         sylow = {}
         for x in elements:
+            if len(sylow) == target:
+                break
             y = elem_pow(x, cofactor)
             if y not in sylow:
                 o = 1
@@ -139,7 +144,6 @@ def _abelian_basis(elements, mul, one, order):
         # greedy basis with corrections
         basis, basis_orders = [], []
         span = {one: ()}
-        target = ell ** v
         while len(span) < target:
             best, best_ord = None, 0
             for y in sylow:

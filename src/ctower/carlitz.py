@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ffpoly import FqField, FqPoly, NonMonicError, ResidueRing, factor
+from .ffpoly import FqField, FqPoly, NonMonicError, factor, unit_count
 
 
 class TwistedPoly:
@@ -259,7 +259,7 @@ def cyclotomic_poly(m: FqPoly) -> CyclotomicPoly:
     quo, rem = divmod(num, den)
     if not rem.is_zero():
         raise ArithmeticError("cyclotomic division left a remainder")
-    expected = ResidueRing(m).unit_count()
+    expected = unit_count(m)
     if quo.degree != expected:
         raise ArithmeticError(f"cyclotomic degree {quo.degree} != Phi(m) = {expected}")
     return CyclotomicPoly(m, quo)

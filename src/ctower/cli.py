@@ -28,6 +28,7 @@ import sys
 
 from .ffpoly import FinitePlace, FqField, FqPoly, INFINITY, is_irreducible
 from .geometry import (
+    DEFAULT_POINT_BUDGET,
     count_points_model,
     count_points_splitting,
     curve_model,
@@ -42,6 +43,8 @@ from .lfun import (
 )
 from .rayclass import TowerConfig, TrivialLayer, build_layer, default_s, layer_projection
 from .tower import (
+    DEFAULT_PRECISION,
+    POINT_MAX_I,
     RunOptions,
     TowerRun,
     battery_chunks,
@@ -302,9 +305,9 @@ def _verify_config(args):
                                  ",".join(blob.get("S", [])) if blob.get("S") else None,
                                  ",".join(blob["Sigma"]))
         opts = RunOptions(
-            precision_k=blob.get("precision", 24),
+            precision_k=blob.get("precision", DEFAULT_PRECISION),
             degree=blob.get("degree"),
-            point_budget=blob.get("budget", 10 ** 7),
+            point_budget=blob.get("budget", DEFAULT_POINT_BUDGET),
             seed=blob.get("seed", 0),
         )
         if blob.get("sigma_alt"):
@@ -471,7 +474,7 @@ def build_parser():
     sp = sub.add_parser("count-points", help="point counts of the layer curve")
     _add_config_flags(sp)
     sp.add_argument("--max-i", type=int, default=6)
-    sp.add_argument("--budget", type=int, default=10 ** 7)
+    sp.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET)
     sp.add_argument("--splitting-only", action="store_true")
     sp.add_argument("--csv", help="also write the counts as a flat CSV table")
     sp.set_defaults(func=cmd_count_points)
@@ -492,10 +495,10 @@ def build_parser():
     sp.add_argument("--sigma-alt", dest="sigma_alt")
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--N", type=int, default=1)
-    sp.add_argument("--max-i", type=int, default=6,
-                    help="count points N_1..N_i for 'cnf'; 'all' always uses i = 6")
-    sp.add_argument("--precision", type=int, default=24)
-    sp.add_argument("--budget", type=int, default=10 ** 7)
+    sp.add_argument("--max-i", type=int, default=POINT_MAX_I,
+                    help=f"count points N_1..N_i for 'cnf'; 'all' always uses i = {POINT_MAX_I}")
+    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    sp.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--cases", type=int, default=200)
     sp.add_argument("--out")

@@ -705,26 +705,12 @@ def factor(f: FqPoly):
 # -- residue rings -----------------------------------------------------------
 
 
-class ResidueRing:
-    """A/m for monic m of degree >= 1 (not necessarily irreducible)."""
-
-    def __init__(self, modulus: FqPoly):
-        if not modulus.is_monic() or modulus.degree < 1:
-            raise NonMonicError("residue ring modulus must be monic of degree >= 1")
-        self.modulus = modulus
-        self.field = modulus.field
-        self.size = self.field.q ** modulus.degree
-        self._factorization = None
-
-    def factorization(self):
-        if self._factorization is None:
-            self._factorization = factor(self.modulus)
-        return self._factorization
-
-    def unit_count(self) -> int:
-        """|(A/m)^x| = q^deg m * prod_{P | m} (1 - q^(-deg P))."""
-        n = self.size
-        for place, _ in self.factorization():
-            pd = self.field.q ** place.degree
-            n = n // pd * (pd - 1)
-        return n
+def unit_count(m: FqPoly) -> int:
+    """|(A/m)^x| = q^deg m * prod_{P | m} (1 - q^(-deg P)), m monic of degree >= 1."""
+    if not m.is_monic() or m.degree < 1:
+        raise NonMonicError("residue ring modulus must be monic of degree >= 1")
+    n = m.field.q ** m.degree
+    for place, _ in factor(m):
+        pd = m.field.q ** place.degree
+        n = n // pd * (pd - 1)
+    return n

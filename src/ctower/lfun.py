@@ -7,8 +7,10 @@ the second product over all places of k = F_q(theta) outside S, including
 the infinite place (with trivial Frobenius) when it is not in S.  The
 product converges coefficientwise: the u^j coefficient only sees places of
 degree <= j, so computing with places of degree <= D gives the exact
-coefficients through degree D.  Polynomiality is certified empirically: all
-coefficients in (bound, D] must vanish.
+coefficients through degree D.  Polynomiality is certified empirically on
+the window (bound, D + 2]: the Euler series through D must vanish in
+(bound, D], and the divisor-sum series, an independent computation of the
+same Dirichlet series, must equal it through D and vanish in (D, D + 2].
 
 theta is the one place where chi(Theta) is computed: it evaluates every
 character once and keeps the table in ThetaResult.chi_theta.  That table is
@@ -129,7 +131,7 @@ class ThetaResult:
     bound: int
     theta: ThetaPoly
     series: list  # raw truncated series to degree D: D + 1 coefficient lists of Z[G]
-    stabilization_ok: bool
+    tail: list  # divisor-sum coefficients at D + 1, D + 2 (None without the cross-check)
     per_char_degrees: dict
     # chi.exps -> coefficient list of chi(Theta)(u) (trailing zeros dropped),
     # for every character in characters(group) order; not part of to_json
@@ -148,11 +150,17 @@ class ThetaResult:
             total = ring.add(total, c)
         return total
 
+    def certify_tail(self):
+        """Certify the window (D, D + 2] on the divisor-sum series, a
+        computation independent of the Euler product through D; raises
+        StabilizationError at the first nonzero coefficient."""
+        _certify_vanishing(self.tail, self.D + 1, self.bound)
+
     def to_json(self):
         return {
             "D": self.D,
             "bound": self.bound,
-            "stabilization_ok": self.stabilization_ok,
+            "stabilization_ok": True,
             "theta": self.theta.to_json(),
             "checks": {k: bool(v) for k, v in self.checks.items()},
         }
@@ -268,8 +276,7 @@ def trivial_character_symbolic(layer):
 def per_character_euler_product(layer, chi: Character, D: int):
     """chi(Theta) computed directly in the cyclotomic ring (independent path)."""
     ring = chi.ring
-    series = [ring.zero] * (D + 1)
-    series = [list(c) for c in series]
+    series = [list(ring.zero) for _ in range(D + 1)]
     series[0] = list(ring.one)
     q = layer.field.q
 
@@ -302,13 +309,23 @@ def _first_difference(a: list, b: list) -> int:
     return next(i for i in range(max(len(a), len(b))) if a[i:i + 1] != b[i:i + 1])
 
 
-def stabilized_theta(layer, D: int = None):
-    """(bound, D, series, Theta): the Euler series through degree D (default
-    bound + DEFAULT_EXTRA_DEGREE), certified to vanish in (bound, D], and the
-    ThetaPoly of its coefficients through the bound.
+def _certify_vanishing(coeffs, start: int, bound: int):
+    """Raise StabilizationError at the first nonzero coeffs[i], of degree start + i."""
+    for i, c in enumerate(coeffs, start):
+        if any(c):
+            raise StabilizationError(f"nonzero coefficient at degree {i} > bound {bound}")
+
+
+def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
+    """Compute Theta_{S,Sigma}^{(n)}(u) with a stabilization certificate.
+
+    The Euler series runs through D (default bound + DEFAULT_EXTRA_DEGREE);
+    the cross-check runs the divisor-sum series through D + 2 and keeps its
+    coefficients above D as ThetaResult.tail, for certify_tail.
 
     Raises StabilizationError if any coefficient above the degree bound is
-    nonzero within the computed window.
+    nonzero within the computed window, and PoleError if the trivial
+    character component is not polynomial.
     """
     bound = degree_bound(layer)
     if D is None:
@@ -316,23 +333,9 @@ def stabilized_theta(layer, D: int = None):
     if D < bound:
         raise ValueError(f"enumeration degree {D} is below the bound {bound}")
     series = euler_series(layer, D)
-    for i in range(bound + 1, D + 1):
-        if any(series[i]):
-            raise StabilizationError(f"nonzero coefficient at degree {i} > bound {bound}")
+    _certify_vanishing(series[bound + 1:], bound + 1, bound)
     group = layer.group
     tp = ThetaPoly(group, [GroupRingElem(group, c) for c in series[: bound + 1]])
-    return bound, D, series, tp
-
-
-def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
-    """Compute Theta_{S,Sigma}^{(n)}(u) with a stabilization certificate.
-
-    Raises StabilizationError if any coefficient above the degree bound is
-    nonzero within the computed window, and PoleError if the trivial
-    character component is not polynomial.
-    """
-    bound, D, series, tp = stabilized_theta(layer, D)
-    group = layer.group
 
     checks = {}
     per_char_degrees = {}
@@ -347,8 +350,10 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
             raise StabilizationError(
                 f"character {chi.exps}: degree {dchi} exceeds its bound {bchi}")
 
+    tail = None
     if cross_check:
-        other = divisor_sum_series(layer, D)
+        other = divisor_sum_series(layer, D + 2)
+        other, tail = other[: D + 1], other[D + 1:]
         checks["divisor_sum_equal"] = other == series
         if not checks["divisor_sum_equal"]:
             raise ArithmeticError("Euler product and divisor-sum series disagree "
@@ -369,9 +374,8 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
                 raise ArithmeticError("per-character Euler product disagrees "
                                       f"at character {list(bad.exps)}")
 
-    return ThetaResult(layer=layer, D=D, bound=bound, theta=tp, series=series,
-                       stabilization_ok=True, per_char_degrees=per_char_degrees,
-                       chi_theta=chi_theta, checks=checks)
+    return ThetaResult(layer=layer, D=D, bound=bound, theta=tp, series=series, tail=tail,
+                       per_char_degrees=per_char_degrees, chi_theta=chi_theta, checks=checks)
 
 
 def order_of_vanishing_check(layer, tr: ThetaResult, chi: Character):

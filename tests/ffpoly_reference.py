@@ -8,17 +8,20 @@ constructions are tested against:
 - reference_units, the residues mod m prime to m by a gcd, in
   itertools.product order of their tails (c_0 most significant), as the
   deleted ResidueRing.units yielded them;
+- reference_abelian_basis, verbatim but for its name: the greedy basis
+  whose Sylow scan raised every element to the cofactor, with no stop once
+  the Sylow subgroup is complete;
 - reference_class_table, the canonical unit representatives of a layer
   deduplicated from reference_units in first-seen order, its generators
-  and orders from _abelian_basis, and the dlog table from one powmod per
-  generator and exponent tuple.
+  and orders from reference_abelian_basis, and the dlog table from one
+  powmod per generator and exponent tuple.
 """
 
 import itertools
 from functools import lru_cache
 
-from ctower.abelian import AbelianGroup, _abelian_basis
-from ctower.ffpoly import FqField, FqPoly
+from ctower.abelian import AbelianGroup
+from ctower.ffpoly import FqField, FqPoly, unit_count
 
 
 @lru_cache(maxsize=None)
@@ -78,27 +81,112 @@ def reference_mark_multiples(composite, f, weight, field):
     walk(d - e - 1, 0, f[:e])
 
 
-def reference_units(ring):
-    """The units of ring = A/m, as FqPoly, in product order of their tails."""
-    F = ring.field
-    for tail in itertools.product(range(F.q), repeat=ring.modulus.degree):
+def reference_abelian_basis(elements, mul, one, order):
+    """Independent generators of prime-power order for a finite abelian group,
+    as abelian._abelian_basis, with its Sylow scan over every element.
+
+    elements: iterable of hashable group elements; mul/one: group law.
+    Returns (generators, orders).  Greedy per-Sylow basis extraction with the
+    classical correction step, so <g_1> x ... x <g_r> = G exactly.
+    """
+    def elem_pow(a, n):
+        r = one
+        while n:
+            if n & 1:
+                r = mul(r, a)
+            a = mul(a, a)
+            n >>= 1
+        return r
+
+    n = order
+    prime_factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            v = 0
+            while n % d == 0:
+                n //= d
+                v += 1
+            prime_factors.append((d, v))
+        d += 1
+    if n > 1:
+        prime_factors.append((n, 1))
+
+    gens, orders = [], []
+    elements = list(elements)
+    for ell, v in prime_factors:
+        cofactor = order // ell ** v
+        sylow = {}
+        for x in elements:
+            y = elem_pow(x, cofactor)
+            if y not in sylow:
+                o = 1
+                z = y
+                while z != one:
+                    z = elem_pow(z, ell)
+                    o *= ell
+                sylow[y] = o
+        # greedy basis with corrections
+        basis, basis_orders = [], []
+        span = {one: ()}
+        target = ell ** v
+        while len(span) < target:
+            best, best_ord = None, 0
+            for y in sylow:
+                # order of y modulo current span
+                o = 1
+                z = y
+                while z not in span:
+                    z = elem_pow(z, ell)
+                    o *= ell
+                if o > best_ord:
+                    best, best_ord = y, o
+            y, b = best, best_ord
+            # correction: y^b lies in span; divide off the span part
+            z = elem_pow(y, b)
+            exps = span[z]
+            adj = y
+            for g, go, c in zip(basis, basis_orders, exps):
+                # c is divisible by b; subtract g^(c/b)
+                c_over_b = (c // b) % go if c % b == 0 else None
+                if c_over_b is None:
+                    raise ArithmeticError("basis correction failed")  # unreachable
+                adj = mul(adj, elem_pow(g, (go - c_over_b) % go))
+            basis.append(adj)
+            basis_orders.append(b)
+            new_span = {}
+            for elem, exps in span.items():
+                acc = elem
+                for j in range(b):
+                    new_span[acc] = exps + (j,)
+                    acc = mul(acc, adj)
+            span = new_span
+        gens.extend(basis)
+        orders.extend(basis_orders)
+    return gens, orders
+
+
+def reference_units(mod):
+    """The units of A/mod, as FqPoly, in product order of their tails."""
+    F = mod.field
+    for tail in itertools.product(range(F.q), repeat=mod.degree):
         a = FqPoly(F, tail)
-        if a.gcd(ring.modulus).is_one():
+        if a.gcd(mod).is_one():
             yield a
 
 
 def reference_class_table(layer):
     """(reps, generators, orders, dlog) of a GaloisLayer, built as
     GaloisLayer.__init__ built them: canonical keys of reference_units in
-    first-seen order, _abelian_basis on them, and the dlog key of every
-    exponent tuple from one powmod per generator."""
-    F, ring, mod = layer.field, layer.ring, layer.modulus
+    first-seen order, reference_abelian_basis on them, and the dlog key of
+    every exponent tuple from one powmod per generator."""
+    F, mod = layer.field, layer.modulus
     canon_seen = {}
-    for u in reference_units(ring):
+    for u in reference_units(mod):
         key = layer._canon(u).coeffs
         canon_seen[key] = None
     reps = list(canon_seen)
-    expected = ring.unit_count() // (F.q - 1)
+    expected = unit_count(mod) // (F.q - 1)
     if len(reps) != expected:
         raise ArithmeticError("F_q^x quotient has unexpected size")
 
@@ -106,7 +194,7 @@ def reference_class_table(layer):
         return layer._canon((FqPoly(F, a) * FqPoly(F, b)) % mod).coeffs
 
     one = layer._canon(FqPoly.one(F)).coeffs
-    gens, orders = _abelian_basis(reps, mul, one, expected)
+    gens, orders = reference_abelian_basis(reps, mul, one, expected)
     generators = [FqPoly(F, g) for g in gens]
     group = AbelianGroup(tuple(orders))
     dlog = {}

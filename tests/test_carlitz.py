@@ -13,7 +13,7 @@ from ctower.carlitz import (
     rho,
     rho_as_additive_poly,
 )
-from ctower.ffpoly import FqField, FqPoly, ResidueRing
+from ctower.ffpoly import FqField, FqPoly, unit_count
 
 from carlitz_reference import (
     constant_term,
@@ -31,18 +31,19 @@ def poly(field, *coeffs):
     return FqPoly(field, coeffs)
 
 
-def additive_eval(ax, ring, theta0, x0):
-    """Oracle: evaluate an A[X]-polynomial at (theta0, x0) in a residue ring,
-    each coefficient by Horner in theta0."""
-    acc = FqPoly.zero(ring.field)
-    xpow = FqPoly.one(ring.field)
+def additive_eval(ax, mod, theta0, x0):
+    """Oracle: evaluate an A[X]-polynomial at (theta0, x0) in the residue
+    ring A/mod, each coefficient by Horner in theta0."""
+    F = mod.field
+    acc = FqPoly.zero(F)
+    xpow = FqPoly.one(F)
     for c in ax.coeffs:
-        value = FqPoly.zero(ring.field)
+        value = FqPoly.zero(F)
         for ci in reversed(c.coeffs):
-            value = value * theta0 % ring.modulus + FqPoly.constant(ring.field, ci)
-        acc = acc + value * xpow % ring.modulus
-        xpow = xpow * x0 % ring.modulus
-    return acc % ring.modulus
+            value = value * theta0 % mod + FqPoly.constant(F, ci)
+        acc = acc + value * xpow % mod
+        xpow = xpow * x0 % mod
+    return acc % mod
 
 
 class TestTwisted:
@@ -133,30 +134,30 @@ class TestAdditivePoly:
         # x*(z1+z2) = x*z1 + x*z2 and x*(c z) = c (x*z) for c in F_q,
         # checked in the extension A/g with g irreducible
         F = F3
-        ring = ResidueRing(poly(F, 1, 2, 0, 1))
+        mod = poly(F, 1, 2, 0, 1)
         x = poly(F, 1, 1)
         ax = rho_as_additive_poly(x)
         rng = random.Random(8)
         for _ in range(10):
             z1 = FqPoly(F, [rng.randrange(3) for _ in range(3)])
             z2 = FqPoly(F, [rng.randrange(3) for _ in range(3)])
-            s = additive_eval(ax, ring, FqPoly.gen(F), z1 + z2)
-            assert s == (additive_eval(ax, ring, FqPoly.gen(F), z1) +
-                         additive_eval(ax, ring, FqPoly.gen(F), z2))
+            s = additive_eval(ax, mod, FqPoly.gen(F), z1 + z2)
+            assert s == (additive_eval(ax, mod, FqPoly.gen(F), z1) +
+                         additive_eval(ax, mod, FqPoly.gen(F), z2))
             c = rng.randrange(1, 3)
             zc = z1.scale(c)
-            assert additive_eval(ax, ring, FqPoly.gen(F), zc) == \
-                additive_eval(ax, ring, FqPoly.gen(F), z1).scale(c) % ring.modulus
+            assert additive_eval(ax, mod, FqPoly.gen(F), zc) == \
+                additive_eval(ax, mod, FqPoly.gen(F), z1).scale(c) % mod
 
     def test_module_action_is_evaluation(self):
         # rho_{xy} evaluated = rho_x evaluated after rho_y evaluated
         F = F2
-        ring = ResidueRing(poly(F, 1, 1, 0, 1))
+        mod = poly(F, 1, 1, 0, 1)
         x, y = poly(F, 1, 1), poly(F, 0, 1, 1)
         z = poly(F, 0, 1)
-        inner = additive_eval(rho_as_additive_poly(y), ring, FqPoly.gen(F), z)
-        outer = additive_eval(rho_as_additive_poly(x), ring, FqPoly.gen(F), inner)
-        direct = additive_eval(rho_as_additive_poly(x * y), ring, FqPoly.gen(F), z)
+        inner = additive_eval(rho_as_additive_poly(y), mod, FqPoly.gen(F), z)
+        outer = additive_eval(rho_as_additive_poly(x), mod, FqPoly.gen(F), inner)
+        direct = additive_eval(rho_as_additive_poly(x * y), mod, FqPoly.gen(F), z)
         assert outer == direct
 
 
@@ -191,7 +192,7 @@ class TestCyclotomic:
                      (F2, poly(F2, 0, 1) * poly(F2, 1, 1)),
                      (F2, poly(F2, 1, 1, 1) * poly(F2, 0, 1))]:
             cyc = cyclotomic_poly(m)
-            assert cyc.phi.degree == ResidueRing(m).unit_count()
+            assert cyc.phi.degree == unit_count(m)
             quo, rem = divmod(rho_as_additive_poly(m), cyc.phi)
             assert rem.is_zero()
 
@@ -236,7 +237,7 @@ class TestRealGenerator:
         m = parse_serialized(conductor)
         got = real_generator_minpoly(m)
         assert got == reference_real_generator_minpoly(m)
-        assert got.degree == ResidueRing(m).unit_count() // (m.field.q - 1)
+        assert got.degree == unit_count(m) // (m.field.q - 1)
 
     @pytest.mark.parametrize("m, degree", [
         (poly(F3, 1, 0, 1) ** 2, 36),

@@ -536,6 +536,14 @@ def _shift_series(real):
     return shifted
 
 
+def _shift_tail(real):
+    def shifted(layer, D):  # off at D - 1, the first degree past theta's D
+        out = real(layer, D)
+        out[D - 1] = [c + 1 for c in out[D - 1]]
+        return out
+    return shifted
+
+
 def _shift_symbolic(real):
     def shifted(layer):
         out = real(layer)
@@ -575,6 +583,8 @@ class TestFailuresAreVerdicts:
     @pytest.mark.parametrize("module, name, shift, verdict, layer, error", [
         (lfun, "divisor_sum_series", _shift_series, "theta_stabilization", 0,
          "ArithmeticError: Euler product and divisor-sum series disagree at degree 2"),
+        (lfun, "divisor_sum_series", _shift_tail, "theta_recompute_D_plus_2", 0,
+         "StabilizationError: nonzero coefficient at degree 6 > bound 1"),
         (lfun, "trivial_character_symbolic", _shift_symbolic, "theta_stabilization", 0,
          "ArithmeticError: symbolic trivial-character component disagrees at u^1"),
         (lfun, "per_character_euler_product", _shift_characters, "theta_stabilization", 0,
@@ -585,8 +595,8 @@ class TestFailuresAreVerdicts:
          "FiberMismatchError: fiber above "),
         (tower, "zeta_numerator", _shift_last_count, "zeta_functional_equation", 0,
          "ArithmeticError: no integral zeta numerator fits the counts"),
-    ], ids=["divisor-sum", "symbolic-trivial", "per-character", "frobenius",
-            "fiber-mismatch", "zeta-no-fit"])
+    ], ids=["divisor-sum", "divisor-sum-tail", "symbolic-trivial", "per-character",
+            "frobenius", "fiber-mismatch", "zeta-no-fit"])
     def test_injected_error_is_a_failed_verdict(self, capsys, monkeypatch, tmp_path,
                                                 module, name, shift, verdict, layer, error):
         monkeypatch.setattr(module, name, shift(getattr(module, name)))

@@ -11,16 +11,16 @@ from ctower.ffpoly import (
     FqField,
     FqPoly,
     NonMonicError,
-    ResidueRing,
     _irreducible_list,
     _mark_multiples,
     factor,
     irreducibles_of_degree,
     is_irreducible,
+    unit_count,
 )
 
 from carlitz_reference import parse_serialized
-from ffpoly_reference import reference_sieve_list, reference_units
+from ffpoly_reference import reference_abelian_basis, reference_sieve_list, reference_units
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -430,16 +430,16 @@ class TestFactor:
         assert factor(f) == factor(f)
 
 
-def unit_basis(ring):
-    """_abelian_basis on (A/m)^x with the plain residue law, plus the dlog
+def unit_basis(mod):
+    """_abelian_basis on (A/mod)^x with the plain residue law, plus the dlog
     table of the basis; every unit must be hit by exactly one exponent tuple."""
-    F, mod = ring.field, ring.modulus
+    F = mod.field
 
     def mul(a, b):
         return ((FqPoly(F, a) * FqPoly(F, b)) % mod).coeffs
 
-    units = [u.coeffs for u in reference_units(ring)]
-    gens, orders = _abelian_basis(units, mul, FqPoly.one(F).coeffs, ring.unit_count())
+    units = [u.coeffs for u in reference_units(mod)]
+    gens, orders = _abelian_basis(units, mul, FqPoly.one(F).coeffs, unit_count(mod))
     gen_polys = [FqPoly(F, g) for g in gens]
     dlog = {}
     for exps in itertools.product(*(range(o) for o in orders)):
@@ -455,16 +455,16 @@ def unit_basis(ring):
 class TestResidueRingUnits:
     def test_cyclic_of_order_8(self):
         # q=3, m=theta^2+1: (A/m)^x is F_9^x, cyclic of order 8
-        _, orders, _ = unit_basis(ResidueRing(poly(F3, 1, 0, 1)))
+        _, orders, _ = unit_basis(poly(F3, 1, 0, 1))
         assert sorted(orders) == [8]
 
     def test_order_72(self):
         # q=3, m=(theta^2+1)^2: 81 * (1 - 1/9) = 72
-        _, orders, dlog = unit_basis(ResidueRing(poly(F3, 1, 0, 1) ** 2))
+        _, orders, dlog = unit_basis(poly(F3, 1, 0, 1) ** 2)
         assert math.prod(orders) == len(dlog) == 72
 
     def test_trivial_group(self):
-        gens, orders, _ = unit_basis(ResidueRing(poly(F2, 0, 1)))
+        gens, orders, _ = unit_basis(poly(F2, 0, 1))
         assert gens == [] and orders == []
 
     def test_euler_closed_form_small_moduli(self):
@@ -473,28 +473,52 @@ class TestResidueRingUnits:
             F = rng.choice([F2, F3])
             d = rng.randrange(1, 7)
             m = FqPoly(F, [rng.randrange(F.q) for _ in range(d)] + [1])
-            ring = ResidueRing(m)
-            _, orders, _ = unit_basis(ring)
-            brute = sum(1 for _ in reference_units(ring))
-            assert math.prod(orders) == ring.unit_count() == brute
+            _, orders, _ = unit_basis(m)
+            brute = sum(1 for _ in reference_units(m))
+            assert math.prod(orders) == unit_count(m) == brute
+
+    def test_unit_count_rejects_a_bad_modulus(self):
+        for m in (poly(F3, 1, 2), FqPoly.one(F3)):
+            with pytest.raises(NonMonicError, match="residue ring modulus"):
+                unit_count(m)
+
+    @pytest.mark.parametrize("mod", [poly(F3, 1, 0, 1) ** 2, poly(F2, 1, 1, 1) ** 3,
+                                     poly(F2, 0, 1) ** 3 * poly(F2, 1, 1, 1),
+                                     poly(F3, 0, 1) * poly(F3, 1, 0, 1) ** 2],
+                             ids=["q3-72", "q2-48", "q2-24", "q3-216"])
+    def test_sylow_scan_stops_at_the_full_subgroup(self, mod):
+        # the greedy choices are those of the full scan, with fewer products
+        F = mod.field
+        calls = []
+
+        def mul(a, b):
+            calls.append(None)
+            return ((FqPoly(F, a) * FqPoly(F, b)) % mod).coeffs
+
+        units = [u.coeffs for u in reference_units(mod)]
+        args = (units, mul, FqPoly.one(F).coeffs, unit_count(mod))
+        got, cheap = _abelian_basis(*args), len(calls)
+        calls.clear()
+        assert got == reference_abelian_basis(*args)
+        assert cheap < len(calls)
 
     def test_dlog_consistency(self):
-        ring = ResidueRing(poly(F3, 1, 0, 1) ** 2)
-        _, orders, dlog = unit_basis(ring)
+        mod = poly(F3, 1, 0, 1) ** 2
+        _, orders, dlog = unit_basis(mod)
         rng = random.Random(9)
-        units = list(reference_units(ring))
+        units = list(reference_units(mod))
         for _ in range(20):
             a, b = rng.choice(units), rng.choice(units)
             ea, eb = dlog[a.coeffs], dlog[b.coeffs]
             prod_exps = tuple((x + y) % o for x, y, o in zip(ea, eb, orders))
-            assert dlog[(a * b % ring.modulus).coeffs] == prod_exps
+            assert dlog[(a * b % mod).coeffs] == prod_exps
 
     def test_structure_by_torsion_counting(self):
         # independent oracle: number of x with x^d = 1 determines the structure
-        ring = ResidueRing(poly(F3, 1, 0, 1) ** 2)
-        _, orders, _ = unit_basis(ring)
+        mod = poly(F3, 1, 0, 1) ** 2
+        _, orders, _ = unit_basis(mod)
         for d in (2, 3, 4, 6, 8, 9, 72):
-            brute = sum(1 for u in reference_units(ring) if u.powmod(d, ring.modulus).is_one())
+            brute = sum(1 for u in reference_units(mod) if u.powmod(d, mod).is_one())
             struct = 1
             for o in orders:
                 struct *= math.gcd(o, d)

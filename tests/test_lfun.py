@@ -103,17 +103,14 @@ def brute_force_characters_mod_p(field, p_gen, order, q):
     """Independent oracle: the even characters mod an irreducible p_gen,
     as plain functions monic-residue -> power of zeta_order, built from a
     brute-force discrete log in (A/p)^x (no rayclass machinery)."""
-    from ctower.ffpoly import ResidueRing
-
-    ring = ResidueRing(p_gen)
-    units = list(reference_units(ring))
+    units = list(reference_units(p_gen))
     gen = None
     n_units = len(units)
     for u in units:
         seen = set()
         acc = FqPoly.one(field)
         for _ in range(n_units):
-            acc = acc * u % ring.modulus
+            acc = acc * u % p_gen
             seen.add(acc.coeffs)
         if len(seen) == n_units:
             gen = u
@@ -122,7 +119,7 @@ def brute_force_characters_mod_p(field, p_gen, order, q):
     acc = FqPoly.one(field)
     for i in range(n_units):
         dlog[acc.coeffs] = i
-        acc = acc * gen % ring.modulus
+        acc = acc * gen % p_gen
     # even characters: trivial on F_q^x; chi_j(g^t) = zeta^(j * t * order/n_units)
     # where j * dlog(constants) = 0 mod n_units
     const_logs = [dlog[FqPoly.constant(field, c).coeffs] for c in range(1, q)]
@@ -134,7 +131,7 @@ def brute_force_characters_mod_p(field, p_gen, order, q):
 
     def make(j):
         def chi(a):
-            return (j * dlog[(a % ring.modulus).coeffs]) % n_units
+            return (j * dlog[(a % p_gen).coeffs]) % n_units
         return chi
 
     return [(j, make(j)) for j in chars], n_units
@@ -284,7 +281,7 @@ class TestFlagshipThetaQ2:
         layer = build_layer(cfg, 1)
         tr = theta(layer)
         assert tr.bound == 3
-        assert tr.stabilization_ok
+        assert not any(map(any, tr.series[tr.bound + 1:] + tr.tail))
 
 
 class TestFunctoriality:
@@ -339,7 +336,7 @@ class TestAlternativeConfigurations:
         cfg = TowerConfig(F3, FqPoly.one(F3), p, default_s(FqPoly.one(F3), p), sigma)
         layer = build_layer(cfg, 0)
         tr = theta(layer)
-        assert tr.stabilization_ok
+        assert not any(map(any, tr.series[tr.bound + 1:] + tr.tail))
         assert degree_bound(layer) == 2 + 2 - 2
         # the trivial component: (1-(3u)^2)(1-u^2)/((1-u)(1-3u)) = (1+3u)(1+u)
         triv = [c.augmentation() for c in tr.theta.coeffs]
@@ -355,7 +352,7 @@ class TestAlternativeConfigurations:
                           frozenset({FinitePlace(poly(F3, 0, 1))}))
         layer = build_layer(cfg, 0)
         tr = theta(layer)
-        assert tr.stabilization_ok
+        assert not any(map(any, tr.series[tr.bound + 1:] + tr.tail))
         for chi in characters(layer.group):
             if chi.is_trivial():
                 continue
@@ -379,7 +376,7 @@ class TestMultiPrimeConductor:
         assert layer.order == 16
         assert sorted(layer.group.orders) == [2, 8]
         tr = theta(layer)
-        assert tr.stabilization_ok
+        assert not any(map(any, tr.series[tr.bound + 1:] + tr.tail))
         dist = Counter()
         for chi in characters(layer.group):
             if chi.is_trivial():
@@ -835,3 +832,53 @@ class TestResidueSums:
         divisor_sum_series(layer, top + 6)
         assert len(calls) <= sum(q ** d for d in range(top + 1))
         assert all(a.degree <= top for a in calls)
+
+
+def _tail_configs():
+    """The flagship towers, and the residue layers beside q = 5 and
+    f = theta + 1 at q = 3."""
+    p3, x3 = FinitePlace(poly(F3, 1, 0, 1)), FinitePlace(poly(F3, 0, 1))
+    f3 = poly(F3, 1, 1)
+    f_x1 = TowerConfig(F3, f3, p3, default_s(f3, p3), frozenset({x3}))
+    F5 = FqField(5)
+    p5 = FinitePlace(poly(F5, 2, 0, 1))
+    q5 = TowerConfig(F5, FqPoly.one(F5), p5, default_s(FqPoly.one(F5), p5),
+                     frozenset({FinitePlace(poly(F5, 0, 1))}))
+    cases = [(flagship_q3(), n, f"q3-{n}") for n in range(3)]
+    cases += [(flagship_q2(), n, f"q2-{n}") for n in range(5)]
+    cases += [(f_x1, n, f"q3-f=x+1-{n}") for n in (0, 1)]
+    cases += [(q5, 0, "q5-0")]
+    return [pytest.param(cfg, n, id=name) for cfg, n, name in cases]
+
+
+class TestDivisorSumTail:
+    """theta keeps the divisor-sum coefficients at D + 1 and D + 2; the
+    Euler product through D + 2 is their oracle."""
+
+    @pytest.mark.parametrize("cfg,n", _tail_configs())
+    def test_tail_is_the_euler_series_past_d(self, cfg, n):
+        self._check(build_layer(cfg, n))
+
+    @pytest.mark.parametrize("layer", RESIDUE_LAYERS)
+    def test_tail_on_residue_layers(self, layer):
+        self._check(layer)
+
+    @staticmethod
+    def _check(layer):
+        tr = theta(layer)
+        longer = euler_series(layer, tr.D + 2)
+        assert longer[: tr.D + 1] == tr.series
+        assert tr.tail == longer[tr.D + 1:]
+        assert len(tr.tail) == 2 and not any(map(any, tr.tail))
+        tr.certify_tail()
+
+    def test_certify_tail_names_the_first_nonzero_degree(self):
+        tr = theta(build_layer(flagship_q3(), 0))
+        tr.tail[1] = [1] + tr.tail[1][1:]
+        with pytest.raises(StabilizationError,
+                           match=f"nonzero coefficient at degree {tr.D + 2} > bound {tr.bound}"):
+            tr.certify_tail()
+
+    def test_no_tail_without_the_cross_check(self):
+        tr = theta(build_layer(flagship_q3(), 0), cross_check=False)
+        assert tr.tail is None and tr.checks == {}

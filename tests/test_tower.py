@@ -244,8 +244,8 @@ class TestComputedOnce:
         assert counts == {0, 1, 2}
 
     def test_recompute_skips_character_bounds(self, monkeypatch):
-        # the D + 2 recompute rebuilds the Euler series only: one degree
-        # bound per character of each layer, all of them inside theta
+        # the D + 2 verdict reads the divisor-sum tail that theta kept: one
+        # degree bound per character of each layer, all of them inside theta
         counts = {}
         bound = lfun.per_character_degree_bound
 
@@ -260,6 +260,24 @@ class TestComputedOnce:
         assert counts == {layer.n: layer.group.order for layer in run.layers}
         recomputes = [v for v in run.verdicts if v["name"] == "theta_recompute_D_plus_2"]
         assert [v["D"] for v in recomputes] == [tr.D + 2 for tr in run.theta_results]
+
+    def test_one_euler_series_per_layer(self, monkeypatch):
+        # the window (D, D + 2] comes from the divisor-sum series, so the
+        # Euler product runs once per layer, and once for the sigma_alt layer
+        calls = []
+        series = lfun.euler_series
+
+        def counted_series(layer, D):
+            calls.append((layer.n, D))
+            return series(layer, D)
+
+        monkeypatch.setattr(lfun, "euler_series", counted_series)
+        alt = frozenset({FinitePlace(poly(F2, 1, 1))})
+        run = run_tower(flagship_q2(), 2, RunOptions(sigma_alt=alt))
+        assert run.all_passed
+        assert "sigma_independence" in {v["name"] for v in run.verdicts}
+        assert calls[:3] == [(tr.layer.n, tr.D) for tr in run.theta_results]
+        assert [n for n, _ in calls] == [0, 1, 2, 0]
 
     def test_exponent_once_per_group(self):
         # log_value reads the cached exponent; the values are those of the
