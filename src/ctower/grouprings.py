@@ -11,8 +11,11 @@ character in its ThetaResult; the other verdicts read that table.
 Every Z/p^k-linear question about a finite ring R -- units, ideal
 membership, annihilators and the orders of finitely presented R-modules --
 is asked of one matrix, mult_matrix(ring, rows), whose columns span the
-submodule of R^g that the rows generate, and is answered from the one
-triangular elimination of snf.
+submodule of R^g that the rows generate, and is answered by snf: orders
+from its packed exponent pass, units and membership from its triangular
+elimination.  In both group-ring layouts the matrix of multiplication by x
+(mult_rows) is read off the group's index table: column (g, i) is u^i x
+translated by g, u^i a basis element of a block, and no product is formed.
 
 The Smith exponents of multiplication by x on Z/p^k[G] (quotient_exponents)
 are taken block by block.  G = Delta x P with P the p-part, and p does not
@@ -274,16 +277,44 @@ def mul_table(group: AbelianGroup):
     return tuple(rows)
 
 
-def _convolve(table, a, b):
+def _convolve(table, a, b, out=None):
     """The unreduced product of two coefficient lists of one group, whose
-    mul_table is table."""
+    mul_table is table, added into out (by default a new zero list)."""
     b_terms = [(j, y) for j, y in enumerate(b) if y]
-    out = [0] * len(a)
+    if out is None:
+        out = [0] * len(a)
     for i, x in enumerate(a):
         if x:
             row = table[i]
             for j, y in b_terms:
                 out[row[j]] += x * y
+    return out
+
+
+@lru_cache(maxsize=None)
+def _translates(group: AbelianGroup) -> tuple:
+    """rows[t][g] = the index of elems[t] * elems[g]^-1, elems as in
+    group_index: mul_table(group) read at the inverses."""
+    table = mul_table(group)
+    neg = [row.index(0) for row in table]
+    return tuple([row[j] for j in neg] for row in table)
+
+
+def _translate_rows(group, x, d=1, times_u=None):
+    """The rows of the matrix of multiplication by x on a ring of |group|
+    blocks of d coefficients, block i the coefficient of the i-th group
+    element.  Column (g, i) is u^i x translated by g, u^i the i-th basis
+    element of a block (times_u(y) = u y), so entry ((t, s), (g, i)) is
+    coefficient s of block t g^-1 of u^i x."""
+    if d == 1:
+        return [[x[j] for j in row] for row in _translates(group)]
+    ys = [x]
+    for _ in range(d - 1):
+        ys.append(times_u(ys[-1]))
+    out = []
+    for row in _translates(group):
+        starts = [j * d for j in row]
+        out.extend([y[b + s] for b in starts for y in ys] for s in range(d))
     return out
 
 
@@ -472,10 +503,11 @@ def character_norm(group: AbelianGroup, values):
 class _FlatZpkModule:
     """A finite ring whose elements are flat lists of basis_size coefficients
     mod p^k, so to_vec is the identity: its Z/p^k-module operations, and the
-    basis_products that mult_matrix asks of it, built from mul alone.
-    ZpkGroupRing overrides basis_products with an index-table version and adds
-    det, which fitting_ideal needs.  Operations return new lists and never
-    mutate their arguments."""
+    mult_rows that mult_matrix asks of it, built from mul alone.
+    ZpkGroupRing and ChiComponentRing override mult_rows with index-table
+    translates (_translate_rows), and ZpkGroupRing adds det, which
+    fitting_ideal needs.  Operations return new lists and never mutate their
+    arguments."""
 
     def __init__(self, p: int, k: int, basis_size: int):
         self.p, self.k = p, k
@@ -512,10 +544,13 @@ class _FlatZpkModule:
     def equal(self, a, b):
         return a == b
 
-    def basis_products(self, e) -> list:
-        """vec(b_i * e) for the Z/p^k basis elements b_i, i < basis_size."""
+    def mult_rows(self, e) -> list:
+        """The rows of the matrix of multiplication by e: column i is
+        vec(b_i * e), b_i the i-th Z/p^k basis element, formed by mul."""
         n = self.basis_size
-        return [self.mul([0] * i + [1] + [0] * (n - 1 - i), e) for i in range(n)]
+        cols = [self.mul([0] * i + [1] + [0] * (n - 1 - i), e) for i in range(n)]
+        return [list(r) for r in zip(*cols)]
+
 
 class ZpkGroupRing(_FlatZpkModule):
     """Z/p^k[G] for a finite abelian group G.
@@ -543,20 +578,15 @@ class ZpkGroupRing(_FlatZpkModule):
         pk = self.pk
         return [v % pk for v in _convolve(self._table, a, b)]
 
-    @cached_property
-    def _inverse_rows(self):
-        """Row i: the index of elems[i]^-1 * elems[t] for every t."""
-        return [self._table[row.index(0)] for row in self._table]
-
-    def basis_products(self, e) -> list:
+    def mult_rows(self, e) -> list:
         """b_i * e is the translate of e by elems[i], a permutation of the
         coefficients of e: no product is formed."""
-        return [[e[j] for j in row] for row in self._inverse_rows]
+        return _translate_rows(self.group, e)
 
     def det(self, mat):
         """Determinant of a square matrix over the ring: the cofactor
-        expansion along the first row, summed over unreduced products and
-        reduced mod p^k once."""
+        expansion along the first row, each cofactor's products added
+        unreduced into one list, reduced mod p^k once."""
         table = self._table
 
         def raw(mat):
@@ -565,9 +595,7 @@ class ZpkGroupRing(_FlatZpkModule):
             acc = [0] * len(table)
             for j, x in enumerate(mat[0]):
                 minor = raw([row[:j] + row[j + 1:] for row in mat[1:]])
-                sign = -1 if j % 2 else 1
-                for t, v in enumerate(_convolve(table, x, minor)):
-                    acc[t] += sign * v
+                _convolve(table, [-c for c in x] if j % 2 else x, minor, acc)
             return acc
 
         return self.from_vec(raw(mat)) if mat else self.one
@@ -627,6 +655,16 @@ class ChiComponentRing(_FlatZpkModule):
                     for r, yr in enumerate(y):
                         buf[s + r] += xs * yr
         return [c for buf in acc for c in self._reduce(buf)]
+
+    def mult_rows(self, e) -> list:
+        """Column (g, i) is u^i e translated by g: one reduction per block
+        and power of u, and no product is formed."""
+        d = self.deg
+
+        def times_u(y):
+            return [c for b in range(0, len(y), d) for c in self._reduce([0] + y[b:b + d])]
+
+        return _translate_rows(self.pgroup, e, d, times_u)
 
     def is_local_unit(self, a) -> bool:
         """Whether a is a unit.  The ring is local (P is a p-group and h is
@@ -731,14 +769,12 @@ def mult_matrix(ring, rows):
 
     Column (r, i) is vec(b_i * e) for the entries e of row r, stacked, where
     b_i is the i-th Z/p^k basis element of R; rows vary slowest.  For the
-    single row [x] this is the matrix of multiplication by x.
+    single row [x] this is the matrix of multiplication by x, ring.mult_rows.
     """
-    cols = []
-    for row in rows:
-        products = [ring.basis_products(e) for e in row]
-        for i in range(ring.basis_size):
-            cols.append([c for prods in products for c in prods[i]])
-    return [list(r) for r in zip(*cols)]
+    stacked = [[r for e in row for r in ring.mult_rows(e)] for row in rows]
+    if len(stacked) == 1:
+        return stacked[0]
+    return [list(itertools.chain.from_iterable(parts)) for parts in zip(*stacked)]
 
 
 def is_unit(x, ring):

@@ -4,14 +4,20 @@ polynomial factorizations mod p^k.
 Z/p^k is a local principal ideal ring, so Gaussian elimination with
 minimal-valuation pivoting (the first entry of least valuation, row-major)
 yields a Smith form diag(p^v_1, ..., p^v_r) with v_1 <= v_2 <= ... and no
-integer coefficient blowup.  There is one elimination, the triangular pass
-(_triangular): it clears only below each pivot and only from the pivot
-column on.  Each pivot p^v divides the rest of its row, so the pivots are
-the Smith exponents, and every matrix question is read off that one pass:
+integer coefficient blowup.  There are two passes.
 
-- zpk_exponents and zpk_cokernel_exponents (whose sum is log_p of the
-  cokernel's order and whose maximum is the annihilator slack of a
-  multiplication map);
+The exponent pass (zpk_exponents, and through it zpk_cokernel_exponents,
+whose sum is log_p of the cokernel's order and whose maximum is the
+annihilator slack of a multiplication map) packs each row into one int and
+takes unit pivots level by level, so a row operation is one int operation:
+the word-packed elimination of M4RI (Albrecht, Bard and Hart, ACM TOMS 37,
+2010) over Z/p^k.
+
+The triangular pass (_triangular) clears only below each pivot and only
+from the pivot column on.  Each pivot p^v divides the rest of its row, so
+the pivots are the Smith exponents, the same as the exponent pass's, and
+the questions that need a solution or a transform are read off it:
+
 - zpk_solve (units, ideal membership), by back-substitution of a right-hand
   side carried through the row operations;
 - zpk_smith, the unit column transform V: the rows of the triangular form
@@ -21,6 +27,8 @@ the Smith exponents, and every matrix question is read off that one pass:
 """
 
 from __future__ import annotations
+
+from array import array
 
 from . import zpoly
 from .ffpoly import FqField, FqPoly
@@ -93,11 +101,76 @@ def _triangular(mat, p, k, rhs=None):
     return m, vals, perm, b
 
 
+_WORD = {array(c).itemsize: c for c in "QIHB"}  # array typecode per byte width
+
+
+def _pack(row, nb):
+    """The ints of row (each below 2^(8 nb)) as the fields, nb bytes wide, of
+    one int: row[j] is field j."""
+    if nb in _WORD:
+        return int.from_bytes(array(_WORD[nb], row).tobytes(), "little")
+    return int.from_bytes(b"".join([a.to_bytes(nb, "little") for a in row]), "little")
+
+
+def _unpack(r, nb, cols):
+    """The cols fields of r, as _pack wrote them."""
+    b = r.to_bytes(cols * nb, "little")
+    if nb in _WORD:
+        return array(_WORD[nb], b).tolist()
+    return [int.from_bytes(b[t:t + nb], "little") for t in range(0, len(b), nb)]
+
+
 def zpk_exponents(mat, p, k):
     """The Smith exponents v_1 <= v_2 <= ... of mat mod p^k, as zpk_smith
-    returns them (v_i = k for entries that vanish, padded to min(rows, cols))."""
+    returns them (v_i = k for entries that vanish, padded to min(rows, cols)).
+
+    One level-by-level pass over packed rows: row i is one int whose field j
+    holds mat[i][j].  At level v the entries are read mod q = p^(k - v).  A
+    row with a unit field is a pivot: it is reduced mod q and scaled so that
+    field is 1, and r + (q - c) * piv clears that column in every other row.
+    A row without a unit field keeps none through the level, since it only
+    gains multiples of p * piv.  When no row has one, every field is
+    divisible by p, and r // p divides each field exactly.  Only pivots are
+    reduced: a row gains at most one product below p^2k per pivot, so fields
+    of 2 bitlen(p^k) + bitlen(rows + 1) + 1 bits, rounded up to 1, 2, 4, 8,
+    ... bytes, leave no carry to cross a field.
+    """
     rows, cols = len(mat), len(mat[0]) if mat else 0
-    vals = _triangular(mat, p, k)[1]
+    pk = p ** k
+    nb = 1 << ((2 * pk.bit_length() + (rows + 1).bit_length()) // 8).bit_length()
+    w = 8 * nb
+    field = (1 << w) - 1
+    low = _pack([1] * cols, nb)  # bit 0 of every field
+    live = [_pack([a % pk for a in row], nb) for row in mat]
+    vals = []
+    for v in range(k):
+        q, i = p ** (k - v), 0
+        mq = low * (q - 1)
+        while i < len(live):
+            r = live[i]
+            if p == 2:
+                unit = r & low
+                if not unit:
+                    i += 1
+                    continue
+                j = (unit & -unit).bit_length() // w
+                piv = r & mq
+                piv = (piv * pow((piv >> j * w) & field, -1, q)) & mq
+            else:
+                f = _unpack(r, nb, cols)
+                j = next((j for j, a in enumerate(f) if a % p), None)
+                if j is None:
+                    i += 1
+                    continue
+                inv = pow(f[j], -1, q)
+                piv = _pack([a * inv % q for a in f], nb)
+            del live[i]
+            vals.append(v)
+            for t, r in enumerate(live):
+                c = ((r >> j * w) & field) % q
+                if c:
+                    live[t] = r + (q - c) * piv
+        live = [r // p for r in live]
     return vals + [k] * (min(rows, cols) - len(vals))
 
 

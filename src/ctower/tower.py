@@ -168,11 +168,16 @@ def run_tower(cfg: TowerConfig, N: int, options: RunOptions = None) -> TowerRun:
 
 def _theta_verdict(run: TowerRun, layer):
     """Theta at layer with its stabilization and cross-checks, recorded as
-    the verdict theta_stabilization."""
+    the verdict theta_stabilization, then the vanishing of its divisor-sum
+    coefficients D + 1 and D + 2, the verdict theta_recompute_D_plus_2."""
     with run.check("theta_stabilization", layer.n,
                    "polynomiality of the equivariant L-function") as record:
         tr = theta(layer, D=run.options.degree, cross_check=True)
         record(True, bound=tr.bound, D=tr.D, checks=tr.checks)
+    with run.check("theta_recompute_D_plus_2", layer.n,
+                   "stabilization certificate") as record:
+        tr.certify_tail()
+        record(True, D=tr.D + 2)
     return tr
 
 
@@ -204,10 +209,6 @@ def _tower_suite(run: TowerRun):
     for layer in layers:
         tr = _theta_verdict(run, layer)
         trs.append(tr)
-        with run.check("theta_recompute_D_plus_2", layer.n,
-                       "stabilization certificate") as record:
-            tr.certify_tail()
-            record(True, D=tr.D + 2)
         ok_degrees = all(d <= b for d, b in tr.per_char_degrees.values())
         run.record("per_character_degree_bounds", layer.n, ok_degrees,
                    "conductor-based degree formula",
@@ -468,10 +469,18 @@ MAX_CHUNKS = 255  # one byte per chunk token
 
 
 def _rand_vecs(rng, ring, count):
-    """Coefficient lists of count random elements of ring, in draw order."""
-    pk = ring.pk
-    randrange = rng.randrange
-    return [[randrange(pk) for _ in ring.elems] for _ in range(count)]
+    """Coefficient lists of count random elements of ring, in draw order:
+    each coefficient is drawn by the getrandbits rejection loop that
+    rng.randrange(pk) runs, so the stream is the same."""
+    pk, n = ring.pk, ring.basis_size
+    bits, getrandbits = pk.bit_length(), rng.getrandbits
+    out = []
+    for _ in range(count * n):
+        r = getrandbits(bits)
+        while r >= pk:
+            r = getrandbits(bits)
+        out.append(r)
+    return [out[i:i + n] for i in range(0, count * n, n)]
 
 
 def _presentation_invariance(cases):

@@ -108,7 +108,7 @@ class TestCommands:
         report = tmp_path / "cnf.json"
         code = main(["verify", "cnf", "--q", "3", "--p", "x^2+1", "--Sigma", "x",
                      "--out", str(report)])
-        names = ["theta_stabilization", "zeta_functional_equation",
+        names = ["theta_stabilization", "theta_recompute_D_plus_2", "zeta_functional_equation",
                  "class_number_fitting_identity", "charpoly_theta_identity"]
         assert code == 0
         assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()] == [
@@ -120,7 +120,19 @@ class TestCommands:
         assert blob["zeta"]["h"] == 1
         assert [(v["name"], v["layer"], v["passed"]) for v in blob["verdicts"]] == [
             (name, 0, True) for name in names]
-        assert blob["verdicts"][2]["precision_k"] == 24
+        assert blob["verdicts"][3]["precision_k"] == 24
+
+    def test_verify_cnf_certifies_the_window_above_D(self, tmp_path):
+        # at a layer that verify all does not reach, verify cnf certifies
+        # the divisor-sum coefficients D + 1 and D + 2 as well
+        report = tmp_path / "cnf.json"
+        assert main(["verify", "cnf", "--q", "2", "--p", "x^2+x+1", "--Sigma", "x",
+                     "--n", "1", "--max-i", "18", "--out", str(report)]) == 0
+        verdicts = json.loads(report.read_text())["verdicts"]
+        assert [(v["name"], v["layer"], v["passed"]) for v in verdicts[:2]] == [
+            ("theta_stabilization", 1, True), ("theta_recompute_D_plus_2", 1, True)]
+        assert verdicts[1]["D"] == verdicts[0]["D"] + 2 == 9
+        assert len(verdicts) == 5 and all(v["passed"] for v in verdicts)
 
     def test_verify_cnf_matches_verify_all(self, tmp_path):
         # both commands read the class-number verdicts off one suite

@@ -15,6 +15,8 @@ from ctower.grouprings import (
     ThetaPoly,
     TruncPolyRing,
     ZpkGroupRing,
+    _FlatZpkModule,
+    _lifted_cyclotomic_factors,
     characters,
     chi_component,
     chi_component_ring,
@@ -34,6 +36,7 @@ from zpk_reference import (
     ReferenceTruncPolyRing,
     ReferenceZpkGroupRing,
     ReferenceZpkRing,
+    reference_cofactor_det,
     reference_det,
     reference_fitting_generators,
     reference_mult_matrix_rows,
@@ -569,6 +572,53 @@ class TestFlatRingReference:
                                                           for row in rows])
             assert fi.deficient == (expected is None)
             assert fi.generators == [ref.to_vec(g) for g in expected or []]
+
+
+class TestTranslateRows:
+    """The multiplication matrices read off the index table (mult_rows)
+    against the ones built from ring products."""
+
+    @staticmethod
+    def _rings():
+        for orders in ((), (4,), (2, 2), (2, 4), (3, 3), (9,)):
+            group = AbelianGroup(orders)
+            for p, k in ((2, 5), (3, 4), (5, 2)):
+                yield ZpkGroupRing(p, k, group)
+        # deg h = 1, 2 and 4, over cyclic and non-cyclic P
+        for p, k, M, orders in ((2, 6, 1, (2, 2)), (2, 6, 3, (4,)), (2, 6, 3, (2, 2)),
+                                (2, 4, 5, (2, 2, 2)), (3, 4, 4, (3, 3)), (3, 4, 4, (9,)),
+                                (3, 3, 2, (3,)), (5, 3, 3, (5,))):
+            h = (0, 1) if M == 1 else _lifted_cyclotomic_factors(M, p, k)[0]
+            yield ChiComponentRing(p, k, h, AbelianGroup(orders), M)
+
+    def test_matches_products(self):
+        rng = random.Random(41)
+        degrees = set()
+        for ring in self._rings():
+            degrees.add(getattr(ring, "deg", 1))
+            n = ring.basis_size
+            for _ in range(3):
+                x, y = ([rng.randrange(ring.pk) for _ in range(n)] for _ in range(2))
+                before = list(x)
+                assert ring.mult_rows(x) == _FlatZpkModule.mult_rows(ring, x), ring
+                assert x == before
+                rows = [[x, y], [y, ring.zero], [ring.one, x]]
+                assert mult_matrix(ring, rows) == reference_mult_matrix_rows(ring, rows)
+                assert mult_matrix(ring, [[x]]) == reference_mult_matrix_rows(ring, [[x]])
+        assert degrees == {1, 2, 4}
+
+
+class TestDeterminant:
+    def test_matches_the_cofactor_reference(self):
+        # ZpkGroupRing.det adds every cofactor's products into one list
+        rng = random.Random(43)
+        for orders in ((), (4,), (2, 2), (4, 3)):
+            for p, k in ((2, 6), (3, 4)):
+                ring = ZpkGroupRing(p, k, AbelianGroup(orders))
+                for n in range(5):
+                    mat = [[[rng.randrange(-ring.pk, ring.pk) for _ in range(ring.basis_size)]
+                            for _ in range(n)] for _ in range(n)]
+                    assert ring.det(mat) == reference_cofactor_det(ring, mat), (orders, p, n)
 
 
 def as_reference(x):

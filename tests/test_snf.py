@@ -17,6 +17,7 @@ from ctower.snf import (
     zpk_smith,
     zpk_solve,
 )
+from zpk_reference import triangular_exponents
 
 
 def matmul(a, b):
@@ -324,3 +325,45 @@ class TestHensel:
                     tmp[i + j] = (tmp[i + j] + a * b) % pk
             prod = tmp
         assert prod == [c % pk for c in [1, 0, -1, 0, 1]]
+
+
+class TestPackedExponents:
+    """zpk_exponents, the level-by-level pass over packed rows, against the
+    triangular pass."""
+
+    @staticmethod
+    def _row(rng, p, k, cols):
+        """A zero, p-divisible or arbitrary row, with entries off [0, p^k)."""
+        pk = p ** k
+        kind = rng.randrange(4)
+        if kind == 0:
+            return [0] * cols
+        if kind == 1:
+            return [p ** rng.randint(1, k) * rng.randrange(-pk, pk) for _ in range(cols)]
+        return [rng.randrange(-pk, 2 * pk) for _ in range(cols)]
+
+    def test_random_matrices(self):
+        rng = random.Random(23)
+        widths = set()
+        for case in range(3000):
+            p, k = rng.choice((2, 3, 5)), rng.randint(1, 24)
+            shape = case % 4
+            rows = rng.randint(1, 4) if shape == 0 else rng.randint(5, 12)
+            cols = rng.randint(1, 4) if shape == 1 else rng.randint(5, 12)
+            mat = [self._row(rng, p, k, cols) for _ in range(rows)]
+            if shape == 3:  # low rank: a product through r < min(rows, cols)
+                r = rng.randint(1, 4)
+                left = [self._row(rng, p, k, r) for _ in range(rows)]
+                mat = matmul(left, mat[:r])
+            assert zpk_exponents(mat, p, k) == triangular_exponents(mat, p, k), (p, k, mat)
+            widths.add(2 * (p ** k).bit_length() + (rows + 1).bit_length() + 1)
+        # fields that fit an array word, and fields of more than 8 bytes
+        assert min(widths) <= 16 and max(widths) > 64
+
+    def test_degenerate_shapes(self):
+        for p, k in ((2, 5), (3, 24)):
+            assert zpk_exponents([], p, k) == []
+            assert zpk_exponents([[], []], p, k) == []
+            assert zpk_exponents([[0, 0, 0]], p, k) == [k]
+            assert zpk_exponents([[p ** k, -p ** (k + 1)]], p, k) == [k]
+            assert zpk_exponents([[p], [p], [p ** 2]], p, k) == [1]

@@ -44,6 +44,7 @@ from zpk_reference import (
     ReferenceZpkGroupRing,
     reference_coherent_extra,
     reference_quotient_exponents,
+    triangular_exponents,
 )
 
 F2 = FqField(2)
@@ -143,7 +144,7 @@ class TestComputedOnce:
 
     def test_smith_only_for_kernels(self, monkeypatch):
         # U and V are built for kernels alone: every exponent, order, unit and
-        # membership read takes the transform-free triangular pass
+        # membership read takes a transform-free pass
         calls = []
         smith = snf.zpk_smith
 
@@ -168,18 +169,18 @@ class TestComputedOnce:
 
     @staticmethod
     def _theta_one_eliminations(monkeypatch, cfg, N):
-        """Run the tower recording every triangular elimination.  Per layer:
-        how often the |G| x |G| matrix of Theta(1) was eliminated, and for
-        each Delta-block of Theta(1), (how often its matrix was eliminated,
-        whether the block is a unit)."""
+        """Run the tower recording every matrix whose Smith exponents are
+        read.  Per layer: how often the |G| x |G| matrix of Theta(1) was
+        eliminated, and for each Delta-block of Theta(1), (how often its
+        matrix was eliminated, whether the block is a unit)."""
         eliminated = []
-        triangular = snf._triangular
+        exponents = snf.zpk_exponents
 
-        def counted_triangular(mat, p, k, rhs=None):
+        def counted_exponents(mat, p, k):
             eliminated.append(mat)
-            return triangular(mat, p, k, rhs)
+            return exponents(mat, p, k)
 
-        monkeypatch.setattr(snf, "_triangular", counted_triangular)
+        monkeypatch.setattr(snf, "zpk_exponents", counted_exponents)
         run = run_tower(cfg, N, RunOptions())
         assert run.all_passed
         assert [v["layer"] for v in run.verdicts
@@ -545,6 +546,21 @@ class TestDeltaBlockReference:
         for n in range(N + 1):
             _assert_blocks_agree(theta(build_layer(cfg, n)).special_value(), cfg.char, 24)
 
+    def test_packed_exponents_on_theta_one_blocks(self):
+        # the packed pass against the triangular pass on the Theta(1) blocks
+        # of the flagship q = 2 through n = 4: every block through n = 3,
+        # and the non-unit 256 x 256 block at n = 4
+        sizes = []
+        for n in range(5):
+            x = theta(build_layer(flagship_q2(), n)).special_value()
+            for ring, img in delta_blocks(x, 2, DEFAULT_PRECISION):
+                if n < 4 or not ring.is_local_unit(img):
+                    mat = mult_matrix(ring, [[img]])
+                    assert snf.zpk_exponents(mat, 2, DEFAULT_PRECISION) == \
+                        triangular_exponents(mat, 2, DEFAULT_PRECISION), (n, ring.deg)
+                    sizes.append(len(mat))
+        assert sizes == [1, 2, 4, 8, 16, 32, 64, 128, 256]
+
     def test_needs_the_p_split(self):
         # C6 has a generator of order 6, neither prime to 2 nor a power of 2
         x = GroupRingElem.one(AbelianGroup((6,)))
@@ -673,6 +689,18 @@ class TestAlgebraSuiteReference:
         0: "42600f4c33bf8f595fcefe67ec8ab2ff2163063070296ac920e52cc7ec9b1206",
         1: "c7fd04521175422b9456042007115e0c429881c4430a7138a1e3562924f4dc6f",
     }
+
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    def test_draws_are_randrange_draws(self, k):
+        # _rand_vecs runs randrange's getrandbits rejection loop inline: the
+        # same coefficients, and the stream left in the same state
+        for orders in ((), (4,), (2, 3)):
+            ring = ZpkGroupRing(3, k, AbelianGroup(orders))
+            for seed in range(4):
+                a, b = random.Random(seed), random.Random(seed)
+                vecs = [[b.randrange(3 ** k) for _ in range(ring.basis_size)] for _ in range(7)]
+                assert tower._rand_vecs(a, ring, 7) == vecs
+                assert a.getrandbits(64) == b.getrandbits(64)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_same_draws_and_verdicts(self, seed, monkeypatch):

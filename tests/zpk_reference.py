@@ -13,15 +13,19 @@ element is a dict from exponent tuples to its nonzero coefficients:
 
 It also keeps reference_quotient_exponents, the Smith exponents of
 multiplication by x from one elimination of the |G| x |G| matrix, as the
-oracle of the block-by-block grouprings.quotient_exponents; and the generic
+oracle of the block-by-block grouprings.quotient_exponents;
+triangular_exponents, the exponents of snf._triangular, as the oracle of
+the packed pass of snf.zpk_exponents; and the generic
 mult_matrix, determinant and Fitting minors as they stood before Z/p^k[G]
 read its basis products and minors off the index table
-(reference_mult_matrix_rows, reference_det, reference_fitting_generators).
+(reference_mult_matrix_rows, reference_det, reference_fitting_generators),
+and the index-table determinant before it accumulated its cofactors in
+place (reference_cofactor_det).
 
 Then the finite rings as they stood before every one was a flat coefficient
 list: ReferenceZpkRing, Z/p^k with int elements, and ReferenceTruncPolyRing,
 base[u]/(u^M) with tuples of M base elements, both on the generic
-basis_products and det of _ReferenceFiniteRing.
+basis_products, mult_rows and det of _ReferenceFiniteRing.
 
 Last, reference_coherent_extra, the enumeration of the top ring of a toy
 projective system that coherent_nzd_check ran before it read its count off
@@ -32,9 +36,9 @@ import itertools as it
 
 from ctower.abelian import AbelianGroup
 from ctower.ffpoly import FqPoly
-from ctower.grouprings import Character, GroupRingElem, ZpkGroupRing, mult_matrix
+from ctower.grouprings import Character, GroupRingElem, ZpkGroupRing, _convolve, mult_matrix
 from ctower.lfun import euler_factors
-from ctower.snf import zpk_cokernel_exponents
+from ctower.snf import _triangular, zpk_cokernel_exponents
 
 
 class ReferenceZpkGroupRing:
@@ -416,6 +420,14 @@ def reference_quotient_exponents(x: GroupRingElem, p: int, k: int) -> list:
     return zpk_cokernel_exponents(mult_matrix(ring, [[ring.from_group_ring(x)]]), p, k)
 
 
+def triangular_exponents(mat, p, k):
+    """The pivot exponents of the triangular pass, padded as zpk_exponents
+    pads them: the oracle of the packed pass that zpk_exponents runs."""
+    cols = len(mat[0]) if mat else 0
+    vals = _triangular(mat, p, k)[1]
+    return vals + [k] * (min(len(mat), cols) - len(vals))
+
+
 def reference_mult_matrix_rows(ring, rows):
     """Z/p^k matrix whose columns span the R-submodule of R^g generated by
     rows: column (r, i) is vec(b_i * e) for the entries e of row r, each a
@@ -446,6 +458,27 @@ def reference_det(ring, mat):
     return acc
 
 
+def reference_cofactor_det(ring, mat):
+    """ZpkGroupRing.det as it stood before it added each cofactor's products
+    straight into its accumulator: the cofactor expansion along the first
+    row, each product formed by _convolve and added with its sign, reduced
+    mod p^k once."""
+    table = ring._table
+
+    def raw(mat):
+        if len(mat) == 1:
+            return mat[0][0]
+        acc = [0] * len(table)
+        for j, x in enumerate(mat[0]):
+            minor = raw([row[:j] + row[j + 1:] for row in mat[1:]])
+            sign = -1 if j % 2 else 1
+            for t, v in enumerate(_convolve(table, x, minor)):
+                acc[t] += sign * v
+        return acc
+
+    return ring.from_vec(raw(mat)) if mat else ring.one
+
+
 def reference_fitting_generators(ring, rows):
     """All ncols x ncols minors of the relation matrix rows, reduced after
     every ring operation; None when there are fewer rows than columns."""
@@ -460,14 +493,19 @@ def reference_fitting_generators(ring, rows):
 
 class _ReferenceFiniteRing:
     """What the linear algebra below asks of a finite ring beyond its
-    operations, built from mul alone; ZpkGroupRing overrides both with
-    index-table versions."""
+    operations, built from mul alone (mult_rows is what mult_matrix reads);
+    ZpkGroupRing overrides them with index-table versions."""
 
     def basis_products(self, e) -> list:
         """vec(b_i * e) for the Z/p^k basis elements b_i, i < basis_size."""
         n = self.basis_size
         return [self.to_vec(self.mul(self.from_vec([0] * i + [1] + [0] * (n - 1 - i)), e))
                 for i in range(n)]
+
+    def mult_rows(self, e) -> list:
+        """The rows of the matrix of multiplication by e: column i is
+        vec(b_i * e)."""
+        return [list(r) for r in zip(*self.basis_products(e))]
 
     def det(self, mat):
         """Determinant of a square matrix over the ring, by cofactor
