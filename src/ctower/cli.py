@@ -170,6 +170,7 @@ def cmd_theta(args):
     if layer is None:
         layer = build_layer(cfg, args.n)
     tr = theta_op(layer, D=args.degree)
+    tr.certify_tail()
     payload = {
         "config": _resolved_config_blob(args, cfg),
         "theta": tr.to_json(),

@@ -1,6 +1,8 @@
 """Independent geometric oracle: point counts on explicit curve models (one
 fiber per Frobenius orbit), splitting-law counts from class-field data, zeta
-numerators via Newton identities, and the Ritter-Weiss order bookkeeping.
+numerators via Newton identities, the Ritter-Weiss order bookkeeping, and
+the charpoly comparison, whose discrepancy factor is certified a unit of
+Z/p^k[u]/(u^M) (grouprings.PolyGroupRing with h = u^M and the trivial group).
 
 Exceptional fibers (above S and infinity) always come from the class-field
 tables, never from singular plane-model fibers; the discriminant of the
@@ -18,8 +20,7 @@ from . import zpoly
 from .abelian import TRIVIAL_GROUP
 from .carlitz import AXPoly, real_generator_minpoly
 from .ffpoly import FqPoly, INFINITY, _is_prime, factor, irreducibles_of_degree
-from .grouprings import (GroupRingElem, ThetaPoly, TruncPolyRing, ZpkGroupRing, character_norm,
-                         characters, is_unit)
+from .grouprings import GroupRingElem, PolyGroupRing, ThetaPoly, character_norm, is_unit
 
 DEFAULT_POINT_BUDGET = 10 ** 7
 
@@ -488,7 +489,6 @@ def zeta_numerator(counts, q: int) -> ZetaData:
 
 @dataclass
 class SDivisorData:
-    places: dict        # place of k -> [(deg_w, count)]
     degrees: list       # degrees of all places of L_n above S, with multiplicity
     d_s: int            # gcd of the degrees: deg(Div_S(L_n)) = d_s Z
     x_rank: int         # rank of X_S = (number of places above S) - 1
@@ -497,14 +497,11 @@ class SDivisorData:
 
 def s_divisor_data(layer) -> SDivisorData:
     table = layer.exceptional_table()
-    places = {}
     degrees = []
     for v in layer.finite_s():
-        places[v] = table[v]
         for dw, cnt in table[v]:
             degrees.extend([dw] * cnt)
     if layer.infinity_in_s():
-        places[INFINITY] = table[INFINITY]
         for dw, cnt in table[INFINITY]:
             degrees.extend([dw] * cnt)
     d_s = 0
@@ -515,7 +512,7 @@ def s_divisor_data(layer) -> SDivisorData:
     while t and t % p == 0:
         t //= p
         v_p += 1
-    return SDivisorData(places=places, degrees=degrees, d_s=d_s,
+    return SDivisorData(degrees=degrees, d_s=d_s,
                         x_rank=len(degrees) - 1, zp_mod_ds_exponent=v_p)
 
 
@@ -525,10 +522,6 @@ class NablaOrder:
     total_p_exponent: int       # log_p |nabla_S^(n)| (p-part)
     h_p_exponent: int           # v_p(h)
     ds_p_exponent: int          # v_p(d_S)
-    per_char_exponents: dict    # chi exps -> exponent or None
-    finite_chars: list          # chi exps with chi nontrivial on every G_v
-    infinite_chars: list
-    sharp_total_exponent: object  # int when determined, else None
 
 
 def evaluate_hypotheses(layer) -> dict:
@@ -565,25 +558,8 @@ def nabla_order(layer, zeta: ZetaData, sdiv: SDivisorData) -> NablaOrder:
         h //= p
         v_h += 1
     total = v_h + sdiv.zp_mod_ds_exponent
-    chars = characters(layer.group)
-    finite, infinite = [], []
-    for chi in chars:
-        (infinite if layer.split_count(chi) else finite).append(chi.exps)
-    per_char = {}
-    if v_h == 0:
-        # the only contribution is Z_p/d_S with trivial G-action: it lives
-        # entirely in the trivial-character component
-        for chi in chars:
-            per_char[chi.exps] = sdiv.zp_mod_ds_exponent if chi.is_trivial() else 0
-        sharp_total = 0  # (Z_p/d_S)^sharp = 0
-    else:
-        for chi in chars:
-            per_char[chi.exps] = None
-        sharp_total = None
     return NablaOrder(hypotheses=hyp, total_p_exponent=total, h_p_exponent=v_h,
-                      ds_p_exponent=sdiv.zp_mod_ds_exponent,
-                      per_char_exponents=per_char, finite_chars=finite,
-                      infinite_chars=infinite, sharp_total_exponent=sharp_total)
+                      ds_p_exponent=sdiv.zp_mod_ds_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +603,8 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
     Exact identity: N(Theta_{S,Sigma})(u) * (1 - qu) = Q(u) * N(Sigma-factor)(u)
     in Z[u], where N is the product over all characters and Q the charpoly.
     The discrepancy factor W = N(Sigma)/(1-qu) is certified as a unit of
-    Z/p^k[u]/(u^M) with an inverse witness.
+    Z/p^k[u]/(u^M), the PolyGroupRing of h = u^M and the trivial group, with
+    an inverse witness.
     """
     p, q = layer.field.p, layer.field.q
     Q = tate_charpoly(layer, zeta, sdiv)
@@ -636,10 +613,10 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
 
     exact = zpoly.mul(R, [1, -q]) == zpoly.mul(Q, NS)
 
-    ring = TruncPolyRing(ZpkGroupRing(p, k, TRIVIAL_GROUP), M)
+    ring = PolyGroupRing(p, k, (0,) * M + (1,), TRIVIAL_GROUP)
 
     def series(coeffs):  # Z[u] -> Z/p^k[u]/(u^M)
-        return ring.from_list([[c] for c in coeffs])
+        return ring.from_vec((list(coeffs) + [0] * M)[:M])
 
     ok_q, q_inv = is_unit(series(Q), ring)
     unit_certified = False

@@ -13,7 +13,7 @@ membership, annihilators and the orders of finitely presented R-modules --
 is asked of one matrix, mult_matrix(ring, rows), whose columns span the
 submodule of R^g that the rows generate, and is answered by snf: orders
 from its packed exponent pass, units and membership from its triangular
-elimination.  In both group-ring layouts the matrix of multiplication by x
+elimination.  In every finite ring the matrix of multiplication by x
 (mult_rows) is read off the group's index table: column (g, i) is u^i x
 translated by g, u^i a basis element of a block, and no product is formed.
 
@@ -32,9 +32,10 @@ index dict (group_index).  An element of Z[G] (GroupRingElem: Theta, its
 coefficients and the Euler series) is the list of its |G| integers.  Every
 finite ring is a flat list of Z/p^k coefficients (_FlatZpkModule), with one
 layout each: Z/p^k[G] (ZpkGroupRing) holds |G| coefficients, and Z/p^k
-itself is the group ring of the trivial group, one coefficient; a
-chi-component (ChiComponentRing) holds |P| blocks of deg h coefficients; and
-base[u]/(u^M) (TruncPolyRing) holds M blocks of the base's coefficients.
+itself is the group ring of the trivial group, one coefficient;
+Z/p^k[u]/(h)[G] (PolyGroupRing) holds |G| blocks of deg h coefficients.  The
+chi-components Z_p(chi)[P] and the truncated series Z/p^k[G][u]/(u^M) are
+both PolyGroupRings.
 Products read one index table per group (mul_table).  Exponent tuples appear
 only at the edges: GroupRingElem.from_mapping, GroupRingElem.items, to_json,
 characters() and the layer maps that project turns into index maps.
@@ -219,22 +220,19 @@ def characters(group: AbelianGroup):
 
 
 def conjugacy_orbit_reps(chars, p: int):
-    """Representatives of the Gal(Q_p-bar/Q_p)-orbits chi ~ chi^p."""
-    seen = set()
-    reps = []
+    """(reps, orbit): the first character of chars in each
+    Gal(Q_p-bar/Q_p)-orbit chi ~ chi^p, and orbit[chi.exps] = the index in
+    reps of the orbit of chi, for every chi the walks reach."""
+    reps, orbit = [], {}
     for ch in chars:
-        if ch.exps in seen:
+        if ch.exps in orbit:
             continue
-        reps.append(ch)
         cur = ch
-        while True:
+        while cur.exps not in orbit:
+            orbit[cur.exps] = len(reps)
             cur = cur.power(p)
-            if cur.exps in seen or cur.exps == ch.exps:
-                seen.add(ch.exps)
-                break
-            seen.add(cur.exps)
-        seen.add(ch.exps)
-    return reps
+        reps.append(ch)
+    return reps, orbit
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +500,11 @@ def character_norm(group: AbelianGroup, values):
 
 class _FlatZpkModule:
     """A finite ring whose elements are flat lists of basis_size coefficients
-    mod p^k, so to_vec is the identity: its Z/p^k-module operations, and the
-    mult_rows that mult_matrix asks of it, built from mul alone.
-    ZpkGroupRing and ChiComponentRing override mult_rows with index-table
-    translates (_translate_rows), and ZpkGroupRing adds det, which
-    fitting_ideal needs.  Operations return new lists and never mutate their
-    arguments."""
+    mod p^k, so to_vec is the identity: the Z/p^k-module operations of
+    ZpkGroupRing and PolyGroupRing.  Each of them reads the mult_rows that
+    mult_matrix asks of it off the index table (_translate_rows), and
+    ZpkGroupRing adds det, which fitting_ideal needs.  Operations return new
+    lists and never mutate their arguments."""
 
     def __init__(self, p: int, k: int, basis_size: int):
         self.p, self.k = p, k
@@ -543,13 +540,6 @@ class _FlatZpkModule:
 
     def equal(self, a, b):
         return a == b
-
-    def mult_rows(self, e) -> list:
-        """The rows of the matrix of multiplication by e: column i is
-        vec(b_i * e), b_i the i-th Z/p^k basis element, formed by mul."""
-        n = self.basis_size
-        cols = [self.mul([0] * i + [1] + [0] * (n - 1 - i), e) for i in range(n)]
-        return [list(r) for r in zip(*cols)]
 
 
 class ZpkGroupRing(_FlatZpkModule):
@@ -604,22 +594,22 @@ class ZpkGroupRing(_FlatZpkModule):
         return f"Z/{self.p}^{self.k}[G{list(self.group.orders)}]"
 
 
-class ChiComponentRing(_FlatZpkModule):
-    """Z_p(chi)[P] at precision p^k: Z/p^k[x]/(h(x)) group ring of the p-part.
+class PolyGroupRing(_FlatZpkModule):
+    """Z/p^k[u]/(h)[G] for a monic h and a finite abelian group G.
 
-    h is a Hensel-lifted irreducible factor of Phi_M mod p^k, M = ord(chi).
-    An element is the flat list of |P| blocks of deg h coefficients mod p^k;
-    block i holds the coefficient of the i-th element of group_index(pgroup).
+    An element is the flat list of |G| blocks of deg h coefficients mod p^k;
+    block i holds the coefficient of the i-th element of group_index(group),
+    a polynomial in u mod h.  Its two uses are the chi-components Z_p(chi)[P]
+    (h a Hensel-lifted factor of Phi_ord(chi), G the p-part P) and the
+    truncated series Z/p^k[G][u]/(u^M) (h = u^M).
     """
 
-    def __init__(self, p: int, k: int, h, pgroup: AbelianGroup, chi_order: int):
-        super().__init__(p, k, pgroup.order * (len(h) - 1))
+    def __init__(self, p: int, k: int, h, group: AbelianGroup):
+        super().__init__(p, k, group.order * (len(h) - 1))
         self.h = tuple(c % self.pk for c in h)
         self.deg = len(self.h) - 1
-        self.pgroup = pgroup
-        self.chi_order = chi_order
-        self._table = mul_table(pgroup)
-        self._xpow = [self._reduce([0] * j + [1]) for j in range(chi_order)]
+        self.group = group
+        self._table = mul_table(group)
 
     def _reduce(self, vec):
         """The polynomial vec (ascending, any length) mod (h, p^k), as a block
@@ -635,26 +625,30 @@ class ChiComponentRing(_FlatZpkModule):
         pk = self.pk
         return [v % pk for v in vec[:d]]
 
-    def zeta_pow(self, j):
-        return self._xpow[j % self.chi_order]
-
     def _blocks(self, a):
         """(i, block i) for every nonzero block of a."""
         d = self.deg
-        pairs = ((i, a[i * d:(i + 1) * d]) for i in range(self.pgroup.order))
-        return [(i, x) for i, x in pairs if any(x)]
+        return [(i, a[i * d:(i + 1) * d])
+                for i in dict.fromkeys(j // d for j, c in enumerate(a) if c)]
 
     def mul(self, a, b):
+        """The block convolution of a and b; only the blocks that a product
+        reaches are reduced."""
+        d = self.deg
         b_blocks = self._blocks(b)
-        acc = [[0] * (2 * self.deg - 1) for _ in range(self.pgroup.order)]
+        acc = [None] * self.group.order
         for i, x in self._blocks(a):
             row = self._table[i]
             for j, y in b_blocks:
                 buf = acc[row[j]]
+                if buf is None:
+                    buf = acc[row[j]] = [0] * (2 * d - 1)
                 for s, xs in enumerate(x):
-                    for r, yr in enumerate(y):
-                        buf[s + r] += xs * yr
-        return [c for buf in acc for c in self._reduce(buf)]
+                    if xs:
+                        for r, yr in enumerate(y):
+                            buf[s + r] += xs * yr
+        zero = [0] * d
+        return [c for buf in acc for c in (zero if buf is None else self._reduce(buf))]
 
     def mult_rows(self, e) -> list:
         """Column (g, i) is u^i e translated by g: one reduction per block
@@ -664,46 +658,14 @@ class ChiComponentRing(_FlatZpkModule):
         def times_u(y):
             return [c for b in range(0, len(y), d) for c in self._reduce([0] + y[b:b + d])]
 
-        return _translate_rows(self.pgroup, e, d, times_u)
+        return _translate_rows(self.group, e, d, times_u)
 
     def is_local_unit(self, a) -> bool:
-        """Whether a is a unit.  The ring is local (P is a p-group and h is
-        irreducible mod p), so a is a unit iff its P-augmentation, the sum
-        of its |P| blocks, is nonzero mod p."""
+        """Whether a is a unit, for h irreducible mod p and G a p-group.  The
+        ring is then local, so a is a unit iff its G-augmentation, the sum
+        of its |G| blocks, is nonzero mod p."""
         d, p = self.deg, self.p
         return any(sum(a[s::d]) % p for s in range(d))
-
-
-class TruncPolyRing(_FlatZpkModule):
-    """base[u]/(u^M) over a finite ring base with flat elements: an element is
-    M blocks of base.basis_size coefficients, block i the coefficient of u^i."""
-
-    def __init__(self, base, M: int):
-        super().__init__(base.p, base.k, base.basis_size * M)
-        self.base = base
-        self.M = M
-
-    def from_list(self, coeffs):
-        """The element sum_i coeffs[i] u^i from base elements, cut at u^M."""
-        vec = [c for x in coeffs[:self.M] for c in self.base.to_vec(x)]
-        return self.from_vec(vec + [0] * (self.basis_size - len(vec)))
-
-    def mul(self, a, b):
-        """The block convolution of a and b, with the blocks of u^M and beyond
-        dropped."""
-        n, M, base = self.base.basis_size, self.M, self.base
-        b_blocks = [(j, b[j * n:(j + 1) * n]) for j in range(M)]
-        b_blocks = [(j, y) for j, y in b_blocks if any(y)]
-        out = [0] * self.basis_size
-        for i in range(M):
-            x = a[i * n:(i + 1) * n]
-            if any(x):
-                for j, y in b_blocks:
-                    if i + j >= M:
-                        break
-                    s = (i + j) * n
-                    out[s:s + n] = [c + d for c, d in zip(out[s:s + n], base.mul(x, y))]
-        return self.from_vec(out)
 
 
 # ---------------------------------------------------------------------------
@@ -726,34 +688,35 @@ def _lifted_cyclotomic_factors(M: int, p: int, k: int):
     return tuple(tuple(c for c in g) for g in lifted)
 
 
-def chi_component_ring(chi: Character, p: int, k: int, p_group: AbelianGroup) -> ChiComponentRing:
+def chi_component_ring(chi: Character, p: int, k: int, p_group: AbelianGroup) -> PolyGroupRing:
     """Z_p(chi)[P] at precision p^k, with the first lifted factor of Phi_ord(chi)."""
     M = chi.order
-    if M == 1:  # Z_p(chi) = Z_p realized as Z/p^k[x]/(x)
-        return ChiComponentRing(p, k, (0, 1), p_group, 1)
-    h = _lifted_cyclotomic_factors(M, p, k)[0]
-    return ChiComponentRing(p, k, h, p_group, M)
+    if M == 1:  # Z_p(chi) = Z_p realized as Z/p^k[u]/(u)
+        return PolyGroupRing(p, k, (0, 1), p_group)
+    return PolyGroupRing(p, k, _lifted_cyclotomic_factors(M, p, k)[0], p_group)
 
 
-def chi_component(x: GroupRingElem, chi: Character, ring: ChiComponentRing,
+def chi_component(x: GroupRingElem, chi: Character, ring: PolyGroupRing,
                   delta_idx, p_idx):
-    """Project Z/p^k[G] -> Z_p(chi)[P]: g = (g_Delta, g_P) -> chi(g_Delta) [g_P].
+    """Project Z/p^k[G] -> Z_p(chi)[P]: g = (g_Delta, g_P) -> chi(g_Delta) [g_P],
+    with chi(g_Delta) = zeta_M^j read as u^j mod h, M = ord chi.
 
     delta_idx / p_idx give the coordinate split of G; chi is a character of
     the Delta-part, the group of the coordinates delta_idx.
     """
     out = ring.zero
     d = ring.deg
-    M = ring.chi_order
+    M = chi.order
+    upow = [ring._reduce([0] * j + [1]) for j in range(M)]
     N_delta = chi.group.exponent
-    _, pindex = group_index(ring.pgroup)
+    _, pindex = group_index(ring.group)
     for kk, v in x.items():
         lv = chi.log_value(tuple(kk[i] for i in delta_idx))
         # chi(g) = zeta_{N_delta}^lv; rewrite as power of zeta_M (M = ord chi | N_delta)
         if lv * M % N_delta:
             raise ArithmeticError("character value outside mu_M")
         base = pindex[tuple(kk[i] for i in p_idx)] * d
-        for i, c in enumerate(ring.zeta_pow(lv * M // N_delta)):
+        for i, c in enumerate(upow[lv * M // N_delta]):
             out[base + i] += v * c
     return ring.from_vec(out)
 
@@ -784,29 +747,6 @@ def is_unit(x, ring):
     if sol is None:
         return False, None
     inv = ring.from_vec(sol)
-    if not ring.equal(ring.mul(x, inv), ring.one):
-        return False, None
-    return True, inv
-
-
-def invert_one_plus_nilpotent_u(ring: TruncPolyRing, x):
-    """Inverse via constant-term inversion plus geometric series in u.  A
-    constant term equal to one is its own inverse, with no elimination."""
-    c0 = x[:ring.base.basis_size]
-    if ring.base.equal(c0, ring.base.one):
-        c0_inv = ring.base.one
-    else:
-        ok, c0_inv = is_unit(c0, ring.base)
-        if not ok:
-            return False, None
-    c0_inv_full = ring.from_list([c0_inv])
-    n = ring.sub(ring.one, ring.mul(c0_inv_full, x))  # nilpotent in u
-    acc = ring.one
-    power = n
-    for _ in range(ring.M - 1):
-        acc = ring.add(acc, power)
-        power = ring.mul(power, n)
-    inv = ring.mul(acc, c0_inv_full)
     if not ring.equal(ring.mul(x, inv), ring.one):
         return False, None
     return True, inv
@@ -878,17 +818,19 @@ def module_order_exponent(pm: PresentationMatrix) -> int:
 def delta_blocks(x: GroupRingElem, p: int, k: int) -> list:
     """(ring, image of x) in Z_p(chi)[P] at precision p^k for one character
     chi of Delta per Frobenius orbit chi ~ chi^p, where G = Delta x P is the
-    p-split of x.group.  p does not divide |Delta|, so Z/p^k[G] is the
-    product of these rings and their ranks add up to |G|.  Raises ValueError
-    (AbelianGroup.p_partition) when a generator order is neither prime to p
-    nor a power of p, as in C6 with p = 2.
+    p-split of x.group; block b is orbit b of conjugacy_orbit_reps.  p does
+    not divide |Delta|, so Z/p^k[G] is the product of these rings and their
+    ranks add up to |G|.  Raises ValueError (AbelianGroup.p_partition) when
+    a generator order is neither prime to p nor a power of p, as in C6 with
+    p = 2.
     """
     group = x.group
     delta_idx, p_idx = group.p_partition(p)
     delta = AbelianGroup(tuple(group.orders[i] for i in delta_idx))
     pgroup = AbelianGroup(tuple(group.orders[i] for i in p_idx))
     blocks = []
-    for chi in conjugacy_orbit_reps(characters(delta), p):
+    reps, _ = conjugacy_orbit_reps(characters(delta), p)
+    for chi in reps:
         ring = chi_component_ring(chi, p, k, pgroup)
         blocks.append((ring, chi_component(x, chi, ring, delta_idx, p_idx)))
     return blocks
@@ -897,7 +839,7 @@ def delta_blocks(x: GroupRingElem, p: int, k: int) -> list:
 def block_exponents(blocks) -> list:
     """The sorted union of the Smith exponents e > 0 of multiplication by img
     on each block ring of blocks (delta_blocks).  A unit img adds none
-    (ChiComponentRing.is_local_unit), so only the other blocks are
+    (PolyGroupRing.is_local_unit), so only the other blocks are
     eliminated."""
     exps = []
     for ring, img in blocks:

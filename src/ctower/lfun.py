@@ -17,6 +17,10 @@ character once and keeps the table in ThetaResult.chi_theta.  That table is
 read by the per-character Euler-product cross-check, by
 order_of_vanishing_check, by the chi(Theta(1)) test of the non-zero-divisor
 shadow (tower), by the charpoly norm (geometry) and by `ctower lpoly`.
+
+sigma_factor_unit certifies each Sigma factor a unit of Z/p^k[u]/(u^M)[G]
+(grouprings.PolyGroupRing with h = u^M): its constant term is one, so its
+inverse is the geometric series of a nilpotent, and no elimination runs.
 """
 
 from __future__ import annotations
@@ -29,12 +33,10 @@ from .ffpoly import FqPoly, INFINITY, is_infinite, irreducibles_of_degree
 from .grouprings import (
     Character,
     GroupRingElem,
+    PolyGroupRing,
     ThetaPoly,
-    TruncPolyRing,
-    ZpkGroupRing,
     characters,
     group_index,
-    invert_one_plus_nilpotent_u,
     mul_table,
 )
 
@@ -420,20 +422,24 @@ class SigmaUnitWitness:
 
 
 def sigma_factor_unit(layer, v, k: int, M: int) -> SigmaUnitWitness:
-    """Inverse of 1 - sigma_v^{-1} (qu)^{d_v} in Z/p^k[G][u]/(u^M) via the
-    geometric series; the product with the original is checked to be 1."""
+    """Inverse of x = 1 - sigma_v^{-1} (qu)^{d_v} in Z/p^k[u]/(u^M)[G]
+    (PolyGroupRing with h = u^M): the geometric series of the nilpotent
+    n = 1 - x, whose product with x is checked to be 1."""
     if v not in layer.sigma:
         raise ValueError("v must lie in Sigma")
     p, q = layer.field.p, layer.field.q
-    base = ZpkGroupRing(p, k, layer.group)
-    ring = TruncPolyRing(base, M)
-    sigma_inv = layer.group.inv(layer.frobenius(v))
-    coeffs = [base.one] + [base.zero] * (M - 1)
+    group = layer.group
+    ring = PolyGroupRing(p, k, (0,) * M + (1,), group)
+    n = ring.zero
     if v.degree < M:
-        coeffs[v.degree] = base.scale_int(-(q ** v.degree), base.from_mapping({sigma_inv: 1}))
-    x = ring.from_list(coeffs)
-    ok, inv = invert_one_plus_nilpotent_u(ring, x)
-    verified = ok and ring.equal(ring.mul(x, inv), ring.one)
+        _, index = group_index(group)
+        n[index[group.inv(layer.frobenius(v))] * M + v.degree] = q ** v.degree % ring.pk
+    x = ring.sub(ring.one, n)
+    inv, power = ring.one, n
+    for _ in range(M - 1):
+        inv = ring.add(inv, power)
+        power = ring.mul(power, n)
+    verified = ring.equal(ring.mul(x, inv), ring.one)
     return SigmaUnitWitness(place=v, precision_k=k, truncation_M=M,
                             element=x, inverse=inv, verified=verified)
 

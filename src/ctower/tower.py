@@ -188,13 +188,8 @@ def _zero_blocks(layer, p: int, live) -> list:
     group = layer.group
     delta_idx, _ = group.p_partition(p)
     delta = AbelianGroup(tuple(group.orders[i] for i in delta_idx))
-    reps = conjugacy_orbit_reps(characters(delta), p)
-    orbit_of = {}
-    for b, chi in enumerate(reps):
-        while chi.exps not in orbit_of:
-            orbit_of[chi.exps] = b
-            chi = chi.power(p)
-    nonzero = {orbit_of[tuple(chi.exps[i] for i in delta_idx)] for chi in live}
+    reps, orbit = conjugacy_orbit_reps(characters(delta), p)
+    nonzero = {orbit[tuple(chi.exps[i] for i in delta_idx)] for chi in live}
     return [b for b in range(len(reps)) if b not in nonzero]
 
 

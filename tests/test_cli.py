@@ -78,6 +78,18 @@ class TestCommands:
         assert code == 0
         assert "check functoriality: PASS" in capsys.readouterr().out
 
+    def test_theta_certifies_the_window_above_D(self, capsys, monkeypatch):
+        # a nonzero divisor-sum coefficient in (D, D + 2] fails ctower theta
+        # as one in (bound, D] does: a StabilizationError and exit 2
+        argv = ["theta", "--q", "2", "--p", "x^2+x+1", "--n", "0", "--Sigma", "x"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(lfun, "divisor_sum_series", _shift_tail(lfun.divisor_sum_series))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: nonzero coefficient at degree 6 > bound 1\n"
+        assert captured.out == ""
+
     def test_lpoly(self, capsys):
         code = main(["lpoly", "--q", "3", "--p", "x^2+1", "--n", "0", "--Sigma", "x"])
         assert code == 0
@@ -527,6 +539,18 @@ class TestVerifyAllWorker:
             "fitting_presentation_invariance", "fitting_direct_sum", "fitting_base_change",
             "matrix_lifting_lemma", "coherent_nzd_systems", "sharp_kills_trivial_action",
             "sharp_exactness_ses"))
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["--q", "3", "--p", "x^2+1", "--N", "2", "--Sigma", "x", "--sigma-alt", "x+1"],
+         "5677ae6a3f2b242e05d774bcf742ea7338141ffc390d83f02f8c02805aa37493"),
+        (["--q", "2", "--p", "x^2+x+1", "--N", "4", "--Sigma", "x"],
+         "b58ab942d9c5e6b9709d5c6d710f26e71f65ecedba39c809c4af3eddde4e2946"),
+    ], ids=["q3-N2", "q2-N4"])
+    def test_flagship_report_bytes(self, capsys, tmp_path, argv, sha256):
+        # the two flagship verify all reports, byte for byte
+        report = tmp_path / "all.json"
+        assert main(["verify", "all", *argv, "--out", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == sha256
 
     def test_cli_import_loads_no_process_pool_or_pickle(self):
         src = Path(__file__).resolve().parent.parent / "src"

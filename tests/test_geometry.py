@@ -350,7 +350,6 @@ class TestSDivisorAndNabla:
         nab = nabla_order(layer, z, sdiv)
         assert nab.hypotheses["d_p_coprime_deg_p"]
         assert nab.total_p_exponent == 0  # 3-part of h(L_0) = 1
-        assert nab.sharp_total_exponent == 0
 
     def test_flagship_q2_hypothesis_d_fails(self):
         # p = 2 divides deg p = 2: the extra factor |Z_p/d_S| = 2 enters
@@ -363,11 +362,6 @@ class TestSDivisorAndNabla:
         assert not nab.hypotheses["d_p_coprime_deg_p"]
         assert nab.h_p_exponent == 0
         assert nab.total_p_exponent == 1
-        # sharp part: (Z_p/d_S)^sharp = 0
-        assert nab.sharp_total_exponent == 0
-        # the Z/2 sits in the trivial-character component
-        triv_exp = [e for e, v in nab.per_char_exponents.items() if e == (0,)]
-        assert nab.per_char_exponents[(0,)] == 1
 
     def test_nabla_matches_group_ring_quotient(self):
         # spec invariant: nabla totals equal |Z/p^k[G_n]/(Theta(1))|
@@ -381,18 +375,6 @@ class TestSDivisorAndNabla:
             z = zeta_numerator(counts, cfg.field.q)
             nab = nabla_order(layer, z, sdiv)
             assert quot == nab.total_p_exponent
-
-    def test_finiteness_flags(self):
-        # the chi-component of nabla is flagged finite exactly when chi is
-        # nontrivial on every decomposition group over S; with p totally
-        # ramified that means every nontrivial character
-        layer = build_layer(flagship_q3(), 0)
-        sdiv = s_divisor_data(layer)
-        counts = [count_points_splitting(layer, i) for i in range(1, 7)]
-        z = zeta_numerator(counts, 3)
-        nab = nabla_order(layer, z, sdiv)
-        assert nab.infinite_chars == [(0,)]
-        assert len(nab.finite_chars) == layer.order - 1
 
     def test_refusal_outside_case_a(self):
         p = FinitePlace(poly(F3, 1, 0, 1))
@@ -410,14 +392,14 @@ class TestSDivisorAndNabla:
 class TestTateCharpoly:
     def test_single_degree_one_place_genus_zero(self):
         z = ZetaData(counts=[], genus=0, numerator=[1], h=1)
-        sdiv = SDivisorData(places={}, degrees=[1], d_s=1, x_rank=0,
+        sdiv = SDivisorData(degrees=[1], d_s=1, x_rank=0,
                             zp_mod_ds_exponent=0)
         layer = build_layer(flagship_q3(), 0)
         assert tate_charpoly(layer, z, sdiv) == [1]
 
     def test_two_degree_one_places_genus_zero(self):
         z = ZetaData(counts=[], genus=0, numerator=[1], h=1)
-        sdiv = SDivisorData(places={}, degrees=[1, 1], d_s=1, x_rank=1,
+        sdiv = SDivisorData(degrees=[1, 1], d_s=1, x_rank=1,
                             zp_mod_ds_exponent=0)
         layer = build_layer(flagship_q3(), 0)
         assert tate_charpoly(layer, z, sdiv) == [1, -1]

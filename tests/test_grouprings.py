@@ -7,15 +7,13 @@ import pytest
 from ctower.abelian import TRIVIAL_GROUP, AbelianGroup
 from ctower.grouprings import (
     Character,
-    ChiComponentRing,
     CyclotomicRing,
     FittingIdeal,
     GroupRingElem,
+    PolyGroupRing,
     PresentationMatrix,
     ThetaPoly,
-    TruncPolyRing,
     ZpkGroupRing,
-    _FlatZpkModule,
     _lifted_cyclotomic_factors,
     characters,
     chi_component,
@@ -26,7 +24,6 @@ from ctower.grouprings import (
     fitting_ideal,
     ideal_equal,
     is_unit,
-    invert_one_plus_nilpotent_u,
     module_order_exponent,
     mult_matrix,
     sharp_presentation,
@@ -44,7 +41,6 @@ from zpk_reference import (
 
 C4 = AbelianGroup((4,))
 C2 = AbelianGroup((2,))
-C3 = AbelianGroup((3,))
 C4xC9 = AbelianGroup((4, 9))
 
 
@@ -125,8 +121,23 @@ class TestCharacters:
     def test_orbit_reps_c4_p3(self):
         # Galois orbits of C4-characters over Q_3: chi ~ chi^3 pairs the two
         # faithful characters; four characters -> three orbits
-        reps = conjugacy_orbit_reps(characters(C4), 3)
-        assert len(reps) == 3
+        reps, orbit = conjugacy_orbit_reps(characters(C4), 3)
+        assert [r.exps for r in reps] == [(0,), (1,), (2,)]
+        assert orbit == {(0,): 0, (1,): 1, (3,): 1, (2,): 2}
+
+    @pytest.mark.parametrize("orders, p", [((4, 5), 3), ((3, 7), 2), ((8,), 3), ((4,), 5)])
+    def test_orbit_index_is_constant_on_orbits(self, orders, p):
+        # chi and chi^p share an orbit index, and each rep is the first
+        # character of its orbit
+        chars = characters(AbelianGroup(orders))
+        reps, orbit = conjugacy_orbit_reps(chars, p)
+        assert len(orbit) == len(chars)
+        for chi in chars:
+            assert orbit[chi.power(p).exps] == orbit[chi.exps]
+        assert [orbit[r.exps] for r in reps] == list(range(len(reps)))
+        assert [chars.index(r) for r in reps] == sorted(
+            min(i for i, chi in enumerate(chars) if orbit[chi.exps] == b)
+            for b in range(len(reps)))
 
 
 class TestGroupRing:
@@ -178,7 +189,7 @@ class TestChiComponent:
         # components are Z/3^k (chi trivial / quadratic) and Z/3^k[x]/(x^2+1)
         delta = AbelianGroup((4,))
         pgrp = AbelianGroup(())
-        reps = conjugacy_orbit_reps(characters(delta), 3)
+        reps, _ = conjugacy_orbit_reps(characters(delta), 3)
         degs = sorted(chi_component_ring(c, 3, 8, pgrp).deg for c in reps)
         assert degs == [1, 1, 2]
 
@@ -203,7 +214,7 @@ class TestChiComponent:
         pgrp = AbelianGroup((3,))
         big = AbelianGroup((4, 3))
         p, k = 3, 5
-        reps = conjugacy_orbit_reps(characters(delta), p)
+        reps, _ = conjugacy_orbit_reps(characters(delta), p)
         rings = [chi_component_ring(c, p, k, pgrp) for c in reps]
         rng = random.Random(8)
         for _ in range(20):
@@ -220,7 +231,7 @@ class TestChiComponent:
         big = AbelianGroup((4, 3))
         p, k = 3, 4
         ring_big = ZpkGroupRing(p, k, big)
-        reps = conjugacy_orbit_reps(characters(delta), p)
+        reps, _ = conjugacy_orbit_reps(characters(delta), p)
         rings = [chi_component_ring(c, p, k, pgrp) for c in reps]
         rng = random.Random(31)
         for _ in range(15):
@@ -251,18 +262,20 @@ class TestChiComponent:
 
 class TestUnits:
     def test_geometric_series_inverse(self):
-        # 1 - sigma q u in Z/p^6[C4][u]/(u^6), q = 0 mod p: unit via the
-        # truncated geometric series
+        # 1 - 3 sigma u in Z/3^6[u]/(u^6)[C4] is a unit, and its inverse is
+        # the truncated geometric series sum_(j < 6) 3^j sigma^j u^j: block
+        # sigma^j holds 3^j at u^j
         p, k, M = 3, 6, 6
-        base = ZpkGroupRing(p, k, C4)
-        ring = TruncPolyRing(base, M)
-        sigma = base.from_mapping({(1,): 1})
-        x = ring.from_list([base.one, base.scale_int(-3, sigma)])
-        ok, inv = invert_one_plus_nilpotent_u(ring, x)
-        assert ok
-        assert ring.equal(ring.mul(x, inv), ring.one)
-        ok2, inv2 = is_unit(x, ring)
-        assert ok2 and ring.equal(inv2, inv)
+        ring = PolyGroupRing(p, k, (0,) * M + (1,), C4)
+        three_sigma_u = ring.zero
+        three_sigma_u[M + 1] = 3
+        x = ring.sub(ring.one, three_sigma_u)
+        series = ring.zero
+        for j in range(M):
+            series[(j % 4) * M + j] += 3 ** j
+        ok, inv = is_unit(x, ring)
+        assert ok and inv == series
+        assert ring.mul(x, series) == ring.mul(series, x) == ring.one
 
     def test_p_is_not_a_unit(self):
         ring = ZpkGroupRing(3, 6, TRIVIAL_GROUP)
@@ -290,20 +303,19 @@ class TestUnits:
 
 
 class TestTruncPolyReference:
-    """The flat base[u]/(u^M) against the tuple one of zpk_reference over
-    three bases: Z/p^k (the trivial group ring against the int ring), Z/p^k[C2]
-    and a chi-component.  from_list, products, units and inverses agree."""
+    """Z/p^k[G][u]/(u^M), the PolyGroupRing of h = u^M, against the tuple
+    base[u]/(u^M) of zpk_reference with its layout transposed, over two
+    bases: Z/p^k (the trivial group against the int ring) and Z/p^k[C2].
+    Products, units and inverses agree."""
 
     @staticmethod
     def _pairs():
         for p, k, M in ((3, 4, 4), (2, 5, 3), (5, 2, 5)):
-            yield (TruncPolyRing(ZpkGroupRing(p, k, TRIVIAL_GROUP), M),
+            yield (PolyGroupRing(p, k, (0,) * M + (1,), TRIVIAL_GROUP),
                    ReferenceTruncPolyRing(ReferenceZpkRing(p, k), M))
-        for p, k, M in ((3, 3, 3), (2, 4, 4)):
-            base = ZpkGroupRing(p, k, C2)
-            yield TruncPolyRing(base, M), ReferenceTruncPolyRing(base, M)
-        base = ChiComponentRing(3, 3, (1, 0, 1), C3, 4)
-        yield TruncPolyRing(base, 2), ReferenceTruncPolyRing(base, 2)
+        for p, k, M in ((3, 3, 3), (2, 4, 4), (3, 2, 6)):
+            yield (PolyGroupRing(p, k, (0,) * M + (1,), C2),
+                   ReferenceTruncPolyRing(ZpkGroupRing(p, k, C2), M))
 
     def test_matches_reference(self):
         rng = random.Random(29)
@@ -311,27 +323,22 @@ class TestTruncPolyReference:
         for ring, ref in self._pairs():
             assert ring.basis_size == ref.basis_size
             one = ring.to_vec(ring.one)
-            assert one == ref.to_vec(ref.one)
-            for length in range(ring.M + 2):  # from_list cuts at u^M
-                vecs = [[rng.randrange(ring.pk) for _ in range(ring.base.basis_size)]
-                        for _ in range(length)]
-                assert ring.from_list([ring.base.from_vec(v) for v in vecs]) == \
-                    ref.to_vec(ref.from_list([ref.base.from_vec(v) for v in vecs]))
+            assert one == ref.to_group_major(ref.one)
             for _ in range(10):
                 rand = [rng.randrange(ring.pk) for _ in range(ring.basis_size)]
                 other = [rng.randrange(ring.pk) for _ in range(ring.basis_size)]
                 for vec in (rand, [a + ring.p * b for a, b in zip(one, rand)],
                             [ring.p * b for b in rand]):
-                    x, x_ref = ring.from_vec(vec), ref.from_vec(vec)
+                    x, x_ref = ring.from_vec(vec), ref.from_group_major(vec)
                     assert ring.mul(x, ring.from_vec(other)) == \
-                        ref.to_vec(ref.mul(x_ref, ref.from_vec(other))), (ref.describe(), vec)
+                        ref.to_group_major(ref.mul(x_ref, ref.from_group_major(other))), \
+                        (ref.describe(), vec)
                     ok, inv = is_unit(x, ring)
                     ref_ok, ref_inv = is_unit(x_ref, ref)
                     assert ok == ref_ok, (ref.describe(), vec)
-                    assert invert_one_plus_nilpotent_u(ring, x) == (ok, inv)
                     if ok:
                         units += 1
-                        assert inv == ref.to_vec(ref_inv)
+                        assert inv == ref.to_group_major(ref_inv)
         assert units > 60
 
 
@@ -576,7 +583,9 @@ class TestFlatRingReference:
 
 class TestTranslateRows:
     """The multiplication matrices read off the index table (mult_rows)
-    against the ones built from ring products."""
+    against the ones built from ring products: Z/p^k[G], chi-components
+    (h a lifted factor of Phi_M, G a p-group) and truncated series (h = u^M,
+    any G)."""
 
     @staticmethod
     def _rings():
@@ -589,7 +598,10 @@ class TestTranslateRows:
                                 (2, 4, 5, (2, 2, 2)), (3, 4, 4, (3, 3)), (3, 4, 4, (9,)),
                                 (3, 3, 2, (3,)), (5, 3, 3, (5,))):
             h = (0, 1) if M == 1 else _lifted_cyclotomic_factors(M, p, k)[0]
-            yield ChiComponentRing(p, k, h, AbelianGroup(orders), M)
+            yield PolyGroupRing(p, k, h, AbelianGroup(orders))
+        for p, k, M, orders in ((2, 6, 1, (3,)), (3, 4, 3, (4,)), (2, 5, 6, (2, 3)),
+                                (5, 2, 4, ())):
+            yield PolyGroupRing(p, k, (0,) * M + (1,), AbelianGroup(orders))
 
     def test_matches_products(self):
         rng = random.Random(41)
@@ -600,12 +612,12 @@ class TestTranslateRows:
             for _ in range(3):
                 x, y = ([rng.randrange(ring.pk) for _ in range(n)] for _ in range(2))
                 before = list(x)
-                assert ring.mult_rows(x) == _FlatZpkModule.mult_rows(ring, x), ring
+                assert ring.mult_rows(x) == reference_mult_matrix_rows(ring, [[x]]), ring
                 assert x == before
                 rows = [[x, y], [y, ring.zero], [ring.one, x]]
                 assert mult_matrix(ring, rows) == reference_mult_matrix_rows(ring, rows)
                 assert mult_matrix(ring, [[x]]) == reference_mult_matrix_rows(ring, [[x]])
-        assert degrees == {1, 2, 4}
+        assert degrees == {1, 2, 3, 4, 6}
 
 
 class TestDeterminant:

@@ -9,7 +9,6 @@ from ctower.ffpoly import FinitePlace, FqField, FqPoly, INFINITY, factor as fq_f
 from ctower.grouprings import (
     CyclotomicRing,
     GroupRingElem,
-    TruncPolyRing,
     ZpkGroupRing,
     character_norm,
     characters,
@@ -42,6 +41,7 @@ from ffpoly_reference import reference_units
 from zpk_reference import (
     ReferenceChiComponentRing,
     ReferenceGroupRingElem,
+    ReferenceTruncPolyRing,
     reference_chi_component,
     reference_divisor_sum_series,
     reference_euler_series,
@@ -479,11 +479,11 @@ class TestOrderOfVanishing:
 
 
 def reference_invert_one_plus_nilpotent_u(ring, x, is_unit):
-    """The inverse of x in base[u]/(u^M) as invert_one_plus_nilpotent_u built
-    it before a constant term of one skipped the elimination: the constant
-    term inverted by is_unit, then the geometric series of the nilpotent
-    rest."""
-    ok, c0_inv = is_unit(x[:ring.base.basis_size], ring.base)
+    """The inverse of x in base[u]/(u^M) (ReferenceTruncPolyRing) as
+    invert_one_plus_nilpotent_u built it before a constant term of one
+    skipped the elimination: the constant term inverted by is_unit, then the
+    geometric series of the nilpotent rest."""
+    ok, c0_inv = is_unit(x[0], ring.base)
     assert ok
     c0_inv_full = ring.from_list([c0_inv])
     n = ring.sub(ring.one, ring.mul(c0_inv_full, x))
@@ -511,32 +511,32 @@ class TestSigmaUnit:
         v = sorted(cfg.sigma, key=lambda v: v.gen.sort_key())[0]
         w = sigma_factor_unit(layer, v, k=6, M=6)
         ring = ZpkGroupRing(cfg.char, 6, layer.group)
-        base = w.inverse[:ring.basis_size]
-        assert base == ring.from_mapping({layer.group.identity: 1})
+        # block g of the inverse holds its coefficients of g at u^0, ..., u^5
+        assert w.inverse[::6] == ring.from_mapping({layer.group.identity: 1})
 
     @pytest.mark.parametrize("make_cfg,n", [(flagship_q3, 1), (flagship_q2, 2)])
     def test_one_constant_term_needs_no_elimination(self, make_cfg, n, monkeypatch):
         # the constant term of 1 - sigma^{-1} (qu)^d is one, its own
-        # inverse: no is_unit call, and the witness the is_unit path builds
+        # inverse: no multiplication matrix is built (every elimination on
+        # the ring reads one off mult_rows), and the witness is the one that
+        # the is_unit path builds in the u-major base[u]/(u^M), transposed
         cfg = make_cfg()
         layer = build_layer(cfg, n)
-        is_unit = grouprings.is_unit
+        mult_rows = grouprings.PolyGroupRing.mult_rows
         calls = []
 
-        def counting(x, ring):
+        def counting(ring, e):
             calls.append(ring)
-            return is_unit(x, ring)
+            return mult_rows(ring, e)
 
-        monkeypatch.setattr(grouprings, "is_unit", counting)
+        monkeypatch.setattr(grouprings.PolyGroupRing, "mult_rows", counting)
         for v in cfg.sigma:
             w = sigma_factor_unit(layer, v, k=6, M=6)
             assert calls == [] and w.verified
-            ring = TruncPolyRing(ZpkGroupRing(cfg.char, 6, layer.group), 6)
-            assert w.inverse == reference_invert_one_plus_nilpotent_u(ring, w.element, is_unit)
-        # any other constant term still goes through is_unit
-        x = ring.from_list([ring.base.scale_int(cfg.char, ring.base.one), ring.base.one])
-        assert grouprings.invert_one_plus_nilpotent_u(ring, x) == (False, None)
-        assert len(calls) == 1
+            ref = ReferenceTruncPolyRing(ZpkGroupRing(cfg.char, 6, layer.group), 6)
+            inv = reference_invert_one_plus_nilpotent_u(ref, ref.from_group_major(w.element),
+                                                        grouprings.is_unit)
+            assert w.inverse == ref.to_group_major(inv)
 
     def test_non_sigma_place_rejected(self):
         cfg = flagship_q3()
@@ -747,9 +747,9 @@ class TestFlatLayoutReference:
             xs += [GroupRingElem.from_mapping(group, {g: rng.randrange(-p ** k, p ** k)
                                                       for g in group.elements()})
                    for _ in range(2)]
-            for chi in conjugacy_orbit_reps(characters(delta), p):
+            for chi in conjugacy_orbit_reps(characters(delta), p)[0]:
                 ring = chi_component_ring(chi, p, k, pgrp)
-                ref = ReferenceChiComponentRing(p, k, ring.h, pgrp, ring.chi_order)
+                ref = ReferenceChiComponentRing(p, k, ring.h, pgrp, chi.order)
                 assert ring.to_vec(ring.zero) == ref.to_vec(ref.zero)
                 assert ring.to_vec(ring.one) == ref.to_vec(ref.one)
                 imgs = []

@@ -3,8 +3,7 @@ import random
 
 from ctower.abelian import AbelianGroup
 from ctower.grouprings import (
-    ChiComponentRing,
-    TruncPolyRing,
+    PolyGroupRing,
     ZpkGroupRing,
     is_unit,
     mult_matrix,
@@ -265,10 +264,10 @@ class TestTriangularReference:
         rings = [ZpkGroupRing(p, k, AbelianGroup(orders))
                  for orders in ((2,), (3,), (4,), (3, 2), (2, 2), (9,), (5,))
                  for p in (2, 3, 5) for k in (1, 2, 4)]
-        rings += [ChiComponentRing(3, 3, (1, 0, 1), AbelianGroup((3,)), 4),
-                  ChiComponentRing(5, 2, (1, 0, 1), AbelianGroup((5,)), 4),
-                  TruncPolyRing(ZpkGroupRing(2, 3, AbelianGroup((2,))), 3),
-                  TruncPolyRing(ZpkGroupRing(3, 2, AbelianGroup((2,))), 2)]
+        rings += [PolyGroupRing(3, 3, (1, 0, 1), AbelianGroup((3,))),
+                  PolyGroupRing(5, 2, (1, 0, 1), AbelianGroup((5,))),
+                  PolyGroupRing(2, 3, (0, 0, 0, 1), AbelianGroup((2,))),
+                  PolyGroupRing(3, 2, (0, 0, 1), AbelianGroup((2,)))]
         units = 0
         for ring in rings:
             one = ring.to_vec(ring.one)

@@ -25,7 +25,9 @@ place (reference_cofactor_det).
 Then the finite rings as they stood before every one was a flat coefficient
 list: ReferenceZpkRing, Z/p^k with int elements, and ReferenceTruncPolyRing,
 base[u]/(u^M) with tuples of M base elements, both on the generic
-basis_products, mult_rows and det of _ReferenceFiniteRing.
+basis_products, mult_rows and det of _ReferenceFiniteRing.  The flat
+Z/p^k[G][u]/(u^M) holds one block of M coefficients per group element, the
+transpose of ReferenceTruncPolyRing.to_vec (to_group_major).
 
 Last, reference_coherent_extra, the enumeration of the top ring of a toy
 projective system that coherent_nzd_check ran before it read its count off
@@ -622,6 +624,18 @@ class ReferenceTruncPolyRing(_ReferenceFiniteRing):
 
     def equal(self, a, b):
         return self.to_vec(a) == self.to_vec(b)
+
+    def to_group_major(self, a):
+        """to_vec(a) transposed to the layout of the flat Z/p^k[G][u]/(u^M)
+        (PolyGroupRing with h = u^M): block g holds the M coefficients of
+        the g-th base coordinate."""
+        vec, n = self.to_vec(a), self.base.basis_size
+        return [vec[i * n + g] for g in range(n) for i in range(self.M)]
+
+    def from_group_major(self, vec):
+        """The element whose to_group_major is vec."""
+        n = self.base.basis_size
+        return self.from_vec([vec[g * self.M + i] for i in range(self.M) for g in range(n)])
 
     def describe(self):
         return f"{self.base.describe()}[u]/(u^{self.M})"
