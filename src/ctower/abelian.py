@@ -122,11 +122,19 @@ def _abelian_basis(elements, mul, one, order):
     if n > 1:
         prime_factors.append((n, 1))
 
+    def pow_ell(z, ell, memo):
+        # z -> z^ell is a pure function, so one product chain per z and ell
+        y = memo.get(z)
+        if y is None:
+            y = memo[z] = elem_pow(z, ell)
+        return y
+
     gens, orders = [], []
     elements = list(elements)
     for ell, v in prime_factors:
         target = ell ** v
         cofactor = order // target
+        ell_pow = {}
         # x -> x^cofactor maps G onto the ell-Sylow subgroup, so the scan
         # can stop once every one of its ell^v elements is a key
         sylow = {}
@@ -138,7 +146,7 @@ def _abelian_basis(elements, mul, one, order):
                 o = 1
                 z = y
                 while z != one:
-                    z = elem_pow(z, ell)
+                    z = pow_ell(z, ell, ell_pow)
                     o *= ell
                 sylow[y] = o
         # greedy basis with corrections
@@ -151,7 +159,7 @@ def _abelian_basis(elements, mul, one, order):
                 o = 1
                 z = y
                 while z not in span:
-                    z = elem_pow(z, ell)
+                    z = pow_ell(z, ell, ell_pow)
                     o *= ell
                 if o > best_ord:
                     best, best_ord = y, o

@@ -209,9 +209,10 @@ def cmd_lpoly(args):
     if layer is None:
         layer = build_layer(cfg, args.n)
     tr = theta_op(layer, D=args.degree)
+    chi_theta = tr.chi_theta_table()
     table = []
     for chi in characters(layer.group):
-        coeffs = tr.chi_theta[chi.exps]
+        coeffs = chi_theta[chi.exps]
         table.append({"chi": list(chi.exps), "order": chi.order,
                       "coeffs": [list(c) for c in coeffs]})
         print(f"chi{list(chi.exps)} (order {chi.order}): "

@@ -608,7 +608,7 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
     """
     p, q = layer.field.p, layer.field.q
     Q = tate_charpoly(layer, zeta, sdiv)
-    R = character_norm(layer.group, theta_result.chi_theta.values())
+    R = character_norm(layer.group, theta_result.chi_theta_table().values())
     NS = sigma_factor_poly(layer).norm_poly()
 
     exact = zpoly.mul(R, [1, -q]) == zpoly.mul(Q, NS)

@@ -5,8 +5,10 @@ certificates.
 
 GroupRingElem.apply_character is the one evaluator of a character on Z[G]: it
 sums the coefficients by log value and reduces mod Phi_N once.  For Theta it
-is called only by lfun.theta, which stores the table of chi(Theta) for every
-character in its ThetaResult; the other verdicts read that table.
+is called by lfun.theta, once per rational character orbit (rational_orbits),
+and by ThetaResult.chi_theta_table on every character, which only the
+per-character product, the group-ring norm and `ctower lpoly` read; the other
+verdicts read the per-orbit table.
 
 Every Z/p^k-linear question about a finite ring R -- units, ideal
 membership, annihilators and the orders of finitely presented R-modules --
@@ -233,6 +235,21 @@ def conjugacy_orbit_reps(chars, p: int):
             cur = cur.power(p)
         reps.append(ch)
     return reps, orbit
+
+
+def rational_orbits(chars) -> dict:
+    """chi.exps -> the first character of chars in the rational orbit
+    {chi^a : gcd(a, ord chi) = 1} of chi, for every chi in chars, in chars
+    order.  chi^a has the kernel of chi and chi^a(x) = sigma_a(chi(x)); the
+    orbit is a union of Frobenius orbits of conjugacy_orbit_reps."""
+    rep = {}
+    for ch in chars:
+        if ch.exps not in rep:
+            M = ch.order
+            for a in range(1, M + 1):
+                if gcd(a, M) == 1:
+                    rep[ch.power(a).exps] = ch
+    return {ch.exps: rep[ch.exps] for ch in chars}
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,14 @@ the window (bound, D + 2]: the Euler series through D must vanish in
 (bound, D], and the divisor-sum series, an independent computation of the
 same Dirichlet series, must equal it through D and vanish in (D, D + 2].
 
-theta is the one place where chi(Theta) is computed: it evaluates every
-character once and keeps the table in ThetaResult.chi_theta.  That table is
-read by the per-character Euler-product cross-check, by
-order_of_vanishing_check, by the chi(Theta(1)) test of the non-zero-divisor
-shadow (tower), by the charpoly norm (geometry) and by `ctower lpoly`.
+theta evaluates chi(Theta) once per rational character orbit
+(grouprings.rational_orbits) into ThetaResult.chi_theta.  chi^a(Theta) =
+sigma_a(chi(Theta)) and ker chi^a = ker chi, so the conductor, the split
+count, the degree of chi(Theta), its vanishing order at u = 1 and whether
+chi(Theta(1)) = 0 are read once per orbit, and listed for every character.
+ThetaResult.chi_theta_table evaluates every character directly, for the
+per-character Euler-product cross-check, the charpoly norm (geometry) and
+`ctower lpoly`.
 
 sigma_factor_unit certifies each Sigma factor a unit of Z/p^k[u]/(u^M)[G]
 (grouprings.PolyGroupRing with h = u^M): its constant term is one, so its
@@ -38,6 +41,7 @@ from .grouprings import (
     characters,
     group_index,
     mul_table,
+    rational_orbits,
 )
 
 PER_CHARACTER_PRODUCT_MAX_ORDER = 8
@@ -135,17 +139,24 @@ class ThetaResult:
     series: list  # raw truncated series to degree D: D + 1 coefficient lists of Z[G]
     tail: list  # divisor-sum coefficients at D + 1, D + 2 (None without the cross-check)
     per_char_degrees: dict
-    # chi.exps -> coefficient list of chi(Theta)(u) (trailing zeros dropped),
-    # for every character in characters(group) order; not part of to_json
+    orbit_rep: dict  # grouprings.rational_orbits of characters(group)
+    # rep.exps -> coefficient list of chi(Theta)(u) (trailing zeros dropped),
+    # for every orbit rep in characters(group) order; not part of to_json
     chi_theta: dict
     checks: dict = dc_field(default_factory=dict)
 
     def special_value(self) -> GroupRingElem:
         return self.theta.evaluate_at_one()
 
+    def chi_theta_table(self) -> dict:
+        """chi.exps -> chi(Theta)(u) for every character, in characters(group)
+        order, each evaluated on Theta, not conjugated from its orbit rep."""
+        return {chi.exps: self.theta.apply_character(chi)
+                for chi in characters(self.layer.group)}
+
     def chi_at_one(self, chi: Character):
-        """chi(Theta(1)): evaluation is linear, so this is the ring sum of the
-        stored coefficients of chi(Theta)."""
+        """chi(Theta(1)) for an orbit rep chi: evaluation is linear, so this
+        is the ring sum of the stored coefficients of chi(Theta)."""
         ring = chi.ring
         total = ring.zero
         for c in self.chi_theta[chi.exps]:
@@ -343,7 +354,12 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
     per_char_degrees = {}
     chi_theta = {}
     chars = characters(group)
+    orbit_rep = rational_orbits(chars)
     for chi in chars:
+        rep = orbit_rep[chi.exps]
+        if rep is not chi:  # met after its rep, which comes first in chars
+            per_char_degrees[chi.exps] = per_char_degrees[rep.exps]
+            continue
         coeffs = chi_theta[chi.exps] = tp.apply_character(chi)
         dchi = len(coeffs) - 1 if coeffs else -1
         bchi = per_character_degree_bound(layer, chi)
@@ -351,11 +367,13 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
         if dchi > bchi:
             raise StabilizationError(
                 f"character {chi.exps}: degree {dchi} exceeds its bound {bchi}")
+    tr = ThetaResult(layer=layer, D=D, bound=bound, theta=tp, series=series, tail=None,
+                     per_char_degrees=per_char_degrees, orbit_rep=orbit_rep,
+                     chi_theta=chi_theta, checks=checks)
 
-    tail = None
     if cross_check:
         other = divisor_sum_series(layer, D + 2)
-        other, tail = other[: D + 1], other[D + 1:]
+        other, tr.tail = other[: D + 1], other[D + 1:]
         checks["divisor_sum_equal"] = other == series
         if not checks["divisor_sum_equal"]:
             raise ArithmeticError("Euler product and divisor-sum series disagree "
@@ -369,15 +387,15 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
             raise ArithmeticError("symbolic trivial-character component disagrees "
                                   f"at u^{_first_difference(sym, triv)}")
         if group.order <= PER_CHARACTER_PRODUCT_MAX_ORDER:
+            table = tr.chi_theta_table()
             bad = next((chi for chi in chars if per_character_euler_product(layer, chi, D)
-                        != chi_theta[chi.exps]), None)
+                        != table[chi.exps]), None)
             checks["per_character_product_equal"] = bad is None
             if bad is not None:
                 raise ArithmeticError("per-character Euler product disagrees "
                                       f"at character {list(bad.exps)}")
 
-    return ThetaResult(layer=layer, D=D, bound=bound, theta=tp, series=series, tail=tail,
-                       per_char_degrees=per_char_degrees, chi_theta=chi_theta, checks=checks)
+    return tr
 
 
 def order_of_vanishing_check(layer, tr: ThetaResult, chi: Character):
@@ -385,13 +403,14 @@ def order_of_vanishing_check(layer, tr: ThetaResult, chi: Character):
 
     predicted = layer.split_count(chi), the number of v in S with chi
     trivial on the decomposition group of v; the formula only applies to
-    non-trivial characters.  The multiplicity is read off the chi(Theta)
-    table of tr.
+    non-trivial characters.  The multiplicity is read off the chi(Theta) of
+    the rational-orbit rep of chi in tr: chi(Theta) is its conjugate, and
+    sigma_a fixes u = 1 and keeps zero.
     """
     if chi.is_trivial():
         raise ValueError("the order-of-vanishing formula requires a non-trivial character")
     ring = chi.ring
-    coeffs = tr.chi_theta[chi.exps]
+    coeffs = tr.chi_theta[tr.orbit_rep[chi.exps].exps]
     mult = 0
     while coeffs:
         # the last partial sum is p(1); when it vanishes, exact division by
@@ -405,10 +424,17 @@ def order_of_vanishing_check(layer, tr: ThetaResult, chi: Character):
 
 
 def order_of_vanishing_table(layer, tr: ThetaResult):
-    """(chi, mult, predicted) of order_of_vanishing_check for every
-    non-trivial character, in characters(group) order."""
-    return [(chi, *order_of_vanishing_check(layer, tr, chi))
-            for chi in characters(layer.group) if not chi.is_trivial()]
+    """(chi, mult, predicted) for every non-trivial character, in
+    characters(group) order: order_of_vanishing_check runs once per rational
+    orbit, whose characters share both numbers."""
+    checked, table = {}, []
+    for chi in characters(layer.group):
+        if not chi.is_trivial():
+            rep = tr.orbit_rep[chi.exps]
+            if rep.exps not in checked:
+                checked[rep.exps] = order_of_vanishing_check(layer, tr, rep)
+            table.append((chi, *checked[rep.exps]))
+    return table
 
 
 @dataclass

@@ -223,17 +223,20 @@ class GaloisLayer(Layer):
         irreducible, so that is membership among the primes of the modulus."""
         return place.gen in self._support
 
-    def class_of(self, a: FqPoly):
-        """Exponent tuple of the class of a (a must be coprime to the modulus).
-
-        Horner's rule walks the coefficients of a, top down, through the
-        successor table step[r][c] = index(x r + c mod m) to the index of
-        a mod m, whose class the residue table holds (None for a non-unit)."""
+    def _residue_index(self, a: FqPoly) -> int:
+        """The index of a mod m, by Horner's rule through step[r][c] =
+        index(x r + c mod m)."""
         step = self._step
         r = 0
         for c in reversed(a.coeffs):
             r = step[r][c]
-        out = self._classes[r]
+        return r
+
+    def class_of(self, a: FqPoly):
+        """Exponent tuple of the class of a (a must be coprime to the modulus):
+        the residue table's entry at the index of a mod m (None for a
+        non-unit)."""
+        out = self._classes[self._residue_index(a)]
         if out is None:
             raise ValueError(f"{a!r} is not coprime to the layer modulus")
         return out
@@ -309,7 +312,8 @@ class GaloisLayer(Layer):
     def level_kernel(self, m_prime: FqPoly) -> frozenset:
         """ker(G_n -> (A/m')^x / F_q^x) for a divisor m' of the modulus: the
         classes of the a = 1 + m' t coprime to the modulus (c + m' t with c
-        in F_q^x is c (1 + m' t/c), of the same class).
+        in F_q^x is c (1 + m' t/c), of the same class), read off the
+        residue table, whose None marks a non-unit.
 
         Computed once per level; a repeat call returns the same frozenset."""
         out = self._kernel_cache.get(m_prime.coeffs)
@@ -317,11 +321,9 @@ class GaloisLayer(Layer):
             F = self.field
             one = FqPoly.one(F)
             rest_deg = self.modulus.degree - m_prime.degree
-            out = set()
-            for tail in itertools.product(range(F.q), repeat=rest_deg):
-                a = one + m_prime * FqPoly(F, tail)
-                if self.coprime_to_modulus(a):
-                    out.add(self.class_of(a))
+            out = {self._classes[self._residue_index(one + m_prime * FqPoly(F, tail))]
+                   for tail in itertools.product(range(F.q), repeat=rest_deg)}
+            out.discard(None)
             out = self._kernel_cache[m_prime.coeffs] = frozenset(out)
         return out
 
@@ -406,9 +408,6 @@ class TrivialLayer(Layer):
 
     def decomposition_group(self, v):
         return frozenset({()})
-
-    def ramification_data(self, v):
-        return 1, 1, 1
 
     def exceptional_table(self):
         table = {INFINITY: [(1, 1)]}

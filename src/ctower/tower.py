@@ -193,6 +193,17 @@ def _zero_blocks(layer, p: int, live) -> list:
     return [b for b in range(len(reps)) if b not in nonzero]
 
 
+def _live_characters(layer, tr) -> tuple:
+    """The characters chi of the layer whose chi(Theta) does not vanish at
+    u = 1, as (the set of their rational-orbit reps in tr, the list of them
+    all in characters order).  chi(Theta) vanishes there to order
+    split_count(chi) - [chi trivial], one number per rational orbit."""
+    live_reps = {rep for rep in set(tr.orbit_rep.values())
+                 if layer.split_count(rep) == rep.is_trivial()}
+    return live_reps, [chi for chi in characters(layer.group)
+                       if tr.orbit_rep[chi.exps] in live_reps]
+
+
 def _tower_suite(run: TowerRun):
     cfg = run.cfg
     opts = run.options
@@ -238,9 +249,7 @@ def _tower_suite(run: TowerRun):
         blocks = delta_blocks(tr.special_value(), p, k)
         exps = block_exponents(blocks)
         theta_one_exps.append(exps)
-        # chi(Theta) vanishes at u = 1 to order split_count(chi) - [chi trivial]
-        live = [chi for chi in characters(layer.group)
-                if layer.split_count(chi) == chi.is_trivial()]
+        live_reps, live = _live_characters(layer, tr)
         if not live:
             # every chi(Theta) vanishes at u = 1, so Theta(1) = 0: there is
             # no chi(Theta(1)) to test and no component that can be nonzero
@@ -249,7 +258,8 @@ def _tower_suite(run: TowerRun):
                        refused="every character is trivial on the decomposition group "
                                "of a place in S, so Theta(1) = 0")
             continue
-        chars_ok = not any(chi.ring.is_zero(tr.chi_at_one(chi)) for chi in live)
+        # chi(Theta(1)) = 0 is one answer per rational orbit too
+        chars_ok = not any(rep.ring.is_zero(tr.chi_at_one(rep)) for rep in live_reps)
         # the Delta-component images of Theta(1) at precision p^k that are
         # zero must be the blocks that vanish exactly
         zero = _zero_blocks(layer, p, live)

@@ -552,6 +552,19 @@ class TestVerifyAllWorker:
         assert main(["verify", "all", *argv, "--out", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("argv, sha256", [
+        (["--q", "3", "--p", "x^2+1", "--n", "1", "--Sigma", "x"],
+         "90175e1b94625fc323f0a1b6deb15ff87d908fed283ac29627be93f9f67dfd1c"),
+        (["--q", "2", "--p", "x^2+x+1", "--n", "2", "--Sigma", "x"],
+         "5ca18dbd38ced3bfcfd4a078933e731fd6f459a5ba739c1d5f7c12170e2933d8"),
+    ], ids=["q3-n1", "q2-n2"])
+    def test_lpoly_bytes(self, capsys, argv, sha256):
+        # the every-character table of ctower lpoly --json, byte for byte:
+        # the per-character lines and the JSON document on stdout
+        assert main(["lpoly", *argv, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_cli_import_loads_no_process_pool_or_pickle(self):
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))

@@ -4,7 +4,8 @@ package.
 An imported name that nothing uses is dead code, and so is a definition
 nothing outside the tests reaches: a module-level function, class or
 constant that its module does not use and that no other module imports or
-reads from it, or a method whose name nothing reads.  A function that
+reads from it, a method that no attribute read can reach, or a function
+nested in a function that does not call it.  A function that
 imports a module of the package hides a dependency that belongs at the top
 of the module (there is no import cycle to break).
 """
@@ -65,22 +66,6 @@ def test_no_package_imports_in_functions(path):
     assert not local, f"{path.name}: package imports inside functions {local}"
 
 
-def _referenced_names(tree):
-    """Every name the tree reads: identifiers, attributes, and the parts of
-    string constants that are dotted names (perfbench/tracer.py names the
-    functions it wraps as ("module", "Class.method") strings)."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and DOTTED_NAME.fullmatch(node.value):
-            names.update(node.value.split("."))
-    return names
-
-
 def _module_level_definitions(tree):
     """(name, line, top-level statement) for each function, class and
     constant the module defines at its top level, dunder names aside."""
@@ -131,18 +116,159 @@ def _traced_attributes():
             yield tuple(e.value for e in node.elts)
 
 
+def _package_classes():
+    """Class name -> its family among the classes of the package: itself,
+    its ancestors (whose methods it inherits) and its descendants (whose
+    overrides an object of its type may run)."""
+    bases = {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+
+    def ancestors(name):
+        out = {name}
+        for b in bases.get(name, ()):
+            out |= ancestors(b)
+        return out
+
+    lines = {name: ancestors(name) & bases.keys() for name in bases}
+    return {name: lines[name] | {d for d in bases if name in lines[d]} for name in bases}
+
+
+class _MethodReads(ast.NodeVisitor):
+    """The (receiver class or None, attribute, enclosing (class, method))
+    of every attribute read of a tree, and (class, method) for every
+    "Class.method" string.  The receiver is known when it is self or cls
+    in a class, a class of the package, a call of one or of super(), or a
+    name the enclosing function binds once, by a parameter annotated with a
+    class of the package or by an assignment of a call of one; any other
+    receiver is None."""
+
+    def __init__(self, classes):
+        self.classes = classes
+        self.reads = []
+        self.cls = None
+        self.method = None
+        self.types = {}
+
+    def _class_of(self, expr):
+        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+            return expr.value if expr.value in self.classes else None
+        if isinstance(expr, ast.Name):
+            if expr.id in ("self", "cls"):
+                return self.cls
+            if expr.id in self.classes:
+                return expr.id
+            return self.types.get(expr.id)
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+            if expr.func.id == "super":
+                return self.cls
+            return expr.func.id if expr.func.id in self.classes else None
+        return None
+
+    def visit_ClassDef(self, node):
+        outer = self.cls, self.method
+        self.cls, self.method = node.name, None
+        self.generic_visit(node)
+        self.cls, self.method = outer
+
+    def visit_FunctionDef(self, node):
+        outer = self.method, self.types
+        if self.method is None:
+            self.method = (self.cls, node.name)
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        bound = {}
+        for a in args:
+            bound.setdefault(a.arg, []).append(self._class_of(a.annotation))
+        for sub in ast.walk(node):
+            targets = sub.targets if isinstance(sub, ast.Assign) else \
+                [sub.target] if isinstance(sub, (ast.AnnAssign, ast.AugAssign, ast.For,
+                                                 ast.comprehension, ast.NamedExpr)) else \
+                [sub.optional_vars] if isinstance(sub, ast.withitem) and sub.optional_vars else []
+            for t in targets:
+                for name in ast.walk(t):
+                    if isinstance(name, ast.Name):
+                        bound.setdefault(name.id, []).append(
+                            self._class_of(sub.value) if isinstance(sub, ast.Assign)
+                            and t is name else None)
+        # a name this function binds shadows the enclosing function's
+        self.types = {**{k: v for k, v in self.types.items() if k not in bound},
+                      **{name: kinds[0] for name, kinds in bound.items()
+                         if len(kinds) == 1 and kinds[0] is not None}}
+        self.generic_visit(node)
+        self.method, self.types = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Attribute(self, node):
+        self.reads.append((self._class_of(node.value), node.attr, self.method))
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and DOTTED_NAME.fullmatch(node.value):
+            parts = node.value.split(".")
+            if len(parts) == 2 and parts[0] in self.classes:
+                self.reads.append((parts[0], parts[1], None))
+
+
+def _dead_methods(family):
+    """path:line Class.method for each method of a class of the package
+    that no read reaches: a read reaches C.m when its attribute is m, its
+    receiver is unknown or of the family of C, and it lies outside C.m
+    itself."""
+    reads = {}  # attribute -> [(receiver class or None, enclosing method)]
+    for path in USERS:
+        visitor = _MethodReads(family)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        for owner, attr, where in visitor.reads:
+            reads.setdefault(attr, []).append((owner, where))
+    dead = []
+    for path in MODULES:
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not (node.name.startswith("__") and node.name.endswith("__")) \
+                        and not any(where != (cls.name, node.name)
+                                    and (owner is None or cls.name in family[owner])
+                                    for owner, where in reads.get(node.name, ())):
+                    dead.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
+    return dead
+
+
+def _dead_nested_definitions(tree, path):
+    """path:line name for each function or class defined inside a function
+    whose name that function does not read outside the definition."""
+    dead = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(fn):
+            if inner is fn or not isinstance(
+                    inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            inside = set(ast.walk(inner))
+            if not any(isinstance(n, ast.Name) and n.id == inner.name
+                       and isinstance(n.ctx, ast.Load) and n not in inside
+                       for n in ast.walk(fn)):
+                dead.append(f"{path.name}:{inner.lineno} {inner.name}")
+    return dead
+
+
 def test_every_definition_is_referenced():
     """A module-level function, class or constant is used in another
     top-level statement of its own module, imported by name from that module
     or read as its attribute (mod.name), or named as (module, attribute) in
-    perfbench/tracer.py; a bare name elsewhere does not count.  A method's
-    name must be read somewhere."""
-    used = set()
+    perfbench/tracer.py; a bare name elsewhere does not count.  A method
+    C.m is read as an attribute m of an object that may be of the family
+    of C (receivers are resolved as _MethodReads states), or named as
+    "C.m"; a bare name m does not count.  A function nested in a function
+    is read by name in that function."""
     reached = set(_traced_attributes())
     for path in USERS:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        used |= _referenced_names(tree)
-        reached.update(_imported_by_name(tree, path))
+        reached.update(_imported_by_name(ast.parse(path.read_text(), filename=str(path)), path))
     dead = []
     for path in MODULES:
         module = path.stem
@@ -154,10 +280,6 @@ def test_every_definition_is_referenced():
                             for node in ast.walk(other))
             if not in_module and (module, name) not in reached:
                 dead.append(f"{path.name}:{lineno} {name}")
-        # methods and nested definitions: a bare name read anywhere counts
-        dead.extend(f"{path.name}:{node.lineno} {node.name}" for node in ast.walk(tree)
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node not in tree.body
-                    and not (node.name.startswith("__") and node.name.endswith("__"))
-                    and node.name not in used)
+        dead.extend(_dead_nested_definitions(tree, path))
+    dead.extend(_dead_methods(_package_classes()))
     assert not dead, f"definitions nothing refers to: {dead}"

@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from ctower import grouprings
+from ctower import grouprings, tower
 from ctower.abelian import AbelianGroup
 from ctower.ffpoly import FinitePlace, FqField, FqPoly, INFINITY, factor as fq_factor
 from ctower.grouprings import (
@@ -15,6 +16,7 @@ from ctower.grouprings import (
     chi_component,
     chi_component_ring,
     conjugacy_orbit_reps,
+    rational_orbits,
 )
 from ctower.lfun import (
     DEFAULT_EXTRA_DEGREE,
@@ -664,12 +666,15 @@ class TestCharacterEvaluatorReference:
 
     def test_every_theta_coefficient(self, flagship_thetas):
         for layer, tr in flagship_thetas.values():
+            table = tr.chi_theta_table()
             for chi in characters(layer.group):
                 ref = [reference_apply_character(c, chi) for c in tr.theta.coeffs]
                 assert [c.apply_character(chi) for c in tr.theta.coeffs] == ref
                 while ref and chi.ring.is_zero(ref[-1]):
                     ref.pop()
-                assert tr.chi_theta[chi.exps] == ref
+                assert table[chi.exps] == ref
+                if chi.exps in tr.chi_theta:
+                    assert tr.chi_theta[chi.exps] == ref
         assert max(layer.group.order for layer, _ in flagship_thetas.values()) == 192
 
     @pytest.mark.parametrize("orders", [(4,), (3, 2), (2, 2, 2), (9,), ()])
@@ -686,30 +691,49 @@ class TestCharacterEvaluatorReference:
                 assert x.apply_character(chi) == reference_apply_character(x, chi)
 
 
+# rational character orbits of the flagship layers, keyed by (q, n)
+ORBIT_COUNTS = {(2, 0): 2, (2, 1): 8, (2, 2): 20, (2, 3): 80, (2, 4): 176,
+                (3, 0): 3, (3, 1): 15, (3, 2): 123}
+
+
 class TestCharacterTable:
-    """theta stores chi(Theta) for every character; the verdicts read it."""
+    """theta stores chi(Theta) once per rational orbit, and chi_theta_table
+    evaluates every character; the verdicts read the per-orbit table."""
 
     def test_independent_product_beyond_cutoff(self, flagship_thetas):
         # theta runs this oracle only while |G| <= PER_CHARACTER_PRODUCT_MAX_ORDER
         for key in ((2, 1), (2, 2), (2, 3), (3, 1)):
             layer, tr = flagship_thetas[key]
             assert layer.group.order > PER_CHARACTER_PRODUCT_MAX_ORDER
+            table = tr.chi_theta_table()
             for chi in characters(layer.group):
-                assert per_character_euler_product(layer, chi, tr.D) == tr.chi_theta[chi.exps]
+                assert per_character_euler_product(layer, chi, tr.D) == table[chi.exps]
 
     def test_table_order_and_value_at_one(self, flagship_thetas):
         for layer, tr in flagship_thetas.values():
             chars = characters(layer.group)
-            assert list(tr.chi_theta) == [chi.exps for chi in chars]
+            reps = [chi for chi in chars if tr.orbit_rep[chi.exps].exps == chi.exps]
+            assert list(tr.orbit_rep) == [chi.exps for chi in chars]
+            assert list(tr.chi_theta) == [chi.exps for chi in reps]
+            assert len(reps) == ORBIT_COUNTS[layer.field.q, layer.n]
             assert "chi_theta" not in tr.to_json()
             special = tr.special_value()
+            table = tr.chi_theta_table()
+            assert list(table) == [chi.exps for chi in chars]
             for chi in chars:
+                at_one = chi.ring.zero
+                for c in table[chi.exps]:
+                    at_one = chi.ring.add(at_one, c)
+                assert at_one == special.apply_character(chi)
+            for chi in reps:
                 assert tr.chi_at_one(chi) == special.apply_character(chi)
+                assert tr.chi_theta[chi.exps] == table[chi.exps]
 
     def test_norm_from_table(self, flagship_thetas):
         for key in ((3, 0), (2, 0), (2, 1)):
             layer, tr = flagship_thetas[key]
-            assert character_norm(layer.group, tr.chi_theta.values()) == tr.theta.norm_poly()
+            assert character_norm(layer.group, tr.chi_theta_table().values()) == \
+                tr.theta.norm_poly()
 
     def test_order_of_vanishing_table(self, flagship_thetas):
         layer, tr = flagship_thetas[2, 2]
@@ -718,6 +742,104 @@ class TestCharacterTable:
             [chi.exps for chi in characters(layer.group) if not chi.is_trivial()]
         for chi, mult, predicted in table:
             assert (mult, predicted) == order_of_vanishing_check(layer, tr, chi)
+
+
+def euler_phi(M):
+    """M prod (1 - 1/ell) over the primes ell dividing M."""
+    out, rest, ell = M, M, 2
+    while rest > 1:
+        if rest % ell == 0:
+            out -= out // ell
+            while rest % ell == 0:
+                rest //= ell
+        ell += 1
+    return out
+
+
+def _vanishing_order_at_one(ring, coeffs):
+    """The multiplicity of u = 1 in the polynomial coeffs, by repeated
+    division by u - 1 (Horner's scheme, remainder first)."""
+    mult = 0
+    while coeffs:
+        quotient, acc = [], ring.zero
+        for c in reversed(coeffs):
+            acc = ring.add(acc, c)
+            quotient.append(acc)
+        if not ring.is_zero(quotient.pop()):
+            return mult
+        coeffs = quotient[::-1]
+        mult += 1
+    raise ArithmeticError("the zero polynomial has no vanishing order")
+
+
+@pytest.fixture(scope="module")
+def orbit_thetas():
+    """(layer, theta) of the q=2 flagship at n = 0-4 (|G| <= 768) and the
+    q=3 flagship at n = 0-2, keyed by (q, n)."""
+    out = {}
+    for make_cfg, N in ((flagship_q2, 4), (flagship_q3, 2)):
+        cfg = make_cfg()
+        for n in range(N + 1):
+            layer = build_layer(cfg, n)
+            out[cfg.field.q, n] = layer, theta(layer, cross_check=False)
+    return out
+
+
+class TestRationalOrbits:
+    """Everything theta and the tower read once per rational orbit against
+    the per-character computation on every character: apply_character,
+    per_character_degree_bound and split_count are the oracle."""
+
+    def test_orbits_are_the_galois_classes(self, orbit_thetas):
+        for (q, n), (layer, tr) in orbit_thetas.items():
+            chars = characters(layer.group)
+            assert tr.orbit_rep == rational_orbits(chars)
+            members = {}
+            for chi in chars:
+                members.setdefault(tr.orbit_rep[chi.exps].exps, []).append(chi.exps)
+            assert len(members) == ORBIT_COUNTS[q, n]
+            for rep in {r.exps: r for r in tr.orbit_rep.values()}.values():
+                M = rep.order
+                assert members[rep.exps][0] == rep.exps
+                assert sorted(members[rep.exps]) == \
+                    sorted({rep.power(a).exps for a in range(1, M + 1) if math.gcd(a, M) == 1})
+                assert len(members[rep.exps]) == euler_phi(M)
+
+    def test_per_char_degrees(self, orbit_thetas):
+        for layer, tr in orbit_thetas.values():
+            expect = {}
+            for chi in characters(layer.group):
+                coeffs = tr.theta.apply_character(chi)
+                expect[chi.exps] = (len(coeffs) - 1, per_character_degree_bound(layer, chi))
+            assert list(tr.per_char_degrees.items()) == list(expect.items())
+
+    def test_rep_values(self, orbit_thetas):
+        for layer, tr in orbit_thetas.values():
+            reps = {r.exps: r for r in tr.orbit_rep.values()}
+            assert list(tr.chi_theta) == list(reps)
+            for exps, rep in reps.items():
+                assert tr.chi_theta[exps] == tr.theta.apply_character(rep)
+
+    def test_order_of_vanishing_table(self, orbit_thetas):
+        for layer, tr in orbit_thetas.values():
+            expect = [(chi.exps, _vanishing_order_at_one(chi.ring, tr.theta.apply_character(chi)),
+                       layer.split_count(chi))
+                      for chi in characters(layer.group) if not chi.is_trivial()]
+            got = [(chi.exps, mult, predicted)
+                   for chi, mult, predicted in order_of_vanishing_table(layer, tr)]
+            assert got == expect
+
+    def test_live_set(self, orbit_thetas):
+        for layer, tr in orbit_thetas.values():
+            live_reps, live = tower._live_characters(layer, tr)
+            expect = [chi for chi in characters(layer.group)
+                      if layer.split_count(chi) == chi.is_trivial()]
+            assert live == expect
+            assert live_reps == {tr.orbit_rep[chi.exps] for chi in expect}
+            special = tr.special_value()
+            # the live characters are exactly those with chi(Theta(1)) != 0
+            assert [chi for chi in characters(layer.group)
+                    if not chi.ring.is_zero(special.apply_character(chi))] == expect
 
 
 class TestFlatLayoutReference:

@@ -13,7 +13,7 @@ from ctower.rayclass import (
     default_s,
     layer_projection,
 )
-from ffpoly_reference import reference_class_table, reference_units
+from ffpoly_reference import reference_abelian_basis, reference_class_table, reference_units
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -33,6 +33,14 @@ def flagship_q2():
     p = FinitePlace(poly(F2, 1, 1, 1))
     sigma = frozenset({FinitePlace(poly(F2, 0, 1))})
     return TowerConfig(F2, FqPoly.one(F2), p, default_s(FqPoly.one(F2), p), sigma)
+
+
+def f4_config():
+    # q = 4, p the first irreducible of degree 2, Sigma = {theta}
+    F = FqField(2, 2)
+    p = next(iter(irreducibles_of_degree(F, 2)))
+    return TowerConfig(F, FqPoly.one(F), p, default_s(FqPoly.one(F), p),
+                       frozenset({FinitePlace(poly(F, 0, 1))}))
 
 
 def conductor_config_q3():
@@ -322,6 +330,22 @@ def test_inertia_is_the_enumeration(make_cfg, n):
         assert layer.inertia_group(v) == _enumerated_inertia(layer, v), v
 
 
+@pytest.mark.parametrize("make_cfg", [flagship_q3, flagship_q2, _f_x_q2, conductor_config_q3])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_level_kernels_are_the_enumeration(make_cfg, n):
+    # the residue table's None for a non-unit against a division by each
+    # prime of the modulus, at every candidate conductor
+    layer = build_layer(make_cfg(), n)
+    F = layer.field
+    for m_prime in layer.conductor_levels:
+        expect = set()
+        for tail in itertools.product(range(F.q), repeat=layer.modulus.degree - m_prime.degree):
+            a = FqPoly.one(F) + m_prime * FqPoly(F, tail)
+            if layer.coprime_to_modulus(a):
+                expect.add(layer.class_of(a))
+        assert layer.level_kernel(m_prime) == expect, m_prime
+
+
 def _span_layers():
     return ([(flagship_q3, n) for n in (0, 1, 2)] + [(flagship_q2, n) for n in range(4)]
             + [(conductor_config_q3, n) for n in (0, 1)])
@@ -472,6 +496,34 @@ class TestClassTable:
         assert [layer.class_of(FqPoly(layer.field, key)) for key in dlog] == list(dlog.values())
         for u in reference_units(layer.modulus):
             assert layer.class_of(u) == dlog[layer._canon(u).coeffs]
+
+    @pytest.mark.parametrize("cfg,n", [
+        *(pytest.param(flagship_q2(), n, id=f"q2-{n}") for n in range(5)),
+        *(pytest.param(flagship_q3(), n, id=f"q3-{n}") for n in range(3)),
+        pytest.param(f4_config(), 1, id="q4-1")])
+    def test_memoized_basis_is_the_reference(self, cfg, n, monkeypatch):
+        # z -> z^ell is memoized per Sylow prime: the same generators as the
+        # unmemoized reference, with fewer products
+        seen = []
+        basis = rayclass._abelian_basis
+
+        def recording(elements, mul, one, order):
+            seen.append((list(elements), mul, one, order))
+            return basis(*seen[-1])
+
+        monkeypatch.setattr(rayclass, "_abelian_basis", recording)
+        build_layer(cfg, n)
+        (elements, mul, one, order), = seen
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return mul(a, b)
+
+        got = basis(elements, counted, one, order)
+        cheap = len(calls)
+        assert got == reference_abelian_basis(elements, counted, one, order)
+        assert cheap <= len(calls) - cheap
 
     def test_dependent_generators_are_refused(self, monkeypatch):
         basis = rayclass._abelian_basis

@@ -129,17 +129,22 @@ class TestComputedOnce:
         check = inside("ordvan", lfun.order_of_vanishing_check)
 
         def counted_ordvan(layer, tr, chi):
-            ordvan_calls.append(chi.exps)
+            ordvan_calls.append((layer.n, chi.exps))
             return check(layer, tr, chi)
 
         monkeypatch.setattr(lfun, "order_of_vanishing_check", counted_ordvan)
         run = run_tower(flagship_q2(), 2, RunOptions(geometry=False))
         assert run.all_passed
-        # one check per non-trivial character of |G| = 3, 12, 48; neither the
-        # checks nor the chi(Theta(1)) loop of the nzd shadow evaluate again
-        assert len(ordvan_calls) == 2 + 11 + 47
+        # one check per non-trivial rational orbit of |G| = 3, 12, 48 (2, 8
+        # and 20 orbits); neither the checks nor the chi(Theta(1)) loop of
+        # the nzd shadow evaluate again
+        assert len(ordvan_calls) == 1 + 7 + 19
+        assert len(set(ordvan_calls)) == len(ordvan_calls)
         assert calls["ordvan"] == calls["elsewhere"] == 0
-        assert calls["theta"] > 0
+        # theta evaluates each orbit rep on each coefficient of Theta, and
+        # every character once more for the per-character product at |G| = 3
+        sizes = [len(tr.theta.coeffs) for tr in run.theta_results]
+        assert calls["theta"] == 2 * sizes[0] + 8 * sizes[1] + 20 * sizes[2] + 3 * sizes[0]
 
     def test_smith_only_for_kernels(self, monkeypatch):
         # U and V are built for kernels alone: every exponent, order, unit and
@@ -245,7 +250,8 @@ class TestComputedOnce:
 
     def test_recompute_skips_character_bounds(self, monkeypatch):
         # the D + 2 verdict reads the divisor-sum tail that theta kept: one
-        # degree bound per character of each layer, all of them inside theta
+        # degree bound per rational character orbit of each layer, all of
+        # them inside theta
         counts = {}
         bound = lfun.per_character_degree_bound
 
@@ -256,8 +262,8 @@ class TestComputedOnce:
         monkeypatch.setattr(lfun, "per_character_degree_bound", counted_bound)
         run = run_tower(flagship_q2(), 2, RunOptions(geometry=False))
         assert run.all_passed
-        assert counts == {0: 3, 1: 12, 2: 48}
-        assert counts == {layer.n: layer.group.order for layer in run.layers}
+        assert counts == {0: 2, 1: 8, 2: 20}
+        assert counts == {tr.layer.n: len(tr.chi_theta) for tr in run.theta_results}
         recomputes = [v for v in run.verdicts if v["name"] == "theta_recompute_D_plus_2"]
         assert [v["D"] for v in recomputes] == [tr.D + 2 for tr in run.theta_results]
 
