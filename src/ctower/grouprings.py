@@ -803,15 +803,30 @@ def fitting_ideal(pm: PresentationMatrix) -> FittingIdeal:
 
 
 def ideal_contains(ring, gens, target) -> bool:
-    """target in the ideal generated by gens, by Z/p^k linear algebra."""
+    """target in the ideal generated by gens.
+
+    A target that is zero, or equal to g or -g for a generator g, is in the
+    ideal (0 = 0 g and +-g = +-1 g); that is read off the reduced
+    coefficient lists with ring.equal, and no matrix is built.  Any other
+    target is decided by Z/p^k linear algebra: it is in the ideal iff it is
+    in the Z/p^k-span of the columns of mult_matrix, the products b_i g.
+    """
+    neg = ring.sub(ring.zero, target)
+    if ring.equal(target, ring.zero) or \
+            any(ring.equal(g, target) or ring.equal(g, neg) for g in gens):
+        return True
     if not gens:
-        return ring.equal(target, ring.zero)
+        return False
     mat = mult_matrix(ring, [[g] for g in gens])
     return zpk_solve(mat, ring.to_vec(target), ring.p, ring.k) is not None
 
 
 def ideal_equal(I, J, ring) -> bool:
-    """Mutual containment of two finitely generated ideals in a finite ring."""
+    """Mutual containment of two finitely generated ideals in a finite ring,
+    each generator tested by ideal_contains.  So ideals whose generators
+    agree up to sign, such as the Fitting ideals of two presentations whose
+    determinants differ by the sign of a column permutation, are found equal
+    without elimination."""
     return all(ideal_contains(ring, J, g) for g in I) and \
         all(ideal_contains(ring, I, g) for g in J)
 

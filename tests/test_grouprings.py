@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ctower import grouprings
 from ctower.abelian import TRIVIAL_GROUP, AbelianGroup
 from ctower.grouprings import (
     Character,
@@ -22,12 +23,14 @@ from ctower.grouprings import (
     cyclotomic_polynomial,
     delta_idempotent,
     fitting_ideal,
+    ideal_contains,
     ideal_equal,
     is_unit,
     module_order_exponent,
     mult_matrix,
     sharp_presentation,
 )
+from ctower.snf import zpk_solve
 from zpk_reference import (
     ReferenceGroupRingElem,
     ReferenceTruncPolyRing,
@@ -442,6 +445,61 @@ class TestIdealEqual:
     def test_scaling_by_unit(self):
         ring = ZpkGroupRing(5, 4, TRIVIAL_GROUP)
         assert ideal_equal([[10]], [[30]], ring)  # 3 is a unit mod 5^4
+
+
+class TestIdealContains:
+    """ideal_contains against elimination, the oracle, on every ring of the
+    algebra battery: a target that is 0 or +-g for a generator g is accepted
+    without a solve, and every other target still reaches zpk_solve."""
+
+    RINGS = [(3, 6, (4,)), (3, 6, (2,)), (3, 6, (4, 3)), (3, 8, (4,)),
+             (3, 4, (4,)), (3, 4, (2, 3)), (3, 6, ())]
+
+    @pytest.mark.parametrize("p, k, orders", RINGS)
+    def test_matches_elimination(self, p, k, orders, monkeypatch):
+        ring = ZpkGroupRing(p, k, AbelianGroup(orders))
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return zpk_solve(*args)
+
+        monkeypatch.setattr(grouprings, "zpk_solve", spy)
+        rng = random.Random(29)
+
+        def rand():
+            return ring.from_vec([rng.randrange(ring.pk) for _ in range(ring.basis_size)])
+
+        # non-units among the generators, so that some targets are not in the ideal
+        factors = [ring.one, ring.scale_int(3, ring.one), ring.scale_int(9, ring.one)]
+        if ring.basis_size > 1:
+            factors.append(ring.sub(ring.from_vec([0, 1] + [0] * (ring.basis_size - 2)),
+                                    ring.one))
+        verdicts = set()
+        for _ in range(12):
+            gens = [ring.mul(rand(), rng.choice(factors)) for _ in range(rng.randrange(1, 3))]
+            signed = [ring.zero] + gens + [ring.sub(ring.zero, g) for g in gens]
+            for g in gens:
+                targets = {"0": ring.zero, "g": g, "-g": ring.sub(ring.zero, g),
+                           "2g": ring.scale_int(2, g), "3g": ring.scale_int(3, g),
+                           "gh": ring.mul(g, rand()), "random": rand()}
+                for name, t in targets.items():
+                    del calls[:]
+                    got = ideal_contains(ring, gens, t)
+                    mat = mult_matrix(ring, [[g] for g in gens])
+                    assert got == (zpk_solve(mat, t, p, k) is not None), (name, gens, t)
+                    verdicts.add(got)
+                    # a solve is skipped exactly for 0 and +-(a generator)
+                    assert len(calls) == (0 if t in signed else 1), name
+                    if name in ("3g", "random") and t not in signed:
+                        assert calls == [(mat, t, p, k)]
+        assert verdicts == {True, False}
+
+    def test_no_generators(self):
+        ring = ZpkGroupRing(3, 6, C4)
+        assert ideal_contains(ring, [], ring.zero)
+        assert not ideal_contains(ring, [], ring.one)
+        assert not ideal_contains(ring, [], ring.scale_int(3 ** 5, ring.one))
 
 
 class TestModulesAndSharp:

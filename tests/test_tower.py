@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ctower import lfun, snf, tower
+from ctower import grouprings, lfun, snf, tower
 from ctower.abelian import TRIVIAL_GROUP, AbelianGroup
 from ctower.ffpoly import INFINITY, FinitePlace, FqField, FqPoly
 from ctower.grouprings import (
@@ -716,6 +716,32 @@ class TestAlgebraSuiteReference:
         assert verdicts == expected
         assert len(log) == 1143
         assert hashlib.sha256(json.dumps(log).encode()).hexdigest() == self.TRANSCRIPTS[seed]
+
+    def test_eliminations_come_from_the_lifting_lemma(self, monkeypatch):
+        # the three Fitting sections compare generators that agree up to
+        # sign, which ideal_contains accepts without a solve; the lifting
+        # lemma's two is_unit calls per case are the battery's only solves
+        current, solves = [None], []
+        sections, solve = tower.battery_sections, grouprings.zpk_solve
+
+        def labelled(*args):
+            out = []
+            for name, n, draw, check, details in sections(*args):
+                def check_in(inputs, name=name, check=check):
+                    current[0] = name
+                    return check(inputs)
+                out.append((name, n, draw, check_in, details))
+            return out
+
+        def spy(*args):
+            solves.append(current[0])
+            return solve(*args)
+
+        monkeypatch.setattr(tower, "battery_sections", labelled)
+        monkeypatch.setattr(grouprings, "zpk_solve", spy)
+        tower.algebra_suite(0, cases=200)
+        assert len(solves) == 400
+        assert set(solves) == {"matrix_lifting_lemma"}
 
 
 def record_battery_calls(monkeypatch):
