@@ -19,6 +19,15 @@ elimination.  In every finite ring the matrix of multiplication by x
 (mult_rows) is read off the group's index table: column (g, i) is u^i x
 translated by g, u^i a basis element of a block, and no product is formed.
 
+Determinants over Z/p^k[G] (ZpkGroupRing.det, the minors of fitting_ideal)
+are taken by Kronecker substitution.  Each entry, reduced mod p^k, becomes
+one int whose fields are its coefficients, laid out so that a product of n
+entries wraps in no coordinate but the first, which one reduction mod
+2^(bits) - 1 folds (_det_plan).  The determinant of those ints costs a few
+big-int products, closed forms up to 3 x 3; one unpack and one fold of the
+other exponents mod o_i read its coefficients back.  The field width comes
+from the bound n! |G|^(n-1) (p^k - 1)^n on every coefficient.
+
 The Smith exponents of multiplication by x on Z/p^k[G] (quotient_exponents)
 are taken block by block.  G = Delta x P with P the p-part, and p does not
 divide |Delta|, so Z/p^k[G] is the product of the chi-components
@@ -50,12 +59,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 from . import zpoly
 from .abelian import AbelianGroup
 from .ffpoly import FqField, FqPoly, factor as fq_factor
 from .snf import (
+    _pack,
+    _unpack,
     hensel_lift_factors,
     zpk_cokernel_exponents,
     zpk_kernel,
@@ -292,18 +303,77 @@ def mul_table(group: AbelianGroup):
     return tuple(rows)
 
 
-def _convolve(table, a, b, out=None):
+def _convolve(table, a, b):
     """The unreduced product of two coefficient lists of one group, whose
-    mul_table is table, added into out (by default a new zero list)."""
+    mul_table is table."""
     b_terms = [(j, y) for j, y in enumerate(b) if y]
-    if out is None:
-        out = [0] * len(a)
+    out = [0] * len(a)
     for i, x in enumerate(a):
         if x:
             row = table[i]
             for j, y in b_terms:
                 out[row[j]] += x * y
     return out
+
+
+@lru_cache(maxsize=None)
+def _det_plan(orders: tuple, n: int, pk: int) -> tuple:
+    """The Kronecker layout of an n x n determinant over Z/pk[G], G of the
+    given orders: (nb, span, src, modulus, offset, fold, base).
+
+    An entry is a polynomial of degree below o_i in x_i, packed as one int
+    of nb-byte fields, x_m the fastest.  A product of n entries has degree
+    at most n (o_i - 1) in x_i, so each x_i, i > 1, gets that many fields
+    plus one and never wraps; x_1 is the top of the int, and x_1^o_1 = 1 is
+    reduction mod modulus = 2^(8 nb F) - 1, F = o_1 times the fields of
+    x_2 ... x_m.  An entry fills span fields; src gathers the n^2 entries
+    from their flat reduced coefficients with a 0 appended (None when they
+    already are the layout).
+
+    Every coefficient of the determinant, wrapped or not, is a signed sum of
+    at most n! |G|^(n-1) products of n entries below pk, so at most bound =
+    n! |G|^(n-1) (pk - 1)^n in absolute value: with bound added (offset) it
+    fits bitlen(bound) + 1 bits, rounded up to bytes, and to 1, 2, 4 or 8
+    bytes for snf._pack's array path.  fold[f] is the group index of field
+    f, exponents mod o_i (None when it is f), and base[j] = -bound #{f :
+    fold[f] = j} mod pk takes the offset back out.
+    """
+    size = prod(orders)
+    bound = factorial(n) * size ** (n - 1) * (pk - 1) ** n
+    nb = -(-(bound.bit_length() + 1) // 8)
+    if nb <= 8:
+        nb = 1 << (nb - 1).bit_length()
+    layout = list(itertools.product(*map(range, orders[:1]),
+                                    *(range(n * (o - 1) + 1) for o in orders[1:])))
+    index = {e: j for j, e in enumerate(itertools.product(*map(range, orders)))}
+    fold = [index[tuple(x % o for x, o in zip(e, orders))] for e in layout]
+    base = [0] * size
+    for j in fold:
+        base[j] = (base[j] - bound) % pk
+    modulus, offset = (1 << (8 * nb * len(layout))) - 1, _pack([bound] * len(layout), nb)
+    if fold == list(range(size)):
+        return nb, size, None, modulus, offset, None, tuple(base)
+    entry = [index.get(e, -1) for e in layout[:layout.index(tuple(o - 1 for o in orders)) + 1]]
+    src = tuple(t * size + i if i >= 0 else -1 for t in range(n * n) for i in entry)
+    return nb, len(entry), src, modulus, offset, tuple(fold), tuple(base)
+
+
+def _packed_det(m, n):
+    """The determinant of the n x n matrix of ints whose rows, read in
+    order, are the list m, n >= 2: closed forms up to n = 3, the cofactor
+    expansion along the first row above."""
+    if n == 2:
+        a, b, c, d = m
+        return a * d - b * c
+    if n == 3:
+        a, b, c, d, e, f, g, h, i = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    acc = 0
+    for j, x in enumerate(m[:n]):
+        if x:
+            term = x * _packed_det([y for i, y in enumerate(m[n:]) if i % n != j], n - 1)
+            acc = acc - term if j % 2 else acc + term
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -520,8 +590,8 @@ class _FlatZpkModule:
     mod p^k, so to_vec is the identity: the Z/p^k-module operations of
     ZpkGroupRing and PolyGroupRing.  Each of them reads the mult_rows that
     mult_matrix asks of it off the index table (_translate_rows), and
-    ZpkGroupRing adds det, which fitting_ideal needs.  Operations return new
-    lists and never mutate their arguments."""
+    ZpkGroupRing adds det, on packed ints (_det_plan), which fitting_ideal
+    needs.  Operations return new lists and never mutate their arguments."""
 
     def __init__(self, p: int, k: int, basis_size: int):
         self.p, self.k = p, k
@@ -591,21 +661,29 @@ class ZpkGroupRing(_FlatZpkModule):
         return _translate_rows(self.group, e)
 
     def det(self, mat):
-        """Determinant of a square matrix over the ring: the cofactor
-        expansion along the first row, each cofactor's products added
-        unreduced into one list, reduced mod p^k once."""
-        table = self._table
-
-        def raw(mat):
-            if len(mat) == 1:
-                return mat[0][0]
-            acc = [0] * len(table)
-            for j, x in enumerate(mat[0]):
-                minor = raw([row[:j] + row[j + 1:] for row in mat[1:]])
-                _convolve(table, [-c for c in x] if j % 2 else x, minor, acc)
-            return acc
-
-        return self.from_vec(raw(mat)) if mat else self.one
+        """Determinant of a square matrix over the ring, by Kronecker
+        substitution: each entry, reduced mod p^k, becomes one int in the
+        layout of _det_plan, the determinant of those ints is taken
+        (_packed_det), and its fields are read once and folded back onto
+        the group.  Entries may be any ints."""
+        n = len(mat)
+        if n < 2:
+            return self.from_vec(mat[0][0]) if mat else self.one
+        pk = self.pk
+        nb, span, src, modulus, offset, fold, base = _det_plan(self.group.orders, n, pk)
+        flat = [v % pk for row in mat for e in row for v in e]
+        if src is not None:
+            flat.append(0)
+            flat = [flat[i] for i in src]
+        # one pack of all n^2 entries, read back as n^2 fields of span * nb bytes
+        det = _packed_det(_unpack(_pack(flat, nb), span * nb, n * n), n)
+        vals = _unpack((det + offset) % modulus, nb, len(fold or base))
+        if fold is None:
+            return [(v + c) % pk for v, c in zip(vals, base)]
+        out = list(base)
+        for j, v in zip(fold, vals):
+            out[j] += v
+        return [v % pk for v in out]
 
     def describe(self):
         return f"Z/{self.p}^{self.k}[G{list(self.group.orders)}]"

@@ -679,8 +679,71 @@ class TestTranslateRows:
 
 
 class TestDeterminant:
+    """ZpkGroupRing.det, by Kronecker substitution, against the two past
+    determinants: reference_det on the dict-keyed ring, which shares no code
+    with it, and reference_cofactor_det on the index table."""
+
+    # every ring the algebra battery builds, (p, k, orders)
+    BATTERY_RINGS = ((3, 6, (4,)), (3, 6, (2,)), (3, 6, (4, 3)), (3, 8, (4,)), (3, 4, (4,)),
+                     (3, 4, (2, 3)), (2, 6, (3,)))
+
+    @staticmethod
+    def _assert_references_agree(ring, mat):
+        got = ring.det(mat)
+        ref = ReferenceZpkGroupRing(ring.p, ring.k, ring.group)
+        expected = reference_det(ref, [[ref.from_vec(e) for e in row] for row in mat])
+        assert got == ref.to_vec(expected), (ring.describe(), mat)
+        assert got == reference_cofactor_det(ring, mat), (ring.describe(), mat)
+
+    @staticmethod
+    def _matrices(rng, ring, n):
+        """n x n matrices with reduced entries, with entries from {-(p^k - 1),
+        0, p^k - 1}, with unreduced entries of either sign, and the extremes of
+        the field-width bound: the diagonal and the anti-diagonal of
+        (p^k - 1) sum_g g, and every coefficient p^k - 1."""
+        m, size = ring.pk - 1, ring.basis_size
+        draws = (lambda: rng.randrange(ring.pk), lambda: rng.choice((-m, 0, m)),
+                 lambda: rng.randrange(-5 * ring.pk, 5 * ring.pk))
+        for draw in draws:
+            for _ in range(2):
+                yield [[[draw() for _ in range(size)] for _ in range(n)] for _ in range(n)]
+        full, zero = [m] * size, [0] * size
+        yield [[full if i == j else zero for j in range(n)] for i in range(n)]
+        yield [[full if i + j == n - 1 else zero for j in range(n)] for i in range(n)]
+        yield [[full] * n for _ in range(n)]
+
+    @pytest.mark.parametrize("p,k,orders", BATTERY_RINGS, ids=str)
+    def test_matches_the_references_on_the_battery_rings(self, p, k, orders):
+        ring = ZpkGroupRing(p, k, AbelianGroup(orders))
+        rng = random.Random(sum(orders) + 10 * k + 100 * p)
+        for n in range(5):
+            for mat in self._matrices(rng, ring, n):
+                self._assert_references_agree(ring, mat)
+
+    def test_fields_wider_than_64_bits(self):
+        # the bound 4! 4^3 (2^24 - 1)^4 needs 108-bit fields: snf._pack's
+        # byte-by-byte path
+        ring = ZpkGroupRing(2, 24, AbelianGroup((2, 2)))
+        assert grouprings._det_plan(ring.group.orders, 4, ring.pk)[0] > 8
+        rng = random.Random(44)
+        for mat in self._matrices(rng, ring, 4):
+            self._assert_references_agree(ring, mat)
+
+    def test_extreme_diagonals(self):
+        # diag((p^k - 1) sum_g g) has the largest coefficients of its n; the
+        # sweep over p^k puts some of their bounds on a byte boundary
+        for orders in ((), (2,), (3,), (4,), (2, 2), (2, 3)):
+            group = AbelianGroup(orders)
+            for p, k in itertools.product((2, 3, 5), range(1, 13)):
+                ring = ZpkGroupRing(p, k, group)
+                full, zero = [ring.pk - 1] * ring.basis_size, ring.zero
+                for n in (2, 3):
+                    mat = [[full if i == j else zero for j in range(n)] for i in range(n)]
+                    assert ring.det(mat) == reference_cofactor_det(ring, mat), (orders, p, k, n)
+
     def test_matches_the_cofactor_reference(self):
-        # ZpkGroupRing.det adds every cofactor's products into one list
+        # entries in (-p^k, p^k) over the trivial, a cyclic and two
+        # non-cyclic groups
         rng = random.Random(43)
         for orders in ((), (4,), (2, 2), (4, 3)):
             for p, k in ((2, 6), (3, 4)):

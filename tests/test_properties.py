@@ -1,12 +1,14 @@
 """Property-based tests for the exact-arithmetic kernels."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctower.abelian import AbelianGroup
 from ctower.carlitz import rho
 from ctower.ffpoly import FinitePlace, FqField, FqPoly, factor, is_irreducible
-from ctower.grouprings import GroupRingElem, characters
+from ctower.grouprings import GroupRingElem, ZpkGroupRing, characters
 from ctower.lfun import theta
 from ctower.rayclass import TowerConfig, build_layer, default_s, layer_projection
 
@@ -96,6 +98,56 @@ class TestGroupRing:
             ring = chi.ring
             sq = ring.mul(a.apply_character(chi), a.apply_character(chi))
             assert sq == (a * a).apply_character(chi)
+
+
+DET_RINGS = [ZpkGroupRing(p, k, AbelianGroup(orders))
+             for p, k, orders in ((3, 6, (4,)), (3, 4, (2, 3)), (2, 6, (3,)), (2, 5, (2, 2)))]
+
+
+@st.composite
+def ring_matrices(draw, count):
+    """A ring of DET_RINGS, and count n x n matrices over it, n in {2, 3},
+    whose entries are lists of unreduced coefficients."""
+    ring = draw(st.sampled_from(DET_RINGS))
+    n = draw(st.sampled_from((2, 3)))
+    elem = st.lists(st.integers(min_value=-ring.pk, max_value=2 * ring.pk),
+                    min_size=ring.basis_size, max_size=ring.basis_size)
+    row = st.lists(elem, min_size=n, max_size=n)
+    return ring, [draw(st.lists(row, min_size=n, max_size=n)) for _ in range(count)]
+
+
+class TestDeterminant:
+    """The laws of det over Z/p^k[G]; products and sums of entries are formed
+    with ring.mul and ring.add only, so no law shares code with det."""
+
+    @given(ring_matrices(2))
+    @settings(max_examples=60, deadline=None)
+    def test_multiplicative(self, args):
+        ring, (a, b) = args
+        n = len(a)
+        ab = [[ring.zero] * n for _ in range(n)]
+        for i, j, t in itertools.product(range(n), repeat=3):
+            ab[i][j] = ring.add(ab[i][j], ring.mul(a[i][t], b[t][j]))
+        assert ring.det(ab) == ring.mul(ring.det(a), ring.det(b))
+
+    @given(ring_matrices(1))
+    @settings(max_examples=60, deadline=None)
+    def test_transpose(self, args):
+        ring, (a,) = args
+        assert ring.det([list(col) for col in zip(*a)]) == ring.det(a)
+
+    @given(ring_matrices(1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_column_operation(self, args, data):
+        ring, (a,) = args
+        n = len(a)
+        src, dst = data.draw(st.permutations(range(n)))[:2]
+        r = data.draw(st.lists(st.integers(min_value=-ring.pk, max_value=ring.pk),
+                               min_size=ring.basis_size, max_size=ring.basis_size))
+        a2 = [list(row) for row in a]
+        for row in a2:
+            row[dst] = ring.add(row[dst], ring.mul(r, row[src]))
+        assert ring.det(a2) == ring.det(a)
 
 
 class TestZetaRoundtrip:

@@ -16,11 +16,18 @@ multiplication by x from one elimination of the |G| x |G| matrix, as the
 oracle of the block-by-block grouprings.quotient_exponents;
 triangular_exponents, the exponents of snf._triangular, as the oracle of
 the packed pass of snf.zpk_exponents; and the generic
-mult_matrix, determinant and Fitting minors as they stood before Z/p^k[G]
-read its basis products and minors off the index table
-(reference_mult_matrix_rows, reference_det, reference_fitting_generators),
-and the index-table determinant before it accumulated its cofactors in
-place (reference_cofactor_det).
+mult_matrix and Fitting minors as they stood before Z/p^k[G] read its basis
+products and minors off the index table (reference_mult_matrix_rows,
+reference_fitting_generators).
+
+Two past forms of ZpkGroupRing.det are the oracles of its Kronecker
+substitution.  reference_det is the generic cofactor expansion along the
+first row, every product and sum a reduced ring operation: det as it stood
+before Z/p^k[G] read its minors off the index table.  reference_cofactor_det
+is the index-table expansion, each cofactor product formed by _convolve and
+reduced once at the end: det as it stood before it added those products
+into one list in place.  That in-place form, the last before the packed
+ints, formed the same unreduced sums, so it needs no oracle of its own.
 
 Then the finite rings as they stood before every one was a flat coefficient
 list: ReferenceZpkRing, Z/p^k with int elements, and ReferenceTruncPolyRing,
