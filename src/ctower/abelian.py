@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm, prod
 
 
 @dataclass(frozen=True)
@@ -25,18 +25,12 @@ class AbelianGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for o in self.orders:
-            n *= o
-        return n
+        return prod(self.orders)
 
     @cached_property
     def exponent(self) -> int:
         # computed once per group: Character.log_value reads it per element
-        n = 1
-        for o in self.orders:
-            n = n * o // gcd(n, o)
-        return n
+        return lcm(*self.orders)
 
     def mul(self, a, b):
         return tuple((x + y) % o for x, y, o in zip(a, b, self.orders))
@@ -51,11 +45,7 @@ class AbelianGroup:
         return itertools.product(*(range(o) for o in self.orders))
 
     def element_order(self, a) -> int:
-        n = 1
-        for x, o in zip(a, self.orders):
-            d = o // gcd(x, o)
-            n = n * d // gcd(n, d)
-        return n
+        return lcm(*(o // gcd(x, o) for x, o in zip(a, self.orders)))
 
     def p_partition(self, p: int):
         """(delta_indices, p_indices): coordinates of prime-to-p and p-power

@@ -200,7 +200,7 @@ def _run_theta_check(check, layer, tr):
     if check == "ordvan":
         return all(mult == predicted for _, mult, predicted in order_of_vanishing_table(layer, tr))
     if check == "sigmaunit":
-        return all(sigma_factor_unit(layer, v, k=6, M=6).verified for v in layer.sigma)
+        return all(sigma_factor_unit(layer, v).verified for v in layer.sigma)
     raise ValueError(f"unknown check {check!r}")
 
 
@@ -330,8 +330,8 @@ def _verify_config(args):
 
 
 class _BatteryWorker:
-    """The algebra battery (seed, cases, systems=20) drained by two
-    processes: one forked worker and, once it calls verdicts(), the parent.
+    """The algebra battery (seed, cases) drained by two processes: one
+    forked worker and, once it calls verdicts(), the parent.
 
     The chunk plan of tower.battery_chunks is written as one byte per chunk
     into a pipe before the fork, and its write end is closed, so the pipe is
@@ -350,7 +350,7 @@ class _BatteryWorker:
 
     def __init__(self, seed: int, cases: int):
         self.seed = seed
-        self.sections = battery_sections(cases, systems=20)
+        self.sections = battery_sections(cases)
         self.chunks = battery_chunks(self.sections)
         self.queue, queue_in = os.pipe()
         os.write(queue_in, bytes(range(len(self.chunks))))

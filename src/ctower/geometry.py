@@ -2,7 +2,13 @@
 fiber per Frobenius orbit), splitting-law counts from class-field data, zeta
 numerators via Newton identities, the Ritter-Weiss order bookkeeping, and
 the charpoly comparison, whose discrepancy factor is certified a unit of
-Z/p^k[u]/(u^M) (grouprings.PolyGroupRing with h = u^M and the trivial group).
+Z/p^k[u]/(u^M) (grouprings.PolyGroupRing with h = u^M and the trivial group),
+(k, M) = CHARPOLY_PRECISION.
+
+The Sigma factor prod_{v in Sigma} (1 - sigma_v^{-1} (qu)^{d_v}) is never
+formed in Z[G][u]: sigma_factor_at_one forms it at u = 1 in Z/p^k[G], and
+sigma_factor_norm reads its norm off prod_chi (1 - chi(s) T) =
+(1 - T^f)^{|G|/f}, f the order of s.
 
 Exceptional fibers (above S and infinity) always come from the class-field
 tables, never from singular plane-model fibers; the discriminant of the
@@ -20,9 +26,10 @@ from . import zpoly
 from .abelian import TRIVIAL_GROUP
 from .carlitz import AXPoly, real_generator_minpoly
 from .ffpoly import FqPoly, INFINITY, _is_prime, factor, irreducibles_of_degree
-from .grouprings import GroupRingElem, PolyGroupRing, ThetaPoly, character_norm, is_unit
+from .grouprings import PolyGroupRing, character_norm, group_index, is_unit
 
 DEFAULT_POINT_BUDGET = 10 ** 7
+CHARPOLY_PRECISION = (12, 12)  # (k, M) of the charpoly comparison
 
 
 class CurveModelError(ArithmeticError):
@@ -581,35 +588,51 @@ def tate_charpoly(layer, zeta: ZetaData, sdiv: SDivisorData):
     return zpoly.exact_div(poly, [1, -1])
 
 
-def sigma_factor_poly(layer) -> ThetaPoly:
-    """prod_{v in Sigma} (1 - sigma_v^{-1} (qu)^{d_v}) in Z[G][u]."""
-    group = layer.group
-    q = layer.field.q
-    acc = ThetaPoly(group, [GroupRingElem.one(group)])
-    for v in sorted(layer.sigma, key=lambda v: v.gen.sort_key()):
-        sigma_inv = group.inv(layer.frobenius(v))
-        coeffs = [GroupRingElem.one(group)]
-        coeffs.extend(GroupRingElem.zero(group) for _ in range(v.degree - 1))
-        coeffs.append(GroupRingElem.from_mapping(group, {sigma_inv: -(q ** v.degree)}))
-        acc = acc * ThetaPoly(group, coeffs)
-    return acc
+def sigma_factor_at_one(layer, ring):
+    """prod_{v in Sigma} (1 - q^{d_v} sigma_v^{-1}), the Sigma factor of
+    Theta at u = 1, in ring, the ZpkGroupRing of the layer's group."""
+    group, q = layer.group, layer.field.q
+    _, index = group_index(group)
+    w = ring.one
+    for v in layer.sigma:
+        x = ring.one
+        x[index[group.inv(layer.frobenius(v))]] -= q ** v.degree
+        w = ring.mul(w, ring.from_vec(x))
+    return w
 
 
-def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorData,
-                          k: int = 12, M: int = 12) -> dict:
+def sigma_factor_norm(layer):
+    """The norm of the Sigma factor, prod_v (1 - (qu)^{d_v f_v})^{|G|/f_v} in
+    Z[u], f_v the order of sigma_v: chi(sigma_v^{-1}) runs over the f_v-th
+    roots of unity, each |G|/f_v times, and prod_{zeta^f = 1} (1 - zeta T)
+    = 1 - T^f."""
+    group, q = layer.group, layer.field.q
+    out = [1]
+    for v in layer.sigma:
+        f = group.element_order(layer.frobenius(v))
+        e = v.degree * f
+        factor = [1] + [0] * (e - 1) + [-(q ** e)]
+        for _ in range(group.order // f):
+            out = zpoly.mul(out, factor)
+    return out
+
+
+def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorData) -> dict:
     """Per-character comparison of the charpoly with Theta, at the level of
     group-ring norms.
 
     Exact identity: N(Theta_{S,Sigma})(u) * (1 - qu) = Q(u) * N(Sigma-factor)(u)
-    in Z[u], where N is the product over all characters and Q the charpoly.
-    The discrepancy factor W = N(Sigma)/(1-qu) is certified as a unit of
-    Z/p^k[u]/(u^M), the PolyGroupRing of h = u^M and the trivial group, with
-    an inverse witness.
+    in Z[u], where N is the product over all characters (sigma_factor_norm
+    for the Sigma factor) and Q the charpoly.  The discrepancy factor
+    W = N(Sigma)/(1-qu) is certified as a unit of Z/p^k[u]/(u^M), (k, M) =
+    CHARPOLY_PRECISION, the PolyGroupRing of h = u^M and the trivial group,
+    with an inverse witness.
     """
+    k, M = CHARPOLY_PRECISION
     p, q = layer.field.p, layer.field.q
     Q = tate_charpoly(layer, zeta, sdiv)
     R = character_norm(layer.group, theta_result.chi_theta_table().values())
-    NS = sigma_factor_poly(layer).norm_poly()
+    NS = sigma_factor_norm(layer)
 
     exact = zpoly.mul(R, [1, -q]) == zpoly.mul(Q, NS)
 

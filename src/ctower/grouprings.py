@@ -7,8 +7,9 @@ GroupRingElem.apply_character is the one evaluator of a character on Z[G]: it
 sums the coefficients by log value and reduces mod Phi_N once.  For Theta it
 is called by lfun.theta, once per rational character orbit (rational_orbits),
 and by ThetaResult.chi_theta_table on every character, which only the
-per-character product, the group-ring norm and `ctower lpoly` read; the other
-verdicts read the per-orbit table.
+per-character product, the norm of Theta in the charpoly verdict
+(character_norm) and `ctower lpoly` read; the other verdicts read the
+per-orbit table.
 
 Every Z/p^k-linear question about a finite ring R -- units, ideal
 membership, annihilators and the orders of finitely presented R-modules --
@@ -47,9 +48,16 @@ itself is the group ring of the trivial group, one coefficient;
 Z/p^k[u]/(h)[G] (PolyGroupRing) holds |G| blocks of deg h coefficients.  The
 chi-components Z_p(chi)[P] and the truncated series Z/p^k[G][u]/(u^M) are
 both PolyGroupRings.
-Products read one index table per group (mul_table).  Exponent tuples appear
-only at the edges: GroupRingElem.from_mapping, GroupRingElem.items, to_json,
-characters() and the layer maps that project turns into index maps.
+Products read one index table per group (mul_table).  Z[G] has none of its
+own: its elements are added, projected and evaluated by characters, and
+lfun's Euler series multiplies them only by group elements, along one row
+of the table.  Products are formed in the finite rings (ZpkGroupRing.mul,
+PolyGroupRing.mul) and in CyclotomicRing.  Every reduction by a monic
+polynomial, mod Phi_N in CyclotomicRing and mod (h, p^k) in PolyGroupRing,
+is one call of zpoly.div_rem, the one division loop.  Exponent tuples
+appear only at the edges: GroupRingElem.from_mapping, GroupRingElem.items,
+to_json, characters() and the layer maps that project turns into index
+maps.
 
 No floating point anywhere; every mod-p^k assertion carries its precision.
 """
@@ -104,18 +112,6 @@ class CyclotomicRing:
         phi = cyclotomic_polynomial(n)
         self.phi = phi
         self.degree = len(phi) - 1
-        # reduction table: x^j for degree <= j <= max(2*degree-2, n-1)
-        red = {}
-        # x^degree = -(phi minus leading)
-        base = [-c for c in phi[:-1]]
-        red[self.degree] = base
-        top_needed = max(2 * self.degree - 2, n - 1)
-        for j in range(self.degree + 1, top_needed + 1):
-            prev = red[j - 1]
-            shifted = [0] + prev[:-1]
-            top = prev[-1]
-            red[j] = [s + top * b for s, b in zip(shifted, base)]
-        self._red = red
         cls._interned[n] = self
         return self
 
@@ -128,33 +124,18 @@ class CyclotomicRing:
         return (1,) + (0,) * (self.degree - 1)
 
     def zeta_pow(self, j: int):
-        j %= self.n
-        vec = [0] * max(self.degree, j + 1)
-        vec[j] = 1
-        return self.reduce(vec)
+        return self.reduce([0] * (j % self.n) + [1])
 
     def reduce(self, vec):
-        vec = list(vec)
-        for j in range(len(vec) - 1, self.degree - 1, -1):
-            c = vec[j]
-            if c:
-                for i, r in enumerate(self._red[j]):
-                    vec[i] += c * r
-            vec.pop()
-        vec.extend([0] * (self.degree - len(vec)))
-        return tuple(vec)
+        """vec (ascending, any length) mod Phi_N, padded to degree."""
+        rem = zpoly.div_rem(vec, self.phi)[1]
+        return tuple(rem) + (0,) * (self.degree - len(rem))
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
     def mul(self, a, b):
-        out = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return self.reduce(out)
+        return self.reduce(zpoly.mul(a, b))
 
     def scale(self, c: int, a):
         return tuple(c * x for x in a)
@@ -184,11 +165,7 @@ class Character:
 
     @property
     def order(self) -> int:
-        n = 1
-        for j, o in zip(self.exps, self.group.orders):
-            d = o // gcd(j, o)
-            n = n * d // gcd(n, d)
-        return n
+        return self.group.element_order(self.exps)
 
     def is_trivial(self) -> bool:
         return all(j == 0 for j in self.exps)
@@ -219,7 +196,7 @@ class Character:
         return all(self.log_value(e) == 0 for e in elems)
 
     def power(self, t: int) -> "Character":
-        return Character(self.group, tuple((j * t) % o for j, o in zip(self.exps, self.group.orders)))
+        return Character(self.group, self.group.pow(self.exps, t))
 
 
 def characters(group: AbelianGroup):
@@ -301,19 +278,6 @@ def mul_table(group: AbelianGroup):
                 row.extend([ids[off + t] for t in sub])
             rows.append(tuple(row))
     return tuple(rows)
-
-
-def _convolve(table, a, b):
-    """The unreduced product of two coefficient lists of one group, whose
-    mul_table is table."""
-    b_terms = [(j, y) for j, y in enumerate(b) if y]
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        if x:
-            row = table[i]
-            for j, y in b_terms:
-                out[row[j]] += x * y
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -460,15 +424,6 @@ class GroupRingElem:
     def __sub__(self, other):
         return GroupRingElem(self.group, [x - y for x, y in zip(self.coeffs, other.coeffs)])
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        g = self.group
-        return GroupRingElem(g, _convolve(mul_table(g), self.coeffs, other.coeffs))
-
-    def scale(self, c: int):
-        return GroupRingElem(self.group, [c * x for x in self.coeffs])
-
     def augmentation(self) -> int:
         return sum(self.coeffs)
 
@@ -531,25 +486,10 @@ class ThetaPoly:
         imap = _index_map(self.group, apply_map, target_group)
         return ThetaPoly(target_group, [_pushforward(c, imap, target_group) for c in self.coeffs])
 
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return ThetaPoly(self.group, [])
-        out = [GroupRingElem.zero(self.group) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return ThetaPoly(self.group, out)
-
     def __eq__(self, other):
         return isinstance(other, ThetaPoly) and self.group == other.group and \
             len(self.coeffs) == len(other.coeffs) and \
             all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def norm_poly(self):
-        """prod_chi chi(Theta)(u) as an integer polynomial (the group-ring
-        norm); asserts rationality of the product."""
-        return character_norm(self.group,
-                              [self.apply_character(ch) for ch in characters(self.group)])
 
     def to_json(self):
         return {"group_orders": list(self.group.orders),
@@ -652,8 +592,17 @@ class ZpkGroupRing(_FlatZpkModule):
         return self.from_vec(x.coeffs)
 
     def mul(self, a, b):
+        """The convolution of a and b along the index table, reduced once."""
+        table = self._table
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        out = [0] * len(a)
+        for i, x in enumerate(a):
+            if x:
+                row = table[i]
+                for j, y in b_terms:
+                    out[row[j]] += x * y
         pk = self.pk
-        return [v % pk for v in _convolve(self._table, a, b)]
+        return [v % pk for v in out]
 
     def mult_rows(self, e) -> list:
         """b_i * e is the translate of e by elems[i], a permutation of the
@@ -709,16 +658,8 @@ class PolyGroupRing(_FlatZpkModule):
     def _reduce(self, vec):
         """The polynomial vec (ascending, any length) mod (h, p^k), as a block
         of deg coefficients."""
-        vec = list(vec)
-        h, d = self.h, self.deg
-        for j in range(len(vec) - 1, d - 1, -1):
-            c = vec[j]
-            if c:
-                for i in range(d + 1):
-                    vec[j - d + i] -= c * h[i]
-        vec.extend([0] * (d - len(vec)))
-        pk = self.pk
-        return [v % pk for v in vec[:d]]
+        rem = zpoly.div_rem(vec, self.h, self.pk)[1]
+        return rem + [0] * (self.deg - len(rem))
 
     def _blocks(self, a):
         """(i, block i) for every nonzero block of a."""
@@ -925,21 +866,32 @@ def module_order_exponent(pm: PresentationMatrix) -> int:
     return sum(zpk_cokernel_exponents(mat, pm.ring.p, pm.ring.k))
 
 
+@lru_cache(maxsize=None)
+def delta_orbits(group: AbelianGroup, p: int):
+    """(delta_idx, p_idx, reps, orbit) for the p-split G = Delta x P of
+    group (AbelianGroup.p_partition), with reps, orbit =
+    conjugacy_orbit_reps(characters(Delta), p), built once per (group, p).
+    Block b of delta_blocks is orbit b, so orbit maps the exponents of a
+    character of Delta to its block."""
+    delta_idx, p_idx = group.p_partition(p)
+    delta = AbelianGroup(tuple(group.orders[i] for i in delta_idx))
+    reps, orbit = conjugacy_orbit_reps(characters(delta), p)
+    return delta_idx, p_idx, reps, orbit
+
+
 def delta_blocks(x: GroupRingElem, p: int, k: int) -> list:
     """(ring, image of x) in Z_p(chi)[P] at precision p^k for one character
     chi of Delta per Frobenius orbit chi ~ chi^p, where G = Delta x P is the
-    p-split of x.group; block b is orbit b of conjugacy_orbit_reps.  p does
-    not divide |Delta|, so Z/p^k[G] is the product of these rings and their
+    p-split of x.group; block b is orbit b of delta_orbits.  p does not
+    divide |Delta|, so Z/p^k[G] is the product of these rings and their
     ranks add up to |G|.  Raises ValueError (AbelianGroup.p_partition) when
     a generator order is neither prime to p nor a power of p, as in C6 with
     p = 2.
     """
     group = x.group
-    delta_idx, p_idx = group.p_partition(p)
-    delta = AbelianGroup(tuple(group.orders[i] for i in delta_idx))
+    delta_idx, p_idx, reps, _ = delta_orbits(group, p)
     pgroup = AbelianGroup(tuple(group.orders[i] for i in p_idx))
     blocks = []
-    reps, _ = conjugacy_orbit_reps(characters(delta), p)
     for chi in reps:
         ring = chi_component_ring(chi, p, k, pgroup)
         blocks.append((ring, chi_component(x, chi, ring, delta_idx, p_idx)))

@@ -18,12 +18,14 @@ sigma_a(chi(Theta)) and ker chi^a = ker chi, so the conductor, the split
 count, the degree of chi(Theta), its vanishing order at u = 1 and whether
 chi(Theta(1)) = 0 are read once per orbit, and listed for every character.
 ThetaResult.chi_theta_table evaluates every character directly, for the
-per-character Euler-product cross-check, the charpoly norm (geometry) and
-`ctower lpoly`.
+per-character Euler-product cross-check, the norm of Theta in the charpoly
+verdict (geometry) and `ctower lpoly`.  No Z[G] product is formed: the Euler
+series multiplies by group elements, along rows of mul_table.
 
 sigma_factor_unit certifies each Sigma factor a unit of Z/p^k[u]/(u^M)[G]
-(grouprings.PolyGroupRing with h = u^M): its constant term is one, so its
-inverse is the geometric series of a nilpotent, and no elimination runs.
+(grouprings.PolyGroupRing with h = u^M), at the pinned precision
+SIGMA_UNIT_PRECISION: its constant term is one, so its inverse is the
+geometric series of a nilpotent, and no elimination runs.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .grouprings import (
 
 PER_CHARACTER_PRODUCT_MAX_ORDER = 8
 DEFAULT_EXTRA_DEGREE = 4
+SIGMA_UNIT_PRECISION = (6, 6)  # (k, M) of the Sigma-factor unit witnesses
 
 
 class StabilizationError(ArithmeticError):
@@ -447,12 +450,14 @@ class SigmaUnitWitness:
     verified: bool
 
 
-def sigma_factor_unit(layer, v, k: int, M: int) -> SigmaUnitWitness:
+def sigma_factor_unit(layer, v) -> SigmaUnitWitness:
     """Inverse of x = 1 - sigma_v^{-1} (qu)^{d_v} in Z/p^k[u]/(u^M)[G]
-    (PolyGroupRing with h = u^M): the geometric series of the nilpotent
-    n = 1 - x, whose product with x is checked to be 1."""
+    (PolyGroupRing with h = u^M), (k, M) = SIGMA_UNIT_PRECISION: the
+    geometric series of the nilpotent n = 1 - x, whose product with x is
+    checked to be 1."""
     if v not in layer.sigma:
         raise ValueError("v must lie in Sigma")
+    k, M = SIGMA_UNIT_PRECISION
     p, q = layer.field.p, layer.field.q
     group = layer.group
     ring = PolyGroupRing(p, k, (0,) * M + (1,), group)

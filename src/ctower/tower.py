@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .abelian import TRIVIAL_GROUP, AbelianGroup
 from .geometry import (
+    CHARPOLY_PRECISION,
     DEFAULT_POINT_BUDGET,
     ConfigurationRefused,
     charpoly_theta_report,
@@ -27,7 +28,7 @@ from .geometry import (
     curve_model,
     nabla_order,
     s_divisor_data,
-    sigma_factor_poly,
+    sigma_factor_at_one,
     zeta_numerator,
 )
 from .grouprings import (
@@ -36,9 +37,9 @@ from .grouprings import (
     ZpkGroupRing,
     block_exponents,
     characters,
-    conjugacy_orbit_reps,
     cyclic_submodule_presentation,
     delta_blocks,
+    delta_orbits,
     e_delta_presentation,
     fitting_ideal,
     ideal_equal,
@@ -50,6 +51,7 @@ from .grouprings import (
     sharp_presentation,
 )
 from .lfun import (
+    SIGMA_UNIT_PRECISION,
     functoriality_check,
     order_of_vanishing_table,
     sigma_factor_unit,
@@ -73,7 +75,6 @@ class RunOptions:
     degree: object = None  # explicit enumeration degree D (None: bound + 4)
     point_budget: int = DEFAULT_POINT_BUDGET
     seed: int = 0
-    geometry: bool = True
     sigma_alt: object = None  # alternative Sigma for the independence check
 
 
@@ -185,10 +186,7 @@ def _zero_blocks(layer, p: int, live) -> list:
     """The indices of the delta_blocks of Theta(1) that vanish exactly,
     given the characters chi with chi(Theta(1)) != 0: a block is zero when
     no such chi has its Delta-part in the block's Frobenius orbit."""
-    group = layer.group
-    delta_idx, _ = group.p_partition(p)
-    delta = AbelianGroup(tuple(group.orders[i] for i in delta_idx))
-    reps, orbit = conjugacy_orbit_reps(characters(delta), p)
+    delta_idx, _, reps, orbit = delta_orbits(layer.group, p)
     nonzero = {orbit[tuple(chi.exps[i] for i in delta_idx)] for chi in live}
     return [b for b in range(len(reps)) if b not in nonzero]
 
@@ -236,10 +234,10 @@ def _tower_suite(run: TowerRun):
 
     for layer in layers:
         for v in sorted(cfg.sigma, key=lambda v: v.gen.sort_key()):
-            w = sigma_factor_unit(layer, v, k=6, M=6)
+            w = sigma_factor_unit(layer, v)
             run.record("sigma_factor_unit", layer.n, w.verified,
                        "Sigma Euler factors are units", place=v.gen.serialize(),
-                       precision=(6, 6))
+                       precision=SIGMA_UNIT_PRECISION)
 
     # one projection of Theta(1) per Frobenius orbit of Delta-characters:
     # the component test reads the images, the slack the largest exponent of
@@ -269,8 +267,6 @@ def _tower_suite(run: TowerRun):
                    slack_c=max(exps, default=0), precision_k=k,
                    **({"zero_blocks": zero} if zero else {}))
 
-    if not opts.geometry:
-        return
     layer, tr = layers[0], trs[0]
     model = model_err = None
     try:
@@ -341,11 +337,8 @@ def _class_number_suite(run: TowerRun, layer, tr, counts, quot):
             # W = Theta'(1) * Theta(1)^{-1} need not exist in the group ring
             # (Theta(1) can be a zero divisor); certify via the Sigma factor
             # ratio instead: Theta'(1) = Theta(1) * W with W a unit
-            w1 = sigma_factor_poly(layer).evaluate_at_one()
-            w2 = sigma_factor_poly(alt_layer).evaluate_at_one()
-            w1r = ring.from_group_ring(w1)
-            ok_w1, w1_inv = is_unit(w1r, ring)
-            w = ring.mul(ring.from_group_ring(w2), w1_inv) if ok_w1 else None
+            ok_w1, w1_inv = is_unit(sigma_factor_at_one(layer, ring), ring)
+            w = ring.mul(sigma_factor_at_one(alt_layer, ring), w1_inv) if ok_w1 else None
             unit_ok, _ = is_unit(w, ring) if w is not None else (False, None)
             same = w is not None and ring.equal(s2, ring.mul(s1, w))
             q2 = quotient_order_exponent(alt_special, p, k)
@@ -355,9 +348,9 @@ def _class_number_suite(run: TowerRun, layer, tr, counts, quot):
     if nab is not None:
         with run.check("charpoly_theta_identity", layer.n,
                        "Frobenius characteristic polynomial vs Theta") as record:
-            report = charpoly_theta_report(layer, tr, z, sdiv, k=12, M=12)
+            report = charpoly_theta_report(layer, tr, z, sdiv)
             record(report["exact_identity"] and report["unit_certified"] and
-                   report["pinned_discrepancy_matches"], precision=(12, 12))
+                   report["pinned_discrepancy_matches"], precision=CHARPOLY_PRECISION)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +577,8 @@ def _lifting_lemma(cases):
     return "matrix_lifting_lemma", cases, draw, check, {"cases": cases, "precisions": (8, 4)}
 
 
-def _coherent_nzd(systems):
-    """The coherent-nzd lemma on toy projective systems over Z/p^k and
+def _coherent_nzd():
+    """The coherent-nzd lemma on 20 toy projective systems over Z/p^k and
     Z/p^k[C2]: the chains must pass, the flagged ones (expect_ok False) must
     fail the precondition.  Draws nothing."""
     c2 = AbelianGroup((2,))
@@ -601,7 +594,6 @@ def _coherent_nzd(systems):
     params.append((5, [2, 3], c2, {(0,): 5}, True))
     params.append((3, [2, 3, 4], c2, {(0,): 1, (1,): 3}, True))
     params.append((3, [2, 2], c2, {(0,): 3}, False))
-    params = params[:max(systems, 1)]
 
     def draw(rng, i):
         return params[i]
@@ -635,8 +627,8 @@ def _sharp_kills_trivial_action():
             {"d_s_values": d_s_values})
 
 
-def _sharp_exactness(systems):
-    """The sharp functor and the module order are exact on random short
+def _sharp_exactness():
+    """The sharp functor and the module order are exact on 20 random short
     exact sequences A -> B -> C = B / (extra)."""
     ring = ZpkGroupRing(3, 4, AbelianGroup((2, 3)))
 
@@ -657,15 +649,15 @@ def _sharp_exactness(systems):
         eb = module_order_exponent(e_delta_presentation(pm_b, (0,)))
         return oa == ob - oc and sa == sb - sc and ob == sb + eb
 
-    return "sharp_exactness_ses", systems, draw, check, {"systems": systems}
+    return "sharp_exactness_ses", 20, draw, check, {"systems": 20}
 
 
-def battery_sections(cases: int = 200, systems: int = 20) -> list:
+def battery_sections(cases: int = 200) -> list:
     """The seven sections of the Fitting-ideal / lifting / coherence / sharp
     property battery, in draw order."""
     return [_presentation_invariance(cases), _direct_sum(cases), _base_change(cases),
-            _lifting_lemma(cases), _coherent_nzd(systems), _sharp_kills_trivial_action(),
-            _sharp_exactness(systems)]
+            _lifting_lemma(cases), _coherent_nzd(), _sharp_kills_trivial_action(),
+            _sharp_exactness()]
 
 
 def battery_chunks(sections) -> list:
@@ -732,14 +724,14 @@ def battery_verdicts(sections, *drains) -> list:
     return verdicts
 
 
-def algebra_suite(seed: int = 0, cases: int = 200, systems: int = 20) -> list:
+def algebra_suite(seed: int = 0, cases: int = 200) -> list:
     """The Fitting-ideal / lifting / coherence / sharp property battery in
     this process: the drain of every chunk in order.
 
     Every check is exact; randomness is seeded for reproducibility.  Returns
     a verdict list shaped like TowerRun verdicts.
     """
-    sections = battery_sections(cases, systems)
+    sections = battery_sections(cases)
     chunks = battery_chunks(sections)
     order = iter(range(len(chunks)))
     return battery_verdicts(sections, drain_battery(seed, sections, chunks,

@@ -19,7 +19,7 @@ from ctower.geometry import (
     curve_model,
     nabla_order,
     s_divisor_data,
-    sigma_factor_poly,
+    sigma_factor_at_one,
     zeta_numerator,
 )
 from ctower.grouprings import (
@@ -143,7 +143,7 @@ class TestCriterion5:
                 layer = data["layers"][n]
                 ok = True
                 for v in sorted(cfg.sigma, key=lambda v: v.gen.sort_key()):
-                    w = sigma_factor_unit(layer, v, k=6, M=6)
+                    w = sigma_factor_unit(layer, v)
                     ok = ok and w.verified
                 _report(f"criterion 5: Sigma-factor unit witness [{name} n={n}]",
                         ok, "precision (p^6, u^6)")
@@ -217,8 +217,8 @@ class TestCriterion8:
         ring = ZpkGroupRing(p, k, layer.group)
         s1 = ring.from_group_ring(tr.special_value())
         s2 = ring.from_group_ring(alt_tr.special_value())
-        w1 = ring.from_group_ring(sigma_factor_poly(layer).evaluate_at_one())
-        w2 = ring.from_group_ring(sigma_factor_poly(alt_layer).evaluate_at_one())
+        w1 = sigma_factor_at_one(layer, ring)
+        w2 = sigma_factor_at_one(alt_layer, ring)
         ok1, w1_inv = is_unit(w1, ring)
         w = ring.mul(w2, w1_inv)
         unit_ok, _ = is_unit(w, ring)
@@ -237,7 +237,7 @@ class TestCriterion9:
         counts = [count_points_splitting(layer, i) for i in range(1, 7)]
         z = zeta_numerator(counts, 3)
         sdiv = s_divisor_data(layer)
-        report = charpoly_theta_report(layer, tr, z, sdiv, k=12, M=12)
+        report = charpoly_theta_report(layer, tr, z, sdiv)
         _report("criterion 9: charpoly identity shadow [q3 n=0]",
                 report["exact_identity"] and report["unit_certified"] and
                 report["pinned_discrepancy_matches"],
@@ -246,7 +246,7 @@ class TestCriterion9:
 
 class TestCriterion10And11:
     def test_algebra_property_suites(self):
-        verdicts = algebra_suite(seed=0, cases=200, systems=20)
+        verdicts = algebra_suite(seed=0, cases=200)
         by_name = {v["name"]: v["passed"] for v in verdicts}
         for name in ("fitting_presentation_invariance", "fitting_direct_sum",
                      "fitting_base_change", "matrix_lifting_lemma"):

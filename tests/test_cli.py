@@ -282,7 +282,7 @@ class TestModuleEntry:
 
 SMALL_ALL = ["verify", "all", "--q", "2", "--p", "x^2+x+1", "--N", "1", "--Sigma", "x",
              "--sigma-alt", "x+1", "--cases", "5"]
-BATTERY = {v["name"] for v in algebra_suite(cases=1, systems=1)}
+BATTERY = {name for name, *_ in tower.battery_sections(1)}
 
 
 class TestVerifyAllWorker:
@@ -301,7 +301,7 @@ class TestVerifyAllWorker:
         assert main(SMALL_ALL + ["--out", str(report)]) == 0
         cfg, N, opts = cli._verify_config(cli.build_parser().parse_args(SMALL_ALL))
         run = run_tower(cfg, N, opts)
-        run.verdicts.extend(algebra_suite(seed=opts.seed, cases=5, systems=20))
+        run.verdicts.extend(algebra_suite(seed=opts.seed, cases=5))
         assert report.read_text() == json.dumps(run.to_json(), indent=2, sort_keys=True) + "\n"
         names = [line.split()[1] for line in capsys.readouterr().out.splitlines()
                  if line.startswith("[PASS]")]
@@ -370,7 +370,7 @@ class TestVerifyAllWorker:
 
         monkeypatch.setattr(cli, "run_tower", stub)
         run = TowerRun(cfg=cfg, N=N, options=opts, verdicts=list(tower_verdicts))
-        run.verdicts.extend(algebra_suite(seed=opts.seed, cases=5, systems=20))
+        run.verdicts.extend(algebra_suite(seed=opts.seed, cases=5))
         return json.dumps(run.to_json(), indent=2, sort_keys=True) + "\n"
 
     def _spy_drain(self, monkeypatch, worker_claim=None):
@@ -426,7 +426,7 @@ class TestVerifyAllWorker:
     def _broken_battery(monkeypatch, check):
         """Replace the battery by the one section "broken" of 8 cases, whose
         case i draws i and is checked by check(i)."""
-        monkeypatch.setattr(cli, "battery_sections", lambda cases, systems: [
+        monkeypatch.setattr(cli, "battery_sections", lambda cases: [
             ("broken", 8, lambda rng, i: i, check, {})])
 
     @staticmethod

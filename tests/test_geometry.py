@@ -17,16 +17,19 @@ from ctower.geometry import (
     evaluate_hypotheses,
     nabla_order,
     s_divisor_data,
+    sigma_factor_at_one,
+    sigma_factor_norm,
     tate_charpoly,
     zeta_numerator,
     _ext_ops,
     _fiber_root_count,
     _frobenius_orbits,
 )
-from ctower.grouprings import quotient_order_exponent
+from ctower.grouprings import GroupRingElem, ZpkGroupRing, quotient_order_exponent
 from ctower.lfun import theta
 from ctower.rayclass import TowerConfig, TrivialLayer, build_layer, default_s
 from geometry_reference import reference_count_points_model
+from zpk_reference import reference_sigma_factor_norm, reference_sigma_factor_poly
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -417,7 +420,7 @@ class TestTateCharpoly:
         sdiv = s_divisor_data(layer)
         counts = [count_points_splitting(layer, i) for i in range(1, 7)]
         z = zeta_numerator(counts, 3)
-        report = charpoly_theta_report(layer, tr, z, sdiv, k=12, M=12)
+        report = charpoly_theta_report(layer, tr, z, sdiv)
         assert report["exact_identity"]
         assert report["unit_certified"]
         assert report["pinned_discrepancy_matches"]
@@ -428,10 +431,52 @@ class TestTateCharpoly:
         sdiv = s_divisor_data(layer)
         counts = [count_points_splitting(layer, i) for i in range(1, 7)]
         z = zeta_numerator(counts, 2)
-        report = charpoly_theta_report(layer, tr, z, sdiv, k=12, M=12)
+        report = charpoly_theta_report(layer, tr, z, sdiv)
         assert report["exact_identity"]
         assert report["unit_certified"]
         assert report["pinned_discrepancy_matches"]
+
+
+def sigma_towers():
+    """(config, N) of the towers whose Sigma factors are checked against the
+    Z[G] product: q = 3, p = x^2+1 with Sigma = {x} and {x+1, x+2}; q = 2,
+    p = x^2+x+1 with Sigma = {x}; q = 2, p = x^3+x+1 with Sigma = {x, x+1}."""
+    def config(field, p, sigma):
+        p = FinitePlace(FqPoly(field, p))
+        return TowerConfig(field, FqPoly.one(field), p, default_s(FqPoly.one(field), p),
+                           frozenset(FinitePlace(FqPoly(field, v)) for v in sigma))
+
+    return [(config(F3, (1, 0, 1), [(0, 1)]), 2),
+            (config(F3, (1, 0, 1), [(1, 1), (2, 1)]), 2),
+            (config(F2, (1, 1, 1), [(0, 1)]), 2),
+            (config(F2, (1, 1, 0, 1), [(0, 1), (1, 1)]), 1)]
+
+
+SIGMA_LAYERS = [(cfg, n) for cfg, N in sigma_towers() for n in range(N + 1)]
+SIGMA_IDS = [f"q{cfg.field.q}-{len(cfg.sigma)}sigma-n{n}" for cfg, n in SIGMA_LAYERS]
+
+
+class TestSigmaFactor:
+    """The Sigma factor at u = 1, formed in Z/p^k[G], and its norm, read off
+    the orders of the Sigma Frobenii, against the product in Z[G][u] and its
+    norm over every character (zpk_reference)."""
+
+    @pytest.mark.parametrize("cfg, n", SIGMA_LAYERS, ids=SIGMA_IDS)
+    def test_against_the_group_ring_product(self, cfg, n):
+        layer = build_layer(cfg, n)
+        ring = ZpkGroupRing(cfg.char, 24, layer.group)
+        coeffs = reference_sigma_factor_poly(layer)
+        at_one = sum(coeffs[1:], coeffs[0])
+        assert sigma_factor_at_one(layer, ring) == \
+            ring.from_group_ring(GroupRingElem.from_mapping(layer.group, at_one.coeffs))
+        assert sigma_factor_norm(layer) == reference_sigma_factor_norm(layer)
+
+    def test_frobenius_orders_above_one_are_covered(self):
+        # so the comparison above tells f_v from 1 and from |G|
+        layers = [build_layer(cfg, n) for cfg, n in SIGMA_LAYERS]
+        orders = {(layer.group.element_order(layer.frobenius(v)), layer.group.order)
+                  for layer in layers for v in layer.sigma}
+        assert any(1 < f < size for f, size in orders)
 
 
 class TestHypotheses:

@@ -16,6 +16,7 @@ from ctower.grouprings import (
     ThetaPoly,
     ZpkGroupRing,
     _lifted_cyclotomic_factors,
+    character_norm,
     characters,
     chi_component,
     chi_component_ring,
@@ -37,9 +38,12 @@ from zpk_reference import (
     ReferenceZpkGroupRing,
     ReferenceZpkRing,
     reference_cofactor_det,
+    reference_cyclotomic_reduce,
     reference_det,
     reference_fitting_generators,
     reference_mult_matrix_rows,
+    reference_poly_reduce,
+    reference_product,
 )
 
 C4 = AbelianGroup((4,))
@@ -71,6 +75,33 @@ class TestCyclotomic:
         for j in range(4):
             acc = ring.add(acc, ring.zeta_pow(j))
         assert ring.is_zero(acc)
+
+
+    def test_reduce_beyond_the_table(self):
+        # x^4 = 1 mod x^2 + 1; the table of x^j stopped at j = 3
+        assert CyclotomicRing(4).reduce([0, 0, 0, 0, 1]) == (1, 0)
+        with pytest.raises(KeyError):
+            reference_cyclotomic_reduce(4, [0, 0, 0, 0, 1])
+
+    @pytest.mark.parametrize("n", [4, 12, 36, 48, 64, 96, 192, 960])
+    def test_reduce_and_mul_against_the_table(self, n):
+        ring = CyclotomicRing(n)
+        deg = ring.degree
+        rng = random.Random(n)
+
+        def coeff():
+            return rng.choice((0, 0, 1, -1, rng.randrange(-10 ** 6, 10 ** 6)))
+
+        # vectors up to the table's reach, max(2 deg - 1, n) entries
+        for _ in range(200 if n < 960 else 40):
+            vec = [coeff() for _ in range(rng.randrange(max(2 * deg - 1, n) + 1))]
+            assert ring.reduce(vec) == reference_cyclotomic_reduce(n, vec)
+            a, b = (tuple(coeff() for _ in range(deg)) for _ in range(2))
+            out = [0] * (2 * deg - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            assert ring.mul(a, b) == reference_cyclotomic_reduce(n, out)
 
 
 class TestCharacters:
@@ -149,7 +180,7 @@ class TestGroupRing:
         for _ in range(10):
             a = GroupRingElem.from_mapping(C4, {(i,): rng.randrange(-5, 6) for i in range(4)})
             b = GroupRingElem.from_mapping(C4, {(i,): rng.randrange(-5, 6) for i in range(4)})
-            assert (a * b).augmentation() == a.augmentation() * b.augmentation()
+            assert reference_product(a, b).augmentation() == a.augmentation() * b.augmentation()
             assert (a + b).augmentation() == a.augmentation() + b.augmentation()
 
     def test_apply_character_is_ring_hom(self):
@@ -161,14 +192,15 @@ class TestGroupRing:
             a = GroupRingElem.from_mapping(C4, {(i,): rng.randrange(-3, 4) for i in range(4)})
             b = GroupRingElem.from_mapping(C4, {(i,): rng.randrange(-3, 4) for i in range(4)})
             assert chi.ring.mul(a.apply_character(chi), b.apply_character(chi)) == \
-                (a * b).apply_character(chi)
+                reference_product(a, b).apply_character(chi)
         assert GroupRingElem.one(C4).apply_character(chi) == ring.one
 
     def test_theta_poly_norm(self):
         # norm of (1 - g u) over C2 = (1-u)(1+u) = 1 - u^2
         g = GroupRingElem.from_mapping(C2, {(1,): 1})
         tp = ThetaPoly(C2, [GroupRingElem.one(C2), -g])
-        assert tp.norm_poly() == [1, 0, -1]
+        values = [tp.apply_character(chi) for chi in characters(C2)]
+        assert character_norm(C2, values) == [1, 0, -1]
 
     def test_evaluate_at_one(self):
         tp = ThetaPoly(C2, [GroupRingElem.one(C2), GroupRingElem.from_mapping(C2, {(1,): 1})])
@@ -208,7 +240,7 @@ class TestChiComponent:
             b = GroupRingElem.from_mapping(big, {k: rng.randrange(9) for k in big.elements()})
             pa = chi_component(a, chi, ring, (0,), (1,))
             pb = chi_component(b, chi, ring, (0,), (1,))
-            pab = chi_component(a * b, chi, ring, (0,), (1,))
+            pab = chi_component(reference_product(a, b), chi, ring, (0,), (1,))
             assert ring.equal(ring.mul(pa, pb), pab)
 
     def test_components_jointly_injective(self):
@@ -257,7 +289,7 @@ class TestChiComponent:
         ring_t = chi_component_ring(triv, p, k, AbelianGroup(()))
         ring_n = chi_component_ring(nontriv, p, k, AbelianGroup(()))
         x = GroupRingElem.from_mapping(big, {(0,): 5, (1,): 7, (2,): 1, (3,): 2})
-        ex = e * x
+        ex = reference_product(e, x)
         assert ring_t.equal(chi_component(ex, triv, ring_t, (0,), ()),
                             chi_component(x, triv, ring_t, (0,), ()))
         assert ring_n.equal(chi_component(ex, nontriv, ring_n, (0,), ()), ring_n.zero)
@@ -678,6 +710,21 @@ class TestTranslateRows:
         assert degrees == {1, 2, 3, 4, 6}
 
 
+class TestPolyGroupRingReduce:
+    """PolyGroupRing._reduce, a call of zpoly.div_rem mod p^k, against the
+    loop it replaced, on vectors up to three times deg h."""
+
+    def test_against_the_loop(self):
+        rng = random.Random(43)
+        for ring in TestTranslateRows._rings():
+            if isinstance(ring, PolyGroupRing):
+                bound = ring.pk ** 2
+                for _ in range(20):
+                    size = rng.randrange(3 * ring.deg + 2)
+                    vec = [rng.randrange(-bound, bound) for _ in range(size)]
+                    assert ring._reduce(vec) == reference_poly_reduce(vec, ring.h, ring.pk)
+
+
 class TestDeterminant:
     """ZpkGroupRing.det, by Kronecker substitution, against the two past
     determinants: reference_det on the dict-keyed ring, which shares no code
@@ -789,6 +836,7 @@ class TestGroupRingElemReference:
         rng = random.Random(sum(orders) * 17 + len(orders))
         xs = list(self._elements(rng, group))
         chars = characters(group)
+        ring = ZpkGroupRing(7, 3, group)
         for x in xs:
             rx = as_reference(x)
             assert as_reference(GroupRingElem.from_mapping(group, rx.coeffs)) == rx
@@ -796,11 +844,9 @@ class TestGroupRingElemReference:
             ry = as_reference(y)
             assert as_reference(x + y) == rx + ry
             assert as_reference(x - y) == rx - ry
-            assert as_reference(x * y) == rx * ry
+            assert ring.mul(ring.from_group_ring(x), ring.from_group_ring(y)) == \
+                ring.from_group_ring(GroupRingElem.from_mapping(group, (rx * ry).coeffs))
             assert as_reference(-x) == -rx
-            c = rng.choice((0, 1, -1, 7, rng.randrange(-100, 100)))
-            assert as_reference(x.scale(c)) == rx.scale(c)
-            assert as_reference(x * c) == rx * c
             assert x.augmentation() == rx.augmentation()
             for chi in chars:
                 assert x.apply_character(chi) == rx.apply_character(chi)

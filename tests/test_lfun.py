@@ -273,9 +273,8 @@ class TestFlagshipThetaQ2:
         layer = build_layer(cfg, 0)
         special = theta(layer).special_value()
         # norm over characters: 2 * 7 = 14
-        tpn = special
-        from ctower.grouprings import ThetaPoly
-        norm = ThetaPoly(layer.group, [tpn]).norm_poly()
+        norm = character_norm(layer.group, [[special.apply_character(chi)]
+                                            for chi in characters(layer.group)])
         assert norm == [14]
 
     def test_layer1(self):
@@ -502,7 +501,7 @@ class TestSigmaUnit:
         cfg = make_cfg()
         layer = build_layer(cfg, 0)
         v = sorted(cfg.sigma, key=lambda v: v.gen.sort_key())[0]
-        w = sigma_factor_unit(layer, v, k=6, M=6)
+        w = sigma_factor_unit(layer, v)
         assert isinstance(w, SigmaUnitWitness)
         assert w.verified
 
@@ -511,7 +510,7 @@ class TestSigmaUnit:
         cfg = flagship_q3()
         layer = build_layer(cfg, 0)
         v = sorted(cfg.sigma, key=lambda v: v.gen.sort_key())[0]
-        w = sigma_factor_unit(layer, v, k=6, M=6)
+        w = sigma_factor_unit(layer, v)
         ring = ZpkGroupRing(cfg.char, 6, layer.group)
         # block g of the inverse holds its coefficients of g at u^0, ..., u^5
         assert w.inverse[::6] == ring.from_mapping({layer.group.identity: 1})
@@ -533,7 +532,7 @@ class TestSigmaUnit:
 
         monkeypatch.setattr(grouprings.PolyGroupRing, "mult_rows", counting)
         for v in cfg.sigma:
-            w = sigma_factor_unit(layer, v, k=6, M=6)
+            w = sigma_factor_unit(layer, v)
             assert calls == [] and w.verified
             ref = ReferenceTruncPolyRing(ZpkGroupRing(cfg.char, 6, layer.group), 6)
             inv = reference_invert_one_plus_nilpotent_u(ref, ref.from_group_major(w.element),
@@ -544,7 +543,7 @@ class TestSigmaUnit:
         cfg = flagship_q3()
         layer = build_layer(cfg, 0)
         with pytest.raises(ValueError):
-            sigma_factor_unit(layer, cfg.p_place, k=6, M=6)
+            sigma_factor_unit(layer, cfg.p_place)
 
 
 def reference_factors_through(layer, chi, m_prime):
@@ -732,8 +731,11 @@ class TestCharacterTable:
     def test_norm_from_table(self, flagship_thetas):
         for key in ((3, 0), (2, 0), (2, 1)):
             layer, tr = flagship_thetas[key]
+            # against every character evaluated on the dict-keyed Theta
+            ref = [ReferenceGroupRingElem(layer.group, dict(c.items())) for c in tr.theta.coeffs]
             assert character_norm(layer.group, tr.chi_theta_table().values()) == \
-                tr.theta.norm_poly()
+                character_norm(layer.group, [[c.apply_character(chi) for c in ref]
+                                             for chi in characters(layer.group)])
 
     def test_order_of_vanishing_table(self, flagship_thetas):
         layer, tr = flagship_thetas[2, 2]

@@ -42,6 +42,7 @@ from ctower.snf import zpk_cokernel_exponents, zpk_kernel
 from zpk_reference import (
     ReferenceZpkGroupRing,
     reference_coherent_extra,
+    reference_product,
     reference_quotient_exponents,
     triangular_exponents,
 )
@@ -84,29 +85,29 @@ class TestRunTower:
         assert run.all_passed
 
     def test_n0_degenerate(self):
-        run = run_tower(flagship_q2(), 0, RunOptions(geometry=False))
+        run = run_tower(flagship_q2(), 0, RunOptions())
         assert run.all_passed
         assert not [v for v in run.verdicts if v["name"] == "functoriality"]
 
     def test_verdicts_deterministic(self):
         cfg = flagship_q3()
-        r1 = run_tower(cfg, 0, RunOptions(geometry=False))
-        r2 = run_tower(cfg, 0, RunOptions(geometry=False))
+        r1 = run_tower(cfg, 0, RunOptions())
+        r2 = run_tower(cfg, 0, RunOptions())
         assert r1.to_json() == r2.to_json()
 
     def test_summary_lines(self):
-        run = run_tower(flagship_q2(), 0, RunOptions(geometry=False))
+        run = run_tower(flagship_q2(), 0, RunOptions())
         lines = run.summary_lines()
         assert lines and all(line.startswith("[PASS]") for line in lines)
 
 
 class TestComputedOnce:
-    """A tower run computes shared work once: theta is the only caller of the
-    character evaluator, and each non-unit Delta-block of a layer's Theta(1)
-    is eliminated once."""
+    """A tower run computes shared work once: theta and the layer-0 charpoly
+    norm are the only callers of the character evaluator, and each non-unit
+    Delta-block of a layer's Theta(1) is eliminated once."""
 
     def test_verdicts_read_the_table(self, monkeypatch):
-        calls = {"theta": 0, "ordvan": 0, "elsewhere": 0}
+        calls = {"theta": 0, "ordvan": 0, "charpoly": 0, "elsewhere": 0}
         where = []
         evaluate = GroupRingElem.apply_character
 
@@ -125,6 +126,8 @@ class TestComputedOnce:
 
         monkeypatch.setattr(GroupRingElem, "apply_character", counted_evaluate)
         monkeypatch.setattr(tower, "theta", inside("theta", tower.theta))
+        monkeypatch.setattr(tower, "charpoly_theta_report",
+                            inside("charpoly", tower.charpoly_theta_report))
         ordvan_calls = []
         check = inside("ordvan", lfun.order_of_vanishing_check)
 
@@ -133,7 +136,7 @@ class TestComputedOnce:
             return check(layer, tr, chi)
 
         monkeypatch.setattr(lfun, "order_of_vanishing_check", counted_ordvan)
-        run = run_tower(flagship_q2(), 2, RunOptions(geometry=False))
+        run = run_tower(flagship_q2(), 2, RunOptions())
         assert run.all_passed
         # one check per non-trivial rational orbit of |G| = 3, 12, 48 (2, 8
         # and 20 orbits); neither the checks nor the chi(Theta(1)) loop of
@@ -142,9 +145,11 @@ class TestComputedOnce:
         assert len(set(ordvan_calls)) == len(ordvan_calls)
         assert calls["ordvan"] == calls["elsewhere"] == 0
         # theta evaluates each orbit rep on each coefficient of Theta, and
-        # every character once more for the per-character product at |G| = 3
+        # every character once more for the per-character product at |G| = 3;
+        # the charpoly norm evaluates every character of layer 0 once
         sizes = [len(tr.theta.coeffs) for tr in run.theta_results]
         assert calls["theta"] == 2 * sizes[0] + 8 * sizes[1] + 20 * sizes[2] + 3 * sizes[0]
+        assert calls["charpoly"] == 3 * sizes[0]
 
     def test_smith_only_for_kernels(self, monkeypatch):
         # U and V are built for kernels alone: every exponent, order, unit and
@@ -260,7 +265,7 @@ class TestComputedOnce:
             return bound(layer, chi)
 
         monkeypatch.setattr(lfun, "per_character_degree_bound", counted_bound)
-        run = run_tower(flagship_q2(), 2, RunOptions(geometry=False))
+        run = run_tower(flagship_q2(), 2, RunOptions())
         assert run.all_passed
         assert counts == {0: 2, 1: 8, 2: 20}
         assert counts == {tr.layer.n: len(tr.chi_theta) for tr in run.theta_results}
@@ -436,9 +441,11 @@ class TestModuleReference:
         yield GroupRingElem.zero(group)
         for _ in range(6):
             yield dense()
-            yield dense().scale(p ** rng.randrange(1, k + 1))
+            c = p ** rng.randrange(1, k + 1)
+            yield GroupRingElem(group, [c * v for v in dense().coeffs])
             g = rng.choice(elems)
-            yield (GroupRingElem.one(group) - GroupRingElem.from_mapping(group, {g: 1})) * dense()
+            one_minus_g = GroupRingElem.one(group) - GroupRingElem.from_mapping(group, {g: 1})
+            yield reference_product(one_minus_g, dense())
             yield GroupRingElem.from_mapping(group, {h: rng.choice((0, 0, 1, p, p * p)) for h in elems})
         yield GroupRingElem.from_mapping(group, {h: 1 for h in elems})  # the norm element
 
@@ -610,7 +617,7 @@ class TestCoherentNzd:
     def test_extra_matches_the_enumeration(self):
         # the 20 battery systems, three whose limit ideal is larger than
         # alpha_T R_T, and a system of one ring
-        _, n, draw, _, _ = tower.battery_sections(0, 20)[4]
+        _, n, draw, _, _ = tower.battery_sections(0)[4]
         c2 = AbelianGroup((2,))
         params = [draw(None, i)[:4] for i in range(n)] + [
             (3, [2, 3], c2, {(0,): 1, (1,): 1}),
@@ -782,7 +789,7 @@ class TestDrainBattery:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_split_keeps_transcript_and_verdicts(self, seed, split, monkeypatch):
         log = record_battery_calls(monkeypatch)
-        sections = tower.battery_sections(200, 20)
+        sections = tower.battery_sections(200)
         chunks = tower.battery_chunks(sections)
         per_chunk = {}
         drains = []
@@ -812,7 +819,7 @@ class TestDrainBattery:
 
     @pytest.mark.parametrize("cases", [0, 1, 5, 200, 4000])
     def test_chunk_plan_covers_every_case_once(self, cases):
-        sections = tower.battery_sections(cases, 20)
+        sections = tower.battery_sections(cases)
         chunks = tower.battery_chunks(sections)
         assert len(chunks) <= tower.MAX_CHUNKS
         for s, (_, n, _, _, _) in enumerate(sections):
@@ -822,7 +829,7 @@ class TestDrainBattery:
         assert [s for s, _, _ in chunks] == sorted(s for s, _, _ in chunks)
 
     def test_claims_move_forward_only(self):
-        sections = tower.battery_sections(5, 20)
+        sections = tower.battery_sections(5)
         chunks = tower.battery_chunks(sections)
         claims = iter([3, 2])
         with pytest.raises(RuntimeError, match="claimed after"):
@@ -832,7 +839,7 @@ class TestDrainBattery:
         """The sections of the 5-case battery with the check (and the draw)
         of one section replaced, and their drains, one per list of claimed
         chunks that splits(chunk plan) returns, run in turn."""
-        sections = tower.battery_sections(5, 20)
+        sections = tower.battery_sections(5)
         name, n, old_draw, _, details = sections[section]
         sections[section] = (name, n, draw or old_draw, check, details)
         chunks = tower.battery_chunks(sections)

@@ -24,10 +24,20 @@ Two past forms of ZpkGroupRing.det are the oracles of its Kronecker
 substitution.  reference_det is the generic cofactor expansion along the
 first row, every product and sum a reduced ring operation: det as it stood
 before Z/p^k[G] read its minors off the index table.  reference_cofactor_det
-is the index-table expansion, each cofactor product formed by _convolve and
-reduced once at the end: det as it stood before it added those products
+is the index-table expansion, each cofactor product formed by _convolve (the
+unreduced product of Z[G], as it stood before ZpkGroupRing.mul took it in)
+and reduced once at the end: det as it stood before it added those products
 into one list in place.  That in-place form, the last before the packed
 ints, formed the same unreduced sums, so it needs no oracle of its own.
+
+The two reductions that ran their own loops before zpoly.div_rem was the
+one division: reference_cyclotomic_reduce, CyclotomicRing.reduce by a table
+of x^j mod Phi_N that held only j <= max(2 deg - 2, N - 1), and
+reference_poly_reduce, PolyGroupRing._reduce mod (h, p^k).  And the Sigma
+factor as a product in Z[G][u], reference_sigma_factor_poly (formerly
+geometry.sigma_factor_poly, formed by the products of Z[G] and of
+ThetaPoly), with reference_sigma_factor_norm, its norm over every character
+(formerly ThetaPoly.norm_poly).
 
 Then the finite rings as they stood before every one was a flat coefficient
 list: ReferenceZpkRing, Z/p^k with int elements, and ReferenceTruncPolyRing,
@@ -42,10 +52,19 @@ Smith exponents.
 """
 
 import itertools as it
+from functools import lru_cache
 
 from ctower.abelian import AbelianGroup
 from ctower.ffpoly import FqPoly
-from ctower.grouprings import Character, GroupRingElem, ZpkGroupRing, _convolve, mult_matrix
+from ctower.grouprings import (
+    Character,
+    GroupRingElem,
+    ZpkGroupRing,
+    character_norm,
+    characters,
+    cyclotomic_polynomial,
+    mult_matrix,
+)
 from ctower.lfun import euler_factors
 from ctower.snf import _triangular, zpk_cokernel_exponents
 
@@ -198,6 +217,12 @@ class ReferenceGroupRingElem:
     def to_json(self):
         return {"group_orders": list(self.group.orders),
                 "coeffs": {",".join(map(str, k)): v for k, v in sorted(self.coeffs.items())}}
+
+
+def reference_product(a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
+    """a * b in Z[G] for flat elements, formed by ReferenceGroupRingElem."""
+    ra, rb = (ReferenceGroupRingElem(x.group, dict(x.items())) for x in (a, b))
+    return GroupRingElem.from_mapping(a.group, (ra * rb).coeffs)
 
 
 class ReferenceChiComponentRing:
@@ -467,6 +492,19 @@ def reference_det(ring, mat):
     return acc
 
 
+def _convolve(table, a, b):
+    """The unreduced product of two coefficient lists of one group, whose
+    mul_table is table."""
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            row = table[i]
+            for j, y in b_terms:
+                out[row[j]] += x * y
+    return out
+
+
 def reference_cofactor_det(ring, mat):
     """ZpkGroupRing.det as it stood before it added each cofactor's products
     straight into its accumulator: the cofactor expansion along the first
@@ -668,3 +706,76 @@ def reference_coherent_extra(sys) -> int:
         else:
             extra += vec not in ideals[-1]
     return extra
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_table(n: int):
+    """x^j mod Phi_n for degree <= j <= max(2 degree - 2, n - 1)."""
+    phi = cyclotomic_polynomial(n)
+    degree = len(phi) - 1
+    red = {}
+    # x^degree = -(phi minus leading)
+    base = [-c for c in phi[:-1]]
+    red[degree] = base
+    top_needed = max(2 * degree - 2, n - 1)
+    for j in range(degree + 1, top_needed + 1):
+        prev = red[j - 1]
+        shifted = [0] + prev[:-1]
+        top = prev[-1]
+        red[j] = [s + top * b for s, b in zip(shifted, base)]
+    return degree, red
+
+
+def reference_cyclotomic_reduce(n: int, vec):
+    """vec mod Phi_n by the table: KeyError for an entry of degree above
+    max(2 deg - 2, n - 1)."""
+    degree, red = _cyclotomic_table(n)
+    vec = list(vec)
+    for j in range(len(vec) - 1, degree - 1, -1):
+        c = vec[j]
+        if c:
+            for i, r in enumerate(red[j]):
+                vec[i] += c * r
+        vec.pop()
+    vec.extend([0] * (degree - len(vec)))
+    return tuple(vec)
+
+
+def reference_poly_reduce(vec, h, pk):
+    """The polynomial vec (ascending, any length) mod (h, pk), h monic with
+    coefficients in [0, pk), as a block of deg h coefficients."""
+    vec = list(vec)
+    d = len(h) - 1
+    for j in range(len(vec) - 1, d - 1, -1):
+        c = vec[j]
+        if c:
+            for i in range(d + 1):
+                vec[j - d + i] -= c * h[i]
+    vec.extend([0] * (d - len(vec)))
+    return [v % pk for v in vec[:d]]
+
+
+def reference_sigma_factor_poly(layer) -> list:
+    """prod_{v in Sigma} (1 - sigma_v^{-1} (qu)^{d_v}) in Z[G][u]: the list of
+    its ReferenceGroupRingElem coefficients, ascending in u."""
+    group = layer.group
+    q = layer.field.q
+    one, zero = ReferenceGroupRingElem.one(group), ReferenceGroupRingElem.zero(group)
+    acc = [one]
+    for v in sorted(layer.sigma, key=lambda v: v.gen.sort_key()):
+        sigma_inv = group.inv(layer.frobenius(v))
+        factor = [one] + [zero] * (v.degree - 1) + \
+            [ReferenceGroupRingElem(group, {sigma_inv: -(q ** v.degree)})]
+        out = [zero] * (len(acc) + len(factor) - 1)
+        for i, a in enumerate(acc):
+            for j, b in enumerate(factor):
+                out[i + j] = out[i + j] + a * b
+        acc = out
+    return acc
+
+
+def reference_sigma_factor_norm(layer) -> list:
+    """prod over every character chi of chi(Sigma factor)(u), in Z[u]."""
+    coeffs = reference_sigma_factor_poly(layer)
+    return character_norm(layer.group, [[c.apply_character(chi) for c in coeffs]
+                                        for chi in characters(layer.group)])
