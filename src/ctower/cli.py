@@ -209,7 +209,7 @@ def cmd_lpoly(args):
     if layer is None:
         layer = build_layer(cfg, args.n)
     tr = theta_op(layer, D=args.degree)
-    chi_theta = tr.chi_theta_table()
+    chi_theta = tr.chi_theta_table
     table = []
     for chi in characters(layer.group):
         coeffs = chi_theta[chi.exps]
@@ -336,8 +336,9 @@ class _BatteryWorker:
     The chunk plan of tower.battery_chunks is written as one byte per chunk
     into a pipe before the fork, and its write end is closed, so the pipe is
     the queue: each process claims the next chunk with a one-byte os.read
-    and stops at end of file.  The worker drains from the start; the parent
-    drains what is left when it asks for the verdicts, and
+    and stops at end of file.  Each chunk draws from its own seeded stream,
+    so neither process draws for the other.  The worker drains from the
+    start; the parent drains what is left when it asks for the verdicts, and
     tower.battery_verdicts merges its per-section first failures with the
     ones the worker sends back by marshal over a second pipe: a failing
     case, a check that returns False or raises, is a failed verdict, and the

@@ -631,7 +631,7 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
     k, M = CHARPOLY_PRECISION
     p, q = layer.field.p, layer.field.q
     Q = tate_charpoly(layer, zeta, sdiv)
-    R = character_norm(layer.group, theta_result.chi_theta_table().values())
+    R = character_norm(layer.group, theta_result.chi_theta_table.values())
     NS = sigma_factor_norm(layer)
 
     exact = zpoly.mul(R, [1, -q]) == zpoly.mul(Q, NS)

@@ -6,7 +6,7 @@ certificates.
 GroupRingElem.apply_character is the one evaluator of a character on Z[G]: it
 sums the coefficients by log value and reduces mod Phi_N once.  For Theta it
 is called by lfun.theta, once per rational character orbit (rational_orbits),
-and by ThetaResult.chi_theta_table on every character, which only the
+and by ThetaResult.chi_theta_table once on every character, which only the
 per-character product, the norm of Theta in the charpoly verdict
 (character_norm) and `ctower lpoly` read; the other verdicts read the
 per-orbit table.

@@ -17,10 +17,10 @@ theta evaluates chi(Theta) once per rational character orbit
 sigma_a(chi(Theta)) and ker chi^a = ker chi, so the conductor, the split
 count, the degree of chi(Theta), its vanishing order at u = 1 and whether
 chi(Theta(1)) = 0 are read once per orbit, and listed for every character.
-ThetaResult.chi_theta_table evaluates every character directly, for the
-per-character Euler-product cross-check, the norm of Theta in the charpoly
-verdict (geometry) and `ctower lpoly`.  No Z[G] product is formed: the Euler
-series multiplies by group elements, along rows of mul_table.
+ThetaResult.chi_theta_table evaluates every character directly, once, for
+the per-character Euler-product cross-check, the norm of Theta in the
+charpoly verdict (geometry) and `ctower lpoly`.  No Z[G] product is formed:
+the Euler series multiplies by group elements, along rows of mul_table.
 
 sigma_factor_unit certifies each Sigma factor a unit of Z/p^k[u]/(u^M)[G]
 (grouprings.PolyGroupRing with h = u^M), at the pinned precision
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools as it
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from . import zpoly
 from .ffpoly import FqPoly, INFINITY, is_infinite, irreducibles_of_degree
@@ -151,6 +152,7 @@ class ThetaResult:
     def special_value(self) -> GroupRingElem:
         return self.theta.evaluate_at_one()
 
+    @cached_property
     def chi_theta_table(self) -> dict:
         """chi.exps -> chi(Theta)(u) for every character, in characters(group)
         order, each evaluated on Theta, not conjugated from its orbit rep."""
@@ -390,7 +392,7 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
             raise ArithmeticError("symbolic trivial-character component disagrees "
                                   f"at u^{_first_difference(sym, triv)}")
         if group.order <= PER_CHARACTER_PRODUCT_MAX_ORDER:
-            table = tr.chi_theta_table()
+            table = tr.chi_theta_table
             bad = next((chi for chi in chars if per_character_euler_product(layer, chi, D)
                         != table[chi.exps]), None)
             checks["per_character_product_equal"] = bad is None

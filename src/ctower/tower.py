@@ -457,11 +457,11 @@ def zpk_chain_system(p: int, ks, alpha,
 # ---------------------------------------------------------------------------
 #
 # The battery is a list of sections (name, n, draw, check, details): case i
-# of a section draws its inputs with draw(rng, i) from the one seeded stream
-# shared by all sections, in section and case order, and check(inputs) is a
-# pure function of them.  The checks call fitting_ideal, ideal_equal, is_unit
-# and module_order_exponent through this module's globals, so whatever
-# rebinds those names here sees every call.
+# of a section draws its inputs with draw(rng, i) from the seeded stream of
+# its chunk (drain_battery), and check(inputs) is a pure function of them.
+# The checks call fitting_ideal, ideal_equal, is_unit and
+# module_order_exponent through this module's globals, so whatever rebinds
+# those names here sees every call.
 
 MAX_CHUNKS = 255  # one byte per chunk token
 
@@ -673,37 +673,33 @@ def battery_chunks(sections) -> list:
 
 
 def drain_battery(seed: int, sections, chunks, claim) -> list:
-    """Run every chunk that claim() hands out until it returns None, and
-    return each section's first failing case here: (case index, error) or
-    None when every case run here passed.
+    """Run every chunk that claim() hands out, in any order, until it
+    returns None, and return each section's lowest failing case here:
+    (case index, error) or None when every case run here passed.
 
     A case fails when its check returns False or raises an ArithmeticError
     or a ValueError, whose "Type: message" is the error (None otherwise).
-    Claims must increase.  The seeded stream moves forward only: the draws
-    of the chunks between two claims (the ones another process took) are
-    replayed and dropped.  A section's checks stop at its first failure.
+    Chunk c draws its cases in order from its own stream, seeded with
+    seed * MAX_CHUNKS + c (distinct for each seed >= 0 as c < MAX_CHUNKS).
+    Cases above a section's lowest failure so far are not run.
     """
-    rng = random.Random(seed)
     failures = [None] * len(sections)
-    done = 0  # chunks whose draws the stream has passed
     while (c := claim()) is not None:
-        if c < done:
-            raise RuntimeError(f"chunk {c} claimed after chunk {done - 1}")
-        for s, start, stop in chunks[done:c]:
-            draw = sections[s][2]
-            for i in range(start, stop):
-                draw(rng, i)
         s, start, stop = chunks[c]
         _, _, draw, check, _ = sections[s]
+        if failures[s] is not None:
+            stop = min(stop, failures[s][0])
+        rng = random.Random(seed * MAX_CHUNKS + c)
         for i in range(start, stop):
             inputs = draw(rng, i)
-            if failures[s] is None:
-                try:
-                    if not check(inputs):
-                        failures[s] = (i, None)
-                except (ArithmeticError, ValueError) as exc:
-                    failures[s] = (i, f"{type(exc).__name__}: {exc}")
-        done = c + 1
+            try:
+                if check(inputs):
+                    continue
+                error = None
+            except (ArithmeticError, ValueError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            failures[s] = (i, error)
+            break
     return failures
 
 
@@ -728,7 +724,8 @@ def algebra_suite(seed: int = 0, cases: int = 200) -> list:
     """The Fitting-ideal / lifting / coherence / sharp property battery in
     this process: the drain of every chunk in order.
 
-    Every check is exact; randomness is seeded for reproducibility.  Returns
+    Every check is exact; each chunk's stream is seeded from (seed, chunk),
+    so any split of the chunks between drains gives these verdicts.  Returns
     a verdict list shaped like TowerRun verdicts.
     """
     sections = battery_sections(cases)

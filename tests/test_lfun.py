@@ -665,7 +665,7 @@ class TestCharacterEvaluatorReference:
 
     def test_every_theta_coefficient(self, flagship_thetas):
         for layer, tr in flagship_thetas.values():
-            table = tr.chi_theta_table()
+            table = tr.chi_theta_table
             for chi in characters(layer.group):
                 ref = [reference_apply_character(c, chi) for c in tr.theta.coeffs]
                 assert [c.apply_character(chi) for c in tr.theta.coeffs] == ref
@@ -704,7 +704,7 @@ class TestCharacterTable:
         for key in ((2, 1), (2, 2), (2, 3), (3, 1)):
             layer, tr = flagship_thetas[key]
             assert layer.group.order > PER_CHARACTER_PRODUCT_MAX_ORDER
-            table = tr.chi_theta_table()
+            table = tr.chi_theta_table
             for chi in characters(layer.group):
                 assert per_character_euler_product(layer, chi, tr.D) == table[chi.exps]
 
@@ -717,7 +717,7 @@ class TestCharacterTable:
             assert len(reps) == ORBIT_COUNTS[layer.field.q, layer.n]
             assert "chi_theta" not in tr.to_json()
             special = tr.special_value()
-            table = tr.chi_theta_table()
+            table = tr.chi_theta_table
             assert list(table) == [chi.exps for chi in chars]
             for chi in chars:
                 at_one = chi.ring.zero
@@ -733,7 +733,7 @@ class TestCharacterTable:
             layer, tr = flagship_thetas[key]
             # against every character evaluated on the dict-keyed Theta
             ref = [ReferenceGroupRingElem(layer.group, dict(c.items())) for c in tr.theta.coeffs]
-            assert character_norm(layer.group, tr.chi_theta_table().values()) == \
+            assert character_norm(layer.group, tr.chi_theta_table.values()) == \
                 character_norm(layer.group, [[c.apply_character(chi) for c in ref]
                                              for chi in characters(layer.group)])
 

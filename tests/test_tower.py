@@ -102,9 +102,10 @@ class TestRunTower:
 
 
 class TestComputedOnce:
-    """A tower run computes shared work once: theta and the layer-0 charpoly
-    norm are the only callers of the character evaluator, and each non-unit
-    Delta-block of a layer's Theta(1) is eliminated once."""
+    """A tower run computes shared work once: theta is the only caller of
+    the character evaluator (the layer-0 charpoly norm reads the table it
+    kept), and each non-unit Delta-block of a layer's Theta(1) is
+    eliminated once."""
 
     def test_verdicts_read_the_table(self, monkeypatch):
         calls = {"theta": 0, "ordvan": 0, "charpoly": 0, "elsewhere": 0}
@@ -146,10 +147,10 @@ class TestComputedOnce:
         assert calls["ordvan"] == calls["elsewhere"] == 0
         # theta evaluates each orbit rep on each coefficient of Theta, and
         # every character once more for the per-character product at |G| = 3;
-        # the charpoly norm evaluates every character of layer 0 once
+        # the layer-0 charpoly norm reads that table
         sizes = [len(tr.theta.coeffs) for tr in run.theta_results]
         assert calls["theta"] == 2 * sizes[0] + 8 * sizes[1] + 20 * sizes[2] + 3 * sizes[0]
-        assert calls["charpoly"] == 3 * sizes[0]
+        assert calls["charpoly"] == 0
 
     def test_smith_only_for_kernels(self, monkeypatch):
         # U and V are built for kernels alone: every exponent, order, unit and
@@ -682,11 +683,12 @@ class TestSharpProjection:
 
 
 class TestAlgebraSuiteReference:
-    """algebra_suite on the flat ring draws the same random elements and
-    reaches the same verdicts as on the dict-keyed ring: the verdict list,
-    and every ideal_equal, is_unit and module_order_exponent call with its
-    arguments as coefficient vectors and its result, match what the
-    dict-keyed code produced (pinned below)."""
+    """The battery's checks on the flat ring, fed the draws of one seeded
+    stream in section and case order, make the calls of the dict-keyed
+    ring: every ideal_equal, is_unit and module_order_exponent call with its
+    arguments as coefficient vectors and its result matches what the
+    dict-keyed code produced (pinned below).  algebra_suite, which draws
+    each chunk from its own stream, passes every section."""
 
     VERDICTS = [
         {"name": "fitting_presentation_invariance", "cases": 200, "ring": "Z/3^6[G[4]]"},
@@ -716,11 +718,15 @@ class TestAlgebraSuiteReference:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_same_draws_and_verdicts(self, seed, monkeypatch):
-        log = record_battery_calls(monkeypatch)
-        verdicts = tower.algebra_suite(seed, cases=200)
         expected = [{"layer": None, "passed": True, "shadows": "exact algebra property", **v}
                     for v in self.VERDICTS]
-        assert verdicts == expected
+        assert tower.algebra_suite(seed, cases=200) == expected
+        # the dict-keyed battery drew every case from one random.Random(seed)
+        log = record_battery_calls(monkeypatch)
+        rng = random.Random(seed)
+        results = [check(draw(rng, i))
+                   for _, n, draw, check, _ in tower.battery_sections(200) for i in range(n)]
+        assert all(results)
         assert len(log) == 1143
         assert hashlib.sha256(json.dumps(log).encode()).hexdigest() == self.TRANSCRIPTS[seed]
 
@@ -775,20 +781,31 @@ def record_battery_calls(monkeypatch):
 
 
 class TestDrainBattery:
-    """Any split of the chunk plan between two drains draws the same inputs
-    and reaches the same verdicts as the battery in one process."""
+    """Any split of the chunk plan between two drains, in any claim order,
+    draws the same inputs and reaches the same verdicts as the battery in
+    one process: each chunk draws from its own seeded stream."""
 
     SPLITS = {
         "alternate": lambda n: [range(0, n, 2), range(1, n, 2)],
         "all_to_one": lambda n: [range(n), []],
         "one_then_rest": lambda n: [[0], range(1, n)],
         "last_to_second": lambda n: [range(n - 1), [n - 1]],
+        "descending": lambda n: [range(n - 1, -1, -2), range(n - 2, -1, -2)],
+    }
+    # sha256 of the ideal_equal, is_unit and module_order_exponent calls of
+    # the 200-case battery (record_battery_calls), in chunk order
+    TRANSCRIPTS = {
+        0: "2d3ff1dd11f0079ac166933f1a13542a1df14d3ff314b0ff0e0f3a2153379e94",
+        1: "77bdb10701d06969f6bfdf029a78110ebf0dd2fbef7719d94e05e1930ee4e82f",
     }
 
     @pytest.mark.parametrize("split", sorted(SPLITS))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_split_keeps_transcript_and_verdicts(self, seed, split, monkeypatch):
         log = record_battery_calls(monkeypatch)
+        verdicts = tower.algebra_suite(seed, cases=200)
+        reference = log[:]
+        del log[:]
         sections = tower.battery_sections(200)
         chunks = tower.battery_chunks(sections)
         per_chunk = {}
@@ -808,14 +825,14 @@ class TestDrainBattery:
             for (c, start), (_, stop) in zip(starts, starts[1:]):
                 per_chunk[c] = log[start:stop]
         transcript = [entry for c in sorted(per_chunk) for entry in per_chunk[c]]
-        ref = TestAlgebraSuiteReference
         assert drains == [[None] * len(sections)] * 2
-        assert tower.battery_verdicts(sections, *drains) == [
+        assert tower.battery_verdicts(sections, *drains) == verdicts == [
             {"layer": None, "passed": True, "shadows": "exact algebra property", **v}
-            for v in ref.VERDICTS]
+            for v in TestAlgebraSuiteReference.VERDICTS]
+        assert transcript == reference
         assert len(transcript) == 1143
         assert hashlib.sha256(json.dumps(transcript).encode()).hexdigest() == \
-            ref.TRANSCRIPTS[seed]
+            self.TRANSCRIPTS[seed]
 
     @pytest.mark.parametrize("cases", [0, 1, 5, 200, 4000])
     def test_chunk_plan_covers_every_case_once(self, cases):
@@ -828,12 +845,35 @@ class TestDrainBattery:
             assert all(start < stop for start, stop in ranges)
         assert [s for s, _, _ in chunks] == sorted(s for s, _, _ in chunks)
 
-    def test_claims_move_forward_only(self):
-        sections = tower.battery_sections(5)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_chunk_alone_draws_its_full_drain_inputs(self, seed):
+        # every check passes at once, and every draw is logged by chunk
+        drawn = []
+
+        def logged(draw):
+            def wrapped(rng, i):
+                inputs = draw(rng, i)
+                drawn.append((i, inputs))
+                return inputs
+            return wrapped
+
+        sections = [(name, n, logged(draw), lambda inputs: True, details)
+                    for name, n, draw, _, details in tower.battery_sections(200)]
         chunks = tower.battery_chunks(sections)
-        claims = iter([3, 2])
-        with pytest.raises(RuntimeError, match="claimed after"):
-            tower.drain_battery(0, sections, chunks, lambda: next(claims, None))
+        order, starts = iter(range(len(chunks))), []
+
+        def claim():
+            starts.append(len(drawn))
+            return next(order, None)
+
+        tower.drain_battery(seed, sections, chunks, claim)
+        full = [drawn[a:b] for a, b in zip(starts, starts[1:])]
+        assert len(full) == len(chunks)
+        for c in range(len(chunks)):
+            del drawn[:]
+            alone = iter([c])
+            tower.drain_battery(seed, sections, chunks, lambda: next(alone, None))
+            assert drawn == full[c]
 
     def _drains(self, section, check, splits, draw=None):
         """The sections of the 5-case battery with the check (and the draw)
@@ -876,6 +916,14 @@ class TestDrainBattery:
 
         with pytest.raises(TypeError, match="not a verdict"):
             self._drains(3, check, lambda chunks: [range(len(chunks))])
+
+    def test_descending_claims_report_the_lowest_failure(self):
+        # cases 1 and 3 of the lifting section fail; a drain that claims the
+        # chunks from the last down meets case 3 first, and reports case 1
+        sections, [drain] = self._drains(3, lambda i: i not in (1, 3),
+                                         lambda chunks: [range(len(chunks) - 1, -1, -1)],
+                                         draw=lambda rng, i: i)
+        assert drain == [None] * 3 + [(1, None)] + [None] * 3
 
     @pytest.mark.parametrize("mine, records", [
         ([1, 3], [(1, None), None]),
