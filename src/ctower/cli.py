@@ -299,7 +299,7 @@ def _load_config_file(path):
 
 def _verify_config(args):
     """(cfg, N, opts) from --config or the flags; a ValueError names a depth
-    N < 0 or a precision < 1."""
+    N < 0, a precision < 1 or a config file's seed < 0."""
     if args.config:
         blob = _load_config_file(args.config)
         field = parse_q(blob["q"])
@@ -312,6 +312,8 @@ def _verify_config(args):
             point_budget=blob.get("budget", DEFAULT_POINT_BUDGET),
             seed=blob.get("seed", 0),
         )
+        if opts.seed < 0:
+            raise ValueError(f"the config's seed must be >= 0, not {opts.seed}")
         if blob.get("sigma_alt"):
             opts.sigma_alt = parse_places(field, ",".join(blob["sigma_alt"]))
         N = blob.get("N", 1)
@@ -408,6 +410,8 @@ class _BatteryWorker:
 def cmd_verify(args):
     if args.cases < 0:
         raise ValueError(f"--cases must be >= 0, not {args.cases}")
+    if args.seed < 0:  # random.Random(n) seeds by |n|: chunk streams would alias
+        raise ValueError(f"--seed must be >= 0, not {args.seed}")
     if args.suite == "fitting":
         with _BatteryWorker(args.seed, args.cases) as battery:
             verdicts = battery.verdicts()

@@ -17,7 +17,7 @@ is asked of one matrix, mult_matrix(ring, rows), whose columns span the
 submodule of R^g that the rows generate, and is answered by snf: orders
 from its packed exponent pass, units and membership from its triangular
 elimination.  In every finite ring the matrix of multiplication by x
-(mult_rows) is read off the group's index table: column (g, i) is u^i x
+(mult_rows) is read off translation rows: column (g, i) is u^i x
 translated by g, u^i a basis element of a block, and no product is formed.
 
 Determinants over Z/p^k[G] (ZpkGroupRing.det, the minors of fitting_ideal)
@@ -48,16 +48,22 @@ itself is the group ring of the trivial group, one coefficient;
 Z/p^k[u]/(h)[G] (PolyGroupRing) holds |G| blocks of deg h coefficients.  The
 chi-components Z_p(chi)[P] and the truncated series Z/p^k[G][u]/(u^M) are
 both PolyGroupRings.
-Products read one index table per group (mul_table).  Z[G] has none of its
-own: its elements are added, projected and evaluated by characters, and
-lfun's Euler series multiplies them only by group elements, along one row
-of the table.  Products are formed in the finite rings (ZpkGroupRing.mul,
-PolyGroupRing.mul) and in CyclotomicRing.  Every reduction by a monic
-polynomial, mod Phi_N in CyclotomicRing and mod (h, p^k) in PolyGroupRing,
-is one call of zpoly.div_rem, the one division loop.  Exponent tuples
-appear only at the edges: GroupRingElem.from_mapping, GroupRingElem.items,
-to_json, characters() and the layer maps that project turns into index
-maps.
+The group law of this layout lives in one place, translation(group, g):
+the row j -> index of g elems[j], built in O(|G|) by mixed-radix digit
+addition, so no |G| x |G| table is built for a layer group.  Z[G] has no
+product of its own: its elements are added, projected and evaluated by
+characters, and lfun's Euler series multiplies them only by group
+elements, one translation row per Frobenius class.  Products are formed in
+the finite rings and in CyclotomicRing.  ZpkGroupRing, whose groups are
+small (the battery's and the layer-0 group), keeps the rows of every
+element; PolyGroupRing, which serves the layer groups, builds a row when a
+product or a matrix row needs it.  Every reduction of a product by a
+monic polynomial, mod Phi_N in CyclotomicRing and mod (h, p^k) in
+PolyGroupRing, is one call of zpoly.div_rem, the one division loop;
+PolyGroupRing.mult_rows multiplies by u in closed form, dividing nothing.
+Exponent tuples appear only at the edges: GroupRingElem.from_mapping,
+GroupRingElem.items, to_json, characters() and the layer maps that project
+turns into index maps.
 
 No floating point anywhere; every mod-p^k assertion carries its precision.
 """
@@ -255,29 +261,19 @@ def group_index(group: AbelianGroup):
     return elems, {e: i for i, e in enumerate(elems)}
 
 
-@lru_cache(maxsize=None)
-def mul_table(group: AbelianGroup):
-    """table[i][j] = index of elems[i] * elems[j], elems as in group_index.
-
-    That order is mixed radix with the first coordinate most significant, so
-    G = C_o x G' gives table[a*m + i][b*m + j] = ((a + b) % o) * m + T'[i][j]
-    with m = |G'| and T' the table of G'.
-    """
-    if not group.orders:
-        return ((0,),)
-    o = group.orders[0]
-    rest = mul_table(AbelianGroup(group.orders[1:]))
-    m = len(rest)
-    ids = list(range(o * m))  # one int object per index, shared by every row
-    rows = []
-    for a in range(o):
-        for sub in rest:
-            row = []
-            for b in range(o):
-                off = ((a + b) % o) * m
-                row.extend([ids[off + t] for t in sub])
-            rows.append(tuple(row))
-    return tuple(rows)
+def translation(group: AbelianGroup, g, sign: int = 1) -> list:
+    """row[j] = the index of g * elems[j]^sign, elems as in group_index: the
+    group law of the flat coefficient layout, one row in O(|G|).  sign = 1
+    is the translation by g; sign = -1 is row g of (t, h) -> t h^-1, the
+    index pattern of the multiplication matrices (mult_rows).  elems is
+    mixed radix with the last coordinate fastest, so the row is built from
+    the last coordinate out, one digit addition mod o per coordinate (Good,
+    JRSS B 20, 1958)."""
+    row, m = [0], 1
+    for o, a in zip(reversed(group.orders), reversed(g)):
+        row = [s + r for s in [(a + sign * b) % o * m for b in range(o)] for r in row]
+        m *= o
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -338,33 +334,6 @@ def _packed_det(m, n):
             term = x * _packed_det([y for i, y in enumerate(m[n:]) if i % n != j], n - 1)
             acc = acc - term if j % 2 else acc + term
     return acc
-
-
-@lru_cache(maxsize=None)
-def _translates(group: AbelianGroup) -> tuple:
-    """rows[t][g] = the index of elems[t] * elems[g]^-1, elems as in
-    group_index: mul_table(group) read at the inverses."""
-    table = mul_table(group)
-    neg = [row.index(0) for row in table]
-    return tuple([row[j] for j in neg] for row in table)
-
-
-def _translate_rows(group, x, d=1, times_u=None):
-    """The rows of the matrix of multiplication by x on a ring of |group|
-    blocks of d coefficients, block i the coefficient of the i-th group
-    element.  Column (g, i) is u^i x translated by g, u^i the i-th basis
-    element of a block (times_u(y) = u y), so entry ((t, s), (g, i)) is
-    coefficient s of block t g^-1 of u^i x."""
-    if d == 1:
-        return [[x[j] for j in row] for row in _translates(group)]
-    ys = [x]
-    for _ in range(d - 1):
-        ys.append(times_u(ys[-1]))
-    out = []
-    for row in _translates(group):
-        starts = [j * d for j in row]
-        out.extend([y[b + s] for b in starts for y in ys] for s in range(d))
-    return out
 
 
 def _index_map(source: AbelianGroup, apply_map, target: AbelianGroup) -> list:
@@ -529,7 +498,7 @@ class _FlatZpkModule:
     """A finite ring whose elements are flat lists of basis_size coefficients
     mod p^k, so to_vec is the identity: the Z/p^k-module operations of
     ZpkGroupRing and PolyGroupRing.  Each of them reads the mult_rows that
-    mult_matrix asks of it off the index table (_translate_rows), and
+    mult_matrix asks of it off translation rows, and
     ZpkGroupRing adds det, on packed ints (_det_plan), which fitting_ideal
     needs.  Operations return new lists and never mutate their arguments."""
 
@@ -573,16 +542,18 @@ class ZpkGroupRing(_FlatZpkModule):
     """Z/p^k[G] for a finite abelian group G.
 
     An element is the list of its |G| coefficients mod p^k, indexed like
-    elems = group_index(group)[0] (identity at index 0).  mul reads the group
-    law from the index table mul_table(group), built once per group.  Z/p^k
-    is the ring of TRIVIAL_GROUP, whose elements are lists of one coefficient.
+    elems = group_index(group)[0] (identity at index 0).  Its groups are
+    small, so it builds the translation rows of every element once: the
+    rows g h of mul and the rows t g^-1 of mult_rows.  Z/p^k is the ring of
+    TRIVIAL_GROUP, whose elements are lists of one coefficient.
     """
 
     def __init__(self, p: int, k: int, group: AbelianGroup):
         super().__init__(p, k, group.order)
         self.group = group
         self.elems = group_index(group)[0]
-        self._table = mul_table(group)
+        self._rows = [translation(group, g) for g in self.elems]
+        self._inv_rows = [translation(group, t, -1) for t in self.elems]
 
     def from_mapping(self, coeffs):
         """The element sum_g coeffs[g] g, from a mapping exponent tuple -> int."""
@@ -592,13 +563,14 @@ class ZpkGroupRing(_FlatZpkModule):
         return self.from_vec(x.coeffs)
 
     def mul(self, a, b):
-        """The convolution of a and b along the index table, reduced once."""
-        table = self._table
+        """The convolution of a and b along the translation rows, reduced
+        once."""
+        rows = self._rows
         b_terms = [(j, y) for j, y in enumerate(b) if y]
         out = [0] * len(a)
         for i, x in enumerate(a):
             if x:
-                row = table[i]
+                row = rows[i]
                 for j, y in b_terms:
                     out[row[j]] += x * y
         pk = self.pk
@@ -606,8 +578,9 @@ class ZpkGroupRing(_FlatZpkModule):
 
     def mult_rows(self, e) -> list:
         """b_i * e is the translate of e by elems[i], a permutation of the
-        coefficients of e: no product is formed."""
-        return _translate_rows(self.group, e)
+        coefficients of e: entry (t, g) is the coefficient of e at t g^-1, and
+        no product is formed."""
+        return [[e[j] for j in row] for row in self._inv_rows]
 
     def det(self, mat):
         """Determinant of a square matrix over the ring, by Kronecker
@@ -645,7 +618,9 @@ class PolyGroupRing(_FlatZpkModule):
     block i holds the coefficient of the i-th element of group_index(group),
     a polynomial in u mod h.  Its two uses are the chi-components Z_p(chi)[P]
     (h a Hensel-lifted factor of Phi_ord(chi), G the p-part P) and the
-    truncated series Z/p^k[G][u]/(u^M) (h = u^M).
+    truncated series Z/p^k[G][u]/(u^M) (h = u^M).  G may be a whole layer
+    group, so the ring holds no table: mul and mult_rows build each
+    translation row when they need it.
     """
 
     def __init__(self, p: int, k: int, h, group: AbelianGroup):
@@ -653,7 +628,6 @@ class PolyGroupRing(_FlatZpkModule):
         self.h = tuple(c % self.pk for c in h)
         self.deg = len(self.h) - 1
         self.group = group
-        self._table = mul_table(group)
 
     def _reduce(self, vec):
         """The polynomial vec (ascending, any length) mod (h, p^k), as a block
@@ -668,13 +642,15 @@ class PolyGroupRing(_FlatZpkModule):
                 for i in dict.fromkeys(j // d for j, c in enumerate(a) if c)]
 
     def mul(self, a, b):
-        """The block convolution of a and b; only the blocks that a product
-        reaches are reduced."""
-        d = self.deg
+        """The block convolution of a and b, one translation row per nonzero
+        block of a (so a should be the sparser factor); only the blocks that
+        a product reaches are reduced."""
+        d, group = self.deg, self.group
+        elems = group_index(group)[0]
         b_blocks = self._blocks(b)
-        acc = [None] * self.group.order
+        acc = [None] * group.order
         for i, x in self._blocks(a):
-            row = self._table[i]
+            row = translation(group, elems[i])
             for j, y in b_blocks:
                 buf = acc[row[j]]
                 if buf is None:
@@ -687,14 +663,22 @@ class PolyGroupRing(_FlatZpkModule):
         return [c for buf in acc for c in (zero if buf is None else self._reduce(buf))]
 
     def mult_rows(self, e) -> list:
-        """Column (g, i) is u^i e translated by g: one reduction per block
-        and power of u, and no product is formed."""
-        d = self.deg
-
-        def times_u(y):
-            return [c for b in range(0, len(y), d) for c in self._reduce([0] + y[b:b + d])]
-
-        return _translate_rows(self.group, e, d, times_u)
+        """Column (g, i) is u^i e translated by g, u^i the i-th basis element
+        of a block, so entry ((t, s), (g, i)) is coefficient s of block
+        t g^-1 of u^i e.  For monic h, u b = (0, b_0, ..., b_(d-2)) -
+        b_(d-1) (h - u^d) mod p^k, block by block, so no division runs;
+        one translation row is built per t, and no product is formed."""
+        d, h, pk, group = self.deg, self.h, self.pk, self.group
+        ys = [e]
+        for _ in range(d - 1):
+            y = ys[-1]
+            ys.append([(c - y[b + d - 1] * hc) % pk for b in range(0, len(y), d)
+                       for c, hc in zip([0] + y[b:b + d - 1], h)])
+        out = []
+        for t in group_index(group)[0]:
+            starts = [j * d for j in translation(group, t, -1)]
+            out.extend([y[b + s] for b in starts for y in ys] for s in range(d))
+        return out
 
     def is_local_unit(self, a) -> bool:
         """Whether a is a unit, for h irreducible mod p and G a p-group.  The

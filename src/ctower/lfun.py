@@ -20,7 +20,8 @@ chi(Theta(1)) = 0 are read once per orbit, and listed for every character.
 ThetaResult.chi_theta_table evaluates every character directly, once, for
 the per-character Euler-product cross-check, the norm of Theta in the
 charpoly verdict (geometry) and `ctower lpoly`.  No Z[G] product is formed:
-the Euler series multiplies by group elements, along rows of mul_table.
+the Euler series multiplies by group elements, along one row
+(grouprings.translation) per Frobenius class, and no table is built.
 
 sigma_factor_unit certifies each Sigma factor a unit of Z/p^k[u]/(u^M)[G]
 (grouprings.PolyGroupRing with h = u^M), at the pinned precision
@@ -31,8 +32,10 @@ geometric series of a nilpotent, and no elimination runs.
 from __future__ import annotations
 
 import itertools as it
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from operator import attrgetter
 
 from . import zpoly
 from .ffpoly import FqPoly, INFINITY, is_infinite, irreducibles_of_degree
@@ -42,9 +45,8 @@ from .grouprings import (
     PolyGroupRing,
     ThetaPoly,
     characters,
-    group_index,
-    mul_table,
     rational_orbits,
+    translation,
 )
 
 PER_CHARACTER_PRODUCT_MAX_ORDER = 8
@@ -185,7 +187,7 @@ class ThetaResult:
 
 
 def _series_mul_inverse_factor(series, row, d, D):
-    # multiply by (1 - sigma^{-1} u^d)^{-1}, row = mul_table(group)[sigma^{-1}]:
+    # multiply by (1 - sigma^{-1} u^d)^{-1}, row = translation(group, sigma^{-1}):
     # ascending prefix accumulation over the nonzero coefficients
     ids = range(len(row))
     for i in range(d, D + 1):
@@ -205,19 +207,21 @@ def _series_mul_forward_factor(series, row, d, D, scale):
 
 def euler_series(layer, D: int):
     """Truncated series for Theta_{S,Sigma} through degree D: D + 1
-    coefficient lists of Z[G], in group_index order."""
+    coefficient lists of Z[G], in group_index order.  The factors commute and
+    every coefficient is exact, so they are taken in Frobenius order, and
+    the row of each class (grouprings.translation) is built once."""
     group = layer.group
-    table = mul_table(group)
-    _, index = group_index(group)
     q = layer.field.q
     series = [[0] * group.order for _ in range(D + 1)]
     series[0][0] = 1
-    for fac in euler_factors(layer, D):
-        row = table[index[group.inv(fac.frobenius)]]
-        if fac.mode == "S-inverse":
-            _series_mul_inverse_factor(series, row, fac.degree, D)
-        else:
-            _series_mul_forward_factor(series, row, fac.degree, D, q ** fac.degree)
+    by_class = attrgetter("frobenius")
+    for frob, facs in it.groupby(sorted(euler_factors(layer, D), key=by_class), by_class):
+        row = translation(group, group.inv(frob))
+        for fac in facs:
+            if fac.mode == "S-inverse":
+                _series_mul_inverse_factor(series, row, fac.degree, D)
+            else:
+                _series_mul_forward_factor(series, row, fac.degree, D, q ** fac.degree)
     return series
 
 
@@ -241,28 +245,27 @@ def divisor_sum_series(layer, D: int):
     """
     field = layer.field
     group = layer.group
-    table = mul_table(group)
-    _, index = group_index(group)
     q = field.q
     s_gens = [v.gen for v in layer.finite_s()]
     top = residue_degree(layer)
     base = [[0] * group.order for _ in range(D + 1)]
     base[0][0] = 1
     for d in range(1, min(D, top) + 1):
-        target = base[d]
+        counts = Counter()
         for tail in it.product(range(q), repeat=d):
             a = FqPoly(field, tail + (1,))
-            if any((a % g).is_zero() for g in s_gens):
-                continue
-            target[index[group.inv(layer.class_of(a))]] += 1
+            if not any((a % g).is_zero() for g in s_gens):
+                counts[layer.class_of(a)] += 1
+        base[d] = GroupRingElem.from_mapping(
+            group, {group.inv(c): n for c, n in counts.items()}).coeffs
     for d in range(top + 1, D + 1):
         scale = q ** (d - top)
         base[d] = [scale * c for c in base[top]]
     if not layer.infinity_in_s():
         # multiply by (1 - u)^{-1} for the (trivial-Frobenius) infinite place
-        _series_mul_inverse_factor(base, table[0], 1, D)
+        _series_mul_inverse_factor(base, translation(group, group.identity), 1, D)
     for v in sorted(layer.sigma, key=lambda v: v.gen.sort_key()):
-        row = table[index[group.inv(layer.frobenius(v))]]
+        row = translation(group, group.inv(layer.frobenius(v)))
         _series_mul_forward_factor(base, row, v.degree, D, q ** v.degree)
     return base
 
@@ -465,8 +468,9 @@ def sigma_factor_unit(layer, v) -> SigmaUnitWitness:
     ring = PolyGroupRing(p, k, (0,) * M + (1,), group)
     n = ring.zero
     if v.degree < M:
-        _, index = group_index(group)
-        n[index[group.inv(layer.frobenius(v))] * M + v.degree] = q ** v.degree % ring.pk
+        # block sigma_v^-1: the image of the identity under translation by it
+        sigma_inv = translation(group, group.inv(layer.frobenius(v)))[0]
+        n[sigma_inv * M + v.degree] = q ** v.degree % ring.pk
     x = ring.sub(ring.one, n)
     inv, power = ring.one, n
     for _ in range(M - 1):

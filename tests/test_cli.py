@@ -232,6 +232,10 @@ class TestCommands:
         (["verify", "fitting", "--cases", "-3"], "--cases must be >= 0, not -3"),
         (["verify", "all", "--q", "3", "--p", "x^2+1", "--Sigma", "x", "--cases", "-3"],
          "--cases must be >= 0, not -3"),
+        (["verify", "fitting", "--seed", "-1"], "--seed must be >= 0, not -1"),
+        (["verify", "all", "--q", "3", "--p", "x^2+1", "--Sigma", "x", "--seed", "-1"],
+         "--seed must be >= 0, not -1"),
+        (["verify", "all", "--config", "NEGATIVE_SEED"], "seed must be >= 0, not -4"),
         (["verify", "ordvan", "--q", "3", "--p", "x^2+1", "--Sigma", "x"],
          "invalid choice: 'ordvan'"),
         (["verify", "functoriality", "--q", "3"], "invalid choice: 'functoriality'"),
@@ -239,15 +243,19 @@ class TestCommands:
     ], ids=["verify-no-q", "verify-no-Sigma", "theta-no-Sigma", "config-no-Sigma",
             "config-missing", "verify-N-negative", "config-N-negative",
             "verify-precision-0", "config-precision-0", "fitting-cases-negative",
-            "all-cases-negative", "verify-ordvan-removed", "verify-functoriality-removed",
+            "all-cases-negative", "fitting-seed-negative", "all-seed-negative",
+            "config-seed-negative", "verify-ordvan-removed", "verify-functoriality-removed",
             "verify-sigmaunit-removed"])
     def test_missing_input_exit_2(self, capsys, tmp_path, argv, named):
         # a missing or invalid input is a usage error that names it, not a
-        # traceback, and a negative --cases checks nothing, so it is one too
+        # traceback; a negative --cases checks nothing and a negative seed
+        # aliases other seeds' chunk streams, so each is one too
         configs = {"NO_SIGMA": {"q": "3", "p": "x^2+1", "N": 0},
                    "NEGATIVE_N": {"q": "3", "p": "x^2+1", "Sigma": ["x"], "N": -2},
                    "NO_PRECISION": {"q": "3", "p": "x^2+1", "Sigma": ["x"], "N": 0,
-                                    "precision": 0}}
+                                    "precision": 0},
+                   "NEGATIVE_SEED": {"q": "3", "p": "x^2+1", "Sigma": ["x"], "N": 0,
+                                     "seed": -4}}
         paths = {"MISSING": str(tmp_path / "missing.json")}
         for name, blob in configs.items():
             paths[name] = str(tmp_path / f"{name}.json")

@@ -24,12 +24,14 @@ from ctower.grouprings import (
     cyclotomic_polynomial,
     delta_idempotent,
     fitting_ideal,
+    group_index,
     ideal_contains,
     ideal_equal,
     is_unit,
     module_order_exponent,
     mult_matrix,
     sharp_presentation,
+    translation,
 )
 from ctower.snf import zpk_solve
 from zpk_reference import (
@@ -37,6 +39,7 @@ from zpk_reference import (
     ReferenceTruncPolyRing,
     ReferenceZpkGroupRing,
     ReferenceZpkRing,
+    mul_table,
     reference_cofactor_det,
     reference_cyclotomic_reduce,
     reference_det,
@@ -671,9 +674,40 @@ class TestFlatRingReference:
             assert fi.generators == [ref.to_vec(g) for g in expected or []]
 
 
+class TestTranslation:
+    """translation, the one group law of the flat layout, against group.mul
+    read through group_index for both signs, and against the mul_table
+    oracle: every row of small groups, sampled rows of the frontier layer
+    groups (q = 2 n = 5 and q = 3 n = 3)."""
+
+    @staticmethod
+    def _expected(group, g, sign):
+        elems, index = group_index(group)
+        return [index[group.mul(g, h if sign == 1 else group.inv(h))] for h in elems]
+
+    @pytest.mark.parametrize("orders", [(), (4,), (2, 2), (4, 3), (9, 3, 3)], ids=str)
+    def test_every_row(self, orders):
+        group = AbelianGroup(orders)
+        table = mul_table(group)
+        for i, g in enumerate(group_index(group)[0]):
+            for sign in (1, -1):
+                assert translation(group, g, sign) == self._expected(group, g, sign), (g, sign)
+            assert translation(group, g) == list(table[i])
+
+    @pytest.mark.parametrize("orders", [(8, 8, 2, 2, 2, 2, 3), (4, 9, 9, 3, 3)], ids=str)
+    def test_sampled_rows_of_the_frontier_groups(self, orders):
+        group = AbelianGroup(orders)
+        elems = group_index(group)[0]
+        rng = random.Random(47)
+        for g in [elems[0], elems[1], elems[-1]] + rng.sample(elems, 5):
+            for sign in (1, -1):
+                assert translation(group, g, sign) == self._expected(group, g, sign), (g, sign)
+
+
 class TestTranslateRows:
-    """The multiplication matrices read off the index table (mult_rows)
-    against the ones built from ring products: Z/p^k[G], chi-components
+    """The multiplication matrices read off translation rows (mult_rows; for
+    PolyGroupRing, u y by the closed form for monic h) against the ones
+    built from ring products: Z/p^k[G], chi-components
     (h a lifted factor of Phi_M, G a p-group) and truncated series (h = u^M,
     any G)."""
 

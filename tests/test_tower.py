@@ -100,6 +100,23 @@ class TestRunTower:
         lines = run.summary_lines()
         assert lines and all(line.startswith("[PASS]") for line in lines)
 
+    def test_no_zpk_ring_above_layer_zero(self, monkeypatch):
+        # ZpkGroupRing keeps |G| x |G| translation rows; a tower run builds
+        # it only over the layer-0 group (Sigma-independence), never over
+        # G_1..G_N, whose products read one row at a time
+        groups = []
+        init = ZpkGroupRing.__init__
+
+        def spy(self, p, k, group):
+            groups.append(group.orders)
+            init(self, p, k, group)
+
+        monkeypatch.setattr(ZpkGroupRing, "__init__", spy)
+        run = run_tower(flagship_q2(), 3, RunOptions(sigma_alt={FinitePlace(poly(F2, 1, 1))}))
+        assert run.all_passed
+        assert set(groups) == {run.layers[0].group.orders}
+        assert not set(groups) & {layer.group.orders for layer in run.layers[1:]}
+
 
 class TestComputedOnce:
     """A tower run computes shared work once: theta is the only caller of

@@ -46,6 +46,11 @@ basis_products, mult_rows and det of _ReferenceFiniteRing.  The flat
 Z/p^k[G][u]/(u^M) holds one block of M coefficients per group element, the
 transpose of ReferenceTruncPolyRing.to_vec (to_group_major).
 
+mul_table, the |G| x |G| index table that every group ring read its
+products and multiplication matrices off before each row came from
+grouprings.translation, is the oracle of translation; reference_cofactor_det
+reads it.
+
 Last, reference_coherent_extra, the enumeration of the top ring of a toy
 projective system that coherent_nzd_check ran before it read its count off
 Smith exponents.
@@ -492,6 +497,31 @@ def reference_det(ring, mat):
     return acc
 
 
+@lru_cache(maxsize=None)
+def mul_table(group: AbelianGroup):
+    """table[i][j] = index of elems[i] * elems[j], elems as in group_index.
+
+    That order is mixed radix with the first coordinate most significant, so
+    G = C_o x G' gives table[a*m + i][b*m + j] = ((a + b) % o) * m + T'[i][j]
+    with m = |G'| and T' the table of G'.
+    """
+    if not group.orders:
+        return ((0,),)
+    o = group.orders[0]
+    rest = mul_table(AbelianGroup(group.orders[1:]))
+    m = len(rest)
+    ids = list(range(o * m))  # one int object per index, shared by every row
+    rows = []
+    for a in range(o):
+        for sub in rest:
+            row = []
+            for b in range(o):
+                off = ((a + b) % o) * m
+                row.extend([ids[off + t] for t in sub])
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
 def _convolve(table, a, b):
     """The unreduced product of two coefficient lists of one group, whose
     mul_table is table."""
@@ -510,7 +540,7 @@ def reference_cofactor_det(ring, mat):
     straight into its accumulator: the cofactor expansion along the first
     row, each product formed by _convolve and added with its sign, reduced
     mod p^k once."""
-    table = ring._table
+    table = mul_table(ring.group)
 
     def raw(mat):
         if len(mat) == 1:
