@@ -2,9 +2,13 @@
 
 Elements of F_q are packed integers in [0, q): the base-p digits of the
 integer are the coordinates with respect to the power basis of the defining
-modulus.  For prime fields this is plain arithmetic mod p.  Multiplication
-and inversion go through discrete log tables built once per field; fields
-are interned so tables are shared.
+modulus.  For prime fields this is plain arithmetic mod p.  An extension
+field keeps only the exp, log and Zech tables of a generator, built once by
+log_tables: multiplication, inversion and powers are exponent arithmetic,
+and addition is one Zech lookup, so no q x q table is built.  Fields are
+interned so tables are shared.  log_tables is the one construction of a
+finite field from an irreducible polynomial: the point-count oracle's
+F_(q^i) (geometry._ext_ops) takes its tables from it too.
 
 Polynomials are immutable tuples of packed field elements, trailing zeros
 stripped.  deg(0) is the float('-inf') sentinel.
@@ -54,7 +58,13 @@ def _default_modulus(p: int, e: int):
 
 
 class FqField:
-    """The finite field F_q, q = p^e, with packed-integer elements."""
+    """The finite field F_q, q = p^e, with packed-integer elements.
+
+    For e > 1 the element sum c_j x^j of F_p[x]/(modulus) is the integer
+    sum c_j p^j, and the field holds the exp, log and Zech tables of
+    log_tables(F_p, modulus): a product is a sum of logs, a sum one Zech
+    lookup, and -a is a shift of log a by (q - 1)/2 (a itself when p = 2).
+    """
 
     _interned: dict = {}
 
@@ -71,94 +81,35 @@ class FqField:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree e over F_p")
-        modulus_poly = FqPoly(FqField(p), modulus) if e > 1 else None
-        if e > 1 and not is_irreducible(modulus_poly):
+        if e > 1 and not is_irreducible(FqPoly(FqField(p), modulus)):
             raise ValueError("modulus is not irreducible over F_p")
         key = (p, e, modulus)
         if key in cls._interned:
             return cls._interned[key]
         self = super().__new__(cls)
         self.p, self.e, self.q, self.modulus = p, e, q, modulus
-        self._modulus_poly = modulus_poly
-        self._build_tables()
+        if e > 1:
+            self._exp, self._log, self._zech = log_tables(FqField(p), modulus)
         cls._interned[key] = self
         return self
-
-    # -- packed element helpers -------------------------------------------
-
-    def _unpack(self, a: int):
-        digits = []
-        for _ in range(self.e):
-            a, r = divmod(a, self.p)
-            digits.append(r)
-        return digits
-
-    def _pack(self, digits) -> int:
-        a = 0
-        for c in reversed(list(digits)):
-            a = a * self.p + (c % self.p)
-        return a
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        m = self._modulus_poly
-        prod = FqPoly(m.field, self._unpack(a)) * FqPoly(m.field, self._unpack(b))
-        return self._pack((prod % m).coeffs)
-
-    def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self._exp = self._log = None
-            self._add_table = None
-            return
-        # discrete log tables over a multiplicative generator
-        gen = None
-        factors = {f for f in range(2, q) if (q - 1) % f == 0 and _is_prime(f)}
-        for cand in range(2, q):
-            if all(self._pow_raw(cand, (q - 1) // f) != 1 for f in factors):
-                gen = cand
-                break
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], gen)
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp, self._log = exp, log
-        if q <= 1024:
-            add = [[0] * q for _ in range(q)]
-            for a in range(q):
-                da = self._unpack(a)
-                for b in range(a, q):
-                    db = self._unpack(b)
-                    s = self._pack((x + y) % p for x, y in zip(da, db))
-                    add[a][b] = s
-                    add[b][a] = s
-            self._add_table = add
-        else:
-            self._add_table = None
-
-    def _pow_raw(self, a, n):
-        r = 1
-        while n:
-            if n & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            n >>= 1
-        return r
 
     # -- field operations ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._pack((x + y) % self.p for x, y in zip(self._unpack(a), self._unpack(b)))
+        if not a or not b:
+            return a or b
+        la, n = self._log[a], self.q - 1
+        z = self._zech[(self._log[b] - la) % n]
+        return self._exp[(la + z) % n] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
-        return self._pack((-x) % self.p for x in self._unpack(a))
+        if not a or self.p == 2:
+            return a
+        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -504,6 +455,51 @@ def is_irreducible(f: FqPoly) -> bool:
         if f.gcd(xr - x).degree >= 1:
             return False
     return True
+
+
+def log_tables(field: FqField, g) -> tuple:
+    """(exp, log, zech) of field[Y]/(g), g a monic irreducible coefficient
+    tuple of degree i over field, constant term first.
+
+    The element sum c_j Y^j has the index sum c_j q^j (c_0 least
+    significant), so the constant c has index c.  exp[k] is the index of
+    gamma^k for 0 <= k < n = q^i - 1, log its inverse with log[0] = -1, and
+    zech[k] = log[1 + gamma^k], -1 when gamma^k = -1: for a, b nonzero,
+    a + b = gamma^(log a + zech[log b - log a]) (Zech logarithms, Lidl and
+    Niederreiter, Finite Fields).  gamma is the least index with
+    gamma^(n/r) != 1 for every prime r | n.  exp multiplies by gamma with
+    Horner's rule in Y, O(i deg gamma) digit operations per element.
+    """
+    q, i = field.q, len(g) - 1
+    n = q ** i - 1
+    add, mul = field.add, field.mul
+    modulus, one = FqPoly(field, g), FqPoly.one(field)
+    primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+    weights = [q ** j for j in range(i)]
+
+    def element(c):
+        return FqPoly(field, [c // w % q for w in weights])
+
+    gamma = next(x for x in map(element, range(1, n + 1))
+                 if all(x.powmod(n // r, modulus) != one for r in primes)).coeffs
+    # c Y^i mod g, the carry of multiplying by Y, for each c in field
+    carry = [[mul(c, field.neg(t)) for t in g[:i]] for c in range(q)]
+    exp, cur = [0] * n, [1] + [0] * (i - 1)
+    for k in range(n):
+        exp[k] = sum(map(int.__mul__, cur, weights))
+        nxt = cur if gamma[-1] == 1 else [mul(gamma[-1], c) for c in cur]
+        for t in reversed(gamma[:-1]):
+            top, nxt = nxt[-1], [0] + nxt[:-1]
+            if top:
+                nxt = [add(a, b) for a, b in zip(nxt, carry[top])]
+            if t:
+                nxt = [add(a, mul(t, c)) for a, c in zip(nxt, cur)]
+        cur = nxt
+    log = [-1] * (n + 1)
+    for k, a in enumerate(exp):
+        log[a] = k
+    zech = [log[a - a % q + add(a % q, 1)] for a in exp]
+    return exp, log, zech
 
 
 def _frob_power(a: FqPoly, j: int, modulus: FqPoly) -> FqPoly:

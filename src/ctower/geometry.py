@@ -5,8 +5,9 @@ the charpoly comparison, whose discrepancy factor is certified a unit of
 Z/p^k[u]/(u^M) (grouprings.PolyGroupRing with h = u^M and the trivial group),
 (k, M) = CHARPOLY_PRECISION.
 
-The Sigma factor prod_{v in Sigma} (1 - sigma_v^{-1} (qu)^{d_v}) is never
-formed in Z[G][u]: sigma_factor_at_one forms it at u = 1 in Z/p^k[G], and
+The Sigma factor W(u) = prod_{v in Sigma} (1 - sigma_v^{-1} (qu)^{d_v}) is
+never formed in Z[G][u]: sigma_factor_at_one multiplies a Z[G] coefficient
+list by W(1), exactly and one translation row per Sigma place, and
 sigma_factor_norm reads its norm off prod_chi (1 - chi(s) T) =
 (1 - T^f)^{|G|/f}, f the order of s.
 
@@ -17,7 +18,6 @@ model is factored once and its support must lie inside the exceptional set.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -25,8 +25,8 @@ from math import gcd
 from . import zpoly
 from .abelian import TRIVIAL_GROUP
 from .carlitz import AXPoly, real_generator_minpoly
-from .ffpoly import FqPoly, INFINITY, _is_prime, factor, irreducibles_of_degree
-from .grouprings import PolyGroupRing, character_norm, group_index, is_unit
+from .ffpoly import FqPoly, INFINITY, factor, irreducibles_of_degree, log_tables
+from .grouprings import PolyGroupRing, character_norm, is_unit, translation
 
 DEFAULT_POINT_BUDGET = 10 ** 7
 CHARPOLY_PRECISION = (12, 12)  # (k, M) of the charpoly comparison
@@ -142,77 +142,20 @@ def curve_model(layer) -> CurveModel:
 
 
 def _ext_ops(field, i: int):
-    """Arithmetic closures for F_(q^i) = F_q[Y]/(g) on log codes.
+    """Arithmetic closures for F_(q^i) = F_q[Y]/(g) on log codes, g the first
+    monic irreducible of degree i over F_q (irreducibles_of_degree).
 
-    An element is coded 0 for zero and k+1 for gamma^k, where gamma
-    generates F_(q^i)^x.  The exp and Zech tables (zech[k] = code(1 + gamma^k))
-    are built once with schoolbook arithmetic on coefficient i-tuples; then
-    mul and pow are exponent arithmetic mod q^i - 1 and add is one Zech
-    lookup.  gamma is the first tuple in itertools.product order (c_0 most
-    significant, c_0 the constant coefficient) of multiplicative order
-    q^i - 1.
+    The exp, log and Zech tables are ffpoly.log_tables(field, g): the
+    element sum c_j Y^j has the index sum c_j q^j (c_0 least significant)
+    and gamma is the least index of multiplicative order q^i - 1.  An
+    element is coded 0 for zero and log + 1 otherwise (k+1 for gamma^k);
+    mul and pow are exponent arithmetic mod q^i - 1, add is one Zech lookup,
+    and the constant c, whose index is c, is coded log[c] + 1.
     """
     g = next(irreducibles_of_degree(field, i)).gen
-    gc = g.coeffs
-    q = field.q
-    n = q ** i - 1
-    fadd, fmul, fneg = field.add, field.mul, field.neg
-    one_t = (1,) + (0,) * (i - 1)
-
-    # reduction of Y^j for i <= j <= 2i-2
-    red = {}
-    base = tuple(fneg(c) for c in gc[:i])
-    red[i] = base
-    for j in range(i + 1, 2 * i - 1):
-        prev = red[j - 1]
-        shifted = (0,) + prev[:-1]
-        top = prev[-1]
-        red[j] = tuple(fadd(s, fmul(top, b)) for s, b in zip(shifted, base))
-
-    def tuple_mul(a, b):
-        out = [0] * (2 * i - 1)
-        for s, x in enumerate(a):
-            if x:
-                for t, y in enumerate(b):
-                    if y:
-                        out[s + t] = fadd(out[s + t], fmul(x, y))
-        for j in range(2 * i - 2, i - 1, -1):
-            c = out[j]
-            if c:
-                for t, r in enumerate(red[j]):
-                    out[t] = fadd(out[t], fmul(c, r))
-            out[j] = 0
-        return tuple(out[:i])
-
-    def tuple_pow(a, e):
-        r = one_t
-        while e:
-            if e & 1:
-                r = tuple_mul(r, a)
-            a = tuple_mul(a, a)
-            e >>= 1
-        return r
-
-    def index(a):
-        # position of the tuple in itertools.product order
-        k = 0
-        for c in a:
-            k = k * q + c
-        return k
-
-    primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
-    gamma = next(a for a in itertools.product(range(q), repeat=i) if any(a) and
-                 all(tuple_pow(a, n // r) != one_t for r in primes))
-    codes = [0] * (n + 1)   # product index -> code
-    powers = []             # gamma^k as tuples
-    cur = one_t
-    for k in range(n):
-        codes[index(cur)] = k + 1
-        powers.append(cur)
-        cur = tuple_mul(cur, gamma)
-    zech = [codes[index((fadd(a[0], 1),) + a[1:])] for a in powers]
-    lift = [codes[c * q ** (i - 1)] for c in range(q)]
-    minus_one = lift[fneg(1)]
+    n = field.q ** i - 1
+    _, log, zech = log_tables(field, g.coeffs)
+    minus_one = log[field.neg(1)]
 
     def add(a, b):
         if not a:
@@ -220,16 +163,16 @@ def _ext_ops(field, i: int):
         if not b:
             return a
         z = zech[(b - a) % n]
-        return (a + z - 2) % n + 1 if z else 0
+        return (a + z - 1) % n + 1 if z >= 0 else 0
 
     def mul(a, b):
         return (a + b - 2) % n + 1 if a and b else 0
 
     def neg(a):
-        return (a + minus_one - 2) % n + 1 if a else 0
+        return (a + minus_one - 1) % n + 1 if a else 0
 
     def embed(c):
-        return lift[c]
+        return log[c] + 1
 
     def power(a, e):
         if not a:
@@ -588,17 +531,16 @@ def tate_charpoly(layer, zeta: ZetaData, sdiv: SDivisorData):
     return zpoly.exact_div(poly, [1, -1])
 
 
-def sigma_factor_at_one(layer, ring):
-    """prod_{v in Sigma} (1 - q^{d_v} sigma_v^{-1}), the Sigma factor of
-    Theta at u = 1, in ring, the ZpkGroupRing of the layer's group."""
-    group, q = layer.group, layer.field.q
-    _, index = group_index(group)
-    w = ring.one
+def sigma_factor_at_one(layer, x):
+    """x W(1), W(1) = prod_{v in Sigma} (1 - q^{d_v} sigma_v^{-1}) the Sigma
+    factor of Theta at u = 1, for x a Z[G] coefficient list (group_index
+    order), exactly: (x sigma^{-1})[t] = x[t sigma], one translation row per
+    Sigma place."""
+    q = layer.field.q
     for v in layer.sigma:
-        x = ring.one
-        x[index[group.inv(layer.frobenius(v))]] -= q ** v.degree
-        w = ring.mul(w, ring.from_vec(x))
-    return w
+        row, c = translation(layer.group, layer.frobenius(v)), q ** v.degree
+        x = [a - c * x[r] for a, r in zip(x, row)]
+    return x
 
 
 def sigma_factor_norm(layer):

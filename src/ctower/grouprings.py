@@ -55,7 +55,7 @@ product of its own: its elements are added, projected and evaluated by
 characters, and lfun's Euler series multiplies them only by group
 elements, one translation row per Frobenius class.  Products are formed in
 the finite rings and in CyclotomicRing.  ZpkGroupRing, whose groups are
-small (the battery's and the layer-0 group), keeps the rows of every
+small (the battery's; no tower run builds one), keeps the rows of every
 element; PolyGroupRing, which serves the layer groups, builds a row when a
 product or a matrix row needs it.  Every reduction of a product by a
 monic polynomial, mod Phi_N in CyclotomicRing and mod (h, p^k) in

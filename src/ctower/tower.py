@@ -5,9 +5,9 @@ quotient comparison, Sigma-independence, charpoly identity).
 
 Infinite-level statements are never asserted; each verdict records the
 finite-layer statement it certifies together with the precision or bound at
-which it was certified.  A run ends at its first failed verdict, and an
-ArithmeticError raised inside a check is that check's failure
-(TowerRun.check).
+which it was certified.  A run ends at its first failed verdict.  Every
+tower verdict is computed inside TowerRun.check, so an ArithmeticError
+raised while computing it is that verdict's failure.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .grouprings import (
     delta_orbits,
     e_delta_presentation,
     fitting_ideal,
+    group_index,
     ideal_equal,
     is_unit,
     module_order_exponent,
@@ -213,9 +214,9 @@ def _tower_suite(run: TowerRun):
     for layer in layers:
         tr = _theta_verdict(run, layer)
         trs.append(tr)
-        ok_degrees = all(d <= b for d, b in tr.per_char_degrees.values())
-        run.record("per_character_degree_bounds", layer.n, ok_degrees,
-                   "conductor-based degree formula",
+        with run.check("per_character_degree_bounds", layer.n,
+                       "conductor-based degree formula") as record:
+            record(all(d <= b for d, b in tr.per_char_degrees.values()),
                    degrees={str(kk): v for kk, v in tr.per_char_degrees.items()})
 
     for n in range(run.N):
@@ -225,18 +226,18 @@ def _tower_suite(run: TowerRun):
             record(rep.equal, first_mismatch=rep.first_mismatch_degree)
 
     for layer, tr in zip(layers, trs):
-        table = order_of_vanishing_table(layer, tr)
-        run.record("order_of_vanishing", layer.n,
-                   all(mult == predicted for _, mult, predicted in table),
-                   "vanishing order at u=1 vs split decomposition groups",
+        with run.check("order_of_vanishing", layer.n,
+                       "vanishing order at u=1 vs split decomposition groups") as record:
+            table = order_of_vanishing_table(layer, tr)
+            record(all(mult == predicted for _, mult, predicted in table),
                    table=[{"chi": list(chi.exps), "mult": mult, "predicted": predicted}
                           for chi, mult, predicted in table])
 
     for layer in layers:
         for v in sorted(cfg.sigma, key=lambda v: v.gen.sort_key()):
-            w = sigma_factor_unit(layer, v)
-            run.record("sigma_factor_unit", layer.n, w.verified,
-                       "Sigma Euler factors are units", place=v.gen.serialize(),
+            with run.check("sigma_factor_unit", layer.n,
+                           "Sigma Euler factors are units") as record:
+                record(sigma_factor_unit(layer, v).verified, place=v.gen.serialize(),
                        precision=SIGMA_UNIT_PRECISION)
 
     # one projection of Theta(1) per Frobenius orbit of Delta-characters:
@@ -244,27 +245,27 @@ def _tower_suite(run: TowerRun):
     # the non-unit blocks and the quotient order (geometry suite) their sum
     theta_one_exps = []
     for layer, tr in zip(layers, trs):
-        blocks = delta_blocks(tr.special_value(), p, k)
-        exps = block_exponents(blocks)
-        theta_one_exps.append(exps)
-        live_reps, live = _live_characters(layer, tr)
-        if not live:
-            # every chi(Theta) vanishes at u = 1, so Theta(1) = 0: there is
-            # no chi(Theta(1)) to test and no component that can be nonzero
-            run.record("special_value_nzd_shadow", layer.n, True,
-                       "Theta(1) annihilator slack (refused: outside supported case)",
+        with run.check("special_value_nzd_shadow", layer.n,
+                       "Theta(1) annihilator slack at finite precision") as record:
+            blocks = delta_blocks(tr.special_value(), p, k)
+            exps = block_exponents(blocks)
+            theta_one_exps.append(exps)
+            live_reps, live = _live_characters(layer, tr)
+            if not live:
+                # every chi(Theta) vanishes at u = 1, so Theta(1) = 0: there is
+                # no chi(Theta(1)) to test and no component that can be nonzero
+                record(True, shadows="Theta(1) annihilator slack (refused: outside "
+                                     "supported case)",
                        refused="every character is trivial on the decomposition group "
                                "of a place in S, so Theta(1) = 0")
-            continue
-        # chi(Theta(1)) = 0 is one answer per rational orbit too
-        chars_ok = not any(rep.ring.is_zero(tr.chi_at_one(rep)) for rep in live_reps)
-        # the Delta-component images of Theta(1) at precision p^k that are
-        # zero must be the blocks that vanish exactly
-        zero = _zero_blocks(layer, p, live)
-        seen = [b for b, (ring, img) in enumerate(blocks) if ring.equal(img, ring.zero)]
-        run.record("special_value_nzd_shadow", layer.n, chars_ok and seen == zero,
-                   "Theta(1) annihilator slack at finite precision",
-                   slack_c=max(exps, default=0), precision_k=k,
+                continue
+            # chi(Theta(1)) = 0 is one answer per rational orbit too
+            chars_ok = not any(rep.ring.is_zero(tr.chi_at_one(rep)) for rep in live_reps)
+            # the Delta-component images of Theta(1) at precision p^k that are
+            # zero must be the blocks that vanish exactly
+            zero = _zero_blocks(layer, p, live)
+            seen = [b for b, (ring, img) in enumerate(blocks) if ring.equal(img, ring.zero)]
+            record(chars_ok and seen == zero, slack_c=max(exps, default=0), precision_k=k,
                    **({"zero_blocks": zero} if zero else {}))
 
     layer, tr = layers[0], trs[0]
@@ -282,6 +283,24 @@ def _tower_suite(run: TowerRun):
         record(agree, counts=counts, model=None if model is None else "plane model",
                note=model_err)
     _class_number_suite(run, layer, tr, counts, sum(theta_one_exps[0]))
+
+
+def _sigma_mismatch(layer, alt_layer, special, alt_special, p: int):
+    """The first group element at which Sigma-independence fails, or None.
+
+    With W, W' the Sigma factors of layer and alt_layer at u = 1 (the same
+    S and group, Sigma and Sigma'), Theta'(1) W = Theta(1) W' holds exactly
+    in Z[G], and W = W' = 1 mod p because p | q.  So W and W' are units of
+    Z/p^k[G] (1 + p y is, p y being nilpotent), and Theta'(1) is Theta(1)
+    times the unit W' W^-1: no Z/p^k[G] ring is built and nothing is
+    eliminated."""
+    one = GroupRingElem.one(layer.group).coeffs
+    lhs = sigma_factor_at_one(layer, alt_special.coeffs)
+    rhs = sigma_factor_at_one(alt_layer, special.coeffs)
+    w, w_alt = sigma_factor_at_one(layer, one), sigma_factor_at_one(alt_layer, one)
+    elems, _ = group_index(layer.group)
+    return next((g for g, a, b, c, d, e in zip(elems, lhs, rhs, w, w_alt, one)
+                 if a != b or (c - e) % p or (d - e) % p), None)
 
 
 def cnf_suite(run: TowerRun, layer, max_i: int):
@@ -307,21 +326,18 @@ def _class_number_suite(run: TowerRun, layer, tr, counts, quot):
         run.zeta = z = zeta_numerator(counts, cfg.field.q)
         record(True, genus=z.genus, numerator=z.numerator, h=z.h)
 
-    special = tr.special_value()
-    sdiv = s_divisor_data(layer)
-    try:
-        nab = nabla_order(layer, z, sdiv)
-        run.record("class_number_fitting_identity", layer.n,
-                   quot == nab.total_p_exponent,
-                   "finite-layer Fitting ideal of the divisor-class module",
-                   nabla_p_exponent=nab.total_p_exponent,
-                   quotient_p_exponent=quot, precision_k=k,
-                   hypotheses=nab.hypotheses)
-    except ConfigurationRefused as exc:
-        run.record("class_number_fitting_identity", layer.n, True,
-                   "finite-layer Fitting ideal (refused: outside supported case)",
+    with run.check("class_number_fitting_identity", layer.n,
+                   "finite-layer Fitting ideal of the divisor-class module") as record:
+        sdiv = s_divisor_data(layer)
+        try:
+            nab = nabla_order(layer, z, sdiv)
+        except ConfigurationRefused as exc:
+            nab = None
+            record(True, shadows="finite-layer Fitting ideal (refused: outside supported case)",
                    refused=str(exc))
-        nab = None
+        else:
+            record(quot == nab.total_p_exponent, nabla_p_exponent=nab.total_p_exponent,
+                   quotient_p_exponent=quot, precision_k=k, hypotheses=nab.hypotheses)
 
     if opts.sigma_alt is not None:
         alt_cfg = TowerConfig(cfg.field, cfg.f, cfg.p_place, cfg.S,
@@ -329,21 +345,11 @@ def _class_number_suite(run: TowerRun, layer, tr, counts, quot):
         alt_layer = build_layer(alt_cfg, layer.n)
         with run.check("sigma_independence", layer.n,
                        "Sigma-smoothing changes Theta(1) by a unit") as record:
-            alt_tr = theta(alt_layer, cross_check=False)
-            ring = ZpkGroupRing(p, k, layer.group)
-            alt_special = alt_tr.special_value()
-            s1 = ring.from_group_ring(special)
-            s2 = ring.from_group_ring(alt_special)
-            # W = Theta'(1) * Theta(1)^{-1} need not exist in the group ring
-            # (Theta(1) can be a zero divisor); certify via the Sigma factor
-            # ratio instead: Theta'(1) = Theta(1) * W with W a unit
-            ok_w1, w1_inv = is_unit(sigma_factor_at_one(layer, ring), ring)
-            w = ring.mul(sigma_factor_at_one(alt_layer, ring), w1_inv) if ok_w1 else None
-            unit_ok, _ = is_unit(w, ring) if w is not None else (False, None)
-            same = w is not None and ring.equal(s2, ring.mul(s1, w))
+            alt_special = theta(alt_layer, cross_check=False).special_value()
             q2 = quotient_order_exponent(alt_special, p, k)
-            record(unit_ok and same and quot == q2,
-                   quotient_exponents=(quot, q2), precision_k=k)
+            bad = _sigma_mismatch(layer, alt_layer, tr.special_value(), alt_special, p)
+            record(bad is None and quot == q2, quotient_exponents=(quot, q2), precision_k=k,
+                   **({} if bad is None else {"first_mismatch": list(bad)}))
 
     if nab is not None:
         with run.check("charpoly_theta_identity", layer.n,

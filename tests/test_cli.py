@@ -633,29 +633,53 @@ def _shift_last_count(real):
     return lambda counts, q: real(counts[:-1] + [counts[-1] + 1], q)
 
 
-class TestFailuresAreVerdicts:
-    """An error raised inside a check of verify all is that check's failed
-    verdict: exit 1, a written report that ends with it, and no battery."""
+def _raise_outside_mu(real):
+    def raising(*args):
+        raise ArithmeticError("character value outside mu_M")
+    return raising
 
-    @pytest.mark.parametrize("module, name, shift, verdict, layer, error", [
+
+def _shift_alt_special_value(real):
+    def shifted(layer, D=None, cross_check=True):
+        tr = real(layer, D=D, cross_check=cross_check)
+        if not cross_check:  # the Sigma' side of Sigma-independence only
+            value = tr.special_value()
+            value.coeffs[0] += 1
+            tr.special_value = lambda: value
+        return tr
+    return shifted
+
+
+class TestFailuresAreVerdicts:
+    """An error raised inside a check of verify all, or an injected change
+    that a check catches, is that check's failed verdict: exit 1, a written
+    report that ends with it, the detail (key, prefix) that names the
+    failure, and no battery."""
+
+    @pytest.mark.parametrize("module, name, shift, verdict, layer, detail", [
         (lfun, "divisor_sum_series", _shift_series, "theta_stabilization", 0,
-         "ArithmeticError: Euler product and divisor-sum series disagree at degree 2"),
+         ("error", "ArithmeticError: Euler product and divisor-sum series disagree at degree 2")),
         (lfun, "divisor_sum_series", _shift_tail, "theta_recompute_D_plus_2", 0,
-         "StabilizationError: nonzero coefficient at degree 6 > bound 1"),
+         ("error", "StabilizationError: nonzero coefficient at degree 6 > bound 1")),
         (lfun, "trivial_character_symbolic", _shift_symbolic, "theta_stabilization", 0,
-         "ArithmeticError: symbolic trivial-character component disagrees at u^1"),
+         ("error", "ArithmeticError: symbolic trivial-character component disagrees at u^1")),
         (lfun, "per_character_euler_product", _shift_characters, "theta_stabilization", 0,
-         "ArithmeticError: per-character Euler product disagrees at character [1]"),
+         ("error", "ArithmeticError: per-character Euler product disagrees at character [1]")),
         (rayclass.LayerMap, "apply", _shift_frobenius, "functoriality", [1, 0],
-         "ArithmeticError: Frobenius incompatibility at "),
+         ("error", "ArithmeticError: Frobenius incompatibility at ")),
         (tower, "curve_model", _shift_fiber_table, "point_count_cross_check", 0,
-         "FiberMismatchError: fiber above "),
+         ("error", "FiberMismatchError: fiber above ")),
         (tower, "zeta_numerator", _shift_last_count, "zeta_functional_equation", 0,
-         "ArithmeticError: no integral zeta numerator fits the counts"),
+         ("error", "ArithmeticError: no integral zeta numerator fits the counts")),
+        (tower, "delta_blocks", _raise_outside_mu, "special_value_nzd_shadow", 0,
+         ("error", "ArithmeticError: character value outside mu_M")),
+        (tower, "theta", _shift_alt_special_value, "sigma_independence", 0,
+         ("first_mismatch", "[0]")),
     ], ids=["divisor-sum", "divisor-sum-tail", "symbolic-trivial", "per-character",
-            "frobenius", "fiber-mismatch", "zeta-no-fit"])
+            "frobenius", "fiber-mismatch", "zeta-no-fit", "delta-blocks",
+            "sigma-alt-side"])
     def test_injected_error_is_a_failed_verdict(self, capsys, monkeypatch, tmp_path,
-                                                module, name, shift, verdict, layer, error):
+                                                module, name, shift, verdict, layer, detail):
         monkeypatch.setattr(module, name, shift(getattr(module, name)))
         report = tmp_path / "report.json"
         assert main(SMALL_ALL + ["--out", str(report)]) == 1
@@ -663,7 +687,8 @@ class TestFailuresAreVerdicts:
         *passed, failed = blob["verdicts"]
         assert not blob["all_passed"] and all(v["passed"] for v in passed)
         assert (failed["name"], failed["layer"], failed["passed"]) == (verdict, layer, False)
-        assert failed["error"].startswith(error), failed["error"]
+        key, prefix = detail
+        assert str(failed[key]).startswith(prefix), failed
         assert not BATTERY & {v["name"] for v in blob["verdicts"]}
         assert f"[FAIL] {verdict}" in capsys.readouterr().out
 

@@ -141,6 +141,36 @@ def schoolbook_mulmod(a, b, p, modulus):
     return sum((prod[i] % p) * p ** i for i in range(e))
 
 
+def schoolbook_addmod(a, b, p, e, sign=1):
+    """a + sign * b in F_p[x]/(modulus), digit by digit."""
+    return sum((a // p ** i + sign * (b // p ** i)) % p * p ** i for i in range(e))
+
+
+def schoolbook_powmod(a, n, p, modulus):
+    """a^n for n >= 0 by square-and-multiply on schoolbook_mulmod."""
+    r = 1
+    while n:
+        if n & 1:
+            r = schoolbook_mulmod(r, a, p, modulus)
+        a = schoolbook_mulmod(a, a, p, modulus)
+        n >>= 1
+    return r
+
+
+def check_against_schoolbook(F, pairs):
+    """add, sub, neg, mul, inv and pow of F on pairs against F_p[x]/(m)."""
+    p, e, m = F.p, F.e, F.modulus
+    for a, b in pairs:
+        assert F.add(a, b) == schoolbook_addmod(a, b, p, e)
+        assert F.sub(a, b) == schoolbook_addmod(a, b, p, e, -1)
+        assert F.neg(b) == schoolbook_addmod(0, b, p, e, -1)
+        assert F.mul(a, b) == schoolbook_mulmod(a, b, p, m)
+        assert F.pow(a, b) == schoolbook_powmod(a, b, p, m)
+        if b:
+            assert schoolbook_mulmod(b, F.inv(b), p, m) == 1
+            assert schoolbook_mulmod(F.pow(b, -a), schoolbook_powmod(b, a, p, m), p, m) == 1
+
+
 class TestExtensionFields:
     # lexicographically smallest monic irreducible, constant term first
     DEFAULT_MODULI = {
@@ -157,11 +187,20 @@ class TestExtensionFields:
             assert FqField(p, e).modulus == modulus
 
     def test_mul_matches_schoolbook_mod_modulus(self):
+        # and add, sub, neg, inv and pow, on every pair
         fields = [FqField(p, e) for p, e in self.DEFAULT_MODULI]
         fields.append(FqField(3, 2, (2, 1, 1)))  # a non-default modulus
         for F in fields:
-            for a, b in itertools.product(range(F.q), repeat=2):
-                assert F.mul(a, b) == schoolbook_mulmod(a, b, F.p, F.modulus)
+            check_against_schoolbook(F, itertools.product(range(F.q), repeat=2))
+
+    @pytest.mark.parametrize("p, e", [(2, 10), (2, 11), (3, 6)])
+    def test_sampled_pairs_match_schoolbook(self, p, e):
+        # fields on either side of q = 1024, where an addition table once
+        # gave way to digit-by-digit addition
+        F = FqField(p, e)
+        rng = random.Random(p * 100 + e)
+        check_against_schoolbook(F, [(rng.randrange(F.q), rng.randrange(F.q))
+                                     for _ in range(500)])
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 
 import pytest
 
@@ -25,11 +24,15 @@ from ctower.geometry import (
     _fiber_root_count,
     _frobenius_orbits,
 )
-from ctower.grouprings import GroupRingElem, ZpkGroupRing, quotient_order_exponent
+from ctower.grouprings import GroupRingElem, group_index, quotient_order_exponent
 from ctower.lfun import theta
 from ctower.rayclass import TowerConfig, TrivialLayer, build_layer, default_s
 from geometry_reference import reference_count_points_model
-from zpk_reference import reference_sigma_factor_norm, reference_sigma_factor_poly
+from zpk_reference import (
+    ReferenceGroupRingElem,
+    reference_sigma_factor_norm,
+    reference_sigma_factor_poly,
+)
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -98,9 +101,11 @@ class TestExtOps:
                 return e
 
             # the documented layout: 0 for zero and k+1 for gamma^k, gamma the
-            # first tuple in product order of multiplicative order q^i - 1
-            tuples = list(itertools.product(range(q), repeat=i))
-            gamma = next(a for a in tuples if any(a) and order(a) == n)
+            # least index sum c_j q^j (c_0 least significant) of
+            # multiplicative order q^i - 1
+            tuples = [tuple(x // q ** j % q for j in range(i)) for x in range(q ** i)]
+            gamma = next(a for a in tuples[1:] if order(a) == n)
+            tuples.sort()
             decode = {0: (0,) * i}
             acc = one
             for k in range(n):
@@ -457,18 +462,25 @@ SIGMA_IDS = [f"q{cfg.field.q}-{len(cfg.sigma)}sigma-n{n}" for cfg, n in SIGMA_LA
 
 
 class TestSigmaFactor:
-    """The Sigma factor at u = 1, formed in Z/p^k[G], and its norm, read off
-    the orders of the Sigma Frobenii, against the product in Z[G][u] and its
-    norm over every character (zpk_reference)."""
+    """Multiplication by the Sigma factor at u = 1 on Z[G], one translation
+    row per Sigma place, and its norm, read off the orders of the Sigma
+    Frobenii, against the product in Z[G][u] and its norm over every
+    character (zpk_reference)."""
 
     @pytest.mark.parametrize("cfg, n", SIGMA_LAYERS, ids=SIGMA_IDS)
     def test_against_the_group_ring_product(self, cfg, n):
         layer = build_layer(cfg, n)
-        ring = ZpkGroupRing(cfg.char, 24, layer.group)
+        group = layer.group
         coeffs = reference_sigma_factor_poly(layer)
         at_one = sum(coeffs[1:], coeffs[0])
-        assert sigma_factor_at_one(layer, ring) == \
-            ring.from_group_ring(GroupRingElem.from_mapping(layer.group, at_one.coeffs))
+        # 1 gives W(1) itself; x, with a distinct coefficient at every
+        # element, tells every translation apart
+        elems, _ = group_index(group)
+        x = ReferenceGroupRingElem(group, {g: j + 1 for j, g in enumerate(elems)})
+        for ref in (ReferenceGroupRingElem.one(group), x):
+            flat = GroupRingElem.from_mapping(group, ref.coeffs).coeffs
+            assert sigma_factor_at_one(layer, flat) == \
+                GroupRingElem.from_mapping(group, (ref * at_one).coeffs).coeffs
         assert sigma_factor_norm(layer) == reference_sigma_factor_norm(layer)
 
     def test_frobenius_orders_above_one_are_covered(self):

@@ -102,8 +102,9 @@ class TestRunTower:
 
     def test_no_zpk_ring_above_layer_zero(self, monkeypatch):
         # ZpkGroupRing keeps |G| x |G| translation rows; a tower run builds
-        # it only over the layer-0 group (Sigma-independence), never over
-        # G_1..G_N, whose products read one row at a time
+        # none: Sigma-independence checks Theta'(1) W(1) = Theta(1) W'(1) in
+        # Z[G] and W, W' = 1 mod p, and the layer groups' products read one
+        # row at a time
         groups = []
         init = ZpkGroupRing.__init__
 
@@ -114,8 +115,8 @@ class TestRunTower:
         monkeypatch.setattr(ZpkGroupRing, "__init__", spy)
         run = run_tower(flagship_q2(), 3, RunOptions(sigma_alt={FinitePlace(poly(F2, 1, 1))}))
         assert run.all_passed
-        assert set(groups) == {run.layers[0].group.orders}
-        assert not set(groups) & {layer.group.orders for layer in run.layers[1:]}
+        assert [v["layer"] for v in run.verdicts if v["name"] == "sigma_independence"] == [0]
+        assert groups == []
 
 
 class TestComputedOnce:
