@@ -1,14 +1,15 @@
 """Exact arithmetic in F_q (q = p^e) and in the polynomial ring A = F_q[theta].
 
-Elements of F_q are packed integers in [0, q): the base-p digits of the
-integer are the coordinates with respect to the power basis of the defining
-modulus.  For prime fields this is plain arithmetic mod p.  An extension
-field keeps only the exp, log and Zech tables of a generator, built once by
-log_tables: multiplication, inversion and powers are exponent arithmetic,
-and addition is one Zech lookup, so no q x q table is built.  Fields are
-interned so tables are shared.  log_tables is the one construction of a
-finite field from an irreducible polynomial: the point-count oracle's
-F_(q^i) (geometry._ext_ops) takes its tables from it too.
+Elements of F_q are packed integers in [0, q).  For prime fields this is
+plain arithmetic mod p.  Every other field is FqField.extension(base, g) =
+base[Y]/(g), the one construction of a finite field from an irreducible g:
+the base-|base| digits of an element are its coordinates in the power basis
+of Y, and the field keeps only the exp, log and Zech tables of a generator,
+built once by log_tables.  Multiplication, inversion and powers are exponent
+arithmetic, and addition is one Zech lookup, so no q x q table is built.
+FqField(p, e) is the extension of F_p by the modulus, interned so tables
+are shared; the point-count oracle's F_(q^i) is the extension of F_q by a
+degree-i irreducible, built per count.
 
 Polynomials are immutable tuples of packed field elements, trailing zeros
 stripped.  deg(0) is the float('-inf') sentinel.
@@ -60,10 +61,9 @@ def _default_modulus(p: int, e: int):
 class FqField:
     """The finite field F_q, q = p^e, with packed-integer elements.
 
-    For e > 1 the element sum c_j x^j of F_p[x]/(modulus) is the integer
-    sum c_j p^j, and the field holds the exp, log and Zech tables of
-    log_tables(F_p, modulus): a product is a sum of logs, a sum one Zech
-    lookup, and -a is a shift of log a by (q - 1)/2 (a itself when p = 2).
+    FqField(p) is F_p, with arithmetic mod p.  FqField(p, e), e > 1, is the
+    interned FqField.extension(F_p, modulus): the element sum c_j x^j of
+    F_p[x]/(modulus) is the integer sum c_j p^j.
     """
 
     _interned: dict = {}
@@ -84,60 +84,52 @@ class FqField:
         if e > 1 and not is_irreducible(FqPoly(FqField(p), modulus)):
             raise ValueError("modulus is not irreducible over F_p")
         key = (p, e, modulus)
-        if key in cls._interned:
-            return cls._interned[key]
-        self = super().__new__(cls)
-        self.p, self.e, self.q, self.modulus = p, e, q, modulus
-        if e > 1:
-            self._exp, self._log, self._zech = log_tables(FqField(p), modulus)
-        cls._interned[key] = self
+        if key not in cls._interned:
+            if e > 1:
+                self = FqField.extension(FqField(p), modulus)
+            else:
+                self = super().__new__(cls)
+                self.p, self.e, self.q, self.modulus = p, e, q, modulus
+            cls._interned[key] = self
+        return cls._interned[key]
+
+    @staticmethod
+    def extension(base: "FqField", g) -> "FqField":
+        """base[Y]/(g), g a monic irreducible coefficient tuple of degree i
+        over base, constant term first, with the tables of log_tables(base,
+        g): p = base.p, e = base.e i and q = base.q^i, and the constant c of
+        base has index c.  Not interned: the tables live as long as the field.
+        """
+        self = object.__new__(_LogField)
+        i = len(g) - 1
+        self.p, self.e, self.q, self.modulus = base.p, base.e * i, base.q ** i, tuple(g)
+        exp, self._log, self._zech = log_tables(base, g)
+        self._exp = exp + exp  # a product's log, below 2(q - 1), needs no reduction
         return self
 
     # -- field operations ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        if not a or not b:
-            return a or b
-        la, n = self._log[a], self.q - 1
-        z = self._zech[(self._log[b] - la) % n]
-        return self._exp[(la + z) % n] if z >= 0 else 0
+        return (a + b) % self.p
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        if not a or self.p == 2:
-            return a
-        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
+        return (-a) % self.p
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.e == 1:
-            return (a * b) % self.p
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return (a * b) % self.p
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_q")
-        if self.e == 1:
-            return pow(a, -1, self.p)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self.pow(a, -1)
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
-            if n == 0:
-                return 1
             if n < 0:
-                raise ZeroDivisionError
-            return 0
-        if self.e == 1:
-            return pow(a, n % (self.p - 1) if n else 0, self.p) if n >= 0 else pow(self.inv(a), -n, self.p)
-        return self._exp[(self._log[a] * n) % (self.q - 1)]
+                raise ZeroDivisionError("0 has no inverse in F_q")
+            return 0 if n else 1
+        return pow(a, n % (self.p - 1), self.p)
 
     def __repr__(self):
         if self.e == 1:
@@ -149,6 +141,34 @@ class FqField:
 
     def __eq__(self, other):
         return self is other
+
+
+class _LogField(FqField):
+    """A field built by FqField.extension: a product is a sum of logs, a + b
+    = gamma^(log a + zech[log b - log a]) (a negative index counts from the
+    end), and -a is a shift of log a by (q - 1)/2 (a itself when p = 2)."""
+
+    def add(self, a: int, b: int) -> int:
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
+
+    def neg(self, a: int) -> int:
+        if not a or self.p == 2:
+            return a
+        return self._exp[self._log[a] + (self.q - 1) // 2]
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
+
+    def pow(self, a: int, n: int) -> int:
+        if a == 0:
+            return super().pow(a, n)
+        return self._exp[self._log[a] * n % (self.q - 1)]
 
 
 class FqPoly:
@@ -214,13 +234,13 @@ class FqPoly:
 
     def __add__(self, other):
         self._check(other)
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FqPoly(F, (F.add(self[i], other[i]) for i in range(n)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return FqPoly(self.field, (*map(self.field.add, a, b), *a[len(b):]))
 
     def __neg__(self):
-        F = self.field
-        return FqPoly(F, (F.neg(c) for c in self.coeffs))
+        return FqPoly(self.field, map(self.field.neg, self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -243,15 +263,18 @@ class FqPoly:
         F = self.field
         return FqPoly(F, (F.mul(c, x) for x in self.coeffs))
 
-    def __divmod__(self, other):
+    def _divide(self, other):
+        """Quotient and remainder coefficient lists of self by other."""
         self._check(other)
-        if other.is_zero():
+        if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
         rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = F.inv(other.leading())
-        quo = [0] * max(len(rem) - db, 0)
+        db = len(other.coeffs) - 1
+        if len(rem) <= db:
+            return [], rem
+        inv_lead = F.inv(other.coeffs[-1])
+        quo = [0] * (len(rem) - db)
         if F.e == 1:
             # prime field: the same steps with the F_p operations inlined
             p = F.p
@@ -263,21 +286,26 @@ class FqPoly:
                     shift = len(rem) - db
                     quo[shift] = c
                     rem[shift:] = [(a - c * b) % p for a, b in zip(rem[shift:], low)]
-            return FqPoly(F, quo), FqPoly(F, rem)
-        while len(rem) - 1 >= db:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            c = F.mul(rem[-1], inv_lead)
-            shift = len(rem) - 1 - db
-            quo[shift] = c
-            for i, bi in enumerate(other.coeffs):
-                rem[shift + i] = F.sub(rem[shift + i], F.mul(c, bi))
-            rem.pop()
-        return FqPoly(F, quo), FqPoly(F, rem)
+            return quo, rem
+        # a step adds only the nonzero lower terms of -other, as zpoly.div_rem
+        add, mul = F.add, F.mul
+        terms = [(j, F.neg(b)) for j, b in enumerate(other.coeffs[:-1]) if b]
+        for top in range(len(rem) - 1, db - 1, -1):
+            if rem[top]:
+                c = mul(rem[top], inv_lead)
+                shift = top - db
+                quo[shift] = c
+                for j, b in terms:
+                    rem[shift + j] = add(rem[shift + j], mul(c, b))
+        del rem[db:]
+        return quo, rem
+
+    def __divmod__(self, other):
+        quo, rem = self._divide(other)
+        return FqPoly(self.field, quo), FqPoly(self.field, rem)
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return FqPoly(self.field, self._divide(other)[1])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

@@ -1,9 +1,10 @@
-"""Independent geometric oracle: point counts on explicit curve models (one
-fiber per Frobenius orbit), splitting-law counts from class-field data, zeta
-numerators via Newton identities, the Ritter-Weiss order bookkeeping, and
-the charpoly comparison, whose discrepancy factor is certified a unit of
-Z/p^k[u]/(u^M) (grouprings.PolyGroupRing with h = u^M and the trivial group),
-(k, M) = CHARPOLY_PRECISION.
+"""Independent geometric oracle: point counts on explicit curve models over
+F_(q^i) = FqField.extension (one fiber per Frobenius orbit, its roots by an
+FqPoly gcd), splitting-law counts from class-field data, zeta numerators via
+Newton identities, the Ritter-Weiss order bookkeeping, and the charpoly
+comparison, whose discrepancy factor is certified a unit of Z/p^k[u]/(u^M)
+(grouprings.PolyGroupRing with h = u^M and the trivial group), (k, M) =
+CHARPOLY_PRECISION.
 
 The Sigma factor W(u) = prod_{v in Sigma} (1 - sigma_v^{-1} (qu)^{d_v}) is
 never formed in Z[G][u]: sigma_factor_at_one multiplies a Z[G] coefficient
@@ -25,7 +26,7 @@ from math import gcd
 from . import zpoly
 from .abelian import TRIVIAL_GROUP
 from .carlitz import AXPoly, real_generator_minpoly
-from .ffpoly import FqPoly, INFINITY, factor, irreducibles_of_degree, log_tables
+from .ffpoly import FqField, FqPoly, INFINITY, factor, irreducibles_of_degree
 from .grouprings import PolyGroupRing, character_norm, is_unit, translation
 
 DEFAULT_POINT_BUDGET = 10 ** 7
@@ -138,56 +139,15 @@ def curve_model(layer) -> CurveModel:
     return CurveModel(layer=layer, fpoly=fpoly, exceptional=table, disc=disc)
 
 
-# -- extension field arithmetic on log codes ----------------------------------
+# -- point counts on the model ------------------------------------------------
 
 
-def _ext_ops(field, i: int):
-    """Arithmetic closures for F_(q^i) = F_q[Y]/(g) on log codes, g the first
-    monic irreducible of degree i over F_q (irreducibles_of_degree).
-
-    The exp, log and Zech tables are ffpoly.log_tables(field, g): the
-    element sum c_j Y^j has the index sum c_j q^j (c_0 least significant)
-    and gamma is the least index of multiplicative order q^i - 1.  An
-    element is coded 0 for zero and log + 1 otherwise (k+1 for gamma^k);
-    mul and pow are exponent arithmetic mod q^i - 1, add is one Zech lookup,
-    and the constant c, whose index is c, is coded log[c] + 1.
-    """
-    g = next(irreducibles_of_degree(field, i)).gen
-    n = field.q ** i - 1
-    _, log, zech = log_tables(field, g.coeffs)
-    minus_one = log[field.neg(1)]
-
-    def add(a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        z = zech[(b - a) % n]
-        return (a + z - 1) % n + 1 if z >= 0 else 0
-
-    def mul(a, b):
-        return (a + b - 2) % n + 1 if a and b else 0
-
-    def neg(a):
-        return (a + minus_one - 1) % n + 1 if a else 0
-
-    def embed(c):
-        return log[c] + 1
-
-    def power(a, e):
-        if not a:
-            return 0 if e else 1
-        return (a - 1) * e % n + 1
-
-    return {"add": add, "neg": neg, "mul": mul, "embed": embed, "pow": power,
-            "zero": 0, "one": 1, "degree": i}
-
-
-def _frobenius_orbits(q: int, i: int):
-    """(code, size) for one log code from each orbit of theta -> theta^q on
-    F_(q^i): the orbit of code k+1 is {k q^j mod (q^i - 1)} + 1, and zero
-    is its own orbit.  The sizes add up to q^i."""
-    n = q ** i - 1
+def _frobenius_orbits(field, q: int):
+    """(a, size) for one element a from each orbit of a -> a^q on field: the
+    orbit of gamma^k is {gamma^(k q^j)}, walked on exponents mod |field| - 1
+    and mapped to elements through the exp table, and zero is its own
+    orbit.  The sizes add up to |field|."""
+    n = field.q - 1
     seen = bytearray(n)
     out = [(0, 1)]
     for k in range(n):
@@ -197,104 +157,26 @@ def _frobenius_orbits(q: int, i: int):
                 seen[j] = 1
                 size += 1
                 j = j * q % n
-            out.append((k + 1, size))
+            out.append((field._exp[k], size))
     return out
 
 
-def _fiber_root_count(coeffs, ops, qi_exp, q):
-    """Number of roots in F_(q^i) of the monic polynomial with the given
-    extension-field coefficients: deg gcd(X^(q^i) - X, f).
+def _fiber_root_count(f: FqPoly, q: int, i: int) -> int:
+    """Number of roots of the monic f in its field F_(q^i):
+    deg gcd(X^(q^i) - X, f) (Lidl and Niederreiter, Finite Fields, ch. 3).
 
-    X^(q^i) mod f is computed by iterating the q-power Frobenius
-    substitution h -> sum_t h_t^q (X^q)^t, which keeps every intermediate at
-    degree < deg f.
+    X^(q^i) mod f comes from i q-power Frobenius steps h -> h^q mod f,
+    starting at h = X: h^q = sum_t h_t^q X^(qt), as q is a power of the
+    characteristic, so every step spreads the coefficients and reduces once.
     """
-    add, mul, neg = ops["add"], ops["mul"], ops["neg"]
-    zero, one = ops["zero"], ops["one"]
-
-    def poly_trim(f):
-        while f and f[-1] == zero:
-            f.pop()
-        return f
-
-    def poly_mul(a, b):
-        out = [zero] * (len(a) + len(b) - 1)
-        for s, x in enumerate(a):
-            if x != zero:
-                for t, y in enumerate(b):
-                    if y != zero:
-                        out[s + t] = add(out[s + t], mul(x, y))
-        return out
-
-    def poly_rem(a, b):
-        # b monic
-        a = list(a)
-        db = len(b) - 1
-        while len(a) - 1 >= db:
-            if a[-1] == zero:
-                a.pop()
-                continue
-            c = a[-1]
-            shift = len(a) - 1 - db
-            for t in range(db):
-                a[shift + t] = add(a[shift + t], neg(mul(c, b[t])))
-            a.pop()
-        return poly_trim(a)
-
-    def poly_monic(f):
-        lead = f[-1]
-        if lead == one:
-            return f
-        inv = ops["pow"](lead, q ** ops["degree"] - 2)
-        return [mul(inv, c) for c in f]
-
-    def poly_gcd(a, b):
-        # poly_rem needs monic divisors: normalize b throughout
-        a, b = poly_trim(list(a)), poly_trim(list(b))
-        if b:
-            b = poly_monic(b)
-        while b:
-            a = poly_rem(a, b)
-            a, b = b, poly_trim(a)
-            if b:
-                b = poly_monic(b)
-        return a
-
-    f = list(coeffs)
-    d = len(f) - 1
-    if d == 0:
-        return 0
-    # x^q mod f by square-and-multiply
-    acc = [one]
-    base = [zero, one]
-    e = q
-    while e:
-        if e & 1:
-            acc = poly_rem(poly_mul(acc, base), f) or [zero]
-        base = poly_rem(poly_mul(base, base), f) or [zero]
-        e >>= 1
-    xq_mod = acc
-    # powers (x^q)^t mod f for t < d
-    pw = [[one]]
-    for _ in range(d - 1):
-        pw.append(poly_rem(poly_mul(pw[-1], xq_mod), f) or [zero])
-    h = poly_rem([zero, one], f) or [zero]
-    for _ in range(qi_exp):
-        new = [zero]
-        for t, c in enumerate(h):
-            if c == zero:
-                continue
-            cq = ops["pow"](c, q)
-            addend = [mul(cq, x) for x in pw[t]]
-            if len(addend) > len(new):
-                new, addend = addend, new
-            new = [add(a, b) for a, b in
-                   zip(new, addend + [zero] * (len(new) - len(addend)))]
-        h = poly_trim(new) or [zero]
-    diff = list(h) + [zero] * max(0, 2 - len(h))
-    diff[1] = add(diff[1], neg(one))
-    g = poly_gcd(f, diff)
-    return len(g) - 1 if g else 0
+    F = f.field
+    x = FqPoly.gen(F)
+    h = x if f.degree >= 2 else x % f
+    for _ in range(i):
+        spread = [0] * (q * len(h.coeffs))
+        spread[::q] = [F.pow(c, q) for c in h.coeffs]
+        h = FqPoly(F, spread) % f
+    return f.gcd(h - x).degree
 
 
 def count_points_model(model: CurveModel, i: int,
@@ -302,8 +184,12 @@ def count_points_model(model: CurveModel, i: int,
     """F_(q^i)-points of the smooth model: affine counting away from the
     exceptional fibers plus the class-field table above them.
 
-    The affine fiber above each exceptional finite place is also counted and
-    compared against the table; disagreement is a hard error.
+    F_(q^i) is FqField.extension(F_q, g), g the first monic irreducible of
+    degree i over F_q (irreducibles_of_degree).  The fiber over theta0 is
+    the model with its A-coefficients evaluated at theta0, an FqPoly over
+    F_(q^i), and its points are its roots (_fiber_root_count).  The affine
+    fiber above each exceptional finite place is also counted and compared
+    against the table; disagreement is a hard error.
 
     One fiber is counted per orbit of the q-power Frobenius on F_(q^i) and
     weighted by the orbit size.  That is exact: the model is defined over
@@ -316,36 +202,29 @@ def count_points_model(model: CurveModel, i: int,
     q = field.q
     if q ** i > budget:
         raise ValueError(f"q^i = {q ** i} exceeds the point-count budget {budget}")
-    ops = _ext_ops(field, i)
-    add, mul, embed, zero = ops["add"], ops["mul"], ops["embed"], ops["zero"]
-    # X-coefficients of the model as A-polynomials, evaluated per fiber
+    ext = FqField.extension(field, next(irreducibles_of_degree(field, i)).gen.coeffs)
+    add, mul = ext.add, ext.mul
     xcoeffs = model.fpoly.coeffs
     finite_places = model.layer.finite_s()
     exc_polys = [v.gen for v in finite_places]
 
-    def _eval_coeff(c: FqPoly, theta0):
-        val = zero
+    def evaluate(c: FqPoly, theta0):
+        # the constant c of F_q is the element c of F_(q^i)
+        val = 0
         for cc in reversed(c.coeffs):
-            val = add(mul(val, theta0), embed(cc))
+            val = add(mul(val, theta0), cc)
         return val
-
-    def fiber_contribution(theta0):
-        # returns (affine_count, exceptional_index or None)
-        coeffs = [_eval_coeff(c, theta0) for c in xcoeffs]
-        for idx, g in enumerate(exc_polys):
-            if _eval_coeff(g, theta0) == zero:
-                # exceptional fiber: count it separately for the mismatch check
-                return _fiber_root_count(coeffs, ops, i, q), idx
-        return _fiber_root_count(coeffs, ops, i, q), None
 
     points = 0
     exceptional_affine = {}
-    for th, size in _frobenius_orbits(q, i):
-        cnt, idx = fiber_contribution(th)
+    for th, size in _frobenius_orbits(ext, q):
+        cnt = size * _fiber_root_count(FqPoly(ext, [evaluate(c, th) for c in xcoeffs]), q, i)
+        idx = next((idx for idx, g in enumerate(exc_polys) if not evaluate(g, th)), None)
         if idx is None:
-            points += size * cnt
+            points += cnt
         else:
-            exceptional_affine[idx] = exceptional_affine.get(idx, 0) + size * cnt
+            # exceptional fiber: counted separately for the mismatch check
+            exceptional_affine[idx] = exceptional_affine.get(idx, 0) + cnt
 
     # add table contributions and enforce the fiber-consistency check
     for idx, v in enumerate(finite_places):
@@ -565,7 +444,8 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
 
     Exact identity: N(Theta_{S,Sigma})(u) * (1 - qu) = Q(u) * N(Sigma-factor)(u)
     in Z[u], where N is the product over all characters (sigma_factor_norm
-    for the Sigma factor) and Q the charpoly.  The discrepancy factor
+    for the Sigma factor) and Q the charpoly; first_mismatch_degree is the
+    least u-degree where the two sides differ (None when they agree).  The discrepancy factor
     W = N(Sigma)/(1-qu) is certified as a unit of Z/p^k[u]/(u^M), (k, M) =
     CHARPOLY_PRECISION, the PolyGroupRing of h = u^M and the trivial group,
     with an inverse witness.
@@ -576,7 +456,8 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
     R = character_norm(layer.group, theta_result.chi_theta_table.values())
     NS = sigma_factor_norm(layer)
 
-    exact = zpoly.mul(R, [1, -q]) == zpoly.mul(Q, NS)
+    diff = zpoly.sub(zpoly.mul(R, [1, -q]), zpoly.mul(Q, NS))
+    exact = not diff
 
     ring = PolyGroupRing(p, k, (0,) * M + (1,), TRIVIAL_GROUP)
 
@@ -598,6 +479,7 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
         pinned_matches = False
     return {
         "exact_identity": exact,
+        "first_mismatch_degree": next((d for d, c in enumerate(diff) if c), None),
         "unit_certified": unit_certified,
         "pinned_discrepancy_matches": pinned_matches,
         "precision_k": k,

@@ -277,11 +277,16 @@ def _tower_suite(run: TowerRun):
     counts = [count_points_splitting(layer, i) for i in range(1, POINT_MAX_I + 1)]
     with run.check("point_count_cross_check", layer.n,
                    "model counting vs class-field splitting law") as record:
-        agree = model is None or all(
-            count_points_model(model, i, budget=opts.point_budget) == ns
-            for i, ns in enumerate(counts, 1) if cfg.field.q ** i <= opts.point_budget)
-        record(agree, counts=counts, model=None if model is None else "plane model",
-               note=model_err)
+        mismatch = None
+        for i, ns in enumerate(counts, 1):
+            if model is None or cfg.field.q ** i > opts.point_budget:
+                break
+            nm = count_points_model(model, i, budget=opts.point_budget)
+            if nm != ns:
+                mismatch = {"i": i, "model": nm, "splitting": ns}
+                break
+        record(mismatch is None, counts=counts, model=None if model is None else "plane model",
+               note=model_err, **({} if mismatch is None else {"first_mismatch": mismatch}))
     _class_number_suite(run, layer, tr, counts, sum(theta_one_exps[0]))
 
 
@@ -355,8 +360,11 @@ def _class_number_suite(run: TowerRun, layer, tr, counts, quot):
         with run.check("charpoly_theta_identity", layer.n,
                        "Frobenius characteristic polynomial vs Theta") as record:
             report = charpoly_theta_report(layer, tr, z, sdiv)
-            record(report["exact_identity"] and report["unit_certified"] and
-                   report["pinned_discrepancy_matches"], precision=CHARPOLY_PRECISION)
+            failed = [part for part in ("exact_identity", "unit_certified",
+                                        "pinned_discrepancy_matches") if not report[part]]
+            record(not failed, precision=CHARPOLY_PRECISION,
+                   **({} if not failed else {"failed_parts": failed,
+                                             "first_mismatch_degree": report["first_mismatch_degree"]}))
 
 
 # ---------------------------------------------------------------------------

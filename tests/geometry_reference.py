@@ -1,11 +1,11 @@
 """The model point count of ctower.geometry as it stood before it counted
 one fiber per Frobenius orbit, kept as the oracle that count_points_model is
-tested against: the same fiber count and table bookkeeping, but every
-theta0 of F_(q^i) visited once, its log codes 0..q^i - 1 in order.
+tested against: the same field, fiber count and table bookkeeping, but every
+theta0 of F_(q^i) visited once, its indices 0..q^i - 1 in order.
 """
 
-from ctower.ffpoly import INFINITY, FqPoly
-from ctower.geometry import DEFAULT_POINT_BUDGET, FiberMismatchError, _ext_ops, _fiber_root_count
+from ctower.ffpoly import INFINITY, FqField, FqPoly, irreducibles_of_degree
+from ctower.geometry import DEFAULT_POINT_BUDGET, FiberMismatchError, _fiber_root_count
 
 
 def reference_count_points_model(model, i: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
@@ -14,24 +14,23 @@ def reference_count_points_model(model, i: int, budget: int = DEFAULT_POINT_BUDG
     q = field.q
     if q ** i > budget:
         raise ValueError(f"q^i = {q ** i} exceeds the point-count budget {budget}")
-    ops = _ext_ops(field, i)
-    add, mul, embed, zero = ops["add"], ops["mul"], ops["embed"], ops["zero"]
+    ext = FqField.extension(field, next(irreducibles_of_degree(field, i)).gen.coeffs)
     xcoeffs = model.fpoly.coeffs
     finite_places = model.layer.finite_s()
     exc_polys = [v.gen for v in finite_places]
 
     def _eval_coeff(c: FqPoly, theta0):
-        val = zero
+        val = 0
         for cc in reversed(c.coeffs):
-            val = add(mul(val, theta0), embed(cc))
+            val = ext.add(ext.mul(val, theta0), cc)
         return val
 
     def fiber_contribution(theta0):
-        coeffs = [_eval_coeff(c, theta0) for c in xcoeffs]
+        fiber = FqPoly(ext, [_eval_coeff(c, theta0) for c in xcoeffs])
         for idx, g in enumerate(exc_polys):
-            if _eval_coeff(g, theta0) == zero:
-                return _fiber_root_count(coeffs, ops, i, q), idx
-        return _fiber_root_count(coeffs, ops, i, q), None
+            if _eval_coeff(g, theta0) == 0:
+                return _fiber_root_count(fiber, q, i), idx
+        return _fiber_root_count(fiber, q, i), None
 
     points = 0
     exceptional_affine = {}

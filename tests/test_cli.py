@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ctower import cli, lfun, rayclass, tower
+from ctower import cli, geometry, lfun, rayclass, tower
 from ctower.cli import main, parse_poly, parse_q
 from ctower.ffpoly import INFINITY, FqField, FqPoly
 from ctower.tower import TowerRun, algebra_suite, run_tower
@@ -629,6 +630,22 @@ def _shift_fiber_table(real):
     return shifted
 
 
+def _shift_one_fiber(real):
+    calls = itertools.count()
+
+    def shifted(*args):  # one more root on the first fiber, theta0 = 0 at i = 1: p(0) = 1
+        return real(*args) + (next(calls) == 0)
+    return shifted
+
+
+def _shift_charpoly(real):
+    def shifted(*args):  # Q + u
+        out = real(*args)
+        out[1] += 1
+        return out
+    return shifted
+
+
 def _shift_last_count(real):
     return lambda counts, q: real(counts[:-1] + [counts[-1] + 1], q)
 
@@ -669,6 +686,10 @@ class TestFailuresAreVerdicts:
          ("error", "ArithmeticError: Frobenius incompatibility at ")),
         (tower, "curve_model", _shift_fiber_table, "point_count_cross_check", 0,
          ("error", "FiberMismatchError: fiber above ")),
+        (geometry, "_fiber_root_count", _shift_one_fiber, "point_count_cross_check", 0,
+         ("first_mismatch", "{'i': 1, 'model': 4, 'splitting': 3}")),
+        (geometry, "tate_charpoly", _shift_charpoly, "charpoly_theta_identity", 0,
+         ("failed_parts", "['exact_identity', 'pinned_discrepancy_matches']")),
         (tower, "zeta_numerator", _shift_last_count, "zeta_functional_equation", 0,
          ("error", "ArithmeticError: no integral zeta numerator fits the counts")),
         (tower, "delta_blocks", _raise_outside_mu, "special_value_nzd_shadow", 0,
@@ -676,7 +697,7 @@ class TestFailuresAreVerdicts:
         (tower, "theta", _shift_alt_special_value, "sigma_independence", 0,
          ("first_mismatch", "[0]")),
     ], ids=["divisor-sum", "divisor-sum-tail", "symbolic-trivial", "per-character",
-            "frobenius", "fiber-mismatch", "zeta-no-fit", "delta-blocks",
+            "frobenius", "fiber-mismatch", "fiber-count", "charpoly", "zeta-no-fit", "delta-blocks",
             "sigma-alt-side"])
     def test_injected_error_is_a_failed_verdict(self, capsys, monkeypatch, tmp_path,
                                                 module, name, shift, verdict, layer, detail):

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import random
 
 import pytest
 
@@ -20,7 +22,6 @@ from ctower.geometry import (
     sigma_factor_norm,
     tate_charpoly,
     zeta_numerator,
-    _ext_ops,
     _fiber_root_count,
     _frobenius_orbits,
 )
@@ -54,16 +55,23 @@ def flagship_q2():
                        frozenset({FinitePlace(poly(F2, 0, 1))}))
 
 
-class TestExtOps:
-    """The log-coded F_(q^i) of the point-count oracle against schoolbook
-    arithmetic on coefficient tuples modulo the same g."""
+def ext_field(field, i):
+    """F_(q^i) as count_points_model builds it."""
+    return FqField.extension(field, next(irreducibles_of_degree(field, i)).gen.coeffs)
 
+
+class TestExtOps:
+    """FqField.extension, the point-count oracle's F_(q^i) = F_q[Y]/(g), against
+    schoolbook arithmetic on coefficient tuples modulo the same g: the
+    element sum c_j Y^j has the index sum c_j q^j, c_0 least significant."""
+
+    F4 = FqField(2, 2)
     CASES = [(F2, i) for i in range(1, 5)] + [(F3, i) for i in range(1, 4)] + \
-        [(FqField(2, 2), 1), (FqField(2, 2), 2)]
+        [(F4, 1), (F4, 2)]
 
     @staticmethod
     def schoolbook(field, g):
-        i = len(g) - 1
+        q, i = field.q, len(g) - 1
 
         def reduce(c):
             c = list(c) + [0] * max(0, i - len(c))
@@ -84,75 +92,88 @@ class TestExtOps:
                     out[s + t] = field.add(out[s + t], field.mul(x, y))
             return reduce(out)
 
-        return add, mul
+        def power(a, n):
+            acc = (1,) + (0,) * (i - 1)
+            while n:
+                if n & 1:
+                    acc = mul(acc, a)
+                a, n = mul(a, a), n >> 1
+            return acc
+
+        def digits(x):
+            return tuple(x // q ** j % q for j in range(i))
+
+        return add, mul, power, digits
+
+    def check(self, field, i, pairs, exponents):
+        g = next(irreducibles_of_degree(field, i)).gen.coeffs
+        ext = ext_field(field, i)
+        add, mul, power, digits = self.schoolbook(field, g)
+        n, zero, one = field.q ** i - 1, digits(0), digits(1)
+        assert (ext.p, ext.e, ext.q) == (field.p, field.e * i, n + 1)
+        # the constant c of F_q is the element c of F_(q^i)
+        for c, d in itertools.product(range(field.q), repeat=2):
+            assert (ext.add(c, d), ext.mul(c, d)) == (field.add(c, d), field.mul(c, d))
+        for a, b in pairs:
+            ta, tb = digits(a), digits(b)
+            assert digits(ext.add(a, b)) == add(ta, tb)
+            assert digits(ext.mul(a, b)) == mul(ta, tb)
+            assert add(digits(ext.neg(b)), tb) == zero
+            assert ext.sub(a, b) == ext.add(a, ext.neg(b))
+            if b:
+                assert mul(digits(ext.inv(b)), tb) == one
+        for a, es in exponents:
+            ta = digits(a)
+            for e in es:
+                assert digits(ext.pow(a, e)) == power(ta, e)
+                if a:
+                    assert mul(digits(ext.pow(a, -e)), power(ta, e)) == one
 
     def test_against_schoolbook(self):
+        for field, i in self.CASES + [(F3, 2), (F3, 3), (self.F4, 2)]:
+            size = field.q ** i
+            pairs = itertools.product(range(size), repeat=2)
+            self.check(field, i, pairs, [(a, range(2 * size + 1)) for a in range(size)])
+
+    def test_exp_table_is_the_least_generator(self):
+        # the documented layout: gamma^k for k < q^i - 1, gamma the least
+        # index of multiplicative order q^i - 1
         for field, i in self.CASES:
-            q, n = field.q, field.q ** i - 1
-            ops = _ext_ops(field, i)
             g = next(irreducibles_of_degree(field, i)).gen.coeffs
-            add, mul = self.schoolbook(field, g)
-            one = (1,) + (0,) * (i - 1)
+            _, mul, power, digits = self.schoolbook(field, g)
+            n, one = field.q ** i - 1, digits(1)
+            gamma = next(a for a in range(1, n + 1)
+                         if all(power(digits(a), n // r) != one
+                                for r in range(2, n + 1) if n % r == 0))
+            assert [digits(x) for x in ext_field(field, i)._exp[:n]] == \
+                [power(digits(gamma), k) for k in range(n)]
 
-            def order(a):
-                acc, e = a, 1
-                while acc != one:
-                    acc, e = mul(acc, a), e + 1
-                return e
-
-            # the documented layout: 0 for zero and k+1 for gamma^k, gamma the
-            # least index sum c_j q^j (c_0 least significant) of
-            # multiplicative order q^i - 1
-            tuples = [tuple(x // q ** j % q for j in range(i)) for x in range(q ** i)]
-            gamma = next(a for a in tuples[1:] if order(a) == n)
-            tuples.sort()
-            decode = {0: (0,) * i}
-            acc = one
-            for k in range(n):
-                decode[k + 1] = acc
-                acc = mul(acc, gamma)
-            assert sorted(decode.values()) == tuples
-            codes = list(decode)
-            assert decode[ops["zero"]] == (0,) * i and decode[ops["one"]] == one
-            for c in range(q):
-                assert decode[ops["embed"](c)] == (c,) + (0,) * (i - 1)
-            for a in codes:
-                ta = decode[a]
-                assert add(decode[ops["neg"](a)], ta) == (0,) * i
-                for b in codes:
-                    tb = decode[b]
-                    assert decode[ops["add"](a, b)] == add(ta, tb)
-                    assert decode[ops["mul"](a, b)] == mul(ta, tb)
-                acc = one
-                for e in range(2 * q ** i + 1):
-                    assert decode[ops["pow"](a, e)] == acc
-                    acc = mul(acc, ta)
+    def test_sampled_pairs_of_f729(self):
+        rng = random.Random(729)
+        pairs = [(rng.randrange(729), rng.randrange(729)) for _ in range(2000)]
+        self.check(F3, 6, pairs, [(a, [b, 728 + b]) for a, b in pairs[:300]])
 
 
 class TestFiberRootCount:
     def test_against_exhaustive_evaluation(self):
         # oracle: evaluate the fiber polynomial at every element of F_(q^i)
-        import random as _random
-
-        rng = _random.Random(77)
-        for q, field, i in [(3, F3, 2), (2, F2, 3), (3, F3, 3), (2, F2, 4)]:
-            ops = _ext_ops(field, i)
-            elements = range(q ** i)
+        rng = random.Random(77)
+        for field, i in [(F3, 2), (F2, 3), (F3, 3), (F2, 4), (FqField(2, 2), 2)]:
+            q, ext = field.q, ext_field(field, i)
+            elements = range(ext.q)
             for _ in range(25):
                 deg = rng.randrange(1, 5)
-                coeffs = [rng.choice(elements) for _ in range(deg)]
-                coeffs.append(ops["one"])  # monic
-                got = _fiber_root_count(coeffs, ops, i, q)
+                f = FqPoly(ext, [rng.choice(elements) for _ in range(deg)] + [1])  # monic
+                got = _fiber_root_count(f, q, i)
                 brute = 0
                 for x in elements:
-                    acc = ops["zero"]
-                    for c in reversed(coeffs):
-                        acc = ops["add"](ops["mul"](acc, x), c)
-                    if acc == ops["zero"]:
+                    acc = 0
+                    for c in reversed(f.coeffs):
+                        acc = ext.add(ext.mul(acc, x), c)
+                    if acc == 0:
                         brute += 1
-                # squarefree fibers: distinct roots == root count; for
-                # non-squarefree random inputs the gcd degree counts each
-                # distinct root once, so compare against distinct roots
+                # the gcd degree counts each distinct root once, and so
+                # does the search, squarefree or not
                 assert got == brute
 
 
@@ -175,21 +196,19 @@ class TestOrbitCount:
     oracle."""
 
     @staticmethod
-    def covers_q_power_orbits(reps, field, i):
+    def covers_q_power_orbits(reps, ext, q):
         # each rep's orbit under theta -> theta^q has the rep's size, and the
         # orbits partition F_(q^i)
-        q = field.q
-        power = _ext_ops(field, i)["pow"]
         covered = set()
-        for code, size in reps:
-            orbit, a = {code}, power(code, q)
-            while a != code:
+        for rep, size in reps:
+            orbit, a = {rep}, ext.pow(rep, q)
+            while a != rep:
                 orbit.add(a)
-                a = power(a, q)
+                a = ext.pow(a, q)
             if len(orbit) != size or orbit & covered:
                 return False
             covered |= orbit
-        return covered == set(range(q ** i))
+        return covered == set(range(ext.q))
 
     @pytest.mark.parametrize("make_layer,ins", [
         (lambda: build_layer(flagship_q3(), 0), range(1, 7)),
@@ -208,15 +227,17 @@ class TestOrbitCount:
                              ids=["q2", "q3", "q4", "q5"])
     def test_one_rep_per_q_power_orbit(self, field, ins):
         for i in ins:
-            reps = _frobenius_orbits(field.q, i)
+            ext = ext_field(field, i)
+            reps = _frobenius_orbits(ext, field.q)
             assert sum(size for _, size in reps) == field.q ** i
-            assert self.covers_q_power_orbits(reps, field, i)
+            assert self.covers_q_power_orbits(reps, ext, field.q)
 
     def test_p_power_orbits_are_refused_at_q4(self):
         # F_(4^i) = F_(2^(2i)): the orbits of squaring join q-power orbits
         field = FqField(2, 2)
         for i in range(1, 5):
-            assert not self.covers_q_power_orbits(_frobenius_orbits(2, 2 * i), field, i)
+            ext = ext_field(field, i)
+            assert not self.covers_q_power_orbits(_frobenius_orbits(ext, 2), ext, field.q)
 
     def test_corrupted_table_is_a_fiber_mismatch(self):
         model = curve_model(build_layer(flagship_q3(), 0))
@@ -429,6 +450,19 @@ class TestTateCharpoly:
         assert report["exact_identity"]
         assert report["unit_certified"]
         assert report["pinned_discrepancy_matches"]
+        assert report["first_mismatch_degree"] is None
+
+    def test_first_mismatch_degree(self, monkeypatch):
+        # Q + u^3 against Q: N(Sigma) has constant term 1, so the two sides
+        # of the identity first differ at u^3
+        layer = build_layer(flagship_q3(), 0)
+        sdiv = s_divisor_data(layer)
+        z = zeta_numerator([count_points_splitting(layer, i) for i in range(1, 7)], 3)
+        real = geometry.tate_charpoly
+        monkeypatch.setattr(geometry, "tate_charpoly", lambda *args: real(*args) + [0, 1])
+        report = charpoly_theta_report(layer, theta(layer), z, sdiv)
+        assert not report["exact_identity"]
+        assert report["first_mismatch_degree"] == 3
 
     def test_charpoly_theta_identity_q2(self):
         layer = build_layer(flagship_q2(), 0)
