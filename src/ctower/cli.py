@@ -440,14 +440,13 @@ def cmd_verify(args):
     return 0 if run.all_passed else 1
 
 
-def _add_config_flags(sp, with_n=True):
+def _add_config_flags(sp):
     sp.add_argument("--q", required=True, help="field size, e.g. 3 or 2^2")
     sp.add_argument("--f", default="1", help="conductor part f (default 1)")
     sp.add_argument("--p", help="the prime p of the tower, e.g. x^2+1")
     sp.add_argument("--S", help="comma list of places (default: ramification support)")
     sp.add_argument("--Sigma", help="comma list of finite places")
-    if with_n:
-        sp.add_argument("--n", type=int, default=0, help="layer index")
+    sp.add_argument("--n", type=int, default=0, help="layer index")
     sp.add_argument("--out", help="write the JSON report here")
     sp.add_argument("--json", action="store_true", help="print JSON to stdout")
 

@@ -7,9 +7,9 @@ the base-|base| digits of an element are its coordinates in the power basis
 of Y, and the field keeps only the exp, log and Zech tables of a generator,
 built once by log_tables.  Multiplication, inversion and powers are exponent
 arithmetic, and addition is one Zech lookup, so no q x q table is built.
-FqField(p, e) is the extension of F_p by the modulus, interned so tables
-are shared; the point-count oracle's F_(q^i) is the extension of F_q by a
-degree-i irreducible, built per count.
+FqField(p, e) is the extension of F_p by the least irreducible of degree
+e, interned by (p, e) so tables are shared; the point-count oracle's
+F_(q^i) is the extension of F_q by a degree-i irreducible, built per count.
 
 Polynomials are immutable tuples of packed field elements, trailing zeros
 stripped.  deg(0) is the float('-inf') sentinel.
@@ -47,9 +47,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _default_modulus(p: int, e: int):
-    """Lexicographically smallest monic irreducible of degree e over F_p."""
-    if e == 1:
-        return (0, 1)
+    """Lexicographically smallest monic irreducible of degree e > 1 over F_p."""
     Fp = FqField(p)
     for tail in itertools.product(range(p), repeat=e):
         # tail[0] == 0: x divides the candidate
@@ -61,37 +59,30 @@ def _default_modulus(p: int, e: int):
 class FqField:
     """The finite field F_q, q = p^e, with packed-integer elements.
 
-    FqField(p) is F_p, with arithmetic mod p.  FqField(p, e), e > 1, is the
-    interned FqField.extension(F_p, modulus): the element sum c_j x^j of
-    F_p[x]/(modulus) is the integer sum c_j p^j.
+    FqField(p) is F_p, with arithmetic mod p.  FqField(p, e), e > 1, is
+    FqField.extension(F_p, modulus) for the lexicographically smallest monic
+    irreducible modulus of degree e: the element sum c_j x^j of
+    F_p[x]/(modulus) is the integer sum c_j p^j.  Both are interned by
+    (p, e); a field over another modulus is built by FqField.extension.
     """
 
     _interned: dict = {}
 
-    def __new__(cls, p: int, e: int = 1, modulus=None):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if e < 1:
-            raise ValueError("extension degree must be >= 1")
-        q = p ** e
-        if q > MAX_Q:
-            raise ValueError(f"q = {q} exceeds the configured bound {MAX_Q}")
-        if modulus is None:
-            modulus = _default_modulus(p, e)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree e over F_p")
-        if e > 1 and not is_irreducible(FqPoly(FqField(p), modulus)):
-            raise ValueError("modulus is not irreducible over F_p")
-        key = (p, e, modulus)
-        if key not in cls._interned:
+    def __new__(cls, p: int, e: int = 1):
+        if (p, e) not in cls._interned:
+            if not _is_prime(p):
+                raise ValueError(f"p = {p} is not prime")
+            if e < 1:
+                raise ValueError("extension degree must be >= 1")
+            if p ** e > MAX_Q:
+                raise ValueError(f"q = {p ** e} exceeds the configured bound {MAX_Q}")
             if e > 1:
-                self = FqField.extension(FqField(p), modulus)
+                self = FqField.extension(FqField(p), _default_modulus(p, e))
             else:
                 self = super().__new__(cls)
-                self.p, self.e, self.q, self.modulus = p, e, q, modulus
-            cls._interned[key] = self
-        return cls._interned[key]
+                self.p, self.e, self.q, self.modulus = p, 1, p, (0, 1)
+            cls._interned[(p, e)] = self
+        return cls._interned[(p, e)]
 
     @staticmethod
     def extension(base: "FqField", g) -> "FqField":

@@ -107,7 +107,7 @@ class CurveModel:
 
     layer: object
     fpoly: AXPoly
-    exceptional: dict   # place -> [(deg_w, count)]
+    exceptional: dict   # place v -> (deg w, count) of the places w above v
     disc: FqPoly
 
     @property
@@ -228,27 +228,26 @@ def count_points_model(model: CurveModel, i: int,
 
     # add table contributions and enforce the fiber-consistency check
     for idx, v in enumerate(finite_places):
-        expected = sum(dw * cnt for dw, cnt in model.exceptional[v] if i % dw == 0)
+        dw, cnt = model.exceptional[v]
+        expected = dw * cnt if i % dw == 0 else 0
         affine = exceptional_affine.get(idx, 0)
         if v.degree <= i and i % v.degree == 0 and affine != expected:
             raise FiberMismatchError(
                 f"fiber above {v!r}: affine count {affine} != table count {expected}")
         points += expected
-    for dw, cnt in model.exceptional[INFINITY]:
-        if i % dw == 0:
-            points += dw * cnt
+    dw, cnt = model.exceptional[INFINITY]
+    if i % dw == 0:
+        points += dw * cnt
     return points
 
 
 def count_points_splitting(layer, i: int) -> int:
     """N_i from the splitting law: unramified places contribute through the
     order of their Frobenius, ramified ones through the class-field table."""
-    table = layer.exceptional_table()
     total = 0
-    for v, entries in table.items():
-        for dw, cnt in entries:
-            if i % dw == 0:
-                total += dw * cnt
+    for dw, cnt in layer.exceptional_table().values():
+        if i % dw == 0:
+            total += dw * cnt
     s_gens = {v.gen for v in layer.finite_s()}
     for d in range(1, i + 1):
         if i % d:
@@ -328,11 +327,11 @@ def s_divisor_data(layer) -> SDivisorData:
     table = layer.exceptional_table()
     degrees = []
     for v in layer.finite_s():
-        for dw, cnt in table[v]:
-            degrees.extend([dw] * cnt)
+        dw, cnt = table[v]
+        degrees.extend([dw] * cnt)
     if layer.infinity_in_s():
-        for dw, cnt in table[INFINITY]:
-            degrees.extend([dw] * cnt)
+        dw, cnt = table[INFINITY]
+        degrees.extend([dw] * cnt)
     d_s = 0
     for d in degrees:
         d_s = gcd(d_s, d)
@@ -399,8 +398,7 @@ def nabla_order(layer, zeta: ZetaData, sdiv: SDivisorData) -> NablaOrder:
 def tate_charpoly(layer, zeta: ZetaData, sdiv: SDivisorData):
     """det(1 - gamma^{-1} u | T_p(M_S)) = P_J(u) * prod_w (1 - u^{d_w})/(1-u),
     as an integer polynomial in u."""
-    inf_entries = layer.exceptional_table()[INFINITY]
-    if min(dw for dw, _ in inf_entries) != 1:
+    if layer.exceptional_table()[INFINITY][0] != 1:
         raise ConfigurationRefused("constant-field extension detected; unsupported")
     poly = list(zeta.numerator)
     for dw in sdiv.degrees:
@@ -445,10 +443,10 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
     Exact identity: N(Theta_{S,Sigma})(u) * (1 - qu) = Q(u) * N(Sigma-factor)(u)
     in Z[u], where N is the product over all characters (sigma_factor_norm
     for the Sigma factor) and Q the charpoly; first_mismatch_degree is the
-    least u-degree where the two sides differ (None when they agree).  The discrepancy factor
-    W = N(Sigma)/(1-qu) is certified as a unit of Z/p^k[u]/(u^M), (k, M) =
-    CHARPOLY_PRECISION, the PolyGroupRing of h = u^M and the trivial group,
-    with an inverse witness.
+    least u-degree where the two sides differ (None when they agree).  The
+    discrepancy factor W = N(Sigma)/(1-qu) is certified as a unit of
+    Z/p^k[u]/(u^M), (k, M) = CHARPOLY_PRECISION, the PolyGroupRing of
+    h = u^M and the trivial group.
     """
     k, M = CHARPOLY_PRECISION
     p, q = layer.field.p, layer.field.q
@@ -457,7 +455,6 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
     NS = sigma_factor_norm(layer)
 
     diff = zpoly.sub(zpoly.mul(R, [1, -q]), zpoly.mul(Q, NS))
-    exact = not diff
 
     ring = PolyGroupRing(p, k, (0,) * M + (1,), TRIVIAL_GROUP)
 
@@ -465,27 +462,17 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
         return ring.from_vec((list(coeffs) + [0] * M)[:M])
 
     ok_q, q_inv = is_unit(series(Q), ring)
-    unit_certified = False
-    witness = None
-    ratio = None
+    unit_certified = pinned_matches = False
     if ok_q:
         ratio = ring.mul(series(R), q_inv)
-        unit_certified, witness = is_unit(ratio, ring)
+        unit_certified = is_unit(ratio, ring)[0]
         # the pinned discrepancy: N(Sigma)/(1 - qu)
         ok_d, d_inv = is_unit(series([1, -q]), ring)
         pinned = ring.mul(series(NS), d_inv) if ok_d else None
         pinned_matches = pinned is not None and ring.equal(ratio, pinned)
-    else:
-        pinned_matches = False
     return {
-        "exact_identity": exact,
+        "exact_identity": not diff,
         "first_mismatch_degree": next((d for d, c in enumerate(diff) if c), None),
         "unit_certified": unit_certified,
         "pinned_discrepancy_matches": pinned_matches,
-        "precision_k": k,
-        "truncation_M": M,
-        "charpoly": Q,
-        "norm_theta": R,
-        "norm_sigma": NS,
-        "witness": witness,
     }

@@ -5,7 +5,7 @@ certificates.
 
 GroupRingElem.apply_character is the one evaluator of a character on Z[G]: it
 sums the coefficients by log value and reduces mod Phi_N once.  For Theta it
-is called by lfun.theta, once per rational character orbit (rational_orbits),
+is called by lfun.theta, once per rational character orbit (character_orbits),
 and by ThetaResult.chi_theta_table once on every character, which only the
 per-character product, the norm of Theta in the charpoly verdict
 (character_norm) and `ctower lpoly` read; the other verdicts read the
@@ -215,35 +215,31 @@ def characters(group: AbelianGroup):
             sorted(itertools.product(*(range(o) for o in group.orders)))]
 
 
-def conjugacy_orbit_reps(chars, p: int):
-    """(reps, orbit): the first character of chars in each
-    Gal(Q_p-bar/Q_p)-orbit chi ~ chi^p, and orbit[chi.exps] = the index in
-    reps of the orbit of chi, for every chi the walks reach."""
+def character_orbits(chars, p=None):
+    """(reps, orbit) for the orbits {chi^a : a in H} of chars, H a subgroup
+    of (Z/ord chi)^x: the powers of p (the Gal(Q_p-bar/Q_p)-orbits chi ~
+    chi^p; p prime to every ord chi), or all of it when p is None (the
+    rational orbits; chi^a has the kernel of chi and chi^a(x) =
+    sigma_a(chi(x)), so each is a union of Frobenius orbits).  reps holds
+    the first character of chars in each orbit, and orbit[chi.exps] is the
+    index in reps of the orbit of chi, filled orbit by orbit in the order of
+    the a: 1, p, p^2, ... or increasing."""
     reps, orbit = [], {}
     for ch in chars:
         if ch.exps in orbit:
             continue
-        cur = ch
-        while cur.exps not in orbit:
-            orbit[cur.exps] = len(reps)
-            cur = cur.power(p)
+        M = ch.order
+        if p is None:
+            units = [a for a in range(1, M + 1) if gcd(a, M) == 1]
+        else:
+            units, a = [1 % M], p % M
+            while a not in units:
+                units.append(a)
+                a = a * p % M
+        for a in units:
+            orbit[ch.power(a).exps] = len(reps)
         reps.append(ch)
     return reps, orbit
-
-
-def rational_orbits(chars) -> dict:
-    """chi.exps -> the first character of chars in the rational orbit
-    {chi^a : gcd(a, ord chi) = 1} of chi, for every chi in chars, in chars
-    order.  chi^a has the kernel of chi and chi^a(x) = sigma_a(chi(x)); the
-    orbit is a union of Frobenius orbits of conjugacy_orbit_reps."""
-    rep = {}
-    for ch in chars:
-        if ch.exps not in rep:
-            M = ch.order
-            for a in range(1, M + 1):
-                if gcd(a, M) == 1:
-                    rep[ch.power(a).exps] = ch
-    return {ch.exps: rep[ch.exps] for ch in chars}
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +705,10 @@ def _lifted_cyclotomic_factors(M: int, p: int, k: int):
 
 
 def chi_component_ring(chi: Character, p: int, k: int, p_group: AbelianGroup) -> PolyGroupRing:
-    """Z_p(chi)[P] at precision p^k, with the first lifted factor of Phi_ord(chi)."""
-    M = chi.order
-    if M == 1:  # Z_p(chi) = Z_p realized as Z/p^k[u]/(u)
-        return PolyGroupRing(p, k, (0, 1), p_group)
-    return PolyGroupRing(p, k, _lifted_cyclotomic_factors(M, p, k)[0], p_group)
+    """Z_p(chi)[P] at precision p^k, with the first lifted factor of
+    Phi_ord(chi); for the trivial chi that is Phi_1 = u - 1, so Z_p(chi) =
+    Z_p."""
+    return PolyGroupRing(p, k, _lifted_cyclotomic_factors(chi.order, p, k)[0], p_group)
 
 
 def chi_component(x: GroupRingElem, chi: Character, ring: PolyGroupRing,
@@ -773,13 +768,6 @@ def is_unit(x, ring):
 
 
 @dataclass
-class FittingIdeal:
-    ring: object
-    generators: list
-    deficient: bool = False  # more generators than relations: zero ideal
-
-
-@dataclass
 class PresentationMatrix:
     """rows x cols matrix over a finite ring; generators are the columns."""
 
@@ -791,18 +779,15 @@ class PresentationMatrix:
         return len(self.rows[0]) if self.rows else 0
 
 
-def fitting_ideal(pm: PresentationMatrix) -> FittingIdeal:
-    """0-th Fitting ideal: all ncols x ncols minors of the relation matrix."""
+def fitting_ideal(pm: PresentationMatrix) -> list:
+    """Generators of the 0-th Fitting ideal: all ncols x ncols minors of the
+    relation matrix.  No columns give [one]; fewer rows than columns give no
+    minor, [], the zero ideal."""
     ring = pm.ring
-    rows, cols = len(pm.rows), pm.ncols
-    if cols == 0:
-        return FittingIdeal(ring, [ring.one])
-    if rows < cols:
-        return FittingIdeal(ring, [], deficient=True)
-    gens = []
-    for ri in itertools.combinations(range(rows), cols):
-        gens.append(ring.det([pm.rows[i] for i in ri]))
-    return FittingIdeal(ring, gens)
+    if pm.ncols == 0:
+        return [ring.one]
+    return [ring.det([pm.rows[i] for i in ri])
+            for ri in itertools.combinations(range(len(pm.rows)), pm.ncols)]
 
 
 def ideal_contains(ring, gens, target) -> bool:
@@ -854,12 +839,12 @@ def module_order_exponent(pm: PresentationMatrix) -> int:
 def delta_orbits(group: AbelianGroup, p: int):
     """(delta_idx, p_idx, reps, orbit) for the p-split G = Delta x P of
     group (AbelianGroup.p_partition), with reps, orbit =
-    conjugacy_orbit_reps(characters(Delta), p), built once per (group, p).
+    character_orbits(characters(Delta), p), built once per (group, p).
     Block b of delta_blocks is orbit b, so orbit maps the exponents of a
     character of Delta to its block."""
     delta_idx, p_idx = group.p_partition(p)
     delta = AbelianGroup(tuple(group.orders[i] for i in delta_idx))
-    reps, orbit = conjugacy_orbit_reps(characters(delta), p)
+    reps, orbit = character_orbits(characters(delta), p)
     return delta_idx, p_idx, reps, orbit
 
 

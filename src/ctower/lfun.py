@@ -13,7 +13,7 @@ the window (bound, D + 2]: the Euler series through D must vanish in
 same Dirichlet series, must equal it through D and vanish in (D, D + 2].
 
 theta evaluates chi(Theta) once per rational character orbit
-(grouprings.rational_orbits) into ThetaResult.chi_theta.  chi^a(Theta) =
+(grouprings.character_orbits) into ThetaResult.chi_theta.  chi^a(Theta) =
 sigma_a(chi(Theta)) and ker chi^a = ker chi, so the conductor, the split
 count, the degree of chi(Theta), its vanishing order at u = 1 and whether
 chi(Theta(1)) = 0 are read once per orbit, and listed for every character.
@@ -44,8 +44,8 @@ from .grouprings import (
     GroupRingElem,
     PolyGroupRing,
     ThetaPoly,
+    character_orbits,
     characters,
-    rational_orbits,
     translation,
 )
 
@@ -145,7 +145,7 @@ class ThetaResult:
     series: list  # raw truncated series to degree D: D + 1 coefficient lists of Z[G]
     tail: list  # divisor-sum coefficients at D + 1, D + 2 (None without the cross-check)
     per_char_degrees: dict
-    orbit_rep: dict  # grouprings.rational_orbits of characters(group)
+    orbit_rep: dict  # chi.exps -> rep of its rational orbit, in characters order
     # rep.exps -> coefficient list of chi(Theta)(u) (trailing zeros dropped),
     # for every orbit rep in characters(group) order; not part of to_json
     chi_theta: dict
@@ -362,7 +362,8 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
     per_char_degrees = {}
     chi_theta = {}
     chars = characters(group)
-    orbit_rep = rational_orbits(chars)
+    reps, orbit = character_orbits(chars)
+    orbit_rep = {chi.exps: reps[orbit[chi.exps]] for chi in chars}
     for chi in chars:
         rep = orbit_rep[chi.exps]
         if rep is not chi:  # met after its rep, which comes first in chars
@@ -447,9 +448,6 @@ def order_of_vanishing_table(layer, tr: ThetaResult):
 
 @dataclass
 class SigmaUnitWitness:
-    place: object
-    precision_k: int
-    truncation_M: int
     element: object
     inverse: object
     verified: bool
@@ -477,8 +475,7 @@ def sigma_factor_unit(layer, v) -> SigmaUnitWitness:
         inv = ring.add(inv, power)
         power = ring.mul(power, n)
     verified = ring.equal(ring.mul(x, inv), ring.one)
-    return SigmaUnitWitness(place=v, precision_k=k, truncation_M=M,
-                            element=x, inverse=inv, verified=verified)
+    return SigmaUnitWitness(element=x, inverse=inv, verified=verified)
 
 
 @dataclass

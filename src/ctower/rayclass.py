@@ -350,13 +350,14 @@ class GaloisLayer(Layer):
         return e, f, self.order // len(dec)
 
     def exceptional_table(self):
-        """For each v in S united with infinity: list of (deg w, count) of the
-        places of L_n above v, from class-field ramification data."""
+        """For each v in S united with infinity: (deg w, count) for the places
+        w of L_n above v, from class-field ramification data.  L_n / k is
+        Galois, so every w above v has the same degree."""
         table = {}
         for v in self.S | {INFINITY}:
-            e, f, g = self.ramification_data(v)
+            _, f, g = self.ramification_data(v)
             d_v = 1 if is_infinite(v) else v.degree
-            table[v] = [(d_v * f, g)]
+            table[v] = (d_v * f, g)
         return table
 
     def to_json(self):
@@ -410,9 +411,9 @@ class TrivialLayer(Layer):
         return frozenset({()})
 
     def exceptional_table(self):
-        table = {INFINITY: [(1, 1)]}
+        table = {INFINITY: (1, 1)}
         for v in self.finite_s():
-            table[v] = [(v.degree, 1)]
+            table[v] = (v.degree, 1)
         return table
 
 

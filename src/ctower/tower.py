@@ -229,9 +229,11 @@ def _tower_suite(run: TowerRun):
         with run.check("order_of_vanishing", layer.n,
                        "vanishing order at u=1 vs split decomposition groups") as record:
             table = order_of_vanishing_table(layer, tr)
-            record(all(mult == predicted for _, mult, predicted in table),
+            bad = next((chi for chi, mult, predicted in table if mult != predicted), None)
+            record(bad is None,
                    table=[{"chi": list(chi.exps), "mult": mult, "predicted": predicted}
-                          for chi, mult, predicted in table])
+                          for chi, mult, predicted in table],
+                   **({} if bad is None else {"first_mismatch": list(bad.exps)}))
 
     for layer in layers:
         for v in sorted(cfg.sigma, key=lambda v: v.gen.sort_key()):
@@ -260,13 +262,18 @@ def _tower_suite(run: TowerRun):
                                "of a place in S, so Theta(1) = 0")
                 continue
             # chi(Theta(1)) = 0 is one answer per rational orbit too
-            chars_ok = not any(rep.ring.is_zero(tr.chi_at_one(rep)) for rep in live_reps)
+            bad = next(({"chi": list(rep.exps)}
+                        for rep in sorted(live_reps, key=lambda r: r.exps)
+                        if rep.ring.is_zero(tr.chi_at_one(rep))), None)
             # the Delta-component images of Theta(1) at precision p^k that are
             # zero must be the blocks that vanish exactly
             zero = _zero_blocks(layer, p, live)
             seen = [b for b, (ring, img) in enumerate(blocks) if ring.equal(img, ring.zero)]
-            record(chars_ok and seen == zero, slack_c=max(exps, default=0), precision_k=k,
-                   **({"zero_blocks": zero} if zero else {}))
+            bad = bad or next(({"block": b} for b in range(len(blocks))
+                               if (b in seen) != (b in zero)), None)
+            record(bad is None, slack_c=max(exps, default=0), precision_k=k,
+                   **({"zero_blocks": zero} if zero else {}),
+                   **({} if bad is None else {"first_mismatch": bad}))
 
     layer, tr = layers[0], trs[0]
     model = model_err = None
@@ -517,7 +524,7 @@ def _presentation_invariance(cases):
             rows2.append([r2[perm[j]] for j in range(3)])
         f1 = fitting_ideal(PresentationMatrix(ring, rows))
         f2 = fitting_ideal(PresentationMatrix(ring, rows2))
-        return ideal_equal(f1.generators, f2.generators, ring)
+        return ideal_equal(f1, f2, ring)
 
     return ("fitting_presentation_invariance", cases, draw, check,
             {"cases": cases, "ring": ring.describe()})
@@ -533,7 +540,7 @@ def _direct_sum(cases):
     def check(inputs):
         a, b = (ring.from_vec(v) for v in inputs)
         f_sum = fitting_ideal(PresentationMatrix(ring, [[a, ring.zero], [ring.zero, b]]))
-        return ideal_equal(f_sum.generators, [ring.mul(a, b)], ring)
+        return ideal_equal(f_sum, [ring.mul(a, b)], ring)
 
     return "fitting_direct_sum", cases, draw, check, {"cases": cases}
 
@@ -567,7 +574,7 @@ def _base_change(cases):
         fi = fitting_ideal(PresentationMatrix(top, rows))
         fi_down = fitting_ideal(PresentationMatrix(bottom, [[push(e) for e in row]
                                                             for row in rows]))
-        return ideal_equal([push(g) for g in fi.generators], fi_down.generators, bottom)
+        return ideal_equal([push(g) for g in fi], fi_down, bottom)
 
     return "fitting_base_change", cases, draw, check, {"cases": cases}
 

@@ -42,13 +42,14 @@ def reference_count_points_model(model, i: int, budget: int = DEFAULT_POINT_BUDG
             exceptional_affine[idx] = exceptional_affine.get(idx, 0) + cnt
 
     for idx, v in enumerate(finite_places):
-        expected = sum(dw * cnt for dw, cnt in model.exceptional[v] if i % dw == 0)
+        dw, cnt = model.exceptional[v]
+        expected = dw * cnt if i % dw == 0 else 0
         affine = exceptional_affine.get(idx, 0)
         if v.degree <= i and i % v.degree == 0 and affine != expected:
             raise FiberMismatchError(
                 f"fiber above {v!r}: affine count {affine} != table count {expected}")
         points += expected
-    for dw, cnt in model.exceptional[INFINITY]:
-        if i % dw == 0:
-            points += dw * cnt
+    dw, cnt = model.exceptional[INFINITY]
+    if i % dw == 0:
+        points += dw * cnt
     return points

@@ -19,6 +19,7 @@ from ctower.geometry import (
     curve_model,
     nabla_order,
     s_divisor_data,
+    tate_charpoly,
     zeta_numerator,
 )
 from ctower.grouprings import (
@@ -247,7 +248,7 @@ class TestCriterion9:
         _report("criterion 9: charpoly identity shadow [q3 n=0]",
                 report["exact_identity"] and report["unit_certified"] and
                 report["pinned_discrepancy_matches"],
-                f"charpoly {report['charpoly']}, precision (p^12, u^12)")
+                f"charpoly {tate_charpoly(layer, z, sdiv)}, precision (p^12, u^12)")
 
 
 class TestCriterion10And11:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ctower import cli, geometry, lfun, rayclass, tower
+from ctower import cli, geometry, grouprings, lfun, rayclass, tower
 from ctower.cli import main, parse_poly, parse_q
 from ctower.ffpoly import INFINITY, FqField, FqPoly
 from ctower.tower import TowerRun, algebra_suite, run_tower
@@ -292,6 +292,9 @@ class TestModuleEntry:
 SMALL_ALL = ["verify", "all", "--q", "2", "--p", "x^2+x+1", "--N", "1", "--Sigma", "x",
              "--sigma-alt", "x+1", "--cases", "5"]
 BATTERY = {name for name, *_ in tower.battery_sections(1)}
+Q3_LAYER0 = ["--q", "3", "--p", "x^2+1", "--n", "0", "--Sigma", "x"]
+# a genus-3 layer over F_4: f = x, so S holds x besides p
+F4_GENUS3 = ["--q", "2^2", "--f", "x", "--p", "x+1", "--n", "1", "--Sigma", "x^3+x+1"]
 
 
 class TestVerifyAllWorker:
@@ -574,6 +577,30 @@ class TestVerifyAllWorker:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    def test_verify_cnf_bytes(self, capsys, tmp_path):
+        # verify cnf at the q=3 flagship layer 0, with Sigma-independence
+        report = tmp_path / "cnf.json"
+        assert main(["verify", "cnf", *Q3_LAYER0, "--sigma-alt", "x+1",
+                     "--out", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == \
+            "271d8ad77accf9744cc62350b37648b4018954be1fc193e82aaf235ef5ee2fc3"
+
+    @pytest.mark.parametrize("command, argv, sha256", [
+        ("count-points", Q3_LAYER0,
+         "1df49d13dbb1560def592c2340200c18a98b2f2c08e9032d597dca6dfb49b756"),
+        ("zeta", Q3_LAYER0,
+         "30a39cdce2503d5c4bd3e8b3960c95b2f470ef1f4e9c40a3ff3b0b08575327b6"),
+        ("count-points", F4_GENUS3,
+         "eac177c30f5b6fd565415aa0da360cbf354d62603a4a1e20f621f24dcfa8162e"),
+        ("zeta", F4_GENUS3,
+         "01a824cb907661d5dcb3417f2fa42e1b6c7a7ddb8004d5f2347b7ab1314ff5e1"),
+    ], ids=["count-points-q3", "zeta-q3", "count-points-f4", "zeta-f4"])
+    def test_point_count_and_zeta_bytes(self, capsys, command, argv, sha256):
+        # the printed lines and the JSON document on stdout, byte for byte
+        assert main([command, *argv, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_cli_import_loads_no_process_pool_or_pickle(self):
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -625,8 +652,8 @@ def _shift_fiber_table(real):
     def shifted(layer):  # one more point above each finite place of S
         model = real(layer)
         return dataclasses.replace(model, exceptional={
-            v: rows if v is INFINITY else [(dw, cnt + 1) for dw, cnt in rows]
-            for v, rows in model.exceptional.items()})
+            v: (dw, cnt if v is INFINITY else cnt + 1)
+            for v, (dw, cnt) in model.exceptional.items()})
     return shifted
 
 
@@ -667,6 +694,48 @@ def _shift_alt_special_value(real):
     return shifted
 
 
+def _shift_split_count(real):
+    return lambda layer, chi: real(layer, chi) + 1  # the predicted side of order_of_vanishing
+
+
+def _shift_geometric_series(real):
+    def shifted(layer, v):  # 1 + n + ... + n^(M-1) off by one in its first coefficient
+        add = grouprings.PolyGroupRing.add  # only the series adds: x is a sub and checked by mul
+
+        def add_one(ring, a, b):
+            out = add(ring, a, b)
+            out[0] += 1
+            return out
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grouprings.PolyGroupRing, "add", add_one)
+            return real(layer, v)
+    return shifted
+
+
+def _shift_nabla(real):
+    def shifted(*args):
+        nab = real(*args)
+        return dataclasses.replace(nab, total_p_exponent=nab.total_p_exponent + 1)
+    return shifted
+
+
+def _lower_degree_bound(real):
+    return lambda layer, chi: real(layer, chi) - 1
+
+
+def _zero_last_block(real):
+    def shifted(x, p, k):  # the image side: the last Delta-block reads zero
+        blocks = real(x, p, k)
+        ring, _ = blocks[-1]
+        blocks[-1] = ring, ring.zero
+        return blocks
+    return shifted
+
+
+def _zero_nontrivial_at_one(real):
+    return lambda tr, chi: real(tr, chi) if chi.is_trivial() else chi.ring.zero
+
+
 class TestFailuresAreVerdicts:
     """An error raised inside a check of verify all, or an injected change
     that a check catches, is that check's failed verdict: exit 1, a written
@@ -696,9 +765,24 @@ class TestFailuresAreVerdicts:
          ("error", "ArithmeticError: character value outside mu_M")),
         (tower, "theta", _shift_alt_special_value, "sigma_independence", 0,
          ("first_mismatch", "[0]")),
+        (rayclass.Layer, "split_count", _shift_split_count, "order_of_vanishing", 0,
+         ("first_mismatch", "[1]")),
+        (tower, "sigma_factor_unit", _shift_geometric_series, "sigma_factor_unit", 0,
+         ("place", "[0,1]@q=2^1")),
+        (tower, "nabla_order", _shift_nabla, "class_number_fitting_identity", 0,
+         ("nabla_p_exponent", "2")),
+        # theta checks every character's degree against its bound before
+        # per_character_degree_bounds runs, so that verdict never fails first
+        (lfun, "per_character_degree_bound", _lower_degree_bound, "theta_stabilization", 0,
+         ("error", "StabilizationError: character (0,): degree 1 exceeds its bound 0")),
+        (tower, "delta_blocks", _zero_last_block, "special_value_nzd_shadow", 0,
+         ("first_mismatch", "{'block': 1}")),
+        (lfun.ThetaResult, "chi_at_one", _zero_nontrivial_at_one, "special_value_nzd_shadow", 0,
+         ("first_mismatch", "{'chi': [1]}")),
     ], ids=["divisor-sum", "divisor-sum-tail", "symbolic-trivial", "per-character",
             "frobenius", "fiber-mismatch", "fiber-count", "charpoly", "zeta-no-fit", "delta-blocks",
-            "sigma-alt-side"])
+            "sigma-alt-side", "split-count", "geometric-series", "nabla", "degree-bound",
+            "zero-block", "zero-character"])
     def test_injected_error_is_a_failed_verdict(self, capsys, monkeypatch, tmp_path,
                                                 module, name, shift, verdict, layer, detail):
         monkeypatch.setattr(module, name, shift(getattr(module, name)))

@@ -283,3 +283,66 @@ def test_every_definition_is_referenced():
         dead.extend(_dead_nested_definitions(tree, path))
     dead.extend(_dead_methods(_package_classes()))
     assert not dead, f"definitions nothing refers to: {dead}"
+
+
+def _defaulted_parameters(tree):
+    """(name, line, {parameter: positional index or None}) for each
+    function and method of a tree with defaulted parameters; a method's
+    index does not count self or cls, and a keyword-only parameter has
+    None.  __init__ and __new__ are named after their class, since a call
+    of the class reaches them."""
+    for owner in ast.walk(tree):
+        body = owner.body if isinstance(owner, (ast.Module, ast.ClassDef)) else []
+        for fn in body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = 1 if isinstance(owner, ast.ClassDef) and not static else 0
+            params = {a.arg: i - skip for i, a in enumerate(positional)
+                      if i >= len(positional) - len(fn.args.defaults)}
+            params.update((a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                                        fn.args.kw_defaults) if d is not None)
+            name = owner.name if fn.name in ("__init__", "__new__") else fn.name
+            if params:
+                yield name, fn.lineno, params
+
+
+def _calls(paths):
+    """Callee name -> [(positional count, keyword names, unpacks)] for each
+    call in the files, the callee named by its bare name or attribute;
+    unpacks is whether the call passes *args or **kwargs."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            unpacks = any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, unpacks))
+    return calls
+
+
+def test_every_default_is_passed_by_program_code():
+    """A defaulted parameter of a function or method of the package is
+    passed, by position or keyword, by at least one call in the package,
+    the demos or the benchmark harness: a default that only tests override
+    is a knob nothing uses.  Calls are matched by bare name, and a call
+    that unpacks *args or **kwargs passes every parameter; a function that
+    no such call reaches is left to test_every_definition_is_referenced."""
+    calls = _calls(USERS)
+    unpassed = []
+    for path in MODULES:
+        for name, lineno, params in _defaulted_parameters(ast.parse(path.read_text())):
+            sites = calls.get(name, [])
+            unpassed.extend(
+                f"{path.name}:{lineno} {name}({param})" for param, index in params.items()
+                if sites and not any(unpacks or param in keywords
+                                     or (index is not None and count > index)
+                                     for count, keywords, unpacks in sites))
+    assert not unpassed, f"defaults no program call overrides: {unpassed}"

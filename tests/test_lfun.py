@@ -12,11 +12,10 @@ from ctower.grouprings import (
     GroupRingElem,
     ZpkGroupRing,
     character_norm,
+    character_orbits,
     characters,
     chi_component,
     chi_component_ring,
-    conjugacy_orbit_reps,
-    rational_orbits,
 )
 from ctower.lfun import (
     DEFAULT_EXTRA_DEGREE,
@@ -795,7 +794,8 @@ class TestRationalOrbits:
     def test_orbits_are_the_galois_classes(self, orbit_thetas):
         for (q, n), (layer, tr) in orbit_thetas.items():
             chars = characters(layer.group)
-            assert tr.orbit_rep == rational_orbits(chars)
+            reps, orbit = character_orbits(chars)
+            assert tr.orbit_rep == {chi.exps: reps[orbit[chi.exps]] for chi in chars}
             members = {}
             for chi in chars:
                 members.setdefault(tr.orbit_rep[chi.exps].exps, []).append(chi.exps)
@@ -871,7 +871,7 @@ class TestFlatLayoutReference:
             xs += [GroupRingElem.from_mapping(group, {g: rng.randrange(-p ** k, p ** k)
                                                       for g in group.elements()})
                    for _ in range(2)]
-            for chi in conjugacy_orbit_reps(characters(delta), p)[0]:
+            for chi in character_orbits(characters(delta), p)[0]:
                 ring = chi_component_ring(chi, p, k, pgrp)
                 ref = ReferenceChiComponentRing(p, k, ring.h, pgrp, chi.order)
                 assert ring.to_vec(ring.zero) == ref.to_vec(ref.zero)

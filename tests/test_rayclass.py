@@ -244,8 +244,8 @@ class TestDecomposition:
     def test_exceptional_table_flagship(self):
         layer = build_layer(flagship_q3(), 0)
         table = layer.exceptional_table()
-        assert table[layer.cfg.p_place] == [(2, 1)]
-        assert table[INFINITY] == [(1, 4)]
+        assert table[layer.cfg.p_place] == (2, 1)
+        assert table[INFINITY] == (1, 4)
 
 
 def _cache_layers():
