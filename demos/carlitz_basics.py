@@ -28,8 +28,7 @@ print("its X-derivative is the constant m (separability):",
 
 print()
 print("== the cyclotomic polynomial of conductor m ==")
-cyc = cyclotomic_poly(m)
-print("phi_m(X) =", cyc.phi)
+print("phi_m(X) =", cyclotomic_poly(m))
 print("degree = Phi(m) = |(A/m)^x| =", unit_count(m))
 
 print()

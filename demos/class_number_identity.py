@@ -54,7 +54,7 @@ for q, p_coeffs, label in ((3, (1, 0, 1), "q=3, p=theta^2+1"),
     print(f"pipeline 1: nabla order has p-valuation {nab.total_p_exponent}")
 
     tr = theta(layer)
-    quot = quotient_order_exponent(tr.special_value(), F.p, 24)
+    quot = quotient_order_exponent(layer.group, tr.special_value(), F.p, 24)
     print(f"pipeline 2: |Z/p^24[G]/(Theta(1))| has p-valuation {quot}")
     assert quot == nab.total_p_exponent
     print("identity verified.\n")

@@ -5,7 +5,7 @@ the functoriality and order-of-vanishing checks.
 """
 
 from ctower.ffpoly import FinitePlace, FqField, FqPoly
-from ctower.grouprings import characters
+from ctower.grouprings import characters, group_index
 from ctower.lfun import functoriality_check, order_of_vanishing_check, theta
 from ctower.rayclass import TowerConfig, build_layer, default_s, layer_projection
 
@@ -13,6 +13,13 @@ F3 = FqField(3)
 p = FinitePlace(FqPoly(F3, (1, 0, 1)))
 sigma = frozenset({FinitePlace(FqPoly(F3, (0, 1)))})
 cfg = TowerConfig(F3, FqPoly.one(F3), p, default_s(FqPoly.one(F3), p), sigma)
+
+
+def show(group, x):
+    """x in Z[G], a coefficient list in group_index order, as c*g[e] terms."""
+    elems, _ = group_index(group)
+    return " + ".join(f"{v}*g{list(g)}" for g, v in zip(elems, x) if v) or "0"
+
 
 print("== layers ==")
 layers = {}
@@ -27,10 +34,10 @@ print("== equivariant L-polynomials ==")
 trs = {}
 for n in (0, 1):
     trs[n] = theta(layers[n])
-    print(f"Theta^({n})(u): degree {trs[n].theta.degree} "
+    print(f"Theta^({n})(u): degree {len(trs[n].theta) - 1} "
           f"(bound {trs[n].bound}, enumerated to D = {trs[n].D})")
-    for i, c in enumerate(trs[n].theta.coeffs):
-        print(f"  u^{i}: {c}")
+    for i, c in enumerate(trs[n].theta):
+        print(f"  u^{i}: {show(layers[n].group, c)}")
 
 print()
 print("== functoriality: project layer 1 onto layer 0 ==")
@@ -42,7 +49,7 @@ print()
 print("== special values ==")
 for n in (0, 1):
     sv = trs[n].special_value()
-    print(f"Theta^({n})(1) = {sv}  (augmentation {sv.augmentation()})")
+    print(f"Theta^({n})(1) = {show(layers[n].group, sv)}  (augmentation {sum(sv)})")
 
 print()
 print("== order of vanishing at u = 1 (p is totally ramified, so every")

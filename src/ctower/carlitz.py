@@ -11,7 +11,6 @@ for monic x.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .ffpoly import FqField, FqPoly, NonMonicError, factor, unit_count
@@ -220,15 +219,6 @@ def rho_as_additive_poly(x: FqPoly) -> AXPoly:
     return rho(x).to_additive()
 
 
-@dataclass(frozen=True)
-class CyclotomicPoly:
-    """The primitive-torsion polynomial of conductor m: roots are the
-    generators of the m-torsion module."""
-
-    m: FqPoly
-    phi: AXPoly
-
-
 def _divisors_with_mobius(m: FqPoly):
     """Yields (d, mu(m/d)) over monic divisors d with m/d squarefree."""
     fac = factor(m)
@@ -241,8 +231,10 @@ def _divisors_with_mobius(m: FqPoly):
         yield d, (-1) ** sum(drop)
 
 
-def cyclotomic_poly(m: FqPoly) -> CyclotomicPoly:
-    """phi_m(X) = prod_{d | m} rho_d(X)^{mu(m/d)}, by exact division in A[X].
+def cyclotomic_poly(m: FqPoly) -> AXPoly:
+    """The primitive-torsion polynomial of conductor m, whose roots are the
+    generators of the m-torsion module: phi_m(X) = prod_{d | m}
+    rho_d(X)^{mu(m/d)}, by exact division in A[X].
 
     deg_X phi_m = Phi(m) = |(A/m)^x|; phi_m divides rho_m(X).
     """
@@ -262,7 +254,7 @@ def cyclotomic_poly(m: FqPoly) -> CyclotomicPoly:
     expected = unit_count(m)
     if quo.degree != expected:
         raise ArithmeticError(f"cyclotomic degree {quo.degree} != Phi(m) = {expected}")
-    return CyclotomicPoly(m, quo)
+    return quo
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +278,7 @@ def real_generator_minpoly(m: FqPoly) -> AXPoly:
     For q = 2 psi is phi_m itself: the real field is the full cyclotomic
     field.
     """
-    phi = cyclotomic_poly(m).phi
+    phi = cyclotomic_poly(m)
     s = m.field.q - 1
     if any(not c.is_zero() for i, c in enumerate(phi.coeffs) if i % s):
         raise FactorExtractionError(f"phi_m has a term X^i with {s} not dividing i")

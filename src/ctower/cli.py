@@ -34,7 +34,7 @@ from .geometry import (
     curve_model,
     zeta_numerator,
 )
-from .grouprings import characters
+from .grouprings import characters, group_index
 from .lfun import (
     functoriality_check,
     order_of_vanishing_table,
@@ -157,12 +157,12 @@ def _resolved_config_blob(args, cfg):
     return blob
 
 
-def _theta_poly_human(tp):
-    lines = []
-    for i, c in enumerate(tp.coeffs):
-        if any(c.coeffs):
-            lines.append(f"  u^{i}: {c!r}")
-    return lines
+def _theta_poly_human(group, theta):
+    """One line "  u^i: c*g[e] + ..." per nonzero coefficient of Theta, with
+    the nonzero coefficients c of its group elements of exponents e."""
+    elems, _ = group_index(group)
+    return [f"  u^{i}: " + " + ".join(f"{v}*g{list(g)}" for g, v in zip(elems, c) if v)
+            for i, c in enumerate(theta) if any(c)]
 
 
 def cmd_theta(args):
@@ -175,9 +175,10 @@ def cmd_theta(args):
         "config": _resolved_config_blob(args, cfg),
         "theta": tr.to_json(),
     }
+    degree = len(tr.theta) - 1 if tr.theta else float("-inf")
     print(f"Theta_(S,Sigma) at layer n={layer.n}: "
-          f"degree {tr.theta.degree}, bound {tr.bound}, D {tr.D}")
-    for line in _theta_poly_human(tr.theta):
+          f"degree {degree}, bound {tr.bound}, D {tr.D}")
+    for line in _theta_poly_human(layer.group, tr.theta):
         print(line)
     failures = 0
     if args.check:
@@ -200,7 +201,7 @@ def _run_theta_check(check, layer, tr):
     if check == "ordvan":
         return all(mult == predicted for _, mult, predicted in order_of_vanishing_table(layer, tr))
     if check == "sigmaunit":
-        return all(sigma_factor_unit(layer, v).verified for v in layer.sigma)
+        return all(sigma_factor_unit(layer, v) for v in layer.sigma)
     raise ValueError(f"unknown check {check!r}")
 
 
@@ -281,9 +282,25 @@ def cmd_zeta(args):
     return 0
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# key -> (the kind its value must have, the test of that kind)
+_CONFIG_KINDS = {
+    **dict.fromkeys(("q", "f", "p"), ("a string", lambda v: isinstance(v, str))),
+    **dict.fromkeys(("S", "Sigma", "sigma_alt"), (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))),
+    **dict.fromkeys(("N", "precision", "budget", "seed"), ("an int", _is_int)),
+    "degree": ("an int or null", lambda v: v is None or _is_int(v)),
+}
+
+
 def _load_config_file(path):
     """The config file's JSON object; a ValueError names what is wrong with
-    it (unreadable, or without one of the keys q, p and Sigma)."""
+    it (unreadable, without one of the keys q, p and Sigma, or a key whose
+    value is not of its kind in _CONFIG_KINDS)."""
     try:
         with open(path) as fh:
             blob = json.load(fh)
@@ -294,6 +311,10 @@ def _load_config_file(path):
     missing = [key for key in ("q", "p", "Sigma") if key not in blob]
     if missing:
         raise ValueError(f"config file {path} lacks {', '.join(missing)}")
+    for key, (kind, fits) in _CONFIG_KINDS.items():
+        if key in blob and not fits(blob[key]):
+            raise ValueError(f"config file {path}: key {key} must be {kind}, "
+                             f"not {json.dumps(blob[key])}")
     return blob
 
 

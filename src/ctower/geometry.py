@@ -108,7 +108,6 @@ class CurveModel:
     layer: object
     fpoly: AXPoly
     exceptional: dict   # place v -> (deg w, count) of the places w above v
-    disc: FqPoly
 
     @property
     def field(self):
@@ -123,7 +122,7 @@ def curve_model(layer) -> CurveModel:
     if m.is_one():
         # conductor 1, L = k: the projective line, model X = 0
         return CurveModel(layer=layer, fpoly=AXPoly.gen(layer.field),
-                          exceptional=layer.exceptional_table(), disc=m)
+                          exceptional=layer.exceptional_table())
     fpoly = real_generator_minpoly(m)
     if fpoly.degree != layer.order:
         raise CurveModelError(
@@ -136,7 +135,7 @@ def curve_model(layer) -> CurveModel:
     for g, _ in factor(disc.monic()) if disc.degree >= 1 else []:
         if g not in allowed:
             raise CurveModelError(f"model singular above {g!r}, outside the exceptional table")
-    return CurveModel(layer=layer, fpoly=fpoly, exceptional=table, disc=disc)
+    return CurveModel(layer=layer, fpoly=fpoly, exceptional=table)
 
 
 # -- point counts on the model ------------------------------------------------
@@ -281,8 +280,11 @@ class ZetaData:
 
 def zeta_numerator(counts, q: int) -> ZetaData:
     """P_J from N_1..N_m by Newton identities; genus inferred as the smallest
-    g such that a degree-2g numerator with the functional equation fits."""
+    g such that a degree-2g numerator with the functional equation fits.
+    No counts fit every genus, so they are refused with a ValueError."""
     m = len(counts)
+    if not m:
+        raise ValueError("the zeta numerator needs at least one point count N_1")
     s = [None] + [q ** i + 1 - counts[i - 1] for i in range(1, m + 1)]
     c = [Fraction(1)]
     for n in range(1, m + 1):
@@ -347,9 +349,7 @@ def s_divisor_data(layer) -> SDivisorData:
 @dataclass
 class NablaOrder:
     hypotheses: dict            # which of (a)-(d) hold
-    total_p_exponent: int       # log_p |nabla_S^(n)| (p-part)
-    h_p_exponent: int           # v_p(h)
-    ds_p_exponent: int          # v_p(d_S)
+    total_p_exponent: int       # log_p |nabla_S^(n)| (p-part): v_p(h) + v_p(d_S)
 
 
 def evaluate_hypotheses(layer) -> dict:
@@ -385,9 +385,7 @@ def nabla_order(layer, zeta: ZetaData, sdiv: SDivisorData) -> NablaOrder:
     while h % p == 0:
         h //= p
         v_h += 1
-    total = v_h + sdiv.zp_mod_ds_exponent
-    return NablaOrder(hypotheses=hyp, total_p_exponent=total, h_p_exponent=v_h,
-                      ds_p_exponent=sdiv.zp_mod_ds_exponent)
+    return NablaOrder(hypotheses=hyp, total_p_exponent=v_h + sdiv.zp_mod_ds_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +467,7 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
         # the pinned discrepancy: N(Sigma)/(1 - qu)
         ok_d, d_inv = is_unit(series([1, -q]), ring)
         pinned = ring.mul(series(NS), d_inv) if ok_d else None
-        pinned_matches = pinned is not None and ring.equal(ratio, pinned)
+        pinned_matches = pinned is not None and ratio == pinned
     return {
         "exact_identity": not diff,
         "first_mismatch_degree": next((d for d, c in enumerate(diff) if c), None),

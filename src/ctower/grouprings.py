@@ -3,13 +3,13 @@ characters with values in Z[x]/Phi_N(x), chi-components over Hensel-lifted
 local rings, Fitting ideals, ideal equality, unit tests and non-zero-divisor
 certificates.
 
-GroupRingElem.apply_character is the one evaluator of a character on Z[G]: it
-sums the coefficients by log value and reduces mod Phi_N once.  For Theta it
-is called by lfun.theta, once per rational character orbit (character_orbits),
-and by ThetaResult.chi_theta_table once on every character, which only the
-per-character product, the norm of Theta in the charpoly verdict
-(character_norm) and `ctower lpoly` read; the other verdicts read the
-per-orbit table.
+apply_character(chi, x) is the one evaluator of a character on Z[G]: it sums
+the coefficients of x by log value and reduces mod Phi_N once.  For Theta it
+is called on each coefficient of u by lfun.theta, once per rational character
+orbit (character_orbits), and by ThetaResult.chi_theta_table once on every
+character, which only the per-character product, the norm of Theta in the
+charpoly verdict (character_norm) and `ctower lpoly` read; the other
+verdicts read the per-orbit table.
 
 Every Z/p^k-linear question about a finite ring R -- units, ideal
 membership, annihilators and the orders of finitely presented R-modules --
@@ -40,14 +40,16 @@ exponent and is never eliminated, and only the other blocks are.  No
 
 Every group-ring element is a flat list of coefficients in one order: the
 mixed-radix order of sorted(group.elements()), kept once per group with its
-index dict (group_index).  An element of Z[G] (GroupRingElem: Theta, its
-coefficients and the Euler series) is the list of its |G| integers.  Every
-finite ring is a flat list of Z/p^k coefficients (_FlatZpkModule), with one
-layout each: Z/p^k[G] (ZpkGroupRing) holds |G| coefficients, and Z/p^k
-itself is the group ring of the trivial group, one coefficient;
-Z/p^k[u]/(h)[G] (PolyGroupRing) holds |G| blocks of deg h coefficients.  The
-chi-components Z_p(chi)[P] and the truncated series Z/p^k[G][u]/(u^M) are
-both PolyGroupRings.
+index dict (group_index).  An element of Z[G] -- a coefficient of Theta or
+of the Euler series, Theta(1) -- is the plain list of its |G| integers, with
+no wrapper: a function that needs G takes the group beside the list, as
+translation(group, g) and delta_blocks(group, x, p, k) do, and Theta is the
+list of its coefficients of u.  Every finite ring is a flat list of Z/p^k
+coefficients (_FlatZpkModule), with one layout each: Z/p^k[G]
+(ZpkGroupRing) holds |G| coefficients, and Z/p^k itself is the group ring
+of the trivial group, one coefficient; Z/p^k[u]/(h)[G] (PolyGroupRing)
+holds |G| blocks of deg h coefficients.  The chi-components Z_p(chi)[P]
+and the truncated series Z/p^k[G][u]/(u^M) are both PolyGroupRings.
 The group law of this layout lives in one place, translation(group, g):
 the row j -> index of g elems[j], built in O(|G|) by mixed-radix digit
 addition, so no |G| x |G| table is built for a layer group.  Z[G] has no
@@ -61,9 +63,9 @@ product or a matrix row needs it.  Every reduction of a product by a
 monic polynomial, mod Phi_N in CyclotomicRing and mod (h, p^k) in
 PolyGroupRing, is one call of zpoly.div_rem, the one division loop;
 PolyGroupRing.mult_rows multiplies by u in closed form, dividing nothing.
-Exponent tuples appear only at the edges: GroupRingElem.from_mapping,
-GroupRingElem.items, to_json, characters() and the layer maps that project
-turns into index maps.
+Exponent tuples appear only at the edges: from_mapping, the Theta JSON and
+text of lfun.ThetaResult.to_json and cli, characters() and the layer maps
+that functoriality turns into index maps (_index_map).
 
 No floating point anywhere; every mod-p^k assertion carries its precision.
 """
@@ -339,126 +341,25 @@ def _index_map(source: AbelianGroup, apply_map, target: AbelianGroup) -> list:
     return [index[apply_map(g)] for g in elems]
 
 
-def _pushforward(x: "GroupRingElem", imap, target: AbelianGroup) -> "GroupRingElem":
-    """The image of x in Z[target] under the group map imap (_index_map)."""
-    out = [0] * target.order
-    for i, v in zip(imap, x.coeffs):
-        out[i] += v
-    return GroupRingElem(target, out)
+def from_mapping(group: AbelianGroup, mapping) -> list:
+    """The element sum_g mapping[g] g of Z[G], from a mapping exponent tuple
+    -> int."""
+    _, index = group_index(group)
+    out = [0] * len(index)
+    for g, v in mapping.items():
+        out[index[g]] += v
+    return out
 
 
-class GroupRingElem:
-    """Element of Z[G]: the list of its |G| integer coefficients, indexed like
-    group_index(group)."""
-
-    __slots__ = ("group", "coeffs")
-
-    def __init__(self, group: AbelianGroup, coeffs: list):
-        self.group = group
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, group):
-        return cls(group, [0] * group.order)
-
-    @classmethod
-    def one(cls, group):
-        return cls(group, [1] + [0] * (group.order - 1))
-
-    @classmethod
-    def from_mapping(cls, group, coeffs):
-        """The element sum_g coeffs[g] g, from a mapping exponent tuple -> int."""
-        _, index = group_index(group)
-        out = [0] * len(index)
-        for g, v in coeffs.items():
-            out[index[g]] += v
-        return cls(group, out)
-
-    def items(self):
-        """(exponent tuple, coefficient) of every nonzero coefficient, in
-        index order."""
-        elems, _ = group_index(self.group)
-        return [(g, v) for g, v in zip(elems, self.coeffs) if v]
-
-    def __add__(self, other):
-        return GroupRingElem(self.group, [x + y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return GroupRingElem(self.group, [-x for x in self.coeffs])
-
-    def __sub__(self, other):
-        return GroupRingElem(self.group, [x - y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def augmentation(self) -> int:
-        return sum(self.coeffs)
-
-    def apply_character(self, chi: Character):
-        """chi(x) in Z[zeta_N]: the coefficients are summed by log value into
-        Z[x]/(x^N - 1), which is reduced mod Phi_N once."""
-        ring = chi.ring
-        vec = [0] * ring.n
-        for lv, v in zip(chi.log_table, self.coeffs):
-            if v:
-                vec[lv] += v
-        return ring.reduce(vec)
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingElem) and self.group == other.group and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        terms = self.items()
-        if not terms:
-            return "0"
-        return " + ".join(f"{v}*g{list(k)}" for k, v in terms)
-
-    def to_json(self):
-        return {"group_orders": list(self.group.orders),
-                "coeffs": {",".join(map(str, k)): v for k, v in self.items()}}
-
-
-class ThetaPoly:
-    """Polynomial in u with Z[G] coefficients."""
-
-    def __init__(self, group: AbelianGroup, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not any(coeffs[-1].coeffs):
-            coeffs.pop()
-        self.group = group
-        self.coeffs = coeffs
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
-
-    def coefficient(self, i) -> GroupRingElem:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else GroupRingElem.zero(self.group)
-
-    def evaluate_at_one(self) -> GroupRingElem:
-        acc = GroupRingElem.zero(self.group)
-        for c in self.coeffs:
-            acc = acc + c
-        return acc
-
-    def apply_character(self, chi: Character):
-        """List of cyclotomic coefficients of chi(Theta)(u)."""
-        out = [c.apply_character(chi) for c in self.coeffs]
-        ring = chi.ring
-        while out and ring.is_zero(out[-1]):
-            out.pop()
-        return out
-
-    def project(self, apply_map, target_group) -> "ThetaPoly":
-        imap = _index_map(self.group, apply_map, target_group)
-        return ThetaPoly(target_group, [_pushforward(c, imap, target_group) for c in self.coeffs])
-
-    def __eq__(self, other):
-        return isinstance(other, ThetaPoly) and self.group == other.group and \
-            len(self.coeffs) == len(other.coeffs) and \
-            all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def to_json(self):
-        return {"group_orders": list(self.group.orders),
-                "coeffs_by_degree": [c.to_json()["coeffs"] for c in self.coeffs]}
+def apply_character(chi: Character, x) -> tuple:
+    """chi(x) in Z[zeta_N] for x in Z[G]: the coefficients are summed by log
+    value into Z[x]/(x^N - 1), which is reduced mod Phi_N once."""
+    ring = chi.ring
+    vec = [0] * ring.n
+    for lv, v in zip(chi.log_table, x):
+        if v:
+            vec[lv] += v
+    return ring.reduce(vec)
 
 
 def character_norm(group: AbelianGroup, values):
@@ -492,11 +393,12 @@ def character_norm(group: AbelianGroup, values):
 
 class _FlatZpkModule:
     """A finite ring whose elements are flat lists of basis_size coefficients
-    mod p^k, so to_vec is the identity: the Z/p^k-module operations of
-    ZpkGroupRing and PolyGroupRing.  Each of them reads the mult_rows that
-    mult_matrix asks of it off translation rows, and
-    ZpkGroupRing adds det, on packed ints (_det_plan), which fitting_ideal
-    needs.  Operations return new lists and never mutate their arguments."""
+    mod p^k, which are their own Z/p^k coordinate vectors and compare with
+    ==: the Z/p^k-module operations of ZpkGroupRing and PolyGroupRing.
+    Each of them reads the mult_rows that mult_matrix asks of it off
+    translation rows, and ZpkGroupRing adds det, on packed ints
+    (_det_plan), which fitting_ideal needs.  Operations return new lists and
+    never mutate their arguments."""
 
     def __init__(self, p: int, k: int, basis_size: int):
         self.p, self.k = p, k
@@ -523,15 +425,9 @@ class _FlatZpkModule:
         pk = self.pk
         return [(c * x) % pk for x in a]
 
-    def to_vec(self, a):
-        return a
-
     def from_vec(self, vec):
         pk = self.pk
         return [v % pk for v in vec]
-
-    def equal(self, a, b):
-        return a == b
 
 
 class ZpkGroupRing(_FlatZpkModule):
@@ -551,12 +447,9 @@ class ZpkGroupRing(_FlatZpkModule):
         self._rows = [translation(group, g) for g in self.elems]
         self._inv_rows = [translation(group, t, -1) for t in self.elems]
 
-    def from_mapping(self, coeffs):
-        """The element sum_g coeffs[g] g, from a mapping exponent tuple -> int."""
-        return self.from_group_ring(GroupRingElem.from_mapping(self.group, coeffs))
-
-    def from_group_ring(self, x: GroupRingElem):
-        return self.from_vec(x.coeffs)
+    def from_mapping(self, mapping):
+        """The element sum_g mapping[g] g, from a mapping exponent tuple -> int."""
+        return self.from_vec(from_mapping(self.group, mapping))
 
     def mul(self, a, b):
         """The convolution of a and b along the translation rows, reduced
@@ -711,10 +604,11 @@ def chi_component_ring(chi: Character, p: int, k: int, p_group: AbelianGroup) ->
     return PolyGroupRing(p, k, _lifted_cyclotomic_factors(chi.order, p, k)[0], p_group)
 
 
-def chi_component(x: GroupRingElem, chi: Character, ring: PolyGroupRing,
+def chi_component(group: AbelianGroup, x, chi: Character, ring: PolyGroupRing,
                   delta_idx, p_idx):
-    """Project Z/p^k[G] -> Z_p(chi)[P]: g = (g_Delta, g_P) -> chi(g_Delta) [g_P],
-    with chi(g_Delta) = zeta_M^j read as u^j mod h, M = ord chi.
+    """Project Z/p^k[G] -> Z_p(chi)[P], x in Z[G] or Z/p^k[G] a coefficient
+    list of G = group: g = (g_Delta, g_P) -> chi(g_Delta) [g_P], with
+    chi(g_Delta) = zeta_M^j read as u^j mod h, M = ord chi.
 
     delta_idx / p_idx give the coordinate split of G; chi is a character of
     the Delta-part, the group of the coordinates delta_idx.
@@ -725,7 +619,9 @@ def chi_component(x: GroupRingElem, chi: Character, ring: PolyGroupRing,
     upow = [ring._reduce([0] * j + [1]) for j in range(M)]
     N_delta = chi.group.exponent
     _, pindex = group_index(ring.group)
-    for kk, v in x.items():
+    for kk, v in zip(group_index(group)[0], x):
+        if not v:
+            continue
         lv = chi.log_value(tuple(kk[i] for i in delta_idx))
         # chi(g) = zeta_{N_delta}^lv; rewrite as power of zeta_M (M = ord chi | N_delta)
         if lv * M % N_delta:
@@ -758,11 +654,11 @@ def mult_matrix(ring, rows):
 def is_unit(x, ring):
     """(bool, inverse) in a finite ring; inverse verified exactly."""
     mat = mult_matrix(ring, [[x]])
-    sol = zpk_solve(mat, ring.to_vec(ring.one), ring.p, ring.k)
+    sol = zpk_solve(mat, ring.one, ring.p, ring.k)
     if sol is None:
         return False, None
     inv = ring.from_vec(sol)
-    if not ring.equal(ring.mul(x, inv), ring.one):
+    if ring.mul(x, inv) != ring.one:
         return False, None
     return True, inv
 
@@ -795,18 +691,17 @@ def ideal_contains(ring, gens, target) -> bool:
 
     A target that is zero, or equal to g or -g for a generator g, is in the
     ideal (0 = 0 g and +-g = +-1 g); that is read off the reduced
-    coefficient lists with ring.equal, and no matrix is built.  Any other
+    coefficient lists, and no matrix is built.  Any other
     target is decided by Z/p^k linear algebra: it is in the ideal iff it is
     in the Z/p^k-span of the columns of mult_matrix, the products b_i g.
     """
     neg = ring.sub(ring.zero, target)
-    if ring.equal(target, ring.zero) or \
-            any(ring.equal(g, target) or ring.equal(g, neg) for g in gens):
+    if not any(target) or any(g == target or g == neg for g in gens):
         return True
     if not gens:
         return False
     mat = mult_matrix(ring, [[g] for g in gens])
-    return zpk_solve(mat, ring.to_vec(target), ring.p, ring.k) is not None
+    return zpk_solve(mat, target, ring.p, ring.k) is not None
 
 
 def ideal_equal(I, J, ring) -> bool:
@@ -848,22 +743,21 @@ def delta_orbits(group: AbelianGroup, p: int):
     return delta_idx, p_idx, reps, orbit
 
 
-def delta_blocks(x: GroupRingElem, p: int, k: int) -> list:
+def delta_blocks(group: AbelianGroup, x, p: int, k: int) -> list:
     """(ring, image of x) in Z_p(chi)[P] at precision p^k for one character
-    chi of Delta per Frobenius orbit chi ~ chi^p, where G = Delta x P is the
-    p-split of x.group; block b is orbit b of delta_orbits.  p does not
+    chi of Delta per Frobenius orbit chi ~ chi^p, x in Z[G], where G =
+    Delta x P is the p-split of group; block b is orbit b of delta_orbits.  p does not
     divide |Delta|, so Z/p^k[G] is the product of these rings and their
     ranks add up to |G|.  Raises ValueError (AbelianGroup.p_partition) when
     a generator order is neither prime to p nor a power of p, as in C6 with
     p = 2.
     """
-    group = x.group
     delta_idx, p_idx, reps, _ = delta_orbits(group, p)
     pgroup = AbelianGroup(tuple(group.orders[i] for i in p_idx))
     blocks = []
     for chi in reps:
         ring = chi_component_ring(chi, p, k, pgroup)
-        blocks.append((ring, chi_component(x, chi, ring, delta_idx, p_idx)))
+        blocks.append((ring, chi_component(group, x, chi, ring, delta_idx, p_idx)))
     return blocks
 
 
@@ -879,18 +773,19 @@ def block_exponents(blocks) -> list:
     return sorted(exps)
 
 
-def quotient_exponents(x: GroupRingElem, p: int, k: int) -> list:
-    """The exponents e_i > 0 with Z/p^k[G] / (x) = prod Z/p^(e_i), sorted:
+def quotient_exponents(group: AbelianGroup, x, p: int, k: int) -> list:
+    """The exponents e_i > 0 with Z/p^k[G] / (x) = prod Z/p^(e_i), x in Z[G]
+    and G = group, sorted:
     the Smith exponents of multiplication by x, block by block.  Needs the
     p-split G = Delta x P, which every layer group has; raises ValueError
     without it (delta_blocks).  Their sum is quotient_order_exponent and
     their maximum is tower.nzd_slack."""
-    return block_exponents(delta_blocks(x, p, k))
+    return block_exponents(delta_blocks(group, x, p, k))
 
 
-def quotient_order_exponent(x: GroupRingElem, p: int, k: int) -> int:
-    """log_p |Z/p^k[G] / (x)|: the sum of quotient_exponents."""
-    return sum(quotient_exponents(x, p, k))
+def quotient_order_exponent(group: AbelianGroup, x, p: int, k: int) -> int:
+    """log_p |Z/p^k[G] / (x)|, G = group: the sum of quotient_exponents."""
+    return sum(quotient_exponents(group, x, p, k))
 
 
 def delta_idempotent(group: AbelianGroup, delta_idx, p: int, k: int):
@@ -902,13 +797,13 @@ def delta_idempotent(group: AbelianGroup, delta_idx, p: int, k: int):
     # g lies in Delta iff its coordinates off delta_idx vanish
     off = [i for i in range(len(group.orders)) if i not in delta_idx]
     elems, _ = group_index(group)
-    return GroupRingElem(group, [0 if any(g[i] for i in off) else inv for g in elems])
+    return [0 if any(g[i] for i in off) else inv for g in elems]
 
 
-def _adjoin_diagonal(pm: PresentationMatrix, c: GroupRingElem) -> PresentationMatrix:
+def _adjoin_diagonal(pm: PresentationMatrix, c) -> PresentationMatrix:
     """pm with the rows c * e_j (j < ncols) adjoined: a presentation of M / cM."""
     ring = pm.ring
-    c_r = ring.from_group_ring(c)
+    c_r = ring.from_vec(c)
     g = pm.ncols
     extra = [[c_r if i == j else ring.zero for i in range(g)] for j in range(g)]
     return PresentationMatrix(ring, [list(r) for r in pm.rows] + extra)
@@ -924,7 +819,7 @@ def e_delta_presentation(pm: PresentationMatrix, delta_idx) -> PresentationMatri
     """Presentation of e_Delta M = M / (1 - e_Delta) M."""
     ring = pm.ring
     e = delta_idempotent(ring.group, delta_idx, ring.p, ring.k)
-    return _adjoin_diagonal(pm, GroupRingElem.one(ring.group) - e)
+    return _adjoin_diagonal(pm, ring.sub(ring.one, e))
 
 
 def cyclic_submodule_presentation(pm: PresentationMatrix, elem_row) -> PresentationMatrix:
@@ -942,6 +837,6 @@ def cyclic_submodule_presentation(pm: PresentationMatrix, elem_row) -> Presentat
     gens = []
     for vec in kern:
         r = ring.from_vec(vec[:n])
-        if ring.to_vec(r) != [0] * n:
+        if any(r):
             gens.append(r)
     return PresentationMatrix(ring, [[r] for r in gens] if gens else [[ring.zero]])

@@ -12,6 +12,12 @@ the window (bound, D + 2]: the Euler series through D must vanish in
 (bound, D], and the divisor-sum series, an independent computation of the
 same Dirichlet series, must equal it through D and vanish in (D, D + 2].
 
+Theta is kept once, as ThetaResult.theta: the coefficients of u^0 ..
+u^bound of the Euler series, each a flat coefficient list of Z[G] in
+grouprings.group_index order, with trailing zero coefficients dropped.  The
+series above the bound is certified and dropped; special_value sums the
+coefficient lists into Theta(1), and to_json writes them by group element.
+
 theta evaluates chi(Theta) once per rational character orbit
 (grouprings.character_orbits) into ThetaResult.chi_theta.  chi^a(Theta) =
 sigma_a(chi(Theta)) and ker chi^a = ker chi, so the conductor, the split
@@ -41,11 +47,13 @@ from . import zpoly
 from .ffpoly import FqPoly, INFINITY, is_infinite, irreducibles_of_degree
 from .grouprings import (
     Character,
-    GroupRingElem,
     PolyGroupRing,
-    ThetaPoly,
+    _index_map,
+    apply_character,
     character_orbits,
     characters,
+    from_mapping,
+    group_index,
     translation,
 )
 
@@ -71,7 +79,6 @@ class EulerFactor:
     place in Sigma).
     """
 
-    place: object
     degree: int
     frobenius: tuple
     mode: str  # "S-inverse" | "Sigma-forward"
@@ -84,14 +91,14 @@ def euler_factors(layer, max_degree: int):
     s_gens = {v.gen for v in layer.finite_s()}
     out = []
     if not layer.infinity_in_s():
-        out.append(EulerFactor(INFINITY, 1, layer.frobenius(INFINITY), "S-inverse"))
+        out.append(EulerFactor(1, layer.frobenius(INFINITY), "S-inverse"))
     for d in range(1, max_degree + 1):
         for pl in irreducibles_of_degree(layer.field, d):
             if pl.gen in s_gens:
                 continue
-            out.append(EulerFactor(pl, d, layer.frobenius(pl), "S-inverse"))
+            out.append(EulerFactor(d, layer.frobenius(pl), "S-inverse"))
     for v in sorted(layer.sigma, key=lambda v: v.gen.sort_key()):
-        out.append(EulerFactor(v, v.degree, layer.frobenius(v), "Sigma-forward"))
+        out.append(EulerFactor(v.degree, layer.frobenius(v), "Sigma-forward"))
     return out
 
 
@@ -136,13 +143,22 @@ def degree_bound(layer) -> int:
     return sig + residue_degree(layer) - 2 + (1 if layer.infinity_in_s() else 0)
 
 
+def _character_poly(chi: Character, theta) -> list:
+    """chi(Theta)(u): chi applied to each coefficient list of theta, with
+    trailing zero coefficients dropped."""
+    out = [apply_character(chi, c) for c in theta]
+    while out and chi.ring.is_zero(out[-1]):
+        out.pop()
+    return out
+
+
 @dataclass
 class ThetaResult:
     layer: object
     D: int
     bound: int
-    theta: ThetaPoly
-    series: list  # raw truncated series to degree D: D + 1 coefficient lists of Z[G]
+    # the coefficient lists of Z[G] of u^0 .. u^bound, trailing zeros dropped
+    theta: list
     tail: list  # divisor-sum coefficients at D + 1, D + 2 (None without the cross-check)
     per_char_degrees: dict
     orbit_rep: dict  # chi.exps -> rep of its rational orbit, in characters order
@@ -151,14 +167,16 @@ class ThetaResult:
     chi_theta: dict
     checks: dict = dc_field(default_factory=dict)
 
-    def special_value(self) -> GroupRingElem:
-        return self.theta.evaluate_at_one()
+    def special_value(self) -> list:
+        """Theta(1) in Z[G]: the sum of the coefficient lists of Theta (the
+        zero list of the group when Theta = 0)."""
+        return [sum(col) for col in zip([0] * self.layer.group.order, *self.theta)]
 
     @cached_property
     def chi_theta_table(self) -> dict:
         """chi.exps -> chi(Theta)(u) for every character, in characters(group)
         order, each evaluated on Theta, not conjugated from its orbit rep."""
-        return {chi.exps: self.theta.apply_character(chi)
+        return {chi.exps: _character_poly(chi, self.theta)
                 for chi in characters(self.layer.group)}
 
     def chi_at_one(self, chi: Character):
@@ -177,11 +195,18 @@ class ThetaResult:
         _certify_vanishing(self.tail, self.D + 1, self.bound)
 
     def to_json(self):
+        """Theta with each coefficient of u a dict "e1,e2,..." -> its nonzero
+        coefficient at the group element of exponents e."""
+        group = self.layer.group
+        elems, _ = group_index(group)
         return {
             "D": self.D,
             "bound": self.bound,
             "stabilization_ok": True,
-            "theta": self.theta.to_json(),
+            "theta": {"group_orders": list(group.orders),
+                      "coeffs_by_degree": [{",".join(map(str, g)): v
+                                            for g, v in zip(elems, c) if v}
+                                           for c in self.theta]},
             "checks": {k: bool(v) for k, v in self.checks.items()},
         }
 
@@ -256,8 +281,7 @@ def divisor_sum_series(layer, D: int):
             a = FqPoly(field, tail + (1,))
             if not any((a % g).is_zero() for g in s_gens):
                 counts[layer.class_of(a)] += 1
-        base[d] = GroupRingElem.from_mapping(
-            group, {group.inv(c): n for c, n in counts.items()}).coeffs
+        base[d] = from_mapping(group, {group.inv(c): n for c, n in counts.items()})
     for d in range(top + 1, D + 1):
         scale = q ** (d - top)
         base[d] = [scale * c for c in base[top]]
@@ -355,13 +379,14 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
         raise ValueError(f"enumeration degree {D} is below the bound {bound}")
     series = euler_series(layer, D)
     _certify_vanishing(series[bound + 1:], bound + 1, bound)
-    group = layer.group
-    tp = ThetaPoly(group, [GroupRingElem(group, c) for c in series[: bound + 1]])
+    tp = series[: bound + 1]
+    while tp and not any(tp[-1]):
+        tp.pop()
 
     checks = {}
     per_char_degrees = {}
     chi_theta = {}
-    chars = characters(group)
+    chars = characters(layer.group)
     reps, orbit = character_orbits(chars)
     orbit_rep = {chi.exps: reps[orbit[chi.exps]] for chi in chars}
     for chi in chars:
@@ -369,14 +394,14 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
         if rep is not chi:  # met after its rep, which comes first in chars
             per_char_degrees[chi.exps] = per_char_degrees[rep.exps]
             continue
-        coeffs = chi_theta[chi.exps] = tp.apply_character(chi)
+        coeffs = chi_theta[chi.exps] = _character_poly(chi, tp)
         dchi = len(coeffs) - 1 if coeffs else -1
         bchi = per_character_degree_bound(layer, chi)
         per_char_degrees[chi.exps] = (dchi, bchi)
         if dchi > bchi:
             raise StabilizationError(
                 f"character {chi.exps}: degree {dchi} exceeds its bound {bchi}")
-    tr = ThetaResult(layer=layer, D=D, bound=bound, theta=tp, series=series, tail=None,
+    tr = ThetaResult(layer=layer, D=D, bound=bound, theta=tp, tail=None,
                      per_char_degrees=per_char_degrees, orbit_rep=orbit_rep,
                      chi_theta=chi_theta, checks=checks)
 
@@ -388,14 +413,14 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
             raise ArithmeticError("Euler product and divisor-sum series disagree "
                                   f"at degree {_first_difference(series, other)}")
         sym = trivial_character_symbolic(layer)
-        triv = [c.augmentation() for c in tp.coeffs]
+        triv = [sum(c) for c in tp]
         while triv and triv[-1] == 0:
             triv.pop()
         checks["trivial_character_symbolic_equal"] = sym == triv
         if not checks["trivial_character_symbolic_equal"]:
             raise ArithmeticError("symbolic trivial-character component disagrees "
                                   f"at u^{_first_difference(sym, triv)}")
-        if group.order <= PER_CHARACTER_PRODUCT_MAX_ORDER:
+        if layer.group.order <= PER_CHARACTER_PRODUCT_MAX_ORDER:
             table = tr.chi_theta_table
             bad = next((chi for chi in chars if per_character_euler_product(layer, chi, D)
                         != table[chi.exps]), None)
@@ -446,18 +471,11 @@ def order_of_vanishing_table(layer, tr: ThetaResult):
     return table
 
 
-@dataclass
-class SigmaUnitWitness:
-    element: object
-    inverse: object
-    verified: bool
-
-
-def sigma_factor_unit(layer, v) -> SigmaUnitWitness:
-    """Inverse of x = 1 - sigma_v^{-1} (qu)^{d_v} in Z/p^k[u]/(u^M)[G]
-    (PolyGroupRing with h = u^M), (k, M) = SIGMA_UNIT_PRECISION: the
-    geometric series of the nilpotent n = 1 - x, whose product with x is
-    checked to be 1."""
+def sigma_factor_unit(layer, v) -> bool:
+    """Whether x = 1 - sigma_v^{-1} (qu)^{d_v} is certified a unit of
+    Z/p^k[u]/(u^M)[G] (PolyGroupRing with h = u^M), (k, M) =
+    SIGMA_UNIT_PRECISION: its inverse is the geometric series of the
+    nilpotent n = 1 - x, whose product with x is checked to be 1."""
     if v not in layer.sigma:
         raise ValueError("v must lie in Sigma")
     k, M = SIGMA_UNIT_PRECISION
@@ -474,8 +492,7 @@ def sigma_factor_unit(layer, v) -> SigmaUnitWitness:
     for _ in range(M - 1):
         inv = ring.add(inv, power)
         power = ring.mul(power, n)
-    verified = ring.equal(ring.mul(x, inv), ring.one)
-    return SigmaUnitWitness(element=x, inverse=inv, verified=verified)
+    return ring.mul(x, inv) == ring.one
 
 
 @dataclass
@@ -485,11 +502,14 @@ class FunctorialityReport:
 
 
 def functoriality_check(tr_src: ThetaResult, tr_tgt: ThetaResult, layer_map) -> FunctorialityReport:
-    """Project Theta at the higher layer coefficientwise and compare exactly."""
-    projected = tr_src.theta.project(layer_map.apply, tr_tgt.layer.group)
-    target = tr_tgt.theta
-    n = max(len(projected.coeffs), len(target.coeffs))
-    for i in range(n):
-        if projected.coefficient(i) != target.coefficient(i):
+    """Project Theta at the higher layer coefficientwise along layer_map and
+    compare exactly, a missing coefficient being zero."""
+    src, tgt, group = tr_src.theta, tr_tgt.theta, tr_tgt.layer.group
+    imap = _index_map(tr_src.layer.group, layer_map.apply, group)
+    for i in range(max(len(src), len(tgt))):
+        projected = [0] * group.order
+        for j, v in zip(imap, src[i] if i < len(src) else ()):
+            projected[j] += v
+        if projected != (tgt[i] if i < len(tgt) else [0] * group.order):
             return FunctorialityReport(equal=False, first_mismatch_degree=i)
     return FunctorialityReport(equal=True)

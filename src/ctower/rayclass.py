@@ -11,7 +11,7 @@ generator; the infinite place splits completely and has trivial Frobenius.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import TRIVIAL_GROUP, AbelianGroup, _abelian_basis
@@ -340,14 +340,12 @@ class GaloisLayer(Layer):
         return tuple(sorted((d * pw for d in f_divs for pw in p_pows), key=FqPoly.sort_key))
 
     def ramification_data(self, v):
-        """(e, f, g) for v: ramification index, residue degree, place count."""
+        """(f, g) for v: residue degree and place count."""
         if is_infinite(v):
-            return 1, 1, self.order
+            return 1, self.order
         inertia = self.inertia_group(v)
         dec = self.decomposition_group(v)
-        e = len(inertia)
-        f = len(dec) // e
-        return e, f, self.order // len(dec)
+        return len(dec) // len(inertia), self.order // len(dec)
 
     def exceptional_table(self):
         """For each v in S united with infinity: (deg w, count) for the places
@@ -355,7 +353,7 @@ class GaloisLayer(Layer):
         Galois, so every w above v has the same degree."""
         table = {}
         for v in self.S | {INFINITY}:
-            _, f, g = self.ramification_data(v)
+            f, g = self.ramification_data(v)
             d_v = 1 if is_infinite(v) else v.degree
             table[v] = (d_v * f, g)
         return table
@@ -426,9 +424,8 @@ def build_layer(cfg: TowerConfig, n: int) -> GaloisLayer:
 class LayerMap:
     """Galois restriction G_{n_src} ->> G_{n_tgt} as a map on exponent tuples."""
 
-    source: GaloisLayer
     target: GaloisLayer
-    images: list = dc_field(default_factory=list)  # image of each source generator
+    images: list  # image of each source generator
 
     def apply(self, exps):
         g = self.target.group
@@ -449,7 +446,7 @@ def layer_projection(src: GaloisLayer, tgt: GaloisLayer) -> LayerMap:
     if src.n <= tgt.n and src is not tgt:
         raise ValueError("projection goes from a higher layer to a lower one")
     images = [tgt.class_of(g) for g in src.generators]
-    lm = LayerMap(src, tgt, images)
+    lm = LayerMap(tgt, images)
     image_span = tgt.group.subgroup_span(images) if images else frozenset({tgt.group.identity})
     if len(image_span) != tgt.order:
         raise ArithmeticError("layer projection is not surjective")

@@ -112,14 +112,13 @@ def _solve_frac(matrix, rhs):
 def reference_real_generator_minpoly(m: FqPoly) -> AXPoly:
     """Minimal polynomial over k of e = lambda^(q-1), lambda a root of
     cyclotomic_poly(m).  Degree Phi(m)/(q-1); for q = 2 this is
-    cyclotomic_poly(m).phi itself (the real field is the full cyclotomic
+    cyclotomic_poly(m) itself (the real field is the full cyclotomic
     field).
     """
     F = m.field
-    cyc = cyclotomic_poly(m)
+    phi = cyclotomic_poly(m)
     if F.q == 2:
-        return cyc.phi
-    phi = cyc.phi
+        return phi
     n = phi.degree
     expected = n // (F.q - 1)
 

@@ -23,13 +23,14 @@ from ctower.geometry import (
     zeta_numerator,
 )
 from ctower.grouprings import (
-    GroupRingElem,
     ZpkGroupRing,
     characters,
+    from_mapping,
     is_unit,
     quotient_order_exponent,
 )
 from ctower.lfun import (
+    euler_series,
     functoriality_check,
     order_of_vanishing_check,
     sigma_factor_unit,
@@ -87,9 +88,7 @@ class TestCriterion1:
                              {FinitePlace(poly(F2, 1, 1))})
         tr = theta(layer, D=12)
         elapsed = time.monotonic() - t0
-        good = (tr.theta.degree == 1 and
-                dict(tr.theta.coefficient(0).items()) == {(): 1} and
-                dict(tr.theta.coefficient(1).items()) == {(): -1})
+        good = tr.theta == [[1], [-1]]  # one coefficient each: G is trivial
         _report("criterion 1: Theta sanity identity (1 - u)",
                 good and elapsed < 1.0, f"elapsed {elapsed:.3f}s")
 
@@ -102,10 +101,11 @@ class TestCriterion2:
                 tr = data["thetas"][n]
                 # coefficients above the per-character bound vanish exactly
                 bounds_ok = all(d <= b for d, b in tr.per_char_degrees.values())
-                window_ok = all(not any(tr.series[i]) for i in range(tr.bound + 1, tr.D + 1))
+                series = euler_series(data["layers"][n], tr.D)
+                window_ok = all(not any(series[i]) for i in range(tr.bound + 1, tr.D + 1))
                 tr2 = theta(data["layers"][n], D=tr.D + 2, cross_check=False)
                 recompute_ok = tr.theta == tr2.theta and \
-                    tr2.series[: tr.D + 1] == tr.series
+                    euler_series(data["layers"][n], tr.D + 2)[: tr.D + 1] == series
                 elapsed = time.monotonic() - t0 + data["timings"][n]
                 _report(f"criterion 2: stabilization [{name} n={n}]",
                         bounds_ok and window_ok and recompute_ok and elapsed < 60,
@@ -145,8 +145,7 @@ class TestCriterion5:
                 layer = data["layers"][n]
                 ok = True
                 for v in sorted(cfg.sigma, key=lambda v: v.gen.sort_key()):
-                    w = sigma_factor_unit(layer, v)
-                    ok = ok and w.verified
+                    ok = ok and sigma_factor_unit(layer, v)
                 _report(f"criterion 5: Sigma-factor unit witness [{name} n={n}]",
                         ok, "precision (p^6, u^6)")
 
@@ -183,7 +182,7 @@ class TestCriterion7:
         sdiv = s_divisor_data(layer)
         nab = nabla_order(layer, z, sdiv)
         # pipeline 2: Euler product -> Theta(1) -> Fitting quotient order
-        quot = quotient_order_exponent(tr.special_value(), 3, PRECISION_K)
+        quot = quotient_order_exponent(layer.group, tr.special_value(), 3, PRECISION_K)
         hyp_ok = all(nab.hypotheses.values())
         _report("criterion 7: finite-layer main-conjecture shadow [q3 n=0]",
                 hyp_ok and quot == nab.total_p_exponent,
@@ -199,10 +198,10 @@ class TestCriterion7:
         z = zeta_numerator(counts, 2)
         sdiv = s_divisor_data(layer)
         nab = nabla_order(layer, z, sdiv)
-        quot = quotient_order_exponent(tr.special_value(), 2, PRECISION_K)
+        quot = quotient_order_exponent(layer.group, tr.special_value(), 2, PRECISION_K)
         _report("criterion 7 variant: hypothesis (d) dropped [q2 n=0]",
                 (not nab.hypotheses["d_p_coprime_deg_p"]) and
-                nab.ds_p_exponent == 1 and quot == nab.total_p_exponent == 1,
+                sdiv.zp_mod_ds_exponent == 1 and quot == nab.total_p_exponent == 1,
                 f"2-valuations: nabla {nab.total_p_exponent}, quotient {quot}")
 
 
@@ -217,21 +216,20 @@ class TestCriterion8:
         alt_tr = theta(alt_layer)
         p, k = 3, PRECISION_K
         ring = ZpkGroupRing(p, k, layer.group)
-        s1 = ring.from_group_ring(tr.special_value())
-        s2 = ring.from_group_ring(alt_tr.special_value())
+        s1 = ring.from_vec(tr.special_value())
+        s2 = ring.from_vec(alt_tr.special_value())
 
         def sigma_factor_at_one(lay):  # summed from its product in Z[G][u]
             c = reference_sigma_factor_poly(lay)
-            return ring.from_group_ring(GroupRingElem.from_mapping(layer.group,
-                                                                   sum(c[1:], c[0]).coeffs))
+            return ring.from_vec(from_mapping(layer.group, sum(c[1:], c[0]).coeffs))
 
         w1, w2 = sigma_factor_at_one(layer), sigma_factor_at_one(alt_layer)
         ok1, w1_inv = is_unit(w1, ring)
         w = ring.mul(w2, w1_inv)
         unit_ok, _ = is_unit(w, ring)
-        transfer_ok = ring.equal(s2, ring.mul(s1, w))
-        q1 = quotient_order_exponent(tr.special_value(), p, k)
-        q2 = quotient_order_exponent(alt_tr.special_value(), p, k)
+        transfer_ok = s2 == ring.mul(s1, w)
+        q1 = quotient_order_exponent(layer.group, tr.special_value(), p, k)
+        q2 = quotient_order_exponent(layer.group, alt_tr.special_value(), p, k)
         _report("criterion 8: Sigma-independence [q3 n=0]",
                 ok1 and unit_ok and transfer_ok and q1 == q2,
                 f"quotient exponents {q1} == {q2}, unit certified at 3^{k}")

@@ -45,6 +45,17 @@ class TestParsing:
                 parse_poly(F4, bad)
 
 
+# a valid verify all config at the q=3 flagship layer 0, and a value of the
+# wrong type for each key a config file may hold, with the kind it must have
+CONFIG_Q3 = {"q": "3", "p": "x^2+1", "Sigma": ["x"], "N": 0}
+_CONFIG_WRONG = {"q": 3, "f": 1, "p": 2, "S": [1], "Sigma": ["x", 1], "sigma_alt": 5,
+                 "N": "1", "precision": "24", "budget": "100", "seed": "0", "degree": "8"}
+_CONFIG_KINDS = [(key, "a string" if key in ("q", "f", "p") else
+                  "a list of strings" if key in ("S", "Sigma", "sigma_alt") else
+                  "an int or null" if key == "degree" else "an int")
+                 for key in _CONFIG_WRONG]
+
+
 class TestCommands:
     def test_theta_trivial_group_sanity(self, capsys):
         # the acceptance example: prints 1 - u
@@ -90,6 +101,21 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err == "error: nonzero coefficient at degree 6 > bound 1\n"
         assert captured.out == ""
+
+    def test_zero_theta_prints_degree_minus_inf(self, capsys, monkeypatch):
+        # Theta = 0 is the empty coefficient list: degree -inf, no u^i line
+        real = cli.theta_op
+
+        def zero_theta(layer, D=None):
+            tr = real(layer, D=D)
+            tr.theta = []
+            return tr
+
+        monkeypatch.setattr(cli, "theta_op", zero_theta)
+        assert main(["theta", "--q", "2", "--p", "x^2+x+1", "--n", "0", "--Sigma", "x"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Theta_(S,Sigma) at layer n=0: degree -inf, bound 1, D 5\n{")
+        assert json.loads(out[out.index("{"):])["theta"]["theta"]["coeffs_by_degree"] == []
 
     def test_lpoly(self, capsys):
         code = main(["lpoly", "--q", "3", "--p", "x^2+1", "--n", "0", "--Sigma", "x"])
@@ -241,12 +267,19 @@ class TestCommands:
          "invalid choice: 'ordvan'"),
         (["verify", "functoriality", "--q", "3"], "invalid choice: 'functoriality'"),
         (["verify", "sigmaunit", "--q", "3"], "invalid choice: 'sigmaunit'"),
+        (["zeta", "--q", "2", "--p", "x^2+x+1", "--n", "1", "--Sigma", "x", "--max-i", "0"],
+         "needs at least one point count"),
+        (["verify", "cnf", "--q", "3", "--p", "x^2+1", "--Sigma", "x", "--max-i", "0"],
+         "needs at least one point count"),
+        *((["verify", "all", "--config", f"WRONG_{key}"], f"key {key} must be {kind}")
+          for key, kind in _CONFIG_KINDS),
     ], ids=["verify-no-q", "verify-no-Sigma", "theta-no-Sigma", "config-no-Sigma",
             "config-missing", "verify-N-negative", "config-N-negative",
             "verify-precision-0", "config-precision-0", "fitting-cases-negative",
             "all-cases-negative", "fitting-seed-negative", "all-seed-negative",
             "config-seed-negative", "verify-ordvan-removed", "verify-functoriality-removed",
-            "verify-sigmaunit-removed"])
+            "verify-sigmaunit-removed", "zeta-no-counts", "cnf-no-counts",
+            *(f"config-{key}-wrong-type" for key, _ in _CONFIG_KINDS)])
     def test_missing_input_exit_2(self, capsys, tmp_path, argv, named):
         # a missing or invalid input is a usage error that names it, not a
         # traceback; a negative --cases checks nothing and a negative seed
@@ -256,7 +289,9 @@ class TestCommands:
                    "NO_PRECISION": {"q": "3", "p": "x^2+1", "Sigma": ["x"], "N": 0,
                                     "precision": 0},
                    "NEGATIVE_SEED": {"q": "3", "p": "x^2+1", "Sigma": ["x"], "N": 0,
-                                     "seed": -4}}
+                                     "seed": -4},
+                   **{f"WRONG_{key}": {**CONFIG_Q3, key: value}
+                      for key, value in _CONFIG_WRONG.items()}}
         paths = {"MISSING": str(tmp_path / "missing.json")}
         for name, blob in configs.items():
             paths[name] = str(tmp_path / f"{name}.json")
@@ -268,6 +303,14 @@ class TestCommands:
         # rejects an unknown suite, prints the usage first
         assert err.startswith("usage: " if "invalid choice" in named else "error: "), err
         assert named in err, err
+
+    @pytest.mark.parametrize("key", ["N", "precision", "budget", "seed", "degree"])
+    def test_config_bool_is_not_an_int(self, tmp_path, key):
+        # JSON true is a Python bool, an int subclass: refused all the same
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**CONFIG_Q3, key: True}))
+        with pytest.raises(ValueError, match=f"{path}: key {key} must be an int"):
+            cli._load_config_file(str(path))
 
     def test_reports_reproducible(self, tmp_path):
         args = ["zeta", "--q", "3", "--p", "x^2+1", "--n", "0", "--Sigma", "x",
@@ -577,6 +620,22 @@ class TestVerifyAllWorker:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("argv, sha256", [
+        (["--q", "3", "--p", "x^2+1", "--n", "1", "--Sigma", "x"],
+         "1f05d5b7575b8bfca7f92f5dc5acf417f224f336840a250c17201c7745fb028f"),
+        (["--q", "2", "--p", "x^2+x+1", "--n", "2", "--Sigma", "x"],
+         "df473e093eda9bca928d033fc3388c8ef97398be4200d2281a53334610279bbe"),
+        (["--q", "2", "--S", "inf,theta", "--Sigma", "theta+1", "--trivial-group",
+          "--degree", "12", "--check", "ordvan", "--check", "sigmaunit"],
+         "1b1dd2f77df5cbb5a6f9d9b7af6a849769a9ace5df0e7abdd0b74c59631cf8d4"),
+    ], ids=["q3-n1", "q2-n2", "trivial-group-checks"])
+    def test_theta_bytes(self, capsys, argv, sha256):
+        # ctower theta --json, byte for byte: the human-readable coefficient
+        # lines, the check lines and Theta's JSON document on stdout
+        assert main(["theta", *argv, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_verify_cnf_bytes(self, capsys, tmp_path):
         # verify cnf at the q=3 flagship layer 0, with Sigma-independence
         report = tmp_path / "cnf.json"
@@ -688,7 +747,7 @@ def _shift_alt_special_value(real):
         tr = real(layer, D=D, cross_check=cross_check)
         if not cross_check:  # the Sigma' side of Sigma-independence only
             value = tr.special_value()
-            value.coeffs[0] += 1
+            value[0] += 1
             tr.special_value = lambda: value
         return tr
     return shifted
@@ -724,8 +783,8 @@ def _lower_degree_bound(real):
 
 
 def _zero_last_block(real):
-    def shifted(x, p, k):  # the image side: the last Delta-block reads zero
-        blocks = real(x, p, k)
+    def shifted(group, x, p, k):  # the image side: the last Delta-block reads zero
+        blocks = real(group, x, p, k)
         ring, _ = blocks[-1]
         blocks[-1] = ring, ring.zero
         return blocks

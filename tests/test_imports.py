@@ -4,8 +4,9 @@ package.
 An imported name that nothing uses is dead code, and so is a definition
 nothing outside the tests reaches: a module-level function, class or
 constant that its module does not use and that no other module imports or
-reads from it, a method that no attribute read can reach, or a function
-nested in a function that does not call it.  A function that
+reads from it, a method that no attribute read can reach, a function
+nested in a function that does not call it, or a dataclass field that no
+attribute read loads.  A function that
 imports a module of the package hides a dependency that belongs at the top
 of the module (there is no import cycle to break).
 """
@@ -346,3 +347,30 @@ def test_every_default_is_passed_by_program_code():
                                      or (index is not None and count > index)
                                      for count, keywords, unpacks in sites))
     assert not unpassed, f"defaults no program call overrides: {unpassed}"
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) for each annotated field of each class of a tree
+    decorated with @dataclass or @dataclass(...)."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield cls.name, stmt.target.id, stmt.lineno
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a dataclass of the package is read as an attribute
+    (.field, loaded) somewhere in the package, the demos or the benchmark
+    harness: a field that only tests read is stored for nothing.  Reads are
+    matched by attribute name alone."""
+    read = {node.attr for path in USERS
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{line} {cls}.{name}" for path in MODULES
+              for cls, name, line in _dataclass_fields(ast.parse(path.read_text()))
+              if name not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"

@@ -222,13 +222,14 @@ class TestDecomposition:
         for cfg in (flagship_q3(), flagship_q2()):
             for n in (0, 1):
                 layer = build_layer(cfg, n)
-                e, f, g = layer.ramification_data(cfg.p_place)
-                assert e == layer.order and f == 1 and g == 1
+                f, g = layer.ramification_data(cfg.p_place)
+                assert len(layer.inertia_group(cfg.p_place)) == layer.order
+                assert f == 1 and g == 1
 
     def test_infinity_splits(self):
         layer = build_layer(flagship_q3(), 0)
-        e, f, g = layer.ramification_data(INFINITY)
-        assert (e, f, g) == (1, 1, layer.order)
+        f, g = layer.ramification_data(INFINITY)
+        assert (f, g) == (1, layer.order)  # so e = |G| / (f g) = 1
 
     def test_conductor_layer_counts(self):
         # f=theta, p=theta^2+1, q=3: |G_0| = Phi(theta*p)/2 = (2*8)/2 = 8
@@ -236,10 +237,11 @@ class TestDecomposition:
         layer = build_layer(cfg, 0)
         assert layer.order == 8
         v = FinitePlace(poly(F3, 0, 1))
-        e, f, g = layer.ramification_data(v)
-        assert e == 2 and f == 2 and g == 2
-        ep, fp, gp = layer.ramification_data(cfg.p_place)
-        assert ep == 8 and fp == 1 and gp == 1  # H_theta = k, so p is totally ramified
+        f, g = layer.ramification_data(v)
+        assert len(layer.inertia_group(v)) == 2 and f == 2 and g == 2
+        fp, gp = layer.ramification_data(cfg.p_place)
+        # H_theta = k, so p is totally ramified
+        assert len(layer.inertia_group(cfg.p_place)) == 8 and fp == 1 and gp == 1
 
     def test_exceptional_table_flagship(self):
         layer = build_layer(flagship_q3(), 0)

@@ -3,8 +3,8 @@ lists, kept verbatim (only the names are renamed) as the oracles that the
 flat code of ctower.grouprings and ctower.lfun is tested against.  An
 element is a dict from exponent tuples to its nonzero coefficients:
 
-- ReferenceZpkGroupRing, the old Z/p^k[G]; its from_group_ring reads the
-  flat GroupRingElem through items();
+- ReferenceZpkGroupRing, the old Z/p^k[G]; its from_group_ring reads a
+  flat coefficient list of Z[G] (group_index order);
 - ReferenceGroupRingElem, the old Z[G] (Theta and its coefficients);
 - ReferenceChiComponentRing and reference_chi_component, whose elements map
   P-elements to coefficient tuples of length deg h;
@@ -35,9 +35,9 @@ one division: reference_cyclotomic_reduce, CyclotomicRing.reduce by a table
 of x^j mod Phi_N that held only j <= max(2 deg - 2, N - 1), and
 reference_poly_reduce, PolyGroupRing._reduce mod (h, p^k).  And the Sigma
 factor as a product in Z[G][u], reference_sigma_factor_poly (formerly
-geometry.sigma_factor_poly, formed by the products of Z[G] and of
-ThetaPoly), with reference_sigma_factor_norm, its norm over every character
-(formerly ThetaPoly.norm_poly).
+geometry.sigma_factor_poly, formed by the products of Z[G] and of the
+polynomials in u over it), with reference_sigma_factor_norm, its norm over
+every character (formerly the norm_poly of those polynomials).
 
 Then the finite rings as they stood before every one was a flat coefficient
 list: ReferenceZpkRing, Z/p^k with int elements, and ReferenceTruncPolyRing,
@@ -63,11 +63,12 @@ from ctower.abelian import AbelianGroup
 from ctower.ffpoly import FqPoly
 from ctower.grouprings import (
     Character,
-    GroupRingElem,
     ZpkGroupRing,
     character_norm,
     characters,
     cyclotomic_polynomial,
+    from_mapping,
+    group_index,
     mult_matrix,
 )
 from ctower.lfun import euler_factors
@@ -93,8 +94,9 @@ class ReferenceZpkGroupRing:
     def one(self):
         return {self.group.identity: 1}
 
-    def from_group_ring(self, x: GroupRingElem):
-        return {k: v % self.pk for k, v in x.items() if v % self.pk}
+    def from_group_ring(self, x: list):
+        """The element of the flat coefficient list x of Z[G]."""
+        return {k: v % self.pk for k, v in zip(self.elems, x) if v % self.pk}
 
     def add(self, a, b):
         out = dict(a)
@@ -224,10 +226,12 @@ class ReferenceGroupRingElem:
                 "coeffs": {",".join(map(str, k)): v for k, v in sorted(self.coeffs.items())}}
 
 
-def reference_product(a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
-    """a * b in Z[G] for flat elements, formed by ReferenceGroupRingElem."""
-    ra, rb = (ReferenceGroupRingElem(x.group, dict(x.items())) for x in (a, b))
-    return GroupRingElem.from_mapping(a.group, (ra * rb).coeffs)
+def reference_product(group: AbelianGroup, a: list, b: list) -> list:
+    """a * b in Z[G] for flat coefficient lists of G = group, formed by
+    ReferenceGroupRingElem."""
+    ra, rb = (ReferenceGroupRingElem(group, dict(zip(group_index(group)[0], x)))
+              for x in (a, b))
+    return from_mapping(group, (ra * rb).coeffs)
 
 
 class ReferenceChiComponentRing:
@@ -451,12 +455,13 @@ def reference_divisor_sum_series(layer, D: int):
     return _clean(base)
 
 
-def reference_quotient_exponents(x: GroupRingElem, p: int, k: int) -> list:
-    """The exponents e_i > 0 with Z/p^k[G] / (x) = prod Z/p^(e_i): the Smith
-    exponents of multiplication by x, from one elimination.  Their sum is
+def reference_quotient_exponents(group: AbelianGroup, x: list, p: int, k: int) -> list:
+    """The exponents e_i > 0 with Z/p^k[G] / (x) = prod Z/p^(e_i), x a flat
+    coefficient list of Z[G], G = group: the Smith exponents of
+    multiplication by x, from one elimination.  Their sum is
     quotient_order_exponent and their maximum is tower.nzd_slack."""
-    ring = ZpkGroupRing(p, k, x.group)
-    return zpk_cokernel_exponents(mult_matrix(ring, [[ring.from_group_ring(x)]]), p, k)
+    ring = ZpkGroupRing(p, k, group)
+    return zpk_cokernel_exponents(mult_matrix(ring, [[ring.from_vec(x)]]), p, k)
 
 
 def triangular_exponents(mat, p, k):
@@ -470,7 +475,9 @@ def triangular_exponents(mat, p, k):
 def reference_mult_matrix_rows(ring, rows):
     """Z/p^k matrix whose columns span the R-submodule of R^g generated by
     rows: column (r, i) is vec(b_i * e) for the entries e of row r, each a
-    ring product."""
+    ring product.  ring is a dict-keyed ring with its to_vec, or a flat one
+    of ctower.grouprings, whose elements are their own vectors."""
+    to_vec = getattr(ring, "to_vec", list)
     n = ring.basis_size
     basis = [ring.from_vec([0] * i + [1] + [0] * (n - 1 - i)) for i in range(n)]
     cols = []
@@ -478,7 +485,7 @@ def reference_mult_matrix_rows(ring, rows):
         for b in basis:
             col = []
             for e in row:
-                col.extend(ring.to_vec(ring.mul(b, e)))
+                col.extend(to_vec(ring.mul(b, e)))
             cols.append(col)
     return [list(r) for r in zip(*cols)]
 
@@ -688,9 +695,12 @@ class ReferenceTruncPolyRing(_ReferenceFiniteRing):
         return tuple(self.base.scale_int(c, x) for x in a)
 
     def to_vec(self, a):
+        # a flat base ring of ctower.grouprings has no to_vec: its elements
+        # are their own vectors
+        base_vec = getattr(self.base, "to_vec", list)
         vec = []
         for x in a:
-            vec.extend(self.base.to_vec(x))
+            vec.extend(base_vec(x))
         return vec
 
     def from_vec(self, vec):
@@ -720,8 +730,9 @@ def reference_coherent_extra(sys) -> int:
     """The elements of the top ring of the toy projective system sys whose
     images all lie in the ideals alpha_m R_m but which are not in
     alpha_T R_T, counted by enumeration of the top ring, with each ideal the
-    set of all products x alpha_m: the oracle of the extra_elements of
-    ctower.tower.coherent_nzd_check, which reads them off Smith exponents."""
+    set of all products x alpha_m: the oracle of the conclusion of
+    ctower.tower.coherent_nzd_check, which holds when there is none, read
+    off Smith exponents."""
     ideals = [{tuple(ring.mul(list(x), alpha))
                for x in it.product(range(ring.pk), repeat=ring.basis_size)}
               for ring, alpha in zip(sys.rings, sys.alpha)]
