@@ -210,10 +210,9 @@ def cmd_lpoly(args):
     if layer is None:
         layer = build_layer(cfg, args.n)
     tr = theta_op(layer, D=args.degree)
-    chi_theta = tr.chi_theta_table
     table = []
     for chi in characters(layer.group):
-        coeffs = chi_theta[chi.exps]
+        coeffs = tr.chi_poly(chi)
         table.append({"chi": list(chi.exps), "order": chi.order,
                       "coeffs": [list(c) for c in coeffs]})
         print(f"chi{list(chi.exps)} (order {chi.order}): "
@@ -318,38 +317,33 @@ def _load_config_file(path):
     return blob
 
 
+# the defaults of verify's tower flags and config keys
+_VERIFY_DEFAULTS = {"q": None, "f": "1", "p": None, "S": None, "Sigma": None,
+                    "sigma_alt": None, "N": 1, "precision": DEFAULT_PRECISION,
+                    "budget": DEFAULT_POINT_BUDGET, "seed": 0, "degree": None}
+
+
 def _verify_config(args):
-    """(cfg, N, opts) from --config or the flags; a ValueError names a depth
-    N < 0, a precision < 1 or a config file's seed < 0."""
+    """(cfg, N, opts) from the flags of args over _VERIFY_DEFAULTS, with the
+    keys of the --config file laid over them, lists joined with commas; a
+    ValueError names a depth N < 0, a precision < 1 or a seed < 0."""
+    values = {**_VERIFY_DEFAULTS, **vars(args)}
     if args.config:
         blob = _load_config_file(args.config)
-        field = parse_q(blob["q"])
-        cfg = build_tower_config(field, blob.get("f", "1"), blob["p"],
-                                 ",".join(blob.get("S", [])) if blob.get("S") else None,
-                                 ",".join(blob["Sigma"]))
-        opts = RunOptions(
-            precision_k=blob.get("precision", DEFAULT_PRECISION),
-            degree=blob.get("degree"),
-            point_budget=blob.get("budget", DEFAULT_POINT_BUDGET),
-            seed=blob.get("seed", 0),
-        )
-        if opts.seed < 0:
-            raise ValueError(f"the config's seed must be >= 0, not {opts.seed}")
-        if blob.get("sigma_alt"):
-            opts.sigma_alt = parse_places(field, ",".join(blob["sigma_alt"]))
-        N = blob.get("N", 1)
-    else:
-        _, cfg = _config_from_args(args)
-        opts = RunOptions(precision_k=args.precision, point_budget=args.budget,
-                          seed=args.seed)
-        if args.sigma_alt:
-            opts.sigma_alt = parse_places(cfg.field, args.sigma_alt)
-        N = args.N
-    if N < 0:
-        raise ValueError(f"the tower depth N must be >= 0, not {N}")
-    if opts.precision_k < 1:
-        raise ValueError(f"the precision must be >= 1, not {opts.precision_k}")
-    return cfg, N, opts
+        values.update((key, ",".join(v) if isinstance(v, list) else v)
+                      for key, v in blob.items() if key in _CONFIG_KINDS)
+    args = argparse.Namespace(**values)
+    for name, value, least in (("the tower depth N", args.N, 0),
+                               ("the precision", args.precision, 1),
+                               ("the seed", args.seed, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, not {value}")
+    _, cfg = _config_from_args(args)
+    opts = RunOptions(precision_k=args.precision, degree=args.degree,
+                      point_budget=args.budget, seed=args.seed)
+    if args.sigma_alt:
+        opts.sigma_alt = parse_places(cfg.field, args.sigma_alt)
+    return cfg, args.N, opts
 
 
 class _BatteryWorker:
@@ -515,22 +509,22 @@ def build_parser():
     sp.add_argument("suite", choices=["cnf", "fitting", "all"])
     sp.add_argument("--config", help="JSON config file (for 'cnf' and 'all')")
     sp.add_argument("--q")
-    sp.add_argument("--f", default="1")
+    sp.add_argument("--f")
     sp.add_argument("--p")
     sp.add_argument("--S")
     sp.add_argument("--Sigma")
     sp.add_argument("--sigma-alt", dest="sigma_alt")
     sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--N", type=int, default=1)
+    sp.add_argument("--N", type=int)
     sp.add_argument("--max-i", type=int, default=POINT_MAX_I,
                     help=f"count points N_1..N_i for 'cnf'; 'all' always uses i = {POINT_MAX_I}")
-    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    sp.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--precision", type=int)
+    sp.add_argument("--budget", type=int)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--cases", type=int, default=200)
     sp.add_argument("--out")
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_verify)
+    sp.set_defaults(func=cmd_verify, **_VERIFY_DEFAULTS)
 
     return ap
 

@@ -27,7 +27,7 @@ from . import zpoly
 from .abelian import TRIVIAL_GROUP
 from .carlitz import AXPoly, real_generator_minpoly
 from .ffpoly import FqField, FqPoly, INFINITY, factor, irreducibles_of_degree
-from .grouprings import PolyGroupRing, character_norm, is_unit, translation
+from .grouprings import PolyGroupRing, character_norm, characters, is_unit, translation
 
 DEFAULT_POINT_BUDGET = 10 ** 7
 CHARPOLY_PRECISION = (12, 12)  # (k, M) of the charpoly comparison
@@ -449,7 +449,8 @@ def charpoly_theta_report(layer, theta_result, zeta: ZetaData, sdiv: SDivisorDat
     k, M = CHARPOLY_PRECISION
     p, q = layer.field.p, layer.field.q
     Q = tate_charpoly(layer, zeta, sdiv)
-    R = character_norm(layer.group, theta_result.chi_theta_table.values())
+    R = character_norm(layer.group, [theta_result.chi_poly(chi)
+                                     for chi in characters(layer.group)])
     NS = sigma_factor_norm(layer)
 
     diff = zpoly.sub(zpoly.mul(R, [1, -q]), zpoly.mul(Q, NS))

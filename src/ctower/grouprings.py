@@ -3,13 +3,15 @@ characters with values in Z[x]/Phi_N(x), chi-components over Hensel-lifted
 local rings, Fitting ideals, ideal equality, unit tests and non-zero-divisor
 certificates.
 
-apply_character(chi, x) is the one evaluator of a character on Z[G]: it sums
-the coefficients of x by log value and reduces mod Phi_N once.  For Theta it
-is called on each coefficient of u by lfun.theta, once per rational character
-orbit (character_orbits), and by ThetaResult.chi_theta_table once on every
-character, which only the per-character product, the norm of Theta in the
-charpoly verdict (character_norm) and `ctower lpoly` read; the other
-verdicts read the per-orbit table.
+A Character is its (group, exps) and nothing else: it caches no table.
+apply_character(chi, f) is the one evaluator of a character on Z[G][u]: f
+is a list of Z[G] coefficient lists, and each is summed by log value into
+Z[x]/(x^N - 1) and reduced mod Phi_N once, off one log table built per
+call.  lfun.theta calls it once per rational character orbit
+(character_orbits) and keeps the results; ThetaResult.chi_poly evaluates
+any other character directly, which only the per-character product, the
+norm of Theta in the charpoly verdict (character_norm) and `ctower lpoly`
+ask for.
 
 Every Z/p^k-linear question about a finite ring R -- units, ideal
 membership, annihilators and the orders of finitely presented R-modules --
@@ -74,7 +76,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial, gcd, prod
 
 from . import zpoly
@@ -131,9 +133,6 @@ class CyclotomicRing:
     def one(self):
         return (1,) + (0,) * (self.degree - 1)
 
-    def zeta_pow(self, j: int):
-        return self.reduce([0] * (j % self.n) + [1])
-
     def reduce(self, vec):
         """vec (ascending, any length) mod Phi_N, padded to degree."""
         rem = zpoly.div_rem(vec, self.phi)[1]
@@ -144,9 +143,6 @@ class CyclotomicRing:
 
     def mul(self, a, b):
         return self.reduce(zpoly.mul(a, b))
-
-    def scale(self, c: int, a):
-        return tuple(c * x for x in a)
 
     def is_zero(self, a):
         return not any(a)
@@ -186,13 +182,10 @@ class Character:
             total += j * e * (N // o)
         return total % N
 
-    def value(self, elem):
-        return self.ring.zeta_pow(self.log_value(elem))
-
-    @cached_property
     def log_table(self) -> list:
         """log_value of every group element, in group_index order, built
-        coordinate by coordinate (the first one most significant)."""
+        coordinate by coordinate (the first one most significant) and kept
+        by the caller alone."""
         N = self.group.exponent
         table = [0]
         for j, o in zip(self.exps, self.group.orders):
@@ -351,15 +344,23 @@ def from_mapping(group: AbelianGroup, mapping) -> list:
     return out
 
 
-def apply_character(chi: Character, x) -> tuple:
-    """chi(x) in Z[zeta_N] for x in Z[G]: the coefficients are summed by log
-    value into Z[x]/(x^N - 1), which is reduced mod Phi_N once."""
+def apply_character(chi: Character, f) -> list:
+    """chi(f)(u) for f in Z[G][u], the list of its coefficient lists of u:
+    each coefficient is summed by log value into Z[x]/(x^N - 1), which is
+    reduced mod Phi_N once, and trailing zero values are dropped.  The log
+    table is built once per call; an element x of Z[G] is f = [x]."""
     ring = chi.ring
-    vec = [0] * ring.n
-    for lv, v in zip(chi.log_table, x):
-        if v:
-            vec[lv] += v
-    return ring.reduce(vec)
+    table = chi.log_table()
+    out = []
+    for x in f:
+        vec = [0] * ring.n
+        for lv, v in zip(table, x):
+            if v:
+                vec[lv] += v
+        out.append(ring.reduce(vec))
+    while out and ring.is_zero(out[-1]):
+        out.pop()
+    return out
 
 
 def character_norm(group: AbelianGroup, values):

@@ -18,14 +18,17 @@ grouprings.group_index order, with trailing zero coefficients dropped.  The
 series above the bound is certified and dropped; special_value sums the
 coefficient lists into Theta(1), and to_json writes them by group element.
 
-theta evaluates chi(Theta) once per rational character orbit
-(grouprings.character_orbits) into ThetaResult.chi_theta.  chi^a(Theta) =
+chi(Theta) has one store, ThetaResult.chi_theta: theta evaluates it once
+per rational character orbit (grouprings.character_orbits), with one call
+of grouprings.apply_character on the whole of Theta.  chi^a(Theta) =
 sigma_a(chi(Theta)) and ker chi^a = ker chi, so the conductor, the split
 count, the degree of chi(Theta), its vanishing order at u = 1 and whether
 chi(Theta(1)) = 0 are read once per orbit, and listed for every character.
-ThetaResult.chi_theta_table evaluates every character directly, once, for
-the per-character Euler-product cross-check, the norm of Theta in the
-charpoly verdict (geometry) and `ctower lpoly`.  No Z[G] product is formed:
+ThetaResult.chi_poly reads an orbit rep off the store and evaluates any
+other character directly, never by conjugation and without keeping the
+result: only the per-character Euler-product cross-check, the norm of Theta
+in the charpoly verdict (geometry) and `ctower lpoly` ask for every
+character.  No Z[G] product is formed:
 the Euler series multiplies by group elements, along one row
 (grouprings.translation) per Frobenius class, and no table is built.
 
@@ -40,7 +43,6 @@ from __future__ import annotations
 import itertools as it
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from operator import attrgetter
 
 from . import zpoly
@@ -143,15 +145,6 @@ def degree_bound(layer) -> int:
     return sig + residue_degree(layer) - 2 + (1 if layer.infinity_in_s() else 0)
 
 
-def _character_poly(chi: Character, theta) -> list:
-    """chi(Theta)(u): chi applied to each coefficient list of theta, with
-    trailing zero coefficients dropped."""
-    out = [apply_character(chi, c) for c in theta]
-    while out and chi.ring.is_zero(out[-1]):
-        out.pop()
-    return out
-
-
 @dataclass
 class ThetaResult:
     layer: object
@@ -172,19 +165,18 @@ class ThetaResult:
         zero list of the group when Theta = 0)."""
         return [sum(col) for col in zip([0] * self.layer.group.order, *self.theta)]
 
-    @cached_property
-    def chi_theta_table(self) -> dict:
-        """chi.exps -> chi(Theta)(u) for every character, in characters(group)
-        order, each evaluated on Theta, not conjugated from its orbit rep."""
-        return {chi.exps: _character_poly(chi, self.theta)
-                for chi in characters(self.layer.group)}
+    def chi_poly(self, chi: Character) -> list:
+        """chi(Theta)(u), trailing zeros dropped: the stored list of an orbit
+        rep, and any other character evaluated on Theta directly."""
+        stored = self.chi_theta.get(chi.exps)
+        return apply_character(chi, self.theta) if stored is None else stored
 
     def chi_at_one(self, chi: Character):
-        """chi(Theta(1)) for an orbit rep chi: evaluation is linear, so this
-        is the ring sum of the stored coefficients of chi(Theta)."""
+        """chi(Theta(1)): evaluation is linear, so this is the ring sum of
+        the coefficients of chi(Theta)."""
         ring = chi.ring
         total = ring.zero
-        for c in self.chi_theta[chi.exps]:
+        for c in self.chi_poly(chi):
             total = ring.add(total, c)
         return total
 
@@ -319,30 +311,29 @@ def trivial_character_symbolic(layer):
 
 
 def per_character_euler_product(layer, chi: Character, D: int):
-    """chi(Theta) computed directly in the cyclotomic ring (independent path)."""
+    """chi(Theta) through u^D computed factor by factor from the Euler
+    factors, an independent path to ThetaResult.chi_poly.  The series runs
+    in Z[x]/(x^N - 1), N = exp(G), where chi(g) = x^(chi.log_value(g)), so a
+    product with chi(sigma^-1) rotates a coefficient vector; each
+    coefficient of u is reduced mod Phi_N once at the end, and trailing
+    zeros are dropped."""
     ring = chi.ring
-    series = [list(ring.zero) for _ in range(D + 1)]
-    series[0] = list(ring.one)
-    q = layer.field.q
-
-    def mul_inverse(zeta, d):
-        for i in range(d, D + 1):
-            term = ring.mul(tuple(series[i - d]), zeta)
-            series[i] = list(ring.add(tuple(series[i]), term))
-
-    def mul_forward(zeta, d, scale):
-        for i in range(D, d - 1, -1):
-            term = ring.scale(-scale, ring.mul(tuple(series[i - d]), zeta))
-            series[i] = list(ring.add(tuple(series[i]), term))
-
-    group = layer.group
+    n, q, group = ring.n, layer.field.q, layer.group
+    series = [[0] * n for _ in range(D + 1)]
+    series[0][0] = 1
     for fac in euler_factors(layer, D):
-        zeta = chi.value(group.inv(fac.frobenius))
+        # src[s:] + src[:s] is src times x^(n - s) = chi(sigma^-1)
+        s, d = n - chi.log_value(group.inv(fac.frobenius)), fac.degree
         if fac.mode == "S-inverse":
-            mul_inverse(zeta, fac.degree)
+            for i in range(d, D + 1):
+                src = series[i - d]
+                series[i] = [a + b for a, b in zip(series[i], src[s:] + src[:s])]
         else:
-            mul_forward(zeta, fac.degree, q ** fac.degree)
-    out = [tuple(c) for c in series]
+            c = q ** d
+            for i in range(D, d - 1, -1):
+                src = series[i - d]
+                series[i] = [a - c * b for a, b in zip(series[i], src[s:] + src[:s])]
+    out = [ring.reduce(c) for c in series]
     while out and ring.is_zero(out[-1]):
         out.pop()
     return out
@@ -394,7 +385,7 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
         if rep is not chi:  # met after its rep, which comes first in chars
             per_char_degrees[chi.exps] = per_char_degrees[rep.exps]
             continue
-        coeffs = chi_theta[chi.exps] = _character_poly(chi, tp)
+        coeffs = chi_theta[chi.exps] = apply_character(chi, tp)
         dchi = len(coeffs) - 1 if coeffs else -1
         bchi = per_character_degree_bound(layer, chi)
         per_char_degrees[chi.exps] = (dchi, bchi)
@@ -421,9 +412,8 @@ def theta(layer, D: int = None, cross_check: bool = True) -> ThetaResult:
             raise ArithmeticError("symbolic trivial-character component disagrees "
                                   f"at u^{_first_difference(sym, triv)}")
         if layer.group.order <= PER_CHARACTER_PRODUCT_MAX_ORDER:
-            table = tr.chi_theta_table
             bad = next((chi for chi in chars if per_character_euler_product(layer, chi, D)
-                        != table[chi.exps]), None)
+                        != tr.chi_poly(chi)), None)
             checks["per_character_product_equal"] = bad is None
             if bad is not None:
                 raise ArithmeticError("per-character Euler product disagrees "

@@ -429,13 +429,10 @@ def coherent_nzd_check(sys: ToyProjectiveSystem) -> CoherentNzdReport:
     precondition_ok = True
     for m in range(len(sys.rings) - 1, 0, -1):
         ring = sys.rings[m]
+        # the kernel of multiplication by alpha_m spans Ann(alpha_m)
         kern = zpk_kernel(mult_matrix(ring, [[sys.alpha[m]]]), ring.p, ring.k)
-        for vec in kern:
-            elem = ring.from_vec(vec)
-            if not any(ring.mul(elem, sys.alpha[m])) and any(sys.transitions[m - 1](elem)):
-                precondition_ok = False
-                break
-        if not precondition_ok:
+        if any(any(sys.transitions[m - 1](ring.from_vec(vec))) for vec in kern):
+            precondition_ok = False
             break
 
     top = sys.rings[-1]

@@ -24,7 +24,6 @@ from ctower.lfun import (
     PER_CHARACTER_PRODUCT_MAX_ORDER,
     PoleError,
     StabilizationError,
-    _character_poly,
     character_conductor,
     degree_bound,
     divisor_sum_series,
@@ -48,6 +47,9 @@ from zpk_reference import (
     reference_chi_component,
     reference_divisor_sum_series,
     reference_euler_series,
+    reference_per_character_euler_product,
+    reference_scale,
+    reference_zeta_pow,
 )
 
 F2 = FqField(2)
@@ -65,8 +67,8 @@ def items(group, x):
 
 
 def chi_of_theta(tr, chi):
-    """chi(Theta)(u), chi evaluated on each coefficient of tr.theta."""
-    return _character_poly(chi, tr.theta)
+    """chi(Theta)(u), chi evaluated on tr.theta directly."""
+    return apply_character(chi, tr.theta)
 
 
 def flagship_q3():
@@ -174,7 +176,7 @@ class TestFlagshipThetaQ3:
                     if (a % cfg.p_place.gen).is_zero():
                         continue
                     lg = (-chi_fn(a)) % n_units  # chi^{-1}(a)
-                    coeffs[d] = ring4.add(coeffs[d], ring4.zeta_pow(lg * 4 // n_units))
+                    coeffs[d] = ring4.add(coeffs[d], reference_zeta_pow(ring4, lg * 4 // n_units))
             while coeffs and ring4.is_zero(coeffs[-1]):
                 coeffs.pop()
             # divide by (1 - u) for nontrivial chi (infinity factor)
@@ -194,16 +196,17 @@ class TestFlagshipThetaQ3:
             if lser is None:
                 continue
             # multiply by Sigma factor (1 - chi(sigma_theta)^{-1} (3u))
-            z = ring4.zeta_pow(((-chi_fn(poly(F3, 0, 1))) % n_units) * 4 // n_units)
+            z = reference_zeta_pow(ring4, ((-chi_fn(poly(F3, 0, 1))) % n_units) * 4 // n_units)
             expect = [lser[0]]
             for i in range(1, len(lser) + 1):
                 lo = lser[i] if i < len(lser) else ring4.zero
-                expect.append(ring4.add(lo, ring4.scale(-3, ring4.mul(z, lser[i - 1]))))
+                expect.append(ring4.add(lo, reference_scale(-3, ring4.mul(z, lser[i - 1]))))
             while expect and ring4.is_zero(expect[-1]):
                 expect.pop()
             # match the engine character with the same value on Frob_(theta+1)
-            target_val = ring4.zeta_pow(chi_fn(poly(F3, 1, 1)) * 4 // n_units)
-            matches = [ch for ch in engine_chars if ch.value(fr_theta_plus_1) == target_val]
+            target_val = reference_zeta_pow(ring4, chi_fn(poly(F3, 1, 1)) * 4 // n_units)
+            matches = [ch for ch in engine_chars
+                       if reference_zeta_pow(ring4, ch.log_value(fr_theta_plus_1)) == target_val]
             assert len(matches) == 1
             assert chi_of_theta(tr, matches[0]) == expect
 
@@ -219,7 +222,7 @@ class TestFlagshipThetaQ3:
             assert len(c) == 2 and c[0] == ring4.one
             seen.append(c[1])
         vals = sorted(str(v) for v in seen)
-        expected = sorted(str(ring4.scale(c, ring4.one)) for c in (1, -3, 3, 3))
+        expected = sorted(str(reference_scale(c, ring4.one)) for c in (1, -3, 3, 3))
         # 1+u for trivial; 1-3u for the quadratic; 1+3u for both faithful
         assert sorted(x[0] for x in seen) == [-3, 1, 3, 3] or vals == expected
 
@@ -231,9 +234,9 @@ class TestFlagshipThetaQ3:
         assert sum(special) == 2  # (1-3)*2/(1-3) = 2 symbolically
         # augmentation of Theta(1) equals the trivial-character value
         triv = [c for c in characters(layer.group) if c.is_trivial()][0]
-        val = apply_character(triv, special)
+        val = apply_character(triv, [special])
         ring = CyclotomicRing(layer.group.exponent)
-        assert val == ring.scale(2, ring.one)
+        assert val == [reference_scale(2, ring.one)]
 
     def test_layer1_stabilization_and_recompute(self):
         cfg = flagship_q3()
@@ -285,7 +288,7 @@ class TestFlagshipThetaQ2:
         layer = build_layer(cfg, 0)
         special = theta(layer).special_value()
         # norm over characters: 2 * 7 = 14
-        norm = character_norm(layer.group, [[apply_character(chi, special)]
+        norm = character_norm(layer.group, [apply_character(chi, [special])
                                             for chi in characters(layer.group)])
         assert norm == [14]
 
@@ -666,14 +669,20 @@ class TestBoundsAndConductors:
 
 # The per-term character evaluator as it stood before apply_character summed
 # the coefficients by log value and reduced once, kept verbatim (self renamed
-# x, now the dict of nonzero coefficients of items) as the oracle for
-# TestCharacterEvaluatorReference.
+# x, now the dict of nonzero coefficients of items; ring.scale and
+# ring.zeta_pow, since deleted, are the reference_ functions of
+# zpk_reference) as the oracle for TestCharacterEvaluatorReference.
 def reference_apply_character(x, chi):
     ring = chi.ring
     acc = ring.zero
     for k, v in x.items():
-        acc = ring.add(acc, ring.scale(v, ring.zeta_pow(chi.log_value(k))))
+        acc = ring.add(acc, reference_scale(v, reference_zeta_pow(ring, chi.log_value(k))))
     return acc
+
+
+def chi_value(chi, x):
+    """chi(x) for x in Z[G]: apply_character on the one-coefficient [x]."""
+    return (apply_character(chi, [x]) or [chi.ring.zero])[0]
 
 
 @pytest.fixture(scope="module")
@@ -694,13 +703,13 @@ class TestCharacterEvaluatorReference:
 
     def test_every_theta_coefficient(self, flagship_thetas):
         for layer, tr in flagship_thetas.values():
-            table = tr.chi_theta_table
             for chi in characters(layer.group):
                 ref = [reference_apply_character(items(layer.group, c), chi) for c in tr.theta]
-                assert [apply_character(chi, c) for c in tr.theta] == ref
+                assert [chi_value(chi, c) for c in tr.theta] == ref
                 while ref and chi.ring.is_zero(ref[-1]):
                     ref.pop()
-                assert table[chi.exps] == ref
+                assert apply_character(chi, tr.theta) == ref
+                assert tr.chi_poly(chi) == ref
                 if chi.exps in tr.chi_theta:
                     assert tr.chi_theta[chi.exps] == ref
         assert max(layer.group.order for layer, _ in flagship_thetas.values()) == 192
@@ -716,7 +725,7 @@ class TestCharacterEvaluatorReference:
                                                 for g in rng.sample(elems, rng.randint(1, len(elems)))}))
         for x in samples:
             for chi in characters(group):
-                assert apply_character(chi, x) == reference_apply_character(items(group, x), chi)
+                assert chi_value(chi, x) == reference_apply_character(items(group, x), chi)
 
 
 # rational character orbits of the flagship layers, keyed by (q, n)
@@ -725,17 +734,17 @@ ORBIT_COUNTS = {(2, 0): 2, (2, 1): 8, (2, 2): 20, (2, 3): 80, (2, 4): 176,
 
 
 class TestCharacterTable:
-    """theta stores chi(Theta) once per rational orbit, and chi_theta_table
-    evaluates every character; the verdicts read the per-orbit table."""
+    """theta stores chi(Theta) once per rational orbit, and chi_poly
+    evaluates every other character directly; the verdicts read the
+    per-orbit store."""
 
     def test_independent_product_beyond_cutoff(self, flagship_thetas):
         # theta runs this oracle only while |G| <= PER_CHARACTER_PRODUCT_MAX_ORDER
         for key in ((2, 1), (2, 2), (2, 3), (3, 1)):
             layer, tr = flagship_thetas[key]
             assert layer.group.order > PER_CHARACTER_PRODUCT_MAX_ORDER
-            table = tr.chi_theta_table
             for chi in characters(layer.group):
-                assert per_character_euler_product(layer, chi, tr.D) == table[chi.exps]
+                assert per_character_euler_product(layer, chi, tr.D) == tr.chi_poly(chi)
 
     def test_table_order_and_value_at_one(self, flagship_thetas):
         for layer, tr in flagship_thetas.values():
@@ -746,25 +755,44 @@ class TestCharacterTable:
             assert len(reps) == ORBIT_COUNTS[layer.field.q, layer.n]
             assert "chi_theta" not in tr.to_json()
             special = tr.special_value()
-            table = tr.chi_theta_table
-            assert list(table) == [chi.exps for chi in chars]
             for chi in chars:
                 at_one = chi.ring.zero
-                for c in table[chi.exps]:
+                for c in tr.chi_poly(chi):
                     at_one = chi.ring.add(at_one, c)
-                assert at_one == apply_character(chi, special)
+                assert at_one == chi_value(chi, special)
+                assert tr.chi_at_one(chi) == chi_value(chi, special)
             for chi in reps:
-                assert tr.chi_at_one(chi) == apply_character(chi, special)
-                assert tr.chi_theta[chi.exps] == table[chi.exps]
+                assert tr.chi_theta[chi.exps] == tr.chi_poly(chi) == chi_of_theta(tr, chi)
 
     def test_norm_from_table(self, flagship_thetas):
         for key in ((3, 0), (2, 0), (2, 1)):
             layer, tr = flagship_thetas[key]
             # against every character evaluated on the dict-keyed Theta
             ref = [ReferenceGroupRingElem(layer.group, items(layer.group, c)) for c in tr.theta]
-            assert character_norm(layer.group, tr.chi_theta_table.values()) == \
+            assert character_norm(layer.group, [tr.chi_poly(chi)
+                                                for chi in characters(layer.group)]) == \
                 character_norm(layer.group, [[c.apply_character(chi) for c in ref]
                                              for chi in characters(layer.group)])
+
+    @pytest.mark.parametrize("key", [(3, 0), (3, 1), (2, 0), (2, 1), (2, 2), "F4"])
+    def test_rotation_product_matches_the_ring_product(self, flagship_thetas, key):
+        # the per-character product by rotation in Z[x]/(x^N - 1) against the
+        # one CyclotomicRing product per step that it replaced, on every
+        # character, above the |G| <= 8 gate too; "F4" is the layer
+        # --q 2^2 --p x^3+x+1 --N 0 --Sigma x+1 (|G| = 21)
+        if key == "F4":
+            F4 = FqField(2, 2)
+            p4 = FinitePlace(poly(F4, 1, 1, 0, 1))
+            layer = build_layer(TowerConfig(F4, FqPoly.one(F4), p4, default_s(FqPoly.one(F4), p4),
+                                            frozenset({FinitePlace(poly(F4, 1, 1))})), 0)
+            tr = theta(layer, cross_check=False)
+            assert layer.group.order == 21
+        else:
+            layer, tr = flagship_thetas[key]
+        for chi in characters(layer.group):
+            direct = per_character_euler_product(layer, chi, tr.D)
+            assert direct == reference_per_character_euler_product(layer, chi, tr.D)
+            assert direct == tr.chi_poly(chi)
 
     def test_order_of_vanishing_table(self, flagship_thetas):
         layer, tr = flagship_thetas[2, 2]
@@ -871,7 +899,7 @@ class TestRationalOrbits:
             special = tr.special_value()
             # the live characters are exactly those with chi(Theta(1)) != 0
             assert [chi for chi in characters(layer.group)
-                    if not chi.ring.is_zero(apply_character(chi, special))] == expect
+                    if apply_character(chi, [special])] == expect
 
 
 class TestFlatLayoutReference:

@@ -120,10 +120,10 @@ class TestRunTower:
 
 
 class TestComputedOnce:
-    """A tower run computes shared work once: theta is the only caller of
-    the character evaluator (the layer-0 charpoly norm reads the table it
-    kept), and each non-unit Delta-block of a layer's Theta(1) is
-    eliminated once."""
+    """A tower run computes shared work once: theta evaluates each rational
+    orbit rep once (the layer-0 charpoly norm evaluates only the characters
+    outside that store), and each non-unit Delta-block of a layer's Theta(1)
+    is eliminated once."""
 
     def test_verdicts_read_the_table(self, monkeypatch):
         calls = {"theta": 0, "ordvan": 0, "charpoly": 0, "elsewhere": 0}
@@ -163,12 +163,12 @@ class TestComputedOnce:
         assert len(ordvan_calls) == 1 + 7 + 19
         assert len(set(ordvan_calls)) == len(ordvan_calls)
         assert calls["ordvan"] == calls["elsewhere"] == 0
-        # theta evaluates each orbit rep on each coefficient of Theta, and
-        # every character once more for the per-character product at |G| = 3;
-        # the layer-0 charpoly norm reads that table
-        sizes = [len(tr.theta) for tr in run.theta_results]
-        assert calls["theta"] == 2 * sizes[0] + 8 * sizes[1] + 20 * sizes[2] + 3 * sizes[0]
-        assert calls["charpoly"] == 0
+        # theta evaluates each orbit rep once on the whole of Theta, and the
+        # one character of |G| = 3 outside the store once more for the
+        # per-character product; the layer-0 charpoly norm reads the store
+        # and evaluates that character again, keeping nothing
+        assert calls["theta"] == 2 + 8 + 20 + 1
+        assert calls["charpoly"] == 1
 
     def test_smith_only_for_kernels(self, monkeypatch):
         # U and V are built for kernels alone: every exponent, order, unit and
@@ -272,6 +272,28 @@ class TestComputedOnce:
                 assert (count == 0) == shadow
                 counts.add(count)
         assert counts == {0, 1, 2}
+
+    def test_characters_keep_no_state(self):
+        # a Character is its (group, exps): apply_character builds its log
+        # table per call, so no orbit rep that a run keeps holds |G| ints
+        run = run_tower(flagship_q2(), 2, RunOptions())
+        assert run.all_passed
+        found = {}
+
+        def walk(value):
+            if isinstance(value, grouprings.Character):
+                found[id(value)] = value
+            elif isinstance(value, dict):
+                for item in value.items():
+                    walk(item)
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    walk(item)
+
+        for tr in run.theta_results:
+            walk([v for k, v in vars(tr).items() if k != "layer"])
+        assert len(found) == 2 + 8 + 20
+        assert all(set(vars(chi)) == {"group", "exps"} for chi in found.values())
 
     def test_recompute_skips_character_bounds(self, monkeypatch):
         # the D + 2 verdict reads the divisor-sum tail that theta kept: one

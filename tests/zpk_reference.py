@@ -51,9 +51,15 @@ products and multiplication matrices off before each row came from
 grouprings.translation, is the oracle of translation; reference_cofactor_det
 reads it.
 
-Last, reference_coherent_extra, the enumeration of the top ring of a toy
+Then reference_coherent_extra, the enumeration of the top ring of a toy
 projective system that coherent_nzd_check ran before it read its count off
 Smith exponents.
+
+Last, reference_per_character_euler_product, lfun.per_character_euler_product
+as it stood before it rotated coefficient vectors in Z[x]/(x^N - 1): one
+CyclotomicRing.mul per step, with chi(g) from reference_zeta_pow and the
+products by q^d from reference_scale, the CyclotomicRing.zeta_pow and
+CyclotomicRing.scale of that code.
 """
 
 import itertools as it
@@ -820,3 +826,43 @@ def reference_sigma_factor_norm(layer) -> list:
     coeffs = reference_sigma_factor_poly(layer)
     return character_norm(layer.group, [[c.apply_character(chi) for c in coeffs]
                                         for chi in characters(layer.group)])
+
+
+def reference_zeta_pow(ring, j: int):
+    """zeta_N^j in the CyclotomicRing ring of N = ring.n."""
+    return ring.reduce([0] * (j % ring.n) + [1])
+
+
+def reference_scale(c: int, a):
+    """c a for a in a CyclotomicRing."""
+    return tuple(c * x for x in a)
+
+
+def reference_per_character_euler_product(layer, chi: Character, D: int):
+    """chi(Theta) computed directly in the cyclotomic ring (independent path)."""
+    ring = chi.ring
+    series = [list(ring.zero) for _ in range(D + 1)]
+    series[0] = list(ring.one)
+    q = layer.field.q
+
+    def mul_inverse(zeta, d):
+        for i in range(d, D + 1):
+            term = ring.mul(tuple(series[i - d]), zeta)
+            series[i] = list(ring.add(tuple(series[i]), term))
+
+    def mul_forward(zeta, d, scale):
+        for i in range(D, d - 1, -1):
+            term = reference_scale(-scale, ring.mul(tuple(series[i - d]), zeta))
+            series[i] = list(ring.add(tuple(series[i]), term))
+
+    group = layer.group
+    for fac in euler_factors(layer, D):
+        zeta = reference_zeta_pow(ring, chi.log_value(group.inv(fac.frobenius)))
+        if fac.mode == "S-inverse":
+            mul_inverse(zeta, fac.degree)
+        else:
+            mul_forward(zeta, fac.degree, q ** fac.degree)
+    out = [tuple(c) for c in series]
+    while out and ring.is_zero(out[-1]):
+        out.pop()
+    return out
