@@ -326,7 +326,9 @@ _VERIFY_DEFAULTS = {"q": None, "f": "1", "p": None, "S": None, "Sigma": None,
 def _verify_config(args):
     """(cfg, N, opts) from the flags of args over _VERIFY_DEFAULTS, with the
     keys of the --config file laid over them, lists joined with commas; a
-    ValueError names a depth N < 0, a precision < 1 or a seed < 0."""
+    ValueError names a depth N < 0, a precision < 1, a seed < 0 or a
+    sigma_alt that TowerConfig refuses as a Sigma (one that meets S or holds
+    inf), before any layer is built."""
     values = {**_VERIFY_DEFAULTS, **vars(args)}
     if args.config:
         blob = _load_config_file(args.config)
@@ -343,6 +345,7 @@ def _verify_config(args):
                       point_budget=args.budget, seed=args.seed)
     if args.sigma_alt:
         opts.sigma_alt = parse_places(cfg.field, args.sigma_alt)
+        TowerConfig(cfg.field, cfg.f, cfg.p_place, cfg.S, frozenset(opts.sigma_alt))
     return cfg, args.N, opts
 
 

@@ -13,20 +13,22 @@ sigma_factor_norm reads its norm off prod_chi (1 - chi(s) T) =
 (1 - T^f)^{|G|/f}, f the order of s.
 
 Exceptional fibers (above S and infinity) always come from the class-field
-tables, never from singular plane-model fibers; the discriminant of the
-model is factored once and its support must lie inside the exceptional set.
+tables.  Every other fiber a count reads must have simple rational roots:
+then, by Dedekind-Kummer, its affine count is the smooth curve's count above
+that place.  The model is never checked globally; A[lambda^(q-1)] is the
+integral closure of A in the real subfield (Rosen ch. 12), so the check
+never fires on a tower layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import zpoly
 from .abelian import TRIVIAL_GROUP
 from .carlitz import AXPoly, real_generator_minpoly
-from .ffpoly import FqField, FqPoly, INFINITY, factor, irreducibles_of_degree
+from .ffpoly import FqField, FqPoly, INFINITY, irreducibles_of_degree
 from .grouprings import PolyGroupRing, character_norm, characters, is_unit, translation
 
 DEFAULT_POINT_BUDGET = 10 ** 7
@@ -34,7 +36,8 @@ CHARPOLY_PRECISION = (12, 12)  # (k, M) of the charpoly comparison
 
 
 class CurveModelError(ArithmeticError):
-    """The plane model is singular outside the exceptional table."""
+    """The plane model has the wrong degree, or a fiber off S that a count
+    reads has a rational root that is not simple."""
 
 
 class FiberMismatchError(ArithmeticError):
@@ -48,56 +51,6 @@ class ConfigurationRefused(ValueError):
 # ---------------------------------------------------------------------------
 # curve models
 # ---------------------------------------------------------------------------
-
-
-def _poly_det_bareiss(mat):
-    """Fraction-free determinant of a matrix of FqPoly (exact division)."""
-    n = len(mat)
-    if n == 0:
-        raise ValueError("empty matrix")
-    F = mat[0][0].field
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = FqPoly.one(F)
-    for t in range(n - 1):
-        if m[t][t].is_zero():
-            swap = next((i for i in range(t + 1, n) if not m[i][t].is_zero()), None)
-            if swap is None:
-                return FqPoly.zero(F)
-            m[t], m[swap] = m[swap], m[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                num = m[i][j] * m[t][t] - m[i][t] * m[t][j]
-                quo, rem = divmod(num, prev)
-                if not rem.is_zero():
-                    raise ArithmeticError("Bareiss division failed")
-                m[i][j] = quo
-            m[i][t] = FqPoly.zero(F)
-        prev = m[t][t]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _resultant_x(a: AXPoly, b: AXPoly) -> FqPoly:
-    """Res_X(a, b) over A via the Sylvester determinant."""
-    F = a.field
-    da, db = a.degree, b.degree
-    if da < 0 or db < 0:
-        return FqPoly.zero(F)
-    n = da + db
-    rows = []
-    for i in range(db):
-        row = [FqPoly.zero(F)] * n
-        for j in range(da + 1):
-            row[i + j] = a[da - j]
-        rows.append(row)
-    for i in range(da):
-        row = [FqPoly.zero(F)] * n
-        for j in range(db + 1):
-            row[i + j] = b[db - j]
-        rows.append(row)
-    return _poly_det_bareiss(rows)
 
 
 @dataclass
@@ -116,8 +69,8 @@ class CurveModel:
 
 def curve_model(layer) -> CurveModel:
     """Plane model from the real-subfield generator (cyclotomic polynomial
-    itself when q = 2).  Hard error if the model is singular away from the
-    exceptional fibers."""
+    itself when q = 2); its X-degree must be the layer order.  Its
+    smoothness off S is checked fiber by fiber, by count_points_model."""
     m = layer.modulus
     if m.is_one():
         # conductor 1, L = k: the projective line, model X = 0
@@ -127,15 +80,7 @@ def curve_model(layer) -> CurveModel:
     if fpoly.degree != layer.order:
         raise CurveModelError(
             f"model degree {fpoly.degree} does not match the layer order {layer.order}")
-    table = layer.exceptional_table()
-    disc = _resultant_x(fpoly, fpoly.derivative_x())
-    if disc.is_zero():
-        raise CurveModelError("inseparable plane model")
-    allowed = {v.gen for v in layer.finite_s()}
-    for g, _ in factor(disc.monic()) if disc.degree >= 1 else []:
-        if g not in allowed:
-            raise CurveModelError(f"model singular above {g!r}, outside the exceptional table")
-    return CurveModel(layer=layer, fpoly=fpoly, exceptional=table)
+    return CurveModel(layer=layer, fpoly=fpoly, exceptional=layer.exceptional_table())
 
 
 # -- point counts on the model ------------------------------------------------
@@ -160,9 +105,11 @@ def _frobenius_orbits(field, q: int):
     return out
 
 
-def _fiber_root_count(f: FqPoly, q: int, i: int) -> int:
-    """Number of roots of the monic f in its field F_(q^i):
-    deg gcd(X^(q^i) - X, f) (Lidl and Niederreiter, Finite Fields, ch. 3).
+def _fiber_root_count(f: FqPoly, q: int, i: int, simple: bool) -> int:
+    """Number of roots of the monic f in its field F_(q^i): deg g, g =
+    gcd(X^(q^i) - X, f) (Lidl and Niederreiter, Finite Fields, ch. 3).  If
+    simple, those roots must be simple, gcd(g, f/g) = 1, or CurveModelError
+    is raised.
 
     X^(q^i) mod f comes from i q-power Frobenius steps h -> h^q mod f,
     starting at h = X: h^q = sum_t h_t^q X^(qt), as q is a power of the
@@ -175,7 +122,12 @@ def _fiber_root_count(f: FqPoly, q: int, i: int) -> int:
         spread = [0] * (q * len(h.coeffs))
         spread[::q] = [F.pow(c, q) for c in h.coeffs]
         h = FqPoly(F, spread) % f
-    return f.gcd(h - x).degree
+    g = f.gcd(h - x)
+    # g = 1 has no root to check, and g = f divides X^(q^i) - X, squarefree
+    if simple and 0 < g.degree < f.degree and g.gcd(f // g).degree:
+        raise CurveModelError(f"the plane model is singular off S: a fiber has a multiple "
+                              f"root in F_({q}^{i})")
+    return g.degree
 
 
 def count_points_model(model: CurveModel, i: int,
@@ -186,9 +138,10 @@ def count_points_model(model: CurveModel, i: int,
     F_(q^i) is FqField.extension(F_q, g), g the first monic irreducible of
     degree i over F_q (irreducibles_of_degree).  The fiber over theta0 is
     the model with its A-coefficients evaluated at theta0, an FqPoly over
-    F_(q^i), and its points are its roots (_fiber_root_count).  The affine
-    fiber above each exceptional finite place is also counted and compared
-    against the table; disagreement is a hard error.
+    F_(q^i), and its points are its roots (_fiber_root_count).  Off S they
+    must be simple, or CurveModelError is raised.  The affine fiber above
+    each exceptional finite place is also counted and compared against the
+    table; disagreement is a hard error.
 
     One fiber is counted per orbit of the q-power Frobenius on F_(q^i) and
     weighted by the orbit size.  That is exact: the model is defined over
@@ -217,8 +170,9 @@ def count_points_model(model: CurveModel, i: int,
     points = 0
     exceptional_affine = {}
     for th, size in _frobenius_orbits(ext, q):
-        cnt = size * _fiber_root_count(FqPoly(ext, [evaluate(c, th) for c in xcoeffs]), q, i)
         idx = next((idx for idx, g in enumerate(exc_polys) if not evaluate(g, th)), None)
+        fiber = FqPoly(ext, [evaluate(c, th) for c in xcoeffs])
+        cnt = size * _fiber_root_count(fiber, q, i, idx is None)
         if idx is None:
             points += cnt
         else:
@@ -281,24 +235,26 @@ class ZetaData:
 def zeta_numerator(counts, q: int) -> ZetaData:
     """P_J from N_1..N_m by Newton identities; genus inferred as the smallest
     g such that a degree-2g numerator with the functional equation fits.
-    No counts fit every genus, so they are refused with a ValueError."""
+    No counts fit every genus, so they are refused with a ValueError.
+
+    Newton's identities run on ints: at the first n where sum s_i c_(n-i)
+    is not divisible by n, c_n is not an integer, so no genus fits (a
+    numerator of degree 2g >= n would hold c_n, and one of degree 2g < n
+    needs c_n = 0)."""
     m = len(counts)
     if not m:
         raise ValueError("the zeta numerator needs at least one point count N_1")
     s = [None] + [q ** i + 1 - counts[i - 1] for i in range(1, m + 1)]
-    c = [Fraction(1)]
+    c = [1]
     for n in range(1, m + 1):
-        acc = Fraction(0)
-        for i in range(1, n + 1):
-            acc += s[i] * c[n - i]
-        c.append(-acc / n)
+        cn, rem = divmod(-sum(s[i] * c[n - i] for i in range(1, n + 1)), n)
+        if rem:
+            raise ArithmeticError("no integral zeta numerator fits the counts")
+        c.append(cn)
     for g in range(0, m // 2 + 1):
         if any(c[j] != 0 for j in range(2 * g + 1, m + 1)):
             continue
         cand = c[: 2 * g + 1]
-        if any(x.denominator != 1 for x in cand):
-            continue
-        cand = [int(x) for x in cand]
         # functional equation P(u) = q^g u^(2g) P(1/(qu))
         if any(cand[2 * g - j] != q ** (g - j) * cand[j] for j in range(0, 2 * g + 1)):
             continue

@@ -85,7 +85,7 @@ from .ffpoly import FqField, FqPoly, factor as fq_factor
 from .snf import (
     _pack,
     _unpack,
-    hensel_lift_factors,
+    hensel_lift_pair,
     zpk_cokernel_exponents,
     zpk_kernel,
     zpk_solve,
@@ -585,7 +585,8 @@ class PolyGroupRing(_FlatZpkModule):
 
 @lru_cache(maxsize=None)
 def _lifted_cyclotomic_factors(M: int, p: int, k: int):
-    """Hensel-lifted irreducible factors of Phi_M mod p^k (M coprime to p)."""
+    """The first irreducible factor g of Phi_M mod p (M coprime to p),
+    Hensel-lifted to p^k against its cofactor Phi_M / g."""
     if M % p == 0:
         raise ValueError("chi order must be prime to p")
     phi = cyclotomic_polynomial(M)
@@ -594,15 +595,19 @@ def _lifted_cyclotomic_factors(M: int, p: int, k: int):
     facs = fq_factor(phi_p)
     if any(m > 1 for _, m in facs):
         raise ArithmeticError("Phi_M mod p is not squarefree")  # impossible for p coprime to M
-    lifted = hensel_lift_factors(list(phi), [list(g.coeffs) for g, _ in facs], p, k)
-    return tuple(tuple(c for c in g) for g in lifted)
+    g = facs[0][0]
+    g_lift, h_lift = hensel_lift_pair(list(phi), list(g.coeffs), list((phi_p // g).coeffs), p, k)
+    pk = p ** k
+    if zpoly.sub(zpoly.mul(g_lift, h_lift, pk), phi, pk):
+        raise ArithmeticError("Hensel lift failed to reconstruct Phi_M")
+    return tuple(g_lift)
 
 
 def chi_component_ring(chi: Character, p: int, k: int, p_group: AbelianGroup) -> PolyGroupRing:
     """Z_p(chi)[P] at precision p^k, with the first lifted factor of
     Phi_ord(chi); for the trivial chi that is Phi_1 = u - 1, so Z_p(chi) =
     Z_p."""
-    return PolyGroupRing(p, k, _lifted_cyclotomic_factors(chi.order, p, k)[0], p_group)
+    return PolyGroupRing(p, k, _lifted_cyclotomic_factors(chi.order, p, k), p_group)
 
 
 def chi_component(group: AbelianGroup, x, chi: Character, ring: PolyGroupRing,

@@ -276,29 +276,3 @@ def hensel_lift_pair(f, g, h, p, k):
         h = zpoly.sub(h, [-pj * c for c in b.coeffs], mod_next)
         pj = mod_next
     return g, h
-
-
-def hensel_lift_factors(f, factors_mod_p, p, k):
-    """Lift pairwise-coprime monic factors of monic f from mod p to mod p^k."""
-    pk = p ** k
-    f = [c % pk for c in f]
-    out = []
-    remaining = f
-    facs = list(factors_mod_p)
-    for i, g in enumerate(facs):
-        if i == len(facs) - 1:
-            out.append(zpoly.trim([c % pk for c in remaining]))
-            break
-        cof = [1]
-        for other in facs[i + 1:]:
-            cof = zpoly.mul(cof, other, p)
-        g_lift, cof_lift = hensel_lift_pair(remaining, [c % p for c in g], cof, p, k)
-        out.append(g_lift)
-        remaining = cof_lift
-    # verify
-    prod = [1]
-    for g in out:
-        prod = zpoly.mul(prod, g, pk)
-    if zpoly.sub(prod, f, pk):
-        raise ArithmeticError("Hensel lift failed to reconstruct the input")
-    return out

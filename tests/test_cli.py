@@ -273,23 +273,40 @@ class TestCommands:
          "needs at least one point count"),
         *((["verify", "all", "--config", f"WRONG_{key}"], f"key {key} must be {kind}")
           for key, kind in _CONFIG_KINDS),
+        (["verify", "all", "--q", "3", "--p", "x^2+1", "--Sigma", "x", "--N", "2",
+          "--sigma-alt", "x^2+1"], "S and Sigma must be disjoint"),
+        (["verify", "all", "--config", "SIGMA_ALT_IN_S"], "S and Sigma must be disjoint"),
+        (["verify", "all", "--q", "3", "--p", "x^2+1", "--Sigma", "x", "--N", "2",
+          "--sigma-alt", "inf"], "Sigma consists of finite places"),
+        (["verify", "all", "--config", "SIGMA_ALT_INF"], "Sigma consists of finite places"),
     ], ids=["verify-no-q", "verify-no-Sigma", "theta-no-Sigma", "config-no-Sigma",
             "config-missing", "verify-N-negative", "config-N-negative",
             "verify-precision-0", "config-precision-0", "fitting-cases-negative",
             "all-cases-negative", "fitting-seed-negative", "all-seed-negative",
             "config-seed-negative", "verify-ordvan-removed", "verify-functoriality-removed",
             "verify-sigmaunit-removed", "zeta-no-counts", "cnf-no-counts",
-            *(f"config-{key}-wrong-type" for key, _ in _CONFIG_KINDS)])
-    def test_missing_input_exit_2(self, capsys, tmp_path, argv, named):
+            *(f"config-{key}-wrong-type" for key, _ in _CONFIG_KINDS),
+            "all-sigma-alt-in-S", "config-sigma-alt-in-S", "all-sigma-alt-inf",
+            "config-sigma-alt-inf"])
+    def test_missing_input_exit_2(self, capsys, monkeypatch, tmp_path, argv, named):
         # a missing or invalid input is a usage error that names it, not a
         # traceback; a negative --cases checks nothing and a negative seed
-        # aliases other seeds' chunk streams, so each is one too
+        # aliases other seeds' chunk streams, so each is one too.  Each is
+        # found before any layer is built, except a lack of point counts,
+        # which zeta and verify cnf find after building their layer
+        built = []
+        for module in (cli, tower):
+            monkeypatch.setattr(module, "build_layer",
+                                lambda *args, real=module.build_layer: built.append(args)
+                                or real(*args))
         configs = {"NO_SIGMA": {"q": "3", "p": "x^2+1", "N": 0},
                    "NEGATIVE_N": {"q": "3", "p": "x^2+1", "Sigma": ["x"], "N": -2},
                    "NO_PRECISION": {"q": "3", "p": "x^2+1", "Sigma": ["x"], "N": 0,
                                     "precision": 0},
                    "NEGATIVE_SEED": {"q": "3", "p": "x^2+1", "Sigma": ["x"], "N": 0,
                                      "seed": -4},
+                   "SIGMA_ALT_IN_S": {**CONFIG_Q3, "N": 2, "sigma_alt": ["x^2+1"]},
+                   "SIGMA_ALT_INF": {**CONFIG_Q3, "N": 2, "sigma_alt": ["inf"]},
                    **{f"WRONG_{key}": {**CONFIG_Q3, key: value}
                       for key, value in _CONFIG_WRONG.items()}}
         paths = {"MISSING": str(tmp_path / "missing.json")}
@@ -303,6 +320,7 @@ class TestCommands:
         # rejects an unknown suite, prints the usage first
         assert err.startswith("usage: " if "invalid choice" in named else "error: "), err
         assert named in err, err
+        assert bool(built) == (named == "needs at least one point count"), built
 
     @pytest.mark.parametrize("key", ["N", "precision", "budget", "seed", "degree"])
     def test_config_bool_is_not_an_int(self, tmp_path, key):
@@ -653,7 +671,10 @@ class TestVerifyAllWorker:
          "eac177c30f5b6fd565415aa0da360cbf354d62603a4a1e20f621f24dcfa8162e"),
         ("zeta", F4_GENUS3,
          "01a824cb907661d5dcb3417f2fa42e1b6c7a7ddb8004d5f2347b7ab1314ff5e1"),
-    ], ids=["count-points-q3", "zeta-q3", "count-points-f4", "zeta-f4"])
+        # layer 1, where the plane model's smoothness is read off the fibers
+        ("count-points", ["--q", "3", "--p", "x^2+1", "--n", "1", "--Sigma", "x", "--max-i", "4"],
+         "5676802f0503d5d7c6745d28f1ebbdbb33c7575e0b1083555db4d16427db8e59"),
+    ], ids=["count-points-q3", "zeta-q3", "count-points-f4", "zeta-f4", "count-points-q3-n1"])
     def test_point_count_and_zeta_bytes(self, capsys, command, argv, sha256):
         # the printed lines and the JSON document on stdout, byte for byte
         assert main([command, *argv, "--json"]) == 0
@@ -714,6 +735,13 @@ def _shift_fiber_table(real):
             v: (dw, cnt if v is INFINITY else cnt + 1)
             for v, (dw, cnt) in model.exceptional.items()})
     return shifted
+
+
+def _square_model(real):
+    def squared(layer):  # F^2: every root of every fiber is double
+        model = real(layer)
+        return dataclasses.replace(model, fpoly=model.fpoly * model.fpoly)
+    return squared
 
 
 def _shift_one_fiber(real):
@@ -814,6 +842,8 @@ class TestFailuresAreVerdicts:
          ("error", "ArithmeticError: Frobenius incompatibility at ")),
         (tower, "curve_model", _shift_fiber_table, "point_count_cross_check", 0,
          ("error", "FiberMismatchError: fiber above ")),
+        (tower, "curve_model", _square_model, "point_count_cross_check", 0,
+         ("error", "CurveModelError: the plane model is singular off S")),
         (geometry, "_fiber_root_count", _shift_one_fiber, "point_count_cross_check", 0,
          ("first_mismatch", "{'i': 1, 'model': 4, 'splitting': 3}")),
         (geometry, "tate_charpoly", _shift_charpoly, "charpoly_theta_identity", 0,
@@ -839,8 +869,8 @@ class TestFailuresAreVerdicts:
         (lfun.ThetaResult, "chi_at_one", _zero_nontrivial_at_one, "special_value_nzd_shadow", 0,
          ("first_mismatch", "{'chi': [1]}")),
     ], ids=["divisor-sum", "divisor-sum-tail", "symbolic-trivial", "per-character",
-            "frobenius", "fiber-mismatch", "fiber-count", "charpoly", "zeta-no-fit", "delta-blocks",
-            "sigma-alt-side", "split-count", "geometric-series", "nabla", "degree-bound",
+            "frobenius", "fiber-mismatch", "singular-fiber", "fiber-count", "charpoly",
+            "zeta-no-fit", "delta-blocks", "sigma-alt-side", "split-count", "geometric-series", "nabla", "degree-bound",
             "zero-block", "zero-character"])
     def test_injected_error_is_a_failed_verdict(self, capsys, monkeypatch, tmp_path,
                                                 module, name, shift, verdict, layer, detail):

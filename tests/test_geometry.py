@@ -5,9 +5,10 @@ import random
 import pytest
 
 from ctower import geometry
-from ctower.ffpoly import FinitePlace, FqField, FqPoly, irreducibles_of_degree
+from ctower.ffpoly import FinitePlace, FqField, FqPoly, factor, irreducibles_of_degree
 from ctower.geometry import (
     ConfigurationRefused,
+    CurveModelError,
     FiberMismatchError,
     SDivisorData,
     ZetaData,
@@ -28,7 +29,7 @@ from ctower.geometry import (
 from ctower.grouprings import from_mapping, group_index, quotient_order_exponent
 from ctower.lfun import theta
 from ctower.rayclass import TowerConfig, TrivialLayer, build_layer, default_s
-from geometry_reference import reference_count_points_model
+from geometry_reference import reference_count_points_model, reference_discriminant
 from zpk_reference import (
     ReferenceGroupRingElem,
     reference_sigma_factor_norm,
@@ -58,6 +59,14 @@ def flagship_q2():
 def ext_field(field, i):
     """F_(q^i) as count_points_model builds it."""
     return FqField.extension(field, next(irreducibles_of_degree(field, i)).gen.coeffs)
+
+
+def at(ext, f, x):
+    """f(x) for f an FqPoly over F_q or over ext, and x in ext."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = ext.add(ext.mul(acc, x), c)
+    return acc
 
 
 class TestExtOps:
@@ -156,25 +165,30 @@ class TestExtOps:
 
 class TestFiberRootCount:
     def test_against_exhaustive_evaluation(self):
-        # oracle: evaluate the fiber polynomial at every element of F_(q^i)
+        # oracle: evaluate the fiber polynomial and its derivative at every
+        # element of F_(q^i); a root is multiple where both vanish
         rng = random.Random(77)
+        multiple = 0
         for field, i in [(F3, 2), (F2, 3), (F3, 3), (F2, 4), (FqField(2, 2), 2)]:
             q, ext = field.q, ext_field(field, i)
             elements = range(ext.q)
-            for _ in range(25):
+            for case in range(25):
                 deg = rng.randrange(1, 5)
                 f = FqPoly(ext, [rng.choice(elements) for _ in range(deg)] + [1])  # monic
-                got = _fiber_root_count(f, q, i)
-                brute = 0
-                for x in elements:
-                    acc = 0
-                    for c in reversed(f.coeffs):
-                        acc = ext.add(ext.mul(acc, x), c)
-                    if acc == 0:
-                        brute += 1
+                if case % 2:  # a double root at a random element
+                    f = f * FqPoly(ext, [ext.neg(rng.choice(elements)), 1]) ** 2
+                roots = [x for x in elements if at(ext, f, x) == 0]
+                simple = all(at(ext, f.derivative(), x) for x in roots)
+                multiple += not simple
                 # the gcd degree counts each distinct root once, and so
                 # does the search, squarefree or not
-                assert got == brute
+                assert _fiber_root_count(f, q, i, False) == len(roots)
+                if simple:
+                    assert _fiber_root_count(f, q, i, True) == len(roots)
+                else:
+                    with pytest.raises(CurveModelError, match="singular off S"):
+                        _fiber_root_count(f, q, i, True)
+        assert multiple >= 60
 
 
 def q4_layer0():
@@ -188,6 +202,58 @@ def q4_layer0():
 
 def trivial_layer():
     return TrivialLayer(F3, {FinitePlace(poly(F3, 1, 0, 1))}, {FinitePlace(poly(F3, 0, 1))})
+
+
+def f4_genus3_layer():
+    # the F_4 layer of the pinned count-points bytes: f = x, so S = {x, x+1}
+    F4 = FqField(2, 2)
+    f, p = poly(F4, 0, 1), FinitePlace(poly(F4, 1, 1))
+    cfg = TowerConfig(F4, f, p, default_s(f, p), frozenset({FinitePlace(poly(F4, 1, 1, 0, 1))}))
+    return build_layer(cfg, 1)
+
+
+class TestFiberSmoothness:
+    """count_points_model refuses a fiber off S whose rational roots are not
+    simple.  The oracle is the discriminant Res_X(F, dF/dX) over A of
+    geometry_reference: a place divides it where its fiber is singular."""
+
+    @pytest.mark.parametrize("make_layer", [
+        lambda: build_layer(flagship_q3(), 0),
+        lambda: build_layer(flagship_q2(), 0),
+        lambda: build_layer(flagship_q2(), 1),
+        f4_genus3_layer,
+    ], ids=["q3-0", "q2-0", "q2-1", "f4-genus3"])
+    def test_simple_roots_iff_off_the_discriminant(self, make_layer):
+        layer = make_layer()
+        model = curve_model(layer)
+        field, q = layer.field, layer.field.q
+        disc = reference_discriminant(model.fpoly)
+        s_gens = {v.gen for v in layer.finite_s()}
+        # the model is smooth off S: the discriminant's support lies in S
+        assert disc.degree >= 1 and {g for g, _ in factor(disc.monic())} <= s_gens
+        singular = set()
+        for d in range(1, 7):
+            ext = ext_field(field, d)
+            # a theta0 whose Frobenius orbit has size d is a root of one
+            # place of degree d, and each place of degree d has one such orbit
+            for th, size in _frobenius_orbits(ext, q):
+                if size != d:
+                    continue
+                fiber = FqPoly(ext, [at(ext, c, th) for c in model.fpoly.coeffs])
+                try:
+                    _fiber_root_count(fiber, q, d, True)
+                except CurveModelError:
+                    simple = False
+                else:
+                    simple = True
+                above = next((g for g in s_gens if not at(ext, g, th)), None)
+                if above is None:
+                    assert simple == (at(ext, disc, th) != 0), (d, th)
+                elif not simple:
+                    singular.add(above)
+        # above p, totally ramified, F = X^deg mod p has the multiple root 0;
+        # above the rest of S a multiple root need not be rational
+        assert layer.cfg.p_place.gen in singular
 
 
 class TestOrbitCount:
@@ -319,8 +385,18 @@ class TestFlagshipCounts:
         model = curve_model(build_layer(flagship_q3(), 0))
         assert model.fpoly.degree == 4
         # disc supported only at p
-        disc = geometry._resultant_x(model.fpoly, model.fpoly.derivative_x())
+        disc = reference_discriminant(model.fpoly)
         assert disc.monic() == (poly(F3, 1, 0, 1)) ** 3
+
+    @pytest.mark.parametrize("cfg, n, ins", [(flagship_q3, 1, range(1, 5)),
+                                             (flagship_q2, 2, range(1, 7))],
+                             ids=["q3-1", "q2-2"])
+    def test_model_vs_splitting_above_layer_0(self, cfg, n, ins):
+        # no discriminant over A is formed, so the plane model is cheap here
+        layer = build_layer(cfg(), n)
+        model = curve_model(layer)
+        for i in ins:
+            assert count_points_model(model, i) == count_points_splitting(layer, i)
 
     def test_weil_bound_postcheck(self):
         layer = build_layer(flagship_q3(), 0)
@@ -355,6 +431,11 @@ class TestZetaNumerator:
     def test_inconsistent_counts(self):
         with pytest.raises(ArithmeticError):
             zeta_numerator([5, 1], 2)
+
+    def test_non_integral_newton_coefficient(self):
+        # s = (-1, 0): c_1 = 1 and c_2 = 1/2, which no genus fits
+        with pytest.raises(ArithmeticError, match="no integral zeta numerator"):
+            zeta_numerator([4, 5], 2)
 
     def test_counts_from_numerator_roundtrip(self):
         # recompute N_i from the reconstructed numerator and compare

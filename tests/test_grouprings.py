@@ -8,6 +8,7 @@ import pytest
 from ctower import grouprings
 from ctower.abelian import TRIVIAL_GROUP, AbelianGroup
 from ctower.cli import _theta_poly_human
+from ctower.ffpoly import FqField, FqPoly, factor as fq_factor
 from ctower.grouprings import (
     Character,
     CyclotomicRing,
@@ -47,6 +48,7 @@ from zpk_reference import (
     reference_cyclotomic_reduce,
     reference_det,
     reference_fitting_generators,
+    reference_hensel_lift_factors,
     reference_mult_matrix_rows,
     reference_poly_reduce,
     reference_product,
@@ -94,6 +96,19 @@ class TestCyclotomic:
             acc = ring.add(acc, reference_zeta_pow(ring, j))
         assert ring.is_zero(acc)
 
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_lifted_factor_is_the_first_of_all_lifted(self, p):
+        # the one factor lifted against its cofactor is the first factor of
+        # the lift of every factor of Phi_M mod p
+        for M in range(1, 36):
+            if M % p == 0:
+                continue
+            facs = [list(g.coeffs) for g, _ in
+                    fq_factor(FqPoly(FqField(p), [c % p for c in cyclotomic_polynomial(M)]))]
+            for k in (1, 2, 5, 24):
+                first = reference_hensel_lift_factors(list(cyclotomic_polynomial(M)), facs, p, k)[0]
+                assert _lifted_cyclotomic_factors(M, p, k) == tuple(first), (M, p, k)
 
     def test_reduce_beyond_the_table(self):
         # x^4 = 1 mod x^2 + 1; the table of x^j stopped at j = 3
@@ -750,7 +765,7 @@ class TestTranslateRows:
         for p, k, M, orders in ((2, 6, 1, (2, 2)), (2, 6, 3, (4,)), (2, 6, 3, (2, 2)),
                                 (2, 4, 5, (2, 2, 2)), (3, 4, 4, (3, 3)), (3, 4, 4, (9,)),
                                 (3, 3, 2, (3,)), (5, 3, 3, (5,))):
-            h = (0, 1) if M == 1 else _lifted_cyclotomic_factors(M, p, k)[0]
+            h = (0, 1) if M == 1 else _lifted_cyclotomic_factors(M, p, k)
             yield PolyGroupRing(p, k, h, AbelianGroup(orders))
         for p, k, M, orders in ((2, 6, 1, (3,)), (3, 4, 3, (4,)), (2, 5, 6, (2, 3)),
                                 (5, 2, 4, ())):

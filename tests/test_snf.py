@@ -9,7 +9,7 @@ from ctower.grouprings import (
     mult_matrix,
 )
 from ctower.snf import (
-    hensel_lift_factors,
+    hensel_lift_pair,
     zpk_cokernel_exponents,
     zpk_exponents,
     zpk_kernel,
@@ -286,25 +286,26 @@ class TestTriangularReference:
 
 
 class TestHensel:
+    @staticmethod
+    def product(g, h, pk):
+        out = [0] * (len(g) + len(h) - 1)
+        for i, a in enumerate(g):
+            for j, b in enumerate(h):
+                out[i + j] = (out[i + j] + a * b) % pk
+        return out
+
     def test_phi4_mod3(self):
-        # Phi_4 = x^2 + 1 is irreducible mod 3: single factor lifts trivially
-        f = [1, 0, 1]
-        out = hensel_lift_factors(f, [[1, 0, 1]], 3, 6)
-        assert out == [[1, 0, 1]]
+        # Phi_4 = x^2 + 1 is irreducible mod 3: it lifts against 1 to itself
+        g, h = hensel_lift_pair([1, 0, 1], [1, 0, 1], [1], 3, 6)
+        assert (g, h) == ([1, 0, 1], [1])
 
     def test_x2_minus_1_mod3(self):
         # x^2 - 1 = (x+1)(x+2) mod 3; lift to mod 3^5
-        f = [-1, 0, 1]
-        out = hensel_lift_factors(f, [[1, 1], [2, 1]], 3, 5)
         pk = 3 ** 5
-        prod = [1]
-        for g in out:
-            tmp = [0] * (len(prod) + len(g) - 1)
-            for i, a in enumerate(prod):
-                for j, b in enumerate(g):
-                    tmp[i + j] = (tmp[i + j] + a * b) % pk
-            prod = tmp
-        assert prod == [c % pk for c in f]
+        f = [-1, 0, 1]
+        g, h = hensel_lift_pair([c % pk for c in f], [1, 1], [2, 1], 3, 5)
+        assert (g, h) == ([1, 1], [pk - 1, 1])
+        assert self.product(g, h, pk) == [c % pk for c in f]
 
     def test_cyclotomic_12_mod_5(self):
         # Phi_12 = x^4 - x^2 + 1 factors mod 5 as two quadratics
@@ -313,17 +314,14 @@ class TestHensel:
         F5 = FqField(5)
         phi12 = [1, 0, -1 % 5, 0, 1]
         facs = factor(FqPoly(F5, phi12))
-        assert all(m == 1 for _, m in facs)
-        lifted = hensel_lift_factors([1, 0, -1, 0, 1], [list(g.coeffs) for g, _ in facs], 5, 8)
+        assert [m for _, m in facs] == [1, 1]
+        (g, _), (h, _) = facs
         pk = 5 ** 8
-        prod = [1]
-        for g in lifted:
-            tmp = [0] * (len(prod) + len(g) - 1)
-            for i, a in enumerate(prod):
-                for j, b in enumerate(g):
-                    tmp[i + j] = (tmp[i + j] + a * b) % pk
-            prod = tmp
-        assert prod == [c % pk for c in [1, 0, -1, 0, 1]]
+        g_lift, h_lift = hensel_lift_pair([c % pk for c in [1, 0, -1, 0, 1]],
+                                          list(g.coeffs), list(h.coeffs), 5, 8)
+        assert [c % 5 for c in g_lift] == list(g.coeffs)
+        assert [c % 5 for c in h_lift] == list(h.coeffs)
+        assert self.product(g_lift, h_lift, pk) == [c % pk for c in [1, 0, -1, 0, 1]]
 
 
 class TestPackedExponents:

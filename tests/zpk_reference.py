@@ -60,6 +60,10 @@ as it stood before it rotated coefficient vectors in Z[x]/(x^N - 1): one
 CyclotomicRing.mul per step, with chi(g) from reference_zeta_pow and the
 products by q^d from reference_scale, the CyclotomicRing.zeta_pow and
 CyclotomicRing.scale of that code.
+
+And reference_hensel_lift_factors, the lift of every factor of Phi_M mod p
+(formerly snf.hensel_lift_factors), as the oracle of
+grouprings._lifted_cyclotomic_factors, which lifts only the first.
 """
 
 import itertools as it
@@ -78,7 +82,8 @@ from ctower.grouprings import (
     mult_matrix,
 )
 from ctower.lfun import euler_factors
-from ctower.snf import _triangular, zpk_cokernel_exponents
+from ctower import zpoly
+from ctower.snf import _triangular, hensel_lift_pair, zpk_cokernel_exponents
 
 
 class ReferenceZpkGroupRing:
@@ -865,4 +870,30 @@ def reference_per_character_euler_product(layer, chi: Character, D: int):
     out = [tuple(c) for c in series]
     while out and ring.is_zero(out[-1]):
         out.pop()
+    return out
+
+
+def reference_hensel_lift_factors(f, factors_mod_p, p, k):
+    """Lift pairwise-coprime monic factors of monic f from mod p to mod p^k."""
+    pk = p ** k
+    f = [c % pk for c in f]
+    out = []
+    remaining = f
+    facs = list(factors_mod_p)
+    for i, g in enumerate(facs):
+        if i == len(facs) - 1:
+            out.append(zpoly.trim([c % pk for c in remaining]))
+            break
+        cof = [1]
+        for other in facs[i + 1:]:
+            cof = zpoly.mul(cof, other, p)
+        g_lift, cof_lift = hensel_lift_pair(remaining, [c % p for c in g], cof, p, k)
+        out.append(g_lift)
+        remaining = cof_lift
+    # verify
+    prod = [1]
+    for g in out:
+        prod = zpoly.mul(prod, g, pk)
+    if zpoly.sub(prod, f, pk):
+        raise ArithmeticError("Hensel lift failed to reconstruct the input")
     return out
