@@ -10,14 +10,25 @@ partition of coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm, prod
 
 
-@dataclass(frozen=True)
 class AbelianGroup:
-    orders: tuple
+    """The group Z/o_1 x ... x Z/o_r of the generator orders o_i.  A value:
+    equal orders give equal groups, so a group keys caches and dicts."""
+
+    __slots__ = ("orders", "exponent")
+
+    def __init__(self, orders: tuple):
+        self.orders = orders
+        # Character.log_value reads the exponent per element
+        self.exponent = lcm(*orders)
+
+    def __eq__(self, other):
+        return isinstance(other, AbelianGroup) and self.orders == other.orders
+
+    def __hash__(self):
+        return hash((self.orders,))
 
     @property
     def identity(self):
@@ -26,11 +37,6 @@ class AbelianGroup:
     @property
     def order(self) -> int:
         return prod(self.orders)
-
-    @cached_property
-    def exponent(self) -> int:
-        # computed once per group: Character.log_value reads it per element
-        return lcm(*self.orders)
 
     def mul(self, a, b):
         return tuple((x + y) % o for x, y, o in zip(a, b, self.orders))

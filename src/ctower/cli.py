@@ -271,7 +271,13 @@ def cmd_count_points(args):
     return 1 if bad else 0
 
 
+def _check_max_i(args):
+    if args.max_i < 1:  # the zeta numerator needs at least N_1
+        raise ValueError(f"--max-i must be >= 1, not {args.max_i}")
+
+
 def cmd_zeta(args):
+    _check_max_i(args)
     _, cfg = _config_from_args(args)
     layer = build_layer(cfg, args.n)
     counts = [count_points_splitting(layer, i) for i in range(1, args.max_i + 1)]
@@ -341,12 +347,13 @@ def _verify_config(args):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, not {value}")
     _, cfg = _config_from_args(args)
-    opts = RunOptions(precision_k=args.precision, degree=args.degree,
-                      point_budget=args.budget, seed=args.seed)
+    sigma_alt = None
     if args.sigma_alt:
-        opts.sigma_alt = parse_places(cfg.field, args.sigma_alt)
-        TowerConfig(cfg.field, cfg.f, cfg.p_place, cfg.S, frozenset(opts.sigma_alt))
-    return cfg, args.N, opts
+        sigma_alt = parse_places(cfg.field, args.sigma_alt)
+        TowerConfig(cfg.field, cfg.f, cfg.p_place, cfg.S, frozenset(sigma_alt))
+    return cfg, args.N, RunOptions(precision_k=args.precision, degree=args.degree,
+                                   point_budget=args.budget, seed=args.seed,
+                                   sigma_alt=sigma_alt)
 
 
 class _BatteryWorker:
@@ -440,6 +447,7 @@ def cmd_verify(args):
 
     cfg, N, opts = _verify_config(args)
     if args.suite == "cnf":
+        _check_max_i(args)
         run = TowerRun(cfg=cfg, N=args.n, options=opts).until_failure(
             cnf_suite, build_layer(cfg, args.n), args.max_i)
         report = {"config": {**cfg.to_json(), "n": args.n, "max_i": args.max_i},

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 MAX_Q = 1 << 16
@@ -405,15 +404,22 @@ class FqPoly:
         return self._hash
 
 
-@dataclass(frozen=True)
 class FinitePlace:
-    """A finite place of F_q(theta): a monic irreducible polynomial."""
+    """A finite place of F_q(theta): a monic irreducible polynomial.  A
+    value: places with equal generators are equal."""
 
-    gen: FqPoly
+    __slots__ = ("gen",)
 
-    def __post_init__(self):
+    def __init__(self, gen: FqPoly):
+        self.gen = gen
         if not self.gen.is_monic() or self.gen.degree < 1:
             raise NonMonicError("place generator must be monic of degree >= 1")
+
+    def __eq__(self, other):
+        return isinstance(other, FinitePlace) and self.gen == other.gen
+
+    def __hash__(self):
+        return hash((self.gen,))
 
     @property
     def degree(self) -> int:

@@ -22,7 +22,6 @@ never fires on a tower layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import zpoly
@@ -53,14 +52,16 @@ class ConfigurationRefused(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CurveModel:
     """Affine plane model F(theta, X) = 0 of a tower layer, with the
     class-field exceptional table."""
 
-    layer: object
-    fpoly: AXPoly
-    exceptional: dict   # place v -> (deg w, count) of the places w above v
+    __slots__ = ("layer", "fpoly", "exceptional")
+
+    def __init__(self, layer, fpoly: AXPoly, exceptional: dict):
+        self.layer = layer
+        self.fpoly = fpoly
+        self.exceptional = exceptional  # place v -> (deg w, count) of the places w above v
 
     @property
     def field(self):
@@ -220,12 +221,14 @@ def count_points_splitting(layer, i: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ZetaData:
-    counts: list
-    genus: int
-    numerator: list  # integer coefficients c_0 .. c_{2g}
-    h: int
+    __slots__ = ("counts", "genus", "numerator", "h")
+
+    def __init__(self, counts: list, genus: int, numerator: list, h: int):
+        self.counts = counts
+        self.genus = genus
+        self.numerator = numerator  # integer coefficients c_0 .. c_{2g}
+        self.h = h
 
     def to_json(self):
         return {"counts": list(self.counts), "genus": self.genus,
@@ -273,12 +276,14 @@ def zeta_numerator(counts, q: int) -> ZetaData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SDivisorData:
-    degrees: list       # degrees of all places of L_n above S, with multiplicity
-    d_s: int            # gcd of the degrees: deg(Div_S(L_n)) = d_s Z
-    x_rank: int         # rank of X_S = (number of places above S) - 1
-    zp_mod_ds_exponent: int  # v_p(d_s) = log_p |Z_p / d_S|
+    __slots__ = ("degrees", "d_s", "x_rank", "zp_mod_ds_exponent")
+
+    def __init__(self, degrees: list, d_s: int, x_rank: int, zp_mod_ds_exponent: int):
+        self.degrees = degrees  # degrees of all places of L_n above S, with multiplicity
+        self.d_s = d_s          # gcd of the degrees: deg(Div_S(L_n)) = d_s Z
+        self.x_rank = x_rank    # rank of X_S = (number of places above S) - 1
+        self.zp_mod_ds_exponent = zp_mod_ds_exponent  # v_p(d_s) = log_p |Z_p / d_S|
 
 
 def s_divisor_data(layer) -> SDivisorData:
@@ -302,10 +307,12 @@ def s_divisor_data(layer) -> SDivisorData:
                         x_rank=len(degrees) - 1, zp_mod_ds_exponent=v_p)
 
 
-@dataclass
 class NablaOrder:
-    hypotheses: dict            # which of (a)-(d) hold
-    total_p_exponent: int       # log_p |nabla_S^(n)| (p-part): v_p(h) + v_p(d_S)
+    __slots__ = ("hypotheses", "total_p_exponent")
+
+    def __init__(self, hypotheses: dict, total_p_exponent: int):
+        self.hypotheses = hypotheses              # which of (a)-(d) hold
+        self.total_p_exponent = total_p_exponent  # log_p |nabla_S^(n)| (p-part): v_p(h) + v_p(d_S)
 
 
 def evaluate_hypotheses(layer) -> dict:

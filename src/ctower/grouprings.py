@@ -75,7 +75,6 @@ No floating point anywhere; every mod-p^k assertion carries its precision.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, gcd, prod
 
@@ -156,12 +155,22 @@ class CyclotomicRing:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Character:
-    """A character of a finite abelian group, valued in Z[x]/Phi_N."""
+    """A character of a finite abelian group, valued in Z[x]/Phi_N.  A
+    value: equal groups and exponents give equal characters."""
 
-    group: AbelianGroup
-    exps: tuple  # j_i mod o_i; chi(g_i) = zeta_N^(j_i * N / o_i)
+    __slots__ = ("group", "exps")
+
+    def __init__(self, group: AbelianGroup, exps: tuple):
+        self.group = group
+        self.exps = exps  # j_i mod o_i; chi(g_i) = zeta_N^(j_i * N / o_i)
+
+    def __eq__(self, other):
+        return isinstance(other, Character) and \
+            self.group == other.group and self.exps == other.exps
+
+    def __hash__(self):
+        return hash((self.group, self.exps))
 
     @property
     def ring(self) -> CyclotomicRing:
@@ -669,12 +678,14 @@ def is_unit(x, ring):
     return True, inv
 
 
-@dataclass
 class PresentationMatrix:
     """rows x cols matrix over a finite ring; generators are the columns."""
 
-    ring: object
-    rows: list
+    __slots__ = ("ring", "rows")
+
+    def __init__(self, ring, rows: list):
+        self.ring = ring
+        self.rows = rows
 
     @property
     def ncols(self):

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools as it
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from operator import attrgetter
 
 from . import zpoly
@@ -72,18 +71,27 @@ class PoleError(ArithmeticError):
     """Sigma fails to cancel a pole of the trivial-character component."""
 
 
-@dataclass(frozen=True)
 class EulerFactor:
     """One local factor of the product defining Theta.
 
     mode "S-inverse": contributes (1 - sigma^{-1} u^d)^{-1} (a place off S);
     mode "Sigma-forward": contributes (1 - sigma^{-1} (qu)^d) (a smoothing
-    place in Sigma).
+    place in Sigma).  A value: equal fields give equal factors.
     """
 
-    degree: int
-    frobenius: tuple
-    mode: str  # "S-inverse" | "Sigma-forward"
+    __slots__ = ("degree", "frobenius", "mode")
+
+    def __init__(self, degree: int, frobenius: tuple, mode: str):
+        self.degree = degree
+        self.frobenius = frobenius
+        self.mode = mode  # "S-inverse" | "Sigma-forward"
+
+    def __eq__(self, other):
+        return isinstance(other, EulerFactor) and (self.degree, self.frobenius, self.mode) == \
+            (other.degree, other.frobenius, other.mode)
+
+    def __hash__(self):
+        return hash((self.degree, self.frobenius, self.mode))
 
 
 def euler_factors(layer, max_degree: int):
@@ -145,20 +153,24 @@ def degree_bound(layer) -> int:
     return sig + residue_degree(layer) - 2 + (1 if layer.infinity_in_s() else 0)
 
 
-@dataclass
 class ThetaResult:
-    layer: object
-    D: int
-    bound: int
-    # the coefficient lists of Z[G] of u^0 .. u^bound, trailing zeros dropped
-    theta: list
-    tail: list  # divisor-sum coefficients at D + 1, D + 2 (None without the cross-check)
-    per_char_degrees: dict
-    orbit_rep: dict  # chi.exps -> rep of its rational orbit, in characters order
-    # rep.exps -> coefficient list of chi(Theta)(u) (trailing zeros dropped),
-    # for every orbit rep in characters(group) order; not part of to_json
-    chi_theta: dict
-    checks: dict = dc_field(default_factory=dict)
+    __slots__ = ("layer", "D", "bound", "theta", "tail", "per_char_degrees", "orbit_rep",
+                 "chi_theta", "checks")
+
+    def __init__(self, layer, D: int, bound: int, theta: list, tail: list,
+                 per_char_degrees: dict, orbit_rep: dict, chi_theta: dict, checks: dict):
+        self.layer = layer
+        self.D = D
+        self.bound = bound
+        # the coefficient lists of Z[G] of u^0 .. u^bound, trailing zeros dropped
+        self.theta = theta
+        self.tail = tail  # divisor-sum coefficients at D + 1, D + 2 (None without the cross-check)
+        self.per_char_degrees = per_char_degrees
+        self.orbit_rep = orbit_rep  # chi.exps -> rep of its rational orbit, in characters order
+        # rep.exps -> coefficient list of chi(Theta)(u) (trailing zeros dropped),
+        # for every orbit rep in characters(group) order; not part of to_json
+        self.chi_theta = chi_theta
+        self.checks = checks
 
     def special_value(self) -> list:
         """Theta(1) in Z[G]: the sum of the coefficient lists of Theta (the
@@ -485,10 +497,12 @@ def sigma_factor_unit(layer, v) -> bool:
     return ring.mul(x, inv) == ring.one
 
 
-@dataclass
 class FunctorialityReport:
-    equal: bool
-    first_mismatch_degree: int = None
+    __slots__ = ("equal", "first_mismatch_degree")
+
+    def __init__(self, equal: bool, first_mismatch_degree: int = None):
+        self.equal = equal
+        self.first_mismatch_degree = first_mismatch_degree
 
 
 def functoriality_check(tr_src: ThetaResult, tr_tgt: ThetaResult, layer_map) -> FunctorialityReport:

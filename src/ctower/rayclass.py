@@ -11,7 +11,6 @@ generator; the infinite place splits completely and has trivial Frobenius.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import TRIVIAL_GROUP, AbelianGroup, _abelian_basis
@@ -43,22 +42,24 @@ def default_s(f: FqPoly, p_place: FinitePlace):
     return frozenset(out)
 
 
-@dataclass(frozen=True)
 class TowerConfig:
     """Tower data (k = F_q(theta), f, p, S, Sigma).
 
     S must contain the ramification support {p} union {v | f}; Sigma is a
     nonempty set of finite places disjoint from S.  S may also contain the
-    infinite place and extra unramified finite places.
+    infinite place and extra unramified finite places.  A value: equal data
+    give equal configurations.
     """
 
-    field: FqField
-    f: FqPoly
-    p_place: FinitePlace
-    S: frozenset
-    sigma: frozenset
+    __slots__ = ("field", "f", "p_place", "S", "sigma")
 
-    def __post_init__(self):
+    def __init__(self, field: FqField, f: FqPoly, p_place: FinitePlace, S: frozenset,
+                 sigma: frozenset):
+        self.field = field
+        self.f = f
+        self.p_place = p_place
+        self.S = S
+        self.sigma = sigma
         if self.f.is_zero() or not self.f.is_monic():
             raise ValueError("conductor part f must be monic (use 1 for trivial f)")
         if self.p_place.field is not self.field or self.f.field is not self.field:
@@ -75,6 +76,14 @@ class TowerConfig:
         for v in self.sigma:
             if is_infinite(v):
                 raise ValueError("Sigma consists of finite places")
+
+    def __eq__(self, other):
+        return isinstance(other, TowerConfig) and \
+            (self.field, self.f, self.p_place, self.S, self.sigma) == \
+            (other.field, other.f, other.p_place, other.S, other.sigma)
+
+    def __hash__(self):
+        return hash((self.field, self.f, self.p_place, self.S, self.sigma))
 
     @property
     def char(self) -> int:
@@ -420,12 +429,14 @@ def build_layer(cfg: TowerConfig, n: int) -> GaloisLayer:
     return GaloisLayer(cfg, n)
 
 
-@dataclass
 class LayerMap:
     """Galois restriction G_{n_src} ->> G_{n_tgt} as a map on exponent tuples."""
 
-    target: GaloisLayer
-    images: list  # image of each source generator
+    __slots__ = ("target", "images")
+
+    def __init__(self, target: GaloisLayer, images: list):
+        self.target = target
+        self.images = images  # image of each source generator
 
     def apply(self, exps):
         g = self.target.group

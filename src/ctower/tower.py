@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
 
 from .abelian import TRIVIAL_GROUP, AbelianGroup
 from .geometry import (
@@ -69,24 +68,29 @@ class TowerVerificationError(AssertionError):
     TowerRun.until_failure runs."""
 
 
-@dataclass
 class RunOptions:
-    precision_k: int = DEFAULT_PRECISION
-    degree: object = None  # explicit enumeration degree D (None: bound + 4)
-    point_budget: int = DEFAULT_POINT_BUDGET
-    seed: int = 0
-    sigma_alt: object = None  # alternative Sigma for the independence check
+    __slots__ = ("precision_k", "degree", "point_budget", "seed", "sigma_alt")
+
+    def __init__(self, precision_k: int = DEFAULT_PRECISION, degree=None,
+                 point_budget: int = DEFAULT_POINT_BUDGET, seed: int = 0, sigma_alt=None):
+        self.precision_k = precision_k
+        self.degree = degree  # explicit enumeration degree D (None: bound + 4)
+        self.point_budget = point_budget
+        self.seed = seed
+        self.sigma_alt = sigma_alt  # alternative Sigma for the independence check
 
 
-@dataclass
 class TowerRun:
-    cfg: TowerConfig
-    N: int
-    options: RunOptions
-    layers: list = dc_field(default_factory=list)
-    theta_results: list = dc_field(default_factory=list)
-    zeta: object = None  # ZetaData of the geometry layer, when computed
-    verdicts: list = dc_field(default_factory=list)
+    __slots__ = ("cfg", "N", "options", "layers", "theta_results", "zeta", "verdicts")
+
+    def __init__(self, cfg: TowerConfig, N: int, options: RunOptions):
+        self.cfg = cfg
+        self.N = N
+        self.options = options
+        self.layers = []
+        self.theta_results = []
+        self.zeta = None  # ZetaData of the geometry layer, when computed
+        self.verdicts = []
 
     @property
     def all_passed(self) -> bool:
@@ -276,24 +280,20 @@ def _tower_suite(run: TowerRun):
                    **({} if bad is None else {"first_mismatch": bad}))
 
     layer, tr = layers[0], trs[0]
-    model = model_err = None
-    try:
-        model = curve_model(layer)
-    except (ArithmeticError, ValueError) as exc:  # no model: splitting only
-        model_err = str(exc)
     counts = [count_points_splitting(layer, i) for i in range(1, POINT_MAX_I + 1)]
     with run.check("point_count_cross_check", layer.n,
                    "model counting vs class-field splitting law") as record:
+        model = curve_model(layer)  # a model that cannot be built fails the verdict
         mismatch = None
         for i, ns in enumerate(counts, 1):
-            if model is None or cfg.field.q ** i > opts.point_budget:
+            if cfg.field.q ** i > opts.point_budget:
                 break
             nm = count_points_model(model, i, budget=opts.point_budget)
             if nm != ns:
                 mismatch = {"i": i, "model": nm, "splitting": ns}
                 break
-        record(mismatch is None, counts=counts, model=None if model is None else "plane model",
-               note=model_err, **({} if mismatch is None else {"first_mismatch": mismatch}))
+        record(mismatch is None, counts=counts, model="plane model", note=None,
+               **({} if mismatch is None else {"first_mismatch": mismatch}))
     _class_number_suite(run, layer, tr, counts, sum(theta_one_exps[0]))
 
 
@@ -380,16 +380,16 @@ def _class_number_suite(run: TowerRun, layer, tr, counts, quot):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ToyProjectiveSystem:
     """A finite chain R_0 <- R_1 <- ... <- R_T of finite rings with ring
     surjections, carrying a coherent element sequence alpha."""
 
-    rings: list          # ZpkGroupRing objects (Z/p^k: the trivial group)
-    transitions: list    # transitions[m]: R_{m+1} -> R_m
-    alpha: list          # alpha[m] in rings[m]
+    __slots__ = ("rings", "transitions", "alpha")
 
-    def __post_init__(self):
+    def __init__(self, rings: list, transitions: list, alpha: list):
+        self.rings = rings              # ZpkGroupRing objects (Z/p^k: the trivial group)
+        self.transitions = transitions  # transitions[m]: R_{m+1} -> R_m
+        self.alpha = alpha              # alpha[m] in rings[m]
         if len(self.rings) != len(self.alpha) or len(self.transitions) != len(self.rings) - 1:
             raise ValueError("system lengths are inconsistent")
         for m, t in enumerate(self.transitions):
@@ -398,10 +398,12 @@ class ToyProjectiveSystem:
                 raise ValueError(f"alpha is not coherent at level {m}")
 
 
-@dataclass
 class CoherentNzdReport:
-    precondition_ok: bool
-    conclusion_ok: bool
+    __slots__ = ("precondition_ok", "conclusion_ok")
+
+    def __init__(self, precondition_ok: bool, conclusion_ok: bool):
+        self.precondition_ok = precondition_ok
+        self.conclusion_ok = conclusion_ok
 
     @property
     def passed(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -268,9 +267,9 @@ class TestCommands:
         (["verify", "functoriality", "--q", "3"], "invalid choice: 'functoriality'"),
         (["verify", "sigmaunit", "--q", "3"], "invalid choice: 'sigmaunit'"),
         (["zeta", "--q", "2", "--p", "x^2+x+1", "--n", "1", "--Sigma", "x", "--max-i", "0"],
-         "needs at least one point count"),
+         "--max-i must be >= 1, not 0"),
         (["verify", "cnf", "--q", "3", "--p", "x^2+1", "--Sigma", "x", "--max-i", "0"],
-         "needs at least one point count"),
+         "--max-i must be >= 1, not 0"),
         *((["verify", "all", "--config", f"WRONG_{key}"], f"key {key} must be {kind}")
           for key, kind in _CONFIG_KINDS),
         (["verify", "all", "--q", "3", "--p", "x^2+1", "--Sigma", "x", "--N", "2",
@@ -292,8 +291,7 @@ class TestCommands:
         # a missing or invalid input is a usage error that names it, not a
         # traceback; a negative --cases checks nothing and a negative seed
         # aliases other seeds' chunk streams, so each is one too.  Each is
-        # found before any layer is built, except a lack of point counts,
-        # which zeta and verify cnf find after building their layer
+        # found before any layer is built
         built = []
         for module in (cli, tower):
             monkeypatch.setattr(module, "build_layer",
@@ -320,7 +318,7 @@ class TestCommands:
         # rejects an unknown suite, prints the usage first
         assert err.startswith("usage: " if "invalid choice" in named else "error: "), err
         assert named in err, err
-        assert bool(built) == (named == "needs at least one point count"), built
+        assert not built, built
 
     @pytest.mark.parametrize("key", ["N", "precision", "budget", "seed", "degree"])
     def test_config_bool_is_not_an_int(self, tmp_path, key):
@@ -439,10 +437,13 @@ class TestVerifyAllWorker:
         def stub(cfg, N, opts):
             if wait is not None:
                 wait()
-            return TowerRun(cfg=cfg, N=N, options=opts, verdicts=list(tower_verdicts))
+            run = TowerRun(cfg=cfg, N=N, options=opts)
+            run.verdicts.extend(tower_verdicts)
+            return run
 
         monkeypatch.setattr(cli, "run_tower", stub)
-        run = TowerRun(cfg=cfg, N=N, options=opts, verdicts=list(tower_verdicts))
+        run = TowerRun(cfg=cfg, N=N, options=opts)
+        run.verdicts.extend(tower_verdicts)
         run.verdicts.extend(algebra_suite(seed=opts.seed, cases=5))
         return json.dumps(run.to_json(), indent=2, sort_keys=True) + "\n"
 
@@ -731,16 +732,22 @@ def _shift_frobenius(real):
 def _shift_fiber_table(real):
     def shifted(layer):  # one more point above each finite place of S
         model = real(layer)
-        return dataclasses.replace(model, exceptional={
+        return geometry.CurveModel(model.layer, model.fpoly, {
             v: (dw, cnt if v is INFINITY else cnt + 1)
             for v, (dw, cnt) in model.exceptional.items()})
     return shifted
 
 
+def _raise_model_error(real):
+    def raising(layer):  # no model: nothing is compared, so the verdict fails
+        raise geometry.CurveModelError("model degree 5 does not match the layer order 4")
+    return raising
+
+
 def _square_model(real):
     def squared(layer):  # F^2: every root of every fiber is double
         model = real(layer)
-        return dataclasses.replace(model, fpoly=model.fpoly * model.fpoly)
+        return geometry.CurveModel(model.layer, model.fpoly * model.fpoly, model.exceptional)
     return squared
 
 
@@ -774,9 +781,8 @@ def _shift_alt_special_value(real):
     def shifted(layer, D=None, cross_check=True):
         tr = real(layer, D=D, cross_check=cross_check)
         if not cross_check:  # the Sigma' side of Sigma-independence only
-            value = tr.special_value()
-            value[0] += 1
-            tr.special_value = lambda: value
+            # Theta + u^(D+1): Theta(1) gains the identity of G
+            tr.theta = [*tr.theta, [1] + [0] * (layer.group.order - 1)]
         return tr
     return shifted
 
@@ -802,7 +808,7 @@ def _shift_geometric_series(real):
 def _shift_nabla(real):
     def shifted(*args):
         nab = real(*args)
-        return dataclasses.replace(nab, total_p_exponent=nab.total_p_exponent + 1)
+        return geometry.NablaOrder(nab.hypotheses, nab.total_p_exponent + 1)
     return shifted
 
 
@@ -844,6 +850,8 @@ class TestFailuresAreVerdicts:
          ("error", "FiberMismatchError: fiber above ")),
         (tower, "curve_model", _square_model, "point_count_cross_check", 0,
          ("error", "CurveModelError: the plane model is singular off S")),
+        (tower, "curve_model", _raise_model_error, "point_count_cross_check", 0,
+         ("error", "CurveModelError: model degree 5 does not match the layer order 4")),
         (geometry, "_fiber_root_count", _shift_one_fiber, "point_count_cross_check", 0,
          ("first_mismatch", "{'i': 1, 'model': 4, 'splitting': 3}")),
         (geometry, "tate_charpoly", _shift_charpoly, "charpoly_theta_identity", 0,
@@ -869,7 +877,7 @@ class TestFailuresAreVerdicts:
         (lfun.ThetaResult, "chi_at_one", _zero_nontrivial_at_one, "special_value_nzd_shadow", 0,
          ("first_mismatch", "{'chi': [1]}")),
     ], ids=["divisor-sum", "divisor-sum-tail", "symbolic-trivial", "per-character",
-            "frobenius", "fiber-mismatch", "singular-fiber", "fiber-count", "charpoly",
+            "frobenius", "fiber-mismatch", "singular-fiber", "no-model", "fiber-count", "charpoly",
             "zeta-no-fit", "delta-blocks", "sigma-alt-side", "split-count", "geometric-series", "nabla", "degree-bound",
             "zero-block", "zero-character"])
     def test_injected_error_is_a_failed_verdict(self, capsys, monkeypatch, tmp_path,

@@ -248,7 +248,8 @@ class TestGroupRing:
         layer = types.SimpleNamespace(group=C2)
         for theta, value in (([one(C2), from_mapping(C2, {(1,): 1})], [1, 1]), ([], [0, 0])):
             tr = ThetaResult(layer=layer, D=1, bound=1, theta=theta, tail=None,
-                             per_char_degrees={}, orbit_rep={}, chi_theta={})
+                             per_char_degrees={}, orbit_rep={}, chi_theta={},
+                             checks={})
             assert tr.special_value() == value
 
 
@@ -935,7 +936,8 @@ class TestGroupRingElemReference:
                     projected[j] += v
                 assert as_reference(target, projected) == rx.project(apply_map, target)
             tr = ThetaResult(layer=layer, D=0, bound=0, theta=[x], tail=None,
-                             per_char_degrees={}, orbit_rep={}, chi_theta={})
+                             per_char_degrees={}, orbit_rep={}, chi_theta={},
+                             checks={})
             assert json.dumps(tr.to_json()["theta"]) == json.dumps(
                 {"group_orders": list(orders), "coeffs_by_degree": [rx.to_json()["coeffs"]]})
             assert _theta_poly_human(group, [x]) == ([f"  u^0: {rx!r}"] if any(x) else [])

@@ -5,14 +5,21 @@ An imported name that nothing uses is dead code, and so is a definition
 nothing outside the tests reaches: a module-level function, class or
 constant that its module does not use and that no other module imports or
 reads from it, a method that no attribute read can reach, a function
-nested in a function that does not call it, or a dataclass field that no
+nested in a function that does not call it, or a slot of a class that no
 attribute read loads.  A function that
 imports a module of the package hides a dependency that belongs at the top
 of the module (there is no import cycle to break).
+
+The CLI starts without generating code: no module imports dataclasses, and
+one check runs `import ctower.cli` in a fresh interpreter to see which
+modules it loads.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -349,28 +356,58 @@ def test_every_default_is_passed_by_program_code():
     assert not unpassed, f"defaults no program call overrides: {unpassed}"
 
 
-def _dataclass_fields(tree):
-    """(class, field, line) for each annotated field of each class of a tree
-    decorated with @dataclass or @dataclass(...)."""
+def _slots(tree):
+    """(class, slot, line) for each name in the __slots__ of each class of a
+    tree."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
-        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
-        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
-            for stmt in cls.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    yield cls.name, stmt.target.id, stmt.lineno
+        for stmt in cls.body:
+            if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                for elt in ast.walk(stmt.value):
+                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
+                        yield cls.name, elt.value, stmt.lineno
 
 
-def test_every_dataclass_field_is_read():
-    """Each field of a dataclass of the package is read as an attribute
-    (.field, loaded) somewhere in the package, the demos or the benchmark
-    harness: a field that only tests read is stored for nothing.  Reads are
-    matched by attribute name alone."""
+def test_every_slot_is_read():
+    """Each name in the __slots__ of a class of the package is read as an
+    attribute (.name, loaded) somewhere in the package, the demos or the
+    benchmark harness: a field that only tests read is stored for nothing.
+    Reads are matched by attribute name alone."""
     read = {node.attr for path in USERS
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = [f"{path.name}:{line} {cls}.{name}" for path in MODULES
-              for cls, name, line in _dataclass_fields(ast.parse(path.read_text()))
+              for cls, name, line in _slots(ast.parse(path.read_text()))
               if name not in read]
-    assert not unread, f"dataclass fields nothing reads: {unread}"
+    assert not unread, f"slots nothing reads: {unread}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    """The package writes its classes out: a @dataclass decoration execs
+    generated functions at every start of the CLI."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert not imported, f"{path.name}: dataclasses imported at lines {imported}"
+
+
+def test_cli_import_footprint():
+    """import ctower.cli, in a fresh interpreter, loads no module that
+    generates or inspects code: dataclasses and inspect (which it imports)
+    are not among the modules it adds to a bare interpreter's."""
+    probe = "import sys; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+
+    def modules(code):
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return set(out.split())
+
+    added = modules("import ctower.cli; " + probe) - modules(probe)
+    assert "ctower.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
